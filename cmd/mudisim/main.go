@@ -67,7 +67,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		burstFlag    = fs.String("burst", "", "QPS burst as start:end:factor (e.g. 100:200:3)")
 		traceFlag    = fs.String("trace", "", "1-based device index for the per-window device trace, or a file path: the run's causal spans are written there as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")
 		moreFlag     = fs.Int("maxtrain", 1, "max training tasks per GPU (3 = Mudi-more)")
-		shardsFlag   = fs.Int("shards", 0, "event-engine shard lanes: 0 = legacy single calendar, -1 = auto (min(GOMAXPROCS, devices/64)), N = that many lanes; sharded summaries are lane-count invariant but differ from the legacy engine's")
+		shardsFlag   = fs.Int("shards", 0, "event-engine shard lanes: 0 or negative = auto (min(GOMAXPROCS, devices/64)), N = that many lanes; summaries are identical for every lane count")
 		admitFlag    = fs.Float64("admit-factor", 0, "burst admission cap as a multiple of nominal QPS (0 = default 1.5); windows above the cap shed sheddable/background excess")
 		liveFlag     = fs.Duration("live", 0, "run the live Local Coordinator (goroutines + ETCD-style store) for this wall-clock duration instead of the batch simulation")
 		jsonFlag     = fs.Bool("json", false, "emit the result as JSON instead of tables")

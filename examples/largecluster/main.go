@@ -3,12 +3,12 @@
 // the full 1000-GPU/5000-task configuration of §7.1) and print the
 // Fig. 8/9-style comparison.
 //
-// The fleet size is free-form: -devices 10000 -tasks 20000 -shards -1
-// runs a ten-thousand-device cluster on the sharded event engine,
-// where per-device calendars drain in parallel lanes and merge at
-// control-plane barriers (see DESIGN.md §13). At that scale restrict
-// the sweep with -policies mudi, or compare two with
-// -policies mudi,gslice.
+// The fleet size is free-form: -devices 10000 -tasks 20000 runs a
+// ten-thousand-device cluster, where per-device calendars drain in
+// parallel lanes (one per 64 devices, up to GOMAXPROCS, unless -shards
+// pins the count) and merge at control-plane barriers (see DESIGN.md
+// §13). At that scale restrict the sweep with -policies mudi, or
+// compare two with -policies mudi,gslice.
 package main
 
 import (
@@ -27,9 +27,9 @@ func main() {
 	devices := flag.Int("devices", 100, "GPU count")
 	tasks := flag.Int("tasks", 200, "training-task arrivals")
 	gap := flag.Float64("gap", 2.0, "mean arrival gap in seconds")
-	shards := flag.Int("shards", 0, "event-engine shard lanes: 0 = legacy calendar, -1 = auto, N = that many lanes")
+	shards := flag.Int("shards", 0, "event-engine shard lanes: 0 or negative = auto, N = that many lanes")
 	policies := flag.String("policies", "mudi,gslice,gpulets,muxflow", "comma-separated policies to compare (first is the comparison base)")
-	profile := flag.Bool("profile", false, "record engine self-profiling timelines and print the per-phase wall-clock breakdown (drain/merge/apply; most useful with -shards)")
+	profile := flag.Bool("profile", false, "record engine self-profiling timelines and print the per-phase wall-clock breakdown (drain/merge/apply)")
 	flag.Parse()
 
 	d, n, g := *devices, *tasks, *gap
@@ -133,10 +133,6 @@ func printProfile(w io.Writer, name string, tls []mudi.Timeline) {
 			}
 		}
 		totals[tl.Kind] = a
-	}
-	if len(totals) == 0 {
-		fmt.Fprintf(w, "  %s: no engine profile series (use -shards for the per-phase breakdown)\n", name)
-		return
 	}
 	phases := []string{"engine_drain_ms", "engine_merge_ms", "engine_apply_ms"}
 	var engine float64

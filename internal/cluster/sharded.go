@@ -1,30 +1,26 @@
 package cluster
 
 import (
-	"mudi/internal/gpu"
-	"mudi/internal/memmgr"
 	"mudi/internal/obs"
 	"mudi/internal/span"
 )
 
-// This file is the sharded run path (Options.Shards > 0): devices are
+// This file is the event engine's per-window work. Devices are
 // partitioned into contiguous lanes, each lane drains its own calendar
 // of per-device window ticks, and everything that crosses a lane
 // boundary — retunes, completions, evictions, placement, faults,
 // arrivals — happens at a barrier, either as a sequenced mailbox
 // message or as a global calendar event.
 //
-// The determinism contract is lane-count and worker-count invariance,
-// not equivalence with the legacy path. Three differences from the
-// legacy window are deliberate:
+// The determinism contract is lane-count and worker-count invariance.
+// Three rules deliver it:
 //
-//   - measurement noise draws from per-device streams (d.winRNG), not
-//     the shared cluster stream, so a device's draw sequence does not
-//     depend on which other devices happen to share its engine;
+//   - measurement noise draws from per-device streams (d.winRNG), so a
+//     device's draw sequence does not depend on which other devices
+//     share its lane;
 //   - control-plane reactions (qps-change / resume-probe / slo-risk
-//     retunes, pause evictions, completions) defer to the barrier and
-//     apply in (time, device, emission) order instead of firing inline
-//     mid-window;
+//     retunes, pause evictions, completions) are posted to the barrier
+//     and apply in (time, device, emission) order;
 //   - cluster float sums (MeanP99, shed totals, utilization) aggregate
 //     per device first and merge in global device order.
 //
@@ -34,93 +30,8 @@ import (
 // construction, in which case lanes drain inline in index order and
 // every emission lands in global device order anyway.
 
-// runSharded mirrors Run for the sharded engine.
-func (s *Sim) runSharded() (*Result, error) {
-	// Initial per-device configuration and memory placement — global
-	// phase, identical to the legacy sequence.
-	for _, d := range s.devices {
-		d.svc.curQPS = d.svc.qpsTrace.At(0)
-		if err := s.configure(0, d, true, "initial"); err != nil {
-			return nil, err
-		}
-		if err := d.pool.Alloc(0, "svc", memmgr.PriorityInference, d.svc.info.MemoryMB(d.svc.batch)); err != nil {
-			return nil, err
-		}
-		if err := d.dev.Place(gpu.Resident{ID: "svc", Kind: gpu.KindInference, Share: d.svc.delta, MemoryMB: d.svc.info.MemoryMB(d.svc.batch)}); err != nil {
-			return nil, err
-		}
-		d.svc.deployed = true
-	}
-	g := s.sh.Global()
-	// Faults and arrivals are control-plane events: they mutate the
-	// queue, the task set, and device residency, so they live on the
-	// global calendar and run with every lane quiescent at the barrier.
-	if s.inj != nil {
-		for _, d := range s.devices {
-			d := d
-			for _, w := range s.inj.DeviceWindows(d.dev.ID, s.opts.MaxHorizonSec) {
-				if _, err := g.At(w.Start, func(now float64) { s.failDevice(now, d) }); err != nil {
-					return nil, err
-				}
-				if _, err := g.At(w.End, func(now float64) { s.recoverDevice(now, d) }); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	for _, a := range s.opts.Arrivals {
-		arr := a
-		if s.opts.Record != nil {
-			s.opts.Record.Task(arr)
-		}
-		if _, err := g.At(arr.At, func(now float64) { s.onArrival(now, arr) }); err != nil {
-			return nil, err
-		}
-	}
-	// Per-device window ticks on the owning lane's calendar, scheduled
-	// in global device order so ties within a lane fire device-major.
-	stops := make([]func(), 0, len(s.devices)+1)
-	for _, d := range s.devices {
-		d := d
-		stop, err := s.sh.Lane(d.lane).Sim.EveryUntil(s.opts.WindowSec, func(now float64) {
-			s.deviceWindow(now, d)
-		})
-		if err != nil {
-			return nil, err
-		}
-		stops = append(stops, stop)
-	}
-	// The global barrier tick: cluster sums in device order, the
-	// cancellation check, and the all-done stop. Scheduled after faults
-	// and arrivals so ties at a window boundary keep the legacy
-	// fault/arrival-before-accounting order.
-	stop, err := g.EveryUntil(s.opts.WindowSec, func(now float64) { s.barrierTick(now) })
-	if err != nil {
-		return nil, err
-	}
-	stops = append(stops, stop)
-	// Engine self-profiling: wall-clock per barrier phase, mail volume,
-	// lane imbalance, heap/GC. Purely observational — the profiler only
-	// appends to timeline series the fingerprint excludes.
-	if s.tl != nil {
-		s.sh.SetProfiler(newTLProfiler(s.tl.store))
-	}
-	s.sh.Run(s.opts.MaxHorizonSec)
-	for _, st := range stops {
-		st()
-	}
-	if s.opts.Ctx != nil {
-		if err := s.opts.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	s.finalize(s.sh.Now())
-	return s.res, nil
-}
-
-// deviceWindow is one device's control window on the sharded path: the
-// lane-local part of the legacy window loop body, with every
-// cross-lane reaction posted to the mailbox instead of firing inline.
+// deviceWindow is one device's control window: the lane-local work
+// runs inline, and every cross-lane reaction is posted to the mailbox.
 func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	w := s.opts.WindowSec
 	if d.down {
@@ -138,9 +49,13 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	qps := svc.qpsTrace.At(now)
 	offered := qps
 
-	// Admission control (class-aware runs only); see the legacy window
-	// for the policy. Shed totals accumulate per device and merge at
-	// finalize in device order.
+	// Admission control (class-aware runs only): a shed-eligible
+	// service's offered load is capped at AdmitFactor × nominal QPS
+	// (span.BurstFactor by default), and the excess is dropped at the
+	// door instead of driving the window budget (and the co-located
+	// critical services' retunes) into the ground. Critical/standard
+	// load is never shed; batch defers but keeps every request. Shed
+	// totals accumulate per device and merge at finalize in device order.
 	var shedQPS float64
 	if s.classAware && svc.info.Class.SheddableLoad() {
 		admitCap := s.opts.AdmitFactor * svc.info.BaseQPS * s.opts.LoadFactor
@@ -165,7 +80,9 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 		}
 	}
 
-	// Monitor: retune triggers update curQPS inline (device-local) and
+	// Monitor: retune on a large QPS change (§5.3.2 case 2), or
+	// periodically probe whether a paused device can resume
+	// multiplexing. Triggers update curQPS inline (device-local) and
 	// post the configure to the barrier — Configure walks the policy's
 	// shared learner state, which only the global phase may touch.
 	if !s.opts.DisableRetune && relChange(svc.curQPS, qps) >= s.opts.QPSChangeThreshold {
@@ -253,6 +170,9 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 					Service: svc.info.Name, Value: lat, Cause: "window-budget",
 				})
 			}
+			// Monitor: "In cases where the Monitor detects that the
+			// SLO is at risk of being violated, it triggers adaptive
+			// batching or resource scaling accordingly" (§6).
 			if !s.opts.DisableRetune {
 				svc.curQPS = qps
 				lane.Post(now, d.gidx, func(at float64) {
@@ -297,8 +217,9 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 		}
 	}
 
-	// Memory reclamation: pool state is lane-owned, so this stays
-	// inline exactly as on the legacy path.
+	// Memory reclamation (Fig. 16's reclaim at QPS drop): touch swapped
+	// training back in when the device has headroom, one reclaim per
+	// window. Pool state is lane-owned, so this runs inline.
 	if d.pool.CapacityMB()-d.pool.DeviceUsedMB() > 1024 {
 		for _, t := range d.training {
 			if t.done {
@@ -311,7 +232,10 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 		}
 	}
 
-	// Utilization: publish per device; the barrier sums in device order.
+	// Utilization (Fig. 10): the service keeps its partition busy for
+	// the fraction of time batches are in flight; active training burns
+	// its share fully. Published per device; the barrier sums in device
+	// order.
 	busy := (qps / float64(svc.batch)) * (latOrZero(s.opts.Oracle, svc, coloc) / 1000)
 	if busy > 1 {
 		busy = 1
@@ -331,8 +255,8 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 
 // barrierTick is the global control-plane window: cancellation check,
 // cluster utilization sums over the values the lanes just published,
-// and the all-done stop. It runs after the mailbox applied, so
-// completions at this window are already visible to allDone.
+// and the all-done stop. It runs after the mailbox applied, so every
+// completion at this window is already counted in res.Completed.
 func (s *Sim) barrierTick(now float64) {
 	if s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
 		s.sh.Stop()
@@ -359,7 +283,7 @@ func (s *Sim) barrierTick(now float64) {
 		s.obsv.memUtil.Set(memSum / float64(len(s.devices)))
 		s.obsv.queueDepth.Set(float64(s.queue.Len()))
 	}
-	if s.allDone() && s.queue.Len() == 0 {
+	if s.res.Completed == len(s.opts.Arrivals) && s.queue.Len() == 0 {
 		s.sh.Stop()
 	}
 }

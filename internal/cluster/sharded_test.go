@@ -38,16 +38,16 @@ func shardRun(t testing.TB, seed uint64, devices, tasks int, mutate func(*Option
 	return res
 }
 
-// TestShardCountInvariance is the tentpole's golden: the sharded
-// engine's Result.Summary() is byte-identical at every lane count,
-// including the auto default (-1) and a lane count above the device
-// count (clamped). Mirrors PR 1's parallel-vs-sequential suite.
+// TestShardCountInvariance is the engine's determinism golden:
+// Result.Summary() is byte-identical at every lane count, including
+// the auto default (0 and -1) and a lane count above the device count
+// (clamped). Mirrors the runner's parallel-vs-sequential suite.
 func TestShardCountInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six full simulations in -short")
+		t.Skip("eight full simulations in -short")
 	}
 	want := shardRun(t, 3, 12, 24, func(o *Options) { o.Shards = 1 }).Summary()
-	for _, shards := range []int{2, 3, 5, 12, 40, -1} {
+	for _, shards := range []int{2, 3, 5, 12, 40, -1, 0} {
 		got := shardRun(t, 3, 12, 24, func(o *Options) { o.Shards = shards }).Summary()
 		if got != want {
 			t.Errorf("Shards=%d summary differs from Shards=1:\n--- shards=1\n%s\n--- shards=%d\n%s", shards, want, shards, got)
@@ -109,8 +109,7 @@ func TestShardClassesInvariance(t *testing.T) {
 
 // TestShardObservationPassive: observation, tracing, and attribution
 // force the sequential lane drain — but must not change the summary
-// relative to the parallel drain with every sink off (the same
-// passivity contract the legacy engine keeps).
+// relative to the parallel drain with every sink off.
 func TestShardObservationPassive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full simulations in -short")

@@ -42,9 +42,9 @@ type serviceState struct {
 	// shadow to an injected spin-up failure.
 	deployed bool
 
-	// Sharded-mode accumulators (unused on the legacy single-calendar
-	// path): lane windows accumulate per device, finalize merges in
-	// global device order so float sums are invariant to lane count.
+	// Per-device accumulators: lane windows add to them, finalize merges
+	// them in global device order so float sums are invariant to lane
+	// count.
 	latSum   float64 // measured window latencies, summed
 	shedReq  float64 // requests shed by admission control
 	shedWins int     // device-windows that shed
@@ -92,12 +92,11 @@ type deviceState struct {
 	// view() keeps allocating because policies retain its slices.
 	taskScratch []model.TrainingTask
 
-	// Sharded-mode fields (idle on the legacy path). gidx is the global
-	// device index and lane its owning shard; winRNG is the per-device
-	// measurement-noise stream (the legacy path draws from the shared
-	// cluster stream, which would couple devices across lanes); memFrac
-	// is the last window's memory utilization, published for the
-	// barrier's device-order cluster sums.
+	// Engine placement. gidx is the global device index and lane its
+	// owning shard; winRNG is the per-device measurement-noise stream (a
+	// shared stream would couple devices across lanes); memFrac is the
+	// last window's memory utilization, published for the barrier's
+	// device-order cluster sums.
 	gidx    int
 	lane    int
 	winRNG  *xrand.Rand
@@ -107,9 +106,9 @@ type deviceState struct {
 	// otherwise). svcIdx is the catalog index of the resident service.
 	// The win* fields hold this device's last window: offered QPS, shed
 	// rate, measured latency, whether the measurement succeeded, and
-	// whether it violated the budget. Written by the window handler
-	// (lane-local on the sharded path), folded into timeline series by
-	// the single-threaded barrier/window roll-up in global device order.
+	// whether it violated the budget. Written lane-locally by the window
+	// handler, folded into timeline series by the single-threaded barrier
+	// roll-up in global device order.
 	svcIdx  int
 	winQPS  float64
 	winShed float64

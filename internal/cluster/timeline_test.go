@@ -23,24 +23,6 @@ func tlRun(t testing.TB, shards int) *Result {
 	})
 }
 
-// workloadOnly filters a snapshot down to the workload-derived kinds —
-// the subset whose values are identical across the legacy and sharded
-// engine universes.
-func workloadOnly(t *testing.T, tls []timeline.Timeline) []timeline.Timeline {
-	t.Helper()
-	var out []timeline.Timeline
-	for _, tl := range tls {
-		k, err := timeline.ParseKind(tl.Kind)
-		if err != nil {
-			t.Fatalf("snapshot carries unknown kind %q: %v", tl.Kind, err)
-		}
-		if k.Workload() {
-			out = append(out, tl)
-		}
-	}
-	return out
-}
-
 // TestTimelineShardInvariance is the tentpole's golden: the non-profile
 // timeline fingerprint of a faulted, bursty, classed run is
 // byte-identical at every lane count and every worker count. Lane
@@ -75,59 +57,7 @@ func TestTimelineShardInvariance(t *testing.T) {
 	}
 }
 
-// TestTimelineLegacyWorkloadIdentity: the workload-derived kinds (QPS,
-// admitted, shed, class roll-ups, down devices) are exact arithmetic on
-// the shared arrival/burst/fault schedule, so every window's value must
-// be byte-identical even across the legacy/sharded engine boundary.
-// Only the horizon may differ — task completion times are
-// measurement-driven, and the two universes draw measurement noise from
-// different streams — so the comparison runs over the common window
-// prefix. Measurement-derived kinds (P99, violation, utilization) are
-// excluded entirely.
-func TestTimelineLegacyWorkloadIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four faulted simulations in -short")
-	}
-	rawByKey := func(tls []timeline.Timeline) map[string][]timeline.Bucket {
-		m := make(map[string][]timeline.Bucket)
-		for _, tl := range tls {
-			if len(tl.Levels) == 0 || tl.Levels[0].Stride != 1 {
-				t.Fatalf("series %s/%s missing raw level", tl.Kind, tl.Scope)
-			}
-			m[tl.Kind+"|"+tl.Scope] = tl.Levels[0].Buckets
-		}
-		return m
-	}
-	want := rawByKey(workloadOnly(t, tlRun(t, 0).Timelines))
-	for _, shards := range []int{1, 3, -1} {
-		got := rawByKey(workloadOnly(t, tlRun(t, shards).Timelines))
-		if len(got) != len(want) {
-			t.Fatalf("Shards=%d has %d workload series, Shards=0 has %d", shards, len(got), len(want))
-		}
-		for key, wb := range want {
-			gb, ok := got[key]
-			if !ok {
-				t.Errorf("Shards=%d missing series %s", shards, key)
-				continue
-			}
-			n := len(wb)
-			if len(gb) < n {
-				n = len(gb)
-			}
-			if n < 100 {
-				t.Fatalf("series %s: only %d common windows; the identity check would be vacuous", key, n)
-			}
-			for i := 0; i < n; i++ {
-				if wb[i] != gb[i] {
-					t.Errorf("Shards=%d series %s window %d: %+v != legacy %+v", shards, key, i, gb[i], wb[i])
-					break
-				}
-			}
-		}
-	}
-}
-
-// TestTimelineProfileSeries: a sharded timeline run self-profiles — the
+// TestTimelineProfileSeries: a timeline run self-profiles — the
 // engine phase series exist and carry samples, and they are excluded
 // from the deterministic fingerprint (wall-clock is not reproducible).
 func TestTimelineProfileSeries(t *testing.T) {
@@ -144,7 +74,7 @@ func TestTimelineProfileSeries(t *testing.T) {
 	} {
 		tl, ok := byKind[k.String()]
 		if !ok {
-			t.Errorf("profile series %s missing from sharded snapshot", k)
+			t.Errorf("profile series %s missing from snapshot", k)
 			continue
 		}
 		if len(tl.Levels) == 0 || len(tl.Levels[0].Buckets) == 0 {
@@ -169,12 +99,12 @@ func TestTimelineProfileSeries(t *testing.T) {
 
 // TestTimelinePassive: recording timelines must not perturb the
 // simulation — the classed faulted summary is byte-identical with the
-// store attached and detached, on both engines.
+// store attached and detached, at one lane and at several.
 func TestTimelinePassive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four faulted simulations in -short")
 	}
-	for _, shards := range []int{0, 3} {
+	for _, shards := range []int{1, 3} {
 		bare := shardRun(t, 7, 6, 8, func(o *Options) {
 			o.Services = classedServices()
 			o.Bursts = []trace.Burst{{Start: 20, End: 80, Factor: 4}}

@@ -90,7 +90,9 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, fn func(i int) (T, error
 			}()
 		}
 	feed:
-		for i := 0; i < n; i++ {
+		// select picks at random among ready cases, so a done context
+		// must also be checked before each send or cells could still run.
+		for i := 0; i < n && ctx.Err() == nil; i++ {
 			select {
 			case <-ctx.Done():
 				break feed

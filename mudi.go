@@ -276,14 +276,11 @@ type SimOptions struct {
 	// catalog name, applied after ClassMix. Unknown service names are an
 	// *OptionError.
 	ServiceClasses map[string]SLOClass
-	// Shards selects the event-engine sharding. 0 (the default) runs the
-	// single-calendar legacy engine, byte-identical to earlier releases.
-	// A negative value picks min(GOMAXPROCS, devices/64) lanes — the
-	// right setting for large clusters (see examples/largecluster).
-	// A positive value pins that many lanes (clamped to the device
-	// count). Sharded runs form their own determinism universe: the
-	// summary is byte-identical across every lane count and worker
-	// count, but intentionally differs from the legacy engine's.
+	// Shards is the event engine's lane count. 0 (the default) or a
+	// negative value picks min(GOMAXPROCS, devices/64) lanes, at least
+	// one. A positive value pins that many lanes (clamped to the device
+	// count). The summary is byte-identical across every lane count and
+	// worker count.
 	Shards int
 	// AdmitFactor scales the per-service burst admission cap: windows
 	// whose demand exceeds AdmitFactor × nominal QPS shed the excess

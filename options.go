@@ -164,8 +164,8 @@ func (o SimOptions) queueID() (QueuePolicyID, *OptionError) {
 // Validate accepts them: Policy (system's Mudi), Devices (12),
 // Tasks (24), MeanGapSec (10 s), IterScale (0.002), LoadFactor (1.0),
 // Queue (QueueFCFS), TraceDeviceIdx (no trace), MIGSlices (no MIG
-// splitting; 1 is equivalently off), Shards (legacy single-calendar
-// engine), AdmitFactor (1.5× burst headroom).
+// splitting; 1 is equivalently off), Shards (auto lane count; negative
+// values also mean auto), AdmitFactor (1.5× burst headroom).
 func (o SimOptions) Validate() error {
 	if o.Devices < 0 {
 		return &OptionError{Field: "Devices", Value: o.Devices, Reason: "must be >= 0 (0 selects the default of 12)"}
