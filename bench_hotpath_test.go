@@ -1,14 +1,16 @@
 package mudi
 
 // Hot-path micro-benchmarks behind `make bench-hotpath`: they isolate
-// the four simulator inner loops the end-to-end alloc budget
+// the simulator inner loops the end-to-end alloc budget
 // (BenchmarkSimObsOff, BENCH_hotpath.json) depends on — GP posterior
-// updates, percentile extraction, oracle curve construction, and the
-// request-level serving loop. The AllocsPerRun regression tests in
-// internal/gp and internal/stats pin the zero-alloc steady states;
-// these benchmarks track the constants.
+// updates, percentile extraction, oracle curve construction, the
+// request-level serving loop, and Mudi's device selection. The
+// AllocsPerRun regression tests in internal/gp, internal/stats and
+// internal/core pin the steady states; these benchmarks track the
+// constants.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -147,6 +149,39 @@ func BenchmarkHotpathOracleCurve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := o.TrainColocCurve(svc, 64, coloc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotpathMudiSelect1k is one Device Selector call over a
+// 1024-device fleet of the six catalog services, each with no resident
+// or one: twelve distinct (service, Ψ) keys. The predictor runs once
+// per key; only the Eq. 4 solve runs per device.
+func BenchmarkHotpathMudiSelect1k(b *testing.B) {
+	sys, err := NewSystem(SystemConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	services := model.Services()
+	tasks := model.ObservedTasks()
+	views := make([]DeviceView, 1024)
+	for i := range views {
+		svc := services[i%len(services)]
+		views[i] = DeviceView{
+			ID: fmt.Sprintf("gpu%04d", i), ServiceName: svc.Name,
+			SLOms: svc.SLOms, QPS: svc.BaseQPS, FreeShare: 0.5,
+		}
+		if (i/len(services))%2 == 1 {
+			views[i].ResidentTasks = tasks[:1]
+		}
+	}
+	policy := sys.Policy()
+	task := tasks[1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := policy.SelectDevice(task, views, nil); !ok {
+			b.Fatal("no device selected")
 		}
 	}
 }

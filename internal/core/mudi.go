@@ -53,14 +53,16 @@ type Mudi struct {
 	tun       *tuner.Tuner
 	framework *sched.Framework
 	slope     *slopePlugin
+	// infos is SelectDevice's reusable framework input.
+	infos []sched.DeviceInfo
 	// seenColoc remembers (service, coloc-arch) pairs already profiled
 	// online to avoid repeated sampling.
-	seenColoc map[string]bool
-	// curves caches directly fitted latency curves by
-	// service|archKey|batch; Configure prefers an exact fit over the
+	seenColoc map[colocKey]bool
+	// curves caches directly fitted latency curves by (service,
+	// coloc-arch, batch); Configure prefers an exact fit over the
 	// learner's generalization (§4.2: newly sampled co-locations are
 	// fitted and used directly while also updating the predictor).
-	curves map[string]piecewise.Func
+	curves map[curveKey]piecewise.Func
 	// Overhead bookkeeping for Fig. 18.
 	boIters []int
 	// evalHook, when set via SetEvalHook, is forwarded to every tuning
@@ -77,10 +79,15 @@ func NewMudi(pred *predictor.Predictor, cfg MudiConfig) *Mudi {
 		cfg:       cfg,
 		pred:      pred,
 		tun:       tuner.New(cfg.Tuner),
-		seenColoc: make(map[string]bool),
-		curves:    make(map[string]piecewise.Func),
+		seenColoc: make(map[colocKey]bool),
+		curves:    make(map[curveKey]piecewise.Func),
 	}
-	m.slope = &slopePlugin{mudi: m}
+	m.slope = &slopePlugin{
+		pred:    pred,
+		batches: model.BatchSizes(),
+		views:   make(map[string]*DeviceView),
+		memo:    make(map[colocKey]slopeEntry),
+	}
 	m.framework = sched.NewFramework(
 		&eligibilityPlugin{maxTrain: cfg.MaxTrainPerGPU, slope: m.slope},
 		m.slope,
@@ -95,9 +102,16 @@ func (m *Mudi) Name() string { return "mudi" }
 // evaluation harness).
 func (m *Mudi) Predictor() *predictor.Predictor { return m.pred }
 
+// colocKey identifies a service next to a cumulative co-location Ψ.
+type colocKey struct {
+	svc  string
+	arch model.Arch
+}
+
 // curveKey identifies one fitted-curve cache entry.
-func curveKey(svc string, arch model.Arch, batch int) string {
-	return fmt.Sprintf("%s|%v|%d", svc, arch, batch)
+type curveKey struct {
+	colocKey
+	batch int
 }
 
 // AddProfiles seeds the fitted-curve cache from offline profiles (the
@@ -107,8 +121,9 @@ func (m *Mudi) AddProfiles(profiles []profiler.Profile) {
 		if pr.Curve.Validate() != nil {
 			continue
 		}
-		m.curves[curveKey(pr.Service, pr.ColocArch(), pr.Batch)] = pr.Curve
-		m.seenColoc[pr.Service+"|"+archKey(pr.ColocArch())] = true
+		k := colocKey{pr.Service, pr.ColocArch()}
+		m.curves[curveKey{k, pr.Batch}] = pr.Curve
+		m.seenColoc[k] = true
 	}
 }
 
@@ -162,22 +177,64 @@ func (p *eligibilityPlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 // slopePlugin scores devices by the negated predicted average slope:
 // the Device Selector of §5.2. It needs the candidate task's
 // architecture, which the Mudi policy stashes before each selection.
+//
+// The predictor's outputs depend only on (service, Ψ), and a fleet has
+// a handful of such pairs, so one selection evaluates the predictor
+// once per pair (memo) and runs only the Eq. 4 solve, which reads the
+// device's own QPS and SLO, per device. SelectDevice empties the memo
+// at the start of every call: predictor updates between calls are
+// always seen.
 type slopePlugin struct {
-	mudi        *Mudi
+	pred        *predictor.Predictor
+	batches     []int
 	currentTask model.TrainingTask
-	views       map[string]DeviceView
+	views       map[string]*DeviceView
+	memo        map[colocKey]slopeEntry
+}
+
+// slopeEntry is the predictor's output for one (service, Ψ): the
+// average slope or its error, and the predicted curve per batch size
+// (in batches order, ok=false where the prediction failed).
+type slopeEntry struct {
+	slope  float64
+	err    error
+	curves []predictedCurve
+}
+
+type predictedCurve struct {
+	f  piecewise.Func
+	ok bool
 }
 
 func (p *slopePlugin) Name() string { return "interference-slope" }
+
+// entry returns the memoized predictor output for (svc, arch),
+// evaluating it on first use within the selection.
+func (p *slopePlugin) entry(svc string, arch model.Arch) slopeEntry {
+	key := colocKey{svc, arch}
+	if e, ok := p.memo[key]; ok {
+		return e
+	}
+	var e slopeEntry
+	e.slope, e.err = p.pred.AvgSlope(svc, arch)
+	if e.err == nil {
+		e.curves = make([]predictedCurve, len(p.batches))
+		for i, b := range p.batches {
+			curve, err := p.pred.PredictCurve(svc, b, arch)
+			e.curves[i] = predictedCurve{curve, err == nil}
+		}
+	}
+	p.memo[key] = e
+	return e
+}
 
 func (p *slopePlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 	view, ok := p.views[dev.ID]
 	if !ok {
 		return -1
 	}
-	arch := colocArch(view.ResidentTasks, p.currentTask)
-	slope, err := p.mudi.pred.AvgSlope(view.ServiceName, arch)
-	if err != nil {
+	e := p.entry(view.ServiceName, colocArch(view.ResidentTasks, p.currentTask))
+	if e.err != nil {
 		return -1
 	}
 	// A smaller slope both reduces SLO pressure and lets the service
@@ -186,26 +243,24 @@ func (p *slopePlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 	// share after Eq. 4 sizes the service at the device's current QPS,
 	// averaged over the batch candidates.
 	var shareSum float64
-	batches := model.BatchSizes()
-	for _, b := range batches {
-		curve, err := p.mudi.pred.PredictCurve(view.ServiceName, b, arch)
-		if err != nil {
+	for i, b := range p.batches {
+		if !e.curves[i].ok {
 			continue
 		}
 		if view.QPS <= 0 || view.SLOms <= 0 {
 			continue
 		}
 		res, err := opt.MinPartition(opt.ScaleRequest{
-			QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: curve, MaxDelta: 0.9,
+			QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i].f, MaxDelta: 0.9,
 		})
 		if err != nil || !res.Feasible {
 			continue
 		}
 		shareSum += 1 - res.Delta
 	}
-	avgShare := shareSum / float64(len(batches))
+	avgShare := shareSum / float64(len(p.batches))
 	// Higher score = better; slopes are positive magnitudes.
-	return (0.05 + avgShare) / (1 + slope)
+	return (0.05 + avgShare) / (1 + e.slope)
 }
 
 // SelectDevice implements Policy (§5.2): assign the task to the device
@@ -213,11 +268,14 @@ func (p *slopePlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 // batch-size set.
 func (m *Mudi) SelectDevice(task model.TrainingTask, views []DeviceView, _ map[string]Measurer) (string, bool) {
 	m.slope.currentTask = task
-	m.slope.views = make(map[string]DeviceView, len(views))
-	infos := make([]sched.DeviceInfo, len(views))
-	for i, v := range views {
+	clear(m.slope.views)
+	clear(m.slope.memo)
+	clear(m.infos)
+	m.infos = m.infos[:0]
+	for i := range views {
+		v := &views[i]
 		m.slope.views[v.ID] = v
-		infos[i] = sched.DeviceInfo{
+		m.infos = append(m.infos, sched.DeviceInfo{
 			ID:            v.ID,
 			FreeShare:     v.FreeShare,
 			TrainingCount: len(v.ResidentTasks),
@@ -225,9 +283,9 @@ func (m *Mudi) SelectDevice(task model.TrainingTask, views []DeviceView, _ map[s
 			ServiceQPS:    v.QPS,
 			MemoryFreeMB:  v.MemoryFreeMB,
 			SMUtil:        v.SMUtil,
-		}
+		})
 	}
-	dev, err := m.framework.Select(&sched.Job{TaskName: task.Name}, infos)
+	dev, err := m.framework.Select(&sched.Job{TaskName: task.Name}, m.infos)
 	if err != nil {
 		return "", false
 	}
@@ -240,12 +298,12 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 	if view.ServiceName == "" {
 		return Decision{}, fmt.Errorf("core: device %s has no inference service", view.ID)
 	}
-	arch := colocArch(view.ResidentTasks)
-	curves := func(b int) piecewise.Func {
-		if c, ok := m.curves[curveKey(view.ServiceName, arch, b)]; ok {
+	coloc := colocKey{view.ServiceName, colocArch(view.ResidentTasks)}
+	resolve := func(b int) piecewise.Func {
+		if c, ok := m.curves[curveKey{coloc, b}]; ok {
 			return c // exact fit for this co-location
 		}
-		c, err := m.pred.PredictCurve(view.ServiceName, b, arch)
+		c, err := m.pred.PredictCurve(coloc.svc, b, coloc.arch)
 		if err != nil {
 			// Untrained service: a conservative steep default makes the
 			// solver allocate generously rather than violate the SLO.
@@ -253,10 +311,25 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 		}
 		return c
 	}
+	// The tuner asks for every candidate's curve, several times per
+	// episode: resolve each one once.
+	batches := model.BatchSizes()
+	resolved := make([]piecewise.Func, len(batches))
+	for i, b := range batches {
+		resolved[i] = resolve(b)
+	}
+	curves := func(b int) piecewise.Func {
+		for i, c := range batches {
+			if c == b {
+				return resolved[i]
+			}
+		}
+		return resolve(b)
+	}
 	req := tuner.Request{
 		QPS:         view.QPS,
 		SLOms:       view.SLOms,
-		Candidates:  model.BatchSizes(),
+		Candidates:  batches,
 		Curves:      curves,
 		Measure:     meas,
 		HasTraining: len(view.ResidentTasks) > 0,
@@ -319,8 +392,7 @@ func (m *Mudi) ObserveColocation(view DeviceView, meas Measurer) {
 	if view.ServiceName == "" || len(view.ResidentTasks) == 0 || meas == nil {
 		return
 	}
-	arch := colocArch(view.ResidentTasks)
-	key := view.ServiceName + "|" + archKey(arch)
+	key := colocKey{view.ServiceName, colocArch(view.ResidentTasks)}
 	if m.seenColoc[key] {
 		return
 	}
@@ -338,7 +410,7 @@ func (m *Mudi) ObserveColocation(view DeviceView, meas Measurer) {
 		if err != nil {
 			continue
 		}
-		m.curves[curveKey(view.ServiceName, arch, b)] = curve
+		m.curves[curveKey{key, b}] = curve
 		prof := profiler.Profile{
 			Service: view.ServiceName,
 			Batch:   b,
@@ -350,14 +422,6 @@ func (m *Mudi) ObserveColocation(view DeviceView, meas Measurer) {
 			return
 		}
 	}
-}
-
-func archKey(a model.Arch) string {
-	s := ""
-	for _, n := range a {
-		s += fmt.Sprintf("%d,", n)
-	}
-	return s
 }
 
 // ShouldRetune forwards the Monitor's QPS-change trigger.

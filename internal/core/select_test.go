@@ -1,0 +1,240 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"mudi/internal/model"
+	"mudi/internal/opt"
+	"mudi/internal/perf"
+	"mudi/internal/predictor"
+	"mudi/internal/sched"
+	"mudi/internal/xrand"
+)
+
+// referenceScore is the Device Selector's score computed the direct
+// way, re-running the predictor for the device: eligibility, then the
+// negated average slope weighted by the predicted leftover share.
+func referenceScore(pred *predictor.Predictor, maxTrain int, task model.TrainingTask, v DeviceView) (float64, bool) {
+	if v.ServiceName == "" || len(v.ResidentTasks) >= maxTrain || v.Paused {
+		return 0, false
+	}
+	arch := colocArch(v.ResidentTasks, task)
+	slope, err := pred.AvgSlope(v.ServiceName, arch)
+	if err != nil {
+		return 0, false
+	}
+	var shareSum float64
+	batches := model.BatchSizes()
+	for _, b := range batches {
+		curve, err := pred.PredictCurve(v.ServiceName, b, arch)
+		if err != nil {
+			continue
+		}
+		if v.QPS <= 0 || v.SLOms <= 0 {
+			continue
+		}
+		res, err := opt.MinPartition(opt.ScaleRequest{
+			QPS: v.QPS, Batch: b, SLO: v.SLOms, Latency: curve, MaxDelta: 0.9,
+		})
+		if err != nil || !res.Feasible {
+			continue
+		}
+		shareSum += 1 - res.Delta
+	}
+	return (0.05 + shareSum/float64(len(batches))) / (1 + slope), true
+}
+
+// referenceSelect picks the highest reference score, ties to the
+// smaller device ID.
+func referenceSelect(pred *predictor.Predictor, maxTrain int, task model.TrainingTask, views []DeviceView) (string, bool) {
+	best, bestScore := -1, 0.0
+	for i, v := range views {
+		s, ok := referenceScore(pred, maxTrain, task, v)
+		if !ok {
+			continue
+		}
+		if best < 0 || s > bestScore || (s == bestScore && v.ID < views[best].ID) {
+			best, bestScore = i, s
+		}
+	}
+	if best < 0 {
+		return "", false
+	}
+	return views[best].ID, true
+}
+
+// lastScores re-scores the devices of m's latest SelectDevice call
+// through its framework, reading that call's memo.
+func lastScores(m *Mudi) []float64 {
+	out := make([]float64, len(m.infos))
+	for i, info := range m.infos {
+		s, ok := m.framework.Score(&sched.Job{}, info)
+		if !ok {
+			s = -1
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// randomFleet draws n device views: mixed services (one the predictor
+// never saw), 0–3 residents, paused devices, devices without a
+// service, and non-positive QPS.
+func randomFleet(rng *xrand.Rand, n int) []DeviceView {
+	services := model.Services()
+	tasks := model.Tasks()
+	views := make([]DeviceView, n)
+	for i := range views {
+		v := DeviceView{ID: fmt.Sprintf("g%03d", i), FreeShare: rng.Float64()}
+		if k := rng.Intn(len(services) + 1); k < len(services) {
+			v.ServiceName, v.SLOms = services[k].Name, services[k].SLOms
+			v.QPS = services[k].BaseQPS * rng.Range(0.2, 3)
+		} else {
+			v.ServiceName, v.SLOms, v.QPS = "Untrained", 100, 200
+		}
+		// Residents come from three tasks, so different resident lists
+		// often share one Ψ sum (and so one memo entry).
+		for r := rng.Intn(4); r > 0; r-- {
+			v.ResidentTasks = append(v.ResidentTasks, tasks[rng.Intn(3)])
+		}
+		switch rng.Intn(10) {
+		case 0:
+			v.Paused = true
+		case 1:
+			v.ServiceName = ""
+		case 2:
+			v.QPS = 0
+		case 3:
+			v.QPS = -v.QPS
+		}
+		views[i] = v
+	}
+	return views
+}
+
+// TestSelectDeviceMatchesReference checks the memoized Device Selector
+// against the direct per-device scorer: same pick, and every device's
+// score bit-identical.
+func TestSelectDeviceMatchesReference(t *testing.T) {
+	const maxTrain = 3
+	m := buildMudi(t, perf.NewOracle(10), 10, maxTrain)
+	pred := m.Predictor()
+	tasks := model.Tasks()
+	placed, untrained := 0, 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := xrand.New(seed)
+		views := randomFleet(rng, 48)
+		task := tasks[rng.Intn(len(tasks))]
+		got, gotOK := m.SelectDevice(task, views, nil)
+		want, wantOK := referenceSelect(pred, maxTrain, task, views)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("seed %d: SelectDevice = (%q, %v), reference = (%q, %v)", seed, got, gotOK, want, wantOK)
+		}
+		for i, s := range lastScores(m) {
+			v := views[i]
+			ref, ok := referenceScore(pred, maxTrain, task, v)
+			if !ok {
+				ref = -1
+			}
+			if math.Float64bits(s) != math.Float64bits(ref) {
+				t.Fatalf("seed %d device %s: score %v, reference %v", seed, v.ID, s, ref)
+			}
+			if v.ServiceName == "Untrained" && !v.Paused && len(v.ResidentTasks) < maxTrain {
+				untrained++
+			}
+		}
+		if gotOK {
+			placed++
+		}
+	}
+	if placed == 0 {
+		t.Fatal("no fleet placed the task")
+	}
+	if untrained < 2 {
+		t.Fatalf("%d eligible devices ran an untrained service; the memoized error path needs repeats", untrained)
+	}
+}
+
+// TestSelectDeviceSeesPredictorUpdates checks that the memo lives for
+// one call: after ObserveColocation refits the predictor, the next
+// selection scores like a fresh Mudi over the updated predictor.
+func TestSelectDeviceSeesPredictorUpdates(t *testing.T) {
+	oracle := perf.NewOracle(11)
+	m := buildMudi(t, oracle, 11, 3)
+	task, _ := model.TaskByName("ResNet18") // unseen in offline profiles
+	var views []DeviceView
+	for i, svc := range model.Services() {
+		for j, resident := range [][]model.TrainingTask{nil, {task}} {
+			v := viewFor(svc.Name, resident...)
+			v.ID = fmt.Sprintf("g%d-%d", i, j)
+			views = append(views, v)
+		}
+	}
+	if _, ok := m.SelectDevice(task, views, nil); !ok {
+		t.Fatal("no device selected")
+	}
+	before := lastScores(m)
+
+	observed := viewFor("RoBERTa", task)
+	m.ObserveColocation(observed, &oracleMeasurer{oracle: oracle, view: observed, rng: xrand.New(111)})
+
+	got, gotOK := m.SelectDevice(task, views, nil)
+	after := lastScores(m)
+	fresh := NewMudi(m.Predictor(), m.cfg)
+	want, wantOK := fresh.SelectDevice(task, views, nil)
+	if got != want || gotOK != wantOK {
+		t.Fatalf("after the update SelectDevice = (%q, %v), fresh Mudi = (%q, %v)", got, gotOK, want, wantOK)
+	}
+	changed := false
+	for i, s := range lastScores(fresh) {
+		if math.Float64bits(after[i]) != math.Float64bits(s) {
+			t.Fatalf("device %s: score %v after the update, fresh Mudi %v", views[i].ID, after[i], s)
+		}
+		changed = changed || after[i] != before[i]
+	}
+	if !changed {
+		t.Fatal("the predictor update moved no score; the test cannot see a stale memo")
+	}
+}
+
+// catalogFleet is n devices cycling over the six catalog services, each
+// with no resident or one: twelve distinct (service, Ψ) keys whatever n.
+func catalogFleet(n int) []DeviceView {
+	services := model.Services()
+	resident := model.Tasks()[:1]
+	views := make([]DeviceView, n)
+	for i := range views {
+		svc := services[i%len(services)]
+		views[i] = DeviceView{
+			ID: fmt.Sprintf("g%04d", i), ServiceName: svc.Name,
+			SLOms: svc.SLOms, QPS: svc.BaseQPS, FreeShare: 0.5,
+		}
+		if (i/len(services))%2 == 1 {
+			views[i].ResidentTasks = resident
+		}
+	}
+	return views
+}
+
+// TestSelectDeviceAllocsFlatInFleetSize pins the placement cost model:
+// predictor work (and its allocations) scales with the distinct
+// (service, Ψ) keys, not with the number of views.
+func TestSelectDeviceAllocsFlatInFleetSize(t *testing.T) {
+	m := buildMudi(t, perf.NewOracle(12), 12, 3)
+	task, _ := model.TaskByName("NCF")
+	small, large := catalogFleet(64), catalogFleet(1024)
+	allocs := func(views []DeviceView) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, ok := m.SelectDevice(task, views, nil); !ok {
+				t.Fatal("no device selected")
+			}
+		})
+	}
+	a64, a1024 := allocs(small), allocs(large)
+	t.Logf("warm SelectDevice allocations: %v at 64 views, %v at 1024", a64, a1024)
+	if a1024 > a64 {
+		t.Fatalf("warm SelectDevice allocations grow with views: %v at 64, %v at 1024", a64, a1024)
+	}
+}
