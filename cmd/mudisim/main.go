@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -22,21 +21,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"mudi"
 	"mudi/internal/atomicio"
-	"mudi/internal/coordinator"
-	"mudi/internal/core"
-	"mudi/internal/model"
-	"mudi/internal/obs"
-	"mudi/internal/perf"
 	"mudi/internal/pprofutil"
-	"mudi/internal/predictor"
-	"mudi/internal/profiler"
 	"mudi/internal/report"
 	"mudi/internal/runner"
-	"mudi/internal/span"
 	"mudi/internal/stats"
 	"mudi/internal/telemetry"
 	"mudi/internal/xrand"
@@ -69,7 +59,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		moreFlag     = fs.Int("maxtrain", 1, "max training tasks per GPU (3 = Mudi-more)")
 		shardsFlag   = fs.Int("shards", 0, "event-engine shard lanes: 0 or negative = auto (min(GOMAXPROCS, devices/64)), N = that many lanes; summaries are identical for every lane count")
 		admitFlag    = fs.Float64("admit-factor", 0, "burst admission cap as a multiple of nominal QPS (0 = default 1.5); windows above the cap shed sheddable/background excess")
-		liveFlag     = fs.Duration("live", 0, "run the live Local Coordinator (goroutines + ETCD-style store) for this wall-clock duration instead of the batch simulation")
 		jsonFlag     = fs.Bool("json", false, "emit the result as JSON instead of tables")
 		repeatsFlag  = fs.Int("repeats", 1, "replica count: run the simulation N times with seeds derived from -seed and report mean/std")
 		parallelFlag = fs.Int("parallel", runtime.NumCPU(), "worker count for replica fan-out (results identical for any value)")
@@ -113,10 +102,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		} else {
 			tracePath = *traceFlag
 		}
-	}
-
-	if *liveFlag > 0 {
-		return runLive(*seedFlag, *liveFlag, tracePath, *httpFlag, stdout)
 	}
 
 	var bursts []mudi.Burst
@@ -521,77 +506,4 @@ func parseFaults(spec string) (*mudi.FaultConfig, error) {
 		}
 	}
 	return cfg, nil
-}
-
-// runLive drives the concurrent Local Coordinator (§6): one Monitor,
-// Tuner, and Agent set per device, communicating through the embedded
-// watchable config store. With tracePath set the coordinator's tuning
-// episodes are recorded as retune/bo_iter spans and written as Chrome
-// trace JSON at exit; with httpAddr set the live metrics and debug
-// endpoints are served for the duration of the run.
-func runLive(seed uint64, dur time.Duration, tracePath, httpAddr string, stdout io.Writer) error {
-	var tracer *span.Tracer
-	if tracePath != "" || httpAddr != "" {
-		tracer = span.NewTracer(0)
-	}
-	var sink *obs.Sink
-	if httpAddr != "" {
-		sink = obs.NewSink()
-		ln, err := net.Listen("tcp", httpAddr)
-		if err != nil {
-			return err
-		}
-		srv := &http.Server{Handler: telemetry.Handler(telemetry.Options{Sink: sink, Trace: tracer})}
-		go func() { _ = srv.Serve(ln) }()
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "mudisim: serving telemetry on http://%s\n", ln.Addr())
-	}
-	oracle := perf.NewOracle(seed)
-	prof := profiler.New(oracle, xrand.New(seed+100))
-	pred := predictor.New(seed)
-	profiles, err := prof.ProfileAll(nil, nil)
-	if err != nil {
-		return err
-	}
-	policy := core.NewMudi(pred, core.MudiConfig{Seed: seed})
-	for _, ps := range profiles {
-		if err := pred.Train(ps); err != nil {
-			return err
-		}
-		policy.AddProfiles(ps)
-	}
-	var specs []coordinator.DeviceSpec
-	tasks := model.ObservedTasks()
-	for i, svc := range model.Services() {
-		task := tasks[i%len(tasks)]
-		specs = append(specs, coordinator.DeviceSpec{
-			ID: fmt.Sprintf("dev%d", i), Service: svc, Training: &task,
-		})
-	}
-	coord, err := coordinator.New(coordinator.Config{Seed: seed, Obs: sink, Trace: tracer}, oracle, policy, specs)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), dur)
-	defer cancel()
-	fmt.Fprintf(stdout, "running live coordinator on %d devices for %s...\n", len(specs), dur)
-	if err := coord.Run(ctx); err != nil {
-		return err
-	}
-	if tracer != nil && tracePath != "" {
-		spans := tracer.Spans()
-		if err := atomicio.WriteFile(tracePath, func(w io.Writer) error {
-			return span.WriteChromeTrace(w, spans)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "mudisim: wrote %d spans to %s (open in ui.perfetto.dev)\n", len(spans), tracePath)
-	}
-	tab := report.NewTable("live coordinator stats",
-		"device", "service", "windows", "violations", "retunes", "configs applied", "batch", "GPU%", "iter (ms)")
-	for i, st := range coord.Stats() {
-		tab.AddRow(st.DeviceID, specs[i].Service.Name, st.Windows, st.Violations, st.Retunes,
-			st.ConfigsApplied, st.Batch, fmt.Sprintf("%.0f%%", st.Delta*100), st.TrainIterMs)
-	}
-	return tab.WriteASCII(stdout)
 }

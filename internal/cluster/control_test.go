@@ -1,0 +1,149 @@
+package cluster
+
+import (
+	"errors"
+	"strconv"
+	"strings"
+	"testing"
+
+	"mudi/internal/core"
+	"mudi/internal/obs"
+	"mudi/internal/perf"
+	"mudi/internal/trace"
+)
+
+// burstOptions is the Monitor-trigger workload: 12 Philly tasks at a
+// 5 s mean gap on 6 devices, with a 3× QPS burst over 40–90 s and the
+// event log on.
+func burstOptions(t testing.TB, seed uint64) Options {
+	t.Helper()
+	oracle := perf.NewOracle(seed)
+	arrivals, err := trace.PhillyTrace(trace.PhillyConfig{
+		Count: 12, MeanGapSec: 5, ScaleIters: 0.002, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Options{
+		Policy:   buildMudi(t, oracle, seed),
+		Oracle:   oracle,
+		Seed:     seed,
+		Devices:  6,
+		Arrivals: arrivals,
+		Bursts:   []trace.Burst{{Start: 40, End: 90, Factor: 3}},
+		Obs:      obs.NewSink(),
+	}
+}
+
+// retuneCauses counts the run's retune events by cause.
+func retuneCauses(res *Result) map[string]int {
+	causes := map[string]int{}
+	for _, e := range res.Events {
+		if e.Type == obs.EventRetune {
+			causes[e.Cause]++
+		}
+	}
+	return causes
+}
+
+// TestMonitorTriggers pins the device window's three Monitor triggers
+// (§5.3.2, §6): a QPS swing retunes (qps-change), a paused device
+// periodically probes for resumption (resume-probe), and a violated
+// window retunes (slo-risk). DisableRetune silences all three while the
+// placement-time episodes still run.
+func TestMonitorTriggers(t *testing.T) {
+	run := func(disable bool) *Result {
+		opts := burstOptions(t, 3)
+		opts.DisableRetune = disable
+		sim, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != res.Admitted {
+			t.Fatalf("disable=%v: completed %d of %d", disable, res.Completed, res.Admitted)
+		}
+		return res
+	}
+	monitor := []string{"qps-change", "resume-probe", "slo-risk"}
+
+	on := retuneCauses(run(false))
+	t.Logf("retune causes: %v", on)
+	for _, cause := range monitor {
+		if on[cause] == 0 {
+			t.Errorf("no %s retune under a 3x burst (causes %v)", cause, on)
+		}
+	}
+
+	off := retuneCauses(run(true))
+	for _, cause := range monitor {
+		if off[cause] != 0 {
+			t.Errorf("DisableRetune: %d %s retunes (causes %v)", off[cause], cause, off)
+		}
+	}
+	for _, cause := range []string{"initial", "placement", "completion"} {
+		if off[cause] == 0 {
+			t.Errorf("DisableRetune: no %s retune (causes %v)", cause, off)
+		}
+	}
+}
+
+// failingPolicy fails every k-th Configure after the first skip calls
+// (the per-device initial episodes, whose error aborts Run). Embedding
+// keeps Mudi's online learning and eval hook in play.
+type failingPolicy struct {
+	*core.Mudi
+	skip, k       int
+	calls, failed int
+}
+
+var errInjectedConfigure = errors.New("injected configure failure")
+
+func (p *failingPolicy) Configure(view core.DeviceView, m core.Measurer) (core.Decision, error) {
+	p.calls++
+	if n := p.calls - p.skip; n > 0 && n%p.k == 0 {
+		p.failed++
+		return core.Decision{}, errInjectedConfigure
+	}
+	return p.Mudi.Configure(view, m)
+}
+
+// TestConfigureErrorsCounted checks that failed tuning episodes surface
+// in Result.ConfigureErrors, the JSON and Summary(), and that the run
+// still completes every task on the previous configurations.
+func TestConfigureErrorsCounted(t *testing.T) {
+	opts := burstOptions(t, 3)
+	fp := &failingPolicy{Mudi: opts.Policy.(*core.Mudi), skip: opts.Devices, k: 4}
+	opts.Policy = fp
+	sim, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp.failed == 0 {
+		t.Fatalf("wrapper never failed (%d calls)", fp.calls)
+	}
+	if res.ConfigureErrors != fp.failed {
+		t.Fatalf("ConfigureErrors %d, injected failures %d", res.ConfigureErrors, fp.failed)
+	}
+	if res.Completed != len(opts.Arrivals) || res.Admitted != len(opts.Arrivals) {
+		t.Fatalf("completed %d / admitted %d of %d tasks", res.Completed, res.Admitted, len(opts.Arrivals))
+	}
+	n := strconv.Itoa(fp.failed)
+	if want := "configure_errors=" + n + "\n"; !strings.Contains(res.Summary(), want) {
+		t.Fatalf("Summary() lacks %q", want)
+	}
+	var js strings.Builder
+	if err := res.WriteJSON(&js, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := `"configure_errors": ` + n; !strings.Contains(js.String(), want) {
+		t.Fatalf("JSON lacks %q", want)
+	}
+}

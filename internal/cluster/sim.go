@@ -216,6 +216,12 @@ type Result struct {
 	FailedSpinUps    int // shadow instances that failed to spin up
 	MeasureRetries   int // transient measurement errors retried
 
+	// ConfigureErrors counts tuning episodes whose Policy.Configure
+	// failed (e.g. a zero-QPS retune the tuner rejects). The device keeps
+	// its previous configuration. Zero, and absent from Summary(), in a
+	// run where every episode succeeds.
+	ConfigureErrors int
+
 	// SLO-class accounting. All empty/zero (and absent from Summary())
 	// unless some service declares a class — a classless run is
 	// byte-identical to a build without classes.
@@ -924,7 +930,9 @@ func taskSig(d *deviceState) string {
 // configure runs the policy's device-level tuning and applies the
 // decision. initial marks placement-time calls (always allowed even
 // with DisableRetune); cause labels the retune event for the
-// observability stream.
+// observability stream. A failed episode leaves the device as it was
+// and is counted in Result.ConfigureErrors, so callers that carry on
+// with the old configuration may drop the returned error.
 func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string) error {
 	if s.opts.DisableRetune && !initial {
 		return nil
@@ -980,6 +988,7 @@ func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string)
 		s.tracer.End(retuneID, now)
 	}
 	if err != nil {
+		s.res.ConfigureErrors++
 		return err
 	}
 	s.apply(now, d, dec, retuneID)

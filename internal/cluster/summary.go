@@ -91,6 +91,10 @@ func (r *Result) Summary() string {
 			",spinup_failed:" + strconv.Itoa(r.FailedSpinUps) +
 			",measure_retries:" + strconv.Itoa(r.MeasureRetries) + "\n")
 	}
+	// Likewise failed tuning episodes: a clean run prints no line.
+	if r.ConfigureErrors > 0 {
+		b.WriteString("configure_errors=" + strconv.Itoa(r.ConfigureErrors) + "\n")
+	}
 	// SLO-class accounting appears only when a run is class-aware, so
 	// classless runs stay byte-identical to pre-class summaries.
 	if len(r.ClassViolation) > 0 {
@@ -136,6 +140,7 @@ type resultJSON struct {
 	Failovers         int                `json:"failovers,omitempty"`
 	FailedSpinUps     int                `json:"failed_spinups,omitempty"`
 	MeasureRetries    int                `json:"measure_retries,omitempty"`
+	ConfigureErrors   int                `json:"configure_errors,omitempty"`
 	ClassViolation    map[string]float64 `json:"class_slo_violation,omitempty"`
 	ShedRequests      map[string]float64 `json:"shed_requests,omitempty"`
 	ShedWindows       int                `json:"shed_windows,omitempty"`
@@ -177,6 +182,7 @@ func (r *Result) WriteJSON(w io.Writer, seriesPoints int) error {
 		Failovers:        r.Failovers,
 		FailedSpinUps:    r.FailedSpinUps,
 		MeasureRetries:   r.MeasureRetries,
+		ConfigureErrors:  r.ConfigureErrors,
 		ClassViolation:   r.ClassViolation,
 		ShedRequests:     r.ShedRequests,
 		ShedWindows:      r.ShedWindows,

@@ -134,7 +134,7 @@ func (m *Mudi) BOIterations() []int { return append([]int(nil), m.boIters...) }
 // SetEvalHook installs (or, with nil, removes) an observer invoked on
 // every tuner objective evaluation the next Configure calls perform —
 // see tuner.Request.OnEval. The caller that serializes Configure calls
-// (cluster simulator, coordinator mutex) is responsible for setting
+// (the cluster simulator's barrier) is responsible for setting
 // and clearing it around episodes; the hook must not mutate state.
 func (m *Mudi) SetEvalHook(fn func(batch int, delta, trainIterMs float64, feasible bool)) {
 	m.evalHook = fn

@@ -233,10 +233,6 @@ type LCBResult struct {
 	Iterations int     // objective evaluations performed
 	Converged  bool    // true when the stop rule fired before MaxIters
 	Feasible   bool    // false when no candidate satisfied the constraints
-	// FinalAcq is the acquisition value A(x) = μ − √β·σ of the last
-	// candidate the optimizer picked — the observability hook behind the
-	// coordinator's bo_acquisition gauge.
-	FinalAcq float64
 }
 
 // LCBConfig configures Minimize.
@@ -325,7 +321,6 @@ func Minimize(candidates []float64, obj Objective, cfg LCBConfig) (LCBResult, er
 		if !found {
 			break
 		}
-		res.FinalAcq = bestAcq
 		value, feasible := obj(pick)
 		if !evaluated[pickIdx] {
 			covered++

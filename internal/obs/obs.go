@@ -10,9 +10,9 @@
 // disabled path costs exactly one predictable branch and zero
 // allocations (see BenchmarkSimObsOff at the repo root). Instruments
 // are safe for concurrent use — counters and gauges are atomics,
-// histograms and the event log take a short mutex — so the same sink
-// serves both the single-goroutine cluster simulator and the live
-// Local Coordinator's goroutine set.
+// histograms and the event log take a short mutex — so one sink can be
+// shared by concurrent simulations and read by the live telemetry
+// handlers while a run is in flight.
 //
 // Observation is passive by contract: an enabled sink must never
 // perturb simulation results. The determinism tests assert that

@@ -228,7 +228,7 @@ func TestSnapshotNDJSONDeterministic(t *testing.T) {
 
 // TestConcurrentInstruments drives every instrument kind and the event
 // log from many goroutines; run under -race this proves the sink is
-// safe to share (the live coordinator and -parallel cells both do).
+// safe to share (-parallel cells and the live /metrics handler both do).
 func TestConcurrentInstruments(t *testing.T) {
 	s := NewSink()
 	const workers, per = 8, 500

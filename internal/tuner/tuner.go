@@ -123,10 +123,6 @@ type Decision struct {
 	Feasible     bool    // false → pause training and give inference the device (§5.3.2)
 	BOIterations int     // Fig. 18a's metric
 	TrainIterMs  float64 // predicted/observed training iteration at the decision
-	// AcqValue is the GP-LCB acquisition value at the optimizer's final
-	// pick (0 for the non-BO strategies) — exported to the observability
-	// layer as the bo_acquisition gauge.
-	AcqValue float64
 }
 
 // Tuner is stateless between calls except for configuration; the
@@ -283,7 +279,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 		// batching still serves the inference side: report the batch
 		// with the best latency-to-budget ratio at the full device so
 		// the service degrades as little as possible.
-		return Decision{Feasible: false, Batch: t.bestServingBatch(req), BOIterations: res.Iterations, AcqValue: res.FinalAcq}, nil
+		return Decision{Feasible: false, Batch: t.bestServingBatch(req), BOIterations: res.Iterations}, nil
 	}
 	batch := batchFor(res.Best)
 
@@ -291,7 +287,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 	// chosen batch, plus headroom (Eq. 4).
 	finalDelta, ok := t.feasibleDelta(req, batch, maxDelta)
 	if !ok {
-		return Decision{Feasible: false, BOIterations: res.Iterations, AcqValue: res.FinalAcq}, nil
+		return Decision{Feasible: false, BOIterations: res.Iterations}, nil
 	}
 	return Decision{
 		Batch:        batch,
@@ -299,7 +295,6 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 		Feasible:     true,
 		BOIterations: res.Iterations,
 		TrainIterMs:  res.BestValue,
-		AcqValue:     res.FinalAcq,
 	}, nil
 }
 
