@@ -134,6 +134,36 @@ func BenchmarkHotpathForestRefit(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathGBRTRefit is the learner refit that wins model
+// selection for almost every predictor target: a gradient-boosted trees
+// refit on the same dataset shape as BenchmarkHotpathForestRefit. Each
+// fit borrows a sort memo from a pool and sorts each node once across
+// its boosting rounds.
+func BenchmarkHotpathGBRTRefit(b *testing.B) {
+	rng := xrand.New(9)
+	const n, w = 60, 7
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = make([]float64, w)
+		for j := range x[i] {
+			x[i][j] = rng.Range(0, 4)
+		}
+		y[i] = rng.Range(0.5, 3)
+	}
+	g := learn.NewGBRT(60, 1)
+	if err := g.Fit(x, y); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Fit(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHotpathOracleCurve queries the memoized co-location curve
 // the way the simulator does: the same (service, batch, residents)
 // signature over and over within a window.

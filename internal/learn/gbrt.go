@@ -12,9 +12,11 @@ type GBRT struct {
 	LearnRte float64 // shrinkage; default 0.1
 	Seed     uint64
 
-	base  float64
-	trees []*treeNode
-	tb    treeBuilder
+	base     float64
+	trees    []*treeNode
+	tb       treeBuilder
+	residual []float64 // fit scratch, reused across refits
+	idx      []int     // identity root index set, reused across refits
 }
 
 // NewGBRT returns a gradient-boosted trees regressor.
@@ -47,19 +49,27 @@ func (g *GBRT) Fit(x [][]float64, y []float64) error {
 	}
 	g.base /= float64(n)
 
-	residual := make([]float64, n)
-	for i, v := range y {
-		residual[i] = v - g.base
+	residual := g.residual[:0]
+	for _, v := range y {
+		residual = append(residual, v-g.base)
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	idx := g.idx[:0]
+	for i := 0; i < n; i++ {
+		idx = append(idx, i)
 	}
+	g.residual, g.idx = residual, idx
 	rng := xrand.New(g.Seed + 0x6b)
 	g.trees = g.trees[:0]
 	// Boosted trees use all features per split (mtry = w): the
-	// sequential residual fitting provides the diversity.
+	// sequential residual fitting provides the diversity. Every round
+	// builds on the same identity root, so a node's sorted orders are
+	// the same in every round that reaches it: sort each node once.
 	g.tb.begin(x, residual, 2, w)
+	memo := memoPool.Get().(*sortMemo)
+	// Room for every node the fit can sort: a tree has at most
+	// 2^Depth−1 nodes, and at most 2n−1 since its leaves are nonempty.
+	memo.reset(n, w, g.Trees*min(1<<min(g.Depth, 30), 2*n))
+	g.tb.memo = memo
 	for round := 0; round < g.Trees; round++ {
 		tree := g.tb.build(idx, g.Depth, rng.Fork(uint64(round)))
 		g.trees = append(g.trees, tree)
@@ -67,6 +77,8 @@ func (g *GBRT) Fit(x [][]float64, y []float64) error {
 			residual[i] -= g.LearnRte * tree.eval(x[i])
 		}
 	}
+	g.tb.memo = nil
+	memoPool.Put(memo)
 	return nil
 }
 

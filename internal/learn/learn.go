@@ -9,7 +9,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"mudi/internal/fit"
 	"mudi/internal/xrand"
@@ -388,25 +390,33 @@ const nodeChunk = 128
 // treeBuilder carries the dataset and reusable scratch across every
 // node of the trees built within one Fit call, and across Fit calls of
 // the same model (the cross-validation loop refits up to ~11 times).
-// The split-search arithmetic is byte-for-byte the previous per-node
-// implementation — ordered partial sums over the same index order, the
-// same sort algorithm (sort.Sort and sort.Slice run the identical
-// generated pdqsort), the same RNG draws — so the fitted trees are
-// bit-identical; only the allocation pattern changed.
+// The split-search arithmetic is byte-for-byte the original per-node
+// implementation (referenceBuildTree in the tests): ordered partial
+// sums over the same index order, the same sort algorithm (sort.Slice
+// and slices.SortFunc run the identical generated pdqsort, so equal
+// keys land in the same order), the same RNG draws. The fitted trees
+// are bit-identical; only where the work happens changed.
 //
 // A treeBuilder is owned by a single model and is not safe for
 // concurrent Fits; Predict never touches it.
 type treeBuilder struct {
-	x       [][]float64
+	xc      []float64 // column-major copy of x: feature f of row i is xc[f*n+i]
 	y       []float64
+	n, w    int
 	minLeaf int
 	mtry    int
 
-	idxBuf []int // builder-owned copy of the root index set, partitioned in place
-	order  []int // per-node sort scratch (nodes use it strictly before recursing)
-	part   []int // hi side of the stable partition, copied out before recursing
-	perm   []int // feature-subset scratch
-	sorter featureSorter
+	idxBuf []int      // builder-owned copy of the root index set, partitioned in place
+	pairs  []sortPair // per-feature sort scratch
+	order  []int32    // one feature's sorted rows when no memo is set
+	part   []int      // hi side of the stable partition, copied out before recursing
+	perm   []int      // feature-subset scratch
+
+	// memo, when set, keeps every node's sorted orders for the trees
+	// built on one root index set (see sortMemo). GBRT.Fit sets it for
+	// the length of the Fit; Forest's bootstrap roots differ per tree,
+	// so Forest sorts afresh at every node.
+	memo *sortMemo
 
 	// Node arena: fixed-size slabs, so node pointers stay valid as the
 	// arena grows. Reset per begin — by then the previous Fit's trees
@@ -415,25 +425,106 @@ type treeBuilder struct {
 	ci, ni int
 }
 
-// featureSorter orders a node's sample indices by one feature; the
-// concrete sort.Interface avoids sort.Slice's per-call reflection
-// allocations while running the same pdqsort.
-type featureSorter struct {
-	order []int
-	x     [][]float64
-	feat  int
+// sortPair is one row's value of the feature being sorted; sorting the
+// contiguous pairs gives the permutation the indirect index sort gives.
+type sortPair struct {
+	v   float64
+	row int32
 }
 
-func (s *featureSorter) Len() int      { return len(s.order) }
-func (s *featureSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
-func (s *featureSorter) Less(a, b int) bool {
-	return s.x[s.order[a]][s.feat] < s.x[s.order[b]][s.feat]
+func cmpPair(a, b sortPair) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return 0
+}
+
+// memoKey names a node by its split path: the parent's memo node, the
+// parent's split and the side taken. With one root index set and a
+// stable partition, the same path always holds the same rows in the
+// same order, so pdqsort (deterministic) gives the same permutation.
+type memoKey struct {
+	parent int32 // parent's index in sortMemo.nodes; 0 (the sentinel) for the root
+	feat   int32
+	thresh float64
+	hi     bool
+}
+
+var rootKey = memoKey{}
+
+// sortMemo stores each node's per-feature sorted rows once per GBRT
+// fit: boosting rounds revisit the root every round and most other
+// nodes many times, because the residuals change but the features do
+// not. The nodes form a trie over split paths under a sentinel at
+// nodes[0]; a node's rows are n·w int32s, feature-major, at its offset
+// in one flat arena.
+type sortMemo struct {
+	nodes []memoNode
+	arena []int32
+}
+
+type memoNode struct {
+	key         memoKey
+	off         int32 // the node's sorted rows in arena
+	first, next int32 // first child, next sibling; -1 for none
+}
+
+// memoPool lends sort memos to GBRT fits, so no model holds one between
+// fits and concurrent fits (parallel experiment cells) never share one.
+var memoPool = sync.Pool{New: func() any { return new(sortMemo) }}
+
+// memoArenaRows sizes a memo's arena in units of n·w rows: a 60-round,
+// depth-3 fit on the Interference Predictor's samples stores 20–40.
+const memoArenaRows = 32
+
+// reset empties the memo for a fit on n rows of w features whose trees
+// sort at most nodes distinct nodes. Both slices are sized up front,
+// with room for the sample count to double, so a memo fresh from the
+// pool allocates a fixed three times: how many memos are fresh depends
+// on GC timing, and a run's allocation count must not.
+func (m *sortMemo) reset(n, w, nodes int) {
+	if cap(m.nodes) < nodes+1 {
+		m.nodes = make([]memoNode, 0, nodes+1)
+	}
+	m.nodes = append(m.nodes[:0], memoNode{first: -1, next: -1})
+	if size := memoArenaRows * n * w; cap(m.arena) < size {
+		m.arena = make([]int32, 0, 2*size)
+	}
+	m.arena = m.arena[:0]
+}
+
+// find returns the node at key, or -1 if no fit round has sorted it.
+func (m *sortMemo) find(key memoKey) int32 {
+	for c := m.nodes[key.parent].first; c >= 0; c = m.nodes[c].next {
+		if m.nodes[c].key == key {
+			return c
+		}
+	}
+	return -1
+}
+
+// add links a node at key whose rows start at arena offset off.
+func (m *sortMemo) add(key memoKey, off int32) int32 {
+	id := int32(len(m.nodes))
+	m.nodes = append(m.nodes, memoNode{key: key, off: off, first: -1, next: m.nodes[key.parent].first})
+	m.nodes[key.parent].first = id
+	return id
 }
 
 func (b *treeBuilder) begin(x [][]float64, y []float64, minLeaf, mtry int) {
-	b.x, b.y, b.minLeaf, b.mtry = x, y, minLeaf, mtry
+	n, w := len(x), len(x[0])
+	b.y, b.n, b.w, b.minLeaf, b.mtry = y, n, w, minLeaf, mtry
 	b.ci, b.ni = 0, 0
-	if w := len(x[0]); cap(b.perm) < w {
+	b.xc = slices.Grow(b.xc[:0], n*w)[:n*w]
+	for i, row := range x {
+		for f, v := range row {
+			b.xc[f*n+i] = v
+		}
+	}
+	if cap(b.perm) < w {
 		b.perm = make([]int, w)
 	}
 }
@@ -453,21 +544,55 @@ func (b *treeBuilder) newNode(n treeNode) *treeNode {
 
 // build constructs one tree over the given root sample indices. It
 // copies idx into builder-owned scratch, so the caller's slice is
-// never mutated (GBRT reuses one identity slice across rounds).
+// never mutated. While a memo is set, every build must get the same
+// root index set (GBRT reuses one identity slice across rounds).
 func (b *treeBuilder) build(idx []int, depth int, rng *xrand.Rand) *treeNode {
 	n := len(idx)
 	b.idxBuf = append(b.idxBuf[:0], idx...)
-	if cap(b.order) < n {
-		b.order = make([]int, n)
+	if cap(b.pairs) < n {
+		b.pairs = make([]sortPair, n)
+		b.order = make([]int32, n)
 	}
 	if cap(b.part) < n {
 		b.part = make([]int, 0, n)
 	}
-	return b.node(b.idxBuf, depth, rng)
+	return b.node(b.idxBuf, rootKey, depth, rng)
 }
 
-func (b *treeBuilder) node(idx []int, depth int, rng *xrand.Rand) *treeNode {
-	x, y := b.x, b.y
+// sortFeature writes the rows of idx into dst in ascending order of
+// feature feat.
+func (b *treeBuilder) sortFeature(dst []int32, idx []int, feat int) {
+	col := b.xc[feat*b.n : (feat+1)*b.n]
+	pairs := b.pairs[:len(idx)]
+	for k, i := range idx {
+		pairs[k] = sortPair{v: col[i], row: int32(i)}
+	}
+	slices.SortFunc(pairs, cmpPair)
+	for k, p := range pairs {
+		dst[k] = p.row
+	}
+}
+
+// memoOrders returns the node's memo index and its sorted rows for
+// every feature, feature-major, sorting on the node's first visit in
+// this fit.
+func (b *treeBuilder) memoOrders(key memoKey, idx []int) (int32, []int32) {
+	m, size := b.memo, len(idx)*b.w
+	if id := m.find(key); id >= 0 {
+		off := int(m.nodes[id].off)
+		return id, m.arena[off : off+size]
+	}
+	off := len(m.arena)
+	m.arena = slices.Grow(m.arena, size)[:off+size]
+	for f := 0; f < b.w; f++ {
+		lo := off + f*len(idx)
+		b.sortFeature(m.arena[lo:lo+len(idx)], idx, f)
+	}
+	return m.add(key, int32(off)), m.arena[off : off+size]
+}
+
+func (b *treeBuilder) node(idx []int, key memoKey, depth int, rng *xrand.Rand) *treeNode {
+	y := b.y
 	mean := 0.0
 	for _, i := range idx {
 		mean += y[i]
@@ -485,21 +610,33 @@ func (b *treeBuilder) node(idx []int, depth int, rng *xrand.Rand) *treeNode {
 	if sse < 1e-12 {
 		return b.newNode(treeNode{terminal: true, value: mean})
 	}
-	w := len(x[0])
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
-	rng.PermInto(b.perm[:w])
+	rng.PermInto(b.perm[:b.w])
 	features := b.perm[:b.mtry]
-	order := b.order[:len(idx)]
+	var self int32
+	var sorted []int32
+	if b.memo != nil {
+		self, sorted = b.memoOrders(key, idx)
+	}
 	for _, feat := range features {
-		// Sort the node's samples by the feature once, then scan every
-		// split boundary with running sums: the best split minimizes
+		// Sort the node's samples by the feature (or take the memo's
+		// order), then scan every split boundary with running sums: the
+		// best split minimizes
 		//   SSE_left + SSE_right
 		// where SSE = Σy² − (Σy)²/n per side — O(n log n) per feature
 		// instead of the naive O(n²).
-		copy(order, idx)
-		b.sorter = featureSorter{order: order, x: x, feat: feat}
-		sort.Sort(&b.sorter)
+		var order []int32
+		if sorted != nil {
+			order = sorted[feat*len(idx) : (feat+1)*len(idx)]
+		} else {
+			order = b.order[:len(idx)]
+			b.sortFeature(order, idx, feat)
+		}
+		col := b.xc[feat*b.n : (feat+1)*b.n]
+		if col[order[0]] == col[order[len(order)-1]] {
+			continue // constant at this node: no boundary to split on
+		}
 		var totalSum, totalSq float64
 		for _, i := range order {
 			totalSum += y[i]
@@ -511,7 +648,7 @@ func (b *treeBuilder) node(idx []int, depth int, rng *xrand.Rand) *treeNode {
 			yi := y[order[j]]
 			leftSum += yi
 			leftSq += yi * yi
-			vj, vj1 := x[order[j]][feat], x[order[j+1]][feat]
+			vj, vj1 := col[order[j]], col[order[j+1]]
 			if vj == vj1 {
 				continue
 			}
@@ -532,10 +669,11 @@ func (b *treeBuilder) node(idx []int, depth int, rng *xrand.Rand) *treeNode {
 	// side detours through scratch, so both keep their original relative
 	// order — exactly the element order the old append-built loIdx/hiIdx
 	// had, which the children's ordered float sums depend on.
+	col := b.xc[bestFeat*b.n : (bestFeat+1)*b.n]
 	b.part = b.part[:0]
 	nlo := 0
 	for _, i := range idx {
-		if x[i][bestFeat] <= bestThresh {
+		if col[i] <= bestThresh {
 			idx[nlo] = i
 			nlo++
 		} else {
@@ -544,8 +682,10 @@ func (b *treeBuilder) node(idx []int, depth int, rng *xrand.Rand) *treeNode {
 	}
 	copy(idx[nlo:], b.part)
 	nd := b.newNode(treeNode{feature: bestFeat, thresh: bestThresh})
-	nd.lo = b.node(idx[:nlo], depth-1, rng)
-	nd.hi = b.node(idx[nlo:], depth-1, rng)
+	child := memoKey{parent: self, feat: int32(bestFeat), thresh: bestThresh}
+	nd.lo = b.node(idx[:nlo], child, depth-1, rng)
+	child.hi = true
+	nd.hi = b.node(idx[nlo:], child, depth-1, rng)
 	return nd
 }
 

@@ -63,20 +63,10 @@ func SelectModelGrouped(x [][]float64, y []float64, groups []string, folds int, 
 			folds = n
 		}
 	}
-	distinct := map[string]bool{}
-	for _, g := range groups {
-		distinct[g] = true
-	}
-	useGroups := len(distinct) >= 3
+	plan := foldPlan(x, y, groups, folds)
 	best := SelectResult{CVError: math.Inf(1)}
 	for _, cand := range Candidates(seed) {
-		var cv float64
-		var err error
-		if useGroups {
-			cv, err = crossValidateGroups(cand, x, y, groups)
-		} else {
-			cv, err = crossValidate(cand, x, y, folds)
-		}
+		cv, err := crossValidate(cand, plan)
 		if err != nil {
 			continue // a family that cannot fit this data is simply skipped
 		}
@@ -93,51 +83,55 @@ func SelectModelGrouped(x [][]float64, y []float64, groups []string, folds int, 
 	return best, nil
 }
 
-func crossValidate(model Regressor, x [][]float64, y []float64, folds int) (float64, error) {
-	n := len(x)
-	var preds, truths []float64
-	for f := 0; f < folds; f++ {
-		var trX [][]float64
-		var trY []float64
-		var teX [][]float64
-		var teY []float64
-		for i := 0; i < n; i++ {
-			if i%folds == f {
-				teX = append(teX, x[i])
-				teY = append(teY, y[i])
-			} else {
-				trX = append(trX, x[i])
-				trY = append(trY, y[i])
-			}
-		}
-		if len(trX) == 0 || len(teX) == 0 {
-			continue
-		}
-		if err := model.Fit(trX, trY); err != nil {
-			return 0, err
-		}
-		for i, row := range teX {
-			preds = append(preds, model.Predict(row))
-			truths = append(truths, teY[i])
-		}
-	}
-	if len(preds) == 0 {
-		return 0, ErrNoData
-	}
-	return stats.MAPE(preds, truths), nil
+// fold is one cross-validation split's train and test rows.
+type fold struct {
+	trX, teX [][]float64
+	trY, teY []float64
 }
 
-// crossValidateGroups runs leave-one-group-out CV. With many groups the
-// fold count is capped at 10 (every k-th group is held out) to bound
-// refit cost for large sample sets.
-func crossValidateGroups(model Regressor, x [][]float64, y []float64, groups []string) (float64, error) {
-	order := make([]string, 0)
+// foldPlan splits the samples once for every candidate family:
+// leave-one-group-out when there are at least 3 distinct groups, and
+// k-fold (sample i held out in fold i%folds) otherwise. Folds with an
+// empty side are dropped.
+func foldPlan(x [][]float64, y []float64, groups []string, folds int) []fold {
+	nfolds, held := folds, func(i, f int) bool { return i%folds == f }
+	if hold := heldGroups(groups); hold != nil {
+		nfolds, held = len(hold), func(i, f int) bool { return groups[i] == hold[f] }
+	}
+	plan := make([]fold, 0, nfolds)
+	for f := 0; f < nfolds; f++ {
+		var fd fold
+		for i := range x {
+			if held(i, f) {
+				fd.teX = append(fd.teX, x[i])
+				fd.teY = append(fd.teY, y[i])
+			} else {
+				fd.trX = append(fd.trX, x[i])
+				fd.trY = append(fd.trY, y[i])
+			}
+		}
+		if len(fd.trX) > 0 && len(fd.teX) > 0 {
+			plan = append(plan, fd)
+		}
+	}
+	return plan
+}
+
+// heldGroups lists the group held out by each leave-one-group-out fold,
+// in first-seen order, or nil with fewer than 3 distinct groups. With
+// many groups the fold count is capped at 10 (every k-th group is held
+// out) to bound refit cost for large sample sets.
+func heldGroups(groups []string) []string {
+	var order []string
 	seen := map[string]bool{}
 	for _, g := range groups {
 		if !seen[g] {
 			seen[g] = true
 			order = append(order, g)
 		}
+	}
+	if len(order) < 3 {
+		return nil
 	}
 	if len(order) > 10 {
 		step := (len(order) + 9) / 10
@@ -147,28 +141,20 @@ func crossValidateGroups(model Regressor, x [][]float64, y []float64, groups []s
 		}
 		order = sampled
 	}
+	return order
+}
+
+// crossValidate fits model on each fold's train rows and returns the
+// MAPE of its predictions on the held-out rows, pooled over folds.
+func crossValidate(model Regressor, plan []fold) (float64, error) {
 	var preds, truths []float64
-	for _, hold := range order {
-		var trX, teX [][]float64
-		var trY, teY []float64
-		for i := range x {
-			if groups[i] == hold {
-				teX = append(teX, x[i])
-				teY = append(teY, y[i])
-			} else {
-				trX = append(trX, x[i])
-				trY = append(trY, y[i])
-			}
-		}
-		if len(trX) == 0 || len(teX) == 0 {
-			continue
-		}
-		if err := model.Fit(trX, trY); err != nil {
+	for _, fd := range plan {
+		if err := model.Fit(fd.trX, fd.trY); err != nil {
 			return 0, err
 		}
-		for i, row := range teX {
+		for i, row := range fd.teX {
 			preds = append(preds, model.Predict(row))
-			truths = append(truths, teY[i])
+			truths = append(truths, fd.teY[i])
 		}
 	}
 	if len(preds) == 0 {
@@ -201,6 +187,10 @@ func (inc *Incremental) N() int { return len(inc.x) }
 // ModelName returns the currently selected family, or "" before the
 // first fit.
 func (inc *Incremental) ModelName() string { return inc.current.Name }
+
+// Model returns the currently selected model, or nil before the first
+// fit.
+func (inc *Incremental) Model() Regressor { return inc.current.Model }
 
 // Add appends a sample and refits if the refit threshold is reached.
 // It returns true when a refit happened.

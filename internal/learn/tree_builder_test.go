@@ -2,6 +2,7 @@ package learn
 
 import (
 	"sort"
+	"sync"
 	"testing"
 
 	"mudi/internal/xrand"
@@ -101,9 +102,17 @@ func sameTree(t *testing.T, a, b *treeNode, path string) {
 
 // TestTreeBuilderBitIdentical fuzzes the scratch-buffer tree builder
 // against the reference across dataset sizes, depths, feature-subset
-// sizes, bootstrap index multisets, and tie-heavy features. The
-// comparison is exact (== on thresholds and leaf values).
+// sizes, bootstrap index multisets, and tie-heavy features; then the
+// sort-memo path across boosting rounds, and GBRT.Fit against a
+// reference boosting loop. The comparison is exact (== on thresholds,
+// leaf values and predictions).
 func TestTreeBuilderBitIdentical(t *testing.T) {
+	t.Run("bootstrap", testTreeBuilderBootstrap)
+	t.Run("memo-rounds", testTreeBuilderMemoRounds)
+	t.Run("gbrt-fit", testGBRTFitMatchesReference)
+}
+
+func testTreeBuilderBootstrap(t *testing.T) {
 	rng := xrand.New(0x7ee5)
 	for trial := 0; trial < 60; trial++ {
 		n := 4 + rng.Intn(60)
@@ -153,5 +162,193 @@ func TestTreeBuilderBitIdentical(t *testing.T) {
 		tb.begin(x, y, 2, mtry)
 		again := tb.build(idxCopy, depth, xrand.New(seed))
 		sameTree(t, want, again, "·")
+	}
+}
+
+// boostingData draws n rows of w features. Tie-heavy columns take four
+// values, and the last column of a tie-heavy set is constant, so the
+// sorts see long runs of equal keys and the scan sees a feature with
+// no boundary.
+func boostingData(rng *xrand.Rand, n, w int, ties bool) ([][]float64, []float64) {
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = make([]float64, w)
+		for j := range x[i] {
+			switch {
+			case ties && j == w-1 && w > 1:
+				x[i][j] = 2
+			case ties:
+				x[i][j] = float64(rng.Intn(4))
+			default:
+				x[i][j] = rng.Range(-5, 5)
+			}
+		}
+		y[i] = rng.Range(0, 10)
+	}
+	return x, y
+}
+
+// testTreeBuilderMemoRounds builds boosting rounds on the identity row
+// set with the sort memo on and the residuals changing between rounds:
+// each tree must equal the reference built from scratch. Sizes cross
+// pdqsort's insertion-sort cutoff (12) and its ninther cutoff (50).
+func testTreeBuilderMemoRounds(t *testing.T) {
+	rng := xrand.New(0x3e30)
+	for trial, n := range []int{13, 29, 65, 97, 180, 300} {
+		w := 2 + rng.Intn(5)
+		x, y := boostingData(rng, n, w, trial%3 != 2)
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		var tb treeBuilder
+		tb.begin(x, y, 2, w)
+		tb.memo = new(sortMemo)
+		tb.memo.reset(n, w, 0)
+		for round := 0; round < 60; round++ {
+			depth := 1 + rng.Intn(4)
+			seed := rng.Uint64()
+			want := referenceBuildTree(x, y, idx, depth, 2, w, xrand.New(seed))
+			got := tb.build(idx, depth, xrand.New(seed))
+			sameTree(t, want, got, "·")
+			// The same round again is served from the memo: no new
+			// entries, the same tree.
+			entries := len(tb.memo.nodes)
+			again := tb.build(idx, depth, xrand.New(seed))
+			sameTree(t, want, again, "·")
+			if len(tb.memo.nodes) != entries {
+				t.Fatalf("n=%d round %d: repeated build added %d memo nodes", n, round, len(tb.memo.nodes)-entries)
+			}
+			for i := range y {
+				y[i] -= 0.1 * want.eval(x[i])
+			}
+		}
+		// The root's memoized orders are the reference sort's
+		// permutations, ties included.
+		root := tb.memo.find(rootKey)
+		if root < 0 {
+			t.Fatalf("n=%d: root never memoized", n)
+		}
+		off := tb.memo.nodes[root].off
+		for feat := 0; feat < w; feat++ {
+			order := append([]int(nil), idx...)
+			sort.Slice(order, func(a, b int) bool { return x[order[a]][feat] < x[order[b]][feat] })
+			for k, row := range tb.memo.arena[int(off)+feat*n : int(off)+(feat+1)*n] {
+				if int(row) != order[k] {
+					t.Fatalf("n=%d feature %d: memoized order differs from the reference sort at %d", n, feat, k)
+				}
+			}
+		}
+		for i := range idx {
+			if idx[i] != i {
+				t.Fatalf("n=%d: caller idx mutated at %d", n, i)
+			}
+		}
+	}
+}
+
+// referenceGBRTPredict is GBRT.Fit's boosting loop on referenceBuildTree,
+// evaluated at q.
+func referenceGBRTPredict(x [][]float64, y []float64, trees, depth int, rate float64, seed uint64, q [][]float64) []float64 {
+	n := len(x)
+	base := 0.0
+	for _, v := range y {
+		base += v
+	}
+	base /= float64(n)
+	residual := make([]float64, n)
+	for i, v := range y {
+		residual[i] = v - base
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	rng := xrand.New(seed + 0x6b)
+	var fitted []*treeNode
+	for round := 0; round < trees; round++ {
+		tree := referenceBuildTree(x, residual, idx, depth, 2, len(x[0]), rng.Fork(uint64(round)))
+		fitted = append(fitted, tree)
+		for i := range residual {
+			residual[i] -= rate * tree.eval(x[i])
+		}
+	}
+	out := make([]float64, len(q))
+	for k, row := range q {
+		sum := base
+		for _, tree := range fitted {
+			sum += rate * tree.eval(row)
+		}
+		out[k] = sum
+	}
+	return out
+}
+
+// testGBRTFitMatchesReference checks GBRT.Fit (memo, pooled arena)
+// against the reference loop, refitting one instance on datasets of
+// different shapes so the pooled arena is reused across sizes.
+func testGBRTFitMatchesReference(t *testing.T) {
+	rng := xrand.New(0x6b7)
+	g := NewGBRT(60, 3)
+	for trial, n := range []int{20, 70, 150, 40} {
+		w := 2 + rng.Intn(5)
+		x, y := boostingData(rng, n, w, trial%2 == 0)
+		q, _ := boostingData(rng, 30, w, trial%2 == 0)
+		q = append(q, x...)
+		want := referenceGBRTPredict(x, y, 60, 3, 0.1, 3, q)
+		if err := g.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		for k, row := range q {
+			if got := g.Predict(row); got != want[k] {
+				t.Fatalf("n=%d query %d: GBRT %v != reference %v", n, k, got, want[k])
+			}
+		}
+	}
+}
+
+// TestGBRTConcurrentFits fits GBRT models on different datasets in
+// parallel goroutines: each fit borrows its own sort memo from the
+// pool, so every model must match the same fit run alone (and the race
+// detector must stay quiet).
+func TestGBRTConcurrentFits(t *testing.T) {
+	rng := xrand.New(0xc0c)
+	const fits = 4
+	var xs [fits][][]float64
+	var ys [fits][]float64
+	var want [fits]float64
+	for k := range xs {
+		xs[k], ys[k] = boostingData(rng, 40+30*k, 4, k%2 == 0)
+		g := NewGBRT(60, 1)
+		if err := g.Fit(xs[k], ys[k]); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = g.Predict(xs[k][0])
+	}
+	var wg sync.WaitGroup
+	var got [fits]float64
+	errs := make(chan error, fits)
+	for k := range xs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			g := NewGBRT(60, 1)
+			for rep := 0; rep < 3; rep++ {
+				if err := g.Fit(xs[k], ys[k]); err != nil {
+					errs <- err
+					return
+				}
+			}
+			got[k] = g.Predict(xs[k][0])
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("concurrent fits %v != sequential %v", got, want)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mudi/internal/learn"
 	"mudi/internal/model"
@@ -62,21 +63,24 @@ func (p *Predictor) svc(name string) *svcPredictor {
 }
 
 // Train ingests a batch of offline profiles (typically the full
-// Offline Profiler grid) and fits all learners.
+// Offline Profiler grid) and refits the learners of the services in
+// the batch, once each at the end (cheaper than refitting on every
+// sample). Services trained by earlier batches keep their models: a
+// refit on unchanged samples would select the same ones.
 func (p *Predictor) Train(profiles []profiler.Profile) error {
+	var touched []string
 	for i := range profiles {
 		if err := p.add(profiles[i], false); err != nil {
 			return err
 		}
+		if name := profiles[i].Service; !slices.Contains(touched, name) {
+			touched = append(touched, name)
+		}
 	}
-	// One refit per touched service at the end (cheaper than refitting
-	// on every sample).
-	for name := range p.services {
+	for _, name := range touched {
 		for _, l := range p.services[name].learners {
-			if l.N() > 0 {
-				if err := l.Refit(); err != nil {
-					return fmt.Errorf("predictor: refit %s: %w", name, err)
-				}
+			if err := l.Refit(); err != nil {
+				return fmt.Errorf("predictor: refit %s: %w", name, err)
 			}
 		}
 	}

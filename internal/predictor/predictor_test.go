@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mudi/internal/learn"
 	"mudi/internal/model"
 	"mudi/internal/perf"
 	"mudi/internal/profiler"
@@ -29,6 +30,35 @@ func trainPredictor(t *testing.T, seed uint64, services []string) (*Predictor, *
 		}
 	}
 	return pred, o
+}
+
+func TestTrainRefitsOnlyItsBatch(t *testing.T) {
+	// Training service B must leave service A's fitted learners as they
+	// were: A's samples did not change, so a refit would only redo the
+	// same model selection.
+	pred, _ := trainPredictor(t, 3, []string{"BERT"})
+	var before [4]learn.Regressor
+	for i, l := range pred.services["BERT"].learners {
+		before[i] = l.Model()
+	}
+	o := perf.NewOracle(3)
+	profiles, err := profiler.New(o, xrand.New(14)).ProfileService("GPT2", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pred.Train(profiles); err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range pred.services["BERT"].learners {
+		if l.Model() != before[i] {
+			t.Fatalf("training GPT2 refitted BERT's %s learner", targetNames[i])
+		}
+	}
+	for i, l := range pred.services["GPT2"].learners {
+		if l.Model() == nil {
+			t.Fatalf("GPT2's %s learner was not fitted", targetNames[i])
+		}
+	}
 }
 
 func TestPredictObservedTask(t *testing.T) {
