@@ -40,7 +40,7 @@ test-scenarios:
 # classless-vs-classed experiment's 1-vs-8-worker determinism, under
 # the race detector.
 test-classes:
-	$(GO) test -race -timeout 60m ./internal/model ./internal/sched ./internal/serving ./internal/span ./internal/cluster ./internal/exp . ./cmd/mudisim ./examples/sloclasses -run 'Class|Shed|SLOClass|Classless|RunClasses'
+	$(GO) test -race -timeout 60m ./internal/model ./internal/sched ./internal/span ./internal/cluster ./internal/exp . ./cmd/mudisim ./examples/sloclasses -run 'Class|Shed|SLOClass|Classless|RunClasses'
 
 # Regenerate the numbers recorded in BENCH_parallel.json.
 bench-parallel:

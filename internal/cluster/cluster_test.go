@@ -7,6 +7,7 @@ import (
 
 	"mudi/internal/baselines"
 	"mudi/internal/core"
+	"mudi/internal/gpu"
 	"mudi/internal/model"
 	"mudi/internal/perf"
 	"mudi/internal/predictor"
@@ -300,6 +301,32 @@ func TestMIGSlices(t *testing.T) {
 	for _, d := range sim.devices {
 		if d.pool.CapacityMB() != 20480 {
 			t.Fatalf("MIG instance memory %v, want half an A100", d.pool.CapacityMB())
+		}
+	}
+	// Every valid slice count splits each A100's memory exactly into k
+	// instances with fleet-unique IDs.
+	for k := 1; k <= 7; k++ {
+		split, err := New(Options{
+			Policy: mudi, Oracle: oracle, Seed: 9, Devices: 3,
+			Arrivals: arrivals, MIGSlices: k,
+		})
+		if err != nil {
+			t.Fatalf("MIGSlices %d: %v", k, err)
+		}
+		if len(split.devices) != 3*k {
+			t.Fatalf("MIGSlices %d: schedulable devices %d, want %d", k, len(split.devices), 3*k)
+		}
+		ids := make(map[string]bool, len(split.devices))
+		for _, d := range split.devices {
+			for _, mem := range []float64{d.dev.MemoryMB, d.pool.CapacityMB()} {
+				if diff := mem*float64(k) - gpu.A100MemoryMB; diff > 1e-6 || diff < -1e-6 {
+					t.Fatalf("MIGSlices %d: %s memory %v × %d != %d", k, d.dev.ID, mem, k, gpu.A100MemoryMB)
+				}
+			}
+			if ids[d.dev.ID] {
+				t.Fatalf("MIGSlices %d: duplicate device ID %s", k, d.dev.ID)
+			}
+			ids[d.dev.ID] = true
 		}
 	}
 	res, err := sim.Run()

@@ -534,18 +534,11 @@ func New(opts Options) (*Sim, error) {
 	if s.sh, err = shard.New(len(split), min(len(split), runtime.GOMAXPROCS(0))); err != nil {
 		return nil, err
 	}
-	memMB := float64(0)
-	if opts.MIGSlices > 1 {
-		memMB = gpu.A100MemoryMB / float64(opts.MIGSlices)
-	}
 	laneIdx := 0
 	for i := 0; i < schedulable; i++ {
 		info := opts.Services[i%len(opts.Services)]
-		devID := fmt.Sprintf("gpu%04d", i/opts.MIGSlices)
-		if opts.MIGSlices > 1 {
-			devID = fmt.Sprintf("gpu%04d/mig%d", i/opts.MIGSlices, i%opts.MIGSlices)
-		}
-		dev := gpu.NewDevice(devID, fmt.Sprintf("node%d", i/(4*opts.MIGSlices)), memMB)
+		dev := gpu.FleetDevice(i, opts.MIGSlices)
+		devID := dev.ID
 		var q trace.QPSTrace
 		if replayStreams != nil {
 			st := opts.Replay.Header.Streams[i]
@@ -575,7 +568,7 @@ func New(opts Options) (*Sim, error) {
 		}
 		ds := &deviceState{
 			dev:  dev,
-			pool: memmgr.NewPool(memMB),
+			pool: memmgr.NewPool(dev.MemoryMB),
 			svc: &serviceState{
 				info:     info,
 				qpsTrace: q,

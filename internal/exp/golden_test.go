@@ -1,0 +1,47 @@
+package exp
+
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// -update rewrites the golden files instead of comparing against them:
+//
+//	go test ./internal/exp -run Golden -update
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestFidelityGolden pins the rendered fidelity table: the request-level
+// serving model's whole observable contract (P99, busy share, mean
+// batch, violation rate per batch cap) at the small scale.
+func TestFidelityGolden(t *testing.T) {
+	tab, err := Fidelity(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := tab.WriteASCII(&b); err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
+	golden := filepath.Join("testdata", "fidelity_small.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", golden, len(got))
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("fidelity table differs from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}

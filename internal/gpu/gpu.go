@@ -1,5 +1,5 @@
-// Package gpu models the cluster's devices: A100-style GPUs with
-// MPS-style fractional SM partitions, optional MIG instances, and
+// Package gpu models the cluster's devices: A100-style GPUs (or MIG
+// instances of them) with MPS-style fractional SM partitions and
 // GPU-memory accounting. It is the bookkeeping substrate under both
 // Mudi and the baselines — placement decisions reserve partitions and
 // memory here, and the utilization figures of Fig. 10 are computed from
@@ -67,6 +67,21 @@ func NewDevice(id, nodeID string, memMB float64) *Device {
 		memMB = A100MemoryMB
 	}
 	return &Device{ID: id, NodeID: nodeID, MemoryMB: memMB, residents: make(map[string]*Resident)}
+}
+
+// FleetDevice builds the i-th schedulable device of a fleet of A100s,
+// each split into migSlices equal MIG instances (1 = whole GPUs, valid
+// A100 slice counts are 1–7): ID gpuNNNN or gpuNNNN/migK, four physical
+// GPUs per node, and 1/migSlices of the GPU's memory (§3: "Mudi is fully
+// compatible with MIG, treating each MIG instance as a distinct,
+// smaller GPU").
+func FleetDevice(i, migSlices int) *Device {
+	phys := i / migSlices
+	node := fmt.Sprintf("node%d", i/(4*migSlices))
+	if migSlices == 1 {
+		return NewDevice(fmt.Sprintf("gpu%04d", phys), node, A100MemoryMB)
+	}
+	return NewDevice(fmt.Sprintf("gpu%04d/mig%d", phys, i%migSlices), node, A100MemoryMB/float64(migSlices))
 }
 
 // Place reserves a partition and memory for a new resident. Memory may
@@ -203,84 +218,6 @@ func (d *Device) CountKind(kind WorkloadKind) int {
 		if r.Kind == kind {
 			n++
 		}
-	}
-	return n
-}
-
-// SplitMIG partitions a physical GPU into n equal MIG instances, each a
-// fully independent Device with 1/n of the memory (§3: "Mudi is fully
-// compatible with MIG, treating each MIG instance as a distinct,
-// smaller GPU"). Valid A100 slice counts are 1–7.
-func (d *Device) SplitMIG(n int) ([]*Device, error) {
-	if n < 1 || n > 7 {
-		return nil, fmt.Errorf("gpu: MIG slice count %d outside 1..7", n)
-	}
-	if len(d.residents) > 0 {
-		return nil, errors.New("gpu: cannot split an occupied device")
-	}
-	out := make([]*Device, n)
-	for i := range out {
-		out[i] = NewDevice(fmt.Sprintf("%s/mig%d", d.ID, i), d.NodeID, d.MemoryMB/float64(n))
-	}
-	return out, nil
-}
-
-// Node is a host machine with several devices.
-type Node struct {
-	ID      string
-	Devices []*Device
-}
-
-// NewNode builds a node with the given number of fresh devices.
-func NewNode(id string, numDevices int, memMB float64) *Node {
-	n := &Node{ID: id}
-	for i := 0; i < numDevices; i++ {
-		n.Devices = append(n.Devices, NewDevice(fmt.Sprintf("%s/gpu%d", id, i), id, memMB))
-	}
-	return n
-}
-
-// Cluster is the full device inventory.
-type Cluster struct {
-	Nodes []*Node
-}
-
-// NewCluster builds nodes×devicesPerNode fresh devices (the paper's
-// physical setup is 3 nodes × 4 A100s; the simulated one is 1000 GPUs).
-func NewCluster(nodes, devicesPerNode int, memMB float64) *Cluster {
-	c := &Cluster{}
-	for i := 0; i < nodes; i++ {
-		c.Nodes = append(c.Nodes, NewNode(fmt.Sprintf("node%d", i), devicesPerNode, memMB))
-	}
-	return c
-}
-
-// Devices returns all devices in deterministic order.
-func (c *Cluster) Devices() []*Device {
-	var out []*Device
-	for _, n := range c.Nodes {
-		out = append(out, n.Devices...)
-	}
-	return out
-}
-
-// Device finds a device by ID.
-func (c *Cluster) Device(id string) (*Device, bool) {
-	for _, n := range c.Nodes {
-		for _, d := range n.Devices {
-			if d.ID == id {
-				return d, true
-			}
-		}
-	}
-	return nil, false
-}
-
-// NumDevices returns the device count.
-func (c *Cluster) NumDevices() int {
-	n := 0
-	for _, node := range c.Nodes {
-		n += len(node.Devices)
 	}
 	return n
 }

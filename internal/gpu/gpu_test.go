@@ -149,66 +149,6 @@ func TestResidentCopySemantics(t *testing.T) {
 	}
 }
 
-func TestSplitMIG(t *testing.T) {
-	d := NewDevice("gpu0", "node0", 0)
-	parts, err := d.SplitMIG(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 4 {
-		t.Fatalf("parts %d", len(parts))
-	}
-	for _, p := range parts {
-		if p.MemoryMB != A100MemoryMB/4 {
-			t.Fatalf("MIG memory %v", p.MemoryMB)
-		}
-		if p.NodeID != "node0" {
-			t.Fatal("MIG node lost")
-		}
-	}
-	if _, err := d.SplitMIG(8); err == nil {
-		t.Fatal("8 slices accepted")
-	}
-	if _, err := d.SplitMIG(0); err == nil {
-		t.Fatal("0 slices accepted")
-	}
-	d.Place(Resident{ID: "a", Share: 0.5})
-	if _, err := d.SplitMIG(2); err == nil {
-		t.Fatal("split of occupied device accepted")
-	}
-}
-
-func TestClusterTopology(t *testing.T) {
-	c := NewCluster(3, 4, 0)
-	if c.NumDevices() != 12 {
-		t.Fatalf("devices %d, want 12 (paper's physical cluster)", c.NumDevices())
-	}
-	devs := c.Devices()
-	if len(devs) != 12 {
-		t.Fatalf("Devices() %d", len(devs))
-	}
-	seen := map[string]bool{}
-	for _, d := range devs {
-		if seen[d.ID] {
-			t.Fatalf("duplicate device id %s", d.ID)
-		}
-		seen[d.ID] = true
-	}
-	if d, ok := c.Device("node1/gpu2"); !ok || d.NodeID != "node1" {
-		t.Fatalf("lookup failed: %v %v", d, ok)
-	}
-	if _, ok := c.Device("nope"); ok {
-		t.Fatal("bogus device found")
-	}
-}
-
-func TestLargeCluster(t *testing.T) {
-	c := NewCluster(125, 8, 0)
-	if c.NumDevices() != 1000 {
-		t.Fatalf("devices %d, want 1000 (paper's simulated cluster)", c.NumDevices())
-	}
-}
-
 func TestWorkloadKindString(t *testing.T) {
 	if KindInference.String() != "inference" || KindTraining.String() != "training" {
 		t.Fatal("kind strings wrong")

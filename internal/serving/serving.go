@@ -1,21 +1,16 @@
-// Package serving simulates one inference service instance at request
-// granularity: requests queue, the backend assembles batches up to the
-// configured cap (Clipper-style greedy batching — a batch launches as
-// soon as the device is free), and each request's latency is its wait
-// plus the batch processing time. The P99 latencies and SLO violation
-// rates of the small-scale experiments and the Fig. 16 case study come
-// from this model.
+// Package serving is the request-level model behind `-exp fidelity`:
+// one inference service instance at request granularity. Requests
+// queue, the backend assembles batches up to the configured cap, and
+// each request's latency is its wait plus the batch processing time.
+// The fidelity experiment compares its P99 against the window-level
+// cluster simulator's per-window latency.
 package serving
 
 import (
 	"errors"
 	"fmt"
 
-	"mudi/internal/model"
-	"mudi/internal/obs"
-	"mudi/internal/span"
 	"mudi/internal/stats"
-	"mudi/internal/timeline"
 )
 
 // LatencyFn returns the processing time (ms) of one batch of the given
@@ -27,80 +22,24 @@ type LatencyFn func(batchSize int) float64
 type Config struct {
 	BatchCap int     // maximum requests per batch (the tuned b_i)
 	SLOms    float64 // per-request latency SLO
-	// MaxQueue bounds the backlog; beyond it requests are rejected
-	// (counted as violations). Zero means unbounded.
-	MaxQueue int
 	// FormBatches switches from greedy batching (serve whatever is
 	// queued as soon as the device frees) to batch forming: wait until
 	// BatchCap requests accumulate or the oldest has waited MaxWaitMs,
 	// whichever comes first — the semantics of a tuned batch size b_i.
 	FormBatches bool
 	MaxWaitMs   float64 // batch-forming timeout; default SLOms/2
-	// Obs, when non-nil, receives a per-request latency histogram
-	// (serving_latency_ms), served/rejected counters, and a batch-size
-	// histogram. Passive: it never changes Result.
-	Obs *obs.Sink
-	// Trace, when non-nil, records the request lifecycle as causal
-	// spans: one batch_form + gpu_exec pair per batch and one
-	// request + queue_wait pair per served request, stamped in
-	// simulated seconds. Passive, same contract as Obs.
-	Trace *span.Tracer
-	// Device and Service label the emitted spans (trace-only).
-	Device  string
-	Service string
-	// Timeline, when non-nil, records each RunWindows window into the
-	// store's per-service series (service_qps, service_admitted,
-	// service_shed, service_p99_ms, service_violation — scoped by
-	// Service). Passive, same contract as Obs.
-	Timeline *timeline.Store
-	// Classes, when non-empty, assigns arrival i the SLO class
-	// Classes[i] (lengths must match) and switches Run to class-aware
-	// mode: batch slots fill by class rank (critical preempts batch
-	// slots, sheddable/batch/background queue behind), and queue
-	// overflow sheds the lowest-ranked shed-eligible request instead of
-	// blindly rejecting the newcomer. Empty keeps the classless path
-	// byte-identical to previous behavior.
-	Classes []model.SLOClass
 }
 
 // Result summarizes one run.
 type Result struct {
-	Served    int
-	Rejected  int
-	Latencies []float64 // per served request, ms
-	// Rejections lists the indices (into the arrivals slice) of the
-	// rejected requests, strictly increasing. It preserves the
-	// arrival→latency pairing under bounded queues: the k-th entry of
-	// Latencies belongs to the k-th non-rejected arrival.
-	Rejections    []int
+	Served        int
+	Latencies     []float64 // per request in arrival order, ms
 	P99           float64
 	Mean          float64
-	ViolationRate float64 // fraction of all requests (served+rejected) over SLO
+	ViolationRate float64 // fraction of requests over SLO
 	BusyFraction  float64 // device-busy share of the simulated span
 	Batches       int
 	MeanBatch     float64
-
-	// Class-aware mode only (Config.Classes set); zero otherwise.
-	//
-	// Shed counts requests dropped by admission control; Sheds lists
-	// their arrival indices sorted ascending (like Rejections, but shed
-	// order is a policy decision, not arrival order). Every arrival
-	// lands in exactly one of served/rejected/shed, and shed requests
-	// are intentional drops: they join ViolationRate's denominator but
-	// never its numerator.
-	Shed  int
-	Sheds []int
-	// ClassStats is the per-class conservation ledger:
-	// Offered == Served + Rejected + Shed for every class.
-	ClassStats map[model.SLOClass]ClassStat
-}
-
-// ClassStat is one SLO class's accounting in a class-aware run.
-type ClassStat struct {
-	Offered  int
-	Served   int
-	Rejected int
-	Shed     int
 }
 
 // Run simulates serving the given arrival times (seconds, sorted
@@ -120,9 +59,6 @@ func Run(arrivals []float64, lat LatencyFn, cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("serving: arrivals not sorted at %d", i)
 		}
 	}
-	if len(cfg.Classes) > 0 {
-		return runClassed(arrivals, lat, cfg)
-	}
 	var res Result
 	if len(arrivals) == 0 {
 		return res, nil
@@ -134,250 +70,70 @@ func Run(arrivals []float64, lat LatencyFn, cfg Config) (Result, error) {
 
 	freeAt := arrivals[0] // device idle until first arrival
 	var busy float64
-	i := 0
 	n := len(arrivals)
-	// Every admitted arrival produces exactly one latency; size the slice
-	// once instead of growing it batch by batch.
 	res.Latencies = make([]float64, 0, n)
-	// The queue holds arrival indices so rejections stay attributable
-	// to their arrival (Result.Rejections). Consumption advances qhead
-	// instead of shift-copying the backlog on every batch; the storage
-	// is reclaimed whenever the queue drains.
-	queue := make([]int, 0, cfg.BatchCap)
-	qhead := 0
-	reject := func(idx int) {
-		res.Rejected++
-		res.Rejections = append(res.Rejections, idx)
-	}
-
-	for i < n || len(queue) > qhead {
+	// Batches are served FIFO and nothing is dropped, so the queue is
+	// always the arrival range [head, i): arrived but not yet served.
+	head, i := 0, 0
+	for head < n {
 		// Admit everything that arrived by the time the device is free.
 		for i < n && arrivals[i] <= freeAt {
-			if cfg.MaxQueue > 0 && len(queue)-qhead >= cfg.MaxQueue {
-				reject(i)
-			} else {
-				queue = append(queue, i)
-			}
 			i++
 		}
-		if len(queue) == qhead {
-			queue, qhead = queue[:0], 0
+		if head == i {
 			// Idle until the next arrival.
-			if i < n {
-				freeAt = arrivals[i]
-				continue
-			}
-			break
+			freeAt = arrivals[i]
+			continue
 		}
-		if cfg.FormBatches && len(queue)-qhead < cfg.BatchCap && maxWait > 0 {
+		if cfg.FormBatches && i-head < cfg.BatchCap && maxWait > 0 {
 			// Hold the launch until the batch fills or the oldest
 			// request has waited maxWait.
-			deadline := arrivals[queue[qhead]] + maxWait/1000
-			for len(queue)-qhead < cfg.BatchCap && i < n && arrivals[i] <= deadline {
-				if cfg.MaxQueue > 0 && len(queue)-qhead >= cfg.MaxQueue {
-					reject(i)
-				} else {
-					queue = append(queue, i)
-				}
+			deadline := arrivals[head] + maxWait/1000
+			for i-head < cfg.BatchCap && i < n && arrivals[i] <= deadline {
 				i++
 			}
-			if len(queue)-qhead < cfg.BatchCap {
+			if i-head < cfg.BatchCap {
 				// Timed out before filling: launch at the deadline.
 				if deadline > freeAt {
 					freeAt = deadline
 				}
-			} else if last := arrivals[queue[len(queue)-1]]; last > freeAt {
+			} else if last := arrivals[i-1]; last > freeAt {
 				// Filled exactly when the last member arrived.
 				freeAt = last
 			}
 		}
-		take := len(queue) - qhead
-		if take > cfg.BatchCap {
-			take = cfg.BatchCap
-		}
-		batch := queue[qhead : qhead+take]
+		take := min(i-head, cfg.BatchCap)
 		procMs := lat(take)
 		if procMs < 0 {
 			return Result{}, fmt.Errorf("serving: negative latency %v for batch %d", procMs, take)
 		}
-		start := freeAt
-		end := start + procMs/1000
-		if cfg.Trace != nil {
-			// One batch_form (first member's arrival → launch) with a
-			// gpu_exec child, then a request + queue_wait pair per
-			// member. All stamps are simulated seconds.
-			bf := cfg.Trace.Add(span.Span{
-				Kind: span.KindBatchForm, Start: arrivals[batch[0]], End: start,
-				Device: cfg.Device, Service: cfg.Service, Batch: take,
-			})
-			cfg.Trace.Add(span.Span{
-				Kind: span.KindGPUExec, Parent: bf, Start: start, End: end,
-				Device: cfg.Device, Service: cfg.Service, Batch: take, Value: procMs,
-			})
-			for _, idx := range batch {
-				rq := cfg.Trace.Add(span.Span{
-					Kind: span.KindRequest, Start: arrivals[idx], End: end,
-					Device: cfg.Device, Service: cfg.Service,
-					Value: (end - arrivals[idx]) * 1000,
-				})
-				cfg.Trace.Add(span.Span{
-					Kind: span.KindQueueWait, Parent: rq, Start: arrivals[idx], End: start,
-					Device: cfg.Device, Service: cfg.Service,
-				})
-			}
-		}
-		for _, idx := range batch {
-			res.Latencies = append(res.Latencies, (end-arrivals[idx])*1000)
+		end := freeAt + procMs/1000
+		for _, at := range arrivals[head : head+take] {
+			res.Latencies = append(res.Latencies, (end-at)*1000)
 		}
 		res.Batches++
 		res.MeanBatch += float64(take)
 		busy += procMs / 1000
-		qhead += take
-		if qhead == len(queue) {
-			queue, qhead = queue[:0], 0
-		}
+		head += take
 		freeAt = end
 	}
 
 	res.Served = len(res.Latencies)
-	if res.Batches > 0 {
-		res.MeanBatch /= float64(res.Batches)
-	}
-	if cfg.Obs != nil {
-		latHist := cfg.Obs.Histogram("serving_latency_ms", nil)
-		for _, l := range res.Latencies {
-			latHist.Observe(l)
-		}
-		cfg.Obs.Counter("serving_served_total").Add(float64(res.Served))
-		cfg.Obs.Counter("serving_rejected_total").Add(float64(res.Rejected))
-		cfg.Obs.Counter("serving_batches_total").Add(float64(res.Batches))
-	}
+	res.MeanBatch /= float64(res.Batches)
 	var sc stats.Scratch
 	res.P99 = sc.P99(res.Latencies)
 	res.Mean = stats.Mean(res.Latencies)
 	if cfg.SLOms > 0 {
-		viol := res.Rejected
+		viol := 0
 		for _, l := range res.Latencies {
 			if l > cfg.SLOms {
 				viol++
 			}
 		}
-		total := res.Served + res.Rejected
-		if total > 0 {
-			res.ViolationRate = float64(viol) / float64(total)
-		}
+		res.ViolationRate = float64(viol) / float64(res.Served)
 	}
-	simSpan := freeAt - arrivals[0]
-	if simSpan > 0 {
+	if simSpan := freeAt - arrivals[0]; simSpan > 0 {
 		res.BusyFraction = busy / simSpan
 	}
 	return res, nil
-}
-
-// WindowStat reports one fixed window of a RunWindows time series: the
-// P99 latency of the served requests that arrived in it, the rejected
-// count, and a violation rate over all of the window's requests
-// (rejections count as violations, matching Result.ViolationRate).
-type WindowStat struct {
-	Start         float64
-	P99           float64
-	ViolationRate float64
-	Requests      int // served requests arriving in the window
-	Rejected      int // rejected requests arriving in the window
-	Shed          int // shed requests arriving in the window (class-aware mode)
-}
-
-// RunWindows is like Run but additionally buckets requests into
-// windowSec-wide windows of their arrival time — the time-series view
-// behind Fig. 16. The pairing survives bounded queues: Run records
-// which arrivals were rejected (Result.Rejections), and every other
-// arrival maps to its latency in order (batches are formed FIFO, so
-// Latencies preserve arrival order).
-func RunWindows(arrivals []float64, lat LatencyFn, cfg Config, windowSec float64) (Result, []WindowStat, error) {
-	res, err := Run(arrivals, lat, cfg)
-	if err != nil {
-		return res, nil, err
-	}
-	if windowSec <= 0 || len(arrivals) == 0 {
-		return res, nil, nil
-	}
-	type rec struct {
-		at       float64
-		lat      float64
-		rejected bool
-		shed     bool
-	}
-	recs := make([]rec, 0, len(arrivals))
-	rej, shed, served := 0, 0, 0
-	for i, at := range arrivals {
-		if rej < len(res.Rejections) && res.Rejections[rej] == i {
-			recs = append(recs, rec{at: at, rejected: true})
-			rej++
-			continue
-		}
-		if shed < len(res.Sheds) && res.Sheds[shed] == i {
-			recs = append(recs, rec{at: at, shed: true})
-			shed++
-			continue
-		}
-		if served >= len(res.Latencies) {
-			return res, nil, fmt.Errorf("serving: %d served latencies for %d admitted arrivals", len(res.Latencies), served+1)
-		}
-		recs = append(recs, rec{at: at, lat: res.Latencies[served]})
-		served++
-	}
-	// Arrivals are sorted, so recs already are; no re-sort needed.
-
-	var out []WindowStat
-	var bucket []float64
-	var sc stats.Scratch // shared across windows; Run is single-goroutine
-	rejected, shedCnt := 0, 0
-	flush := func(ws float64) {
-		if len(bucket) == 0 && rejected == 0 && shedCnt == 0 {
-			return
-		}
-		viol := rejected
-		for _, l := range bucket {
-			if cfg.SLOms > 0 && l > cfg.SLOms {
-				viol++
-			}
-		}
-		st := WindowStat{
-			Start:         ws,
-			P99:           sc.P99(bucket),
-			ViolationRate: float64(viol) / float64(len(bucket)+rejected+shedCnt),
-			Requests:      len(bucket),
-			Rejected:      rejected,
-			Shed:          shedCnt,
-		}
-		out = append(out, st)
-		if cfg.Timeline != nil {
-			total := float64(len(bucket) + rejected + shedCnt)
-			cfg.Timeline.Series(timeline.ServiceQPS, cfg.Service).Add(ws, total/windowSec)
-			cfg.Timeline.Series(timeline.ServiceAdmitted, cfg.Service).Add(ws, float64(len(bucket)+rejected)/windowSec)
-			cfg.Timeline.Series(timeline.ServiceShed, cfg.Service).Add(ws, float64(shedCnt))
-			cfg.Timeline.Series(timeline.ServiceP99, cfg.Service).Add(ws, st.P99)
-			cfg.Timeline.Series(timeline.ServiceViolation, cfg.Service).Add(ws, st.ViolationRate)
-		}
-		bucket = bucket[:0]
-		rejected = 0
-		shedCnt = 0
-	}
-	winStart := recs[0].at
-	for _, r := range recs {
-		for r.at >= winStart+windowSec {
-			flush(winStart)
-			winStart += windowSec
-		}
-		switch {
-		case r.rejected:
-			rejected++
-		case r.shed:
-			shedCnt++
-		default:
-			bucket = append(bucket, r.lat)
-		}
-	}
-	flush(winStart)
-	return res, out, nil
 }

@@ -76,23 +76,6 @@ func TestViolationRate(t *testing.T) {
 	}
 }
 
-func TestRejectionsCountAsViolations(t *testing.T) {
-	arr := []float64{0, 0, 0, 0, 0}
-	res, err := Run(arr, constLat(100), Config{BatchCap: 1, SLOms: 1000, MaxQueue: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rejected == 0 {
-		t.Fatal("expected rejections")
-	}
-	if res.Served+res.Rejected != 5 {
-		t.Fatalf("served %d + rejected %d != 5", res.Served, res.Rejected)
-	}
-	if res.ViolationRate == 0 {
-		t.Fatal("rejections must count as violations")
-	}
-}
-
 func TestLatencyGrowsWithBatch(t *testing.T) {
 	// A latency function that grows with batch size: large caps trade
 	// per-request wait against batch cost.
@@ -151,50 +134,6 @@ func TestEmptyArrivals(t *testing.T) {
 	}
 	if res.Served != 0 || res.P99 != 0 {
 		t.Fatalf("empty run = %+v", res)
-	}
-}
-
-func TestRunWindows(t *testing.T) {
-	rng := xrand.New(2)
-	q := trace.BurstyQPS{
-		Inner:  trace.ConstantQPS(100),
-		Bursts: []trace.Burst{{Start: 10, End: 20, Factor: 6}},
-	}
-	arr := trace.PoissonArrivals(q, 30, rng)
-	lat := func(n int) float64 { return 20 + 3*float64(n) }
-	_, windows, err := RunWindows(arr, lat, Config{BatchCap: 16, SLOms: 120}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(windows) < 5 {
-		t.Fatalf("windows %d", len(windows))
-	}
-	// The burst windows should carry more requests.
-	var burstReq, quietReq int
-	for _, w := range windows {
-		if w.Start >= 10 && w.Start < 20 {
-			burstReq += w.Requests
-		} else if w.Start < 10 {
-			quietReq += w.Requests
-		}
-	}
-	if burstReq <= quietReq {
-		t.Fatalf("burst windows not busier: %d vs %d", burstReq, quietReq)
-	}
-	for _, w := range windows {
-		if w.P99 < 0 || w.ViolationRate < 0 || w.ViolationRate > 1 {
-			t.Fatalf("bad window %+v", w)
-		}
-	}
-}
-
-func TestRunWindowsDegenerate(t *testing.T) {
-	res, windows, err := RunWindows([]float64{1}, constLat(10), Config{BatchCap: 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Served != 1 || windows != nil {
-		t.Fatal("degenerate window run wrong")
 	}
 }
 

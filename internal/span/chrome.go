@@ -7,14 +7,10 @@ import (
 )
 
 // lane groups span kinds into per-device tracks so a Perfetto view
-// shows serving, execution, control, memory, scheduling, and fault
-// activity as separate rows.
+// shows control, memory, scheduling, and fault activity as separate
+// rows.
 func lane(k Kind) string {
 	switch k {
-	case KindRequest, KindQueueWait:
-		return "serve"
-	case KindBatchForm, KindGPUExec:
-		return "exec"
 	case KindRetune, KindBOIter, KindRescale, KindShadowSpinup, KindShadowSwap:
 		return "control"
 	case KindMemSwap:

@@ -1,8 +1,7 @@
 // Package span is the causal tracing layer: simulated-time spans with
-// parent/child links covering the request lifecycle (request →
-// queue_wait → batch_form → gpu_exec) and every control-plane
-// operation (retune with bo_iter children, rescale with shadow_spinup
-// / shadow_swap children, migrate, mem_swap, fault outage windows).
+// parent/child links covering every control-plane operation (retune
+// with bo_iter children, rescale with shadow_spinup / shadow_swap
+// children, migrate, mem_swap, fault outage windows).
 //
 // It follows the same contract as obs.Sink: a nil *Tracer disables
 // tracing, every method is nil-receiver-safe, and hot paths
@@ -26,18 +25,8 @@ import (
 type Kind uint8
 
 const (
-	// KindRequest: one inference request, arrival → completion.
-	KindRequest Kind = iota
-	// KindQueueWait: the portion of a request spent queued before its
-	// batch started executing.
-	KindQueueWait
-	// KindBatchForm: a batch accumulating requests (first arrival →
-	// execution start).
-	KindBatchForm
-	// KindGPUExec: a batch executing on the GPU.
-	KindGPUExec
 	// KindRetune: one Monitor-triggered tuner episode (Cause says why).
-	KindRetune
+	KindRetune Kind = iota
 	// KindBOIter: one Bayesian-optimisation probe inside a retune
 	// (Value = measured training iteration ms).
 	KindBOIter
@@ -61,10 +50,6 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KindRequest:      "request",
-	KindQueueWait:    "queue_wait",
-	KindBatchForm:    "batch_form",
-	KindGPUExec:      "gpu_exec",
 	KindRetune:       "retune",
 	KindBOIter:       "bo_iter",
 	KindRescale:      "rescale",
@@ -111,13 +96,13 @@ type ID uint64
 
 // Span is one causal interval in simulated time.
 type Span struct {
-	ID     ID      `json:"id"`
-	Parent ID      `json:"parent,omitempty"`
-	Kind   Kind    `json:"kind"`
-	Start  float64 `json:"start"`         // sim seconds
-	End    float64 `json:"end"`           // sim seconds; -1 while open
-	Device string  `json:"device,omitempty"`
-	Service string `json:"service,omitempty"`
+	ID      ID      `json:"id"`
+	Parent  ID      `json:"parent,omitempty"`
+	Kind    Kind    `json:"kind"`
+	Start   float64 `json:"start"` // sim seconds
+	End     float64 `json:"end"`   // sim seconds; -1 while open
+	Device  string  `json:"device,omitempty"`
+	Service string  `json:"service,omitempty"`
 	// Task is the resident training-task signature at span time (task
 	// names joined with "+"), or the single task for migrate/mem_swap.
 	Task  string  `json:"task,omitempty"`

@@ -11,7 +11,7 @@ func TestNilTracerSafe(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports enabled")
 	}
-	if id := tr.Add(Span{Kind: KindRequest}); id != 0 {
+	if id := tr.Add(Span{Kind: KindMigrate}); id != 0 {
 		t.Fatalf("nil Add returned %d", id)
 	}
 	if id := tr.Start(Span{Kind: KindRetune}); id != 0 {
@@ -29,7 +29,7 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(100, func() {
 		if tr != nil {
-			tr.Add(Span{Kind: KindRequest, Start: 1, End: 2})
+			tr.Add(Span{Kind: KindMigrate, Start: 1, End: 2})
 		}
 		tr.End(0, 3)
 		tr.Annotate(0, nil)
@@ -79,12 +79,12 @@ func TestTracerLifecycle(t *testing.T) {
 
 func TestTracerCapacity(t *testing.T) {
 	tr := NewTracer(2)
-	tr.Add(Span{Kind: KindRequest})
-	tr.Start(Span{Kind: KindRequest})
-	if id := tr.Add(Span{Kind: KindRequest}); id != 0 {
+	tr.Add(Span{Kind: KindMigrate})
+	tr.Start(Span{Kind: KindMigrate})
+	if id := tr.Add(Span{Kind: KindMigrate}); id != 0 {
 		t.Fatalf("over-cap Add returned %d", id)
 	}
-	if id := tr.Start(Span{Kind: KindRequest}); id != 0 {
+	if id := tr.Start(Span{Kind: KindMigrate}); id != 0 {
 		t.Fatalf("over-cap Start returned %d", id)
 	}
 	if tr.Len() != 2 || tr.Dropped() != 2 {
@@ -150,8 +150,8 @@ func TestCauseJSONRoundTrip(t *testing.T) {
 
 func TestChromeTraceShape(t *testing.T) {
 	tr := NewTracer(0)
-	rq := tr.Add(Span{Kind: KindRequest, Start: 1.0, End: 1.5, Device: "gpu-0", Service: "resnet50"})
-	tr.Add(Span{Kind: KindQueueWait, Parent: rq, Start: 1.0, End: 1.2, Device: "gpu-0", Service: "resnet50"})
+	rs := tr.Add(Span{Kind: KindRescale, Start: 1.0, End: 1.5, Device: "gpu-0", Service: "resnet50"})
+	tr.Add(Span{Kind: KindShadowSpinup, Parent: rs, Start: 1.0, End: 1.2, Device: "gpu-0", Service: "resnet50"})
 	rt := tr.Add(Span{Kind: KindRetune, Start: 2.0, End: 2.0, Device: "gpu-1", Cause: "qps-change"})
 	tr.Add(Span{Kind: KindBOIter, Parent: rt, Start: 2.0, End: 2.0, Device: "gpu-1", Value: 33})
 	tr.Add(Span{Kind: KindOutage, Start: 0.5, End: 3.0, Device: "gpu-0", Cause: "mtbf"})
@@ -206,19 +206,19 @@ func TestChromeTraceShape(t *testing.T) {
 	if meta < 2 {
 		t.Fatalf("metadata events = %d, want ≥ 2", meta)
 	}
-	// queue_wait (µs ts 1e6, dur 0.2e6) must come after its parent
-	// request (same ts, dur 0.5e6) on the same track.
-	var reqIdx, qwIdx int
+	// shadow_spinup (µs ts 1e6, dur 0.2e6) must come after its parent
+	// rescale (same ts, dur 0.5e6) on the same track.
+	var parentIdx, childIdx int
 	for i, ev := range doc.TraceEvents {
 		switch ev.Name {
-		case "request":
-			reqIdx = i
-		case "queue_wait":
-			qwIdx = i
+		case "rescale":
+			parentIdx = i
+		case "shadow_spinup":
+			childIdx = i
 		}
 	}
-	if qwIdx < reqIdx {
-		t.Fatal("child queue_wait emitted before parent request at equal ts")
+	if childIdx < parentIdx {
+		t.Fatal("child shadow_spinup emitted before parent rescale at equal ts")
 	}
 }
 

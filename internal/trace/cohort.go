@@ -17,11 +17,11 @@ import (
 // Cohort describes one arrival population.
 type Cohort struct {
 	Name       string
-	Weight     float64             // share of the total task count
-	MeanGapSec float64             // mean inter-arrival within the cohort
+	Weight     float64                     // share of the total task count
+	MeanGapSec float64                     // mean inter-arrival within the cohort
 	SizeMix    map[model.SizeClass]float64 // task-size preference; nil = catalog Frac
-	Priority   int                 // queue priority override; 0 = size-class default
-	BurstProb  float64             // chance a submission clumps (gap × 0.1)
+	Priority   int                         // queue priority override; 0 = size-class default
+	BurstProb  float64                     // chance a submission clumps (gap × 0.1)
 	// Class tags every submission from this cohort with an SLO class.
 	// When set and Priority is zero, the queue priority is derived from
 	// the class rank (critical outranks standard outranks batch...).

@@ -9,7 +9,7 @@ import (
 )
 
 // Causal tracing surface. A run with SimOptions.Trace set records
-// every request-lifecycle and control-plane operation as a span in
+// every control-plane operation as a span in
 // simulated time — parent/child linked, annotated with the device, the
 // resident training-task signature, the partition change, and the batch
 // size — and classifies every SLO violation's dominant cause. Like the
@@ -18,15 +18,13 @@ import (
 type (
 	// Span is one causal simulated-time span. Start/End are simulation
 	// seconds; Parent links children (bo_iter under retune,
-	// shadow_spinup/shadow_swap under rescale, queue_wait under
-	// request).
+	// shadow_spinup/shadow_swap under rescale).
 	Span = span.Span
 	// SpanID identifies a span within one run (0 = none).
 	SpanID = span.ID
 	// SpanKind discriminates spans; wire names are snake_case
-	// ("request", "queue_wait", "batch_form", "gpu_exec", "retune",
-	// "bo_iter", "rescale", "shadow_spinup", "shadow_swap", "migrate",
-	// "mem_swap", "outage").
+	// ("retune", "bo_iter", "rescale", "shadow_spinup", "shadow_swap",
+	// "migrate", "mem_swap", "outage").
 	SpanKind = span.Kind
 	// SLOReport is the per-service SLO-violation attribution roll-up:
 	// violation counts, violated-minutes, a cause breakdown, and the
@@ -48,10 +46,6 @@ type (
 
 // The span taxonomy.
 const (
-	SpanRequest      = span.KindRequest
-	SpanQueueWait    = span.KindQueueWait
-	SpanBatchForm    = span.KindBatchForm
-	SpanGPUExec      = span.KindGPUExec
 	SpanRetune       = span.KindRetune
 	SpanBOIter       = span.KindBOIter
 	SpanRescale      = span.KindRescale
