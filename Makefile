@@ -12,7 +12,7 @@ GO ?= go
 # learner's GBRT sort memos come from one process-wide pool).
 RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/eventq ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
 
-.PHONY: tier1 build test vet race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
+.PHONY: tier1 build test vet fmt test-benchmark smoke-hotpath race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
 
 tier1: build test
 
@@ -24,6 +24,19 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# The benchmark module's own tests: every workload, small, traced and
+# untraced.
+test-benchmark:
+	cd benchmark && $(GO) test ./...
+
+# One iteration of each hot-path micro-benchmark.
+smoke-hotpath:
+	$(GO) test -run '^$$' -bench 'BenchmarkHotpath' -benchtime 1x -benchmem -count=1 .
 
 race:
 	$(GO) test -race -timeout 120m $(RACE_PKGS)
@@ -79,4 +92,5 @@ bench-timeline:
 bench-scale:
 	$(GO) test -run '^$$' -bench 'BenchmarkScale' -benchtime 1x -timeout 120m -count=1 .
 
-ci: tier1 vet race
+# The CI tier1 job's build/test steps plus the race job.
+ci: tier1 vet fmt test-benchmark smoke-hotpath test-scenarios test-classes race

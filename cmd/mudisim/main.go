@@ -184,7 +184,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		sink, tracer, attr := tel.Instruments()
 		srv := &http.Server{Handler: telemetry.Handler(telemetry.Options{
 			Sink: sink, Trace: tracer, Attr: attr,
-			Timeline: tel.TimelineStore(), WindowSec: 1,
+			Timeline: tel.TimelineStore(),
 		})}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()

@@ -25,14 +25,14 @@ func ExampleSystem_Simulate() {
 	// Output: policy=mudi completed=8/8
 }
 
-// ExampleSystem_Baseline compares Mudi against one of the paper's
-// baseline systems on the same trace.
-func ExampleSystem_Baseline() {
+// ExampleSystem_BaselinePolicy compares Mudi against one of the
+// paper's baseline systems on the same trace.
+func ExampleSystem_BaselinePolicy() {
 	sys, err := mudi.NewSystem(mudi.SystemConfig{Seed: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	gslice, err := sys.Baseline("gslice")
+	gslice, err := sys.BaselinePolicy(mudi.BaselineGSLICE)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func run(w io.Writer, devices, tasks int, gap float64, shards int, names []strin
 	for _, name := range names {
 		var policy mudi.Policy
 		if name != "mudi" {
-			policy, err = sys.Baseline(name)
+			policy, err = sys.BaselinePolicy(mudi.BaselineID(name))
 			if err != nil {
 				return fmt.Errorf("baseline %s: %w", name, err)
 			}

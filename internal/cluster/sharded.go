@@ -36,7 +36,7 @@ import (
 // runs inline, every cross-lane reaction is posted to the mailbox, and
 // what the window observed lands in d.rec.
 func (s *Sim) deviceWindow(now float64, d *deviceState) {
-	w := s.opts.WindowSec
+	w := span.WindowSec
 	r := &d.rec
 	if d.down {
 		// A failed device serves nothing and burns nothing: it publishes
@@ -75,7 +75,7 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	// multiplexing. Triggers update curQPS inline (device-local) and
 	// post the configure to the barrier — Configure walks the policy's
 	// shared learner state, which only the global phase may touch.
-	if !s.opts.DisableRetune && relChange(svc.curQPS, qps) >= s.opts.QPSChangeThreshold {
+	if !s.opts.DisableRetune && relChange(svc.curQPS, qps) >= qpsChangeFrac {
 		svc.curQPS = qps
 		lane.Post(now, d.gidx, func(at float64) {
 			if !d.down {
@@ -233,7 +233,7 @@ func (s *Sim) observeWindow(d *deviceState) {
 	r, svc := &d.rec, d.svc
 	class := svc.info.Class.String()
 	if s.attr != nil {
-		s.attr.ObserveShed(class, r.shed*s.opts.WindowSec) // no-op unless shedding
+		s.attr.ObserveShed(class, r.shed*span.WindowSec) // no-op unless shedding
 		if r.viol {
 			s.attr.Observe(span.Sample{
 				Time: r.at, Device: d.dev.ID, Service: svc.info.Name,
@@ -251,7 +251,7 @@ func (s *Sim) observeWindow(d *deviceState) {
 	if r.shed > 0 {
 		s.obsv.sheds.Inc()
 		if cc != nil {
-			cc.shed.Add(r.shed * s.opts.WindowSec)
+			cc.shed.Add(r.shed * span.WindowSec)
 		}
 		s.obsv.sink.Emit(obs.Event{
 			Time: r.at, Type: obs.EventLoadShed, Device: d.dev.ID,

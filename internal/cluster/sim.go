@@ -36,7 +36,6 @@ type Options struct {
 	Services []model.InferenceService // defaults to the Tab. 1 catalog
 	Arrivals []trace.TaskArrival
 
-	WindowSec  float64 // control window; default 1 s
 	LoadFactor float64 // QPS multiplier (Fig. 15); default 1
 	// MaxHorizonSec caps the simulation even if tasks remain; default
 	// 10× the last arrival (safety against starvation bugs).
@@ -62,8 +61,6 @@ type Options struct {
 	DisableRetune bool
 	// Bursts overlays QPS burst episodes on every service (Fig. 16).
 	Bursts []trace.Burst
-	// QPSChangeThreshold for the Monitor; default 0.5.
-	QPSChangeThreshold float64
 	// TraceDeviceIdx, when > 0, records a per-window configuration
 	// trace for device TraceDeviceIdx−1 (1-based so the zero value
 	// disables tracing) — the Fig. 16 case-study view.
@@ -137,17 +134,11 @@ func (o Options) defaults() (Options, error) {
 	if len(o.Services) == 0 {
 		o.Services = model.Services()
 	}
-	if o.WindowSec <= 0 {
-		o.WindowSec = 1
-	}
 	if o.LoadFactor <= 0 {
 		o.LoadFactor = 1
 	}
 	if o.QueuePolicy == nil {
 		o.QueuePolicy = sched.FCFS{}
-	}
-	if o.QPSChangeThreshold <= 0 {
-		o.QPSChangeThreshold = 0.5
 	}
 	if o.MIGSlices == 0 {
 		o.MIGSlices = 1
@@ -662,7 +653,7 @@ func (s *Sim) Run() (*Result, error) {
 	stops := make([]func(), 0, len(s.devices)+1)
 	for _, d := range s.devices {
 		d := d
-		stop, err := s.sh.Lane(d.lane).Sim.EveryUntil(s.opts.WindowSec, func(now float64) {
+		stop, err := s.sh.Lane(d.lane).Sim.EveryUntil(span.WindowSec, func(now float64) {
 			s.deviceWindow(now, d)
 		})
 		if err != nil {
@@ -674,7 +665,7 @@ func (s *Sim) Run() (*Result, error) {
 	// cancellation check, and the all-done stop. Scheduled after faults
 	// and arrivals so ties at a window boundary run faults and arrivals
 	// before the window's accounting.
-	stop, err := g.EveryUntil(s.opts.WindowSec, func(now float64) { s.barrierTick(now) })
+	stop, err := g.EveryUntil(span.WindowSec, func(now float64) { s.barrierTick(now) })
 	if err != nil {
 		return nil, err
 	}
@@ -727,9 +718,7 @@ func (s *Sim) onArrival(now float64, a trace.TaskArrival) {
 	}
 	qj := &queueJob{job: job, arrival: a}
 	s.jobs[a.ID] = qj
-	if err := s.queue.Push(job); err != nil {
-		return
-	}
+	s.queue.Push(job)
 	s.trySchedule(now)
 }
 
@@ -1189,7 +1178,9 @@ func (s *Sim) complete(now float64, d *deviceState, t *taskState) {
 	if t.finishAt > s.res.Makespan {
 		s.res.Makespan = t.finishAt
 	}
-	s.queue.RecordUsage(t.task.Name, t.finishAt-t.startAt)
+	// Usage accrues to the job's fair-share user: the cohort on cohort
+	// traces, the task family otherwise (see onArrival).
+	s.queue.RecordUsage(s.jobs[t.id].job.User, t.finishAt-t.startAt)
 	s.release(now, d, t)
 	// Retune for the remaining residents and pull the next queued task
 	// ("a new co-location decision is made for pending training tasks
@@ -1213,10 +1204,13 @@ func (s *Sim) release(now float64, d *deviceState, t *taskState) {
 	d.training = keep
 }
 
+// qpsChangeFrac is the Monitor's trigger: a device retunes when its
+// QPS moves by this fraction since the last retune (§5.3.2).
 // resumeRetrySec is how often a paused device re-attempts tuning;
 // pauseEvictSec is how long a task may stay paused before it is
 // checkpointed and requeued for placement elsewhere.
 const (
+	qpsChangeFrac  = 0.5
 	resumeRetrySec = 10.0
 	pauseEvictSec  = 120.0
 	// memPressureFrac is the memory-utilization fraction above which a
@@ -1282,7 +1276,7 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 			Value: float64(t.id), Cause: cause,
 		})
 	}
-	_ = s.queue.Push(qj.job)
+	s.queue.Push(qj.job)
 	return true
 }
 
@@ -1472,7 +1466,7 @@ func (s *Sim) finalize(now float64) {
 		s.res.Spans = s.tracer.Spans()
 	}
 	if s.attr != nil {
-		s.res.SLOReport = s.attr.Report(s.res.Spans, s.opts.WindowSec)
+		s.res.SLOReport = s.attr.Report(s.res.Spans, span.WindowSec)
 	}
 	// Recording roll-up: the workload this run consumed, assembled into
 	// a replayable trace-v2 document (a derived view like Events/Spans).

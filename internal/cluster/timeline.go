@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mudi/internal/model"
+	"mudi/internal/span"
 	"mudi/internal/timeline"
 )
 
@@ -143,7 +144,7 @@ func (t *tlState) window(s *Sim, now, smAvg, memAvg float64, memHot int) {
 			}
 		}
 	}
-	w := s.opts.WindowSec
+	w := span.WindowSec
 	for i := range t.svc {
 		h, a := &t.svc[i], &t.acc[i]
 		h.qps.Add(now, a.qps)

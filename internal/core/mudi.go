@@ -21,24 +21,12 @@ type MudiConfig struct {
 	// MaxTrainPerGPU caps co-located training tasks per device:
 	// 1 for Mudi, up to 3 for Mudi-more (§5.5).
 	MaxTrainPerGPU int
-	// OnlineProfileDeltas is the GPU% grid sampled when profiling a new
-	// co-location online; defaults to the offline profiler's 6 points.
-	OnlineProfileDeltas []float64
-	// OnlineProfileBatches restricts which batch sizes are profiled
-	// online (all six by default).
-	OnlineProfileBatches []int
-	Seed                 uint64
+	Seed           uint64
 }
 
 func (c MudiConfig) defaults() MudiConfig {
 	if c.MaxTrainPerGPU <= 0 {
 		c.MaxTrainPerGPU = 1
-	}
-	if len(c.OnlineProfileDeltas) == 0 {
-		c.OnlineProfileDeltas = []float64{0.1, 0.3, 0.4, 0.6, 0.7, 0.9}
-	}
-	if len(c.OnlineProfileBatches) == 0 {
-		c.OnlineProfileBatches = model.BatchSizes()
 	}
 	return c
 }
@@ -251,7 +239,7 @@ func (p *slopePlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 			continue
 		}
 		res, err := opt.MinPartition(opt.ScaleRequest{
-			QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i].f, MaxDelta: 0.9,
+			QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i].f, MaxDelta: 1 - tuner.MinTrainShare,
 		})
 		if err != nil || !res.Feasible {
 			continue
@@ -354,12 +342,12 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 	// Validation rounds: the predicted curve can be optimistic for a
 	// co-location the predictor has not fully learned. Verify the
 	// decision against a live latency measurement; if it misses the
-	// planning margin, grow the partition along the measured ratio and
-	// re-check (the Monitor's "SLO at risk" repair loop, §6, done
-	// before committing the configuration).
+	// Tuner's planning margin (tuner.SLOMargin of the budget), grow the
+	// partition by 10 points and re-check (the Monitor's "SLO at risk"
+	// repair loop, §6, done before committing the configuration).
 	if dec.Feasible && meas != nil {
 		budget := view.SLOms * float64(dec.Batch) / view.QPS
-		margin := 0.90 * budget
+		margin := tuner.SLOMargin * budget
 		for round := 0; round < 3; round++ {
 			lat, err := meas.InfLatencyMs(dec.Batch, dec.Delta)
 			if err != nil {
@@ -369,7 +357,7 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 				break
 			}
 			grown := dec.Delta + 0.1
-			if grown > 0.9 && len(view.ResidentTasks) > 0 {
+			if grown > 1-tuner.MinTrainShare && len(view.ResidentTasks) > 0 {
 				// Cannot grow further while training holds its floor:
 				// declare infeasibility so the caller pauses training.
 				dec = Decision{Feasible: false, Batch: dec.Batch, BOIterations: dec.BOIterations}
@@ -397,9 +385,10 @@ func (m *Mudi) ObserveColocation(view DeviceView, meas Measurer) {
 		return
 	}
 	m.seenColoc[key] = true
-	for _, b := range m.cfg.OnlineProfileBatches {
-		samples := make([]fit.Sample, 0, len(m.cfg.OnlineProfileDeltas))
-		for _, d := range m.cfg.OnlineProfileDeltas {
+	grid := profiler.SampleGrid()
+	for _, b := range model.BatchSizes() {
+		samples := make([]fit.Sample, 0, len(grid))
+		for _, d := range grid {
 			l, err := meas.InfLatencyMs(b, d)
 			if err != nil {
 				return
@@ -422,11 +411,6 @@ func (m *Mudi) ObserveColocation(view DeviceView, meas Measurer) {
 			return
 		}
 	}
-}
-
-// ShouldRetune forwards the Monitor's QPS-change trigger.
-func (m *Mudi) ShouldRetune(oldQPS, newQPS float64) bool {
-	return m.tun.ShouldRetune(oldQPS, newQPS)
 }
 
 var (

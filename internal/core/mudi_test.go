@@ -193,17 +193,6 @@ func TestBOIterationsTracked(t *testing.T) {
 	}
 }
 
-func TestShouldRetuneForwarded(t *testing.T) {
-	oracle := perf.NewOracle(8)
-	m := buildMudi(t, oracle, 8, 1)
-	if m.ShouldRetune(100, 120) {
-		t.Fatal("20% change should not trigger")
-	}
-	if !m.ShouldRetune(100, 160) {
-		t.Fatal("60% change should trigger")
-	}
-}
-
 func TestNameAndDefaults(t *testing.T) {
 	m := NewMudi(predictor.New(1), MudiConfig{})
 	if m.Name() != "mudi" {
@@ -211,9 +200,6 @@ func TestNameAndDefaults(t *testing.T) {
 	}
 	if m.cfg.MaxTrainPerGPU != 1 {
 		t.Fatalf("default max train %d", m.cfg.MaxTrainPerGPU)
-	}
-	if len(m.cfg.OnlineProfileDeltas) == 0 || len(m.cfg.OnlineProfileBatches) == 0 {
-		t.Fatal("profile grids not defaulted")
 	}
 }
 

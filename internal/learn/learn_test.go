@@ -158,7 +158,7 @@ func TestSelectModelPicksLinearForLinearData(t *testing.T) {
 		x = append(x, []float64{a, b})
 		y = append(y, 4+3*a-2*b)
 	}
-	res, err := SelectModel(x, y, 5, 1)
+	res, err := SelectModelGrouped(x, y, nil, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,14 @@ func TestSelectModelPicksLinearForLinearData(t *testing.T) {
 }
 
 func TestSelectModelEmpty(t *testing.T) {
-	if _, err := SelectModel(nil, nil, 0, 1); err == nil {
-		t.Fatal("empty SelectModel accepted")
+	if _, err := SelectModelGrouped(nil, nil, nil, 0, 1); err == nil {
+		t.Fatal("empty SelectModelGrouped accepted")
 	}
 }
 
 func TestSelectModelGeneralizes(t *testing.T) {
 	trainX, trainY := synthDataset(100, 0.05, 40)
-	res, err := SelectModel(trainX, trainY, 5, 2)
+	res, err := SelectModelGrouped(trainX, trainY, nil, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

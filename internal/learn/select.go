@@ -26,20 +26,14 @@ type SelectResult struct {
 	CVError float64 // mean absolute percentage error across folds
 }
 
-// SelectModel fits every candidate with k-fold cross-validation and
+// SelectModelGrouped fits every candidate with cross-validation and
 // returns the one with the lowest CV error, refitted on the full
-// dataset — the per-metric model selection of §4.1.2. folds defaults
-// to min(5, n).
-func SelectModel(x [][]float64, y []float64, folds int, seed uint64) (SelectResult, error) {
-	return SelectModelGrouped(x, y, nil, folds, seed)
-}
-
-// SelectModelGrouped is SelectModel with leave-one-group-out
-// cross-validation: samples sharing a group label (e.g. the same
-// co-located architecture at different batch sizes) are held out
-// together, so the CV score measures generalization to *new*
-// architectures rather than interpolation across batch sizes. With
-// nil/uniform groups it falls back to k-fold.
+// dataset — the per-metric model selection of §4.1.2. It holds out by
+// group: samples sharing a group label (e.g. the same co-located
+// architecture at different batch sizes) are held out together, so the
+// CV score measures generalization to *new* architectures rather than
+// interpolation across batch sizes. With nil/uniform groups it falls
+// back to k-fold; folds defaults to min(5, n).
 func SelectModelGrouped(x [][]float64, y []float64, groups []string, folds int, seed uint64) (SelectResult, error) {
 	n := len(x)
 	if n == 0 || len(y) != n {
@@ -214,13 +208,8 @@ func (inc *Incremental) AddGrouped(x []float64, y float64, group string) (refitt
 	return false, nil
 }
 
-// AddNoRefit appends a sample without refitting — batch-ingest path;
-// call Refit once afterwards.
-func (inc *Incremental) AddNoRefit(x []float64, y float64) {
-	inc.AddNoRefitGrouped(x, y, "")
-}
-
-// AddNoRefitGrouped is AddNoRefit with a group label.
+// AddNoRefitGrouped appends a sample with its group label without
+// refitting — batch-ingest path; call Refit once afterwards.
 func (inc *Incremental) AddNoRefitGrouped(x []float64, y float64, group string) {
 	inc.x = append(inc.x, append([]float64(nil), x...))
 	inc.y = append(inc.y, y)

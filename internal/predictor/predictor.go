@@ -167,24 +167,6 @@ func (p *Predictor) AvgSlope(svc string, arch model.Arch) (float64, error) {
 	return sum / float64(len(batches)), nil
 }
 
-// MaxCutoff returns the largest predicted knee position across batch
-// sizes — the Tuner's initial GPU% when a new co-location starts
-// (§5.3.2: "initializes a GPU% value for i to be the maximum value
-// among all cutoff points under different batching sizes").
-func (p *Predictor) MaxCutoff(svc string, arch model.Arch) (float64, error) {
-	best := 0.0
-	for _, b := range model.BatchSizes() {
-		curve, err := p.PredictCurve(svc, b, arch)
-		if err != nil {
-			return 0, err
-		}
-		if curve.Cutoff > best {
-			best = curve.Cutoff
-		}
-	}
-	return best, nil
-}
-
 // ModelNames reports which model family won selection for each target
 // of a service — the labels atop Fig. 11's bars.
 func (p *Predictor) ModelNames(svc string) ([4]string, error) {

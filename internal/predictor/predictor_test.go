@@ -173,23 +173,6 @@ func TestAvgSlopeRanksInterference(t *testing.T) {
 	}
 }
 
-func TestMaxCutoff(t *testing.T) {
-	pred, _ := trainPredictor(t, 5, []string{"BERT"})
-	task := model.ObservedTasks()[0]
-	cut, err := pred.MaxCutoff("BERT", task.Arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut <= 0 || cut > 1 {
-		t.Fatalf("max cutoff %v out of range", cut)
-	}
-	// It must be at least the knee at the largest batch.
-	curve, _ := pred.PredictCurve("BERT", 512, task.Arch)
-	if cut < curve.Cutoff-1e-9 {
-		t.Fatalf("max cutoff %v below batch-512 knee %v", cut, curve.Cutoff)
-	}
-}
-
 func TestModelNamesPopulated(t *testing.T) {
 	pred, _ := trainPredictor(t, 6, []string{"RoBERTa"})
 	names, err := pred.ModelNames("RoBERTa")

@@ -36,33 +36,29 @@ func (p Profile) ColocArch() model.Arch {
 	return a
 }
 
+// SampleGrid is the GPU% grid every latency curve is sampled on: 6
+// training samples spread over the 10–90% grid (§4.1.1), the Table 2
+// sweet spot. Offline profiling and Mudi's online profiling of new
+// co-locations both use it.
+func SampleGrid() []float64 { return []float64{0.1, 0.3, 0.4, 0.6, 0.7, 0.9} }
+
 // Profiler drives sampling against the performance oracle (the
 // "testbed").
 type Profiler struct {
 	oracle *perf.Oracle
 	rng    *xrand.Rand
-	// SampleDeltas is the GPU% grid to measure; defaults to 6 of the 9
-	// paper grid points (the Table 2 sweet spot).
-	SampleDeltas []float64
 }
 
 // New returns a profiler over the given oracle.
 func New(oracle *perf.Oracle, rng *xrand.Rand) *Profiler {
-	return &Profiler{
-		oracle: oracle,
-		rng:    rng,
-		// 6 training samples spread over the 10–90% grid (§4.1.1).
-		SampleDeltas: []float64{0.1, 0.3, 0.4, 0.6, 0.7, 0.9},
-	}
+	return &Profiler{oracle: oracle, rng: rng}
 }
 
 // ProfileOne measures and fits one (service, batch, co-location) cell.
 func (p *Profiler) ProfileOne(svc string, batch int, coloc []model.TrainingTask) (Profile, error) {
-	if len(p.SampleDeltas) < 3 {
-		return Profile{}, fmt.Errorf("profiler: need ≥3 sample deltas, have %d", len(p.SampleDeltas))
-	}
-	samples := make([]fit.Sample, 0, len(p.SampleDeltas))
-	for _, d := range p.SampleDeltas {
+	grid := SampleGrid()
+	samples := make([]fit.Sample, 0, len(grid))
+	for _, d := range grid {
 		l, err := p.oracle.MeasureLatency(svc, batch, d, coloc, p.rng)
 		if err != nil {
 			return Profile{}, err

@@ -11,7 +11,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"mudi/internal/model"
 	"mudi/internal/obs"
@@ -169,17 +168,14 @@ func (q *Queue) SetObs(sink *obs.Sink) {
 	q.popped = sink.Counter("sched_jobs_popped_total")
 }
 
-// Push enqueues a job.
-func (q *Queue) Push(j *Job) error {
-	if j == nil {
-		return errors.New("sched: nil job")
-	}
+// Push enqueues a job: a new arrival, or an evicted job returning to
+// wait for placement.
+func (q *Queue) Push(j *Job) {
 	q.pending = append(q.pending, j)
 	if q.depth != nil {
 		q.pushed.Inc()
 		q.depth.Set(float64(len(q.pending)))
 	}
-	return nil
 }
 
 // Len returns the number of pending jobs.
@@ -209,25 +205,9 @@ func (q *Queue) Pop() *Job {
 	return j
 }
 
-// Requeue returns a job to the queue (placement failed; wait for
-// resources).
-func (q *Queue) Requeue(j *Job) {
-	q.pending = append(q.pending, j)
-	if q.depth != nil {
-		q.depth.Set(float64(len(q.pending)))
-	}
-}
-
 // RecordUsage accumulates GPU-seconds against a user for fair sharing.
 func (q *Queue) RecordUsage(user string, gpuSeconds float64) {
 	q.usage[user] += gpuSeconds
-}
-
-// Pending returns the queued jobs in submission order (copy).
-func (q *Queue) Pending() []*Job {
-	out := append([]*Job(nil), q.pending...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -85,6 +85,11 @@ func (c *Cause) UnmarshalJSON(b []byte) error {
 // (cold instance, requeued work).
 const FaultGraceSec = 30.0
 
+// WindowSec is the control-window length in simulated seconds: the
+// cadence of every device's Monitor window in the simulator and the
+// window the live telemetry's SLO report accounts violations in.
+const WindowSec = 1.0
+
 // BurstFactor is the overload threshold: arrival QPS above
 // BurstFactor × the burst-free baseline classifies as burst_overload.
 const BurstFactor = 1.5

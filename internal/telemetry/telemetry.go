@@ -41,9 +41,6 @@ type Options struct {
 	Trace *span.Tracer
 	// Attr supplies the captured violation samples for /slo.
 	Attr *span.Attributor
-	// WindowSec is the control-window length used for the report's
-	// violated-minutes accounting (default 1).
-	WindowSec float64
 	// Timeline supplies the multi-resolution series behind /timeline
 	// and /watch; nil serves 404 on both.
 	Timeline *timeline.Store
@@ -61,9 +58,6 @@ var publishOnce sync.Once
 
 // Handler returns the telemetry mux.
 func Handler(opts Options) http.Handler {
-	if opts.WindowSec <= 0 {
-		opts.WindowSec = 1
-	}
 	publishOnce.Do(func() {
 		expvar.Publish("mudi_trace", expvar.Func(func() any {
 			// Best-effort: the expvar page reports whatever handler
@@ -89,10 +83,10 @@ func Handler(opts Options) http.Handler {
 			if opts.Trace != nil {
 				spans = opts.Trace.Spans()
 			}
-			rep = opts.Attr.Report(spans, opts.WindowSec)
+			rep = opts.Attr.Report(spans, span.WindowSec)
 		}
 		if rep == nil {
-			rep = &span.SLOReport{WindowSec: opts.WindowSec}
+			rep = &span.SLOReport{WindowSec: span.WindowSec}
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

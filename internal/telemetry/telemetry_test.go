@@ -80,7 +80,7 @@ func TestSLOReportJSON(t *testing.T) {
 		LatencyMs: 200, BudgetMs: 100, QPS: 50, BaseQPS: 100,
 	})
 
-	rec := get(t, Options{Trace: tr, Attr: attr, WindowSec: 1}, "/slo")
+	rec := get(t, Options{Trace: tr, Attr: attr}, "/slo")
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -98,12 +98,12 @@ func TestSLOReportJSON(t *testing.T) {
 }
 
 func TestSLOEmptyWhenDisabled(t *testing.T) {
-	rec := get(t, Options{WindowSec: 2}, "/slo")
+	rec := get(t, Options{}, "/slo")
 	var rep span.SLOReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if rep.Total != 0 || rep.WindowSec != 2 {
+	if rep.Total != 0 || rep.WindowSec != span.WindowSec {
 		t.Fatalf("report %+v", rep)
 	}
 }
@@ -379,7 +379,7 @@ func TestSLOClassBlock(t *testing.T) {
 	})
 	attr.ObserveShed("sheddable", 480)
 
-	rec := get(t, Options{Attr: attr, WindowSec: 1}, "/slo")
+	rec := get(t, Options{Attr: attr}, "/slo")
 	var rep span.SLOReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, rec.Body.String())

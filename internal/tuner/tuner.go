@@ -45,53 +45,27 @@ const (
 	BatchExhaustive
 )
 
-// Config holds the Tuner's knobs, all matching the paper's defaults.
+// The Tuner's operating constants (§5.3). Mudi's Device Selector and
+// its validation rounds read the same values.
+const (
+	// Headroom is the extra GPU% added to the Eq. 4 solution.
+	Headroom = 0.10
+	// BOBudget is the GP-LCB evaluation budget per episode (§7.5).
+	BOBudget = 25
+	// MinTrainShare is the GPU share always left to a co-located
+	// training task (§7.4), so the service takes at most
+	// 1 - MinTrainShare of the device.
+	MinTrainShare = 0.10
+	// SLOMargin scales the SLO inside Eq. 4 so the operating point
+	// keeps latency slack against measurement noise and QPS drift
+	// between Monitor triggers.
+	SLOMargin = 0.90
+)
+
+// Config holds the Tuner's one setting.
 type Config struct {
 	// Strategy selects the adaptive-batching algorithm; default BatchBO.
-	Strategy           BatchStrategy
-	QPSChangeThreshold float64 // retune when |ΔQPS|/QPS exceeds this; default 0.5 (§5.3.2)
-	Headroom           float64 // extra GPU% over the Eq. 4 solution; default 0.10
-	MaxBOIters         int     // BO evaluation budget; default 25 (§7.5)
-	// MinTrainShare is the GPU share always reserved for a co-located
-	// training task. The zero value selects the paper's default of
-	// 0.10 (§7.4); to run with no reserved floor, set the explicit
-	// opt-out sentinel MinTrainShareNone (any negative value opts
-	// out — an explicit 0 would be indistinguishable from "unset").
-	MinTrainShare float64
-	// SLOSafety scales the SLO used inside Eq. 4 so the operating point
-	// keeps latency slack against measurement noise and QPS drift
-	// between Monitor triggers; default 0.90.
-	SLOSafety float64
-}
-
-// MinTrainShareNone opts out of the reserved training share entirely:
-// Defaults() maps it (and any negative value) to a floor of 0, letting
-// the inference service claim the whole device while training is
-// co-located. Contrast with the zero value, which selects the paper's
-// 0.10 default.
-const MinTrainShareNone = -1
-
-// Defaults fills zero fields with the paper's values.
-func (c Config) Defaults() Config {
-	if c.QPSChangeThreshold <= 0 {
-		c.QPSChangeThreshold = 0.5
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 0.10
-	}
-	if c.MaxBOIters <= 0 {
-		c.MaxBOIters = 25
-	}
-	switch {
-	case c.MinTrainShare == 0:
-		c.MinTrainShare = 0.10 // unset → paper default
-	case c.MinTrainShare < 0:
-		c.MinTrainShare = 0 // MinTrainShareNone → no reserved floor
-	}
-	if c.SLOSafety <= 0 || c.SLOSafety > 1 {
-		c.SLOSafety = 0.90
-	}
-	return c
+	Strategy BatchStrategy
 }
 
 // Request describes one tuning episode.
@@ -101,9 +75,6 @@ type Request struct {
 	Candidates []int   // batch-size search space
 	Curves     CurveFn // latency curves under the current co-location
 	Measure    Measurer
-	// InitialDelta seeds the search; 0 means "maximum cutoff across
-	// batches" per §5.3.2.
-	InitialDelta float64
 	// HasTraining reports whether a training task is co-located; if
 	// not, the Tuner only solves the SLO side.
 	HasTraining bool
@@ -131,8 +102,8 @@ type Tuner struct {
 	cfg Config
 }
 
-// New returns a Tuner with defaulted configuration.
-func New(cfg Config) *Tuner { return &Tuner{cfg: cfg.Defaults()} }
+// New returns a Tuner with the given configuration.
+func New(cfg Config) *Tuner { return &Tuner{cfg: cfg} }
 
 // Errors.
 var (
@@ -140,19 +111,10 @@ var (
 	ErrBadRequest   = errors.New("tuner: invalid request")
 )
 
-// ShouldRetune implements the Monitor's trigger: retune when the QPS
-// change rate exceeds the threshold (paper: 50%).
-func (t *Tuner) ShouldRetune(oldQPS, newQPS float64) bool {
-	if oldQPS <= 0 {
-		return newQPS > 0
-	}
-	return math.Abs(newQPS-oldQPS)/oldQPS >= t.cfg.QPSChangeThreshold
-}
-
 // maxDelta is the largest partition the inference service may take.
 func (t *Tuner) maxDelta(hasTraining bool) float64 {
 	if hasTraining {
-		return 1 - t.cfg.MinTrainShare
+		return 1 - MinTrainShare
 	}
 	return 1
 }
@@ -163,10 +125,10 @@ func (t *Tuner) feasibleDelta(req Request, batch int, maxDelta float64) (float64
 	res, err := opt.MinPartition(opt.ScaleRequest{
 		QPS:      req.QPS,
 		Batch:    batch,
-		SLO:      req.SLOms * t.cfg.SLOSafety,
+		SLO:      req.SLOms * SLOMargin,
 		Latency:  req.Curves(batch),
 		MaxDelta: maxDelta,
-		Headroom: t.cfg.Headroom,
+		Headroom: Headroom,
 	})
 	if err != nil || !res.Feasible {
 		return 0, false
@@ -191,13 +153,11 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 	maxDelta := t.maxDelta(req.HasTraining)
 
 	// Phase 0: initial partition = max cutoff across batch sizes
-	// (§5.3.2), unless the caller seeded one.
-	delta := req.InitialDelta
-	if delta <= 0 {
-		for _, b := range req.Candidates {
-			if c := req.Curves(b); c.Cutoff > delta {
-				delta = c.Cutoff
-			}
+	// (§5.3.2).
+	var delta float64
+	for _, b := range req.Candidates {
+		if c := req.Curves(b); c.Cutoff > delta {
+			delta = c.Cutoff
 		}
 	}
 	if delta > maxDelta {
@@ -264,7 +224,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 		return iter, ok
 	}
 	res, err := gp.Minimize(candidates, objective, gp.LCBConfig{
-		MaxIters:    t.cfg.MaxBOIters,
+		MaxIters:    BOBudget,
 		LengthScale: 1,
 	})
 	if err != nil {
@@ -373,20 +333,6 @@ func (t *Tuner) bestServingBatch(req Request) int {
 		}
 	}
 	return best
-}
-
-// RescaleOnly solves only the Eq. 4 partition for a fixed batch — the
-// fast path when the Monitor fires but the batch remains adequate.
-func (t *Tuner) RescaleOnly(req Request, batch int) (Decision, error) {
-	if req.QPS <= 0 || req.SLOms <= 0 || req.Curves == nil {
-		return Decision{}, fmt.Errorf("%w: qps=%v slo=%v", ErrBadRequest, req.QPS, req.SLOms)
-	}
-	maxDelta := t.maxDelta(req.HasTraining)
-	d, ok := t.feasibleDelta(req, batch, maxDelta)
-	if !ok {
-		return Decision{Feasible: false}, nil
-	}
-	return Decision{Batch: batch, Delta: d, Feasible: true}, nil
 }
 
 // ShadowReconfig models the GPU% update protocol (§5.3.2): changing the

@@ -82,7 +82,7 @@ func TestTuneProducesFeasibleConfig(t *testing.T) {
 
 func TestTuneLeavesRoomForTraining(t *testing.T) {
 	req, _ := newRequest(t, 2, "ResNet50", 200)
-	tn := New(Config{MinTrainShare: 0.10})
+	tn := New(Config{})
 	dec, err := tn.Tune(req)
 	if err != nil {
 		t.Fatal(err)
@@ -144,48 +144,12 @@ func TestTuneWithoutTraining(t *testing.T) {
 	}
 }
 
-func TestShouldRetune(t *testing.T) {
-	tn := New(Config{})
-	if tn.ShouldRetune(200, 250) {
-		t.Fatal("25% change should not trigger (threshold 50%)")
-	}
-	if !tn.ShouldRetune(200, 301) {
-		t.Fatal("50%+ change should trigger")
-	}
-	if !tn.ShouldRetune(200, 90) {
-		t.Fatal("55% drop should trigger")
-	}
-	if !tn.ShouldRetune(0, 100) {
-		t.Fatal("from-zero change should trigger")
-	}
-	if tn.ShouldRetune(0, 0) {
-		t.Fatal("zero-to-zero should not trigger")
-	}
-}
-
-func TestRescaleOnly(t *testing.T) {
-	req, _ := newRequest(t, 6, "BERT", 200)
-	tn := New(Config{})
-	dec, err := tn.RescaleOnly(req, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Feasible || dec.Batch != 128 {
-		t.Fatalf("decision %+v", dec)
-	}
-	budget := req.SLOms * 128 / req.QPS
-	if got := req.Curves(128).Eval(dec.Delta); got > budget {
-		t.Fatalf("rescale violates budget: %v > %v", got, budget)
-	}
-	if _, err := tn.RescaleOnly(Request{}, 64); err == nil {
-		t.Fatal("bad request accepted")
-	}
-}
-
+// TestRescaleInfeasible: with the batch held fixed, only the Eq. 4
+// solve runs, and a load no partition can hold reports infeasible.
 func TestRescaleInfeasible(t *testing.T) {
 	req, _ := newRequest(t, 7, "GPT2", 20000)
-	tn := New(Config{})
-	dec, err := tn.RescaleOnly(req, 16)
+	tn := New(Config{Strategy: BatchFixed})
+	dec, err := tn.Tune(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,36 +200,17 @@ func TestShadowReconfig(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults pins the paper's operating constants and the
+// training floor they imply.
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.Defaults()
-	if c.QPSChangeThreshold != 0.5 || c.Headroom != 0.10 || c.MaxBOIters != 25 || c.MinTrainShare != 0.10 {
-		t.Fatalf("defaults %+v", c)
+	if Headroom != 0.10 || BOBudget != 25 || MinTrainShare != 0.10 || SLOMargin != 0.90 {
+		t.Fatalf("constants %v %v %v %v", Headroom, BOBudget, MinTrainShare, SLOMargin)
 	}
-	// The explicit opt-out sentinel removes the floor entirely.
-	c2 := Config{MinTrainShare: MinTrainShareNone}.Defaults()
-	if c2.MinTrainShare != 0 {
-		t.Fatalf("MinTrainShare sentinel: %v", c2.MinTrainShare)
+	tn := New(Config{})
+	if got := tn.maxDelta(true); got != 0.90 {
+		t.Fatalf("maxDelta with training = %v, want 0.90", got)
 	}
-	// Any negative value is treated as the sentinel.
-	if c3 := (Config{MinTrainShare: -0.5}).Defaults(); c3.MinTrainShare != 0 {
-		t.Fatalf("negative MinTrainShare: %v", c3.MinTrainShare)
-	}
-	// An explicit positive share is preserved.
-	if c4 := (Config{MinTrainShare: 0.25}).Defaults(); c4.MinTrainShare != 0.25 {
-		t.Fatalf("explicit MinTrainShare rewritten: %v", c4.MinTrainShare)
-	}
-}
-
-func TestMinTrainShareNoneRemovesFloor(t *testing.T) {
-	withFloor := New(Config{})
-	without := New(Config{MinTrainShare: MinTrainShareNone})
-	if got := withFloor.maxDelta(true); got != 0.90 {
-		t.Fatalf("default maxDelta with training = %v, want 0.90", got)
-	}
-	if got := without.maxDelta(true); got != 1 {
-		t.Fatalf("opt-out maxDelta with training = %v, want 1", got)
-	}
-	if got := without.maxDelta(false); got != 1 {
+	if got := tn.maxDelta(false); got != 1 {
 		t.Fatalf("maxDelta without training = %v, want 1", got)
 	}
 }

@@ -130,14 +130,14 @@ func (s *System) Policy() Policy { return s.policy }
 // BaselinePolicy instantiates one of the paper's comparison systems by
 // its typed ID (BaselineGSLICE, BaselineGpulets, BaselineMuxFlow,
 // BaselineRandom, or BaselineOptimal). Unknown IDs unwrap to
-// *OptionError with Field "Baseline" (the shared resolveID shape).
+// *OptionError with Field "Baseline" (the shared checkID shape).
 func (s *System) BaselinePolicy(id BaselineID) (Policy, error) {
 	known := make([]string, 0, len(Baselines()))
 	for _, b := range Baselines() {
 		known = append(known, string(b))
 	}
-	resolved, oe := resolveID("Baseline", "", string(id), "", known)
-	if oe == nil && resolved == "" {
+	oe := checkID("Baseline", string(id), known)
+	if oe == nil && id == "" {
 		// There is no default baseline — an empty ID is as unknown as a
 		// bogus one.
 		oe = &OptionError{
@@ -148,7 +148,7 @@ func (s *System) BaselinePolicy(id BaselineID) (Policy, error) {
 	if oe != nil {
 		return nil, oe
 	}
-	switch BaselineID(resolved) {
+	switch id {
 	case BaselineGSLICE:
 		return baselines.NewGSLICE(), nil
 	case BaselineGpulets:
@@ -161,13 +161,6 @@ func (s *System) BaselinePolicy(id BaselineID) (Policy, error) {
 		return baselines.NewOptimal(s.oracle, s.cfg.MaxTrainPerGPU), nil
 	}
 	return nil, fmt.Errorf("mudi: unknown baseline %q (known: %v)", id, Baselines())
-}
-
-// Baseline instantiates a comparison system from its string name.
-//
-// Deprecated: use BaselinePolicy with a typed BaselineID.
-func (s *System) Baseline(name string) (Policy, error) {
-	return s.BaselinePolicy(BaselineID(name))
 }
 
 // SimOptions parameterizes one simulation run.
@@ -193,11 +186,6 @@ type SimOptions struct {
 	// Queue selects the scheduling order of the training queue;
 	// zero value selects QueueFCFS.
 	Queue QueuePolicyID
-	// QueuePolicy is the stringly-typed queue selector.
-	//
-	// Deprecated: use the typed Queue field. Setting both to different
-	// policies is an *OptionError.
-	QueuePolicy string
 	// TraceDeviceIdx (1-based) records a per-window trace of one device.
 	TraceDeviceIdx int
 	// DisableRetune turns off the Monitor→Tuner loop (ablation).

@@ -45,7 +45,7 @@ func TestSystemBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"gslice", "gpulets", "muxflow", "random", "optimal"} {
-		p, err := sys.Baseline(name)
+		p, err := sys.BaselinePolicy(BaselineID(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -53,7 +53,7 @@ func TestSystemBaselines(t *testing.T) {
 			t.Fatalf("%s has no name", name)
 		}
 	}
-	if _, err := sys.Baseline("bogus"); err == nil {
+	if _, err := sys.BaselinePolicy("bogus"); err == nil {
 		t.Fatal("bogus baseline accepted")
 	}
 }
@@ -63,13 +63,13 @@ func TestSimulateWithBaselineAndQueuePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gslice, err := sys.Baseline("gslice")
+	gslice, err := sys.BaselinePolicy(BaselineGSLICE)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := sys.Simulate(SimOptions{
 		Policy: gslice, Devices: 6, Tasks: 6, MeanGapSec: 5, IterScale: 0.001,
-		QueuePolicy: "sjf",
+		Queue: QueueSJF,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestSimulateWithBaselineAndQueuePolicy(t *testing.T) {
 	if res.Policy != "gslice" {
 		t.Fatalf("policy %q", res.Policy)
 	}
-	if _, err := sys.Simulate(SimOptions{QueuePolicy: "bogus"}); err == nil {
+	if _, err := sys.Simulate(SimOptions{Queue: "bogus"}); err == nil {
 		t.Fatal("bogus queue policy accepted")
 	}
 }

@@ -129,7 +129,6 @@ func TestValidate(t *testing.T) {
 		{"iter-negative", SimOptions{IterScale: -0.1}, "IterScale"},
 		{"trace-negative", SimOptions{TraceDeviceIdx: -1}, "TraceDeviceIdx"},
 		{"queue-unknown", SimOptions{Queue: "lifo"}, "Queue"},
-		{"queue-conflict", SimOptions{Queue: QueueSJF, QueuePolicy: "fair"}, "Queue"},
 		{"burst-bad", SimOptions{Bursts: []Burst{{Start: 10, End: 5}}}, "Bursts"},
 	}
 	for _, tc := range cases {
@@ -151,14 +150,10 @@ func TestValidate(t *testing.T) {
 	if err := (SimOptions{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)
 	}
-	// Matching typed and deprecated string settings are not a conflict.
-	if err := (SimOptions{Queue: QueueSJF, QueuePolicy: "sjf"}).Validate(); err != nil {
-		t.Errorf("matching Queue/QueuePolicy rejected: %v", err)
-	}
 }
 
 // TestTypedBaselineAndQueueIDs drives the typed constants through a
-// simulation and checks the deprecated shims still resolve.
+// simulation.
 func TestTypedBaselineAndQueueIDs(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{Seed: 14})
 	if err != nil {

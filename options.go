@@ -44,10 +44,8 @@ func SLOClasses() []SLOClass { return model.SLOClasses() }
 // "sheddable", "batch", "background"). The empty string is SLOUnset.
 func ParseSLOClass(s string) (SLOClass, error) { return model.ParseSLOClass(s) }
 
-// BaselineID identifies one of the paper's comparison systems. The
-// typed constants below replace the stringly-typed System.Baseline
-// argument; the string forms remain valid through the deprecated
-// shim.
+// BaselineID identifies one of the paper's comparison systems
+// (System.BaselinePolicy).
 type BaselineID string
 
 // The comparison systems of §7.
@@ -111,50 +109,34 @@ func (e *OptionError) Error() string {
 	return fmt.Sprintf("mudi: invalid option %s=%v: %s", e.Field, e.Value, e.Reason)
 }
 
-// resolveID folds a typed ID field and its deprecated stringly-typed
-// twin into the effective value — the one conflict/unknown error shape
-// behind every such pair (Queue/QueuePolicy, BaselinePolicy/Baseline).
-// The deprecated twin may restate the typed value but not contradict
-// it; the result must be one of the known IDs, with "" selecting the
-// caller's default.
-func resolveID(field, depField, typed, deprecated string, known []string) (string, *OptionError) {
-	v := typed
-	if deprecated != "" {
-		if v != "" && v != deprecated {
-			return "", &OptionError{
-				Field: field, Value: typed,
-				Reason: fmt.Sprintf("conflicts with deprecated %s=%q", depField, deprecated),
-			}
-		}
-		v = deprecated
-	}
+// checkID checks a typed ID field against its known values — the one
+// unknown-name error shape behind Queue and BaselinePolicy. "" selects
+// the caller's default.
+func checkID(field, v string, known []string) *OptionError {
 	if v == "" {
-		return "", nil
+		return nil
 	}
 	for _, k := range known {
 		if v == k {
-			return v, nil
+			return nil
 		}
 	}
-	return "", &OptionError{
+	return &OptionError{
 		Field: field, Value: v,
 		Reason: fmt.Sprintf("unknown %s (known: %v)", field, known),
 	}
 }
 
-// queueID resolves the effective queue policy from the typed Queue
-// field and the deprecated QueuePolicy string, rejecting conflicting
-// settings.
+// queueID checks the typed Queue field and returns it.
 func (o SimOptions) queueID() (QueuePolicyID, *OptionError) {
 	known := make([]string, 0, len(QueuePolicies()))
 	for _, q := range QueuePolicies() {
 		known = append(known, string(q))
 	}
-	id, oe := resolveID("Queue", "QueuePolicy", string(o.Queue), o.QueuePolicy, known)
-	if oe != nil {
+	if oe := checkID("Queue", string(o.Queue), known); oe != nil {
 		return "", oe
 	}
-	return QueuePolicyID(id), nil
+	return o.Queue, nil
 }
 
 // Validate checks every SimOptions field and returns the first

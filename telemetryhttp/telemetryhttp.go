@@ -28,6 +28,6 @@ func Handler(t *mudi.Telemetry) http.Handler {
 	sink, tracer, attr := t.Instruments()
 	return telemetry.Handler(telemetry.Options{
 		Sink: sink, Trace: tracer, Attr: attr,
-		Timeline: t.TimelineStore(), WindowSec: 1,
+		Timeline: t.TimelineStore(),
 	})
 }
