@@ -3,11 +3,11 @@ package mudi
 // Hot-path micro-benchmarks behind `make bench-hotpath`: they isolate
 // the simulator inner loops the end-to-end alloc budget
 // (BenchmarkSimObsOff, BENCH_hotpath.json) depends on — GP posterior
-// updates, percentile extraction, oracle curve construction, the
-// request-level serving loop, and Mudi's device selection. The
-// AllocsPerRun regression tests in internal/gp, internal/stats and
-// internal/core pin the steady states; these benchmarks track the
-// constants.
+// updates, percentile extraction, oracle curve construction, burst
+// schedule lookups, the request-level serving loop, and Mudi's device
+// selection. The AllocsPerRun regression tests in internal/gp,
+// internal/stats and internal/core pin the steady states; these
+// benchmarks track the constants.
 
 import (
 	"fmt"
@@ -20,6 +20,7 @@ import (
 	"mudi/internal/perf"
 	"mudi/internal/serving"
 	"mudi/internal/stats"
+	"mudi/internal/trace"
 	"mudi/internal/xrand"
 )
 
@@ -165,8 +166,10 @@ func BenchmarkHotpathGBRTRefit(b *testing.B) {
 }
 
 // BenchmarkHotpathOracleCurve queries the memoized co-location curve
-// the way the simulator does: the same (service, batch, residents)
-// signature over and over within a window.
+// the way the profiler and the per-device measurers do: the same
+// (service, batch, residents) signature over and over. The cluster's
+// window path keeps its own per-device memo and asks only when a
+// device's configuration changes.
 func BenchmarkHotpathOracleCurve(b *testing.B) {
 	o := perf.NewOracle(1)
 	svc := model.Services()[0].Name
@@ -230,5 +233,24 @@ func BenchmarkHotpathServingRun(b *testing.B) {
 		if _, err := serving.Run(arrivals, lat, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// burstyRate keeps BenchmarkHotpathBurstyQPS's result live.
+var burstyRate float64
+
+// BenchmarkHotpathBurstyQPS is one device-window's burst lookup on the
+// benchmark's observed-burst-1k schedule (3x bursts of 25 s every 90 s
+// up to 20000 s: 222 bursts), one op per 1 s window at increasing t.
+func BenchmarkHotpathBurstyQPS(b *testing.B) {
+	var bursts []trace.Burst
+	for start := 90.0; start < 20000; start += 90 {
+		bursts = append(bursts, trace.Burst{Start: start, End: start + 25, Factor: 3})
+	}
+	q := trace.NewBurstyQPS(trace.ConstantQPS(100), trace.NewBurstSchedule(bursts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		burstyRate = q.At(float64(i % 20000))
 	}
 }

@@ -153,7 +153,7 @@ func NewGpulets(oracle *perf.Oracle, rng *xrand.Rand) (*Gpulets, error) {
 			}
 			// Solo curves are measured, so add sampling error.
 			noisy := curve
-			noisy.L0 *= rng.LogNormal(0, perf.MeasureNoise)
+			noisy.L0 *= perf.Noise(rng)
 			g.soloCurves[svc.Name][b] = noisy
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"mudi/internal/obs"
+	"mudi/internal/perf"
 	"mudi/internal/span"
 )
 
@@ -106,10 +107,14 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	}
 
 	// SLO accounting with the true co-located latency plus noise drawn
-	// from this device's own stream.
-	coloc := d.activeScratch()
-	lat, err := s.opts.Oracle.MeasureLatency(svc.info.Name, svc.batch, svc.delta, coloc, d.winRNG)
+	// from this device's own stream. The curve comes from the device's
+	// memo, so the oracle is asked only when the configuration changed;
+	// the one evaluation feeds both the measurement and the utilization.
+	var trueLat float64
+	curve, err := d.latencyCurve(s.opts.Oracle)
 	if err == nil {
+		trueLat = curve.Eval(svc.delta)
+		lat := trueLat * perf.Noise(d.winRNG)
 		budget := svc.info.SLOms * float64(svc.batch) / qps
 		svc.totalWin++
 		r.ok, r.lat, r.budget = true, lat, budget
@@ -129,8 +134,10 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 		if lat > budget {
 			r.viol = true
 			svc.violWin++
-			for _, ct := range coloc {
-				r.residents = append(r.residents, ct.Name)
+			for _, t := range d.training {
+				if !t.done && !t.paused {
+					r.residents = append(r.residents, t.task.Name)
+				}
 			}
 			// Monitor: "In cases where the Monitor detects that the
 			// SLO is at risk of being violated, it triggers adaptive
@@ -193,7 +200,7 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	// the fraction of time batches are in flight; active training burns
 	// its share fully. Published per device; the barrier sums in device
 	// order.
-	busy := (qps / float64(svc.batch)) * (latOrZero(s.opts.Oracle, svc, coloc) / 1000)
+	busy := (qps / float64(svc.batch)) * (trueLat / 1000)
 	if busy > 1 {
 		busy = 1
 	}

@@ -525,6 +525,11 @@ func New(opts Options) (*Sim, error) {
 	if s.sh, err = shard.New(len(split), min(len(split), runtime.GOMAXPROCS(0))); err != nil {
 		return nil, err
 	}
+	// Every device's trace shares one indexed burst schedule.
+	var bursts *trace.BurstSchedule
+	if len(opts.Bursts) > 0 {
+		bursts = trace.NewBurstSchedule(opts.Bursts)
+	}
 	laneIdx := 0
 	for i := 0; i < schedulable; i++ {
 		info := opts.Services[i%len(opts.Services)]
@@ -550,8 +555,8 @@ func New(opts Options) (*Sim, error) {
 			if opts.LoadFactor != 1 {
 				q = trace.ScaledQPS{Inner: q, Factor: opts.LoadFactor}
 			}
-			if len(opts.Bursts) > 0 {
-				q = trace.BurstyQPS{Inner: q, Bursts: opts.Bursts}
+			if bursts != nil {
+				q = trace.NewBurstyQPS(q, bursts)
 			}
 		}
 		if opts.Record != nil {
@@ -1160,14 +1165,6 @@ func (s *Sim) syncShares(d *deviceState) {
 			_ = d.dev.Resize(t.allocID, minf(share, d.dev.ShareFree()+token))
 		}
 	}
-}
-
-func latOrZero(o *perf.Oracle, svc *serviceState, coloc []model.TrainingTask) float64 {
-	l, err := o.TrueLatency(svc.info.Name, svc.batch, svc.delta, coloc)
-	if err != nil {
-		return 0
-	}
-	return l
 }
 
 // complete finishes a task: record metrics, free resources, reschedule.

@@ -19,6 +19,7 @@ import (
 	"mudi/internal/model"
 	"mudi/internal/obs"
 	"mudi/internal/perf"
+	"mudi/internal/piecewise"
 	"mudi/internal/sched"
 	"mudi/internal/span"
 	"mudi/internal/trace"
@@ -91,6 +92,9 @@ type deviceState struct {
 	// consumed within a single call (oracle measurements) reuse it, while
 	// view() keeps allocating because policies retain its slices.
 	taskScratch []model.TrainingTask
+	// curve is the window path's memo of the oracle's latency curve
+	// (see latencyCurve); lane-owned like the rest of the window state.
+	curve curveMemo
 
 	// Engine placement. gidx is the global device index and lane its
 	// owning shard; winRNG is the per-device measurement-noise stream (a
@@ -231,6 +235,58 @@ func (d *deviceState) activeScratch() []model.TrainingTask {
 		}
 	}
 	return d.taskScratch
+}
+
+// curveMemo is one device's last oracle answer on the window path: the
+// service's noiseless latency curve under its executing residents. The
+// curve is a pure function of (service, batch, executing residents'
+// tasks) and a taskState's task never changes, so the key holds the
+// executing *taskStates in d.training order: a placement, pause,
+// resume, completion or eviction changes that list, a retune may
+// change the batch, and either is a miss.
+type curveMemo struct {
+	ok     bool
+	svc    string
+	batch  int
+	active []*taskState
+	fn     piecewise.Func
+	err    error
+}
+
+// latencyCurve returns o.TrainColocCurve for the device's service,
+// batch and executing residents, asking the oracle only when that
+// configuration changed since the previous call. The answer, error
+// included, is exactly what the oracle returns for activeScratch().
+func (d *deviceState) latencyCurve(o *perf.Oracle) (piecewise.Func, error) {
+	m := &d.curve
+	if m.ok && m.svc == d.svc.info.Name && m.batch == d.svc.batch && m.sameActive(d.training) {
+		return m.fn, m.err
+	}
+	m.active = m.active[:0]
+	for _, t := range d.training {
+		if !t.done && !t.paused {
+			m.active = append(m.active, t)
+		}
+	}
+	m.ok, m.svc, m.batch = true, d.svc.info.Name, d.svc.batch
+	m.fn, m.err = o.TrainColocCurve(m.svc, m.batch, d.activeScratch())
+	return m.fn, m.err
+}
+
+// sameActive reports whether training's executing tasks are m.active,
+// in order.
+func (m *curveMemo) sameActive(training []*taskState) bool {
+	i := 0
+	for _, t := range training {
+		if t.done || t.paused {
+			continue
+		}
+		if i == len(m.active) || m.active[i] != t {
+			return false
+		}
+		i++
+	}
+	return i == len(m.active)
 }
 
 // view builds the policy-facing snapshot. FreeShare is the share not

@@ -12,6 +12,7 @@ package memmgr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mudi/internal/gpu"
@@ -57,8 +58,13 @@ type allocation struct {
 // drives it at a time.
 type Pool struct {
 	capacityMB float64
-	allocs     map[string]*allocation
-	events     []SwapEvent
+	// allocs holds the live allocations in allocation order. Every sum
+	// and scan walks it, so float sums of three or more allocations add
+	// in one fixed order. A pool holds a handful of allocations (one
+	// inference instance and its training residents), so an id lookup
+	// scans it too.
+	allocs []*allocation
+	events []SwapEvent
 
 	// Swap accounting for Tab. 4's "fraction of time swapping occurs",
 	// measured from time 0.
@@ -98,7 +104,17 @@ func NewPool(capacityMB float64) *Pool {
 	if capacityMB <= 0 {
 		capacityMB = gpu.A100MemoryMB
 	}
-	return &Pool{capacityMB: capacityMB, allocs: make(map[string]*allocation)}
+	return &Pool{capacityMB: capacityMB}
+}
+
+// lookup finds the live allocation with the given id.
+func (p *Pool) lookup(id string) (*allocation, bool) {
+	for _, a := range p.allocs {
+		if a.id == id {
+			return a, true
+		}
+	}
+	return nil, false
 }
 
 // CapacityMB returns the device capacity.
@@ -124,7 +140,7 @@ func (p *Pool) HostUsedMB() float64 {
 
 // SwappedOutMB returns the swapped-out portion of one allocation.
 func (p *Pool) SwappedOutMB(id string) (float64, error) {
-	a, ok := p.allocs[id]
+	a, ok := p.lookup(id)
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownAlloc, id)
 	}
@@ -142,15 +158,15 @@ func (p *Pool) Alloc(now float64, id string, prio Priority, mb float64) error {
 	if mb < 0 {
 		return fmt.Errorf("memmgr: negative size %v", mb)
 	}
-	if _, ok := p.allocs[id]; ok {
+	if _, ok := p.lookup(id); ok {
 		return fmt.Errorf("memmgr: duplicate allocation %s", id)
 	}
 	a := &allocation{id: id, prio: prio, totalMB: mb, deviceMB: 0}
-	p.allocs[id] = a
+	p.allocs = append(p.allocs, a)
 	// First touch: the bytes materialize on the device, they are not
 	// migrated from the host — no swap traffic is recorded.
 	if err := p.bringIn(now, a, mb, false); err != nil {
-		delete(p.allocs, id)
+		p.remove(a)
 		return err
 	}
 	return nil
@@ -158,7 +174,7 @@ func (p *Pool) Alloc(now float64, id string, prio Priority, mb float64) error {
 
 // Resize grows or shrinks an allocation; growth may trigger swaps.
 func (p *Pool) Resize(now float64, id string, mb float64) error {
-	a, ok := p.allocs[id]
+	a, ok := p.lookup(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownAlloc, id)
 	}
@@ -194,19 +210,25 @@ func (p *Pool) Resize(now float64, id string, mb float64) error {
 
 // Free releases an allocation entirely.
 func (p *Pool) Free(now float64, id string) error {
-	if _, ok := p.allocs[id]; !ok {
+	a, ok := p.lookup(id)
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownAlloc, id)
 	}
-	delete(p.allocs, id)
+	p.remove(a)
 	p.updateSwapClock(now)
 	return nil
+}
+
+// remove drops a from the pool, keeping the others in allocation order.
+func (p *Pool) remove(a *allocation) {
+	p.allocs = slices.DeleteFunc(p.allocs, func(b *allocation) bool { return b == a })
 }
 
 // Touch makes an allocation's swapped-out portion resident again (a
 // training task resuming compute on swapped tensors), swapping other
 // training allocations if needed. It returns the transfer time in ms.
 func (p *Pool) Touch(now float64, id string) (transferMs float64, err error) {
-	a, ok := p.allocs[id]
+	a, ok := p.lookup(id)
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownAlloc, id)
 	}

@@ -2,6 +2,7 @@ package memmgr
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -351,4 +352,39 @@ func TestDefaultCapacity(t *testing.T) {
 	if p.CapacityMB() != 40960 {
 		t.Fatalf("default capacity %v", p.CapacityMB())
 	}
+}
+
+// TestDeviceUsedSumsInAllocationOrder pins the pool's summation order.
+// Float addition is not associative — (0.1+0.3)+0.2 and (0.3+0.2)+0.1
+// differ in the last bit — so a sum over a Go map could change from
+// call to call. Every call must add in allocation order, before and
+// after a Free.
+func TestDeviceUsedSumsInAllocationOrder(t *testing.T) {
+	p := NewPool(1000)
+	for i, mb := range []float64{0.1, 0.3, 0.2} {
+		if err := p.Alloc(0, fmt.Sprintf("tr%d", i), PriorityTraining, mb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(want float64) {
+		t.Helper()
+		for i := 0; i < 200; i++ {
+			if got := p.DeviceUsedMB(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("call %d: DeviceUsedMB = %v, want the allocation-order sum %v", i, got, want)
+			}
+		}
+	}
+	// Summed at run time: Go folds a constant expression exactly.
+	sum := 0.0
+	sum += 0.1
+	sum += 0.3
+	sum += 0.2
+	check(sum)
+	if err := p.Free(1, "tr1"); err != nil {
+		t.Fatal(err)
+	}
+	sum = 0
+	sum += 0.1
+	sum += 0.2
+	check(sum)
 }

@@ -27,9 +27,15 @@ import (
 	"mudi/internal/xrand"
 )
 
-// MeasureNoise is the multiplicative log-normal sigma applied by the
-// Measure* methods — the testbed's run-to-run variation.
-const MeasureNoise = 0.05
+// measureNoise is the multiplicative log-normal sigma of Noise — the
+// testbed's run-to-run variation.
+const measureNoise = 0.05
+
+// Noise draws one multiplicative testbed-noise factor from rng: what
+// every Measure* method multiplies its noiseless value by, and what a
+// caller holding a noiseless curve multiplies by to sample the same
+// measurement without asking the oracle again.
+func Noise(rng *xrand.Rand) float64 { return rng.LogNormal(0, measureNoise) }
 
 // archWeights are the hidden per-layer interference weights. The raw
 // interference score of a training task is the dot product of these
@@ -75,9 +81,11 @@ type Oracle struct {
 
 	// Curve construction and interference factors are pure functions of
 	// (service, batch, co-location signature), so they are memoized: the
-	// cluster model asks for the same handful of configurations once per
-	// window per device. Caching changes no results — cached values are
-	// the exact floats the direct computation produces.
+	// profiler and the per-device measurers ask for the same handful of
+	// configurations over and over (the cluster's window path keeps its
+	// own per-device memo and asks only when a device's configuration
+	// changes). Caching changes no results — cached values are the exact
+	// floats the direct computation produces.
 	mu         sync.Mutex
 	idioCache  map[string]float64
 	colocCache map[colocKey]colocStats
@@ -430,7 +438,7 @@ func (o *Oracle) MeasureLatency(svc string, batch int, delta float64, coloc []mo
 	if err != nil {
 		return 0, err
 	}
-	return v * rng.LogNormal(0, MeasureNoise), nil
+	return v * Noise(rng), nil
 }
 
 // MeasureInfColocLatency samples the latency of svc co-located with
@@ -440,7 +448,7 @@ func (o *Oracle) MeasureInfColocLatency(svc, other string, batch int, delta floa
 	if err != nil {
 		return 0, err
 	}
-	return curve.Eval(delta) * rng.LogNormal(0, MeasureNoise), nil
+	return curve.Eval(delta) * Noise(rng), nil
 }
 
 // TrueIteration returns the noiseless mini-batch time (ms) of task when
@@ -476,7 +484,7 @@ func (o *Oracle) MeasureIteration(task model.TrainingTask, share float64, svc st
 	if err != nil {
 		return 0, err
 	}
-	return v * rng.LogNormal(0, MeasureNoise), nil
+	return v * Noise(rng), nil
 }
 
 // ColocKind selects the neighbour type for phase breakdowns.

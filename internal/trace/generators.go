@@ -270,9 +270,10 @@ func NewBurstStorm(cfg BurstStormConfig) (*BurstStorm, error) {
 	return &BurstStorm{Episodes: eps}, nil
 }
 
-// Apply wraps a stream with this storm's correlated episodes.
+// Apply wraps a stream with this storm's correlated episodes, indexed
+// once for the returned trace.
 func (s *BurstStorm) Apply(inner QPSTrace) QPSTrace {
-	return BurstyQPS{Inner: inner, Bursts: s.Episodes}
+	return NewBurstyQPS(inner, NewBurstSchedule(s.Episodes))
 }
 
 // FailoverConfig shapes a regional-failover shift: at ShiftSec, the

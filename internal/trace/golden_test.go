@@ -75,10 +75,7 @@ func TestPhillyTraceGolden(t *testing.T) {
 // flat inner trace — the exact Fig. 16 shape (3× between 100 s and
 // 200 s, end exclusive).
 func TestBurstyOverConstantGolden(t *testing.T) {
-	q := BurstyQPS{
-		Inner:  ConstantQPS(100),
-		Bursts: []Burst{{Start: 100, End: 200, Factor: 3}},
-	}
+	q := NewBurstyQPS(ConstantQPS(100), NewBurstSchedule([]Burst{{Start: 100, End: 200, Factor: 3}}))
 	var b strings.Builder
 	for _, ts := range []float64{0, 50, 99.999, 100, 150, 199.999, 200, 300} {
 		fmt.Fprintf(&b, "t=%g qps=%g\n", ts, q.At(ts))

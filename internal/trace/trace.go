@@ -8,6 +8,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mudi/internal/model"
@@ -87,8 +88,14 @@ func (f *FluctuatingQPS) extend() {
 // and End the rate is multiplied by Factor (the Fig. 16 case study
 // bursts ResNet50 to 3× at t=100 s and recovers at t=200 s).
 type BurstyQPS struct {
-	Inner  QPSTrace
-	Bursts []Burst
+	inner QPSTrace
+	sched *BurstSchedule
+}
+
+// NewBurstyQPS overlays a burst schedule on inner. One schedule may be
+// shared by any number of traces.
+func NewBurstyQPS(inner QPSTrace, sched *BurstSchedule) BurstyQPS {
+	return BurstyQPS{inner: inner, sched: sched}
 }
 
 // Burst is one multiplicative episode.
@@ -99,11 +106,63 @@ type Burst struct {
 
 // At implements QPSTrace.
 func (b BurstyQPS) At(t float64) float64 {
-	v := b.Inner.At(t)
-	for _, burst := range b.Bursts {
-		if t >= burst.Start && t < burst.End {
-			v *= burst.Factor
+	return b.sched.apply(t, b.inner.At(t))
+}
+
+// BurstSchedule indexes a burst list for BurstyQPS. A rate at t is the
+// inner rate multiplied, one factor at a time in list order, by every
+// burst with Start ≤ t < End. Coverage only changes at a Start or End,
+// so the schedule keeps the sorted distinct edges and, for each segment
+// between two adjacent edges, the covering factors in list order: a
+// lookup is a binary search plus the same multiplies a scan of the
+// list would do, so the result has the same bits.
+type BurstSchedule struct {
+	edges []float64 // sorted distinct Start/End values of non-empty bursts
+	// Segment i is [edges[i], edges[i+1]); its factors are
+	// factors[offs[i]:offs[i+1]].
+	offs    []int
+	factors []float64
+}
+
+// NewBurstSchedule indexes bursts. The schedule keeps no reference to
+// the slice.
+func NewBurstSchedule(bursts []Burst) *BurstSchedule {
+	s := &BurstSchedule{}
+	for _, b := range bursts {
+		// A burst with !(Start < End) — empty, reversed or NaN — covers
+		// no t, so it contributes no edge.
+		if b.Start < b.End {
+			s.edges = append(s.edges, b.Start, b.End)
 		}
+	}
+	sort.Float64s(s.edges)
+	s.edges = slices.Compact(s.edges)
+	if len(s.edges) == 0 {
+		return s
+	}
+	s.offs = make([]int, len(s.edges))
+	for i, lo := range s.edges[:len(s.edges)-1] {
+		hi := s.edges[i+1]
+		for _, b := range bursts {
+			if b.Start <= lo && hi <= b.End {
+				s.factors = append(s.factors, b.Factor)
+			}
+		}
+		s.offs[i+1] = len(s.factors)
+	}
+	return s
+}
+
+// apply multiplies v by the factors of the bursts covering t.
+func (s *BurstSchedule) apply(t, v float64) float64 {
+	// i is the number of edges ≤ t (len(edges) for NaN t), so t lies
+	// in segment i-1 when that segment exists.
+	i := sort.Search(len(s.edges), func(k int) bool { return s.edges[k] > t })
+	if i == 0 || i == len(s.edges) {
+		return v
+	}
+	for _, f := range s.factors[s.offs[i-1]:s.offs[i]] {
+		v *= f
 	}
 	return v
 }

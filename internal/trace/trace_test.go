@@ -54,10 +54,7 @@ func TestFluctuatingDeterministicAndRandomAccess(t *testing.T) {
 }
 
 func TestBurstyQPS(t *testing.T) {
-	q := BurstyQPS{
-		Inner:  ConstantQPS(100),
-		Bursts: []Burst{{Start: 100, End: 200, Factor: 3}},
-	}
+	q := NewBurstyQPS(ConstantQPS(100), NewBurstSchedule([]Burst{{Start: 100, End: 200, Factor: 3}}))
 	if q.At(50) != 100 {
 		t.Fatal("pre-burst rate wrong")
 	}
@@ -96,7 +93,7 @@ func TestPoissonArrivalsRate(t *testing.T) {
 
 func TestPoissonArrivalsThinning(t *testing.T) {
 	rng := xrand.New(5)
-	q := BurstyQPS{Inner: ConstantQPS(100), Bursts: []Burst{{Start: 0, End: 10, Factor: 5}}}
+	q := NewBurstyQPS(ConstantQPS(100), NewBurstSchedule([]Burst{{Start: 0, End: 10, Factor: 5}}))
 	arr := PoissonArrivals(q, 20, rng)
 	var burst, rest int
 	for _, ts := range arr {
