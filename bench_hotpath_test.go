@@ -4,10 +4,11 @@ package mudi
 // the simulator inner loops the end-to-end alloc budget
 // (BenchmarkSimObsOff, BENCH_hotpath.json) depends on — GP posterior
 // updates, percentile extraction, oracle curve construction, burst
-// schedule lookups, the request-level serving loop, and Mudi's device
-// selection. The AllocsPerRun regression tests in internal/gp,
-// internal/stats and internal/core pin the steady states; these
-// benchmarks track the constants.
+// schedule lookups, the request-level serving loop, Mudi's device
+// selection, and the online learner's refits and model selection. The
+// AllocsPerRun regression tests in internal/gp, internal/stats and
+// internal/core pin the steady states; these benchmarks track the
+// constants.
 
 import (
 	"fmt"
@@ -109,7 +110,9 @@ func benchLatencies(n int) []float64 {
 // dominates the end-to-end alloc budget: a random forest refit on an
 // incremental-modeler-sized dataset, amortizing the tree builder's
 // scratch and node arena across fits (the cross-validation loop refits
-// the same instance ~11 times per new-workload observation).
+// the same instance up to ~11 times per new-workload observation). Its
+// features are continuous, so a sorted feature has no ties: every row
+// ends a run (BenchmarkHotpathSelectModel has the tie-heavy shape).
 func BenchmarkHotpathForestRefit(b *testing.B) {
 	rng := xrand.New(9)
 	const n, w = 60, 7
@@ -137,9 +140,9 @@ func BenchmarkHotpathForestRefit(b *testing.B) {
 
 // BenchmarkHotpathGBRTRefit is the learner refit that wins model
 // selection for almost every predictor target: a gradient-boosted trees
-// refit on the same dataset shape as BenchmarkHotpathForestRefit. Each
-// fit borrows a sort memo from a pool and sorts each node once across
-// its boosting rounds.
+// refit on the same dataset shape as BenchmarkHotpathForestRefit, with
+// the same continuous, tie-free features. Each fit borrows a sort memo
+// from a pool and sorts each node once across its boosting rounds.
 func BenchmarkHotpathGBRTRefit(b *testing.B) {
 	rng := xrand.New(9)
 	const n, w = 60, 7
@@ -160,6 +163,44 @@ func BenchmarkHotpathGBRTRefit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := g.Fit(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotpathSelectModel is one refit of an Interference
+// Predictor target: model selection with cross-validation over a
+// predictor-shaped sample set — 40 co-locations × 6 batch sizes, 11
+// integer layer counts constant within a co-location (two constant
+// overall) plus log2(batch) — with the previous winner cross-validated
+// first, as learn.Incremental does.
+func BenchmarkHotpathSelectModel(b *testing.B) {
+	rng := xrand.New(9)
+	var x [][]float64
+	var y []float64
+	var groups []string
+	for g := 0; g < 40; g++ {
+		layers := make([]float64, 11)
+		for j := range layers {
+			if j < 9 {
+				layers[j] = float64(rng.Intn(40))
+			}
+		}
+		for batch := 4; batch <= 128; batch *= 2 {
+			row := append(append([]float64(nil), layers...), math.Log2(float64(batch)))
+			x = append(x, row)
+			y = append(y, 1+0.05*layers[1]+0.3*row[11]+rng.Range(0, 0.4))
+			groups = append(groups, fmt.Sprint(layers))
+		}
+	}
+	first, err := learn.SelectModelGrouped(x, y, groups, 0, 1, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := learn.SelectModelGrouped(x, y, groups, 0, 1, first.Name); err != nil {
 			b.Fatal(err)
 		}
 	}

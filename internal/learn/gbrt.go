@@ -71,15 +71,24 @@ func (g *GBRT) Fit(x [][]float64, y []float64) error {
 	memo.reset(n, w, g.Trees*min(1<<min(g.Depth, 30), 2*n))
 	g.tb.memo = memo
 	for round := 0; round < g.Trees; round++ {
-		tree := g.tb.build(idx, g.Depth, rng.Fork(uint64(round)))
-		g.trees = append(g.trees, tree)
-		for i := range residual {
-			residual[i] -= g.LearnRte * tree.eval(x[i])
+		g.trees = append(g.trees, g.tb.build(idx, g.Depth, rng.Fork(uint64(round))))
+		// The rows of a leaf's span are exactly those tree.eval sends
+		// to it: the partition compared the same x[i][f] with the same
+		// <=, so each residual gets the update tree.eval would give.
+		for _, lf := range g.tb.leaves {
+			for _, i := range lf.rows {
+				residual[i] -= g.LearnRte * lf.value
+			}
 		}
 	}
 	g.tb.memo = nil
 	memoPool.Put(memo)
 	return nil
+}
+
+func (g *GBRT) dropScratch() {
+	g.tb.dropScratch()
+	g.residual, g.idx = nil, nil
 }
 
 // Predict implements Regressor.

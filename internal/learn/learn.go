@@ -383,6 +383,11 @@ func (f *Forest) Fit(x [][]float64, y []float64) error {
 	return nil
 }
 
+func (f *Forest) dropScratch() {
+	f.tb.dropScratch()
+	f.idxBuf = nil
+}
+
 // nodeChunk sizes the treeBuilder arena slabs; at depth ≤ 6 a tree has
 // at most 127 nodes, so a slab holds one or two typical trees.
 const nodeChunk = 128
@@ -406,11 +411,14 @@ type treeBuilder struct {
 	minLeaf int
 	mtry    int
 
-	idxBuf []int      // builder-owned copy of the root index set, partitioned in place
-	pairs  []sortPair // per-feature sort scratch
-	order  []int32    // one feature's sorted rows when no memo is set
-	part   []int      // hi side of the stable partition, copied out before recursing
-	perm   []int      // feature-subset scratch
+	idxBuf []int       // builder-owned copy of the root index set, partitioned in place
+	pairs  []sortPair  // per-feature sort scratch
+	order  []int32     // one feature's sorted rows when no memo is set
+	ends   []int32     // one feature's run ends when no memo is set
+	cum    []prefixSum // running sums at one feature's run ends
+	part   []int       // hi side of the stable partition, copied out before recursing
+	perm   []int       // feature-subset scratch
+	leaves []leafSpan  // the last built tree's leaves, in build order
 
 	// memo, when set, keeps every node's sorted orders for the trees
 	// built on one root index set (see sortMemo). GBRT.Fit sets it for
@@ -423,6 +431,17 @@ type treeBuilder struct {
 	// have been discarded by the caller (Fit overwrites the tree slice).
 	chunks [][]treeNode
 	ci, ni int
+}
+
+// prefixSum is the running Σy and Σy² of a node's rows, in one
+// feature's sorted order, up to and including a run end.
+type prefixSum struct{ sum, sq float64 }
+
+// leafSpan is a leaf of the last built tree and the rows that reach it:
+// its span of the partitioned idxBuf, which no later node touches.
+type leafSpan struct {
+	value float64
+	rows  []int
 }
 
 // sortPair is one row's value of the feature being sorted; sorting the
@@ -455,12 +474,15 @@ type memoKey struct {
 
 var rootKey = memoKey{}
 
-// sortMemo stores each node's per-feature sorted rows once per GBRT
-// fit: boosting rounds revisit the root every round and most other
-// nodes many times, because the residuals change but the features do
-// not. The nodes form a trie over split paths under a sentinel at
-// nodes[0]; a node's rows are n·w int32s, feature-major, at its offset
-// in one flat arena.
+// sortMemo stores each node's per-feature sorted rows and run ends
+// once per GBRT fit: boosting rounds revisit the root every round and
+// most other nodes many times, because the residuals change but the
+// features do not. The nodes form a trie over split paths under a
+// sentinel at nodes[0]. A node of m rows is one block at its offset in
+// a flat arena: its sorted rows (m·w int32s, feature-major), then w+1
+// offsets into the run ends that follow (feature f's are
+// ends[bounds[f]:bounds[f+1]]). A feature has at most m−1 run ends,
+// and at most its distinct value count − 1.
 type sortMemo struct {
 	nodes []memoNode
 	arena []int32
@@ -477,7 +499,8 @@ type memoNode struct {
 var memoPool = sync.Pool{New: func() any { return new(sortMemo) }}
 
 // memoArenaRows sizes a memo's arena in units of n·w rows: a 60-round,
-// depth-3 fit on the Interference Predictor's samples stores 20–40.
+// depth-3 fit on the Interference Predictor's samples stores 20–47,
+// run ends included (its integer features have few distinct values).
 const memoArenaRows = 32
 
 // reset empties the memo for a fit on n rows of w features whose trees
@@ -529,6 +552,12 @@ func (b *treeBuilder) begin(x [][]float64, y []float64, minLeaf, mtry int) {
 	}
 }
 
+// dropScratch frees everything but the node arena, which holds the
+// built trees.
+func (b *treeBuilder) dropScratch() {
+	*b = treeBuilder{chunks: b.chunks, ci: b.ci, ni: b.ni}
+}
+
 func (b *treeBuilder) newNode(n treeNode) *treeNode {
 	if b.ci == len(b.chunks) {
 		b.chunks = append(b.chunks, make([]treeNode, nodeChunk))
@@ -552,16 +581,20 @@ func (b *treeBuilder) build(idx []int, depth int, rng *xrand.Rand) *treeNode {
 	if cap(b.pairs) < n {
 		b.pairs = make([]sortPair, n)
 		b.order = make([]int32, n)
+		b.ends = make([]int32, 0, n)
+		b.cum = make([]prefixSum, n)
 	}
 	if cap(b.part) < n {
 		b.part = make([]int, 0, n)
 	}
+	b.leaves = b.leaves[:0]
 	return b.node(b.idxBuf, rootKey, depth, rng)
 }
 
 // sortFeature writes the rows of idx into dst in ascending order of
-// feature feat.
-func (b *treeBuilder) sortFeature(dst []int32, idx []int, feat int) {
+// feature feat, and appends to ends every position j whose value
+// differs from position j+1's: the run ends, the only split boundaries.
+func (b *treeBuilder) sortFeature(dst, ends []int32, idx []int, feat int) []int32 {
 	col := b.xc[feat*b.n : (feat+1)*b.n]
 	pairs := b.pairs[:len(idx)]
 	for k, i := range idx {
@@ -570,25 +603,43 @@ func (b *treeBuilder) sortFeature(dst []int32, idx []int, feat int) {
 	slices.SortFunc(pairs, cmpPair)
 	for k, p := range pairs {
 		dst[k] = p.row
+		if k > 0 && pairs[k-1].v != p.v {
+			ends = append(ends, int32(k-1))
+		}
 	}
+	return ends
 }
 
-// memoOrders returns the node's memo index and its sorted rows for
-// every feature, feature-major, sorting on the node's first visit in
-// this fit.
-func (b *treeBuilder) memoOrders(key memoKey, idx []int) (int32, []int32) {
+// memoOrders returns the node's memo index, its sorted rows for every
+// feature (feature-major), its run-end offsets and its run ends,
+// sorting on the node's first visit in this fit.
+func (b *treeBuilder) memoOrders(key memoKey, idx []int) (id int32, sorted, bounds, ends []int32) {
 	m, size := b.memo, len(idx)*b.w
-	if id := m.find(key); id >= 0 {
-		off := int(m.nodes[id].off)
-		return id, m.arena[off : off+size]
+	if id = m.find(key); id < 0 {
+		off := len(m.arena)
+		head := off + size + b.w + 1 // the node's run ends start here
+		m.arena = slices.Grow(m.arena, size+b.w+1)[:head]
+		m.arena[off+size] = 0
+		for f := 0; f < b.w; f++ {
+			// Room for the feature's run ends up front, so the append
+			// in sortFeature never moves the orders it writes.
+			m.arena = slices.Grow(m.arena, len(idx)-1)
+			lo := off + f*len(idx)
+			m.arena = b.sortFeature(m.arena[lo:lo+len(idx)], m.arena, idx, f)
+			m.arena[off+size+f+1] = int32(len(m.arena) - head)
+		}
+		id = m.add(key, int32(off))
 	}
-	off := len(m.arena)
-	m.arena = slices.Grow(m.arena, size)[:off+size]
-	for f := 0; f < b.w; f++ {
-		lo := off + f*len(idx)
-		b.sortFeature(m.arena[lo:lo+len(idx)], idx, f)
-	}
-	return m.add(key, int32(off)), m.arena[off : off+size]
+	off := int(m.nodes[id].off)
+	bounds = m.arena[off+size : off+size+b.w+1]
+	ends = m.arena[off+size+b.w+1 : off+size+b.w+1+int(bounds[b.w])]
+	return id, m.arena[off : off+size], bounds, ends
+}
+
+// leaf makes a terminal node for the rows of idx.
+func (b *treeBuilder) leaf(idx []int, mean float64) *treeNode {
+	b.leaves = append(b.leaves, leafSpan{value: mean, rows: idx})
+	return b.newNode(treeNode{terminal: true, value: mean})
 }
 
 func (b *treeBuilder) node(idx []int, key memoKey, depth int, rng *xrand.Rand) *treeNode {
@@ -599,7 +650,7 @@ func (b *treeBuilder) node(idx []int, key memoKey, depth int, rng *xrand.Rand) *
 	}
 	mean /= float64(len(idx))
 	if depth == 0 || len(idx) <= b.minLeaf {
-		return b.newNode(treeNode{terminal: true, value: mean})
+		return b.leaf(idx, mean)
 	}
 	// Variance before split.
 	var sse float64
@@ -608,62 +659,71 @@ func (b *treeBuilder) node(idx []int, key memoKey, depth int, rng *xrand.Rand) *
 		sse += d * d
 	}
 	if sse < 1e-12 {
-		return b.newNode(treeNode{terminal: true, value: mean})
+		return b.leaf(idx, mean)
 	}
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
 	rng.PermInto(b.perm[:b.w])
 	features := b.perm[:b.mtry]
 	var self int32
-	var sorted []int32
+	var sorted, bounds, memoEnds []int32
 	if b.memo != nil {
-		self, sorted = b.memoOrders(key, idx)
+		self, sorted, bounds, memoEnds = b.memoOrders(key, idx)
 	}
+	n := float64(len(idx))
 	for _, feat := range features {
 		// Sort the node's samples by the feature (or take the memo's
 		// order), then scan every split boundary with running sums: the
 		// best split minimizes
 		//   SSE_left + SSE_right
 		// where SSE = Σy² − (Σy)²/n per side — O(n log n) per feature
-		// instead of the naive O(n²).
-		var order []int32
+		// instead of the naive O(n²). The boundaries are the run ends,
+		// where the sorted value changes.
+		var order, ends []int32
 		if sorted != nil {
 			order = sorted[feat*len(idx) : (feat+1)*len(idx)]
+			ends = memoEnds[bounds[feat]:bounds[feat+1]]
 		} else {
 			order = b.order[:len(idx)]
-			b.sortFeature(order, idx, feat)
+			ends = b.sortFeature(order, b.ends[:0], idx, feat)
 		}
-		col := b.xc[feat*b.n : (feat+1)*b.n]
-		if col[order[0]] == col[order[len(order)-1]] {
+		if len(ends) == 0 {
 			continue // constant at this node: no boundary to split on
 		}
-		var totalSum, totalSq float64
-		for _, i := range order {
-			totalSum += y[i]
-			totalSq += y[i] * y[i]
-		}
-		n := float64(len(order))
-		var leftSum, leftSq float64
-		for j := 0; j < len(order)-1; j++ {
-			yi := y[order[j]]
-			leftSum += yi
-			leftSq += yi * yi
-			vj, vj1 := col[order[j]], col[order[j+1]]
-			if vj == vj1 {
-				continue
+		// One pass adds every row's y in sorted order and keeps the
+		// running sums at each run end; its final sums are the totals.
+		cum := b.cum[:len(ends)]
+		var sum, sq float64
+		j := 0
+		for k, e := range ends {
+			for ; j <= int(e); j++ {
+				yi := y[order[j]]
+				sum += yi
+				sq += yi * yi
 			}
-			nl := float64(j + 1)
+			cum[k] = prefixSum{sum, sq}
+		}
+		for ; j < len(order); j++ {
+			yi := y[order[j]]
+			sum += yi
+			sq += yi * yi
+		}
+		totalSum, totalSq := sum, sq
+		for k, e := range ends {
+			leftSum, leftSq := cum[k].sum, cum[k].sq
+			nl := float64(e + 1)
 			nr := n - nl
 			sseL := leftSq - leftSum*leftSum/nl
 			rightSum := totalSum - leftSum
 			sseR := (totalSq - leftSq) - rightSum*rightSum/nr
 			if gain := sse - (sseL + sseR); gain > bestGain {
-				bestGain, bestFeat, bestThresh = gain, feat, (vj+vj1)/2
+				col := b.xc[feat*b.n : (feat+1)*b.n]
+				bestGain, bestFeat, bestThresh = gain, feat, (col[order[e]]+col[order[e+1]])/2
 			}
 		}
 	}
 	if bestFeat < 0 {
-		return b.newNode(treeNode{terminal: true, value: mean})
+		return b.leaf(idx, mean)
 	}
 	// Stable in-place partition: the low side compacts forward, the high
 	// side detours through scratch, so both keep their original relative

@@ -158,7 +158,7 @@ func TestSelectModelPicksLinearForLinearData(t *testing.T) {
 		x = append(x, []float64{a, b})
 		y = append(y, 4+3*a-2*b)
 	}
-	res, err := SelectModelGrouped(x, y, nil, 5, 1)
+	res, err := SelectModelGrouped(x, y, nil, 5, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,14 @@ func TestSelectModelPicksLinearForLinearData(t *testing.T) {
 }
 
 func TestSelectModelEmpty(t *testing.T) {
-	if _, err := SelectModelGrouped(nil, nil, nil, 0, 1); err == nil {
+	if _, err := SelectModelGrouped(nil, nil, nil, 0, 1, ""); err == nil {
 		t.Fatal("empty SelectModelGrouped accepted")
 	}
 }
 
 func TestSelectModelGeneralizes(t *testing.T) {
 	trainX, trainY := synthDataset(100, 0.05, 40)
-	res, err := SelectModelGrouped(trainX, trainY, nil, 5, 2)
+	res, err := SelectModelGrouped(trainX, trainY, nil, 5, 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +214,14 @@ func TestIncrementalImprovesWithSamples(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		x, y := gen()
-		if _, err := inc.Add(x, y); err != nil {
+		if _, err := inc.AddGrouped(x, y, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
 	early := measure()
 	for i := 0; i < 80; i++ {
 		x, y := gen()
-		if _, err := inc.Add(x, y); err != nil {
+		if _, err := inc.AddGrouped(x, y, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestIncrementalRefitCadence(t *testing.T) {
 	refits := 0
 	rng := xrand.New(60)
 	for i := 0; i < 11; i++ {
-		r, err := inc.Add([]float64{rng.Float64(), rng.Float64()}, rng.Float64())
+		r, err := inc.AddGrouped([]float64{rng.Float64(), rng.Float64()}, rng.Float64(), "")
 		if err != nil {
 			t.Fatal(err)
 		}

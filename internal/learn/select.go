@@ -3,8 +3,6 @@ package learn
 import (
 	"fmt"
 	"math"
-
-	"mudi/internal/stats"
 )
 
 // Candidates returns a fresh instance of every model family the
@@ -26,15 +24,29 @@ type SelectResult struct {
 	CVError float64 // mean absolute percentage error across folds
 }
 
-// SelectModelGrouped fits every candidate with cross-validation and
-// returns the one with the lowest CV error, refitted on the full
-// dataset — the per-metric model selection of §4.1.2. It holds out by
-// group: samples sharing a group label (e.g. the same co-located
-// architecture at different batch sizes) are held out together, so the
-// CV score measures generalization to *new* architectures rather than
+// SelectModelGrouped picks the candidate family with the lowest
+// cross-validation error and returns it refitted on the full dataset —
+// the per-metric model selection of §4.1.2. It holds out by group:
+// samples sharing a group label (e.g. the same co-located architecture
+// at different batch sizes) are held out together, so the CV score
+// measures generalization to *new* architectures rather than
 // interpolation across batch sizes. With nil/uniform groups it falls
 // back to k-fold; folds defaults to min(5, n).
-func SelectModelGrouped(x [][]float64, y []float64, groups []string, folds int, seed uint64) (SelectResult, error) {
+//
+// The CV error is the MAPE pooled over every fold; ties go to the
+// earliest family in Candidates order. The family named first (the
+// previous winner of an incremental learner; "" or an unknown name for
+// none) is cross-validated before the others, and any family whose
+// summed percentage errors already put its MAPE above the best so far
+// is stopped between folds: the sum only grows, so it could not win.
+// The winner, its CV error and its fit are those of cross-validating
+// every family on every fold.
+func SelectModelGrouped(x [][]float64, y []float64, groups []string, folds int, seed uint64, first string) (SelectResult, error) {
+	return selectAmong(Candidates(seed), x, y, groups, folds, first)
+}
+
+// selectAmong is SelectModelGrouped over a given candidate list.
+func selectAmong(cands []Regressor, x [][]float64, y []float64, groups []string, folds int, first string) (SelectResult, error) {
 	n := len(x)
 	if n == 0 || len(y) != n {
 		return SelectResult{}, ErrNoData
@@ -58,14 +70,36 @@ func SelectModelGrouped(x [][]float64, y []float64, groups []string, folds int, 
 		}
 	}
 	plan := foldPlan(x, y, groups, folds)
-	best := SelectResult{CVError: math.Inf(1)}
-	for _, cand := range Candidates(seed) {
-		cv, err := crossValidate(cand, plan)
+	nz := 0
+	for _, fd := range plan {
+		for _, v := range fd.teY {
+			if v != 0 {
+				nz++
+			}
+		}
+	}
+	// Evaluation order: the named family first, then the rest in
+	// catalog order. Only the bound depends on it, not the result.
+	order := make([]int, 0, len(cands))
+	for i, c := range cands {
+		if c.Name() == first {
+			order = append(order, i)
+		}
+	}
+	for i, c := range cands {
+		if c.Name() != first {
+			order = append(order, i)
+		}
+	}
+	best, bestIdx := SelectResult{CVError: math.Inf(1)}, -1
+	for _, i := range order {
+		cand := cands[i]
+		cv, err := crossValidate(cand, plan, nz, best.CVError)
 		if err != nil {
 			continue // a family that cannot fit this data is simply skipped
 		}
-		if cv < best.CVError {
-			best = SelectResult{Model: cand, Name: cand.Name(), CVError: cv}
+		if cv < best.CVError || (cv == best.CVError && bestIdx >= 0 && i < bestIdx) {
+			best, bestIdx = SelectResult{Model: cand, Name: cand.Name(), CVError: cv}, i
 		}
 	}
 	if best.Model == nil {
@@ -74,8 +108,17 @@ func SelectModelGrouped(x [][]float64, y []float64, groups []string, folds int, 
 	if err := best.Model.Fit(x, y); err != nil {
 		return SelectResult{}, err
 	}
+	// The winner is kept until the next selection, which fits fresh
+	// candidates: scratch kept for its refits would only pin memory.
+	if m, ok := best.Model.(scratchHolder); ok {
+		m.dropScratch()
+	}
 	return best, nil
 }
+
+// scratchHolder is a model that keeps fit scratch for its next Fit.
+// After dropScratch it still predicts, and a later Fit allocates anew.
+type scratchHolder interface{ dropScratch() }
 
 // fold is one cross-validation split's train and test rows.
 type fold struct {
@@ -139,22 +182,34 @@ func heldGroups(groups []string) []string {
 }
 
 // crossValidate fits model on each fold's train rows and returns the
-// MAPE of its predictions on the held-out rows, pooled over folds.
-func crossValidate(model Regressor, plan []fold) (float64, error) {
-	var preds, truths []float64
+// MAPE of its predictions on the held-out rows, pooled over folds: the
+// absolute percentage errors are summed in stats.MAPE's order, zero
+// truths skipped, and divided by nz, the plan's count of non-zero
+// held-out truths. After a fold whose partial sum already puts the
+// MAPE above bound it stops and returns that partial MAPE, which is
+// above bound and at most the full one.
+func crossValidate(model Regressor, plan []fold, nz int, bound float64) (float64, error) {
+	if len(plan) == 0 {
+		return 0, ErrNoData
+	}
+	var sum float64
 	for _, fd := range plan {
 		if err := model.Fit(fd.trX, fd.trY); err != nil {
 			return 0, err
 		}
 		for i, row := range fd.teX {
-			preds = append(preds, model.Predict(row))
-			truths = append(truths, fd.teY[i])
+			if truth := fd.teY[i]; truth != 0 {
+				sum += math.Abs(model.Predict(row)-truth) / math.Abs(truth)
+			}
+		}
+		if cv := sum / float64(nz); cv > bound {
+			return cv, nil
 		}
 	}
-	if len(preds) == 0 {
-		return 0, ErrNoData
+	if nz == 0 {
+		return 0, nil
 	}
-	return stats.MAPE(preds, truths), nil
+	return sum / float64(nz), nil
 }
 
 // Incremental wraps a model-selected regressor and accumulates new
@@ -186,19 +241,12 @@ func (inc *Incremental) ModelName() string { return inc.current.Name }
 // fit.
 func (inc *Incremental) Model() Regressor { return inc.current.Model }
 
-// Add appends a sample and refits if the refit threshold is reached.
-// It returns true when a refit happened.
-func (inc *Incremental) Add(x []float64, y float64) (refitted bool, err error) {
-	return inc.AddGrouped(x, y, "")
-}
-
-// AddGrouped is Add with a group label for leave-one-group-out model
-// selection (see SelectModelGrouped).
+// AddGrouped appends a sample with its group label for
+// leave-one-group-out model selection (see SelectModelGrouped) and
+// refits if the refit threshold is reached. It returns true when a
+// refit happened.
 func (inc *Incremental) AddGrouped(x []float64, y float64, group string) (refitted bool, err error) {
-	inc.x = append(inc.x, append([]float64(nil), x...))
-	inc.y = append(inc.y, y)
-	inc.groups = append(inc.groups, group)
-	inc.pending++
+	inc.AddNoRefitGrouped(x, y, group)
 	if inc.current.Model == nil || inc.pending >= inc.refitAt {
 		if err := inc.Refit(); err != nil {
 			return false, err
@@ -217,9 +265,10 @@ func (inc *Incremental) AddNoRefitGrouped(x []float64, y float64, group string) 
 	inc.pending++
 }
 
-// Refit re-runs model selection over all accumulated samples.
+// Refit re-runs model selection over all accumulated samples,
+// cross-validating the current family first.
 func (inc *Incremental) Refit() error {
-	res, err := SelectModelGrouped(inc.x, inc.y, inc.groups, 0, inc.seed)
+	res, err := SelectModelGrouped(inc.x, inc.y, inc.groups, 0, inc.seed, inc.current.Name)
 	if err != nil {
 		return err
 	}

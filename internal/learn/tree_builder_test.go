@@ -103,13 +103,14 @@ func sameTree(t *testing.T, a, b *treeNode, path string) {
 // TestTreeBuilderBitIdentical fuzzes the scratch-buffer tree builder
 // against the reference across dataset sizes, depths, feature-subset
 // sizes, bootstrap index multisets, and tie-heavy features; then the
-// sort-memo path across boosting rounds, and GBRT.Fit against a
-// reference boosting loop. The comparison is exact (== on thresholds,
-// leaf values and predictions).
+// sort-memo path across boosting rounds, GBRT.Fit against a reference
+// boosting loop, and both on predictor-shaped data. The comparison is
+// exact (== on thresholds, leaf values and predictions).
 func TestTreeBuilderBitIdentical(t *testing.T) {
 	t.Run("bootstrap", testTreeBuilderBootstrap)
 	t.Run("memo-rounds", testTreeBuilderMemoRounds)
 	t.Run("gbrt-fit", testGBRTFitMatchesReference)
+	t.Run("predictor-shaped", testTreeBuilderPredictorShaped)
 }
 
 func testTreeBuilderBootstrap(t *testing.T) {
@@ -303,6 +304,45 @@ func testGBRTFitMatchesReference(t *testing.T) {
 		for k, row := range q {
 			if got := g.Predict(row); got != want[k] {
 				t.Fatalf("n=%d query %d: GBRT %v != reference %v", n, k, got, want[k])
+			}
+		}
+	}
+}
+
+// testTreeBuilderPredictorShaped runs the builder on the Interference
+// Predictor's data shape, where ties are the rule: 11 integer columns
+// constant within each 6-row co-location (two of them constant
+// overall, and all 11 with one co-location) plus log2(batch). Forest
+// trees on bootstrap rows must equal the reference, and GBRT.Fit must
+// equal the reference boosting loop, whose residuals go through
+// tree.eval.
+func testTreeBuilderPredictorShaped(t *testing.T) {
+	rng := xrand.New(0x9e12)
+	g := NewGBRT(60, 5)
+	for trial, groups := range []int{1, 2, 5, 16, 40, 100} {
+		x, y, _ := predictorShaped(rng, groups, targetKind(trial%2)) // noisy, then some zero
+		n, w := len(x), len(x[0])
+		var tb treeBuilder
+		tb.begin(x, y, 2, 3)
+		idx := make([]int, n)
+		for tree := 0; tree < 10; tree++ {
+			for i := range idx {
+				idx[i] = rng.Intn(n)
+			}
+			seed := rng.Uint64()
+			want := referenceBuildTree(x, y, idx, 6, 2, 3, xrand.New(seed))
+			sameTree(t, want, tb.build(idx, 6, xrand.New(seed)), "·")
+		}
+
+		q, _, _ := predictorShaped(rng, 3, noisy)
+		q = append(q, x...)
+		want := referenceGBRTPredict(x, y, 60, 3, 0.1, 5, q)
+		if err := g.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		for k, row := range q {
+			if got := g.Predict(row); got != want[k] {
+				t.Fatalf("n=%d w=%d query %d: GBRT %v != reference %v", n, w, k, got, want[k])
 			}
 		}
 	}
