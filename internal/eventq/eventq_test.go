@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"math"
 	"testing"
 )
 
@@ -173,6 +174,9 @@ func TestEveryUntilValidation(t *testing.T) {
 	s := New()
 	if _, err := s.EveryUntil(0, func(float64) {}); err == nil {
 		t.Fatal("zero period accepted")
+	}
+	if _, err := s.EveryUntil(math.NaN(), func(float64) {}); err == nil {
+		t.Fatal("NaN period accepted")
 	}
 }
 

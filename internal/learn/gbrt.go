@@ -65,7 +65,7 @@ func (g *GBRT) Fit(x [][]float64, y []float64) error {
 	// builds on the same identity root, so a node's sorted orders are
 	// the same in every round that reaches it: sort each node once.
 	g.tb.begin(x, residual, 2, w)
-	memo := memoPool.Get().(*sortMemo)
+	memo := memoPool.get()
 	// Room for every node the fit can sort: a tree has at most
 	// 2^Depth−1 nodes, and at most 2n−1 since its leaves are nonempty.
 	memo.reset(n, w, g.Trees*min(1<<min(g.Depth, 30), 2*n))
@@ -82,7 +82,7 @@ func (g *GBRT) Fit(x [][]float64, y []float64) error {
 		}
 	}
 	g.tb.memo = nil
-	memoPool.Put(memo)
+	memoPool.put(memo)
 	return nil
 }
 

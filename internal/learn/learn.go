@@ -496,7 +496,35 @@ type memoNode struct {
 
 // memoPool lends sort memos to GBRT fits, so no model holds one between
 // fits and concurrent fits (parallel experiment cells) never share one.
-var memoPool = sync.Pool{New: func() any { return new(sortMemo) }}
+// It is a free list rather than a sync.Pool: a sync.Pool empties at
+// every GC, and the fresh memos that replace its items would make a
+// run's allocation count depend on GC timing. It holds at most as many
+// memos as fits ever ran at once.
+var memoPool memoFreeList
+
+type memoFreeList struct {
+	mu   sync.Mutex
+	free []*sortMemo
+}
+
+func (l *memoFreeList) get() *sortMemo {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(sortMemo)
+	}
+	m := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return m
+}
+
+func (l *memoFreeList) put(m *sortMemo) {
+	l.mu.Lock()
+	l.free = append(l.free, m)
+	l.mu.Unlock()
+}
 
 // memoArenaRows sizes a memo's arena in units of n·w rows: a 60-round,
 // depth-3 fit on the Interference Predictor's samples stores 20–47,
@@ -505,9 +533,8 @@ const memoArenaRows = 32
 
 // reset empties the memo for a fit on n rows of w features whose trees
 // sort at most nodes distinct nodes. Both slices are sized up front,
-// with room for the sample count to double, so a memo fresh from the
-// pool allocates a fixed three times: how many memos are fresh depends
-// on GC timing, and a run's allocation count must not.
+// with room for the sample count to double, so a memo grows rarely and
+// a fresh one allocates a fixed three times.
 func (m *sortMemo) reset(n, w, nodes int) {
 	if cap(m.nodes) < nodes+1 {
 		m.nodes = make([]memoNode, 0, nodes+1)

@@ -91,7 +91,7 @@ var DefLatencyBuckets = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000,
 
 // Histogram is a latency histogram with exact quantile export: raw
 // samples are retained and quantiles come from the shared
-// stats.PercentileSorted implementation, so obs and serving report
+// stats.Scratch selection, so obs and serving report
 // bit-identical percentiles. Fixed bucket counts (upper bounds plus
 // an implicit +Inf bucket) are maintained alongside for Prometheus
 // exposition. Observations are mutex-protected (the hot paths batch
@@ -105,8 +105,11 @@ type Histogram struct {
 	min     float64
 	max     float64
 	samples []float64
-	sorted  []float64 // scratch for quantile queries, reused
 }
+
+// quantileScratch lends selection buffers to snapshot-time quantile
+// queries, so a histogram keeps no second copy of its samples.
+var quantileScratch = sync.Pool{New: func() any { return new(stats.Scratch) }}
 
 // NewHistogram returns a histogram over the given sorted upper bounds
 // (DefLatencyBuckets if nil).
@@ -144,19 +147,10 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// sortedLocked refreshes the sorted scratch copy of the samples.
-// Quantile queries are off the hot path (snapshot / live-export time),
-// so re-sorting per query keeps Observe cheap.
-func (h *Histogram) sortedLocked() []float64 {
-	h.sorted = append(h.sorted[:0], h.samples...)
-	sort.Float64s(h.sorted)
-	return h.sorted
-}
-
 // Quantile returns the exact q-quantile (0 < q ≤ 1) of the observed
-// samples, computed with the same closest-rank interpolation
-// (stats.PercentileSorted) the serving path uses. Returns 0 for an
-// empty histogram.
+// samples, with the closest-rank interpolation the serving path uses
+// (stats.Scratch.Percentile: selection, bit-identical to sorting).
+// Returns 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
@@ -166,7 +160,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
-	return stats.PercentileSorted(h.sortedLocked(), q*100)
+	sc := quantileScratch.Get().(*stats.Scratch)
+	defer quantileScratch.Put(sc)
+	return sc.Percentile(h.samples, q*100)
 }
 
 // Buckets returns copies of the bucket upper bounds and per-bucket
@@ -181,8 +177,8 @@ func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
 	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...)
 }
 
-// Stats snapshots the histogram, sorting the sample set once and
-// reading all percentiles from it.
+// Stats snapshots the histogram, reading each percentile by selection
+// over a pooled scratch copy of the samples (as Quantile does).
 func (h *Histogram) Stats() HistogramStats {
 	if h == nil {
 		return HistogramStats{}
@@ -191,12 +187,13 @@ func (h *Histogram) Stats() HistogramStats {
 	defer h.mu.Unlock()
 	s := HistogramStats{Count: h.count, Sum: h.sum}
 	if h.count > 0 {
-		sorted := h.sortedLocked()
+		sc := quantileScratch.Get().(*stats.Scratch)
 		s.Min, s.Max = h.min, h.max
 		s.Mean = h.sum / float64(h.count)
-		s.P50 = stats.PercentileSorted(sorted, 50)
-		s.P95 = stats.PercentileSorted(sorted, 95)
-		s.P99 = stats.PercentileSorted(sorted, 99)
+		s.P50 = sc.Percentile(h.samples, 50)
+		s.P95 = sc.Percentile(h.samples, 95)
+		s.P99 = sc.Percentile(h.samples, 99)
+		quantileScratch.Put(sc)
 		s.Buckets = make([]BucketCount, 0, len(h.bounds))
 		var cum uint64
 		for i, b := range h.bounds {

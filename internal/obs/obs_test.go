@@ -69,7 +69,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramOverflowBucket(t *testing.T) {
 	// Samples far past the last bucket bound land in the +Inf bucket
 	// yet still get exact quantiles: since PR 5 the histogram retains
-	// raw samples and quantiles use stats.PercentileSorted, so
+	// raw samples and quantiles are exact order statistics, so
 	// Quantile(0.99) of {1000, 2000} interpolates at rank 0.99.
 	h := NewHistogram([]float64{1, 2})
 	h.Observe(1000)

@@ -25,9 +25,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"mudi/internal/eventq"
@@ -279,15 +280,8 @@ func (e *Engine) applyMail(barrier float64) {
 		}
 		return
 	}
-	sort.SliceStable(e.merged, func(i, j int) bool {
-		a, b := e.merged[i], e.merged[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Dev != b.Dev {
-			return a.Dev < b.Dev
-		}
-		return a.seq < b.seq
+	slices.SortStableFunc(e.merged, func(a, b Message) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Dev, b.Dev), cmp.Compare(a.seq, b.seq))
 	})
 	var applyStart time.Time
 	if e.prof != nil {

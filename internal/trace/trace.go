@@ -39,6 +39,7 @@ type FluctuatingQPS struct {
 	// Lazily extended piecewise-constant level track.
 	times  []float64
 	levels []float64
+	cur    int // segment of the last At: times[cur] <= t < times[cur+1]
 }
 
 // NewFluctuatingQPS returns a trace around the given base rate. The
@@ -54,7 +55,11 @@ func NewFluctuatingQPS(base float64, rng *xrand.Rand) *FluctuatingQPS {
 }
 
 // At implements QPSTrace. Calls may go backwards in time; the track is
-// deterministic once generated.
+// deterministic once generated. The answer is levels[i] for the largest
+// i with times[i] <= t. The simulator asks once per window with t
+// moving forward, so At first tries the segment of the previous call
+// and the one after it, and binary-searches only on a jump (or NaN,
+// which no comparison accepts).
 func (f *FluctuatingQPS) At(t float64) float64 {
 	if t < 0 {
 		t = 0
@@ -62,11 +67,19 @@ func (f *FluctuatingQPS) At(t float64) float64 {
 	for f.times[len(f.times)-1] < t {
 		f.extend()
 	}
-	idx := sort.SearchFloat64s(f.times, t)
-	if idx == len(f.times) || f.times[idx] > t {
-		idx--
+	last := len(f.times) - 1
+	switch i := f.cur; {
+	case f.times[i] <= t && (i == last || t < f.times[i+1]):
+	case i < last && f.times[i+1] <= t && (i+1 == last || t < f.times[i+2]):
+		f.cur = i + 1
+	default:
+		idx := sort.SearchFloat64s(f.times, t)
+		if idx == len(f.times) || f.times[idx] > t {
+			idx--
+		}
+		f.cur = idx
 	}
-	return f.levels[idx]
+	return f.levels[f.cur]
 }
 
 func (f *FluctuatingQPS) extend() {
