@@ -45,6 +45,10 @@ race:
 # shape tests, and 1-vs-8-worker replay determinism, under the race
 # detector. Regenerate fixtures with:
 #   go test ./internal/trace/... -update
+# The control-plane record goldens (events, Chrome traces, the faulted
+# run's SLO report) regenerate with:
+#   go test ./cmd/mudisim -run Golden -update
+#   go test . -run 'ChromeTraceGolden|FaultedRecordGolden' -update
 test-scenarios:
 	$(GO) test -race -timeout 60m ./internal/trace ./internal/trace/scenario ./internal/exp -run 'Scenario|Golden|Trace|Cohort|Diurnal|Ramp|FlashCrowd|BurstStorm|Failover|StepQPS|Decode|Encode|Validate|Recorder'
 

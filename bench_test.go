@@ -453,16 +453,16 @@ func BenchmarkSimObsOn(b *testing.B) {
 	}
 }
 
-// BenchmarkSimTraceOff pins the tracer's zero-overhead-when-disabled
-// contract: the exact BenchmarkSimObsOff workload with tracing compiled
-// in but off, so every span call site costs one nil check. Its allocs/op
+// BenchmarkSimTraceOff pins the record log's zero-overhead-when-
+// disabled contract: the exact BenchmarkSimObsOff workload with tracing
+// compiled in but off, so every record call site costs one nil check. Its allocs/op
 // must match BenchmarkSimObsOff (compare BENCH_trace.json against
 // BENCH_hotpath.json).
 func BenchmarkSimTraceOff(b *testing.B) { benchRunAllTrace(b, 1, nil, false) }
 
-// BenchmarkSimTraceOn runs the same workload with a live per-cell span
-// tracer and violation attributor, measuring the full cost of causal
-// span capture plus attribution on the simulation hot path.
+// BenchmarkSimTraceOn runs the same workload with a live per-cell record
+// log (span view) and violation attributor, measuring the full cost of
+// causal span capture plus attribution on the simulation hot path.
 func BenchmarkSimTraceOn(b *testing.B) { benchRunAllTrace(b, 1, nil, true) }
 
 // BenchmarkSimTimelinesOff pins the timeline store's

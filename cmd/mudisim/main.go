@@ -28,8 +28,8 @@ import (
 	"mudi/internal/report"
 	"mudi/internal/runner"
 	"mudi/internal/stats"
-	"mudi/internal/telemetry"
 	"mudi/internal/xrand"
+	"mudi/telemetryhttp"
 )
 
 func main() {
@@ -181,11 +181,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		if lerr != nil {
 			return lerr
 		}
-		sink, tracer, attr := tel.Instruments()
-		srv := &http.Server{Handler: telemetry.Handler(telemetry.Options{
-			Sink: sink, Trace: tracer, Attr: attr,
-			Timeline: tel.TimelineStore(),
-		})}
+		srv := &http.Server{Handler: telemetryhttp.Handler(tel)}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "mudisim: serving telemetry on http://%s\n", ln.Addr())

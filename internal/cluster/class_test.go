@@ -152,7 +152,6 @@ func TestShedFeedsAttributor(t *testing.T) {
 	oracle := perf.NewOracle(7)
 	mudi := buildMudi(t, oracle, 7)
 	arrivals := smallArrivals(t, 8, 7)
-	attr := span.NewAttributor(0)
 	sim, err := New(Options{
 		Policy:   mudi,
 		Oracle:   oracle,
@@ -161,7 +160,7 @@ func TestShedFeedsAttributor(t *testing.T) {
 		Arrivals: arrivals,
 		Services: classedServices(),
 		Bursts:   []trace.Burst{{Start: 20, End: 80, Factor: 4}},
-		Attr:     attr,
+		Log:      span.NewLog(0, 0, span.NewAttributor(0)),
 	})
 	if err != nil {
 		t.Fatal(err)

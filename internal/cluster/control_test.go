@@ -9,6 +9,7 @@ import (
 	"mudi/internal/core"
 	"mudi/internal/obs"
 	"mudi/internal/perf"
+	"mudi/internal/span"
 	"mudi/internal/trace"
 )
 
@@ -32,6 +33,7 @@ func burstOptions(t testing.TB, seed uint64) Options {
 		Arrivals: arrivals,
 		Bursts:   []trace.Burst{{Start: 40, End: 90, Factor: 3}},
 		Obs:      obs.NewSink(),
+		Log:      span.NewRunLog(true, false, nil),
 	}
 }
 

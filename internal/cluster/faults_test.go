@@ -8,6 +8,7 @@ import (
 	"mudi/internal/obs"
 	"mudi/internal/perf"
 	"mudi/internal/runner"
+	"mudi/internal/span"
 )
 
 // faultOptions assembles a simulation with the given fault config over
@@ -23,6 +24,7 @@ func faultOptions(t testing.TB, seed uint64, devices, tasks int, fc *faults.Conf
 		Arrivals: smallArrivals(t, tasks, seed),
 		Faults:   fc,
 		Obs:      sink,
+		Log:      span.NewRunLog(sink != nil, false, nil),
 	}
 }
 

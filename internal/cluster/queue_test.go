@@ -9,6 +9,7 @@ import (
 	"mudi/internal/obs"
 	"mudi/internal/perf"
 	"mudi/internal/sched"
+	"mudi/internal/span"
 	"mudi/internal/trace"
 	"mudi/internal/xrand"
 )
@@ -34,6 +35,7 @@ func TestFairShareChargesCohorts(t *testing.T) {
 		Arrivals:    arrivals,
 		QueuePolicy: sched.FairShare{},
 		Obs:         obs.NewSink(),
+		Log:         span.NewRunLog(true, false, nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"mudi/internal/obs"
 	"mudi/internal/perf"
 	"mudi/internal/span"
 )
@@ -218,7 +217,7 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 }
 
 // fold is the engine's once-per-barrier read-back, installed only when
-// an event sink, tracer or attributor is on. It walks devices in global
+// a metrics sink or a record log is on. It walks devices in global
 // order and publishes each device's fresh window record (load_shed,
 // then latency and violation), then the swap bursts its window
 // recorded — the order a one-lane sequential drain would emit them in.
@@ -235,7 +234,7 @@ func (s *Sim) fold(float64) {
 }
 
 // observeWindow fans one device's window record out to the
-// attributor, the event log and the metrics.
+// attributor, the metrics and the record log.
 func (s *Sim) observeWindow(d *deviceState) {
 	r, svc := &d.rec, d.svc
 	class := svc.info.Class.String()
@@ -251,59 +250,51 @@ func (s *Sim) observeWindow(d *deviceState) {
 			})
 		}
 	}
-	if s.obsv == nil {
-		return
+	if s.obsv != nil {
+		cc := d.obsv.cls
+		if r.shed > 0 {
+			s.obsv.sheds.Inc()
+			if cc != nil {
+				cc.shed.Add(r.shed * span.WindowSec)
+			}
+		}
+		if r.ok {
+			d.obsv.latency.Observe(r.lat)
+			if cc != nil {
+				cc.windows.Inc()
+			}
+		}
+		if r.viol {
+			s.obsv.violations.Inc()
+			d.obsv.violations.Inc()
+			if cc != nil {
+				cc.violations.Inc()
+			}
+		}
 	}
-	cc := d.obsv.cls
 	if r.shed > 0 {
-		s.obsv.sheds.Inc()
-		if cc != nil {
-			cc.shed.Add(r.shed * span.WindowSec)
-		}
-		s.obsv.sink.Emit(obs.Event{
-			Time: r.at, Type: obs.EventLoadShed, Device: d.dev.ID,
-			Service: svc.info.Name, Value: r.shed, Cause: class,
-		})
-	}
-	if r.ok {
-		d.obsv.latency.Observe(r.lat)
-		if cc != nil {
-			cc.windows.Inc()
-		}
+		s.record(d, span.Record{Act: span.ActLoadShed, Time: r.at, Value: r.shed, Cause: class})
 	}
 	if r.viol {
-		s.obsv.violations.Inc()
-		d.obsv.violations.Inc()
-		if cc != nil {
-			cc.violations.Inc()
-		}
-		s.obsv.sink.Emit(obs.Event{
-			Time: r.at, Type: obs.EventSLOViolation, Device: d.dev.ID,
-			Service: svc.info.Name, Value: r.lat, Cause: "window-budget",
-		})
+		s.record(d, span.Record{Act: span.ActSLOViolation, Time: r.at, Value: r.lat, Cause: "window-budget"})
 	}
 }
 
 // flushSwaps publishes the pool's swap bursts recorded since the last
-// flush (mem_swap spans and events, swap-MB counters, the transfer
-// histogram) and refreshes the swapped-MB gauge. The fold flushes lane
-// windows' bursts; barrier-time code flushes right after each pool
-// Alloc, Resize or Free, so bursts publish in the order they happened.
+// flush (mem_swap records, swap-MB counters, the transfer histogram)
+// and refreshes the swapped-MB gauge. The fold flushes lane windows'
+// bursts; barrier-time code flushes right after each pool Alloc, Resize
+// or Free, so bursts publish in the order they happened.
 func (s *Sim) flushSwaps(d *deviceState) {
-	if s.obsv == nil && s.tracer == nil {
+	if s.obsv == nil && s.rec == nil {
 		return
 	}
 	evs := d.pool.Events()
 	for _, e := range evs[d.swapSeen:] {
-		typ, dir := obs.EventMemSwapIn, "to-device"
+		dir := "to-device"
 		if e.ToHost {
-			typ, dir = obs.EventMemSwapOut, "to-host"
+			dir = "to-host"
 		}
-		s.tracer.Add(span.Span{
-			Kind: span.KindMemSwap, Start: e.Time, End: e.Time + e.TransferMs/1000,
-			Device: d.dev.ID, Service: d.svc.info.Name,
-			Task: e.Alloc, Value: e.MB, Cause: dir,
-		})
 		if s.obsv != nil {
 			if e.ToHost {
 				d.obsv.swapOutMB.Add(e.MB)
@@ -311,10 +302,8 @@ func (s *Sim) flushSwaps(d *deviceState) {
 				d.obsv.swapInMB.Add(e.MB)
 			}
 			d.obsv.swapXfer.Observe(e.TransferMs)
-			s.obsv.sink.Emit(obs.Event{
-				Time: e.Time, Type: typ, Device: d.dev.ID, Task: e.Alloc, Value: e.MB,
-			})
 		}
+		s.record(d, span.Record{Act: span.ActMemSwap, Time: e.Time, End: e.Time + e.TransferMs/1000, Task: e.Alloc, Value: e.MB, Cause: dir})
 	}
 	d.swapSeen = len(evs)
 	if s.obsv != nil {

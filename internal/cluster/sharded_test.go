@@ -149,8 +149,7 @@ func TestShardObservationPassive(t *testing.T) {
 			burstFaultWorkload(o)
 			o.Shards = shards
 			o.Obs = obs.NewSink()
-			o.Trace = span.NewTracer(0)
-			o.Attr = span.NewAttributor(0)
+			o.Log = span.NewRunLog(true, true, nil)
 			o.Record = trace.NewRecorder(7, 6, 1)
 			o.Timeline = timeline.New(timeline.Defaults())
 		})
@@ -211,7 +210,7 @@ func TestSwapBurstsPublishedOnce(t *testing.T) {
 		o.Bursts = []trace.Burst{{Start: 40, End: 100, Factor: 3}}
 		o.Shards = 4
 		o.Obs = obs.NewSink()
-		o.Trace = span.NewTracer(0)
+		o.Log = span.NewRunLog(true, true, nil)
 	})
 	if res.SwapEvents == 0 {
 		t.Fatal("burst run recorded no swaps; the check would be vacuous")

@@ -70,12 +70,11 @@ type Options struct {
 	// memory (§3: "Mudi is fully compatible with MIG, treating each
 	// MIG instance as a distinct, smaller GPU"). Valid values 1–7.
 	MIGSlices int
-	// Obs, when non-nil, receives metrics and structured events from
-	// every control-loop decision; the simulation-end roll-up lands in
-	// Result.Events/Result.Metrics. Observation is passive — it never
-	// perturbs the simulated metrics (Result.Summary() is identical
-	// with and without a sink) — and a nil sink costs one branch per
-	// call site.
+	// Obs, when non-nil, receives metrics from every control-loop
+	// decision; the simulation-end snapshot lands in Result.Metrics.
+	// Observation is passive — it never perturbs the simulated metrics
+	// (Result.Summary() is identical with and without a sink) — and a
+	// nil sink costs one branch per call site.
 	Obs *obs.Sink
 	// Faults, when non-nil and enabled, injects deterministic failures
 	// (device outages, transient measurement errors, shadow spin-up
@@ -83,16 +82,13 @@ type Options struct {
 	// config leaves the simulation bit-for-bit identical to a build
 	// without the injector.
 	Faults *faults.Config
-	// Trace, when non-nil, records causal simulated-time spans for
-	// every control-plane operation (retune with bo_iter children,
-	// rescale with shadow_spinup/shadow_swap children, migrate,
-	// mem_swap, fault outages); the end-of-run roll-up lands in
-	// Result.Spans. Passive and deterministic, same contract as Obs.
-	Trace *span.Tracer
-	// Attr, when non-nil, captures per-violation context at each
-	// slo_violation and classifies the dominant cause at finalize time;
-	// the roll-up lands in Result.SLOReport.
-	Attr *span.Attributor
+	// Log, when non-nil, records one span.Record per control action
+	// (retunes with their BO probes, rescales, migrations, memory
+	// swaps, outages, failovers, SLO violations, load sheds); its event
+	// and span views land in Result.Events and Result.Spans, and its
+	// attributor's report in Result.SLOReport. Passive and
+	// deterministic, same contract as Obs.
+	Log *span.Log
 	// Replay, when non-nil, drives every device's QPS from the trace's
 	// recorded streams instead of synthesizing a fluctuating walk. The
 	// header's Devices/MIGSlices must match this Options, and the
@@ -228,20 +224,17 @@ type Result struct {
 	// Trace is the per-window record of the traced device (Fig. 16).
 	Trace []TracePoint
 
-	// Observability roll-up, populated only when Options.Obs is set:
-	// the structured event stream in emission order and the final
-	// metrics snapshot. Both are derived views and deliberately
-	// excluded from Summary() — enabling observation must not perturb
-	// the determinism contract.
-	Events  []obs.Event
-	Metrics *obs.Metrics
-
-	// Tracing roll-up, populated only when Options.Trace / Options.Attr
-	// are set: the causal span stream in creation order and the SLO
-	// attribution report. Derived views, excluded from Summary() like
-	// Events/Metrics.
-	Spans     []span.Span
-	SLOReport *span.SLOReport
+	// Observability roll-up: the metrics snapshot of Options.Obs, and
+	// Options.Log's event view, span view and SLO report with what each
+	// cap left out. Derived views, deliberately excluded from Summary()
+	// — enabling observation must not perturb the determinism contract.
+	Metrics           *obs.Metrics
+	Events            []obs.Event
+	Spans             []span.Span
+	SLOReport         *span.SLOReport
+	EventsDropped     int // events past the event view's cap
+	SpansDropped      int // spans past the span view's cap
+	ViolationsDropped int // violations past SLOReport.Violations' cap
 
 	// Workload is the recorded trace-v2 workload, populated only when
 	// Options.Record is set. A derived view like Events/Spans, excluded
@@ -318,10 +311,10 @@ type Sim struct {
 	// is disabled); per-device instruments live on deviceState.
 	obsv *simObs
 
-	// tracer/attr mirror Options.Trace/Options.Attr (nil when tracing
-	// is disabled); every emission site guards on them with one branch.
-	tracer *span.Tracer
-	attr   *span.Attributor
+	// rec is Options.Log and attr its attributor (nil when off); every
+	// emission site guards on rec with one branch.
+	rec  *span.Log
+	attr *span.Attributor
 
 	// tl is the timeline recording state (nil when Options.Timeline is
 	// unset); every recording site guards on it with one branch.
@@ -488,8 +481,8 @@ func New(opts Options) (*Sim, error) {
 		}
 		s.queue.SetObs(opts.Obs)
 	}
-	s.tracer = opts.Trace
-	s.attr = opts.Attr
+	s.rec = opts.Log
+	s.attr = opts.Log.Attributor()
 	if opts.Timeline != nil {
 		s.tl = newTLState(opts.Timeline, opts.Services, s.classAware)
 	}
@@ -682,7 +675,7 @@ func (s *Sim) Run() (*Result, error) {
 		s.sh.SetProfiler(newTLProfiler(s.tl.store))
 	}
 	// Observers read the lanes' window records back once per barrier.
-	if s.obsv != nil || s.tracer != nil || s.attr != nil {
+	if s.obsv != nil || s.rec != nil {
 		s.sh.SetFold(s.fold)
 	}
 	s.sh.Run(s.opts.MaxHorizonSec)
@@ -850,22 +843,10 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 	}
 	d.training = append(d.training, t)
 	s.res.Admitted++
-	if s.tracer != nil && qj.migrateSpan != 0 {
-		// Close the eviction's migrate span: the task found a new home.
-		dst := d.dev.ID
-		s.tracer.Annotate(qj.migrateSpan, func(sp *span.Span) {
-			sp.Task = sp.Task + ">" + dst
-		})
-		s.tracer.End(qj.migrateSpan, now)
-		qj.migrateSpan = 0
-	}
 	if s.obsv != nil {
 		s.obsv.placements.Inc()
-		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventTaskPlaced, Device: d.dev.ID,
-			Service: d.svc.info.Name, Task: t.task.Name, Value: float64(t.id),
-		})
 	}
+	s.record(d, span.Record{Act: span.ActPlaced, Time: now, Task: t.task.Name, Value: float64(t.id)})
 	// Memory: training allocations are swappable.
 	if err := d.pool.Alloc(now, t.allocID, memmgr.PriorityTraining, t.task.MemoryMB()); err != nil {
 		// Should not happen (training can be partially resident).
@@ -926,59 +907,42 @@ func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string)
 	}
 	if s.obsv != nil {
 		s.obsv.retunes.Inc()
-		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventRetune, Device: d.dev.ID,
-			Service: d.svc.info.Name, Cause: cause,
-		})
 	}
-	var retuneID span.ID
-	if s.tracer != nil {
-		// One retune span per tuning episode; every tuner objective
-		// evaluation during the episode becomes a bo_iter child (the
+	if s.rec != nil {
+		// One retune interval per tuning episode; every tuner objective
+		// evaluation during the episode becomes a bo_iter record (the
 		// hook fires synchronously inside Configure, and Configure
 		// calls are serialized, so clearing it afterwards is safe).
-		retuneID = s.tracer.Start(span.Span{
-			Kind: span.KindRetune, Start: now, Device: d.dev.ID,
-			Service: d.svc.info.Name, Task: taskSig(d),
-			Batch: d.svc.batch, Delta: d.svc.delta, Cause: cause,
-		})
+		s.record(d, span.Record{Act: span.ActRetune, Time: now, Task: taskSig(d), Batch: d.svc.batch, Delta: d.svc.delta, Cause: cause})
 		if hooker, ok := s.opts.Policy.(evalHooker); ok {
-			devID, svcName := d.dev.ID, d.svc.info.Name
 			hooker.SetEvalHook(func(batch int, delta, trainIterMs float64, feasible bool) {
-				sp := span.Span{
-					Kind: span.KindBOIter, Parent: retuneID, Start: now, End: now,
-					Device: devID, Service: svcName,
-					Batch: batch, Delta: delta, Value: trainIterMs,
-				}
+				r := span.Record{Act: span.ActBOIter, Time: now, End: now, Batch: batch, Delta: delta, Value: trainIterMs}
 				if !feasible {
-					sp.Cause = "infeasible"
+					r.Cause = "infeasible"
 				}
-				s.tracer.Add(sp)
+				s.record(d, r)
 			})
 			defer hooker.SetEvalHook(nil)
 		}
 	}
 	dec, err := s.opts.Policy.Configure(d.view(), s.meas[d.dev.ID])
-	if s.tracer != nil {
-		s.tracer.Annotate(retuneID, func(sp *span.Span) {
-			if err != nil {
-				sp.Cause = cause + ";error"
-				return
-			}
-			sp.Batch = dec.Batch
-			sp.Delta = dec.Delta
-			sp.Value = float64(dec.BOIterations)
-			if !dec.Feasible {
-				sp.Cause = cause + ";infeasible"
-			}
-		})
-		s.tracer.End(retuneID, now)
+	if s.rec != nil {
+		// The episode's outcome; a failed Configure leaves the device's
+		// configuration as it was.
+		end := span.Record{Act: span.ActRetuneEnd, Time: now, Batch: dec.Batch, Delta: dec.Delta, Value: float64(dec.BOIterations)}
+		switch {
+		case err != nil:
+			end.Batch, end.Delta, end.Value, end.Cause = d.svc.batch, d.svc.delta, 0, "error"
+		case !dec.Feasible:
+			end.Cause = "infeasible"
+		}
+		s.record(d, end)
 	}
 	if err != nil {
 		s.res.ConfigureErrors++
 		return err
 	}
-	s.apply(now, d, dec, retuneID)
+	s.apply(now, d, dec)
 	return nil
 }
 
@@ -1002,32 +966,19 @@ func (s *Sim) setBatch(now float64, d *deviceState, batch int) {
 	if s.obsv != nil {
 		s.obsv.batchChg.Inc()
 		d.obsv.batch.Set(float64(batch))
-		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventBatchChanged, Device: d.dev.ID,
-			Service: svc.info.Name, Value: float64(batch),
-		})
 	}
+	s.record(d, span.Record{Act: span.ActBatch, Time: now, Value: float64(batch)})
 }
 
-// obsRescaled records a GPU% change; shadow marks a change that paid
-// the shadow-instance reconfiguration protocol (§5.4).
-func (s *Sim) obsRescaled(now float64, d *deviceState, delta float64, shadow bool) {
-	if s.obsv == nil {
+// record emits one control-plane record for device d; a no-op when
+// recording is off. Call sites whose record costs something to build
+// (a task signature, a formatted cause) guard on s.rec themselves.
+func (s *Sim) record(d *deviceState, r span.Record) {
+	if s.rec == nil {
 		return
 	}
-	s.obsv.rescales.Inc()
-	d.obsv.delta.Set(delta)
-	s.obsv.sink.Emit(obs.Event{
-		Time: now, Type: obs.EventGPURescaled, Device: d.dev.ID,
-		Service: d.svc.info.Name, Value: delta,
-	})
-	if shadow {
-		s.obsv.shadow.Inc()
-		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventShadowSwap, Device: d.dev.ID,
-			Service: d.svc.info.Name, Value: delta,
-		})
-	}
+	r.Device, r.Service = d.dev.ID, d.svc.info.Name
+	s.rec.Add(r)
 }
 
 // rescale moves the inference partition to newDelta behind the
@@ -1036,68 +987,45 @@ func (s *Sim) obsRescaled(now float64, d *deviceState, delta float64, shadow boo
 // old instance then keeps serving at the previous partition and the
 // lost reconfiguration is recorded as a failover event. Without an
 // injector this is exactly the pre-fault rescale path.
-func (s *Sim) rescale(now float64, d *deviceState, newDelta float64, parent span.ID) {
+func (s *Sim) rescale(now float64, d *deviceState, newDelta float64) {
 	svc := d.svc
 	oldDelta := svc.delta
+	act := span.ActRescale
 	if s.inj != nil && svc.deployed && s.inj.SpinUpFails(d.dev.ID) {
+		act = span.ActSpinUpFailed
 		s.res.FailedSpinUps++
 		if s.obsv != nil {
 			s.obsv.faults.failovers.Inc()
-			s.obsv.sink.Emit(obs.Event{
-				Time: now, Type: obs.EventFailover, Device: d.dev.ID,
-				Service: svc.info.Name, Value: newDelta, Cause: "shadow-spinup-failed",
-			})
 		}
-		if s.tracer != nil {
-			// The shadow never came up: the rescale span covers the
-			// attempted spin-up window and carries the failure cause; no
-			// swap child is emitted.
-			spinUp, _ := tuner.ShadowReconfig(oldDelta, newDelta)
-			rs := s.tracer.Add(span.Span{
-				Kind: span.KindRescale, Parent: parent, Start: now, End: now + spinUp,
-				Device: d.dev.ID, Service: svc.info.Name, Task: taskSig(d),
-				Batch: svc.batch, Delta: newDelta - oldDelta, Cause: "shadow-spinup-failed",
-			})
-			s.tracer.Add(span.Span{
-				Kind: span.KindShadowSpinup, Parent: rs, Start: now, End: now + spinUp,
-				Device: d.dev.ID, Service: svc.info.Name, Cause: "shadow-spinup-failed",
-			})
-		}
-		return
-	}
-	if s.tracer != nil {
-		// Rescale span: the shadow-instance protocol window (§5.4). A
-		// restart hides spin-up behind the old instance, then cuts over
-		// instantaneously (the shadow_swap child marks the cutover
-		// point); batch-only episodes reconfigure on the fly and the
-		// span collapses to zero duration.
-		spinUp, restarted := tuner.ShadowReconfig(oldDelta, newDelta)
-		rs := s.tracer.Add(span.Span{
-			Kind: span.KindRescale, Parent: parent, Start: now, End: now + spinUp,
-			Device: d.dev.ID, Service: svc.info.Name, Task: taskSig(d),
-			Batch: svc.batch, Delta: newDelta - oldDelta, Value: newDelta,
-		})
-		if restarted {
-			s.tracer.Add(span.Span{
-				Kind: span.KindShadowSpinup, Parent: rs, Start: now, End: now + spinUp,
-				Device: d.dev.ID, Service: svc.info.Name,
-			})
-			s.tracer.Add(span.Span{
-				Kind: span.KindShadowSwap, Parent: rs, Start: now + spinUp, End: now + spinUp,
-				Device: d.dev.ID, Service: svc.info.Name, Value: newDelta,
-			})
+	} else {
+		svc.reconfigs++
+		s.res.Reconfigs++
+		if s.obsv != nil {
+			s.obsv.rescales.Inc()
+			s.obsv.shadow.Inc()
+			d.obsv.delta.Set(newDelta)
 		}
 	}
-	svc.delta = newDelta
-	svc.reconfigs++
-	s.res.Reconfigs++
-	s.obsRescaled(now, d, newDelta, true)
+	if s.rec != nil {
+		// The shadow-instance protocol window (§5.4): a restart hides
+		// spin-up behind the old instance, then cuts over at its end; a
+		// batch-only episode reconfigures on the fly and the window
+		// collapses to zero. A failed spin-up covers the attempted
+		// window and never cuts over.
+		spinUp, _ := tuner.ShadowReconfig(oldDelta, newDelta)
+		r := span.Record{Act: act, Time: now, End: now + spinUp, Task: taskSig(d), Batch: svc.batch, Delta: newDelta - oldDelta, Value: newDelta}
+		if act == span.ActSpinUpFailed {
+			r.Cause = "shadow-spinup-failed"
+		}
+		s.record(d, r)
+	}
+	if act == span.ActRescale {
+		svc.delta = newDelta
+	}
 }
 
-// apply installs a decision on the device. parent is the retune span
-// the decision came from (zero when tracing is off), threaded through
-// so the rescale spans nest under it.
-func (s *Sim) apply(now float64, d *deviceState, dec core.Decision, parent span.ID) {
+// apply installs a decision on the device.
+func (s *Sim) apply(now float64, d *deviceState, dec core.Decision) {
 	svc := d.svc
 	// Even an infeasible decision carries the least-bad batch for
 	// serving.
@@ -1111,7 +1039,7 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision, parent span.
 			}
 		}
 		if svc.delta != 1 {
-			s.rescale(now, d, 1, parent)
+			s.rescale(now, d, 1)
 		}
 		s.res.PausedEpisodes++
 		s.syncShares(d)
@@ -1124,7 +1052,7 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision, parent span.
 		dec.Delta = 0.9
 	}
 	if dec.Delta > 0 && absf(dec.Delta-svc.delta) > 1e-9 {
-		s.rescale(now, d, dec.Delta, parent)
+		s.rescale(now, d, dec.Delta)
 	}
 	for _, t := range d.training {
 		if !t.done {
@@ -1258,21 +1186,10 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 	s.res.Admitted--
 	if s.obsv != nil {
 		s.obsv.migrations.Inc()
-		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventTaskMigrated, Device: d.dev.ID,
-			Service: d.svc.info.Name, Task: t.task.Name, Value: float64(t.id),
-			Cause: cause,
-		})
 	}
-	if s.tracer != nil {
-		// The migrate span stays open until place lands the job on its
-		// next device; its duration is the task's off-device time.
-		qj.migrateSpan = s.tracer.Start(span.Span{
-			Kind: span.KindMigrate, Start: now, Device: d.dev.ID,
-			Service: d.svc.info.Name, Task: t.task.Name,
-			Value: float64(t.id), Cause: cause,
-		})
-	}
+	// The migrate interval lasts until place lands the job on its next
+	// device: the task's off-device time.
+	s.record(d, span.Record{Act: span.ActMigrated, Time: now, Task: t.task.Name, Value: float64(t.id), Cause: cause})
 	s.queue.Push(qj.job)
 	return true
 }
@@ -1289,21 +1206,14 @@ func (s *Sim) failDevice(now float64, d *deviceState) {
 	d.down = true
 	d.svc.deployed = false
 	s.res.DeviceFailures++
-	if s.tracer != nil {
-		// The outage span stays open until recovery (or CloseOpen at the
-		// horizon if the device never heals) — it is what the attributor
-		// matches violations against for device_fault classification.
-		d.outageSpan = s.tracer.Start(span.Span{
-			Kind: span.KindOutage, Start: now, Device: d.dev.ID,
-			Service: d.svc.info.Name, Task: taskSig(d), Cause: "device-failed",
-		})
-	}
 	if s.obsv != nil {
 		s.obsv.faults.devFailed.Inc()
-		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventDeviceFailed, Device: d.dev.ID,
-			Service: d.svc.info.Name,
-		})
+	}
+	if s.rec != nil {
+		// The outage interval lasts until recovery (or the horizon if
+		// the device never heals); the attributor classifies violations
+		// in and just after it as device_fault.
+		s.record(d, span.Record{Act: span.ActOutage, Time: now, Task: taskSig(d), Cause: "device-failed"})
 	}
 	// Iterate a copy: evictTask rebuilds d.training in place.
 	for _, t := range append([]*taskState(nil), d.training...) {
@@ -1314,11 +1224,8 @@ func (s *Sim) failDevice(now float64, d *deviceState) {
 	s.res.Failovers++
 	if s.obsv != nil {
 		s.obsv.faults.failovers.Inc()
-		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventFailover, Device: d.dev.ID,
-			Service: d.svc.info.Name, Cause: "device-failed",
-		})
 	}
+	s.record(d, span.Record{Act: span.ActFailover, Time: now, Cause: "device-failed"})
 	_ = d.pool.Free(now, "svc")
 	s.flushSwaps(d)
 	_ = d.dev.Remove("svc")
@@ -1335,17 +1242,10 @@ func (s *Sim) recoverDevice(now float64, d *deviceState) {
 	}
 	d.down = false
 	s.res.DeviceRecoveries++
-	if s.tracer != nil && d.outageSpan != 0 {
-		s.tracer.End(d.outageSpan, now)
-		d.outageSpan = 0
-	}
 	if s.obsv != nil {
 		s.obsv.faults.devRecovered.Inc()
-		s.obsv.sink.Emit(obs.Event{
-			Time: now, Type: obs.EventDeviceRecovered, Device: d.dev.ID,
-			Service: d.svc.info.Name,
-		})
 	}
+	s.record(d, span.Record{Act: span.ActRecovered, Time: now})
 	svc := d.svc
 	svc.curQPS = svc.qpsTrace.At(now)
 	// Same sequence as the initial deployment in Run: size the config
@@ -1376,9 +1276,10 @@ func (s *Sim) measureFault(d *deviceState) error {
 		s.res.MeasureRetries++
 		if s.obsv != nil {
 			s.obsv.faults.measRetries.Inc()
-			s.obsv.sink.Emit(obs.Event{
-				Time: now, Type: obs.EventMeasureRetry, Device: d.dev.ID,
-				Service: d.svc.info.Name, Value: float64(attempt),
+		}
+		if s.rec != nil {
+			s.record(d, span.Record{
+				Act: span.ActMeasureRetry, Time: now, Value: float64(attempt),
 				Cause: fmt.Sprintf("backoff=%gms", s.inj.BackoffMs(attempt)),
 			})
 		}
@@ -1446,25 +1347,14 @@ func (s *Sim) finalize(now float64) {
 			s.res.ClassViolation[cls] = classViol[cls] / wins
 		}
 	}
-	// Simulation-end observability roll-up: the event stream and the
-	// final metrics snapshot ride on the Result (Summary() excludes
-	// both by design).
-	if s.opts.Obs != nil {
-		if s.opts.Obs.Log != nil {
-			s.res.Events = s.opts.Obs.Log.Events()
-		}
-		s.res.Metrics = s.opts.Obs.Snapshot()
-	}
-	// Tracing roll-up: close whatever is still in flight at the horizon
-	// (unhealed outages, unplaced migrations), then snapshot the span
-	// stream and classify the captured violations against it.
-	if s.tracer != nil {
-		s.tracer.CloseOpen(now)
-		s.res.Spans = s.tracer.Spans()
-	}
-	if s.attr != nil {
-		s.res.SLOReport = s.attr.Report(s.res.Spans, span.WindowSec)
-	}
+	// Observability roll-up (Summary() excludes it by design).
+	// Intervals still in flight at the horizon (unhealed outages,
+	// unplaced migrations) end there.
+	s.res.Metrics = s.opts.Obs.Snapshot()
+	s.res.Events, s.res.Spans = s.rec.Events(), s.rec.Spans(now)
+	ev, sp := s.rec.Views()
+	s.res.EventsDropped, s.res.SpansDropped = ev.Dropped, sp.Dropped
+	s.res.SLOReport, s.res.ViolationsDropped = s.attr.Report(span.WindowSec), s.attr.Dropped()
 	// Recording roll-up: the workload this run consumed, assembled into
 	// a replayable trace-v2 document (a derived view like Events/Spans).
 	if s.opts.Record != nil {

@@ -21,7 +21,6 @@ import (
 	"mudi/internal/perf"
 	"mudi/internal/piecewise"
 	"mudi/internal/sched"
-	"mudi/internal/span"
 	"mudi/internal/trace"
 	"mudi/internal/xrand"
 )
@@ -80,10 +79,6 @@ type deviceState struct {
 	// placements, serves no inference, and contributes zero utilization
 	// until the matching recovery event clears it.
 	down bool
-	// outageSpan is the open fault-outage span started by failDevice and
-	// closed by recoverDevice; zero when tracing is off or no outage is
-	// in flight.
-	outageSpan span.ID
 	// obsv caches this device's observability instruments (nil when
 	// observation is disabled) so the hot path never takes the
 	// registry lock.
@@ -400,7 +395,4 @@ type queueJob struct {
 	// excluded lists devices this job was evicted from; the scheduler
 	// steers the retry elsewhere.
 	excluded map[string]bool
-	// migrateSpan is the open migrate span started at eviction and closed
-	// when the job lands on its next device; zero when tracing is off.
-	migrateSpan span.ID
 }

@@ -73,7 +73,6 @@ func ClassesResults(cfg Config) (map[string]*cluster.Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			tracer, attr := cfg.tracing()
 			sim, err := cluster.New(cluster.Options{
 				Policy:   policy,
 				Oracle:   oracle,
@@ -84,8 +83,7 @@ func ClassesResults(cfg Config) (map[string]*cluster.Result, error) {
 				Bursts:   flashCrowdBursts(),
 				Shards:   cfg.Shards,
 				Obs:      cfg.sink(),
-				Trace:    tracer,
-				Attr:     attr,
+				Log:      cfg.log(),
 				Ctx:      cfg.Ctx,
 			})
 			if err != nil {

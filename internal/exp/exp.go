@@ -61,12 +61,12 @@ type Config struct {
 	// start after it is done and the run returns Ctx.Err().
 	Ctx context.Context
 	// Observer, when non-nil, receives every simulation event from every
-	// cell. Each cell owns a private Sink (registry + log), so only this
+	// cell. Each cell owns a private sink and record log, so only this
 	// function is shared across workers — it must be safe for concurrent
 	// calls when Parallel != 1. Observation never changes results.
 	Observer obs.Observer
-	// Trace, when true, gives every suite cell a private span tracer
-	// and violation attributor; the roll-ups land on each cell's
+	// Trace, when true, gives every suite cell a private span view and
+	// violation attributor; the roll-ups land on each cell's
 	// cluster.Result (Spans / SLOReport). Like observation, tracing
 	// never changes results.
 	Trace bool
@@ -84,24 +84,20 @@ func (c Config) ctx() context.Context {
 	return context.Background()
 }
 
-// sink builds a fresh per-cell sink when observation is enabled, nil
-// otherwise (the zero-overhead path).
+// sink builds a fresh per-cell metrics sink when observation is
+// enabled, nil otherwise (the zero-overhead path).
 func (c Config) sink() *obs.Sink {
 	if c.Observer == nil {
 		return nil
 	}
-	s := obs.NewSink()
-	s.Observer = c.Observer
-	return s
+	return obs.NewSink()
 }
 
-// tracing builds a fresh per-cell tracer/attributor pair when tracing
-// is enabled, nils otherwise (the zero-overhead path).
-func (c Config) tracing() (*span.Tracer, *span.Attributor) {
-	if !c.Trace {
-		return nil, nil
-	}
-	return span.NewTracer(0), span.NewAttributor(0)
+// log builds a fresh per-cell record log — an event view feeding the
+// Observer, a span view and an attributor when tracing — or nil when
+// both are off (the zero-overhead path).
+func (c Config) log() *span.Log {
+	return span.NewRunLog(c.Observer != nil, c.Trace, c.Observer)
 }
 
 // timeline builds a fresh per-cell timeline store when timeline
@@ -277,7 +273,6 @@ func (s *Suite) policyFor(name string) (core.Policy, error) {
 // as long as each passes its own policy instance.
 func (s *Suite) runPolicy(policy core.Policy) (*cluster.Result, error) {
 	devices, _, _, _ := s.Config.sizes()
-	tracer, attr := s.Config.tracing()
 	sim, err := cluster.New(cluster.Options{
 		Policy:   policy,
 		Oracle:   s.Oracle,
@@ -285,8 +280,7 @@ func (s *Suite) runPolicy(policy core.Policy) (*cluster.Result, error) {
 		Devices:  devices,
 		Arrivals: s.Arrivals,
 		Obs:      s.Config.sink(),
-		Trace:    tracer,
-		Attr:     attr,
+		Log:      s.Config.log(),
 		Timeline: s.Config.timeline(),
 		Ctx:      s.Config.Ctx,
 	})

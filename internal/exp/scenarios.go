@@ -35,7 +35,6 @@ func ScenarioResults(cfg Config) (map[string]*cluster.Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			tracer, attr := cfg.tracing()
 			sim, err := cluster.New(cluster.Options{
 				Policy:   policy,
 				Oracle:   oracle,
@@ -45,8 +44,7 @@ func ScenarioResults(cfg Config) (map[string]*cluster.Result, error) {
 				Replay:   tr,
 				Shards:   cfg.Shards,
 				Obs:      cfg.sink(),
-				Trace:    tracer,
-				Attr:     attr,
+				Log:      cfg.log(),
 				Ctx:      cfg.Ctx,
 			})
 			if err != nil {

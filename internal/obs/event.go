@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // EventType enumerates the structured event taxonomy — one entry per
@@ -120,145 +119,16 @@ type Event struct {
 	Cause   string    `json:"cause,omitempty"`
 }
 
-// DefEventCap bounds the default event log; a 300-task physical-scale
-// run emits a few thousand events, so the default keeps full runs
-// intact while capping pathological ones.
+// DefEventCap caps a run's event view (see span.Log); a 300-task
+// physical-scale run emits a few thousand events, so the cap keeps
+// full runs intact while bounding pathological ones.
 const DefEventCap = 1 << 16
-
-// EventLog is a bounded, concurrency-safe append log of Events. When
-// the capacity is reached, further events are counted as dropped
-// rather than silently lost.
-type EventLog struct {
-	mu      sync.Mutex
-	cap     int
-	events  []Event
-	dropped uint64
-}
-
-// NewEventLog returns a log bounded at capacity (DefEventCap if ≤ 0).
-func NewEventLog(capacity int) *EventLog {
-	if capacity <= 0 {
-		capacity = DefEventCap
-	}
-	return &EventLog{cap: capacity}
-}
-
-// Append records one event (or counts it as dropped at capacity).
-func (l *EventLog) Append(e Event) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	if len(l.events) >= l.cap {
-		l.dropped++
-	} else {
-		l.events = append(l.events, e)
-	}
-	l.mu.Unlock()
-}
-
-// Events returns a copy of the logged events in append order.
-func (l *EventLog) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Event(nil), l.events...)
-}
-
-// Len returns the number of logged events.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
-// Dropped returns how many events were discarded at capacity.
-func (l *EventLog) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
 
 // Observer receives each event synchronously as it is emitted. An
 // Observer shared across concurrently running simulations (e.g. one
 // hooked into several -parallel experiment cells) must be safe for
 // concurrent calls.
 type Observer func(Event)
-
-// Sink bundles the metrics registry, the event log, and an optional
-// streaming Observer. A nil *Sink disables observation: every method
-// is nil-receiver-safe, and hot paths additionally guard emissions
-// with a single `if sink != nil` branch so the disabled path costs no
-// argument construction either.
-type Sink struct {
-	Reg      *Registry
-	Log      *EventLog
-	Observer Observer
-}
-
-// NewSink returns a sink with a fresh registry and a default-capacity
-// event log.
-func NewSink() *Sink {
-	return &Sink{Reg: NewRegistry(), Log: NewEventLog(0)}
-}
-
-// Emit appends the event to the log (if any) and forwards it to the
-// Observer (if any).
-func (s *Sink) Emit(e Event) {
-	if s == nil {
-		return
-	}
-	if s.Log != nil {
-		s.Log.Append(e)
-	}
-	if s.Observer != nil {
-		s.Observer(e)
-	}
-}
-
-// Enabled reports whether the sink is non-nil (a readability helper
-// for call sites that prefer a named check over `!= nil`).
-func (s *Sink) Enabled() bool { return s != nil }
-
-// Counter resolves a registry counter; nil-safe.
-func (s *Sink) Counter(name string) *Counter {
-	if s == nil {
-		return nil
-	}
-	return s.Reg.Counter(name)
-}
-
-// Gauge resolves a registry gauge; nil-safe.
-func (s *Sink) Gauge(name string) *Gauge {
-	if s == nil {
-		return nil
-	}
-	return s.Reg.Gauge(name)
-}
-
-// Histogram resolves a registry histogram; nil-safe.
-func (s *Sink) Histogram(name string, bounds []float64) *Histogram {
-	if s == nil {
-		return nil
-	}
-	return s.Reg.Histogram(name, bounds)
-}
-
-// Snapshot snapshots the registry; nil-safe (returns nil).
-func (s *Sink) Snapshot() *Metrics {
-	if s == nil {
-		return nil
-	}
-	return s.Reg.Snapshot()
-}
 
 // WriteEventsNDJSON streams events as newline-delimited JSON in append
 // order.

@@ -1,18 +1,18 @@
 // Package obs is the cluster-wide observability layer: a lightweight,
 // allocation-conscious metrics registry (counters, gauges, fixed-bucket
-// latency histograms with quantile export) plus a structured event log
-// with typed events for every control-loop decision the system makes
+// latency histograms with quantile export) plus the typed event
+// taxonomy — one event type per control-loop decision the system makes
 // (task placement, retunes, batch changes, GPU% rescales, memory
-// swaps, SLO violations).
+// swaps, SLO violations, faults). The events themselves are one view
+// of the control-plane record log (span.Log).
 //
-// Everything funnels through a *Sink, which is nil-checkable: hot
-// paths guard every emission with `if sink != nil { ... }`, so the
-// disabled path costs exactly one predictable branch and zero
-// allocations (see BenchmarkSimObsOff at the repo root). Instruments
-// are safe for concurrent use — counters and gauges are atomics,
-// histograms and the event log take a short mutex — so one sink can be
-// shared by concurrent simulations and read by the live telemetry
-// handlers while a run is in flight.
+// Metrics funnel through a *Sink, which is nil-checkable: hot paths
+// guard every update with `if sink != nil { ... }`, so the disabled
+// path costs exactly one predictable branch and zero allocations (see
+// BenchmarkSimObsOff at the repo root). Instruments are safe for
+// concurrent use — counters and gauges are atomics, histograms take a
+// short mutex — so one sink can be shared by concurrent simulations
+// and read by the live telemetry handlers while a run is in flight.
 //
 // Observation is passive by contract: an enabled sink must never
 // perturb simulation results. The determinism tests assert that
@@ -226,19 +226,20 @@ type HistogramStats struct {
 	Buckets []BucketCount `json:"buckets,omitempty"`
 }
 
-// Registry holds named instruments. Get-or-create lookups take a
-// mutex; hot paths should resolve instruments once (at setup time) and
-// keep the returned pointers.
-type Registry struct {
+// Sink is the metrics registry: named instruments, nil-receiver-safe
+// (a nil *Sink disables metrics). Get-or-create lookups take a mutex;
+// hot paths should resolve instruments once (at setup time) and keep
+// the returned pointers.
+type Sink struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
+// NewSink returns an empty sink.
+func NewSink() *Sink {
+	return &Sink{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
@@ -246,7 +247,7 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+func (r *Sink) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
@@ -261,7 +262,7 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
+func (r *Sink) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
@@ -278,7 +279,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram, creating it with the given
 // bounds (DefLatencyBuckets if nil) on first use. Later calls ignore
 // bounds.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+func (r *Sink) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -317,7 +318,7 @@ func ClassLabeled(name, class string) string {
 	return fmt.Sprintf("%s{class=%q}", name, class)
 }
 
-// Metrics is a point-in-time snapshot of a registry — the simulation-
+// Metrics is a point-in-time snapshot of a sink — the simulation-
 // end roll-up carried by cluster.Result and exported as mudi.Metrics.
 type Metrics struct {
 	Counters   map[string]float64        `json:"counters,omitempty"`
@@ -326,7 +327,7 @@ type Metrics struct {
 }
 
 // Snapshot captures every instrument's current value.
-func (r *Registry) Snapshot() *Metrics {
+func (r *Sink) Snapshot() *Metrics {
 	if r == nil {
 		return nil
 	}

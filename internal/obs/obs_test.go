@@ -12,7 +12,7 @@ import (
 )
 
 func TestCounterGauge(t *testing.T) {
-	r := NewRegistry()
+	r := NewSink()
 	c := r.Counter("placements_total")
 	c.Inc()
 	c.Add(2.5)
@@ -116,24 +116,6 @@ func TestHistogramMatchesStatsPercentile(t *testing.T) {
 	}
 }
 
-func TestEventLogBounded(t *testing.T) {
-	l := NewEventLog(2)
-	for i := 0; i < 5; i++ {
-		l.Append(Event{Time: float64(i), Type: EventRetune})
-	}
-	if l.Len() != 2 {
-		t.Fatalf("len = %d, want 2", l.Len())
-	}
-	if l.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", l.Dropped())
-	}
-	evs := l.Events()
-	evs[0].Time = 99 // copies, not aliases
-	if l.Events()[0].Time != 0 {
-		t.Fatal("Events() must return a copy")
-	}
-}
-
 func TestEventTypeJSONRoundTrip(t *testing.T) {
 	for typ := EventType(0); typ < numEventTypes; typ++ {
 		b, err := json.Marshal(typ)
@@ -156,25 +138,11 @@ func TestEventTypeJSONRoundTrip(t *testing.T) {
 
 func TestNilSinkIsNoop(t *testing.T) {
 	var s *Sink
-	s.Emit(Event{Type: EventTaskPlaced})
 	s.Counter("x").Inc()
 	s.Gauge("y").Set(1)
 	s.Histogram("z", nil).Observe(1)
 	if s.Snapshot() != nil {
 		t.Fatal("nil sink snapshot should be nil")
-	}
-	if s.Enabled() {
-		t.Fatal("nil sink reports enabled")
-	}
-}
-
-func TestSinkEmitFansOut(t *testing.T) {
-	s := NewSink()
-	var seen []Event
-	s.Observer = func(e Event) { seen = append(seen, e) }
-	s.Emit(Event{Time: 1, Type: EventBatchChanged, Value: 128})
-	if len(seen) != 1 || s.Log.Len() != 1 {
-		t.Fatalf("observer saw %d, log has %d; want 1/1", len(seen), s.Log.Len())
 	}
 }
 
@@ -226,8 +194,8 @@ func TestSnapshotNDJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentInstruments drives every instrument kind and the event
-// log from many goroutines; run under -race this proves the sink is
+// TestConcurrentInstruments drives every instrument kind from many
+// goroutines; run under -race this proves the sink is
 // safe to share (-parallel cells and the live /metrics handler both do).
 func TestConcurrentInstruments(t *testing.T) {
 	s := NewSink()
@@ -244,7 +212,6 @@ func TestConcurrentInstruments(t *testing.T) {
 				c.Inc()
 				h.Observe(float64(i % 100))
 				g.Set(float64(w))
-				s.Emit(Event{Time: float64(i), Type: EventMemSwapOut, Value: 1})
 			}
 		}(w)
 	}
@@ -254,8 +221,5 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 	if got := s.Histogram("shared_ms", nil).Stats().Count; got != workers*per {
 		t.Fatalf("histogram count = %v, want %d", got, workers*per)
-	}
-	if got := s.Log.Len() + int(s.Log.Dropped()); got != workers*per {
-		t.Fatalf("log+dropped = %d, want %d", got, workers*per)
 	}
 }

@@ -3,6 +3,8 @@ package span
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
 	"sort"
 	"sync"
 )
@@ -94,9 +96,9 @@ const WindowSec = 1.0
 // BurstFactor × the burst-free baseline classifies as burst_overload.
 const BurstFactor = 1.5
 
-// Sample is the per-violation context captured at slo_violation time,
-// before causes can be decided (rescale/outage spans may still be
-// open). Attribution happens later in Report.
+// Sample is the per-violation context captured at slo_violation time.
+// Its cause is decided once no later control action at the same
+// simulated time can still change it (see Attributor).
 type Sample struct {
 	Time      float64  `json:"t"`
 	Device    string   `json:"device"`
@@ -145,8 +147,9 @@ type ClassSLO struct {
 	ShedRequests    float64        `json:"shed_requests,omitempty"`
 }
 
-// SLOReport is the attribution pass's output, carried on
-// cluster.Result and served live at /slo.
+// SLOReport is the attribution's output, carried on cluster.Result and
+// served live at /slo. Total and the roll-ups count every violation;
+// Violations lists the first DefSampleCap of them.
 type SLOReport struct {
 	WindowSec  float64               `json:"window_sec"`
 	Total      int                   `json:"total_violations"`
@@ -155,43 +158,139 @@ type SLOReport struct {
 	Violations []AttributedViolation `json:"violations,omitempty"`
 }
 
-// Attributor collects violation Samples during a run and classifies
-// them against the span stream on demand. A nil *Attributor disables
-// collection; methods are nil-receiver-safe and concurrency-safe so a
-// live /slo endpoint can Report mid-run.
+// Attributor classifies every SLO violation from per-device state —
+// the device's current or last outage and the latest end among its
+// rescales — that the Log keeps current from the control records it
+// feeds in. A violation's cause is final once the device's clock moves
+// past the sample's time: a rescale or outage that starts later at the
+// same simulated time (the barrier's control phase runs after the
+// window it reacts to) still counts, so each device holds its latest
+// samples back until then. The per-service and per-class roll-ups
+// count every violation; only the per-violation list is capped. A nil
+// *Attributor collects nothing; methods are concurrency-safe so a live
+// /slo endpoint can Report mid-run.
 type Attributor struct {
 	mu      sync.Mutex
 	cap     int
-	samples []Sample
-	dropped uint64
-	sheds   map[string]float64 // class wire name → requests shed
+	list    []AttributedViolation // the first cap violations
+	dropped int
+	devices map[string]*deviceAttr
+	roll    rollup
 }
 
-// DefSampleCap bounds the default sample store.
+// DefSampleCap caps the per-violation list.
 const DefSampleCap = 1 << 15
 
-// NewAttributor returns an attributor bounded at capacity
-// (DefSampleCap if ≤ 0).
+// NewAttributor returns an attributor whose per-violation list holds
+// up to capacity entries (DefSampleCap if ≤ 0).
 func NewAttributor(capacity int) *Attributor {
 	if capacity <= 0 {
 		capacity = DefSampleCap
 	}
-	return &Attributor{cap: capacity}
+	return &Attributor{cap: capacity, devices: make(map[string]*deviceAttr), roll: newRollup()}
 }
 
-// Observe records one violation sample (or counts it as dropped at
-// capacity).
+// deviceAttr is one device's attribution state: when its last outage
+// ended (+Inf while it lasts, -Inf before any), the latest end among
+// its rescales (-Inf before any), and its samples not yet settled.
+type deviceAttr struct {
+	outageEnd, rescaleEnd float64
+	pending               []pendingSample
+}
+
+// pendingSample is a violation whose cause is not final yet; idx is its
+// entry in the list (-1 past the cap).
+type pendingSample struct {
+	Sample
+	idx int
+}
+
+func (a *Attributor) device(id string) *deviceAttr {
+	d := a.devices[id]
+	if d == nil {
+		d = &deviceAttr{outageEnd: math.Inf(-1), rescaleEnd: math.Inf(-1)}
+		a.devices[id] = d
+	}
+	return d
+}
+
+// classify assigns the single dominant cause for one sample given its
+// device's outage and rescale state.
+func (d *deviceAttr) classify(s *Sample) Cause {
+	switch {
+	case s.Time <= d.outageEnd+FaultGraceSec:
+		return CauseDeviceFault
+	case s.Time <= d.rescaleEnd:
+		return CauseRescale
+	case s.ShedQPS > 0:
+		return CauseShed
+	case s.BaseQPS > 0 && s.QPS > BurstFactor*s.BaseQPS:
+		return CauseBurstOverload
+	case len(s.Residents) > 0:
+		return CauseInterference
+	}
+	return CauseQueueing
+}
+
+// classifyPending classifies the device's pending samples against its
+// current state into list and roll.
+func (d *deviceAttr) classifyPending(list []AttributedViolation, roll rollup) {
+	for i := range d.pending {
+		p := &d.pending[i]
+		cause := d.classify(&p.Sample)
+		if p.idx >= 0 {
+			list[p.idx].Cause = cause
+		}
+		roll.add(&p.Sample, cause)
+	}
+}
+
+// settle finalizes the device's pending samples older than now.
+func (a *Attributor) settle(d *deviceAttr, now float64) {
+	if len(d.pending) > 0 && d.pending[0].Time < now {
+		d.classifyPending(a.list, a.roll)
+		d.pending = d.pending[:0]
+	}
+}
+
+// Observe records one violation. Per device, samples and control
+// records must arrive in non-decreasing simulated time.
 func (a *Attributor) Observe(s Sample) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	if len(a.samples) >= a.cap {
-		a.dropped++
+	defer a.mu.Unlock()
+	d := a.device(s.Device)
+	a.settle(d, s.Time)
+	p := pendingSample{Sample: s, idx: -1}
+	if len(a.list) < a.cap {
+		p.idx = len(a.list)
+		a.list = append(a.list, AttributedViolation{Sample: s})
 	} else {
-		a.samples = append(a.samples, s)
+		a.dropped++
 	}
-	a.mu.Unlock()
+	d.pending = append(d.pending, p)
+}
+
+// control applies an outage, recovery or rescale record to its
+// device's state, first settling the samples it can no longer affect.
+func (a *Attributor) control(r *Record) {
+	if a == nil || (r.Act != ActOutage && r.Act != ActRecovered && r.Act != ActRescale && r.Act != ActSpinUpFailed) {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	d := a.device(r.Device)
+	a.settle(d, r.Time)
+	switch r.Act {
+	case ActOutage:
+		d.outageEnd = math.Inf(1)
+	case ActRecovered:
+		d.outageEnd = r.Time
+	default:
+		d.rescaleEnd = max(d.rescaleEnd, r.End)
+	}
 }
 
 // ObserveShed accumulates requests dropped by admission control
@@ -203,136 +302,48 @@ func (a *Attributor) ObserveShed(class string, requests float64) {
 		return
 	}
 	a.mu.Lock()
-	if a.sheds == nil {
-		a.sheds = make(map[string]float64)
-	}
-	a.sheds[class] += requests
+	a.roll.class(class).ShedRequests += requests
 	a.mu.Unlock()
 }
 
-// Len returns the number of collected samples.
-func (a *Attributor) Len() int {
+// Dropped returns how many violations the per-violation list's cap
+// left out (the roll-ups still count them).
+func (a *Attributor) Dropped() int {
 	if a == nil {
 		return 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.samples)
+	return a.dropped
 }
 
-// classify assigns the single dominant cause for one sample given the
-// device's rescale and outage intervals.
-func classify(s Sample, outages, rescales []Span) Cause {
-	for _, o := range outages {
-		end := o.End
-		if end < o.Start {
-			end = s.Time // still open: covers everything up to now
-		}
-		if s.Time >= o.Start && s.Time <= end+FaultGraceSec {
-			return CauseDeviceFault
-		}
-	}
-	for _, r := range rescales {
-		end := r.End
-		if end < r.Start {
-			end = s.Time
-		}
-		if s.Time >= r.Start && s.Time <= end {
-			return CauseRescale
-		}
-	}
-	if s.ShedQPS > 0 {
-		return CauseShed
-	}
-	if s.BaseQPS > 0 && s.QPS > BurstFactor*s.BaseQPS {
-		return CauseBurstOverload
-	}
-	if len(s.Residents) > 0 {
-		return CauseInterference
-	}
-	return CauseQueueing
-}
-
-// Report runs the attribution pass: each collected sample is matched
-// against the device's outage and rescale spans and classified with
-// exactly one Cause, then rolled up per service. windowSec is the
-// control-window length, used to convert violation counts into
-// violated-minutes.
-func (a *Attributor) Report(spans []Span, windowSec float64) *SLOReport {
+// Report snapshots the attribution: every settled violation plus the
+// pending ones, classified against their devices' current state,
+// rolled up per service and per class. windowSec is the control-window
+// length, used to convert violation counts into violated-minutes.
+func (a *Attributor) Report(windowSec float64) *SLOReport {
 	if a == nil {
 		return nil
 	}
 	a.mu.Lock()
-	samples := append([]Sample(nil), a.samples...)
-	sheds := make(map[string]float64, len(a.sheds))
-	for cls, req := range a.sheds {
-		sheds[cls] = req
-	}
-	a.mu.Unlock()
+	defer a.mu.Unlock()
 	if windowSec <= 0 {
 		windowSec = 1
 	}
-
-	outages := make(map[string][]Span)
-	rescales := make(map[string][]Span)
-	for _, s := range spans {
-		switch s.Kind {
-		case KindOutage:
-			outages[s.Device] = append(outages[s.Device], s)
-		case KindRescale:
-			rescales[s.Device] = append(rescales[s.Device], s)
-		}
+	rep := &SLOReport{WindowSec: windowSec, Total: len(a.list) + a.dropped}
+	if len(a.list) > 0 {
+		rep.Violations = append([]AttributedViolation(nil), a.list...)
 	}
-
-	rep := &SLOReport{WindowSec: windowSec, Total: len(samples)}
-	perSvc := make(map[string]*ServiceSLO)
-	perClass := make(map[string]*ClassSLO)
-	offenders := make(map[string]map[string]int) // service → task → hits
-	for _, s := range samples {
-		cause := classify(s, outages[s.Device], rescales[s.Device])
-		rep.Violations = append(rep.Violations, AttributedViolation{Sample: s, Cause: cause})
-		svc := perSvc[s.Service]
-		if svc == nil {
-			svc = &ServiceSLO{Service: s.Service, Causes: make(map[string]int)}
-			perSvc[s.Service] = svc
-			offenders[s.Service] = make(map[string]int)
-		}
-		svc.Violations++
-		svc.Causes[cause.String()]++
-		for _, task := range s.Residents {
-			offenders[s.Service][task]++
-		}
-		if s.Class != "" {
-			cls := perClass[s.Class]
-			if cls == nil {
-				cls = &ClassSLO{Class: s.Class, Causes: make(map[string]int)}
-				perClass[s.Class] = cls
-			}
-			cls.Violations++
-			cls.Causes[cause.String()]++
-		}
+	roll := a.roll.clone()
+	for _, d := range a.devices {
+		d.classifyPending(rep.Violations, roll)
 	}
-	// Classes that shed without ever violating still appear in the
-	// per-class roll-up: the shed volume is the point.
-	for cls, req := range sheds {
-		c := perClass[cls]
-		if c == nil {
-			c = &ClassSLO{Class: cls}
-			perClass[cls] = c
-		}
-		c.ShedRequests = req
-	}
-	names := make([]string, 0, len(perSvc))
-	for name := range perSvc {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		svc := perSvc[name]
+	for _, name := range sortedKeys(roll.services) {
+		svc := roll.services[name]
 		svc.ViolatedMinutes = float64(svc.Violations) * windowSec / 60
 		// Top offender: most frequent co-located task across this
 		// service's violating windows; ties break lexicographically.
-		for task, hits := range offenders[name] {
+		for task, hits := range roll.offenders[name] {
 			if hits > svc.TopOffenderHits ||
 				(hits == svc.TopOffenderHits && svc.TopOffender != "" && task < svc.TopOffender) {
 				svc.TopOffender, svc.TopOffenderHits = task, hits
@@ -340,15 +351,81 @@ func (a *Attributor) Report(spans []Span, windowSec float64) *SLOReport {
 		}
 		rep.Services = append(rep.Services, *svc)
 	}
-	classNames := make([]string, 0, len(perClass))
-	for name := range perClass {
-		classNames = append(classNames, name)
-	}
-	sort.Strings(classNames)
-	for _, name := range classNames {
-		cls := perClass[name]
+	for _, name := range sortedKeys(roll.classes) {
+		cls := roll.classes[name]
 		cls.ViolatedMinutes = float64(cls.Violations) * windowSec / 60
 		rep.Classes = append(rep.Classes, *cls)
 	}
 	return rep
+}
+
+// rollup is the running per-service and per-class violation counts.
+type rollup struct {
+	services  map[string]*ServiceSLO
+	offenders map[string]map[string]int // service → co-located task → violating windows
+	classes   map[string]*ClassSLO
+}
+
+func newRollup() rollup {
+	return rollup{make(map[string]*ServiceSLO), make(map[string]map[string]int), make(map[string]*ClassSLO)}
+}
+
+// add counts one classified violation.
+func (r rollup) add(s *Sample, cause Cause) {
+	svc := r.services[s.Service]
+	if svc == nil {
+		svc = &ServiceSLO{Service: s.Service, Causes: make(map[string]int)}
+		r.services[s.Service] = svc
+		r.offenders[s.Service] = make(map[string]int)
+	}
+	svc.Violations++
+	svc.Causes[cause.String()]++
+	for _, task := range s.Residents {
+		r.offenders[s.Service][task]++
+	}
+	if s.Class != "" {
+		cls := r.class(s.Class)
+		if cls.Causes == nil {
+			cls.Causes = make(map[string]int)
+		}
+		cls.Violations++
+		cls.Causes[cause.String()]++
+	}
+}
+
+// class returns the named class's counts, creating them on first use
+// (a class that only sheds carries no Causes).
+func (r rollup) class(name string) *ClassSLO {
+	c := r.classes[name]
+	if c == nil {
+		c = &ClassSLO{Class: name}
+		r.classes[name] = c
+	}
+	return c
+}
+
+// clone deep-copies the counts.
+func (r rollup) clone() rollup {
+	c := newRollup()
+	for name, svc := range r.services {
+		cp := *svc
+		cp.Causes = maps.Clone(svc.Causes)
+		c.services[name] = &cp
+		c.offenders[name] = maps.Clone(r.offenders[name])
+	}
+	for name, cls := range r.classes {
+		cp := *cls
+		cp.Causes = maps.Clone(cls.Causes)
+		c.classes[name] = &cp
+	}
+	return c
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -1,24 +1,26 @@
-// Package span is the causal tracing layer: simulated-time spans with
-// parent/child links covering every control-plane operation (retune
-// with bo_iter children, rescale with shadow_spinup / shadow_swap
-// children, migrate, mem_swap, fault outage windows).
+// Package span is the control-plane record layer. Every control action
+// the cluster takes — a retune and its BO probes, a shadow-instance
+// rescale, a migration, a memory swap, a device outage, failover and
+// recovery, an SLO violation or load shed — is one Record in one
+// bounded Log. The Log renders two views of the same stream: the
+// structured event log (obs.Event: the NDJSON `-events` view and the
+// Observer feed) and the causal span trace (Span, parent/child linked,
+// exported as Chrome trace-event JSON). The Attributor reads the same
+// stream to classify every SLO violation's dominant cause.
 //
-// It follows the same contract as obs.Sink: a nil *Tracer disables
-// tracing, every method is nil-receiver-safe, and hot paths
-// additionally guard emissions with a single `if tr != nil` branch so
+// A nil *Log records nothing, every method is nil-receiver-safe, and
+// hot paths guard each emission with a single `if log != nil` branch so
 // the disabled path costs no argument construction (pinned by
 // BenchmarkSimTraceOff and a testing.AllocsPerRun test).
 //
-// Tracing is passive by contract: an enabled tracer must never perturb
-// simulation results. Timestamps are simulation seconds — never wall
-// clock — so span streams are deterministic for a fixed seed at any
-// worker count.
+// Recording is passive by contract: it must never perturb simulation
+// results. Timestamps are simulation seconds — never wall clock — so
+// both views are deterministic for a fixed seed at any worker count.
 package span
 
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 )
 
 // Kind enumerates the span taxonomy. See DESIGN.md §10.
@@ -88,10 +90,8 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	return fmt.Errorf("span: unknown span kind %q", s)
 }
 
-// ID identifies a span within one Tracer. IDs are assigned
-// sequentially from 1; 0 means "no span" and is safe to pass to End
-// and Annotate (both no-op on it), so call sites never need to branch
-// on whether a Start was dropped at capacity.
+// ID identifies a span within one run: the span's ordinal in the span
+// view, from 1. 0 means "no span" (a Parent past the view's cap).
 type ID uint64
 
 // Span is one causal interval in simulated time.
@@ -100,7 +100,7 @@ type Span struct {
 	Parent  ID      `json:"parent,omitempty"`
 	Kind    Kind    `json:"kind"`
 	Start   float64 `json:"start"` // sim seconds
-	End     float64 `json:"end"`   // sim seconds; -1 while open
+	End     float64 `json:"end"`   // sim seconds
 	Device  string  `json:"device,omitempty"`
 	Service string  `json:"service,omitempty"`
 	// Task is the resident training-task signature at span time (task
@@ -112,170 +112,6 @@ type Span struct {
 	Cause string  `json:"cause,omitempty"`
 }
 
-// Dur returns the span duration in simulated seconds (0 if still
-// open or degenerate).
-func (s Span) Dur() float64 {
-	if s.End < s.Start {
-		return 0
-	}
-	return s.End - s.Start
-}
-
-// DefSpanCap bounds the default span store. Request-lifecycle spans
-// dominate (two per request plus two per batch); a physical-scale run
-// stays well inside this while pathological ones are capped and
+// DefSpanCap caps a run's span view (see Log); spans past it are
 // counted as dropped.
 const DefSpanCap = 1 << 17
-
-// Tracer is a bounded, concurrency-safe span store. A nil *Tracer
-// disables tracing: every method is nil-receiver-safe. IDs are handed
-// out sequentially, so a single-goroutine simulation produces a
-// bit-identical span stream for a fixed seed.
-type Tracer struct {
-	mu      sync.Mutex
-	cap     int
-	nextID  ID
-	spans   []Span
-	openIdx map[ID]int // open span ID → index in spans
-	dropped uint64
-}
-
-// NewTracer returns a tracer bounded at capacity (DefSpanCap if ≤ 0).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefSpanCap
-	}
-	return &Tracer{cap: capacity, openIdx: make(map[ID]int)}
-}
-
-// Enabled reports whether the tracer is non-nil (a readability helper
-// for call sites that prefer a named check over `!= nil`).
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// Add records one already-complete span and returns its ID (0 if the
-// tracer is nil or at capacity).
-func (t *Tracer) Add(s Span) ID {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.spans) >= t.cap {
-		t.dropped++
-		return 0
-	}
-	t.nextID++
-	s.ID = t.nextID
-	t.spans = append(t.spans, s)
-	return s.ID
-}
-
-// Start records an open span (End = -1) and returns its ID so the
-// call site can End and Annotate it later. Returns 0 at capacity.
-func (t *Tracer) Start(s Span) ID {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.spans) >= t.cap {
-		t.dropped++
-		return 0
-	}
-	t.nextID++
-	s.ID = t.nextID
-	s.End = -1
-	t.spans = append(t.spans, s)
-	t.openIdx[s.ID] = len(t.spans) - 1
-	return s.ID
-}
-
-// End closes an open span at the given simulated time. No-op on id 0
-// or an already-closed span.
-func (t *Tracer) End(id ID, now float64) {
-	if t == nil || id == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i, ok := t.openIdx[id]
-	if !ok {
-		return
-	}
-	delete(t.openIdx, id)
-	if now < t.spans[i].Start {
-		now = t.spans[i].Start
-	}
-	t.spans[i].End = now
-}
-
-// Annotate mutates a recorded span in place (open or closed). No-op
-// on id 0 or an unknown ID. The callback runs under the tracer lock —
-// keep it short and never call back into the tracer.
-func (t *Tracer) Annotate(id ID, fn func(*Span)) {
-	if t == nil || id == 0 || fn == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Open spans resolve via the index; closed ones by scan from the
-	// tail (annotation after close is rare and near the end).
-	if i, ok := t.openIdx[id]; ok {
-		fn(&t.spans[i])
-		return
-	}
-	for i := len(t.spans) - 1; i >= 0; i-- {
-		if t.spans[i].ID == id {
-			fn(&t.spans[i])
-			return
-		}
-	}
-}
-
-// CloseOpen closes every still-open span at the given simulated time
-// (the end-of-run sweep so exported traces have no dangling spans).
-func (t *Tracer) CloseOpen(now float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for id, i := range t.openIdx {
-		end := now
-		if end < t.spans[i].Start {
-			end = t.spans[i].Start
-		}
-		t.spans[i].End = end
-		delete(t.openIdx, id)
-	}
-}
-
-// Spans returns a copy of the recorded spans in creation (ID) order.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
-}
-
-// Len returns the number of recorded spans.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
-// Dropped returns how many spans were discarded at capacity.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}

@@ -3,112 +3,171 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
+
+	"mudi/internal/obs"
 )
 
-func TestNilTracerSafe(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
+func TestNilLogSafe(t *testing.T) {
+	var l *Log
+	l.Add(Record{Act: ActRetune, Device: "gpu-0"})
+	if l.Events() != nil || l.Spans(10) != nil || l.Attributor() != nil {
+		t.Fatal("nil log leaked state")
 	}
-	if id := tr.Add(Span{Kind: KindMigrate}); id != 0 {
-		t.Fatalf("nil Add returned %d", id)
-	}
-	if id := tr.Start(Span{Kind: KindRetune}); id != 0 {
-		t.Fatalf("nil Start returned %d", id)
-	}
-	tr.End(1, 5)
-	tr.Annotate(1, func(s *Span) { s.Batch = 3 })
-	tr.CloseOpen(10)
-	if tr.Spans() != nil || tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Fatal("nil tracer leaked state")
+	if ev, sp := l.Views(); ev != (View{}) || sp != (View{}) {
+		t.Fatal("nil log reports views")
 	}
 }
 
-func TestNilTracerZeroAllocs(t *testing.T) {
-	var tr *Tracer
+func TestNilLogZeroAllocs(t *testing.T) {
+	var l *Log
 	allocs := testing.AllocsPerRun(100, func() {
-		if tr != nil {
-			tr.Add(Span{Kind: KindMigrate, Start: 1, End: 2})
+		if l != nil {
+			l.Add(Record{Act: ActMigrated, Time: 1, Task: "bert"})
 		}
-		tr.End(0, 3)
-		tr.Annotate(0, nil)
+		l.Add(Record{Act: ActPlaced, Time: 2})
 	})
 	if allocs != 0 {
-		t.Fatalf("nil tracer path allocated %v per run, want 0", allocs)
+		t.Fatalf("nil log path allocated %v per run, want 0", allocs)
 	}
 }
 
-func TestTracerLifecycle(t *testing.T) {
-	tr := NewTracer(0)
-	parent := tr.Start(Span{Kind: KindRetune, Start: 10, Device: "gpu-0"})
-	if parent != 1 {
-		t.Fatalf("first ID = %d, want 1", parent)
+// TestLogPairsIntervals: one record stream renders both views — a
+// retune's start record precedes its bo_iter children, its end record
+// carries the Configure outcome, the rescale it applies nests under
+// it, and a migration's placed record closes it with its destination.
+func TestLogPairsIntervals(t *testing.T) {
+	var seen []obs.Event
+	l := NewLog(obs.DefEventCap, DefSpanCap, nil)
+	l.Observer = func(e obs.Event) { seen = append(seen, e) }
+	for _, r := range []Record{
+		{Act: ActRetune, Time: 10, Device: "gpu-0", Service: "bert", Task: "gpt2-train", Batch: 8, Delta: 0.5, Cause: "qps-change"},
+		{Act: ActBOIter, Time: 10, End: 10, Device: "gpu-0", Service: "bert", Batch: 16, Delta: 0.4, Value: 42},
+		{Act: ActRetuneEnd, Time: 10, Device: "gpu-0", Service: "bert", Batch: 16, Delta: 0.4, Value: 1, Cause: "infeasible"},
+		{Act: ActRescale, Time: 10, End: 30, Device: "gpu-0", Service: "bert", Task: "gpt2-train", Batch: 16, Delta: -0.1, Value: 0.4},
+		{Act: ActMigrated, Time: 12, Device: "gpu-0", Service: "bert", Task: "gpt2-train", Value: 7, Cause: "pause-evict"},
+		{Act: ActPlaced, Time: 20, Device: "gpu-1", Service: "yolo", Task: "gpt2-train", Value: 7},
+	} {
+		l.Add(r)
 	}
-	child := tr.Add(Span{Kind: KindBOIter, Parent: parent, Start: 10, End: 10, Value: 42})
-	if child != 2 {
-		t.Fatalf("second ID = %d, want 2", child)
+	spans := l.Spans(100)
+	kinds := []Kind{KindRetune, KindBOIter, KindRescale, KindShadowSpinup, KindShadowSwap, KindMigrate}
+	if len(spans) != len(kinds) {
+		t.Fatalf("spans = %+v, want kinds %v", spans, kinds)
 	}
-	tr.Annotate(parent, func(s *Span) { s.Batch = 16; s.Delta = 0.4 })
-	tr.End(parent, 10)
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("len(spans) = %d, want 2", len(spans))
+	for i, k := range kinds {
+		if spans[i].Kind != k || spans[i].ID != ID(i+1) {
+			t.Fatalf("span %d = %+v, want kind %v id %d", i, spans[i], k, i+1)
+		}
 	}
-	p := spans[0]
-	if p.Kind != KindRetune || p.Start != 10 || p.End != 10 || p.Batch != 16 || p.Delta != 0.4 {
-		t.Fatalf("parent span = %+v", p)
+	rt := spans[0]
+	if rt.End != 10 || rt.Batch != 16 || rt.Delta != 0.4 || rt.Value != 1 || rt.Cause != "qps-change;infeasible" || rt.Task != "gpt2-train" {
+		t.Fatalf("retune span = %+v", rt)
 	}
-	if spans[1].Parent != parent {
-		t.Fatalf("child parent = %d, want %d", spans[1].Parent, parent)
+	if spans[1].Parent != 1 || spans[2].Parent != 1 || spans[3].Parent != 3 || spans[4].Parent != 3 {
+		t.Fatalf("parents = %d %d %d %d, want 1 1 3 3", spans[1].Parent, spans[2].Parent, spans[3].Parent, spans[4].Parent)
 	}
-	// End clamps to Start; double-End is a no-op.
-	id := tr.Start(Span{Kind: KindMigrate, Start: 20})
-	tr.End(id, 15)
-	tr.End(id, 99)
-	got := tr.Spans()[2]
-	if got.End != 20 {
-		t.Fatalf("clamped End = %v, want 20", got.End)
+	if sw := spans[4]; sw.Start != 30 || sw.End != 30 || sw.Value != 0.4 {
+		t.Fatalf("shadow_swap = %+v", sw)
 	}
-	// Annotate after close still resolves.
-	tr.Annotate(id, func(s *Span) { s.Cause = "test" })
-	if tr.Spans()[2].Cause != "test" {
-		t.Fatal("annotate after close did not apply")
+	if mg := spans[5]; mg.End != 20 || mg.Task != "gpt2-train>gpu-1" || mg.Cause != "pause-evict" {
+		t.Fatalf("migrate span = %+v", mg)
+	}
+	types := []obs.EventType{obs.EventRetune, obs.EventGPURescaled, obs.EventShadowSwap, obs.EventTaskMigrated, obs.EventTaskPlaced}
+	events := l.Events()
+	if len(events) != len(types) || len(seen) != len(types) {
+		t.Fatalf("events = %+v, observer saw %d; want %v", events, len(seen), types)
+	}
+	for i, typ := range types {
+		if events[i].Type != typ || events[i] != seen[i] {
+			t.Fatalf("event %d = %+v (observer %+v), want %v", i, events[i], seen[i], typ)
+		}
+	}
+	if events[0].Task != "" || events[1].Value != 0.4 {
+		t.Fatalf("retune/rescale events carry span-only fields: %+v %+v", events[0], events[1])
 	}
 }
 
-func TestTracerCapacity(t *testing.T) {
-	tr := NewTracer(2)
-	tr.Add(Span{Kind: KindMigrate})
-	tr.Start(Span{Kind: KindMigrate})
-	if id := tr.Add(Span{Kind: KindMigrate}); id != 0 {
-		t.Fatalf("over-cap Add returned %d", id)
+// TestLogCapacity: each view keeps exactly the prefix an uncapped view
+// starts with and counts the rest; the Observer still sees every event;
+// the log keeps the end record of an interval whose span it kept after
+// both views fill, and stops retaining anything else.
+func TestLogCapacity(t *testing.T) {
+	recs := []Record{
+		{Act: ActOutage, Time: 1, Device: "gpu-0", Cause: "device-failed"},
+		{Act: ActMigrated, Time: 1, Device: "gpu-0", Task: "bert", Value: 3},
+		{Act: ActBatch, Time: 2, Device: "gpu-1", Value: 32},
+		{Act: ActBOIter, Time: 3, Device: "gpu-1"},
+		{Act: ActSLOViolation, Time: 4, Device: "gpu-1", Value: 90},
+		{Act: ActRecovered, Time: 9, Device: "gpu-0"},
 	}
-	if id := tr.Start(Span{Kind: KindMigrate}); id != 0 {
-		t.Fatalf("over-cap Start returned %d", id)
+	full := NewLog(obs.DefEventCap, DefSpanCap, nil)
+	observed := 0
+	capped := NewLog(2, 1, nil)
+	capped.Observer = func(obs.Event) { observed++ }
+	for _, r := range recs {
+		full.Add(r)
+		capped.Add(r)
 	}
-	if tr.Len() != 2 || tr.Dropped() != 2 {
-		t.Fatalf("len=%d dropped=%d, want 2/2", tr.Len(), tr.Dropped())
+	if observed != len(full.Events()) {
+		t.Fatalf("observer saw %d events, want %d", observed, len(full.Events()))
+	}
+	if got, want := capped.Events(), full.Events()[:2]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("capped events = %+v, want prefix %+v", got, want)
+	}
+	spans := capped.Spans(20)
+	if len(spans) != 1 || spans[0] != full.Spans(20)[0] || spans[0].End != 9 {
+		t.Fatalf("capped spans = %+v, want the closed outage prefix", spans)
+	}
+	if ev, sp := capped.Views(); ev != (View{Cap: 2, Len: 2, Dropped: 3}) || sp != (View{Cap: 1, Len: 1, Dropped: 2}) {
+		t.Fatalf("views = %+v events, %+v spans; want 2 kept 3 dropped, 1 kept 2 dropped", ev, sp)
+	}
+	// Outage, migrate (its event), and the outage's recovery record.
+	if len(capped.recs) != 3 {
+		t.Fatalf("capped log retains %d records, want 3", len(capped.recs))
+	}
+}
+
+// TestLogConcurrentAdd adds records from many goroutines while another
+// reads the live counts; under -race this proves a log is safe to share
+// with the telemetry handlers while a run writes it.
+func TestLogConcurrentAdd(t *testing.T) {
+	const workers, per = 8, 500
+	l := NewLog(1000, 1000, NewAttributor(0))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			dev := fmt.Sprintf("gpu-%d", w)
+			for i := 0; i < per; i++ {
+				l.Add(Record{Act: ActMemSwap, Time: float64(i), End: float64(i), Device: dev})
+				l.Views()
+			}
+		}(w)
+	}
+	wg.Wait()
+	ev, sp := l.Views()
+	if ev.Len+ev.Dropped != workers*per || sp.Len+sp.Dropped != workers*per {
+		t.Fatalf("events %+v, spans %+v; want %d each", ev, sp, workers*per)
 	}
 }
 
 func TestCloseOpen(t *testing.T) {
-	tr := NewTracer(0)
-	a := tr.Start(Span{Kind: KindOutage, Start: 5})
-	b := tr.Start(Span{Kind: KindMigrate, Start: 50})
-	tr.CloseOpen(30)
-	spans := tr.Spans()
-	for _, s := range spans {
-		switch s.ID {
-		case a:
-			if s.End != 30 {
-				t.Fatalf("outage End = %v, want 30", s.End)
-			}
-		case b:
-			if s.End != 50 { // clamped to Start
-				t.Fatalf("migrate End = %v, want 50", s.End)
-			}
-		}
+	l := NewLog(0, DefSpanCap, nil)
+	l.Add(Record{Act: ActOutage, Time: 5, Device: "gpu-0"})
+	l.Add(Record{Act: ActMigrated, Time: 50, Device: "gpu-0", Value: 1})
+	spans := l.Spans(30)
+	if spans[0].End != 30 {
+		t.Fatalf("outage End = %v, want 30", spans[0].End)
+	}
+	if spans[1].End != 50 { // clamped to Start
+		t.Fatalf("migrate End = %v, want 50", spans[1].End)
+	}
+	if l.Events() != nil {
+		t.Fatal("log without an event view rendered events")
 	}
 }
 
@@ -149,15 +208,16 @@ func TestCauseJSONRoundTrip(t *testing.T) {
 }
 
 func TestChromeTraceShape(t *testing.T) {
-	tr := NewTracer(0)
-	rs := tr.Add(Span{Kind: KindRescale, Start: 1.0, End: 1.5, Device: "gpu-0", Service: "resnet50"})
-	tr.Add(Span{Kind: KindShadowSpinup, Parent: rs, Start: 1.0, End: 1.2, Device: "gpu-0", Service: "resnet50"})
-	rt := tr.Add(Span{Kind: KindRetune, Start: 2.0, End: 2.0, Device: "gpu-1", Cause: "qps-change"})
-	tr.Add(Span{Kind: KindBOIter, Parent: rt, Start: 2.0, End: 2.0, Device: "gpu-1", Value: 33})
-	tr.Add(Span{Kind: KindOutage, Start: 0.5, End: 3.0, Device: "gpu-0", Cause: "mtbf"})
+	spans := []Span{
+		{ID: 1, Kind: KindRescale, Start: 1.0, End: 1.5, Device: "gpu-0", Service: "resnet50"},
+		{ID: 2, Kind: KindShadowSpinup, Parent: 1, Start: 1.0, End: 1.2, Device: "gpu-0", Service: "resnet50"},
+		{ID: 3, Kind: KindRetune, Start: 2.0, End: 2.0, Device: "gpu-1", Cause: "qps-change"},
+		{ID: 4, Kind: KindBOIter, Parent: 3, Start: 2.0, End: 2.0, Device: "gpu-1", Value: 33},
+		{ID: 5, Kind: KindOutage, Start: 0.5, End: 3.0, Device: "gpu-0", Cause: "mtbf"},
+	}
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr.Spans()); err != nil {
+	if err := WriteChromeTrace(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -222,30 +282,45 @@ func TestChromeTraceShape(t *testing.T) {
 	}
 }
 
-func TestAttributionPriority(t *testing.T) {
-	outage := Span{Kind: KindOutage, Device: "gpu-0", Start: 100, End: 150}
-	rescale := Span{Kind: KindRescale, Device: "gpu-0", Start: 200, End: 220}
-	spans := []Span{outage, rescale}
+// feed drives an attributor the way a run does: control records
+// through a log, violations directly, in time order per device.
+func feed(a *Attributor, items ...any) {
+	l := NewLog(0, 0, a)
+	for _, it := range items {
+		switch it := it.(type) {
+		case Record:
+			l.Add(it)
+		case Sample:
+			a.Observe(it)
+		}
+	}
+}
 
+func TestAttributionPriority(t *testing.T) {
 	cases := []struct {
 		name string
 		s    Sample
 		want Cause
 	}{
 		{"during outage", Sample{Time: 120, Device: "gpu-0"}, CauseDeviceFault},
-		{"in fault grace", Sample{Time: 150 + FaultGraceSec - 1, Device: "gpu-0"}, CauseDeviceFault},
 		{"fault beats rescale", Sample{Time: 149, Device: "gpu-0", Residents: []string{"bert"}}, CauseDeviceFault},
+		{"in fault grace", Sample{Time: 150 + FaultGraceSec - 1, Device: "gpu-0"}, CauseDeviceFault},
 		{"during rescale", Sample{Time: 210, Device: "gpu-0", Residents: []string{"bert"}}, CauseRescale},
 		{"burst beats interference", Sample{Time: 300, Device: "gpu-0", QPS: 200, BaseQPS: 100, Residents: []string{"bert"}}, CauseBurstOverload},
-		{"interference", Sample{Time: 300, Device: "gpu-0", QPS: 110, BaseQPS: 100, Residents: []string{"bert"}}, CauseInterference},
-		{"queueing fallback", Sample{Time: 300, Device: "gpu-0", QPS: 110, BaseQPS: 100}, CauseQueueing},
+		{"interference", Sample{Time: 301, Device: "gpu-0", QPS: 110, BaseQPS: 100, Residents: []string{"bert"}}, CauseInterference},
+		{"queueing fallback", Sample{Time: 302, Device: "gpu-0", QPS: 110, BaseQPS: 100}, CauseQueueing},
 		{"other device unaffected", Sample{Time: 120, Device: "gpu-1"}, CauseQueueing},
 	}
 	a := NewAttributor(0)
-	for _, c := range cases {
-		a.Observe(c.s)
-	}
-	rep := a.Report(spans, 1)
+	feed(a,
+		Record{Act: ActOutage, Time: 100, Device: "gpu-0"},
+		cases[0].s, cases[1].s,
+		Record{Act: ActRecovered, Time: 150, Device: "gpu-0"},
+		cases[2].s,
+		Record{Act: ActRescale, Time: 200, End: 220, Device: "gpu-0"},
+		cases[3].s, cases[4].s, cases[5].s, cases[6].s, cases[7].s,
+	)
+	rep := a.Report(1)
 	if rep.Total != len(cases) {
 		t.Fatalf("total = %d, want %d", rep.Total, len(cases))
 	}
@@ -256,6 +331,51 @@ func TestAttributionPriority(t *testing.T) {
 	}
 }
 
+// TestAttributionSameTimeControl: a rescale or outage that starts at a
+// violation's own simulated time — the barrier's control phase reacting
+// to the window — explains it; one that starts later does not. The
+// cause is final once the device's clock moves on, and a mid-run report
+// classifies still-pending violations against the current state.
+func TestAttributionSameTimeControl(t *testing.T) {
+	a := NewAttributor(0)
+	feed(a,
+		Sample{Time: 10, Device: "gpu-0", Service: "bert"},
+		Record{Act: ActRescale, Time: 10, End: 10, Device: "gpu-0"},
+		Sample{Time: 11, Device: "gpu-0", Service: "bert"},
+		Record{Act: ActRescale, Time: 12, End: 40, Device: "gpu-0"},
+		Sample{Time: 20, Device: "gpu-1", Service: "bert"},
+	)
+	mid := a.Report(1)
+	feed(a, Record{Act: ActOutage, Time: 20, Device: "gpu-1"})
+	want := []Cause{CauseRescale, CauseQueueing, CauseDeviceFault}
+	for i, c := range want {
+		if got := a.Report(1).Violations[i].Cause; got != c {
+			t.Errorf("violation %d: cause = %v, want %v", i, got, c)
+		}
+	}
+	if got := mid.Violations[2].Cause; got != CauseQueueing {
+		t.Errorf("mid-run report: pending violation cause = %v, want queueing", got)
+	}
+}
+
+// TestAttributorCapCountsEverything: the per-violation list stops at
+// its cap and counts the rest as dropped, while the total and every
+// roll-up still count all violations.
+func TestAttributorCapCountsEverything(t *testing.T) {
+	a := NewAttributor(2)
+	for i := 0; i < 5; i++ {
+		a.Observe(Sample{Time: float64(i), Device: "gpu-0", Service: "bert", Class: "critical", Residents: []string{"gpt2"}})
+	}
+	rep := a.Report(1)
+	if rep.Total != 5 || len(rep.Violations) != 2 || a.Dropped() != 3 {
+		t.Fatalf("total %d, listed %d, dropped %d; want 5, 2, 3", rep.Total, len(rep.Violations), a.Dropped())
+	}
+	svc, cls := rep.Services[0], rep.Classes[0]
+	if svc.Violations != 5 || svc.Causes["interference"] != 5 || svc.TopOffenderHits != 5 || cls.Violations != 5 {
+		t.Fatalf("roll-ups miss dropped violations: %+v %+v", svc, cls)
+	}
+}
+
 func TestReportRollup(t *testing.T) {
 	a := NewAttributor(0)
 	for i := 0; i < 3; i++ {
@@ -263,7 +383,7 @@ func TestReportRollup(t *testing.T) {
 	}
 	a.Observe(Sample{Time: 10, Device: "gpu-0", Service: "resnet50", Residents: []string{"bert"}})
 	a.Observe(Sample{Time: 11, Device: "gpu-1", Service: "yolov5"})
-	rep := a.Report(nil, 30)
+	rep := a.Report(30)
 	if len(rep.Services) != 2 {
 		t.Fatalf("services = %d, want 2", len(rep.Services))
 	}
@@ -295,34 +415,34 @@ func TestReportRollup(t *testing.T) {
 func TestNilAttributorSafe(t *testing.T) {
 	var a *Attributor
 	a.Observe(Sample{})
-	if a.Len() != 0 || a.Report(nil, 1) != nil {
+	if a.Dropped() != 0 || a.Report(1) != nil {
 		t.Fatal("nil attributor leaked state")
 	}
 }
 
 func TestShedClassification(t *testing.T) {
-	outage := Span{Kind: KindOutage, Device: "gpu-0", Start: 100, End: 150}
-	rescale := Span{Kind: KindRescale, Device: "gpu-0", Start: 200, End: 220}
-	spans := []Span{outage, rescale}
-
 	cases := []struct {
 		name string
 		s    Sample
 		want Cause
 	}{
+		{"fault beats shed", Sample{Time: 120, Device: "gpu-0", ShedQPS: 50}, CauseDeviceFault},
+		{"rescale beats shed", Sample{Time: 210, Device: "gpu-0", ShedQPS: 50}, CauseRescale},
 		// Shed slots between rescale and burst: admission control was
 		// actively dropping load, so the window belongs to the shed
 		// regime even though the offered rate was way past the burst bar.
 		{"shed beats burst", Sample{Time: 300, Device: "gpu-0", QPS: 300, BaseQPS: 100, ShedQPS: 250}, CauseShed},
-		{"fault beats shed", Sample{Time: 120, Device: "gpu-0", ShedQPS: 50}, CauseDeviceFault},
-		{"rescale beats shed", Sample{Time: 210, Device: "gpu-0", ShedQPS: 50}, CauseRescale},
-		{"no shed falls through", Sample{Time: 300, Device: "gpu-0", QPS: 300, BaseQPS: 100}, CauseBurstOverload},
+		{"no shed falls through", Sample{Time: 301, Device: "gpu-0", QPS: 300, BaseQPS: 100}, CauseBurstOverload},
 	}
 	a := NewAttributor(0)
-	for _, c := range cases {
-		a.Observe(c.s)
-	}
-	rep := a.Report(spans, 1)
+	feed(a,
+		Record{Act: ActOutage, Time: 100, Device: "gpu-0"},
+		cases[0].s,
+		Record{Act: ActRecovered, Time: 150, Device: "gpu-0"},
+		Record{Act: ActRescale, Time: 200, End: 220, Device: "gpu-0"},
+		cases[1].s, cases[2].s, cases[3].s,
+	)
+	rep := a.Report(1)
 	for i, c := range cases {
 		if got := rep.Violations[i].Cause; got != c.want {
 			t.Errorf("%s: cause = %v, want %v", c.name, got, c.want)
@@ -338,7 +458,7 @@ func TestReportClassRollup(t *testing.T) {
 	a.ObserveShed("sheddable", 500)
 	// A class that sheds but never violates still shows up.
 	a.ObserveShed("background", 120)
-	rep := a.Report(nil, 30)
+	rep := a.Report(30)
 	if len(rep.Classes) != 3 {
 		t.Fatalf("classes = %+v, want 3 entries", rep.Classes)
 	}
@@ -363,7 +483,7 @@ func TestReportClassRollup(t *testing.T) {
 func TestClasslessReportHasNoClasses(t *testing.T) {
 	a := NewAttributor(0)
 	a.Observe(Sample{Time: 1, Device: "gpu-0", Service: "resnet50"})
-	rep := a.Report(nil, 1)
+	rep := a.Report(1)
 	if rep.Classes != nil {
 		t.Fatalf("classless report grew Classes: %+v", rep.Classes)
 	}
@@ -376,7 +496,7 @@ func TestObserveShedNilAndNoop(t *testing.T) {
 	a.ObserveShed("", 10)          // unclassed: ignored
 	a.ObserveShed("sheddable", 0)  // zero volume: ignored
 	a.ObserveShed("sheddable", -1) // negative: ignored
-	if rep := a.Report(nil, 1); rep.Classes != nil {
+	if rep := a.Report(1); rep.Classes != nil {
 		t.Fatalf("no-op sheds leaked into report: %+v", rep.Classes)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"mudi/internal/obs"
@@ -32,15 +31,14 @@ import (
 )
 
 // Options wires the live components into the handler. Every field is
-// optional: a nil Sink serves an empty /metrics page, a nil
-// Trace/Attr pair serves an empty /slo report.
+// optional: a nil Sink serves an empty /metrics page, a Log without an
+// attributor an empty /slo report.
 type Options struct {
 	Sink *obs.Sink
-	// Trace supplies the span stream /slo classifies violations
-	// against (outage and rescale windows).
-	Trace *span.Tracer
-	// Attr supplies the captured violation samples for /slo.
-	Attr *span.Attributor
+	// Log is the run's control-plane record log: its attributor serves
+	// /slo, and its drop counts (and the attributor's) feed /metrics
+	// and /healthz.
+	Log *span.Log
 	// Timeline supplies the multi-resolution series behind /timeline
 	// and /watch; nil serves 404 on both.
 	Timeline *timeline.Store
@@ -51,40 +49,19 @@ type Options struct {
 	WatchPollInterval time.Duration
 }
 
-// publishOnce guards the process-global expvar registrations —
-// expvar.Publish panics on duplicate names, and tests build several
-// handlers in one process.
-var publishOnce sync.Once
-
 // Handler returns the telemetry mux.
 func Handler(opts Options) http.Handler {
-	publishOnce.Do(func() {
-		expvar.Publish("mudi_trace", expvar.Func(func() any {
-			// Best-effort: the expvar page reports whatever handler
-			// registered first; per-run numbers live on /slo and
-			// /metrics, which close over their own Options.
-			return map[string]any{"enabled": opts.Trace != nil}
-		}))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		var m *obs.Metrics
-		if opts.Sink != nil {
-			m = opts.Sink.Snapshot()
+		writeProm(w, opts.Sink.Snapshot())
+		for _, d := range drops(opts.Log) {
+			fmt.Fprintf(w, "# TYPE obs_%[1]s_total counter\nobs_%[1]s_total %[2]d\n", d.name, d.n)
 		}
-		writeProm(w, m)
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		var rep *span.SLOReport
-		if opts.Attr != nil {
-			var spans []span.Span
-			if opts.Trace != nil {
-				spans = opts.Trace.Spans()
-			}
-			rep = opts.Attr.Report(spans, span.WindowSec)
-		}
+		rep := opts.Log.Attributor().Report(span.WindowSec)
 		if rep == nil {
 			rep = &span.SLOReport{WindowSec: span.WindowSec}
 		}
@@ -98,9 +75,12 @@ func Handler(opts Options) http.Handler {
 		if opts.Version != "" {
 			h["version"] = opts.Version
 		}
-		if opts.Trace != nil {
-			h["spans"] = opts.Trace.Len()
-			h["spans_dropped"] = opts.Trace.Dropped()
+		if opts.Log != nil {
+			_, sp := opts.Log.Views()
+			h["spans"] = sp.Len
+		}
+		for _, d := range drops(opts.Log) {
+			h[d.name] = d.n
 		}
 		_ = json.NewEncoder(w).Encode(h)
 	})
@@ -117,6 +97,21 @@ func Handler(opts Options) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+type drop struct {
+	name string
+	n    int
+}
+
+// drops lists what the record log's capped views and its attributor's
+// per-violation list left out (nothing without a log).
+func drops(l *span.Log) []drop {
+	if l == nil {
+		return nil
+	}
+	ev, sp := l.Views()
+	return []drop{{"events_dropped", ev.Dropped}, {"spans_dropped", sp.Dropped}, {"violations_dropped", l.Attributor().Dropped()}}
 }
 
 // serveTimeline answers timeline range queries. With no parameters it

@@ -70,17 +70,18 @@ func TestMetricsEmptySink(t *testing.T) {
 }
 
 func TestSLOReportJSON(t *testing.T) {
-	tr := span.NewTracer(0)
 	attr := span.NewAttributor(0)
-	// One violation on a device with an overlapping outage span: the
-	// report must classify it device_fault.
-	tr.Add(span.Span{Kind: span.KindOutage, Start: 5, End: 40, Device: "gpu0000"})
+	log := span.NewLog(0, span.DefSpanCap, attr)
+	// One violation on a device with an overlapping outage: the report
+	// must classify it device_fault.
+	log.Add(span.Record{Act: span.ActOutage, Time: 5, Device: "gpu0000"})
 	attr.Observe(span.Sample{
 		Time: 10, Device: "gpu0000", Service: "bert",
 		LatencyMs: 200, BudgetMs: 100, QPS: 50, BaseQPS: 100,
 	})
+	log.Add(span.Record{Act: span.ActRecovered, Time: 40, Device: "gpu0000"})
 
-	rec := get(t, Options{Trace: tr, Attr: attr}, "/slo")
+	rec := get(t, Options{Log: log}, "/slo")
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -108,10 +109,21 @@ func TestSLOEmptyWhenDisabled(t *testing.T) {
 	}
 }
 
+// tinyLog is a record log whose event view, span view and violation
+// list each overflow by one.
+func tinyLog() *span.Log {
+	attr := span.NewAttributor(1)
+	log := span.NewLog(1, 1, attr)
+	log.Add(span.Record{Act: span.ActRetune, Device: "gpu0000"})
+	log.Add(span.Record{Act: span.ActBOIter, Device: "gpu0000"})
+	log.Add(span.Record{Act: span.ActBatch, Device: "gpu0000"})
+	attr.Observe(span.Sample{Time: 1, Device: "gpu0000", Service: "bert"})
+	attr.Observe(span.Sample{Time: 2, Device: "gpu0000", Service: "bert"})
+	return log
+}
+
 func TestHealthz(t *testing.T) {
-	tr := span.NewTracer(0)
-	tr.Add(span.Span{Kind: span.KindRetune, Start: 0, End: 1})
-	rec := get(t, Options{Trace: tr, Version: "test"}, "/healthz")
+	rec := get(t, Options{Log: tinyLog(), Version: "test"}, "/healthz")
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -121,6 +133,22 @@ func TestHealthz(t *testing.T) {
 	}
 	if h["status"] != "ok" || h["version"] != "test" || h["spans"] != float64(1) {
 		t.Fatalf("health %v", h)
+	}
+	for _, name := range []string{"events_dropped", "spans_dropped", "violations_dropped"} {
+		if h[name] != float64(1) {
+			t.Errorf("%s = %v, want 1 (health %v)", name, h[name], h)
+		}
+	}
+}
+
+// TestMetricsReportDrops: /metrics carries the record log's drop
+// counts beside the registry's instruments.
+func TestMetricsReportDrops(t *testing.T) {
+	body := get(t, Options{Log: tinyLog()}, "/metrics").Body.String()
+	for _, name := range []string{"obs_events_dropped_total", "obs_spans_dropped_total", "obs_violations_dropped_total"} {
+		if !strings.Contains(body, "# TYPE "+name+" counter\n"+name+" 1\n") {
+			t.Errorf("missing %s 1 in:\n%s", name, body)
+		}
 	}
 }
 
@@ -379,7 +407,7 @@ func TestSLOClassBlock(t *testing.T) {
 	})
 	attr.ObserveShed("sheddable", 480)
 
-	rec := get(t, Options{Attr: attr}, "/slo")
+	rec := get(t, Options{Log: span.NewLog(0, 0, attr)}, "/slo")
 	var rep span.SLOReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, rec.Body.String())

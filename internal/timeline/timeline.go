@@ -4,7 +4,7 @@
 // tiered downsampled levels (min/max/sum/count merges), so a week-long
 // simulation stays bounded while recent history keeps full detail.
 //
-// The store follows the obs.Sink / span.Tracer conventions:
+// The store follows the obs.Sink / span.Log conventions:
 //
 //   - nil-when-disabled: a nil *Store (and the nil *Series handles it
 //     hands out) is a valid no-op — every call site costs one branch;

@@ -200,18 +200,23 @@ type SimOptions struct {
 	Observer Observer
 	// Observe, when true, collects the event log and metrics snapshot
 	// into Result.Events / Result.Metrics even without an Observer.
-	// Setting Observer implies Observe.
+	// Setting Observer implies Observe. The event log keeps the first
+	// 65,536 events; Result.EventsDropped counts the rest (the Observer
+	// sees them all).
 	Observe bool
 	// Trace, when true, records causal simulated-time spans for the
 	// run's control-plane operations (retunes with bo_iter children,
 	// rescales with shadow_spinup/shadow_swap children, migrations,
 	// memory swaps, fault outages) and attributes every SLO violation
-	// to its dominant cause. The roll-ups land in Result.Spans and
+	// to its dominant cause. The roll-ups land in Result.Spans (the
+	// first 131,072 spans; Result.SpansDropped counts the rest) and
 	// Result.SLOReport. Tracing is passive: Result.Summary() is
-	// identical with and without it.
+	// identical with and without it. Spans and events are two views of
+	// one control-plane record stream.
 	Trace bool
 	// Telemetry, when non-nil, supplies the run's live instruments —
-	// metrics sink, span tracer, violation attributor, timeline store —
+	// metrics sink, control-plane record log with its violation
+	// attributor, timeline store —
 	// so they can be served over HTTP (Telemetry.Handler) while the
 	// simulation is in flight. Implies Observe, Trace, and Timelines.
 	Telemetry *Telemetry
@@ -282,33 +287,29 @@ type SimOptions struct {
 // fault class.
 type FaultConfig = faults.Config
 
-// sink builds the run's observation sink, or nil when observation is
-// off — the nil sink is the zero-overhead path (one branch per
-// would-be observation site).
+// sink builds the run's metrics sink, or nil when observation is off —
+// the nil sink is the zero-overhead path (one branch per would-be
+// observation site).
 func (o SimOptions) sink() *obs.Sink {
 	if o.Telemetry != nil {
-		s := o.Telemetry.sink
-		s.Observer = o.Observer
-		return s
+		return o.Telemetry.sink
 	}
 	if !o.Observe && o.Observer == nil {
 		return nil
 	}
-	s := obs.NewSink()
-	s.Observer = o.Observer
-	return s
+	return obs.NewSink()
 }
 
-// tracing builds the run's tracer/attributor pair, or nils when
-// tracing is off — the nil pair is the zero-overhead path.
-func (o SimOptions) tracing() (*span.Tracer, *span.Attributor) {
+// log builds the run's control-plane record log — an event view when
+// observing, a span view and an attributor when tracing — or nil when
+// both are off, the zero-overhead path.
+func (o SimOptions) log() *span.Log {
 	if o.Telemetry != nil {
-		return o.Telemetry.tracer, o.Telemetry.attr
+		l := o.Telemetry.log
+		l.Observer = o.Observer
+		return l
 	}
-	if !o.Trace {
-		return nil, nil
-	}
-	return span.NewTracer(0), span.NewAttributor(0)
+	return span.NewRunLog(o.Observe || o.Observer != nil, o.Trace, o.Observer)
 }
 
 // timelineStore builds the run's timeline store, or nil when timeline
@@ -417,7 +418,6 @@ func (s *System) SimulateContext(ctx context.Context, opts SimOptions) (*Result,
 			services[i].Class = opts.ServiceClasses[name]
 		}
 	}
-	tracer, attr := opts.tracing()
 	var rec *trace.Recorder
 	if opts.RecordWorkload {
 		mig := opts.MIGSlices
@@ -441,8 +441,7 @@ func (s *System) SimulateContext(ctx context.Context, opts SimOptions) (*Result,
 		MIGSlices:      opts.MIGSlices,
 		Obs:            opts.sink(),
 		Faults:         opts.Faults,
-		Trace:          tracer,
-		Attr:           attr,
+		Log:            opts.log(),
 		Replay:         opts.Workload,
 		Record:         rec,
 		Timeline:       opts.timelineStore(),

@@ -25,9 +25,6 @@ import (
 
 // Handler returns the live HTTP surface for the given instruments.
 func Handler(t *mudi.Telemetry) http.Handler {
-	sink, tracer, attr := t.Instruments()
-	return telemetry.Handler(telemetry.Options{
-		Sink: sink, Trace: tracer, Attr: attr,
-		Timeline: t.TimelineStore(),
-	})
+	sink, log := t.Instruments()
+	return telemetry.Handler(telemetry.Options{Sink: sink, Log: log, Timeline: t.TimelineStore()})
 }

@@ -8,13 +8,14 @@ import (
 	"mudi/internal/timeline"
 )
 
-// Causal tracing surface. A run with SimOptions.Trace set records
-// every control-plane operation as a span in
-// simulated time — parent/child linked, annotated with the device, the
-// resident training-task signature, the partition change, and the batch
-// size — and classifies every SLO violation's dominant cause. Like the
-// event stream, tracing is passive: Result.Summary() is bit-identical
-// with and without it.
+// Causal tracing surface. A run with SimOptions.Trace set renders its
+// control-plane records as spans in simulated time — parent/child
+// linked, annotated with the device, the resident training-task
+// signature, the partition change, and the batch size — and classifies
+// every SLO violation's dominant cause. The spans are the second view
+// of the record stream the event log renders. Like the event stream,
+// tracing is passive: Result.Summary() is bit-identical with and
+// without it.
 type (
 	// Span is one causal simulated-time span. Start/End are simulation
 	// seconds; Parent links children (bo_iter under retune,
@@ -78,10 +79,11 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 }
 
 // Telemetry bundles live observability instruments — a metrics sink, a
-// span tracer, and a violation attributor — that can be served over
-// HTTP while a simulation runs. Pass it via SimOptions.Telemetry (the
-// run then records into these instruments instead of private ones) and
-// mount the telemetryhttp subpackage's handler on a server:
+// control-plane record log with its violation attributor, and a
+// timeline store — that can be served over HTTP while a simulation
+// runs. Pass it via SimOptions.Telemetry (the run then records into
+// these instruments instead of private ones) and mount the
+// telemetryhttp subpackage's handler on a server:
 //
 //	tel := mudi.NewTelemetry()
 //	go http.ListenAndServe(":8080", telemetryhttp.Handler(tel))
@@ -93,10 +95,9 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 // allocation-budget benchmarks). A Telemetry is good for one run at a
 // time.
 type Telemetry struct {
-	sink   *obs.Sink
-	tracer *span.Tracer
-	attr   *span.Attributor
-	tl     *timeline.Store
+	sink *obs.Sink
+	log  *span.Log
+	tl   *timeline.Store
 }
 
 // NewTelemetry returns a Telemetry with default-capacity instruments,
@@ -104,20 +105,19 @@ type Telemetry struct {
 // it while the attached run writes).
 func NewTelemetry() *Telemetry {
 	return &Telemetry{
-		sink:   obs.NewSink(),
-		tracer: span.NewTracer(0),
-		attr:   span.NewAttributor(0),
-		tl:     timeline.New(timeline.Defaults()),
+		sink: obs.NewSink(),
+		log:  span.NewRunLog(true, true, nil),
+		tl:   timeline.New(timeline.Defaults()),
 	}
 }
 
-// Instruments exposes the underlying sink, tracer, and attributor —
-// the bridge the telemetryhttp subpackage (and the CLIs) build the
-// live HTTP surface from. The returned values are internal types:
-// outside this module they are opaque handles to pass along, not
-// something to construct or name.
-func (t *Telemetry) Instruments() (*obs.Sink, *span.Tracer, *span.Attributor) {
-	return t.sink, t.tracer, t.attr
+// Instruments exposes the underlying metrics sink and record log (which
+// carries the attributor) — the bridge the telemetryhttp subpackage
+// (and the CLIs) build the live HTTP surface from. The returned values
+// are internal types: outside this module they are opaque handles to
+// pass along, not something to construct or name.
+func (t *Telemetry) Instruments() (*obs.Sink, *span.Log) {
+	return t.sink, t.log
 }
 
 // TimelineStore exposes the underlying timeline store — same opaque-

@@ -217,11 +217,12 @@ func TestTelemetrySharesInstruments(t *testing.T) {
 		t.Fatalf("Telemetry did not imply tracing+observation: spans=%d metrics=%v",
 			len(res.Spans), res.Metrics != nil)
 	}
-	sink, tracer, attr := tel.Instruments()
-	if sink == nil || tracer == nil || attr == nil {
+	sink, log := tel.Instruments()
+	if sink == nil || log == nil || log.Attributor() == nil {
 		t.Fatal("Instruments returned nils")
 	}
-	if tracer.Len() != len(res.Spans) {
-		t.Errorf("shared tracer holds %d spans, result carries %d", tracer.Len(), len(res.Spans))
+	if ev, sp := log.Views(); ev.Len != len(res.Events) || sp.Len != len(res.Spans) {
+		t.Errorf("shared log holds %d events and %d spans, result carries %d and %d",
+			ev.Len, sp.Len, len(res.Events), len(res.Spans))
 	}
 }
