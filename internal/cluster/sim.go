@@ -926,18 +926,16 @@ func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string)
 		}
 	}
 	dec, err := s.opts.Policy.Configure(d.view(), s.meas[d.dev.ID])
-	if s.rec != nil {
-		// The episode's outcome; a failed Configure leaves the device's
-		// configuration as it was.
-		end := span.Record{Act: span.ActRetuneEnd, Time: now, Batch: dec.Batch, Delta: dec.Delta, Value: float64(dec.BOIterations)}
-		switch {
-		case err != nil:
-			end.Batch, end.Delta, end.Value, end.Cause = d.svc.batch, d.svc.delta, 0, "error"
-		case !dec.Feasible:
-			end.Cause = "infeasible"
-		}
-		s.record(d, end)
+	// The episode's outcome; a failed Configure leaves the device's
+	// configuration as it was.
+	end := span.Record{Act: span.ActRetuneEnd, Time: now, Batch: dec.Batch, Delta: dec.Delta, Value: float64(dec.BOIterations)}
+	switch {
+	case err != nil:
+		end.Batch, end.Delta, end.Value, end.Cause = d.svc.batch, d.svc.delta, 0, "error"
+	case !dec.Feasible:
+		end.Cause = "infeasible"
 	}
+	s.record(d, end)
 	if err != nil {
 		s.res.ConfigureErrors++
 		return err
