@@ -130,6 +130,56 @@ func TestLogCapacity(t *testing.T) {
 	}
 }
 
+// TestTracerLifecycle: span IDs are ordinals from 1, a probe nests
+// under its device's retune, an end record fills in the outcome it
+// carries, an end before the start clamps to the start, and a second
+// end record for a closed interval changes nothing.
+func TestTracerLifecycle(t *testing.T) {
+	l := NewLog(0, DefSpanCap, nil)
+	l.Add(Record{Act: ActRetune, Time: 10, Device: "gpu-0"})
+	l.Add(Record{Act: ActBOIter, Time: 10, End: 10, Device: "gpu-0", Value: 42})
+	l.Add(Record{Act: ActRetuneEnd, Time: 10, Device: "gpu-0", Batch: 16, Delta: 0.4})
+	l.Add(Record{Act: ActMigrated, Time: 20, Device: "gpu-0", Task: "bert", Value: 7})
+	l.Add(Record{Act: ActPlaced, Time: 15, Device: "gpu-1", Task: "bert", Value: 7})
+	l.Add(Record{Act: ActPlaced, Time: 99, Device: "gpu-2", Task: "bert", Value: 7})
+	spans := l.Spans(100)
+	if len(spans) != 3 {
+		t.Fatalf("spans = %+v, want 3", spans)
+	}
+	for i, s := range spans {
+		if s.ID != ID(i+1) {
+			t.Fatalf("span %d ID = %d, want %d", i, s.ID, i+1)
+		}
+	}
+	if p := spans[0]; p.Kind != KindRetune || p.Start != 10 || p.End != 10 || p.Batch != 16 || p.Delta != 0.4 {
+		t.Fatalf("retune span = %+v", p)
+	}
+	if c := spans[1]; c.Kind != KindBOIter || c.Parent != spans[0].ID || c.Value != 42 {
+		t.Fatalf("bo_iter span = %+v, want child of %d", c, spans[0].ID)
+	}
+	if m := spans[2]; m.Kind != KindMigrate || m.End != 20 || m.Task != "bert>gpu-1" {
+		t.Fatalf("migrate span = %+v, want End clamped to 20 and destination gpu-1", m)
+	}
+}
+
+// TestTracerCapacity: a span view full at its cap renders only the
+// spans it admitted and counts every span past the cap, whole records
+// and a rescale's shadow children alike.
+func TestTracerCapacity(t *testing.T) {
+	l := NewLog(0, 2, nil)
+	l.Add(Record{Act: ActMemSwap, Time: 1, End: 2, Device: "gpu-0"})
+	l.Add(Record{Act: ActMigrated, Time: 1, Device: "gpu-0", Value: 1})
+	l.Add(Record{Act: ActMemSwap, Time: 3, End: 4, Device: "gpu-0"})
+	l.Add(Record{Act: ActRescale, Time: 5, End: 6, Device: "gpu-0", Value: 0.5})
+	if _, sp := l.Views(); sp != (View{Cap: 2, Len: 2, Dropped: 4}) {
+		t.Fatalf("span view = %+v, want 2 kept 4 dropped", sp)
+	}
+	spans := l.Spans(10)
+	if len(spans) != 2 || spans[0].Kind != KindMemSwap || spans[1].Kind != KindMigrate {
+		t.Fatalf("capped spans = %+v, want the mem_swap and migrate prefix", spans)
+	}
+}
+
 // TestLogConcurrentAdd adds records from many goroutines while another
 // reads the live counts; under -race this proves a log is safe to share
 // with the telemetry handlers while a run writes it.
