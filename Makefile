@@ -16,8 +16,11 @@ RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/event
 
 tier1: build test
 
+# benchmark/ is a nested module that implements core.Policy, so the
+# root module's build never compiles it: build it too.
 build:
 	$(GO) build ./...
+	cd benchmark && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...

@@ -28,13 +28,6 @@ import (
 	"mudi/internal/xrand"
 )
 
-// eligible reports whether a device can take one more training task: a
-// resident service, headroom in the per-GPU task cap, and no active
-// training preemption.
-func eligible(v core.DeviceView, maxTrain int) bool {
-	return v.ServiceName != "" && len(v.ResidentTasks) < maxTrain && !v.Paused
-}
-
 // ---------------------------------------------------------------------------
 // GSLICE
 
@@ -58,7 +51,7 @@ func (g *GSLICE) SelectDevice(task model.TrainingTask, views []core.DeviceView, 
 	bestID := ""
 	bestUtil := math.Inf(1)
 	for _, v := range views {
-		if !eligible(v, g.MaxTrainPerGPU) {
+		if !core.Eligible(&v, g.MaxTrainPerGPU) {
 			continue
 		}
 		if v.SMUtil < bestUtil || (v.SMUtil == bestUtil && v.ID < bestID) {
@@ -168,7 +161,7 @@ func (g *Gpulets) SelectDevice(task model.TrainingTask, views []core.DeviceView,
 	bestID := ""
 	bestFree := math.Inf(1)
 	for _, v := range views {
-		if !eligible(v, g.MaxTrainPerGPU) {
+		if !core.Eligible(&v, g.MaxTrainPerGPU) {
 			continue
 		}
 		if v.FreeShare < bestFree || (v.FreeShare == bestFree && v.ID < bestID) {
@@ -302,7 +295,7 @@ func (m *MuxFlow) SelectDevice(task model.TrainingTask, views []core.DeviceView,
 	bestID := ""
 	bestF := math.Inf(1)
 	for _, v := range views {
-		if !eligible(v, m.MaxTrainPerGPU) {
+		if !core.Eligible(&v, m.MaxTrainPerGPU) {
 			continue
 		}
 		f, err := m.oracle.TrainColocFactor(v.ServiceName, 64, append(believedSlice(v.ResidentTasks, m), believed))
@@ -399,7 +392,7 @@ func (r *Random) Name() string { return "random" }
 func (r *Random) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
 	var ids []string
 	for _, v := range views {
-		if eligible(v, r.MaxTrainPerGPU) {
+		if core.Eligible(&v, r.MaxTrainPerGPU) {
 			ids = append(ids, v.ID)
 		}
 	}
@@ -477,7 +470,7 @@ func (o *Optimal) SelectDevice(task model.TrainingTask, views []core.DeviceView,
 	bestID := ""
 	bestIter := math.Inf(1)
 	for _, v := range views {
-		if !eligible(v, o.MaxTrainPerGPU) {
+		if !core.Eligible(&v, o.MaxTrainPerGPU) {
 			continue
 		}
 		dec, ok := o.bestOnDevice(task, v)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mudi/internal/core"
 	"mudi/internal/model"
 	"mudi/internal/perf"
 	"mudi/internal/span"
@@ -203,5 +204,89 @@ func TestInvalidServiceClassRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("invalid service class accepted")
+	}
+}
+
+// tierRecorder records every SelectDevice offer and places on the first
+// offered view with room under maxTrain, declining otherwise, so a full
+// tier makes the cluster fall through to the next one.
+type tierRecorder struct {
+	scriptedPolicy
+	maxTrain int
+	offers   [][]core.DeviceView
+}
+
+func (p *tierRecorder) SelectDevice(_ model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
+	p.offers = append(p.offers, append([]core.DeviceView(nil), views...))
+	for i := range views {
+		if core.Eligible(&views[i], p.maxTrain) {
+			return views[i].ID, true
+		}
+	}
+	return "", false
+}
+
+// TestClassSelectOffersOneTier: class-aware placement hands the policy
+// one class-score tier per SelectDevice call, most preferred first, and
+// never offers a critical-class device or one already at its class's
+// co-location budget.
+func TestClassSelectOffersOneTier(t *testing.T) {
+	budget := map[model.SLOClass]int{
+		model.ClassStandard:   1,
+		model.ClassSheddable:  2,
+		model.ClassBatch:      3,
+		model.ClassBackground: 4,
+	}
+	pol := &tierRecorder{
+		scriptedPolicy: scriptedPolicy{dec: core.Decision{Batch: 16, Delta: 0.5, Feasible: true}},
+		maxTrain:       1,
+	}
+	sim, err := New(Options{
+		Policy:   pol,
+		Oracle:   perf.NewOracle(7),
+		Seed:     7,
+		Devices:  6,
+		Arrivals: smallArrivals(t, 12, 7),
+		Services: classedServices(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(pol.offers) == 0 {
+		t.Fatal("the policy was never asked to place")
+	}
+	tiers := map[float64]bool{}
+	for i, views := range pol.offers {
+		if len(views) == 0 {
+			t.Fatalf("offer %d is empty", i)
+		}
+		var tier float64
+		for j := range views {
+			v := &views[j]
+			if v.ServiceClass == model.ClassCritical {
+				t.Fatalf("offer %d includes critical-class device %s", i, v.ID)
+			}
+			if b, ok := budget[v.ServiceClass]; !ok || len(v.ResidentTasks) >= b {
+				t.Fatalf("offer %d includes %s (class %q, %d residents) at or past its budget",
+					i, v.ID, v.ServiceClass, len(v.ResidentTasks))
+			}
+			sc, ok := sim.classFW.Score(&model.TrainingTask{}, v)
+			if !ok {
+				t.Fatalf("offer %d includes vetoed device %s", i, v.ID)
+			}
+			if j == 0 {
+				tier = sc
+			} else if sc != tier {
+				t.Fatalf("offer %d mixes class-score tiers %v and %v", i, tier, sc)
+			}
+		}
+		tiers[tier] = true
+	}
+	t.Logf("%d offers, tiers %v", len(pol.offers), tiers)
+	if len(tiers) < 2 {
+		t.Fatalf("every offer came from one tier (%v); the run never fell through", tiers)
 	}
 }

@@ -709,7 +709,6 @@ func (s *Sim) onArrival(now float64, a trace.TaskArrival) {
 	job := &sched.Job{
 		ID:             a.ID,
 		SubmitTime:     a.At,
-		TaskName:       a.Task.Name,
 		User:           user,
 		Priority:       prio,
 		EstDurationSec: a.Task.BaseIterMs * float64(a.Iters) / 1000,
@@ -780,12 +779,12 @@ func (s *Sim) trySchedule(now float64) {
 func (s *Sim) classSelect(qj *queueJob, views []core.DeviceView) (string, bool) {
 	scores := s.scoreBuf[:0]
 	kept := 0
-	for _, v := range views {
-		sc, ok := s.classFW.Score(qj.job, s.meas[v.ID].dev.schedInfo())
+	for i := range views {
+		sc, ok := s.classFW.Score(&qj.arrival.Task, &views[i])
 		if !ok {
 			continue
 		}
-		views[kept] = v
+		views[kept] = views[i]
 		scores = append(scores, sc)
 		kept++
 	}

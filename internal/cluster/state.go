@@ -305,6 +305,7 @@ func (d *deviceState) view() core.DeviceView {
 		Paused:        paused,
 		ID:            d.dev.ID,
 		ServiceName:   d.svc.info.Name,
+		ServiceClass:  d.svc.info.Class,
 		SLOms:         d.svc.info.SLOms,
 		QPS:           d.svc.curQPS,
 		Batch:         d.svc.batch,
@@ -313,27 +314,6 @@ func (d *deviceState) view() core.DeviceView {
 		FreeShare:     free,
 		MemoryFreeMB:  d.pool.CapacityMB() - d.pool.DeviceUsedMB(),
 		SMUtil:        d.smUtil,
-	}
-}
-
-// schedInfo builds the class framework's view of the device — the
-// scheduling-relevant subset of view() plus the resident service's SLO
-// class. Allocation-free (class-aware placement runs it per candidate
-// per attempt).
-func (d *deviceState) schedInfo() sched.DeviceInfo {
-	free := 1 - d.svc.delta
-	if free < 0 {
-		free = 0
-	}
-	return sched.DeviceInfo{
-		ID:            d.dev.ID,
-		FreeShare:     free,
-		TrainingCount: d.residentCount(),
-		ServiceName:   d.svc.info.Name,
-		ServiceQPS:    d.svc.curQPS,
-		MemoryFreeMB:  d.pool.CapacityMB() - d.pool.DeviceUsedMB(),
-		SMUtil:        d.smUtil,
-		ServiceClass:  d.svc.info.Class,
 	}
 }
 

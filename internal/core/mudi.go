@@ -41,8 +41,6 @@ type Mudi struct {
 	tun       *tuner.Tuner
 	framework *sched.Framework
 	slope     *slopePlugin
-	// infos is SelectDevice's reusable framework input.
-	infos []sched.DeviceInfo
 	// seenColoc remembers (service, coloc-arch) pairs already profiled
 	// online to avoid repeated sampling.
 	seenColoc map[colocKey]bool
@@ -73,11 +71,10 @@ func NewMudi(pred *predictor.Predictor, cfg MudiConfig) *Mudi {
 	m.slope = &slopePlugin{
 		pred:    pred,
 		batches: model.BatchSizes(),
-		views:   make(map[string]*DeviceView),
 		memo:    make(map[colocKey]slopeEntry),
 	}
 	m.framework = sched.NewFramework(
-		&eligibilityPlugin{maxTrain: cfg.MaxTrainPerGPU, slope: m.slope},
+		eligibilityPlugin{maxTrain: cfg.MaxTrainPerGPU},
 		m.slope,
 	)
 	return m
@@ -141,30 +138,23 @@ func colocArch(resident []model.TrainingTask, extra ...model.TrainingTask) model
 	return a
 }
 
-// eligibilityPlugin vetoes devices that cannot take the task at all.
+// eligibilityPlugin vetoes devices that cannot take the task at all
+// (Eligible): Mudi multiplexes training next to inference services.
 type eligibilityPlugin struct {
 	maxTrain int
-	slope    *slopePlugin // shares the per-selection view snapshot
 }
 
-func (p *eligibilityPlugin) Name() string { return "eligibility" }
+func (eligibilityPlugin) Name() string { return "eligibility" }
 
-func (p *eligibilityPlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
-	if dev.ServiceName == "" {
-		return -1 // Mudi multiplexes training next to inference services
-	}
-	if dev.TrainingCount >= p.maxTrain {
+func (p eligibilityPlugin) Score(_ *model.TrainingTask, dev *DeviceView) float64 {
+	if !Eligible(dev, p.maxTrain) {
 		return -1
-	}
-	if view, ok := p.slope.views[dev.ID]; ok && view.Paused {
-		return -1 // the service already needs the whole device
 	}
 	return 0
 }
 
 // slopePlugin scores devices by the negated predicted average slope:
-// the Device Selector of §5.2. It needs the candidate task's
-// architecture, which the Mudi policy stashes before each selection.
+// the Device Selector of §5.2.
 //
 // The predictor's outputs depend only on (service, Ψ), and a fleet has
 // a handful of such pairs, so one selection evaluates the predictor
@@ -173,11 +163,9 @@ func (p *eligibilityPlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 // at the start of every call: predictor updates between calls are
 // always seen.
 type slopePlugin struct {
-	pred        *predictor.Predictor
-	batches     []int
-	currentTask model.TrainingTask
-	views       map[string]*DeviceView
-	memo        map[colocKey]slopeEntry
+	pred    *predictor.Predictor
+	batches []int
+	memo    map[colocKey]slopeEntry
 }
 
 // slopeEntry is the predictor's output for one (service, Ψ): the
@@ -216,12 +204,8 @@ func (p *slopePlugin) entry(svc string, arch model.Arch) slopeEntry {
 	return e
 }
 
-func (p *slopePlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
-	view, ok := p.views[dev.ID]
-	if !ok {
-		return -1
-	}
-	e := p.entry(view.ServiceName, colocArch(view.ResidentTasks, p.currentTask))
+func (p *slopePlugin) Score(task *model.TrainingTask, view *DeviceView) float64 {
+	e := p.entry(view.ServiceName, colocArch(view.ResidentTasks, *task))
 	if e.err != nil {
 		return -1
 	}
@@ -231,20 +215,19 @@ func (p *slopePlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 	// share after Eq. 4 sizes the service at the device's current QPS,
 	// averaged over the batch candidates.
 	var shareSum float64
-	for i, b := range p.batches {
-		if !e.curves[i].ok {
-			continue
+	if view.QPS > 0 && view.SLOms > 0 {
+		for i, b := range p.batches {
+			if !e.curves[i].ok {
+				continue
+			}
+			res, err := opt.MinPartition(opt.ScaleRequest{
+				QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i].f, MaxDelta: 1 - tuner.MinTrainShare,
+			})
+			if err != nil || !res.Feasible {
+				continue
+			}
+			shareSum += 1 - res.Delta
 		}
-		if view.QPS <= 0 || view.SLOms <= 0 {
-			continue
-		}
-		res, err := opt.MinPartition(opt.ScaleRequest{
-			QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i].f, MaxDelta: 1 - tuner.MinTrainShare,
-		})
-		if err != nil || !res.Feasible {
-			continue
-		}
-		shareSum += 1 - res.Delta
 	}
 	avgShare := shareSum / float64(len(p.batches))
 	// Higher score = better; slopes are positive magnitudes.
@@ -255,29 +238,9 @@ func (p *slopePlugin) Score(_ *sched.Job, dev sched.DeviceInfo) float64 {
 // whose service shows the smallest predicted average slope across the
 // batch-size set.
 func (m *Mudi) SelectDevice(task model.TrainingTask, views []DeviceView, _ map[string]Measurer) (string, bool) {
-	m.slope.currentTask = task
-	clear(m.slope.views)
 	clear(m.slope.memo)
-	clear(m.infos)
-	m.infos = m.infos[:0]
-	for i := range views {
-		v := &views[i]
-		m.slope.views[v.ID] = v
-		m.infos = append(m.infos, sched.DeviceInfo{
-			ID:            v.ID,
-			FreeShare:     v.FreeShare,
-			TrainingCount: len(v.ResidentTasks),
-			ServiceName:   v.ServiceName,
-			ServiceQPS:    v.QPS,
-			MemoryFreeMB:  v.MemoryFreeMB,
-			SMUtil:        v.SMUtil,
-		})
-	}
-	dev, err := m.framework.Select(&sched.Job{TaskName: task.Name}, m.infos)
-	if err != nil {
-		return "", false
-	}
-	return dev.ID, true
+	id, err := m.framework.Select(&task, views)
+	return id, err == nil
 }
 
 // Configure implements Policy (§5.3): predicted curves feed the

@@ -7,26 +7,20 @@ package core
 
 import (
 	"mudi/internal/model"
+	"mudi/internal/sched"
 	"mudi/internal/tuner"
 )
 
-// DeviceView is a policy's read-only snapshot of one device — what the
-// paper's GPUShare-Device-Plugin exposes to the scheduler.
-type DeviceView struct {
-	ID            string
-	ServiceName   string // resident inference service ("" if none)
-	SLOms         float64
-	QPS           float64 // current arrival rate seen by the Monitor
-	Batch         int     // current batching size
-	Delta         float64 // current inference GPU%
-	ResidentTasks []model.TrainingTask
-	FreeShare     float64
-	MemoryFreeMB  float64
-	SMUtil        float64 // recent device SM utilization [0,1]
-	// Paused reports that co-located training is currently preempted
-	// because the service needs the whole device (§5.3.2); no new
-	// training should land here until load subsides.
-	Paused bool
+// DeviceView is a policy's read-only snapshot of one device. It is
+// the scheduling framework's view, so Mudi's score plugins read the
+// same struct a policy is handed.
+type DeviceView = sched.DeviceView
+
+// Eligible reports whether a device can take one more training task: a
+// resident service, headroom in the per-GPU task cap, and no active
+// training preemption. Every policy's placement applies this rule.
+func Eligible(v *DeviceView, maxTrain int) bool {
+	return v.ServiceName != "" && len(v.ResidentTasks) < maxTrain && !v.Paused
 }
 
 // Measurer is the live feedback channel a policy gets for one device.

@@ -9,7 +9,6 @@ import (
 	"mudi/internal/opt"
 	"mudi/internal/perf"
 	"mudi/internal/predictor"
-	"mudi/internal/sched"
 	"mudi/internal/xrand"
 )
 
@@ -65,12 +64,12 @@ func referenceSelect(pred *predictor.Predictor, maxTrain int, task model.Trainin
 	return views[best].ID, true
 }
 
-// lastScores re-scores the devices of m's latest SelectDevice call
-// through its framework, reading that call's memo.
-func lastScores(m *Mudi) []float64 {
-	out := make([]float64, len(m.infos))
-	for i, info := range m.infos {
-		s, ok := m.framework.Score(&sched.Job{}, info)
+// lastScores re-scores the views of m's latest SelectDevice call for
+// task through its framework, reading that call's memo.
+func lastScores(m *Mudi, task model.TrainingTask, views []DeviceView) []float64 {
+	out := make([]float64, len(views))
+	for i := range views {
+		s, ok := m.framework.Score(&task, &views[i])
 		if !ok {
 			s = -1
 		}
@@ -132,7 +131,7 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 		if got != want || gotOK != wantOK {
 			t.Fatalf("seed %d: SelectDevice = (%q, %v), reference = (%q, %v)", seed, got, gotOK, want, wantOK)
 		}
-		for i, s := range lastScores(m) {
+		for i, s := range lastScores(m, task, views) {
 			v := views[i]
 			ref, ok := referenceScore(pred, maxTrain, task, v)
 			if !ok {
@@ -175,20 +174,20 @@ func TestSelectDeviceSeesPredictorUpdates(t *testing.T) {
 	if _, ok := m.SelectDevice(task, views, nil); !ok {
 		t.Fatal("no device selected")
 	}
-	before := lastScores(m)
+	before := lastScores(m, task, views)
 
 	observed := viewFor("RoBERTa", task)
 	m.ObserveColocation(observed, &oracleMeasurer{oracle: oracle, view: observed, rng: xrand.New(111)})
 
 	got, gotOK := m.SelectDevice(task, views, nil)
-	after := lastScores(m)
+	after := lastScores(m, task, views)
 	fresh := NewMudi(m.Predictor(), m.cfg)
 	want, wantOK := fresh.SelectDevice(task, views, nil)
 	if got != want || gotOK != wantOK {
 		t.Fatalf("after the update SelectDevice = (%q, %v), fresh Mudi = (%q, %v)", got, gotOK, want, wantOK)
 	}
 	changed := false
-	for i, s := range lastScores(fresh) {
+	for i, s := range lastScores(fresh, task, views) {
 		if math.Float64bits(after[i]) != math.Float64bits(s) {
 			t.Fatalf("device %s: score %v after the update, fresh Mudi %v", views[i].ID, after[i], s)
 		}

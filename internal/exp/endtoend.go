@@ -199,7 +199,7 @@ func (p *deviceOnlyPolicy) Name() string { return "mudi-device-only" }
 func (p *deviceOnlyPolicy) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
 	var ids []string
 	for _, v := range views {
-		if v.ServiceName != "" && len(v.ResidentTasks) < 1 && !v.Paused {
+		if core.Eligible(&v, 1) {
 			ids = append(ids, v.ID)
 		}
 	}

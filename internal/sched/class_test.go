@@ -77,66 +77,64 @@ func TestClassPriorityPluginOrdering(t *testing.T) {
 		model.ClassUnset, model.ClassBackground, model.ClassBatch,
 		model.ClassSheddable, model.ClassStandard, model.ClassCritical,
 	}
-	job := &Job{}
+	task := &model.TrainingTask{}
 	for i := 1; i < len(order); i++ {
-		hi := p.Score(job, DeviceInfo{ServiceClass: order[i-1]})
-		lo := p.Score(job, DeviceInfo{ServiceClass: order[i]})
+		hi := p.Score(task, &DeviceView{ServiceClass: order[i-1]})
+		lo := p.Score(task, &DeviceView{ServiceClass: order[i]})
 		if hi <= lo {
 			t.Fatalf("score(%v)=%v not > score(%v)=%v", order[i-1], hi, order[i], lo)
 		}
-	}
-	weighted := ClassPriorityPlugin{Weight: 3}
-	if got, want := weighted.Score(job, DeviceInfo{ServiceClass: model.ClassCritical}),
-		3*p.Score(job, DeviceInfo{ServiceClass: model.ClassCritical}); got != want {
-		t.Fatalf("weighted score = %v want %v", got, want)
 	}
 }
 
 func TestClassBudgetPluginVeto(t *testing.T) {
 	p := ClassBudgetPlugin{}
-	job := &Job{}
+	task := &model.TrainingTask{}
+	residents := func(n int) []model.TrainingTask { return make([]model.TrainingTask, n) }
 	// Critical: budget 0, any training count (including 0) vetoes.
-	if s := p.Score(job, DeviceInfo{ServiceClass: model.ClassCritical}); s >= 0 {
+	if s := p.Score(task, &DeviceView{ServiceClass: model.ClassCritical}); s >= 0 {
 		t.Fatalf("critical device with budget 0 not vetoed (score %v)", s)
 	}
 	// Standard: one task fits, the second is vetoed.
-	if s := p.Score(job, DeviceInfo{ServiceClass: model.ClassStandard}); s != 0 {
+	if s := p.Score(task, &DeviceView{ServiceClass: model.ClassStandard}); s != 0 {
 		t.Fatalf("standard empty device score %v", s)
 	}
-	if s := p.Score(job, DeviceInfo{ServiceClass: model.ClassStandard, TrainingCount: 1}); s >= 0 {
+	if s := p.Score(task, &DeviceView{ServiceClass: model.ClassStandard, ResidentTasks: residents(1)}); s >= 0 {
 		t.Fatalf("standard device at budget not vetoed (score %v)", s)
 	}
-	// Unset class is unbudgeted here.
-	if s := p.Score(job, DeviceInfo{TrainingCount: 99}); s != 0 {
-		t.Fatalf("unset class score %v", s)
+	// Background: the most permissive budget, four tasks.
+	if s := p.Score(task, &DeviceView{ServiceClass: model.ClassBackground, ResidentTasks: residents(3)}); s != 0 {
+		t.Fatalf("background device under budget score %v", s)
 	}
-	// Custom budgets override the defaults.
-	custom := ClassBudgetPlugin{Budgets: map[model.SLOClass]int{model.ClassCritical: 2}}
-	if s := custom.Score(job, DeviceInfo{ServiceClass: model.ClassCritical, TrainingCount: 1}); s != 0 {
-		t.Fatalf("custom budget score %v", s)
+	if s := p.Score(task, &DeviceView{ServiceClass: model.ClassBackground, ResidentTasks: residents(4)}); s >= 0 {
+		t.Fatalf("background device at budget not vetoed (score %v)", s)
+	}
+	// Unset class is unbudgeted here.
+	if s := p.Score(task, &DeviceView{ResidentTasks: residents(99)}); s != 0 {
+		t.Fatalf("unset class score %v", s)
 	}
 }
 
 func TestFrameworkScoreMatchesSelect(t *testing.T) {
 	f := NewFramework(ClassBudgetPlugin{}, ClassPriorityPlugin{})
-	devs := []DeviceInfo{
+	devs := []DeviceView{
 		{ID: "g0", ServiceClass: model.ClassCritical},
 		{ID: "g1", ServiceClass: model.ClassStandard},
 		{ID: "g2", ServiceClass: model.ClassSheddable},
 	}
-	job := &Job{}
-	got, err := f.Select(job, devs)
+	task := &model.TrainingTask{}
+	got, err := f.Select(task, devs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != "g2" {
-		t.Fatalf("selected %s, want the least-critical g2", got.ID)
+	if got != "g2" {
+		t.Fatalf("selected %s, want the least-critical g2", got)
 	}
-	if _, ok := f.Score(job, devs[0]); ok {
+	if _, ok := f.Score(task, &devs[0]); ok {
 		t.Fatal("critical device should be vetoed by the budget plugin")
 	}
-	s1, ok1 := f.Score(job, devs[1])
-	s2, ok2 := f.Score(job, devs[2])
+	s1, ok1 := f.Score(task, &devs[1])
+	s2, ok2 := f.Score(task, &devs[2])
 	if !ok1 || !ok2 || s2 <= s1 {
 		t.Fatalf("scores g1=%v(%v) g2=%v(%v)", s1, ok1, s2, ok2)
 	}

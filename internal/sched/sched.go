@@ -20,7 +20,6 @@ import (
 type Job struct {
 	ID             int
 	SubmitTime     float64 // seconds
-	TaskName       string
 	User           string
 	Priority       int     // larger = more urgent (priority policy)
 	EstDurationSec float64 // solo estimate (SJF policy)
@@ -213,26 +212,34 @@ func (q *Queue) RecordUsage(user string, gpuSeconds float64) {
 // ---------------------------------------------------------------------------
 // Score-plugin device selection
 
-// DeviceInfo is the device view offered to score plugins — exported by
-// the GPUShare-Device-Plugin in the paper's implementation.
-type DeviceInfo struct {
-	ID            string
-	FreeShare     float64
-	TrainingCount int
-	ServiceName   string // resident inference service, "" if none
-	ServiceQPS    float64
-	MemoryFreeMB  float64
-	SMUtil        float64
+// DeviceView is a read-only snapshot of one device — what the paper's
+// GPUShare-Device-Plugin exposes to the scheduler. Placement policies
+// and score plugins read the same view.
+type DeviceView struct {
+	ID          string
+	ServiceName string // resident inference service ("" if none)
 	// ServiceClass is the resident service's SLO class
 	// (model.ClassUnset when the service is unclassed or absent).
-	ServiceClass model.SLOClass
+	ServiceClass  model.SLOClass
+	SLOms         float64
+	QPS           float64 // current arrival rate seen by the Monitor
+	Batch         int     // current batching size
+	Delta         float64 // current inference GPU%
+	ResidentTasks []model.TrainingTask
+	FreeShare     float64
+	MemoryFreeMB  float64
+	SMUtil        float64 // recent device SM utilization [0,1]
+	// Paused reports that co-located training is currently preempted
+	// because the service needs the whole device (§5.3.2); no new
+	// training should land here until load subsides.
+	Paused bool
 }
 
-// ScorePlugin scores a device for a job; higher is better. A negative
-// score vetoes the device (filter semantics).
+// ScorePlugin scores a device for a candidate training task; higher is
+// better. A negative score vetoes the device (filter semantics).
 type ScorePlugin interface {
 	Name() string
-	Score(job *Job, dev DeviceInfo) float64
+	Score(task *model.TrainingTask, dev *DeviceView) float64
 }
 
 // Framework runs the plugin pipeline.
@@ -252,10 +259,10 @@ var ErrNoDevice = errors.New("sched: no eligible device")
 // total score plus whether the device survived (false when any plugin
 // vetoed it). Callers that need the per-device scores — e.g. tiered
 // class steering in the cluster — use this instead of Select.
-func (f *Framework) Score(job *Job, dev DeviceInfo) (float64, bool) {
+func (f *Framework) Score(task *model.TrainingTask, dev *DeviceView) (float64, bool) {
 	total := 0.0
 	for _, p := range f.plugins {
-		s := p.Score(job, dev)
+		s := p.Score(task, dev)
 		if s < 0 {
 			return 0, false
 		}
@@ -264,24 +271,24 @@ func (f *Framework) Score(job *Job, dev DeviceInfo) (float64, bool) {
 	return total, true
 }
 
-// Select returns the device with the highest total score; any plugin
-// returning a negative score vetoes that device. Ties break by device
-// ID for determinism.
-func (f *Framework) Select(job *Job, devices []DeviceInfo) (DeviceInfo, error) {
+// Select returns the ID of the device with the highest total score;
+// any plugin returning a negative score vetoes that device. Ties break
+// by device ID for determinism.
+func (f *Framework) Select(task *model.TrainingTask, devices []DeviceView) (string, error) {
 	bestIdx := -1
 	bestScore := 0.0
-	for i, dev := range devices {
-		total, ok := f.Score(job, dev)
+	for i := range devices {
+		total, ok := f.Score(task, &devices[i])
 		if !ok {
 			continue
 		}
 		if bestIdx < 0 || total > bestScore ||
-			(total == bestScore && dev.ID < devices[bestIdx].ID) {
+			(total == bestScore && devices[i].ID < devices[bestIdx].ID) {
 			bestIdx, bestScore = i, total
 		}
 	}
 	if bestIdx < 0 {
-		return DeviceInfo{}, ErrNoDevice
+		return "", ErrNoDevice
 	}
-	return devices[bestIdx], nil
+	return devices[bestIdx].ID, nil
 }

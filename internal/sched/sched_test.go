@@ -2,13 +2,15 @@ package sched
 
 import (
 	"testing"
+
+	"mudi/internal/model"
 )
 
 func jobs() []*Job {
 	return []*Job{
-		{ID: 0, SubmitTime: 10, TaskName: "a", User: "u1", Priority: 1, EstDurationSec: 300},
-		{ID: 1, SubmitTime: 5, TaskName: "b", User: "u2", Priority: 3, EstDurationSec: 100},
-		{ID: 2, SubmitTime: 7, TaskName: "c", User: "u1", Priority: 3, EstDurationSec: 50},
+		{ID: 0, SubmitTime: 10, User: "u1", Priority: 1, EstDurationSec: 300},
+		{ID: 1, SubmitTime: 5, User: "u2", Priority: 3, EstDurationSec: 100},
+		{ID: 2, SubmitTime: 7, User: "u1", Priority: 3, EstDurationSec: 50},
 	}
 }
 
@@ -107,14 +109,16 @@ func TestPolicyByName(t *testing.T) {
 // scoreByFreeShare prefers emptier devices.
 type scoreByFreeShare struct{}
 
-func (scoreByFreeShare) Name() string                       { return "free" }
-func (scoreByFreeShare) Score(_ *Job, d DeviceInfo) float64 { return d.FreeShare }
+func (scoreByFreeShare) Name() string { return "free" }
+func (scoreByFreeShare) Score(_ *model.TrainingTask, d *DeviceView) float64 {
+	return d.FreeShare
+}
 
 // vetoFull vetoes devices with no free share.
 type vetoFull struct{}
 
 func (vetoFull) Name() string { return "veto" }
-func (vetoFull) Score(_ *Job, d DeviceInfo) float64 {
+func (vetoFull) Score(_ *model.TrainingTask, d *DeviceView) float64 {
 	if d.FreeShare <= 0 {
 		return -1
 	}
@@ -123,46 +127,46 @@ func (vetoFull) Score(_ *Job, d DeviceInfo) float64 {
 
 func TestFrameworkSelect(t *testing.T) {
 	f := NewFramework(vetoFull{}, scoreByFreeShare{})
-	devs := []DeviceInfo{
+	devs := []DeviceView{
 		{ID: "g0", FreeShare: 0},
 		{ID: "g1", FreeShare: 0.3},
 		{ID: "g2", FreeShare: 0.7},
 	}
-	got, err := f.Select(&Job{}, devs)
+	got, err := f.Select(&model.TrainingTask{}, devs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != "g2" {
-		t.Fatalf("selected %s", got.ID)
+	if got != "g2" {
+		t.Fatalf("selected %s", got)
 	}
 }
 
 func TestFrameworkVetoAll(t *testing.T) {
 	f := NewFramework(vetoFull{})
-	devs := []DeviceInfo{{ID: "g0", FreeShare: 0}}
-	if _, err := f.Select(&Job{}, devs); err != ErrNoDevice {
+	devs := []DeviceView{{ID: "g0", FreeShare: 0}}
+	if _, err := f.Select(&model.TrainingTask{}, devs); err != ErrNoDevice {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestFrameworkTieBreakByID(t *testing.T) {
 	f := NewFramework(scoreByFreeShare{})
-	devs := []DeviceInfo{
+	devs := []DeviceView{
 		{ID: "g9", FreeShare: 0.5},
 		{ID: "g1", FreeShare: 0.5},
 	}
-	got, err := f.Select(&Job{}, devs)
+	got, err := f.Select(&model.TrainingTask{}, devs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != "g1" {
-		t.Fatalf("tie broke to %s, want g1", got.ID)
+	if got != "g1" {
+		t.Fatalf("tie broke to %s, want g1", got)
 	}
 }
 
 func TestFrameworkEmptyDevices(t *testing.T) {
 	f := NewFramework()
-	if _, err := f.Select(&Job{}, nil); err != ErrNoDevice {
+	if _, err := f.Select(&model.TrainingTask{}, nil); err != ErrNoDevice {
 		t.Fatalf("err = %v", err)
 	}
 }
