@@ -108,14 +108,9 @@ func benchLatencies(n int) []float64 {
 	return xs
 }
 
-// BenchmarkHotpathForestRefit is the online-learning refit that
-// dominates the end-to-end alloc budget: a random forest refit on an
-// incremental-modeler-sized dataset, amortizing the tree builder's
-// scratch and node arena across fits (the cross-validation loop refits
-// the same instance up to ~11 times per new-workload observation). Its
-// features are continuous, so a sorted feature has no ties: every row
-// ends a run (BenchmarkHotpathSelectModel has the tie-heavy shape).
-func BenchmarkHotpathForestRefit(b *testing.B) {
+// refitSamples is the refit benchmarks' tie-free dataset: 60 rows of 7
+// continuous features, so every row holds a distinct value of each.
+func refitSamples() ([][]float64, []float64) {
 	rng := xrand.New(9)
 	const n, w = 60, 7
 	x := make([][]float64, n)
@@ -127,60 +122,15 @@ func BenchmarkHotpathForestRefit(b *testing.B) {
 		}
 		y[i] = rng.Range(0.5, 3)
 	}
-	f := learn.NewForest(30, 1)
-	if err := f.Fit(x, y); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Fit(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return x, y
 }
 
-// BenchmarkHotpathGBRTRefit is the learner refit that wins model
-// selection for almost every predictor target: a gradient-boosted trees
-// refit on the same dataset shape as BenchmarkHotpathForestRefit, with
-// the same continuous, tie-free features. Each fit borrows a sort memo
-// from a pool and sorts each node once across its boosting rounds.
-func BenchmarkHotpathGBRTRefit(b *testing.B) {
+// predictorSamples is an Interference Predictor target's sample set:
+// 40 co-locations × 6 batch sizes, 11 integer layer counts constant
+// within a co-location (two constant overall) plus log2(batch), with
+// each row's co-location as its cross-validation group.
+func predictorSamples() (x [][]float64, y []float64, groups []string) {
 	rng := xrand.New(9)
-	const n, w = 60, 7
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = make([]float64, w)
-		for j := range x[i] {
-			x[i][j] = rng.Range(0, 4)
-		}
-		y[i] = rng.Range(0.5, 3)
-	}
-	g := learn.NewGBRT(60, 1)
-	if err := g.Fit(x, y); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.Fit(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHotpathSelectModel is one refit of an Interference
-// Predictor target: model selection with cross-validation over a
-// predictor-shaped sample set — 40 co-locations × 6 batch sizes, 11
-// integer layer counts constant within a co-location (two constant
-// overall) plus log2(batch) — with the previous winner cross-validated
-// first, as learn.Incremental does.
-func BenchmarkHotpathSelectModel(b *testing.B) {
-	rng := xrand.New(9)
-	var x [][]float64
-	var y []float64
-	var groups []string
 	for g := 0; g < 40; g++ {
 		layers := make([]float64, 11)
 		for j := range layers {
@@ -195,6 +145,59 @@ func BenchmarkHotpathSelectModel(b *testing.B) {
 			groups = append(groups, fmt.Sprint(layers))
 		}
 	}
+	return x, y, groups
+}
+
+// benchRefit refits a warm model on one dataset: the tree builder's
+// scratch and node arena are amortized across fits, as in the
+// cross-validation loop, which refits the same instance up to ~11
+// times per new-workload observation.
+func benchRefit(b *testing.B, m learn.Regressor, x [][]float64, y []float64) {
+	if err := m.Fit(x, y); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Fit(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotpathForestRefit is a random forest refit on an
+// incremental-modeler-sized, tie-free dataset. Each tree's nodes scan
+// the rank bins of the node's values, so with no ties a node's scan
+// covers up to one bin per row (BenchmarkHotpathSelectModel has the
+// tie-heavy shape).
+func BenchmarkHotpathForestRefit(b *testing.B) {
+	x, y := refitSamples()
+	benchRefit(b, learn.NewForest(30, 1), x, y)
+}
+
+// BenchmarkHotpathGBRTRefit is a gradient-boosted trees refit on the
+// same tie-free dataset as BenchmarkHotpathForestRefit: every node of
+// its 60 rounds scans about one rank bin per row.
+func BenchmarkHotpathGBRTRefit(b *testing.B) {
+	x, y := refitSamples()
+	benchRefit(b, learn.NewGBRT(60, 1), x, y)
+}
+
+// BenchmarkHotpathGBRTRefitPredictor is the refit the learner actually
+// serves: gradient-boosted trees, the family that wins model selection
+// for almost every predictor target, on predictor-shaped samples whose
+// features hold few distinct values.
+func BenchmarkHotpathGBRTRefitPredictor(b *testing.B) {
+	x, y, _ := predictorSamples()
+	benchRefit(b, learn.NewGBRT(60, 1), x, y)
+}
+
+// BenchmarkHotpathSelectModel is one refit of an Interference
+// Predictor target: model selection with cross-validation over
+// predictorSamples, with the previous winner cross-validated first, as
+// learn.Incremental does.
+func BenchmarkHotpathSelectModel(b *testing.B) {
+	x, y, groups := predictorSamples()
 	first, err := learn.SelectModelGrouped(x, y, groups, 0, 1, "")
 	if err != nil {
 		b.Fatal(err)

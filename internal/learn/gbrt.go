@@ -61,15 +61,9 @@ func (g *GBRT) Fit(x [][]float64, y []float64) error {
 	rng := xrand.New(g.Seed + 0x6b)
 	g.trees = g.trees[:0]
 	// Boosted trees use all features per split (mtry = w): the
-	// sequential residual fitting provides the diversity. Every round
-	// builds on the same identity root, so a node's sorted orders are
-	// the same in every round that reaches it: sort each node once.
+	// sequential residual fitting provides the diversity. The rows'
+	// value ranks depend only on x, so one begin serves every round.
 	g.tb.begin(x, residual, 2, w)
-	memo := memoPool.get()
-	// Room for every node the fit can sort: a tree has at most
-	// 2^Depth−1 nodes, and at most 2n−1 since its leaves are nonempty.
-	memo.reset(n, w, g.Trees*min(1<<min(g.Depth, 30), 2*n))
-	g.tb.memo = memo
 	for round := 0; round < g.Trees; round++ {
 		g.trees = append(g.trees, g.tb.build(idx, g.Depth, rng.Fork(uint64(round))))
 		// The rows of a leaf's span are exactly those tree.eval sends
@@ -81,8 +75,6 @@ func (g *GBRT) Fit(x [][]float64, y []float64) error {
 			}
 		}
 	}
-	g.tb.memo = nil
-	memoPool.put(memo)
 	return nil
 }
 

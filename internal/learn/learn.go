@@ -11,7 +11,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"mudi/internal/fit"
 	"mudi/internal/xrand"
@@ -30,6 +29,11 @@ type Regressor interface {
 // ErrNoData reports fitting with an empty dataset.
 var ErrNoData = errors.New("learn: empty dataset")
 
+// ErrNonFinite reports fitting with a NaN or infinite input or target:
+// NaN has no place in a feature's value order, so no split could be
+// scored around it.
+var ErrNonFinite = errors.New("learn: non-finite value")
+
 func checkShape(x [][]float64, y []float64) (int, error) {
 	if len(x) == 0 || len(y) != len(x) {
 		return 0, fmt.Errorf("%w: %d inputs, %d targets", ErrNoData, len(x), len(y))
@@ -38,6 +42,14 @@ func checkShape(x [][]float64, y []float64) (int, error) {
 	for i, row := range x {
 		if len(row) != w {
 			return 0, fmt.Errorf("learn: ragged input at row %d", i)
+		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0, fmt.Errorf("%w: input %v at row %d, feature %d", ErrNonFinite, v, i, f)
+			}
+		}
+		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
+			return 0, fmt.Errorf("%w: target %v at row %d", ErrNonFinite, y[i], i)
 		}
 	}
 	return w, nil
@@ -395,36 +407,33 @@ const nodeChunk = 128
 // treeBuilder carries the dataset and reusable scratch across every
 // node of the trees built within one Fit call, and across Fit calls of
 // the same model (the cross-validation loop refits up to ~11 times).
-// The split-search arithmetic is byte-for-byte the original per-node
-// implementation (referenceBuildTree in the tests): ordered partial
-// sums over the same index order, the same sort algorithm (sort.Slice
-// and slices.SortFunc run the identical generated pdqsort, so equal
-// keys land in the same order), the same RNG draws. The fitted trees
-// are bit-identical; only where the work happens changed.
+//
+// Split search is exact and per value: begin sorts each feature once
+// per fit and gives every row the dense rank of its value. At a node,
+// an examined feature's rows add their count, Σy and Σy² into the
+// feature's rank bins in node-row order; a walk over the node's rank
+// range then scores the boundary between each pair of adjacent values
+// present at the node. The left side's sums accumulate in ascending
+// value order and the node's totals in node-row order.
+// referenceBuildTree in the tests is the same arithmetic written
+// naively, and the fitted trees are bit-identical to it.
 //
 // A treeBuilder is owned by a single model and is not safe for
 // concurrent Fits; Predict never touches it.
 type treeBuilder struct {
 	xc      []float64 // column-major copy of x: feature f of row i is xc[f*n+i]
+	rank    []int32   // dense rank of xc[f*n+i] among feature f's values
+	vals    []float64 // feature f's distinct values, ascending, from vals[f*n]: value r is vals[f*n+r]
 	y       []float64
 	n, w    int
 	minLeaf int
 	mtry    int
 
-	idxBuf []int       // builder-owned copy of the root index set, partitioned in place
-	pairs  []sortPair  // per-feature sort scratch
-	order  []int32     // one feature's sorted rows when no memo is set
-	ends   []int32     // one feature's run ends when no memo is set
-	cum    []prefixSum // running sums at one feature's run ends
-	part   []int       // hi side of the stable partition, copied out before recursing
-	perm   []int       // feature-subset scratch
-	leaves []leafSpan  // the last built tree's leaves, in build order
-
-	// memo, when set, keeps every node's sorted orders for the trees
-	// built on one root index set (see sortMemo). GBRT.Fit sets it for
-	// the length of the Fit; Forest's bootstrap roots differ per tree,
-	// so Forest sorts afresh at every node.
-	memo *sortMemo
+	idxBuf []int      // builder-owned copy of the root index set, partitioned in place
+	bins   []rankBin  // one feature's per-value sums at a node; all zero between features
+	part   []int      // hi side of the stable partition, copied out before recursing
+	perm   []int      // feature-subset scratch
+	leaves []leafSpan // the last built tree's leaves, in build order
 
 	// Node arena: fixed-size slabs, so node pointers stay valid as the
 	// arena grows. Reset per begin — by then the previous Fit's trees
@@ -433,135 +442,18 @@ type treeBuilder struct {
 	ci, ni int
 }
 
-// prefixSum is the running Σy and Σy² of a node's rows, in one
-// feature's sorted order, up to and including a run end.
-type prefixSum struct{ sum, sq float64 }
+// rankBin is the count, Σy and Σy² of a node's rows holding one value
+// of the feature being scanned.
+type rankBin struct {
+	n       int
+	sum, sq float64
+}
 
 // leafSpan is a leaf of the last built tree and the rows that reach it:
 // its span of the partitioned idxBuf, which no later node touches.
 type leafSpan struct {
 	value float64
 	rows  []int
-}
-
-// sortPair is one row's value of the feature being sorted; sorting the
-// contiguous pairs gives the permutation the indirect index sort gives.
-type sortPair struct {
-	v   float64
-	row int32
-}
-
-func cmpPair(a, b sortPair) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case a.v > b.v:
-		return 1
-	}
-	return 0
-}
-
-// memoKey names a node by its split path: the parent's memo node, the
-// parent's split and the side taken. With one root index set and a
-// stable partition, the same path always holds the same rows in the
-// same order, so pdqsort (deterministic) gives the same permutation.
-type memoKey struct {
-	parent int32 // parent's index in sortMemo.nodes; 0 (the sentinel) for the root
-	feat   int32
-	thresh float64
-	hi     bool
-}
-
-var rootKey = memoKey{}
-
-// sortMemo stores each node's per-feature sorted rows and run ends
-// once per GBRT fit: boosting rounds revisit the root every round and
-// most other nodes many times, because the residuals change but the
-// features do not. The nodes form a trie over split paths under a
-// sentinel at nodes[0]. A node of m rows is one block at its offset in
-// a flat arena: its sorted rows (m·w int32s, feature-major), then w+1
-// offsets into the run ends that follow (feature f's are
-// ends[bounds[f]:bounds[f+1]]). A feature has at most m−1 run ends,
-// and at most its distinct value count − 1.
-type sortMemo struct {
-	nodes []memoNode
-	arena []int32
-}
-
-type memoNode struct {
-	key         memoKey
-	off         int32 // the node's sorted rows in arena
-	first, next int32 // first child, next sibling; -1 for none
-}
-
-// memoPool lends sort memos to GBRT fits, so no model holds one between
-// fits and concurrent fits (parallel experiment cells) never share one.
-// It is a free list rather than a sync.Pool: a sync.Pool empties at
-// every GC, and the fresh memos that replace its items would make a
-// run's allocation count depend on GC timing. It holds at most as many
-// memos as fits ever ran at once.
-var memoPool memoFreeList
-
-type memoFreeList struct {
-	mu   sync.Mutex
-	free []*sortMemo
-}
-
-func (l *memoFreeList) get() *sortMemo {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.free)
-	if n == 0 {
-		return new(sortMemo)
-	}
-	m := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
-	return m
-}
-
-func (l *memoFreeList) put(m *sortMemo) {
-	l.mu.Lock()
-	l.free = append(l.free, m)
-	l.mu.Unlock()
-}
-
-// memoArenaRows sizes a memo's arena in units of n·w rows: a 60-round,
-// depth-3 fit on the Interference Predictor's samples stores 20–47,
-// run ends included (its integer features have few distinct values).
-const memoArenaRows = 32
-
-// reset empties the memo for a fit on n rows of w features whose trees
-// sort at most nodes distinct nodes. Both slices are sized up front,
-// with room for the sample count to double, so a memo grows rarely and
-// a fresh one allocates a fixed three times.
-func (m *sortMemo) reset(n, w, nodes int) {
-	if cap(m.nodes) < nodes+1 {
-		m.nodes = make([]memoNode, 0, nodes+1)
-	}
-	m.nodes = append(m.nodes[:0], memoNode{first: -1, next: -1})
-	if size := memoArenaRows * n * w; cap(m.arena) < size {
-		m.arena = make([]int32, 0, 2*size)
-	}
-	m.arena = m.arena[:0]
-}
-
-// find returns the node at key, or -1 if no fit round has sorted it.
-func (m *sortMemo) find(key memoKey) int32 {
-	for c := m.nodes[key.parent].first; c >= 0; c = m.nodes[c].next {
-		if m.nodes[c].key == key {
-			return c
-		}
-	}
-	return -1
-}
-
-// add links a node at key whose rows start at arena offset off.
-func (m *sortMemo) add(key memoKey, off int32) int32 {
-	id := int32(len(m.nodes))
-	m.nodes = append(m.nodes, memoNode{key: key, off: off, first: -1, next: m.nodes[key.parent].first})
-	m.nodes[key.parent].first = id
-	return id
 }
 
 func (b *treeBuilder) begin(x [][]float64, y []float64, minLeaf, mtry int) {
@@ -573,6 +465,24 @@ func (b *treeBuilder) begin(x [][]float64, y []float64, minLeaf, mtry int) {
 		for f, v := range row {
 			b.xc[f*n+i] = v
 		}
+	}
+	b.rank = slices.Grow(b.rank[:0], n*w)[:n*w]
+	b.vals = slices.Grow(b.vals[:0], n*w)[:n*w]
+	bins := 0
+	for f := 0; f < w; f++ {
+		col, vals := b.xc[f*n:(f+1)*n], b.vals[f*n:(f+1)*n]
+		copy(vals, col)
+		slices.Sort(vals)
+		vals = slices.Compact(vals)
+		rank := b.rank[f*n : (f+1)*n]
+		for i, v := range col {
+			r, _ := slices.BinarySearch(vals, v)
+			rank[i] = int32(r)
+		}
+		bins = max(bins, len(vals))
+	}
+	if len(b.bins) < bins {
+		b.bins = make([]rankBin, bins)
 	}
 	if cap(b.perm) < w {
 		b.perm = make([]int, w)
@@ -600,67 +510,14 @@ func (b *treeBuilder) newNode(n treeNode) *treeNode {
 
 // build constructs one tree over the given root sample indices. It
 // copies idx into builder-owned scratch, so the caller's slice is
-// never mutated. While a memo is set, every build must get the same
-// root index set (GBRT reuses one identity slice across rounds).
+// never mutated.
 func (b *treeBuilder) build(idx []int, depth int, rng *xrand.Rand) *treeNode {
-	n := len(idx)
 	b.idxBuf = append(b.idxBuf[:0], idx...)
-	if cap(b.pairs) < n {
-		b.pairs = make([]sortPair, n)
-		b.order = make([]int32, n)
-		b.ends = make([]int32, 0, n)
-		b.cum = make([]prefixSum, n)
-	}
-	if cap(b.part) < n {
-		b.part = make([]int, 0, n)
+	if cap(b.part) < len(idx) {
+		b.part = make([]int, 0, len(idx))
 	}
 	b.leaves = b.leaves[:0]
-	return b.node(b.idxBuf, rootKey, depth, rng)
-}
-
-// sortFeature writes the rows of idx into dst in ascending order of
-// feature feat, and appends to ends every position j whose value
-// differs from position j+1's: the run ends, the only split boundaries.
-func (b *treeBuilder) sortFeature(dst, ends []int32, idx []int, feat int) []int32 {
-	col := b.xc[feat*b.n : (feat+1)*b.n]
-	pairs := b.pairs[:len(idx)]
-	for k, i := range idx {
-		pairs[k] = sortPair{v: col[i], row: int32(i)}
-	}
-	slices.SortFunc(pairs, cmpPair)
-	for k, p := range pairs {
-		dst[k] = p.row
-		if k > 0 && pairs[k-1].v != p.v {
-			ends = append(ends, int32(k-1))
-		}
-	}
-	return ends
-}
-
-// memoOrders returns the node's memo index, its sorted rows for every
-// feature (feature-major), its run-end offsets and its run ends,
-// sorting on the node's first visit in this fit.
-func (b *treeBuilder) memoOrders(key memoKey, idx []int) (id int32, sorted, bounds, ends []int32) {
-	m, size := b.memo, len(idx)*b.w
-	if id = m.find(key); id < 0 {
-		off := len(m.arena)
-		head := off + size + b.w + 1 // the node's run ends start here
-		m.arena = slices.Grow(m.arena, size+b.w+1)[:head]
-		m.arena[off+size] = 0
-		for f := 0; f < b.w; f++ {
-			// Room for the feature's run ends up front, so the append
-			// in sortFeature never moves the orders it writes.
-			m.arena = slices.Grow(m.arena, len(idx)-1)
-			lo := off + f*len(idx)
-			m.arena = b.sortFeature(m.arena[lo:lo+len(idx)], m.arena, idx, f)
-			m.arena[off+size+f+1] = int32(len(m.arena) - head)
-		}
-		id = m.add(key, int32(off))
-	}
-	off := int(m.nodes[id].off)
-	bounds = m.arena[off+size : off+size+b.w+1]
-	ends = m.arena[off+size+b.w+1 : off+size+b.w+1+int(bounds[b.w])]
-	return id, m.arena[off : off+size], bounds, ends
+	return b.node(b.idxBuf, depth, rng)
 }
 
 // leaf makes a terminal node for the rows of idx.
@@ -669,13 +526,14 @@ func (b *treeBuilder) leaf(idx []int, mean float64) *treeNode {
 	return b.newNode(treeNode{terminal: true, value: mean})
 }
 
-func (b *treeBuilder) node(idx []int, key memoKey, depth int, rng *xrand.Rand) *treeNode {
+func (b *treeBuilder) node(idx []int, depth int, rng *xrand.Rand) *treeNode {
 	y := b.y
-	mean := 0.0
+	var totalSum, totalSq float64
 	for _, i := range idx {
-		mean += y[i]
+		totalSum += y[i]
+		totalSq += y[i] * y[i]
 	}
-	mean /= float64(len(idx))
+	mean := totalSum / float64(len(idx))
 	if depth == 0 || len(idx) <= b.minLeaf {
 		return b.leaf(idx, mean)
 	}
@@ -692,61 +550,47 @@ func (b *treeBuilder) node(idx []int, key memoKey, depth int, rng *xrand.Rand) *
 	bestFeat, bestThresh := -1, 0.0
 	rng.PermInto(b.perm[:b.w])
 	features := b.perm[:b.mtry]
-	var self int32
-	var sorted, bounds, memoEnds []int32
-	if b.memo != nil {
-		self, sorted, bounds, memoEnds = b.memoOrders(key, idx)
-	}
 	n := float64(len(idx))
+	bins := b.bins
 	for _, feat := range features {
-		// Sort the node's samples by the feature (or take the memo's
-		// order), then scan every split boundary with running sums: the
-		// best split minimizes
+		// Bin the node's rows by the feature's value rank, then walk the
+		// bins in ascending order and score every boundary between two
+		// values present at the node: the best split minimizes
 		//   SSE_left + SSE_right
-		// where SSE = Σy² − (Σy)²/n per side — O(n log n) per feature
-		// instead of the naive O(n²). The boundaries are the run ends,
-		// where the sorted value changes.
-		var order, ends []int32
-		if sorted != nil {
-			order = sorted[feat*len(idx) : (feat+1)*len(idx)]
-			ends = memoEnds[bounds[feat]:bounds[feat+1]]
-		} else {
-			order = b.order[:len(idx)]
-			ends = b.sortFeature(order, b.ends[:0], idx, feat)
+		// where SSE = Σy² − (Σy)²/n per side. The walk clears each bin
+		// it reads, so the bins are zero again for the next feature.
+		rank := b.rank[feat*b.n : (feat+1)*b.n]
+		lo, hi := rank[idx[0]], rank[idx[0]]
+		for _, i := range idx {
+			r, yi := rank[i], y[i]
+			bn := &bins[r]
+			bn.n++
+			bn.sum += yi
+			bn.sq += yi * yi
+			lo, hi = min(lo, r), max(hi, r)
 		}
-		if len(ends) == 0 {
-			continue // constant at this node: no boundary to split on
-		}
-		// One pass adds every row's y in sorted order and keeps the
-		// running sums at each run end; its final sums are the totals.
-		cum := b.cum[:len(ends)]
-		var sum, sq float64
-		j := 0
-		for k, e := range ends {
-			for ; j <= int(e); j++ {
-				yi := y[order[j]]
-				sum += yi
-				sq += yi * yi
+		vals := b.vals[feat*b.n : (feat+1)*b.n]
+		left := bins[lo]
+		bins[lo] = rankBin{}
+		prev := lo
+		for r := lo + 1; r <= hi; r++ {
+			bn := bins[r]
+			if bn.n == 0 {
+				continue
 			}
-			cum[k] = prefixSum{sum, sq}
-		}
-		for ; j < len(order); j++ {
-			yi := y[order[j]]
-			sum += yi
-			sq += yi * yi
-		}
-		totalSum, totalSq := sum, sq
-		for k, e := range ends {
-			leftSum, leftSq := cum[k].sum, cum[k].sq
-			nl := float64(e + 1)
+			bins[r] = rankBin{}
+			nl := float64(left.n)
 			nr := n - nl
-			sseL := leftSq - leftSum*leftSum/nl
-			rightSum := totalSum - leftSum
-			sseR := (totalSq - leftSq) - rightSum*rightSum/nr
+			sseL := left.sq - left.sum*left.sum/nl
+			rightSum := totalSum - left.sum
+			sseR := (totalSq - left.sq) - rightSum*rightSum/nr
 			if gain := sse - (sseL + sseR); gain > bestGain {
-				col := b.xc[feat*b.n : (feat+1)*b.n]
-				bestGain, bestFeat, bestThresh = gain, feat, (col[order[e]]+col[order[e+1]])/2
+				bestGain, bestFeat, bestThresh = gain, feat, (vals[prev]+vals[r])/2
 			}
+			left.n += bn.n
+			left.sum += bn.sum
+			left.sq += bn.sq
+			prev = r
 		}
 	}
 	if bestFeat < 0 {
@@ -754,8 +598,7 @@ func (b *treeBuilder) node(idx []int, key memoKey, depth int, rng *xrand.Rand) *
 	}
 	// Stable in-place partition: the low side compacts forward, the high
 	// side detours through scratch, so both keep their original relative
-	// order — exactly the element order the old append-built loIdx/hiIdx
-	// had, which the children's ordered float sums depend on.
+	// order, which the children's ordered float sums depend on.
 	col := b.xc[bestFeat*b.n : (bestFeat+1)*b.n]
 	b.part = b.part[:0]
 	nlo := 0
@@ -769,10 +612,8 @@ func (b *treeBuilder) node(idx []int, key memoKey, depth int, rng *xrand.Rand) *
 	}
 	copy(idx[nlo:], b.part)
 	nd := b.newNode(treeNode{feature: bestFeat, thresh: bestThresh})
-	child := memoKey{parent: self, feat: int32(bestFeat), thresh: bestThresh}
-	nd.lo = b.node(idx[:nlo], child, depth-1, rng)
-	child.hi = true
-	nd.hi = b.node(idx[nlo:], child, depth-1, rng)
+	nd.lo = b.node(idx[:nlo], depth-1, rng)
+	nd.hi = b.node(idx[nlo:], depth-1, rng)
 	return nd
 }
 

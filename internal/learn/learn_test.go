@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -73,6 +74,28 @@ func TestModelsRejectEmptyAndRagged(t *testing.T) {
 		if err := m.Fit([][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
 			t.Fatalf("%s accepted ragged dataset", m.Name())
 		}
+	}
+}
+
+// TestModelsRejectNonFinite fits every family on data with one NaN or
+// infinite input or target: each must fail with ErrNonFinite.
+func TestModelsRejectNonFinite(t *testing.T) {
+	for _, m := range Candidates(1) {
+		t.Run(m.Name(), func(t *testing.T) {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				for _, inTarget := range []bool{false, true} {
+					x, y := synthDataset(20, 0.1, 3)
+					if inTarget {
+						y[7] = bad
+					} else {
+						x[7][1] = bad
+					}
+					if err := m.Fit(x, y); !errors.Is(err, ErrNonFinite) {
+						t.Fatalf("%v in target=%v: got %v, want ErrNonFinite", bad, inTarget, err)
+					}
+				}
+			}
+		})
 	}
 }
 

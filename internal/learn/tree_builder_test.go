@@ -1,6 +1,8 @@
 package learn
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -8,17 +10,19 @@ import (
 	"mudi/internal/xrand"
 )
 
-// referenceBuildTree is the pre-treeBuilder implementation, kept
-// verbatim (per-node allocations, sort.Slice, rng.Perm) as the oracle
-// for the scratch-buffer rewrite: both must produce bit-identical
-// trees from identical RNG streams — including tie-breaks, since
-// sort.Sort and sort.Slice run the same generated pdqsort.
+// referenceBuildTree is the oracle for treeBuilder, written naively
+// and independently of it (per-node allocations, rng.Perm, a map from
+// each value to its rows' sums): both must produce bit-identical trees
+// from identical RNG streams. Its split scan adds each value's Σy and
+// Σy² in node-row order, then sums those per-value totals in ascending
+// value order, which fixes every floating-point addition of the scan.
 func referenceBuildTree(x [][]float64, y []float64, idx []int, depth, minLeaf, mtry int, rng *xrand.Rand) *treeNode {
-	mean := 0.0
+	var totalSum, totalSq float64
 	for _, i := range idx {
-		mean += y[i]
+		totalSum += y[i]
+		totalSq += y[i] * y[i]
 	}
-	mean /= float64(len(idx))
+	mean := totalSum / float64(len(idx))
 	if depth == 0 || len(idx) <= minLeaf {
 		return &treeNode{terminal: true, value: mean}
 	}
@@ -34,32 +38,40 @@ func referenceBuildTree(x [][]float64, y []float64, idx []int, depth, minLeaf, m
 	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
 	features := rng.Perm(w)[:mtry]
-	order := make([]int, len(idx))
+	n := float64(len(idx))
+	type group struct {
+		n       int
+		sum, sq float64
+	}
 	for _, feat := range features {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return x[order[a]][feat] < x[order[b]][feat] })
-		var totalSum, totalSq float64
-		for _, i := range order {
-			totalSum += y[i]
-			totalSq += y[i] * y[i]
-		}
-		n := float64(len(order))
-		var leftSum, leftSq float64
-		for j := 0; j < len(order)-1; j++ {
-			yi := y[order[j]]
-			leftSum += yi
-			leftSq += yi * yi
-			vj, vj1 := x[order[j]][feat], x[order[j+1]][feat]
-			if vj == vj1 {
-				continue
+		groups := map[float64]*group{}
+		var values []float64
+		for _, i := range idx {
+			v := x[i][feat]
+			g := groups[v]
+			if g == nil {
+				g = &group{}
+				groups[v] = g
+				values = append(values, v)
 			}
-			nl := float64(j + 1)
+			g.n++
+			g.sum += y[i]
+			g.sq += y[i] * y[i]
+		}
+		sort.Float64s(values)
+		var left group
+		for k := 0; k+1 < len(values); k++ {
+			g := groups[values[k]]
+			left.n += g.n
+			left.sum += g.sum
+			left.sq += g.sq
+			nl := float64(left.n)
 			nr := n - nl
-			sseL := leftSq - leftSum*leftSum/nl
-			rightSum := totalSum - leftSum
-			sseR := (totalSq - leftSq) - rightSum*rightSum/nr
+			sseL := left.sq - left.sum*left.sum/nl
+			rightSum := totalSum - left.sum
+			sseR := (totalSq - left.sq) - rightSum*rightSum/nr
 			if gain := sse - (sseL + sseR); gain > bestGain {
-				bestGain, bestFeat, bestThresh = gain, feat, (vj+vj1)/2
+				bestGain, bestFeat, bestThresh = gain, feat, (values[k]+values[k+1])/2
 			}
 		}
 	}
@@ -100,12 +112,12 @@ func sameTree(t *testing.T, a, b *treeNode, path string) {
 	sameTree(t, a.hi, b.hi, path+"R")
 }
 
-// TestTreeBuilderBitIdentical fuzzes the scratch-buffer tree builder
-// against the reference across dataset sizes, depths, feature-subset
-// sizes, bootstrap index multisets, and tie-heavy features; then the
-// sort-memo path across boosting rounds, GBRT.Fit against a reference
-// boosting loop, and both on predictor-shaped data. The comparison is
-// exact (== on thresholds, leaf values and predictions).
+// TestTreeBuilderBitIdentical fuzzes the tree builder against the
+// reference across dataset sizes, depths, feature-subset sizes,
+// bootstrap index multisets, and tie-heavy features; then one builder
+// across boosting rounds, GBRT.Fit against a reference boosting loop,
+// and both on predictor-shaped data. The comparison is exact (== on
+// thresholds, leaf values and predictions).
 func TestTreeBuilderBitIdentical(t *testing.T) {
 	t.Run("bootstrap", testTreeBuilderBootstrap)
 	t.Run("memo-rounds", testTreeBuilderMemoRounds)
@@ -124,8 +136,8 @@ func testTreeBuilderBootstrap(t *testing.T) {
 			x[i] = make([]float64, w)
 			for j := range x[i] {
 				if trial%2 == 0 {
-					// Tie-heavy features exercise equal sort keys and the
-					// vj == vj1 skip in the split scan.
+					// Tie-heavy features put many rows in one value's
+					// bin and leave bins empty inside a node's range.
 					x[i][j] = float64(rng.Intn(4))
 				} else {
 					x[i][j] = rng.Range(-5, 5)
@@ -168,8 +180,7 @@ func testTreeBuilderBootstrap(t *testing.T) {
 
 // boostingData draws n rows of w features. Tie-heavy columns take four
 // values, and the last column of a tie-heavy set is constant, so the
-// sorts see long runs of equal keys and the scan sees a feature with
-// no boundary.
+// scan sees many rows per value and a feature with no boundary.
 func boostingData(rng *xrand.Rand, n, w int, ties bool) ([][]float64, []float64) {
 	x := make([][]float64, n)
 	y := make([]float64, n)
@@ -191,9 +202,9 @@ func boostingData(rng *xrand.Rand, n, w int, ties bool) ([][]float64, []float64)
 }
 
 // testTreeBuilderMemoRounds builds boosting rounds on the identity row
-// set with the sort memo on and the residuals changing between rounds:
-// each tree must equal the reference built from scratch. Sizes cross
-// pdqsort's insertion-sort cutoff (12) and its ninther cutoff (50).
+// set with one builder and the residuals changing between rounds: each
+// tree must equal the reference built from scratch, and building the
+// same round again must give the same tree.
 func testTreeBuilderMemoRounds(t *testing.T) {
 	rng := xrand.New(0x3e30)
 	for trial, n := range []int{13, 29, 65, 97, 180, 300} {
@@ -205,40 +216,16 @@ func testTreeBuilderMemoRounds(t *testing.T) {
 		}
 		var tb treeBuilder
 		tb.begin(x, y, 2, w)
-		tb.memo = new(sortMemo)
-		tb.memo.reset(n, w, 0)
 		for round := 0; round < 60; round++ {
 			depth := 1 + rng.Intn(4)
 			seed := rng.Uint64()
 			want := referenceBuildTree(x, y, idx, depth, 2, w, xrand.New(seed))
 			got := tb.build(idx, depth, xrand.New(seed))
 			sameTree(t, want, got, "·")
-			// The same round again is served from the memo: no new
-			// entries, the same tree.
-			entries := len(tb.memo.nodes)
 			again := tb.build(idx, depth, xrand.New(seed))
 			sameTree(t, want, again, "·")
-			if len(tb.memo.nodes) != entries {
-				t.Fatalf("n=%d round %d: repeated build added %d memo nodes", n, round, len(tb.memo.nodes)-entries)
-			}
 			for i := range y {
 				y[i] -= 0.1 * want.eval(x[i])
-			}
-		}
-		// The root's memoized orders are the reference sort's
-		// permutations, ties included.
-		root := tb.memo.find(rootKey)
-		if root < 0 {
-			t.Fatalf("n=%d: root never memoized", n)
-		}
-		off := tb.memo.nodes[root].off
-		for feat := 0; feat < w; feat++ {
-			order := append([]int(nil), idx...)
-			sort.Slice(order, func(a, b int) bool { return x[order[a]][feat] < x[order[b]][feat] })
-			for k, row := range tb.memo.arena[int(off)+feat*n : int(off)+(feat+1)*n] {
-				if int(row) != order[k] {
-					t.Fatalf("n=%d feature %d: memoized order differs from the reference sort at %d", n, feat, k)
-				}
 			}
 		}
 		for i := range idx {
@@ -286,9 +273,9 @@ func referenceGBRTPredict(x [][]float64, y []float64, trees, depth int, rate flo
 	return out
 }
 
-// testGBRTFitMatchesReference checks GBRT.Fit (memo, pooled arena)
-// against the reference loop, refitting one instance on datasets of
-// different shapes so the pooled arena is reused across sizes.
+// testGBRTFitMatchesReference checks GBRT.Fit against the reference
+// loop, refitting one instance on datasets of different shapes so its
+// scratch is reused across sizes.
 func testGBRTFitMatchesReference(t *testing.T) {
 	rng := xrand.New(0x6b7)
 	g := NewGBRT(60, 3)
@@ -349,9 +336,8 @@ func testTreeBuilderPredictorShaped(t *testing.T) {
 }
 
 // TestGBRTConcurrentFits fits GBRT models on different datasets in
-// parallel goroutines: each fit borrows its own sort memo from the
-// pool, so every model must match the same fit run alone (and the race
-// detector must stay quiet).
+// parallel goroutines: fits share no state, so every model must match
+// the same fit run alone (and the race detector must stay quiet).
 func TestGBRTConcurrentFits(t *testing.T) {
 	rng := xrand.New(0xc0c)
 	const fits = 4
@@ -391,4 +377,153 @@ func TestGBRTConcurrentFits(t *testing.T) {
 	if got != want {
 		t.Fatalf("concurrent fits %v != sequential %v", got, want)
 	}
+}
+
+// TestSplitIsBest checks every node of built trees against a brute-
+// force scan. An internal node's split must reach the largest SSE
+// reduction over the features it examined, and a node the builder made
+// a leaf after its checks must have no split that reduces the SSE,
+// both within 1e-9 of the node's SSE. The scan computes each side's
+// SSE from its rows in two passes, so the check does not depend on the
+// builder's summation order. The data shapes are tie-heavy (with a
+// constant column), continuous and predictor-shaped, each on identity
+// and bootstrap row sets.
+func TestSplitIsBest(t *testing.T) {
+	rng := xrand.New(0x5b1e)
+	for trial := 0; trial < 300; trial++ {
+		var x [][]float64
+		var y []float64
+		switch trial % 3 {
+		case 0:
+			x, y = boostingData(rng, 4+rng.Intn(80), 1+rng.Intn(6), true)
+		case 1:
+			x, y = boostingData(rng, 4+rng.Intn(80), 1+rng.Intn(6), false)
+		case 2:
+			x, y, _ = predictorShaped(rng, 1+rng.Intn(12), noisy)
+		}
+		n, w := len(x), len(x[0])
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+			if trial%2 == 1 {
+				idx[i] = rng.Intn(n) // bootstrap multiset, like Forest.Fit
+			}
+		}
+		depth, mtry, seed := 1+rng.Intn(6), 1+rng.Intn(w), rng.Uint64()
+		var tb treeBuilder
+		tb.begin(x, y, 2, mtry)
+		root := tb.build(idx, depth, xrand.New(seed))
+		c := splitCheck{t: t, x: x, y: y, mtry: mtry, rng: xrand.New(seed), perm: make([]int, w)}
+		c.walk(root, idx, depth, fmt.Sprintf("trial %d ·", trial))
+	}
+}
+
+// splitCheck walks a built tree with the rows that reach each node,
+// replaying the builder's per-node RNG draws to know which features a
+// node examined.
+type splitCheck struct {
+	t    *testing.T
+	x    [][]float64
+	y    []float64
+	mtry int
+	rng  *xrand.Rand
+	perm []int
+}
+
+func (c *splitCheck) walk(nd *treeNode, rows []int, depth int, path string) {
+	c.t.Helper()
+	// The builder's leaf checks, in its arithmetic: it draws a feature
+	// subset only at nodes that pass them.
+	mean := 0.0
+	for _, i := range rows {
+		mean += c.y[i]
+	}
+	mean /= float64(len(rows))
+	var sse float64
+	for _, i := range rows {
+		d := c.y[i] - mean
+		sse += d * d
+	}
+	if depth == 0 || len(rows) <= 2 || sse < 1e-12 {
+		if !nd.terminal {
+			c.t.Fatalf("%s: split a node its checks make a leaf", path)
+		}
+		return
+	}
+	c.rng.PermInto(c.perm)
+	features := c.perm[:c.mtry]
+	best := 0.0
+	for _, f := range features {
+		for _, thresh := range midpoints(c.x, rows, f) {
+			best = max(best, c.gain(rows, f, thresh))
+		}
+	}
+	tol := 1e-9 * sse
+	if nd.terminal {
+		if best > tol {
+			c.t.Fatalf("%s: leaf, but a split reduces its SSE by %v", path, best)
+		}
+		return
+	}
+	if !slices.Contains(features, nd.feature) {
+		c.t.Fatalf("%s: split on feature %d, examined %v", path, nd.feature, features)
+	}
+	if got := c.gain(rows, nd.feature, nd.thresh); got < best-tol {
+		c.t.Fatalf("%s: split (%d, %v) reduces SSE by %v, best is %v", path, nd.feature, nd.thresh, got, best)
+	}
+	lo, hi := partition(c.x, rows, nd.feature, nd.thresh)
+	c.walk(nd.lo, lo, depth-1, path+"L")
+	c.walk(nd.hi, hi, depth-1, path+"R")
+}
+
+// gain is the SSE reduction of splitting rows at x[feat] <= thresh.
+func (c *splitCheck) gain(rows []int, feat int, thresh float64) float64 {
+	lo, hi := partition(c.x, rows, feat, thresh)
+	return twoPassSSE(c.y, rows) - twoPassSSE(c.y, lo) - twoPassSSE(c.y, hi)
+}
+
+// midpoints lists the midpoints between adjacent distinct values of
+// feature feat among rows: the only thresholds that split them
+// differently.
+func midpoints(x [][]float64, rows []int, feat int) []float64 {
+	var vals []float64
+	for _, i := range rows {
+		vals = append(vals, x[i][feat])
+	}
+	sort.Float64s(vals)
+	vals = slices.Compact(vals)
+	var mids []float64
+	for k := 0; k+1 < len(vals); k++ {
+		mids = append(mids, (vals[k]+vals[k+1])/2)
+	}
+	return mids
+}
+
+// partition splits rows at x[feat] <= thresh, keeping their order.
+func partition(x [][]float64, rows []int, feat int, thresh float64) (lo, hi []int) {
+	for _, i := range rows {
+		if x[i][feat] <= thresh {
+			lo = append(lo, i)
+		} else {
+			hi = append(hi, i)
+		}
+	}
+	return lo, hi
+}
+
+func twoPassSSE(y []float64, rows []int) float64 {
+	if len(rows) == 0 {
+		return 0
+	}
+	mean := 0.0
+	for _, i := range rows {
+		mean += y[i]
+	}
+	mean /= float64(len(rows))
+	var sse float64
+	for _, i := range rows {
+		d := y[i] - mean
+		sse += d * d
+	}
+	return sse
 }
