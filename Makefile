@@ -49,7 +49,7 @@ race:
 # detector. Regenerate fixtures with:
 #   go test ./internal/trace/... -update
 # The control-plane record goldens (events, Chrome traces, the faulted
-# run's SLO report) regenerate with:
+# run's SLO report and metrics snapshot) regenerate with:
 #   go test ./cmd/mudisim -run Golden -update
 #   go test . -run 'ChromeTraceGolden|FaultedRecordGolden' -update
 test-scenarios:

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"testing"
 
+	"mudi/internal/baselines"
 	"mudi/internal/obs"
+	"mudi/internal/perf"
 	"mudi/internal/span"
 )
 
@@ -62,5 +64,18 @@ func TestCappedViewsCountDrops(t *testing.T) {
 	}
 	if capped.Summary() != full.Summary() {
 		t.Error("capping the record log perturbed the summary")
+	}
+}
+
+// TestObsRequiresLog: control-action counters are counted from the
+// record log, so New rejects a metrics sink without one.
+func TestObsRequiresLog(t *testing.T) {
+	opts := Options{Policy: baselines.NewGSLICE(), Oracle: perf.NewOracle(1), Devices: 1, Obs: obs.NewSink()}
+	if _, err := New(opts); err == nil {
+		t.Fatal("Obs without Log accepted")
+	}
+	opts.Log = span.NewRunLog(true, false, nil)
+	if _, err := New(opts); err != nil {
+		t.Fatalf("Obs with Log: %v", err)
 	}
 }

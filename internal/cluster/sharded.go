@@ -217,10 +217,10 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 }
 
 // fold is the engine's once-per-barrier read-back, installed only when
-// a metrics sink or a record log is on. It walks devices in global
-// order and publishes each device's fresh window record (load_shed,
-// then latency and violation), then the swap bursts its window
-// recorded — the order a one-lane sequential drain would emit them in.
+// a record log is on. It walks devices in global order and publishes
+// each device's fresh window record (latency, load_shed, then
+// violation), then the swap bursts its window recorded — the order a
+// one-lane sequential drain would emit them in.
 func (s *Sim) fold(float64) {
 	for _, d := range s.devices {
 		if d.rec.fresh {
@@ -238,38 +238,19 @@ func (s *Sim) fold(float64) {
 func (s *Sim) observeWindow(d *deviceState) {
 	r, svc := &d.rec, d.svc
 	class := svc.info.Class.String()
-	if s.attr != nil {
-		s.attr.ObserveShed(class, r.shed*span.WindowSec) // no-op unless shedding
-		if r.viol {
-			s.attr.Observe(span.Sample{
-				Time: r.at, Device: d.dev.ID, Service: svc.info.Name,
-				LatencyMs: r.lat, BudgetMs: r.budget, QPS: r.qps,
-				BaseQPS:   svc.info.BaseQPS * s.opts.LoadFactor,
-				Residents: append(make([]string, 0, len(r.residents)), r.residents...),
-				Class:     class, ShedQPS: r.shed,
-			})
-		}
+	if r.viol && s.attr != nil {
+		s.attr.Observe(span.Sample{
+			Time: r.at, Device: d.dev.ID, Service: svc.info.Name,
+			LatencyMs: r.lat, BudgetMs: r.budget, QPS: r.qps,
+			BaseQPS:   svc.info.BaseQPS * s.opts.LoadFactor,
+			Residents: append(make([]string, 0, len(r.residents)), r.residents...),
+			Class:     class, ShedQPS: r.shed,
+		})
 	}
-	if s.obsv != nil {
-		cc := d.obsv.cls
-		if r.shed > 0 {
-			s.obsv.sheds.Inc()
-			if cc != nil {
-				cc.shed.Add(r.shed * span.WindowSec)
-			}
-		}
-		if r.ok {
-			d.obsv.latency.Observe(r.lat)
-			if cc != nil {
-				cc.windows.Inc()
-			}
-		}
-		if r.viol {
-			s.obsv.violations.Inc()
-			d.obsv.violations.Inc()
-			if cc != nil {
-				cc.violations.Inc()
-			}
+	if r.ok && s.obsv != nil {
+		d.obsv.latency.Observe(r.lat)
+		if cc := d.obsv.cls; cc != nil {
+			cc.windows.Inc()
 		}
 	}
 	if r.shed > 0 {
@@ -281,12 +262,12 @@ func (s *Sim) observeWindow(d *deviceState) {
 }
 
 // flushSwaps publishes the pool's swap bursts recorded since the last
-// flush (mem_swap records, swap-MB counters, the transfer histogram)
-// and refreshes the swapped-MB gauge. The fold flushes lane windows'
-// bursts; barrier-time code flushes right after each pool Alloc, Resize
-// or Free, so bursts publish in the order they happened.
+// flush (mem_swap records and the transfer histogram) and refreshes
+// the swapped-MB gauge. The fold flushes lane windows' bursts;
+// barrier-time code flushes right after each pool Alloc, Resize or
+// Free, so bursts publish in the order they happened.
 func (s *Sim) flushSwaps(d *deviceState) {
-	if s.obsv == nil && s.rec == nil {
+	if s.rec == nil {
 		return
 	}
 	evs := d.pool.Events()
@@ -296,11 +277,6 @@ func (s *Sim) flushSwaps(d *deviceState) {
 			dir = "to-host"
 		}
 		if s.obsv != nil {
-			if e.ToHost {
-				d.obsv.swapOutMB.Add(e.MB)
-			} else {
-				d.obsv.swapInMB.Add(e.MB)
-			}
 			d.obsv.swapXfer.Observe(e.TransferMs)
 		}
 		s.record(d, span.Record{Act: span.ActMemSwap, Time: e.Time, End: e.Time + e.TransferMs/1000, Task: e.Alloc, Value: e.MB, Cause: dir})

@@ -70,11 +70,12 @@ type Options struct {
 	// memory (§3: "Mudi is fully compatible with MIG, treating each
 	// MIG instance as a distinct, smaller GPU"). Valid values 1–7.
 	MIGSlices int
-	// Obs, when non-nil, receives metrics from every control-loop
-	// decision; the simulation-end snapshot lands in Result.Metrics.
-	// Observation is passive — it never perturbs the simulated metrics
-	// (Result.Summary() is identical with and without a sink) — and a
-	// nil sink costs one branch per call site.
+	// Obs, when non-nil, receives the run's metrics; the simulation-end
+	// snapshot lands in Result.Metrics. It requires Log: control-action
+	// counters are counted from the records Log receives, so New
+	// rejects Obs without Log. Observation is passive — it never
+	// perturbs the simulated metrics (Result.Summary() is identical
+	// with and without a sink).
 	Obs *obs.Sink
 	// Faults, when non-nil and enabled, injects deterministic failures
 	// (device outages, transient measurement errors, shadow spin-up
@@ -126,6 +127,9 @@ func (o Options) defaults() (Options, error) {
 	}
 	if o.Devices <= 0 {
 		return o, fmt.Errorf("cluster: %d devices", o.Devices)
+	}
+	if o.Obs != nil && o.Log == nil {
+		return o, errors.New("cluster: a metrics sink (Obs) needs a record log (Log)")
 	}
 	if len(o.Services) == 0 {
 		o.Services = model.Services()
@@ -308,7 +312,8 @@ type Sim struct {
 	inj *faults.Injector
 
 	// obsv caches the cluster-level instruments (nil when observation
-	// is disabled); per-device instruments live on deviceState.
+	// is disabled); per-device instruments live on deviceState. It is
+	// set only with rec, which carries its control-action counts.
 	obsv *simObs
 
 	// rec is Options.Log and attr its attributor (nil when off); every
@@ -346,25 +351,13 @@ type Sim struct {
 
 // simObs is the cluster-level instrument cache.
 type simObs struct {
-	sink       *obs.Sink
 	smUtil     *obs.Gauge
 	memUtil    *obs.Gauge
 	queueDepth *obs.Gauge
 	windows    *obs.Counter
-	placements *obs.Counter
-	migrations *obs.Counter
-	retunes    *obs.Counter
-	violations *obs.Counter
-	batchChg   *obs.Counter
-	rescales   *obs.Counter
-	shadow     *obs.Counter
-	// faults holds the fault-path counters. It is created only when the
-	// injector is enabled so an unfaulted run's metrics snapshot stays
-	// byte-identical to a build without fault injection.
-	faults *faultObs
-	// sheds counts admission-control load sheds. Created only in
-	// class-aware runs, same byte-identity contract as faults.
-	sheds *obs.Counter
+	// acts lists the cluster counters each control act bumps (see
+	// count).
+	acts [span.NumActs][]*obs.Counter
 	// classes holds the class-labelled roll-up counters
 	// (cluster_class_*_total{class="..."}), one set per SLO class the
 	// catalog declares. Created only in class-aware runs; devices cache
@@ -387,37 +380,81 @@ func newClassCounters(sink *obs.Sink, class string) *classCounters {
 	}
 }
 
-// faultObs caches the fault-injection counters.
-type faultObs struct {
-	devFailed    *obs.Counter
-	devRecovered *obs.Counter
-	measRetries  *obs.Counter
-	failovers    *obs.Counter
-}
-
-func newFaultObs(sink *obs.Sink) *faultObs {
-	return &faultObs{
-		devFailed:    sink.Counter("cluster_device_failures_total"),
-		devRecovered: sink.Counter("cluster_device_recoveries_total"),
-		measRetries:  sink.Counter("cluster_measure_retries_total"),
-		failovers:    sink.Counter("cluster_failovers_total"),
-	}
-}
-
-func newSimObs(sink *obs.Sink) *simObs {
-	return &simObs{
-		sink:       sink,
+// newSimObs resolves the cluster-level instruments. The fault acts'
+// counters exist only when the injector is on, and the shed and class
+// counters only in class-aware runs, so an unfaulted or classless
+// run's snapshot is byte-identical to a build without those features.
+func newSimObs(sink *obs.Sink, faulted, classAware bool, services []model.InferenceService) *simObs {
+	o := &simObs{
 		smUtil:     sink.Gauge("cluster_sm_util"),
 		memUtil:    sink.Gauge("cluster_mem_util"),
 		queueDepth: sink.Gauge("cluster_queue_depth"),
 		windows:    sink.Counter("cluster_windows_total"),
-		placements: sink.Counter("cluster_placements_total"),
-		migrations: sink.Counter("cluster_migrations_total"),
-		retunes:    sink.Counter("cluster_retunes_total"),
-		violations: sink.Counter("cluster_slo_violations_total"),
-		batchChg:   sink.Counter("cluster_batch_changes_total"),
-		rescales:   sink.Counter("cluster_gpu_rescales_total"),
-		shadow:     sink.Counter("cluster_shadow_swaps_total"),
+	}
+	counter := func(name string, acts ...span.Act) {
+		c := sink.Counter(name)
+		for _, a := range acts {
+			o.acts[a] = append(o.acts[a], c)
+		}
+	}
+	counter("cluster_placements_total", span.ActPlaced)
+	counter("cluster_migrations_total", span.ActMigrated)
+	counter("cluster_retunes_total", span.ActRetune)
+	counter("cluster_batch_changes_total", span.ActBatch)
+	counter("cluster_gpu_rescales_total", span.ActRescale)
+	counter("cluster_shadow_swaps_total", span.ActRescale)
+	counter("cluster_slo_violations_total", span.ActSLOViolation)
+	if faulted {
+		counter("cluster_failovers_total", span.ActSpinUpFailed, span.ActFailover)
+		counter("cluster_device_failures_total", span.ActOutage)
+		counter("cluster_device_recoveries_total", span.ActRecovered)
+		counter("cluster_measure_retries_total", span.ActMeasureRetry)
+	}
+	if classAware {
+		counter("cluster_load_sheds_total", span.ActLoadShed)
+		o.classes = make(map[model.SLOClass]*classCounters)
+		for _, c := range model.SLOClasses() {
+			for _, svc := range services {
+				if svc.Class == c {
+					o.classes[c] = newClassCounters(sink, c.String())
+					break
+				}
+			}
+		}
+	}
+	return o
+}
+
+// count bumps the instruments control record r stands for on device
+// d: the one place a control action reaches the metrics.
+func (o *simObs) count(d *deviceState, r *span.Record) {
+	if o == nil {
+		return
+	}
+	for _, c := range o.acts[r.Act] {
+		c.Inc()
+	}
+	dv := d.obsv
+	switch r.Act {
+	case span.ActBatch:
+		dv.batch.Set(r.Value)
+	case span.ActRescale:
+		dv.delta.Set(r.Value)
+	case span.ActSLOViolation:
+		dv.violations.Inc()
+		if dv.cls != nil {
+			dv.cls.violations.Inc()
+		}
+	case span.ActLoadShed:
+		if dv.cls != nil {
+			dv.cls.shed.Add(r.Value * span.WindowSec)
+		}
+	case span.ActMemSwap:
+		if r.Cause == "to-host" {
+			dv.swapOutMB.Add(r.Value)
+		} else {
+			dv.swapInMB.Add(r.Value)
+		}
 	}
 }
 
@@ -463,22 +500,7 @@ func New(opts Options) (*Sim, error) {
 		s.inj = inj // nil when the config is all-zero (disabled)
 	}
 	if opts.Obs != nil {
-		s.obsv = newSimObs(opts.Obs)
-		if s.inj != nil {
-			s.obsv.faults = newFaultObs(opts.Obs)
-		}
-		if s.classAware {
-			s.obsv.sheds = opts.Obs.Counter("cluster_load_sheds_total")
-			s.obsv.classes = make(map[model.SLOClass]*classCounters)
-			for _, c := range model.SLOClasses() {
-				for _, svc := range opts.Services {
-					if svc.Class == c {
-						s.obsv.classes[c] = newClassCounters(opts.Obs, c.String())
-						break
-					}
-				}
-			}
-		}
+		s.obsv = newSimObs(opts.Obs, s.inj != nil, s.classAware, opts.Services)
 		s.queue.SetObs(opts.Obs)
 	}
 	s.rec = opts.Log
@@ -675,7 +697,7 @@ func (s *Sim) Run() (*Result, error) {
 		s.sh.SetProfiler(newTLProfiler(s.tl.store))
 	}
 	// Observers read the lanes' window records back once per barrier.
-	if s.obsv != nil || s.rec != nil {
+	if s.rec != nil {
 		s.sh.SetFold(s.fold)
 	}
 	s.sh.Run(s.opts.MaxHorizonSec)
@@ -842,9 +864,6 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 	}
 	d.training = append(d.training, t)
 	s.res.Admitted++
-	if s.obsv != nil {
-		s.obsv.placements.Inc()
-	}
 	s.record(d, span.Record{Act: span.ActPlaced, Time: now, Task: t.task.Name, Value: float64(t.id)})
 	// Memory: training allocations are swappable.
 	if err := d.pool.Alloc(now, t.allocID, memmgr.PriorityTraining, t.task.MemoryMB()); err != nil {
@@ -904,9 +923,6 @@ func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string)
 	if s.opts.DisableRetune && !initial {
 		return nil
 	}
-	if s.obsv != nil {
-		s.obsv.retunes.Inc()
-	}
 	if s.rec != nil {
 		// One retune interval per tuning episode; every tuner objective
 		// evaluation during the episode becomes a bo_iter record (the
@@ -960,10 +976,6 @@ func (s *Sim) setBatch(now float64, d *deviceState, batch int) {
 	_ = d.pool.Resize(now, "svc", svc.info.MemoryMB(batch))
 	s.flushSwaps(d)
 	_ = d.dev.SetMemory("svc", svc.info.MemoryMB(batch))
-	if s.obsv != nil {
-		s.obsv.batchChg.Inc()
-		d.obsv.batch.Set(float64(batch))
-	}
 	s.record(d, span.Record{Act: span.ActBatch, Time: now, Value: float64(batch)})
 }
 
@@ -975,6 +987,7 @@ func (s *Sim) record(d *deviceState, r span.Record) {
 		return
 	}
 	r.Device, r.Service = d.dev.ID, d.svc.info.Name
+	s.obsv.count(d, &r)
 	s.rec.Add(r)
 }
 
@@ -991,17 +1004,9 @@ func (s *Sim) rescale(now float64, d *deviceState, newDelta float64) {
 	if s.inj != nil && svc.deployed && s.inj.SpinUpFails(d.dev.ID) {
 		act = span.ActSpinUpFailed
 		s.res.FailedSpinUps++
-		if s.obsv != nil {
-			s.obsv.faults.failovers.Inc()
-		}
 	} else {
 		svc.reconfigs++
 		s.res.Reconfigs++
-		if s.obsv != nil {
-			s.obsv.rescales.Inc()
-			s.obsv.shadow.Inc()
-			d.obsv.delta.Set(newDelta)
-		}
 	}
 	if s.rec != nil {
 		// The shadow-instance protocol window (§5.4): a restart hides
@@ -1181,9 +1186,6 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 	s.release(now, d, t)
 	// Re-placement creates a fresh taskState from the checkpoint.
 	s.res.Admitted--
-	if s.obsv != nil {
-		s.obsv.migrations.Inc()
-	}
 	// The migrate interval lasts until place lands the job on its next
 	// device: the task's off-device time.
 	s.record(d, span.Record{Act: span.ActMigrated, Time: now, Task: t.task.Name, Value: float64(t.id), Cause: cause})
@@ -1203,9 +1205,6 @@ func (s *Sim) failDevice(now float64, d *deviceState) {
 	d.down = true
 	d.svc.deployed = false
 	s.res.DeviceFailures++
-	if s.obsv != nil {
-		s.obsv.faults.devFailed.Inc()
-	}
 	if s.rec != nil {
 		// The outage interval lasts until recovery (or the horizon if
 		// the device never heals); the attributor classifies violations
@@ -1219,9 +1218,6 @@ func (s *Sim) failDevice(now float64, d *deviceState) {
 		}
 	}
 	s.res.Failovers++
-	if s.obsv != nil {
-		s.obsv.faults.failovers.Inc()
-	}
 	s.record(d, span.Record{Act: span.ActFailover, Time: now, Cause: "device-failed"})
 	_ = d.pool.Free(now, "svc")
 	s.flushSwaps(d)
@@ -1239,9 +1235,6 @@ func (s *Sim) recoverDevice(now float64, d *deviceState) {
 	}
 	d.down = false
 	s.res.DeviceRecoveries++
-	if s.obsv != nil {
-		s.obsv.faults.devRecovered.Inc()
-	}
 	s.record(d, span.Record{Act: span.ActRecovered, Time: now})
 	svc := d.svc
 	svc.curQPS = svc.qpsTrace.At(now)
@@ -1271,9 +1264,6 @@ func (s *Sim) measureFault(d *deviceState) error {
 	retries := s.inj.Retries()
 	for attempt := 1; attempt <= retries; attempt++ {
 		s.res.MeasureRetries++
-		if s.obsv != nil {
-			s.obsv.faults.measRetries.Inc()
-		}
 		if s.rec != nil {
 			s.record(d, span.Record{
 				Act: span.ActMeasureRetry, Time: now, Value: float64(attempt),

@@ -273,37 +273,35 @@ func (a *Attributor) Observe(s Sample) {
 	d.pending = append(d.pending, p)
 }
 
-// control applies an outage, recovery or rescale record to its
-// device's state, first settling the samples it can no longer affect.
+// control applies a control record. An outage, recovery or rescale
+// updates its device's state, first settling the samples it can no
+// longer affect. A load shed adds the requests it dropped to its
+// class's roll-up: shedding is counted apart from violations because a
+// shed window need not be violated — shedding is what keeps it from
+// violating.
 func (a *Attributor) control(r *Record) {
-	if a == nil || (r.Act != ActOutage && r.Act != ActRecovered && r.Act != ActRescale && r.Act != ActSpinUpFailed) {
+	if a == nil {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	d := a.device(r.Device)
-	a.settle(d, r.Time)
 	switch r.Act {
-	case ActOutage:
-		d.outageEnd = math.Inf(1)
-	case ActRecovered:
-		d.outageEnd = r.Time
-	default:
-		d.rescaleEnd = max(d.rescaleEnd, r.End)
+	case ActLoadShed:
+		a.mu.Lock()
+		a.roll.class(r.Cause).ShedRequests += r.Value * WindowSec
+		a.mu.Unlock()
+	case ActOutage, ActRecovered, ActRescale, ActSpinUpFailed:
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		d := a.device(r.Device)
+		a.settle(d, r.Time)
+		switch r.Act {
+		case ActOutage:
+			d.outageEnd = math.Inf(1)
+		case ActRecovered:
+			d.outageEnd = r.Time
+		default:
+			d.rescaleEnd = max(d.rescaleEnd, r.End)
+		}
 	}
-}
-
-// ObserveShed accumulates requests dropped by admission control
-// against an SLO class. Shedding is accounted separately from Observe
-// because a shed window need not be a violated window — shedding is
-// precisely what keeps it from violating.
-func (a *Attributor) ObserveShed(class string, requests float64) {
-	if a == nil || class == "" || requests <= 0 {
-		return
-	}
-	a.mu.Lock()
-	a.roll.class(class).ShedRequests += requests
-	a.mu.Unlock()
 }
 
 // Dropped returns how many violations the per-violation list's cap

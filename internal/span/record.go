@@ -27,14 +27,14 @@ const (
 	ActSLOViolation            // a control window closed over its budget (Value = latency ms)
 	ActLoadShed                // admission control shed Value QPS
 
-	numActs // keep last
+	NumActs // keep last; the number of acts
 )
 
 // acts holds each act's renderings: the type of the event it renders
 // (rescales render two, BO probes and retune ends none), the kind of
 // span it renders (numKinds for none) or, for an interval's end record,
 // of the span it ends, and its edge: +1 starts an interval, -1 ends one.
-var acts = [numActs]struct {
+var acts = [NumActs]struct {
 	event obs.EventType
 	span  Kind
 	edge  int

@@ -505,9 +505,12 @@ func TestReportClassRollup(t *testing.T) {
 	a.Observe(Sample{Time: 1, Device: "gpu-0", Service: "gpt2", Class: "critical", Residents: []string{"bert"}})
 	a.Observe(Sample{Time: 2, Device: "gpu-1", Service: "bert", Class: "critical"})
 	a.Observe(Sample{Time: 3, Device: "gpu-2", Service: "resnet50", Class: "sheddable", QPS: 150, ShedQPS: 50, BaseQPS: 100})
-	a.ObserveShed("sheddable", 500)
-	// A class that sheds but never violates still shows up.
-	a.ObserveShed("background", 120)
+	// A load_shed record's Value is the shed QPS over one WindowSec
+	// window. A class that sheds but never violates still shows up.
+	feed(a,
+		Record{Act: ActLoadShed, Time: 3, Device: "gpu-2", Value: 500 / WindowSec, Cause: "sheddable"},
+		Record{Act: ActLoadShed, Time: 3, Device: "gpu-3", Value: 120 / WindowSec, Cause: "background"},
+	)
 	rep := a.Report(30)
 	if len(rep.Classes) != 3 {
 		t.Fatalf("classes = %+v, want 3 entries", rep.Classes)
@@ -539,14 +542,12 @@ func TestClasslessReportHasNoClasses(t *testing.T) {
 	}
 }
 
-func TestObserveShedNilAndNoop(t *testing.T) {
-	var nilA *Attributor
-	nilA.ObserveShed("sheddable", 10) // must not panic
-	a := NewAttributor(0)
-	a.ObserveShed("", 10)          // unclassed: ignored
-	a.ObserveShed("sheddable", 0)  // zero volume: ignored
-	a.ObserveShed("sheddable", -1) // negative: ignored
-	if rep := a.Report(1); rep.Classes != nil {
-		t.Fatalf("no-op sheds leaked into report: %+v", rep.Classes)
+// A load_shed record added to a log without an attributor still
+// renders its event.
+func TestLoadShedWithoutAttributor(t *testing.T) {
+	l := NewLog(1, 0, nil)
+	l.Add(Record{Act: ActLoadShed, Time: 1, Device: "gpu-0", Value: 10, Cause: "sheddable"})
+	if ev := l.Events(); len(ev) != 1 || ev[0].Type != obs.EventLoadShed {
+		t.Fatalf("events = %+v, want one load_shed", ev)
 	}
 }

@@ -405,9 +405,10 @@ func TestSLOClassBlock(t *testing.T) {
 		Time: 10, Device: "gpu0000", Service: "bert", Class: "critical",
 		LatencyMs: 200, BudgetMs: 100, QPS: 50, BaseQPS: 100,
 	})
-	attr.ObserveShed("sheddable", 480)
+	log := span.NewLog(0, 0, attr)
+	log.Add(span.Record{Act: span.ActLoadShed, Time: 10, Device: "gpu0001", Value: 480 / span.WindowSec, Cause: "sheddable"})
 
-	rec := get(t, Options{Log: span.NewLog(0, 0, attr)}, "/slo")
+	rec := get(t, Options{Log: log}, "/slo")
 	var rep span.SLOReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, rec.Body.String())

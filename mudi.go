@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"mudi/internal/baselines"
@@ -484,16 +485,47 @@ const (
 
 // ExperimentNames lists the table/figure runners in presentation order.
 func ExperimentNames() []string {
-	names := make([]string, 0, len(experimentOrder))
-	names = append(names, experimentOrder...)
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
 	return names
 }
 
-var experimentOrder = []string{
-	"background", "tab2", "fig3", "fig4", "fig5", "fig8", "fig9", "fig10",
-	"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-	"tab4", "fig17", "fig18", "optimality",
-	"ablation-tuner", "queues", "fidelity", "scenarios", "classes",
+// experiment is one table/figure runner: run builds it from the
+// configuration, or onSuite from the trained end-to-end suite the
+// figures share.
+type experiment struct {
+	name    string
+	run     func(exp.Config) (*report.Table, error)
+	onSuite func(*exp.Suite) (*report.Table, error)
+}
+
+// experiments is the runner registry, in presentation order.
+var experiments = []experiment{
+	{name: "background", run: exp.Background},
+	{name: "tab2", run: exp.Table2},
+	{name: "fig3", run: exp.Fig3},
+	{name: "fig4", run: exp.Fig4},
+	{name: "fig5", run: exp.Fig5},
+	{name: "fig8", onSuite: exp.Fig8},
+	{name: "fig9", onSuite: exp.Fig9},
+	{name: "fig10", onSuite: exp.Fig10},
+	{name: "fig11", run: exp.Fig11},
+	{name: "fig12", run: exp.Fig12},
+	{name: "fig13", onSuite: exp.Fig13},
+	{name: "fig14", onSuite: exp.Fig14},
+	{name: "fig15", onSuite: exp.Fig15},
+	{name: "fig16", run: exp.Fig16},
+	{name: "tab4", run: exp.Tab4},
+	{name: "fig17", run: exp.Fig17},
+	{name: "fig18", onSuite: exp.Fig18},
+	{name: "optimality", run: exp.Optimality},
+	{name: "ablation-tuner", run: exp.AblationTuner},
+	{name: "queues", run: exp.QueuePolicies},
+	{name: "fidelity", run: exp.Fidelity},
+	{name: "scenarios", run: exp.Scenarios},
+	{name: "classes", run: exp.Classes},
 }
 
 // ExperimentConfig parameterizes the experiment harness.
@@ -560,66 +592,23 @@ func StreamExperimentsCfg(names []string, ecfg ExperimentConfig, emit func(*Tabl
 		Observer: ecfg.Observer,
 	}
 	var suite *exp.Suite
-	getSuite := func() (*exp.Suite, error) {
-		if suite != nil {
-			return suite, nil
-		}
-		var err error
-		suite, err = exp.NewSuite(cfg)
-		return suite, err
-	}
 	for _, name := range names {
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == name })
+		if i < 0 {
+			return fmt.Errorf("mudi: unknown experiment %q (known: %v)", name, ExperimentNames())
+		}
+		e := experiments[i]
 		var tab *Table
 		var err error
-		switch name {
-		case "tab2":
-			tab, err = exp.Table2(cfg)
-		case "fig3":
-			tab, err = exp.Fig3(cfg)
-		case "fig4":
-			tab, err = exp.Fig4(cfg)
-		case "fig5":
-			tab, err = exp.Fig5(cfg)
-		case "fig8":
-			tab, err = withSuite(getSuite, exp.Fig8)
-		case "fig9":
-			tab, err = withSuite(getSuite, exp.Fig9)
-		case "fig10":
-			tab, err = withSuite(getSuite, exp.Fig10)
-		case "fig11":
-			tab, err = exp.Fig11(cfg)
-		case "fig12":
-			tab, err = exp.Fig12(cfg)
-		case "fig13":
-			tab, err = withSuite(getSuite, exp.Fig13)
-		case "fig14":
-			tab, err = withSuite(getSuite, exp.Fig14)
-		case "fig15":
-			tab, err = withSuite(getSuite, exp.Fig15)
-		case "fig16":
-			tab, err = exp.Fig16(cfg)
-		case "tab4":
-			tab, err = exp.Tab4(cfg)
-		case "fig17":
-			tab, err = exp.Fig17(cfg)
-		case "fig18":
-			tab, err = withSuite(getSuite, exp.Fig18)
-		case "optimality":
-			tab, err = exp.Optimality(cfg)
-		case "ablation-tuner":
-			tab, err = exp.AblationTuner(cfg)
-		case "queues":
-			tab, err = exp.QueuePolicies(cfg)
-		case "fidelity":
-			tab, err = exp.Fidelity(cfg)
-		case "scenarios":
-			tab, err = exp.Scenarios(cfg)
-		case "classes":
-			tab, err = exp.Classes(cfg)
-		case "background":
-			tab, err = exp.Background(cfg)
-		default:
-			return fmt.Errorf("mudi: unknown experiment %q (known: %v)", name, ExperimentNames())
+		if e.run != nil {
+			tab, err = e.run(cfg)
+		} else {
+			if suite == nil {
+				suite, err = exp.NewSuite(cfg)
+			}
+			if err == nil {
+				tab, err = e.onSuite(suite)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("mudi: experiment %s: %w", name, err)
@@ -629,14 +618,6 @@ func StreamExperimentsCfg(names []string, ecfg ExperimentConfig, emit func(*Tabl
 		}
 	}
 	return nil
-}
-
-func withSuite(get func() (*exp.Suite, error), run func(*exp.Suite) (*report.Table, error)) (*Table, error) {
-	s, err := get()
-	if err != nil {
-		return nil, err
-	}
-	return run(s)
 }
 
 // ArchFromGraphFile extracts a network-architecture vector from a

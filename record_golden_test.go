@@ -26,9 +26,9 @@ func faultedSmall(observer Observer) SimOptions {
 	return opts
 }
 
-// TestFaultedRecordGolden pins the three renderings of a faulted,
-// classed, bursty run byte for byte: the NDJSON event stream, the
-// Chrome trace, and the SLO attribution report. The workload is chosen
+// TestFaultedRecordGolden pins four renderings of a faulted, classed,
+// bursty run byte for byte: the NDJSON event stream, the Chrome trace,
+// the SLO attribution report and the metrics snapshot. The workload is chosen
 // to reach every control action the fault-free goldens miss — task
 // migration, device outages (some unhealed at the horizon), both
 // failover causes, measurement retries, load shedding, BO probes and
@@ -85,7 +85,7 @@ func TestFaultedRecordGolden(t *testing.T) {
 		}
 	}
 
-	var events, trace, slo bytes.Buffer
+	var events, trace, slo, metrics bytes.Buffer
 	if err := WriteEventsNDJSON(&events, res.Events); err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +97,9 @@ func TestFaultedRecordGolden(t *testing.T) {
 	if err := enc.Encode(rep); err != nil {
 		t.Fatal(err)
 	}
+	if err := WriteMetricsNDJSON(&metrics, res.Metrics); err != nil {
+		t.Fatal(err)
+	}
 	for _, g := range []struct {
 		name string
 		got  []byte
@@ -104,6 +107,7 @@ func TestFaultedRecordGolden(t *testing.T) {
 		{"faulted_events.golden", events.Bytes()},
 		{"faulted_trace.golden", trace.Bytes()},
 		{"faulted_slo.golden", slo.Bytes()},
+		{"faulted_metrics.golden", metrics.Bytes()},
 	} {
 		path := filepath.Join("testdata", g.name)
 		if *updateTraceGolden {
