@@ -27,6 +27,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Fails when any file is not gofmt-clean.
 fmt:

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"mudi/internal/baselines"
 	"mudi/internal/core"
+	"mudi/internal/model"
 	"mudi/internal/obs"
 	"mudi/internal/perf"
 	"mudi/internal/span"
@@ -147,5 +149,81 @@ func TestConfigureErrorsCounted(t *testing.T) {
 	}
 	if want := `"configure_errors": ` + n; !strings.Contains(js.String(), want) {
 		t.Fatalf("JSON lacks %q", want)
+	}
+}
+
+// wideDeltaPolicy is GSLICE, except that the first Configure after skip
+// calls that sees a residentless device returns a feasible Δ of 1.5,
+// beyond Eq. 4's share budget. After that it records the largest Δ any
+// view shows it.
+type wideDeltaPolicy struct {
+	*baselines.GSLICE
+	skip, calls int
+	overshot    bool
+	maxDelta    float64
+}
+
+func (p *wideDeltaPolicy) see(view core.DeviceView) {
+	if p.overshot && view.Delta > p.maxDelta {
+		p.maxDelta = view.Delta
+	}
+}
+
+func (p *wideDeltaPolicy) SelectDevice(task model.TrainingTask, views []core.DeviceView, m map[string]core.Measurer) (string, bool) {
+	for _, v := range views {
+		p.see(v)
+	}
+	return p.GSLICE.SelectDevice(task, views, m)
+}
+
+func (p *wideDeltaPolicy) Configure(view core.DeviceView, m core.Measurer) (core.Decision, error) {
+	p.see(view)
+	p.calls++
+	if !p.overshot && p.calls > p.skip && len(view.ResidentTasks) == 0 {
+		p.overshot = true
+		return core.Decision{Feasible: true, Batch: view.Batch, Delta: 1.5}, nil
+	}
+	return p.GSLICE.Configure(view, m)
+}
+
+// TestConfigureRejectsDeltaAboveOne pins the share budget on decisions:
+// a feasible Δ > 1 is a failed tuning episode. On the initial deployment
+// it fails Run; on a later retune it is counted in ConfigureErrors and
+// the device keeps its Δ, so no later view shows more than the device.
+func TestConfigureRejectsDeltaAboveOne(t *testing.T) {
+	const devices = 2
+	oracle := perf.NewOracle(1)
+	opts := func(p core.Policy) Options {
+		return Options{Policy: p, Oracle: oracle, Seed: 1, Devices: devices, Arrivals: smallArrivals(t, 6, 1)}
+	}
+
+	sim, err := New(opts(&wideDeltaPolicy{GSLICE: baselines.NewGSLICE()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err == nil {
+		t.Fatal("initial Δ=1.5 decision: Run succeeded")
+	}
+
+	p := &wideDeltaPolicy{GSLICE: baselines.NewGSLICE(), skip: devices}
+	sim, err = New(opts(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.overshot {
+		t.Fatalf("no residentless retune after the initial deployment (%d calls)", p.calls)
+	}
+	if res.ConfigureErrors < 1 {
+		t.Fatalf("ConfigureErrors %d after a Δ=1.5 decision", res.ConfigureErrors)
+	}
+	if p.maxDelta > 1 {
+		t.Fatalf("a later view shows Δ=%v", p.maxDelta)
+	}
+	if res.Completed != res.Admitted {
+		t.Fatalf("completed %d of %d", res.Completed, res.Admitted)
 	}
 }

@@ -213,7 +213,7 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	if d.smUtil > 1 {
 		d.smUtil = 1
 	}
-	d.memFrac = minf(d.pool.DeviceUsedMB(), d.pool.CapacityMB()) / d.pool.CapacityMB()
+	d.memFrac = min(d.pool.DeviceUsedMB(), d.pool.CapacityMB()) / d.pool.CapacityMB()
 }
 
 // fold is the engine's once-per-barrier read-back, installed only when

@@ -208,8 +208,9 @@ type Result struct {
 	MeasureRetries   int // transient measurement errors retried
 
 	// ConfigureErrors counts tuning episodes whose Policy.Configure
-	// failed (e.g. a zero-QPS retune the tuner rejects). The device keeps
-	// its previous configuration. Zero, and absent from Summary(), in a
+	// failed (e.g. a zero-QPS retune the tuner rejects) or returned a
+	// feasible Δ above the whole device. The device keeps its previous
+	// configuration. Zero, and absent from Summary(), in a
 	// run where every episode succeeds.
 	ConfigureErrors int
 
@@ -633,9 +634,6 @@ func (s *Sim) Run() (*Result, error) {
 			return nil, err
 		}
 		s.flushSwaps(d)
-		if err := d.dev.Place(gpu.Resident{ID: "svc", Kind: gpu.KindInference, Share: d.svc.delta, MemoryMB: d.svc.info.MemoryMB(d.svc.batch)}); err != nil {
-			return nil, err
-		}
 		d.svc.deployed = true
 	}
 	g := s.sh.Global()
@@ -859,7 +857,6 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 		itersDone: qj.progress,
 		submitAt:  qj.arrival.At,
 		startAt:   now,
-		deviceID:  d.dev.ID,
 		allocID:   fmt.Sprintf("train-%d", qj.arrival.ID),
 	}
 	d.training = append(d.training, t)
@@ -871,13 +868,6 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 		t.paused = true
 	}
 	s.flushSwaps(d)
-	// Device bookkeeping for the trainer share happens via svc delta;
-	// the gpu.Device residents track the split for observability.
-	share := d.trainShare()
-	if share <= 0 {
-		share = 0.05
-	}
-	_ = d.dev.Place(gpu.Resident{ID: t.allocID, Kind: gpu.KindTraining, Share: minf(share, d.dev.ShareFree()), MemoryMB: t.task.MemoryMB()})
 
 	// Online learning first: Mudi profiles the new co-location so the
 	// immediate Configure below already uses the fitted curves.
@@ -916,9 +906,10 @@ func taskSig(d *deviceState) string {
 // configure runs the policy's device-level tuning and applies the
 // decision. initial marks placement-time calls (always allowed even
 // with DisableRetune); cause labels the retune event for the
-// observability stream. A failed episode leaves the device as it was
-// and is counted in Result.ConfigureErrors, so callers that carry on
-// with the old configuration may drop the returned error.
+// observability stream. A failed episode — a Configure error, or a
+// feasible decision whose Δ exceeds the whole device — leaves the device
+// as it was and is counted in Result.ConfigureErrors, so callers that
+// carry on with the old configuration may drop the returned error.
 func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string) error {
 	if s.opts.DisableRetune && !initial {
 		return nil
@@ -941,6 +932,11 @@ func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string)
 		}
 	}
 	dec, err := s.opts.Policy.Configure(d.view(), s.meas[d.dev.ID])
+	if err == nil && dec.Feasible && dec.Delta > 1 {
+		// Eq. 4's share budget: the inference partition is at most the
+		// whole device.
+		err = fmt.Errorf("cluster: %s: decision Δ=%g exceeds the device", d.dev.ID, dec.Delta)
+	}
 	// The episode's outcome; a failed Configure leaves the device's
 	// configuration as it was.
 	end := span.Record{Act: span.ActRetuneEnd, Time: now, Batch: dec.Batch, Delta: dec.Delta, Value: float64(dec.BOIterations)}
@@ -975,7 +971,6 @@ func (s *Sim) setBatch(now float64, d *deviceState, batch int) {
 	svc.batch = batch
 	_ = d.pool.Resize(now, "svc", svc.info.MemoryMB(batch))
 	s.flushSwaps(d)
-	_ = d.dev.SetMemory("svc", svc.info.MemoryMB(batch))
 	s.record(d, span.Record{Act: span.ActBatch, Time: now, Value: float64(batch)})
 }
 
@@ -1005,7 +1000,6 @@ func (s *Sim) rescale(now float64, d *deviceState, newDelta float64) {
 		act = span.ActSpinUpFailed
 		s.res.FailedSpinUps++
 	} else {
-		svc.reconfigs++
 		s.res.Reconfigs++
 	}
 	if s.rec != nil {
@@ -1044,7 +1038,6 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision) {
 			s.rescale(now, d, 1)
 		}
 		s.res.PausedEpisodes++
-		s.syncShares(d)
 		return
 	}
 	// Cluster invariant (§7.4): while training is multiplexed, the
@@ -1059,40 +1052,6 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision) {
 	for _, t := range d.training {
 		if !t.done {
 			t.paused = false
-		}
-	}
-	s.syncShares(d)
-}
-
-// syncShares rebalances the gpu.Device share bookkeeping after a
-// decision: inference gets delta, active trainings split the rest,
-// paused trainings keep a token share.
-func (s *Sim) syncShares(d *deviceState) {
-	// Shrink all training residents first so the pool frees up.
-	const token = 0.001
-	var reserved float64
-	share := d.trainShare()
-	for _, t := range d.training {
-		if t.done {
-			continue
-		}
-		if _, ok := d.dev.Resident(t.allocID); ok {
-			_ = d.dev.Resize(t.allocID, token)
-		}
-		if t.paused {
-			reserved += token
-		} else {
-			reserved += maxf(share, token)
-		}
-	}
-	svcShare := clampf(minf(d.svc.delta, 1-reserved), token, 1)
-	_ = d.dev.Resize("svc", svcShare)
-	for _, t := range d.training {
-		if t.done || t.paused {
-			continue
-		}
-		if share > token {
-			_ = d.dev.Resize(t.allocID, minf(share, d.dev.ShareFree()+token))
 		}
 	}
 }
@@ -1121,7 +1080,6 @@ func (s *Sim) complete(now float64, d *deviceState, t *taskState) {
 func (s *Sim) release(now float64, d *deviceState, t *taskState) {
 	_ = d.pool.Free(now, t.allocID)
 	s.flushSwaps(d)
-	_ = d.dev.Remove(t.allocID)
 	keep := d.training[:0]
 	for _, other := range d.training {
 		if other != t {
@@ -1221,7 +1179,6 @@ func (s *Sim) failDevice(now float64, d *deviceState) {
 	s.record(d, span.Record{Act: span.ActFailover, Time: now, Cause: "device-failed"})
 	_ = d.pool.Free(now, "svc")
 	s.flushSwaps(d)
-	_ = d.dev.Remove("svc")
 	// The requeued tasks look for a home among the surviving devices.
 	s.trySchedule(now)
 }
@@ -1239,12 +1196,11 @@ func (s *Sim) recoverDevice(now float64, d *deviceState) {
 	svc := d.svc
 	svc.curQPS = svc.qpsTrace.At(now)
 	// Same sequence as the initial deployment in Run: size the config
-	// first, then pin the instance's memory and share.
+	// first, then pin the instance's memory.
 	_ = s.configure(now, d, true, "recovery")
 	mb := svc.info.MemoryMB(svc.batch)
 	_ = d.pool.Alloc(now, "svc", memmgr.PriorityInference, mb)
 	s.flushSwaps(d)
-	_ = d.dev.Place(gpu.Resident{ID: "svc", Kind: gpu.KindInference, Share: svc.delta, MemoryMB: mb})
 	svc.deployed = true
 	// Evicted (and head-of-line blocked) tasks may now fit again.
 	s.trySchedule(now)
@@ -1374,28 +1330,4 @@ func absf(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func clampf(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

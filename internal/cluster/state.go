@@ -27,14 +27,13 @@ import (
 
 // serviceState is the per-device inference service instance.
 type serviceState struct {
-	info      model.InferenceService
-	qpsTrace  trace.QPSTrace
-	curQPS    float64 // QPS at the last (re)tune
-	batch     int
-	delta     float64
-	violWin   int // windows with a P99 over budget
-	totalWin  int
-	reconfigs int // shadow-instance restarts
+	info     model.InferenceService
+	qpsTrace trace.QPSTrace
+	curQPS   float64 // QPS at the last (re)tune
+	batch    int
+	delta    float64
+	violWin  int // windows with a P99 over budget
+	totalWin int
 	// deployed is true while a live instance is serving on the device.
 	// It gates shadow-spin-up fault injection: the initial deployment
 	// and post-failure redeployments are fresh launches, not shadow
@@ -59,15 +58,14 @@ type taskState struct {
 	submitAt  float64
 	startAt   float64
 	finishAt  float64
-	deviceID  string
 	paused    bool
 	pausedAt  float64
 	done      bool
 	allocID   string
 }
 
-// deviceState couples the GPU bookkeeping, the memory pool, and the
-// residents.
+// deviceState couples the device, its memory pool, the inference
+// service and the training residents.
 type deviceState struct {
 	dev           *gpu.Device
 	pool          *memmgr.Pool
@@ -286,23 +284,15 @@ func (m *curveMemo) sameActive(training []*taskState) bool {
 
 // view builds the policy-facing snapshot. FreeShare is the share not
 // claimed by the inference service — the room training can (re)divide —
-// not the gpu.Device residual, because adding a task to a Mudi-more
-// device redistributes the training shares rather than consuming new
-// ones.
+// because adding a task to a Mudi-more device redistributes the
+// training shares rather than consuming new ones.
 func (d *deviceState) view() core.DeviceView {
 	free := 1 - d.svc.delta
 	if free < 0 {
 		free = 0
 	}
-	paused := false
-	for _, t := range d.training {
-		if !t.done && t.paused {
-			paused = true
-			break
-		}
-	}
 	return core.DeviceView{
-		Paused:        paused,
+		Paused:        d.hasPaused(),
 		ID:            d.dev.ID,
 		ServiceName:   d.svc.info.Name,
 		ServiceClass:  d.svc.info.Class,
@@ -312,7 +302,6 @@ func (d *deviceState) view() core.DeviceView {
 		Delta:         d.svc.delta,
 		ResidentTasks: d.residentTasks(),
 		FreeShare:     free,
-		MemoryFreeMB:  d.pool.CapacityMB() - d.pool.DeviceUsedMB(),
 		SMUtil:        d.smUtil,
 	}
 }

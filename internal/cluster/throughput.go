@@ -33,7 +33,7 @@ func MaxThroughput(policy core.Policy, oracle *perf.Oracle, svcName, taskName st
 
 	sustains := func(qps float64) bool {
 		d := &deviceState{
-			dev:  gpu.NewDevice("tp0", "tpnode", 0),
+			dev:  &gpu.Device{ID: "tp0", MemoryMB: gpu.A100MemoryMB},
 			svc:  &serviceState{info: svc, curQPS: qps, batch: 64, delta: 0.5},
 			pool: memmgr.NewPool(0),
 		}

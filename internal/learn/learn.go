@@ -585,7 +585,7 @@ func (b *treeBuilder) node(idx []int, depth int, rng *xrand.Rand) *treeNode {
 			rightSum := totalSum - left.sum
 			sseR := (totalSq - left.sq) - rightSum*rightSum/nr
 			if gain := sse - (sseL + sseR); gain > bestGain {
-				bestGain, bestFeat, bestThresh = gain, feat, (vals[prev]+vals[r])/2
+				bestGain, bestFeat, bestThresh = gain, feat, splitAt(vals[prev], vals[r])
 			}
 			left.n += bn.n
 			left.sum += bn.sum
@@ -615,6 +615,17 @@ func (b *treeBuilder) node(idx []int, depth int, rng *xrand.Rand) *treeNode {
 	nd.lo = b.node(idx[:nlo], depth-1, rng)
 	nd.hi = b.node(idx[nlo:], depth-1, rng)
 	return nd
+}
+
+// splitAt is the threshold between adjacent distinct values a < b of a
+// feature: their midpoint, or a when the midpoint rounds up to b (as it
+// can for neighbouring floats), so that x <= threshold always sends a
+// low and b high.
+func splitAt(a, b float64) float64 {
+	if m := (a + b) / 2; m < b {
+		return m
+	}
+	return a
 }
 
 func (n *treeNode) eval(x []float64) float64 {

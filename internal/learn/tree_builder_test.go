@@ -2,6 +2,7 @@ package learn
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -71,7 +72,12 @@ func referenceBuildTree(x [][]float64, y []float64, idx []int, depth, minLeaf, m
 			rightSum := totalSum - left.sum
 			sseR := (totalSq - left.sq) - rightSum*rightSum/nr
 			if gain := sse - (sseL + sseR); gain > bestGain {
-				bestGain, bestFeat, bestThresh = gain, feat, (values[k]+values[k+1])/2
+				// The midpoint, unless it rounds up to the higher value.
+				thresh := (values[k] + values[k+1]) / 2
+				if thresh >= values[k+1] {
+					thresh = values[k]
+				}
+				bestGain, bestFeat, bestThresh = gain, feat, thresh
 			}
 		}
 	}
@@ -494,7 +500,12 @@ func midpoints(x [][]float64, rows []int, feat int) []float64 {
 	vals = slices.Compact(vals)
 	var mids []float64
 	for k := 0; k+1 < len(vals); k++ {
-		mids = append(mids, (vals[k]+vals[k+1])/2)
+		// The midpoint, unless it rounds up to the higher value.
+		mid := (vals[k] + vals[k+1]) / 2
+		if mid >= vals[k+1] {
+			mid = vals[k]
+		}
+		mids = append(mids, mid)
 	}
 	return mids
 }
@@ -526,4 +537,34 @@ func twoPassSSE(y []float64, rows []int) float64 {
 		sse += d * d
 	}
 	return sse
+}
+
+// TestAdjacentFloatSplit fits trees on two adjacent float64 values
+// a < b, whose midpoint rounds to b. The split must still send a low
+// and b high: both ensembles tell the two values apart and predict a
+// finite value beyond them.
+func TestAdjacentFloatSplit(t *testing.T) {
+	a := 1 + math.Ldexp(1, -52)
+	b := math.Nextafter(a, 2)
+	if (a+b)/2 != b {
+		t.Fatalf("midpoint of %v and %v does not round to b", a, b)
+	}
+	var x [][]float64
+	var y []float64
+	for i := 0; i < 8; i++ {
+		x = append(x, []float64{a}, []float64{b})
+		y = append(y, 0, 10)
+	}
+	for name, m := range map[string]Regressor{"forest": NewForest(5, 1), "gbrt": NewGBRT(20, 1)} {
+		if err := m.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		pa, pb, p2 := m.Predict([]float64{a}), m.Predict([]float64{b}), m.Predict([]float64{2})
+		if !(pa < pb) {
+			t.Errorf("%s: predict(a) = %v, predict(b) = %v", name, pa, pb)
+		}
+		if math.IsNaN(p2) || math.IsInf(p2, 0) {
+			t.Errorf("%s: predict(2) = %v", name, p2)
+		}
+	}
 }

@@ -227,7 +227,6 @@ type DeviceView struct {
 	Delta         float64 // current inference GPU%
 	ResidentTasks []model.TrainingTask
 	FreeShare     float64
-	MemoryFreeMB  float64
 	SMUtil        float64 // recent device SM utilization [0,1]
 	// Paused reports that co-located training is currently preempted
 	// because the service needs the whole device (§5.3.2); no new
