@@ -10,7 +10,7 @@ GO ?= go
 # scratch/memo state must stay correctly confined (oracle caches are
 # shared across workers; gp/stats/serving/learn scratch is
 # per-goroutine).
-RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/eventq ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
+RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
 
 .PHONY: tier1 build test vet fmt test-benchmark smoke-hotpath race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
 

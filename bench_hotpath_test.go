@@ -4,8 +4,7 @@ package mudi
 // the simulator inner loops the end-to-end alloc budget
 // (BenchmarkSimObsOff, BENCH_hotpath.json) depends on — GP posterior
 // updates, percentile extraction, oracle curve construction, burst
-// schedule lookups, the calendar's window ticks, the request-level
-// serving loop, Mudi's device
+// schedule lookups, the request-level serving loop, Mudi's device
 // selection, and the online learner's refits and model selection. The
 // AllocsPerRun regression tests in internal/gp, internal/stats and
 // internal/core pin the steady states; these benchmarks track the
@@ -16,7 +15,6 @@ import (
 	"math"
 	"testing"
 
-	"mudi/internal/eventq"
 	"mudi/internal/gp"
 	"mudi/internal/learn"
 	"mudi/internal/model"
@@ -298,35 +296,5 @@ func BenchmarkHotpathBurstyQPS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		burstyRate = q.At(float64(i % 20000))
-	}
-}
-
-// BenchmarkHotpathEventqTicks is the calendar's cost per device-window
-// tick: 512 one-period tickers, as a shard lane's devices tick once per
-// window, with a sprinkle of one-shot events (every 64th ticker
-// schedules one half a window ahead, as arrivals and faults land
-// between ticks). One op = one tick.
-func BenchmarkHotpathEventqTicks(b *testing.B) {
-	s := eventq.New()
-	ticks := 0
-	oneShot := func(float64) {}
-	for i := 0; i < 512; i++ {
-		sprinkle := i%64 == 0
-		if _, err := s.EveryUntil(1, func(float64) {
-			ticks++
-			if sprinkle {
-				if _, err := s.After(0.5, oneShot); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	s.Run(2) // grow the tick ring and the heap to their steady sizes
-	b.ReportAllocs()
-	b.ResetTimer()
-	for ticks = 0; ticks < b.N; {
-		s.Run(s.Now() + 1)
 	}
 }

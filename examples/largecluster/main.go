@@ -4,10 +4,10 @@
 // Fig. 8/9-style comparison.
 //
 // The fleet size is free-form: -devices 10000 -tasks 20000 runs a
-// ten-thousand-device cluster, where per-device calendars drain in
-// parallel lanes (one per 64 devices, up to GOMAXPROCS, unless -shards
-// pins the count) and merge at control-plane barriers (see DESIGN.md
-// §13). At that scale restrict the sweep with -policies mudi, or
+// ten-thousand-device cluster, where each control window steps the
+// devices in parallel lanes (one per 64 devices, up to GOMAXPROCS,
+// unless -shards pins the count) and applies their cross-lane effects
+// at the window's barrier (see DESIGN.md §13). At that scale restrict the sweep with -policies mudi, or
 // compare two with -policies mudi,gslice.
 package main
 
@@ -29,7 +29,7 @@ func main() {
 	gap := flag.Float64("gap", 2.0, "mean arrival gap in seconds")
 	shards := flag.Int("shards", 0, "event-engine shard lanes: 0 or negative = auto, N = that many lanes")
 	policies := flag.String("policies", "mudi,gslice,gpulets,muxflow", "comma-separated policies to compare (first is the comparison base)")
-	profile := flag.Bool("profile", false, "record engine self-profiling timelines and print the per-phase wall-clock breakdown (drain/merge/apply)")
+	profile := flag.Bool("profile", false, "record engine self-profiling timelines and print the per-phase wall-clock breakdown (drain/apply)")
 	flag.Parse()
 
 	d, n, g := *devices, *tasks, *gap
@@ -134,7 +134,7 @@ func printProfile(w io.Writer, name string, tls []mudi.Timeline) {
 		}
 		totals[tl.Kind] = a
 	}
-	phases := []string{"engine_drain_ms", "engine_merge_ms", "engine_apply_ms"}
+	phases := []string{"engine_drain_ms", "engine_apply_ms"}
 	var engine float64
 	for _, ph := range phases {
 		engine += totals[ph].sum
@@ -153,6 +153,6 @@ func printProfile(w io.Writer, name string, tls []mudi.Timeline) {
 		fmt.Fprintf(w, "    %-16s %8.0f events (peak %.0f/window)\n", "mail", a.sum, a.max)
 	}
 	if a, ok := totals["engine_lane_imbalance"]; ok {
-		fmt.Fprintf(w, "    %-16s peak %.0f events between busiest and idlest lane\n", "imbalance", a.max)
+		fmt.Fprintf(w, "    %-16s peak %.0f devices between busiest and idlest lane\n", "imbalance", a.max)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"mudi/internal/core"
 	"mudi/internal/model"
 	"mudi/internal/perf"
+	"mudi/internal/shard"
 	"mudi/internal/trace"
 )
 
@@ -48,7 +49,7 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 	step := func(name string, wantActive int) {
 		t.Helper()
 		now++
-		s.deviceWindow(now, d)
+		s.deviceWindow(now, &shard.Lane{}, d) // its mail is never applied
 		if n := len(d.curve.active); n != wantActive {
 			t.Fatalf("%s: %d executing residents in the memo, want %d", name, n, wantActive)
 		}

@@ -2,15 +2,16 @@ package cluster
 
 import (
 	"mudi/internal/perf"
+	"mudi/internal/shard"
 	"mudi/internal/span"
 )
 
-// This file is the event engine's per-window work. Devices are
-// partitioned into contiguous lanes, each lane drains its own calendar
-// of per-device window ticks, and everything that crosses a lane
-// boundary — retunes, completions, evictions, placement, faults,
-// arrivals — happens at a barrier, either as a sequenced mailbox
-// message or as a global calendar event.
+// This file is the window clock's per-device work. Devices are
+// partitioned into contiguous lanes, each lane steps its devices'
+// windows in device order at every window end, and everything that
+// crosses a lane boundary — retunes, completions, evictions,
+// placement, faults, arrivals — happens at the barrier, either as
+// mailbox mail or as a control-plane event.
 //
 // The determinism contract is lane-count and worker-count invariance.
 // Three rules deliver it:
@@ -20,22 +21,22 @@ import (
 //     share its lane;
 //   - control-plane reactions (qps-change / resume-probe / slo-risk
 //     retunes, pause evictions, completions) are posted to the barrier
-//     and apply in (time, device, emission) order;
+//     and apply in (device, emission) order;
 //   - cluster float sums (MeanP99, shed totals, utilization) aggregate
 //     per device first and merge in global device order.
 //
-// Inside a lane, handlers touch only lane-owned state: the device, its
+// Inside a lane, windows touch only lane-owned state: the device, its
 // pool, its service (including the qps trace's per-device walk and its
 // recorder stream), its winRNG, and its window record d.rec. That is
 // the one observation path: the barrier reads every record back in
 // global device order — fold publishes events, metrics, attribution
 // and swap bursts, barrierTick rolls the records into timelines — so
-// observed runs drain in parallel like unobserved ones.
+// observed runs step in parallel like unobserved ones.
 
 // deviceWindow is one device's control window: the lane-local work
 // runs inline, every cross-lane reaction is posted to the mailbox, and
 // what the window observed lands in d.rec.
-func (s *Sim) deviceWindow(now float64, d *deviceState) {
+func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	w := span.WindowSec
 	r := &d.rec
 	if d.down {
@@ -48,7 +49,6 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 		return
 	}
 	svc := d.svc
-	lane := s.sh.Lane(d.lane)
 	qps := svc.qpsTrace.At(now)
 	*r = winRecord{at: now, fresh: true, offered: qps, residents: r.residents[:0]}
 
@@ -77,7 +77,7 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	// shared learner state, which only the global phase may touch.
 	if !s.opts.DisableRetune && relChange(svc.curQPS, qps) >= qpsChangeFrac {
 		svc.curQPS = qps
-		lane.Post(now, d.gidx, func(at float64) {
+		lane.Post(func(at float64) {
 			if !d.down {
 				_ = s.configure(at, d, false, "qps-change")
 			}
@@ -85,7 +85,7 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	} else if d.hasPaused() && now-d.lastResumeTry >= resumeRetrySec {
 		d.lastResumeTry = now
 		svc.curQPS = qps
-		lane.Post(now, d.gidx, func(at float64) {
+		lane.Post(func(at float64) {
 			if !d.down {
 				_ = s.configure(at, d, false, "resume-probe")
 			}
@@ -97,7 +97,7 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	for _, t := range d.training {
 		t := t
 		if !t.done && t.paused && now-t.pausedAt >= pauseEvictSec {
-			lane.Post(now, d.gidx, func(at float64) {
+			lane.Post(func(at float64) {
 				if !d.down && !t.done && t.paused {
 					s.requeue(at, d, t)
 				}
@@ -143,7 +143,7 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 			// batching or resource scaling accordingly" (§6).
 			if !s.opts.DisableRetune {
 				svc.curQPS = qps
-				lane.Post(now, d.gidx, func(at float64) {
+				lane.Post(func(at float64) {
 					if !d.down {
 						_ = s.configure(at, d, false, "slo-risk")
 					}
@@ -175,7 +175,7 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 		if t.itersDone >= float64(t.iters) {
 			t.done = true
 			t.finishAt = now + w
-			lane.Post(now, d.gidx, func(float64) { s.complete(t.finishAt, d, t) })
+			lane.Post(func(float64) { s.complete(t.finishAt, d, t) })
 		}
 	}
 
@@ -216,11 +216,11 @@ func (s *Sim) deviceWindow(now float64, d *deviceState) {
 	d.memFrac = min(d.pool.DeviceUsedMB(), d.pool.CapacityMB()) / d.pool.CapacityMB()
 }
 
-// fold is the engine's once-per-barrier read-back, installed only when
+// fold is the engine's once-per-window read-back, installed only when
 // a record log is on. It walks devices in global order and publishes
 // each device's fresh window record (latency, load_shed, then
 // violation), then the swap bursts its window recorded — the order a
-// one-lane sequential drain would emit them in.
+// one-lane sequential step would emit them in.
 func (s *Sim) fold(float64) {
 	for _, d := range s.devices {
 		if d.rec.fresh {

@@ -323,3 +323,18 @@ func TestAdmitFactorValidation(t *testing.T) {
 		t.Errorf("AdmitFactor=0 (default) rejected: %v", err)
 	}
 }
+
+// TestArrivalTimeValidation: a negative, NaN or infinite arrival time
+// is a construction error, not a NaN completion time or a run that
+// never reaches its horizon.
+func TestArrivalTimeValidation(t *testing.T) {
+	oracle := perf.NewOracle(1)
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		arrivals := smallArrivals(t, 2, 1)
+		arrivals[1].At = bad
+		opts := Options{Policy: buildMudi(t, oracle, 1), Oracle: oracle, Seed: 1, Devices: 2, Arrivals: arrivals}
+		if _, err := New(opts); err == nil {
+			t.Errorf("arrival At=%v accepted", bad)
+		}
+	}
+}

@@ -45,7 +45,7 @@ type Options struct {
 
 	// Shards is the event engine's lane count: devices are partitioned
 	// into that many contiguous lanes (clamped to the device count),
-	// each draining its own calendar between control-plane barriers.
+	// which step their devices' windows in parallel at each window end.
 	// Zero or negative picks the default, min(GOMAXPROCS, devices/64).
 	// Every lane count produces a byte-identical Result.Summary().
 	Shards int
@@ -154,6 +154,11 @@ func (o Options) defaults() (Options, error) {
 	}
 	if math.IsNaN(o.AdmitFactor) || math.IsInf(o.AdmitFactor, 0) || o.AdmitFactor <= 0 {
 		return o, fmt.Errorf("cluster: admit factor %v must be finite and positive", o.AdmitFactor)
+	}
+	for i, a := range o.Arrivals {
+		if math.IsNaN(a.At) || math.IsInf(a.At, 0) || a.At < 0 {
+			return o, fmt.Errorf("cluster: arrival %d at %v must be finite and >= 0", i, a.At)
+		}
 	}
 	if o.MaxHorizonSec <= 0 {
 		last := 0.0
@@ -297,8 +302,8 @@ func (r *Result) MeanWaiting() float64 { return stats.Mean(r.WaitingT) }
 // Sim is one configured simulation.
 type Sim struct {
 	opts Options
-	// sh is the event engine: per-device lane calendars plus the global
-	// control-plane calendar (see sharded.go).
+	// sh is the window clock: lanes of devices stepped once per window
+	// plus the control-plane events (see sharded.go).
 	sh      *shard.Engine
 	devices []*deviceState
 	// meas maps a device ID to its measurer, which also carries the
@@ -533,12 +538,11 @@ func New(opts Options) (*Sim, error) {
 	// setting — every GPU serves inference and hosts training
 	// opportunistically).
 	schedulable := opts.Devices * opts.MIGSlices
-	// Devices are partitioned into contiguous lanes that drain in
+	// Devices are partitioned into contiguous lanes that step in
 	// parallel, up to GOMAXPROCS at once, whatever is observing the run:
-	// lane handlers write only device-owned state, and observers read
+	// device windows write only device-owned state, and observers read
 	// it back at the barrier (see sharded.go).
-	split := shard.Split(schedulable, opts.Shards)
-	if s.sh, err = shard.New(len(split), min(len(split), runtime.GOMAXPROCS(0))); err != nil {
+	if s.sh, err = shard.New(schedulable, opts.Shards, runtime.GOMAXPROCS(0), span.WindowSec); err != nil {
 		return nil, err
 	}
 	// Every device's trace shares one indexed burst schedule.
@@ -546,7 +550,6 @@ func New(opts Options) (*Sim, error) {
 	if len(opts.Bursts) > 0 {
 		bursts = trace.NewBurstSchedule(opts.Bursts)
 	}
-	laneIdx := 0
 	for i := 0; i < schedulable; i++ {
 		info := opts.Services[i%len(opts.Services)]
 		dev := gpu.FleetDevice(i, opts.MIGSlices)
@@ -607,10 +610,6 @@ func New(opts Options) (*Sim, error) {
 				break
 			}
 		}
-		for i >= split[laneIdx][1] {
-			laneIdx++
-		}
-		ds.lane = laneIdx
 		s.devices = append(s.devices, ds)
 		s.meas[devID] = &deviceMeasurer{oracle: opts.Oracle, dev: ds, rng: rng.ForkString("meas:" + devID), sim: s}
 	}
@@ -636,72 +635,48 @@ func (s *Sim) Run() (*Result, error) {
 		s.flushSwaps(d)
 		d.svc.deployed = true
 	}
-	g := s.sh.Global()
 	// Faults and arrivals are control-plane events: they mutate the
-	// queue, the task set, and device residency, so they live on the
-	// global calendar and run with every lane quiescent at the barrier.
-	// Outage windows are drawn per device from seed-derived streams, so
-	// the fault schedule is a pure function of (Seed, Faults).
+	// queue, the task set, and device residency, so they run with every
+	// lane quiescent at the barrier. Outage windows are drawn per device
+	// from seed-derived streams, so the fault schedule is a pure
+	// function of (Seed, Faults). Events at one time fire in the order
+	// listed here: faults by device, then arrivals in submission order,
+	// all after the window's mail and before its barrier tick.
+	var events []shard.Event
 	if s.inj != nil {
 		for _, d := range s.devices {
-			d := d
 			for _, w := range s.inj.DeviceWindows(d.dev.ID, s.opts.MaxHorizonSec) {
-				if _, err := g.At(w.Start, func(now float64) { s.failDevice(now, d) }); err != nil {
-					return nil, err
-				}
-				if _, err := g.At(w.End, func(now float64) { s.recoverDevice(now, d) }); err != nil {
-					return nil, err
-				}
+				events = append(events,
+					shard.Event{At: w.Start, Fn: func(now float64) { s.failDevice(now, d) }},
+					shard.Event{At: w.End, Fn: func(now float64) { s.recoverDevice(now, d) }})
 			}
 		}
 	}
 	// A recorder captures the submission sequence as scheduled — the
 	// recorded trace replays these exact arrivals.
 	for _, a := range s.opts.Arrivals {
-		arr := a
 		if s.opts.Record != nil {
-			s.opts.Record.Task(arr)
+			s.opts.Record.Task(a)
 		}
-		if _, err := g.At(arr.At, func(now float64) { s.onArrival(now, arr) }); err != nil {
-			return nil, err
-		}
+		events = append(events, shard.Event{At: a.At, Fn: func(now float64) { s.onArrival(now, a) }})
 	}
-	// Per-device window ticks on the owning lane's calendar, scheduled
-	// in global device order so ties within a lane fire device-major.
-	stops := make([]func(), 0, len(s.devices)+1)
-	for _, d := range s.devices {
-		d := d
-		stop, err := s.sh.Lane(d.lane).Sim.EveryUntil(span.WindowSec, func(now float64) {
-			s.deviceWindow(now, d)
-		})
-		if err != nil {
-			return nil, err
-		}
-		stops = append(stops, stop)
-	}
-	// The global barrier tick: cluster sums in device order, the
-	// cancellation check, and the all-done stop. Scheduled after faults
-	// and arrivals so ties at a window boundary run faults and arrivals
-	// before the window's accounting.
-	stop, err := g.EveryUntil(span.WindowSec, func(now float64) { s.barrierTick(now) })
-	if err != nil {
-		return nil, err
-	}
-	stops = append(stops, stop)
+	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	// Engine self-profiling: wall-clock per barrier phase, mail volume,
 	// lane imbalance, heap/GC. Purely observational — the profiler only
 	// appends to timeline series the fingerprint excludes.
 	if s.tl != nil {
 		s.sh.SetProfiler(newTLProfiler(s.tl.store))
 	}
-	// Observers read the lanes' window records back once per barrier.
+	// Observers read the lanes' window records back once per window.
 	if s.rec != nil {
 		s.sh.SetFold(s.fold)
 	}
-	s.sh.Run(s.opts.MaxHorizonSec)
-	for _, st := range stops {
-		st()
-	}
+	// Every window steps each device on its lane; the barrier tick then
+	// runs the cluster sums, the cancellation check and the all-done
+	// stop.
+	s.sh.Run(s.opts.MaxHorizonSec, events,
+		func(l *shard.Lane, i int, now float64) { s.deviceWindow(now, l, s.devices[i]) },
+		s.barrierTick)
 	if s.opts.Ctx != nil {
 		if err := s.opts.Ctx.Err(); err != nil {
 			return nil, err

@@ -11,7 +11,7 @@ import (
 
 // This file is the cluster's timeline-recording layer (Options.Timeline
 // runs only). It follows the engine's one observation path (see
-// sharded.go): handles resolve once at construction, lane handlers only
+// sharded.go): handles resolve once at construction, device windows only
 // write each device's window record (deviceState.rec), and every
 // Series.Add happens in the single-threaded barrier tick, iterating
 // devices in global order — so the recorded series are invariant to

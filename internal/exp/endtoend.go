@@ -129,6 +129,7 @@ func Fig13(s *Suite) (*report.Table, error) {
 			sim, err := cluster.New(cluster.Options{
 				Policy: build(m), Oracle: s.Oracle, Seed: s.Config.Seed,
 				Devices: devices, Arrivals: s.Arrivals,
+				Shards: s.Config.Shards, Ctx: s.Config.Ctx,
 			})
 			if err != nil {
 				return nil, err
@@ -235,6 +236,7 @@ func Fig15(s *Suite) (*report.Table, error) {
 					sim, err := cluster.New(cluster.Options{
 						Policy: policy, Oracle: s.Oracle, Seed: s.Config.Seed,
 						Devices: devices, Arrivals: s.Arrivals, LoadFactor: load,
+						Shards: s.Config.Shards, Ctx: s.Config.Ctx,
 					})
 					if err != nil {
 						return nil, err

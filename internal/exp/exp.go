@@ -282,6 +282,7 @@ func (s *Suite) runPolicy(policy core.Policy) (*cluster.Result, error) {
 		Obs:      s.Config.sink(),
 		Log:      s.Config.log(),
 		Timeline: s.Config.timeline(),
+		Shards:   s.Config.Shards,
 		Ctx:      s.Config.Ctx,
 	})
 	if err != nil {

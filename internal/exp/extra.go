@@ -53,6 +53,7 @@ func AblationTuner(cfg Config) (*report.Table, error) {
 			sim, err := cluster.New(cluster.Options{
 				Policy: mudi, Oracle: oracle, Seed: cfg.Seed,
 				Devices: devices, Arrivals: arrivals,
+				Shards: cfg.Shards, Ctx: cfg.Ctx,
 			})
 			if err != nil {
 				return armResult{}, err
@@ -116,6 +117,7 @@ func QueuePolicies(cfg Config) (*report.Table, error) {
 			sim, err := cluster.New(cluster.Options{
 				Policy: mudi, Oracle: oracle, Seed: cfg.Seed,
 				Devices: devices, Arrivals: arrivals, QueuePolicy: queue,
+				Shards: cfg.Shards, Ctx: cfg.Ctx,
 			})
 			if err != nil {
 				return nil, err

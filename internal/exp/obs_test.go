@@ -84,3 +84,18 @@ func TestRunAllContextCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestSingleRunCellsContextCancel: the experiments that run one
+// simulation outside the cell pool still honour a cancelled
+// Config.Ctx instead of returning a full table.
+func TestSingleRunCellsContextCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := Config{Seed: 6, Ctx: ctx}
+	if _, err := Fig16(cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("Fig16: err = %v, want context.Canceled", err)
+	}
+	if _, err := Tab4(cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("Tab4: err = %v, want context.Canceled", err)
+	}
+}

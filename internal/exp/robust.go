@@ -100,6 +100,8 @@ func Fig16(cfg Config) (*report.Table, error) {
 		Bursts:         []trace.Burst{{Start: 100, End: 200, Factor: 3}},
 		TraceDeviceIdx: 1,
 		MaxHorizonSec:  1200,
+		Shards:         cfg.Shards,
+		Ctx:            cfg.Ctx,
 	})
 	if err != nil {
 		return nil, err
@@ -177,6 +179,7 @@ func Tab4(cfg Config) (*report.Table, error) {
 			{Start: 60, End: 150, Factor: 3},
 			{Start: 300, End: 390, Factor: 2.5},
 		},
+		Shards: cfg.Shards, Ctx: cfg.Ctx,
 	})
 	if err != nil {
 		return nil, err
@@ -215,6 +218,7 @@ func Fig17(cfg Config) (*report.Table, error) {
 		sim, err := cluster.New(cluster.Options{
 			Policy: policy, Oracle: oracle, Seed: cfg.Seed,
 			Devices: devices, Arrivals: arrivals,
+			Shards: cfg.Shards, Ctx: cfg.Ctx,
 		})
 		if err != nil {
 			return nil, err

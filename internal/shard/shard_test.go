@@ -2,7 +2,9 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 )
 
 func TestSplit(t *testing.T) {
@@ -41,218 +43,224 @@ func TestDefault(t *testing.T) {
 	}
 }
 
-// owner returns the lane owning global device d under the given split.
-func owner(split [][2]int, d int) int {
-	for i, r := range split {
-		if d >= r[0] && d < r[1] {
-			return i
+func TestNewRejects(t *testing.T) {
+	if _, err := New(0, 1, 1, 1); err == nil {
+		t.Error("New accepted zero devices")
+	}
+	for _, w := range []float64{0, -1} {
+		if _, err := New(4, 1, 1, w); err == nil {
+			t.Errorf("New accepted window %v", w)
 		}
 	}
-	panic("unowned device")
 }
 
-// buildToy wires a toy cluster onto an engine: each of n devices ticks
-// every second on its owner lane, bumping a lane-local counter and
-// posting a mailbox message that appends to the shared log; the global
-// calendar runs a barrier ticker plus two "arrival" one-shots that
-// also append. The log is the observable whose byte-identity across
-// lane/worker counts is the engine's whole contract.
-func buildToy(t *testing.T, n, lanes, workers int) (*Engine, *[]string) {
+// toy is a toy fleet on an engine: each device's window bumps a
+// device-owned counter and posts two mail entries that append to the
+// shared log; the fold, the events and the tick append too. The log is
+// the observable whose byte-identity across lane and worker counts is
+// the engine's whole contract.
+type toy struct {
+	e        *Engine
+	log      []string
+	counters []int
+	events   []Event
+}
+
+func newToy(t *testing.T, n, lanes, workers int) *toy {
 	t.Helper()
-	e, err := New(lanes, workers)
+	e, err := New(n, lanes, workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := &[]string{}
-	split := Split(n, lanes)
-	counters := make([]int, n)
-	for d := 0; d < n; d++ {
-		d := d
-		lane := e.Lane(owner(split, d))
-		if _, err := lane.Sim.EveryUntil(1, func(now float64) {
-			counters[d]++ // lane-local state: safe under parallel drain
-			v := counters[d]
-			lane.Post(now, d, func(at float64) {
-				*log = append(*log, fmt.Sprintf("tick d%d c%d @%g", d, v, at))
-			})
-		}); err != nil {
-			t.Fatal(err)
-		}
+	y := &toy{e: e, counters: make([]int, n)}
+	e.SetFold(func(now float64) { y.logf("fold @%g", now) })
+	for _, ev := range []struct {
+		at  float64
+		tag string
+	}{{1.5, "a"}, {2.5, "b"}, {2.5, "c"}, {3, "d"}, {3, "e"}} {
+		y.events = append(y.events, Event{At: ev.at, Fn: func(now float64) { y.logf("event %s @%g", ev.tag, now) }})
 	}
-	if _, err := e.Global().EveryUntil(1, func(now float64) {
-		*log = append(*log, fmt.Sprintf("barrier @%g", now))
-	}); err != nil {
-		t.Fatal(err)
+	return y
+}
+
+func (y *toy) logf(format string, args ...any) { y.log = append(y.log, fmt.Sprintf(format, args...)) }
+
+// step is the toy's device window: lane-local work plus mail.
+func (y *toy) step(l *Lane, d int, now float64) {
+	y.counters[d]++ // device-owned state: safe under a parallel step
+	v := y.counters[d]
+	for k := 0; k < 2; k++ {
+		l.Post(func(at float64) { y.logf("mail d%d c%d #%d @%g", d, v, k, at) })
 	}
-	for _, at := range []float64{1.5, 3} {
-		at := at
-		if _, err := e.Global().At(at, func(now float64) {
-			*log = append(*log, fmt.Sprintf("arrival @%g", now))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return e, log
+}
+
+func (y *toy) tick(now float64) { y.logf("tick @%g", now) }
+
+func (y *toy) run(horizon float64) []string {
+	y.e.Run(horizon, y.events, y.step, y.tick)
+	return y.log
 }
 
 // TestLaneCountInvariance is the engine-level determinism golden: the
-// same toy workload produces a byte-identical log at every lane and
+// same toy fleet produces a byte-identical log at every lane and
 // worker count.
 func TestLaneCountInvariance(t *testing.T) {
 	const n, horizon = 8, 5.0
-	run := func(lanes, workers int) []string {
-		e, log := buildToy(t, n, lanes, workers)
-		e.Run(horizon)
-		return *log
-	}
-	want := run(1, 1)
+	want := newToy(t, n, 1, 1).run(horizon)
 	if len(want) == 0 {
 		t.Fatal("toy run produced no log")
 	}
 	for _, c := range []struct{ lanes, workers int }{{2, 1}, {4, 1}, {4, 4}, {8, 3}} {
-		got := run(c.lanes, c.workers)
-		if len(got) != len(want) {
-			t.Fatalf("lanes=%d workers=%d: %d entries, want %d\n%v", c.lanes, c.workers, len(got), len(want), got)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("lanes=%d workers=%d entry %d: %q, want %q", c.lanes, c.workers, i, got[i], want[i])
-			}
+		got := newToy(t, n, c.lanes, c.workers).run(horizon)
+		if !slices.Equal(got, want) {
+			t.Fatalf("lanes=%d workers=%d:\n%v\nwant\n%v", c.lanes, c.workers, got, want)
 		}
 	}
 }
 
-// TestMailboxOrdering: messages at one barrier apply in (At, Dev,
-// emission) order regardless of which lane posted them or in what
-// drain order.
-func TestMailboxOrdering(t *testing.T) {
-	e, err := New(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	post := func(lane *Lane, at float64, dev int, tag string) {
-		lane.Post(at, dev, func(float64) { got = append(got, tag) })
-	}
-	// Lane 1 (higher devices) fires first on its calendar; lane 0
-	// posts later in wall order. Dev order must still win.
-	e.Lane(1).Sim.At(1, func(now float64) {
-		post(e.Lane(1), now, 3, "d3#0")
-		post(e.Lane(1), now, 2, "d2#0")
-		post(e.Lane(1), 0.5, 2, "d2@earlier") // earlier At sorts first
-	})
-	e.Lane(0).Sim.At(1, func(now float64) {
-		post(e.Lane(0), now, 0, "d0#0")
-		post(e.Lane(0), now, 0, "d0#1") // same dev: emission order
-		post(e.Lane(0), now, 1, "d1#0")
-	})
-	e.Global().At(1, func(float64) {})
-	e.Run(2)
-	want := []string{"d2@earlier", "d0#0", "d0#1", "d1#0", "d2#0", "d3#0"}
-	if len(got) != len(want) {
-		t.Fatalf("applied %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("applied %v, want %v", got, want)
-		}
-	}
-}
-
-// TestBarrierPhaseOrder: at one barrier time, lane events run first,
-// then the fold, then mailbox messages, then global events.
+// TestBarrierPhaseOrder: at one window end the devices step, then the
+// fold runs, then the mail applies, then the events at that time fire
+// in input order, then the tick.
 func TestBarrierPhaseOrder(t *testing.T) {
-	e, err := New(1, 1)
-	if err != nil {
-		t.Fatal(err)
+	y := newToy(t, 2, 2, 1)
+	step := y.step
+	y.e.Run(1, []Event{
+		{At: 1, Fn: func(now float64) { y.logf("event x @%g", now) }},
+		{At: 1, Fn: func(now float64) { y.logf("event y @%g", now) }},
+	}, func(l *Lane, d int, now float64) {
+		y.logf("window d%d @%g", d, now) // one worker: the step is sequential
+		step(l, d, now)
+	}, y.tick)
+	want := []string{
+		"window d0 @1", "window d1 @1",
+		"fold @1",
+		"mail d0 c1 #0 @1", "mail d0 c1 #1 @1",
+		"mail d1 c1 #0 @1", "mail d1 c1 #1 @1",
+		"event x @1", "event y @1",
+		"tick @1",
 	}
-	var got []string
-	e.Lane(0).Sim.At(5, func(now float64) {
-		got = append(got, "lane")
-		e.Lane(0).Post(now, 0, func(float64) { got = append(got, "mail") })
-	})
-	e.Global().At(5, func(float64) { got = append(got, "global") })
-	e.SetFold(func(float64) { got = append(got, "fold") })
-	e.Run(10)
-	want := []string{"lane", "fold", "mail", "global"}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("phase order %v, want %v", got, want)
+	if !slices.Equal(y.log, want) {
+		t.Fatalf("phase order\n%v\nwant\n%v", y.log, want)
+	}
+}
+
+// TestMailboxOrdering: mail posted by lanes stepping in parallel
+// applies in device order and, per device, in emission order, with now
+// = the barrier time.
+func TestMailboxOrdering(t *testing.T) {
+	y := newToy(t, 5, 3, 3)
+	y.e.SetFold(nil)
+	y.e.Run(1, nil, y.step, func(float64) {})
+	var want []string
+	for d := 0; d < 5; d++ {
+		want = append(want, fmt.Sprintf("mail d%d c1 #0 @1", d), fmt.Sprintf("mail d%d c1 #1 @1", d))
+	}
+	if !slices.Equal(y.log, want) {
+		t.Fatalf("mail order\n%v\nwant\n%v", y.log, want)
+	}
+}
+
+type barrierLog struct {
+	at    []float64
+	lanes [][]int
+}
+
+func (p *barrierLog) Barrier(at float64, _, merge, _ time.Duration, _ int, laneEvents []int) {
+	if merge != 0 {
+		panic("nonzero merge phase")
+	}
+	p.at = append(p.at, at)
+	p.lanes = append(p.lanes, slices.Clone(laneEvents))
+}
+
+// TestEventOnlyBarrier: an event between two window ends runs alone —
+// no device steps, no fold, no mail, no tick — and same-time events
+// fire in input order. The profiler still sees the barrier, with no
+// lane counts.
+func TestEventOnlyBarrier(t *testing.T) {
+	y := newToy(t, 4, 2, 2)
+	prof := &barrierLog{}
+	y.e.SetProfiler(prof)
+	y.e.Run(2, []Event{
+		{At: 0.5, Fn: func(now float64) { y.logf("event p @%g counters %v", now, y.counters) }},
+		{At: 0.5, Fn: func(now float64) { y.logf("event q @%g", now) }},
+		{At: 1.25, Fn: func(now float64) { y.logf("event r @%g counters %v", now, y.counters) }},
+	}, y.step, y.tick)
+	want := []string{
+		"event p @0.5 counters [0 0 0 0]",
+		"event q @0.5",
+		"fold @1",
+		"mail d0 c1 #0 @1", "mail d0 c1 #1 @1",
+		"mail d1 c1 #0 @1", "mail d1 c1 #1 @1",
+		"mail d2 c1 #0 @1", "mail d2 c1 #1 @1",
+		"mail d3 c1 #0 @1", "mail d3 c1 #1 @1",
+		"tick @1",
+		"event r @1.25 counters [1 1 1 1]",
+		"fold @2",
+		"mail d0 c2 #0 @2", "mail d0 c2 #1 @2",
+		"mail d1 c2 #0 @2", "mail d1 c2 #1 @2",
+		"mail d2 c2 #0 @2", "mail d2 c2 #1 @2",
+		"mail d3 c2 #0 @2", "mail d3 c2 #1 @2",
+		"tick @2",
+	}
+	if !slices.Equal(y.log, want) {
+		t.Fatalf("log\n%v\nwant\n%v", y.log, want)
+	}
+	if want := []float64{0.5, 1, 1.25, 2}; !slices.Equal(prof.at, want) {
+		t.Fatalf("profiled barriers %v, want %v", prof.at, want)
+	}
+	for i, want := range [][]int{nil, {2, 2}, nil, {2, 2}} {
+		if !slices.Equal(prof.lanes[i], want) {
+			t.Fatalf("barrier @%g lane counts %v, want %v", prof.at[i], prof.lanes[i], want)
 		}
 	}
 }
 
-// TestStopAndResume: Stop from a global handler halts the run at that
-// barrier with clocks aligned; a further Run resumes.
-func TestStopAndResume(t *testing.T) {
-	e, err := New(2, 1)
-	if err != nil {
-		t.Fatal(err)
+// TestStopFromTick: Stop from the tick halts the run at that barrier
+// with the clock there; no later window or event runs.
+func TestStopFromTick(t *testing.T) {
+	y := newToy(t, 4, 2, 2)
+	y.e.Run(10, y.events, y.step, func(now float64) {
+		y.tick(now)
+		if now == 3 {
+			y.e.Stop()
+		}
+	})
+	if got := y.e.Now(); got != 3 {
+		t.Fatalf("clock %v after Stop, want 3", got)
 	}
-	ticks := 0
-	for i := 0; i < 2; i++ {
-		e.Lane(i).Sim.EveryUntil(1, func(float64) { ticks++ })
+	if got := y.log[len(y.log)-1]; got != "tick @3" {
+		t.Fatalf("last entry %q, want the stopping tick", got)
 	}
-	e.Global().At(3, func(float64) { e.Stop() })
-	e.Run(10)
-	if ticks != 6 { // 2 lanes × ticks at 1, 2, 3
-		t.Fatalf("ticks at stop %d, want 6", ticks)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("global clock %v, want 3", e.Now())
-	}
-	e.Run(5)
-	if ticks != 10 { // + 2 lanes × ticks at 4, 5
-		t.Fatalf("ticks after resume %d, want 10", ticks)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("global clock %v, want 5", e.Now())
+	for d, c := range y.counters {
+		if c != 3 {
+			t.Fatalf("device %d stepped %d windows, want 3", d, c)
+		}
 	}
 }
 
-// TestClocksAligned: after a horizon run, the global and every lane
-// clock sit exactly at the horizon even when calendars drained early.
+// TestClocksAligned: with nothing left at or before the horizon the
+// clock moves to it. An event at the horizon fires; one past it
+// does not, and neither does the window after it.
 func TestClocksAligned(t *testing.T) {
-	e, err := New(3, 1)
-	if err != nil {
-		t.Fatal(err)
+	y := newToy(t, 2, 1, 1)
+	fired := 0
+	y.e.Run(4.5, []Event{
+		{At: 4.5, Fn: func(float64) { fired++ }},
+		{At: 4.75, Fn: func(float64) { fired += 10 }},
+	}, y.step, y.tick)
+	if got := y.e.Now(); got != 4.5 {
+		t.Fatalf("clock %v, want the horizon 4.5", got)
 	}
-	e.Lane(1).Sim.At(2, func(float64) {})
-	e.Global().At(1, func(float64) {})
-	e.Run(7)
-	if e.Now() != 7 {
-		t.Fatalf("global clock %v, want 7", e.Now())
+	if fired != 1 {
+		t.Fatalf("fired %d, want only the event at the horizon", fired)
 	}
-	for i := 0; i < e.Lanes(); i++ {
-		if now := e.Lane(i).Sim.Now(); now != 7 {
-			t.Fatalf("lane %d clock %v, want 7", i, now)
-		}
+	if y.counters[0] != 4 || y.counters[1] != 4 {
+		t.Fatalf("windows stepped %v, want 4 per device", y.counters)
 	}
-}
-
-// TestMailFromMail: a message whose Fn posts another message sees that
-// second message applied at the next barrier, not recursively.
-func TestMailFromMail(t *testing.T) {
-	e, err := New(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	e.Lane(0).Sim.At(1, func(now float64) {
-		e.Lane(0).Post(now, 0, func(at float64) {
-			got = append(got, fmt.Sprintf("first@%g", at))
-			e.Lane(0).Post(at, 0, func(at2 float64) {
-				got = append(got, fmt.Sprintf("second@%g", at2))
-			})
-		})
-	})
-	e.Global().At(1, func(float64) {})
-	e.Global().At(2, func(float64) {})
-	e.Run(3)
-	want := []string{"first@1", "second@2"}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("applied %v, want %v", got, want)
-		}
+	y = newToy(t, 2, 1, 1)
+	y.e.Run(7.25, nil, y.step, y.tick)
+	if got := y.e.Now(); got != 7.25 || y.counters[0] != 7 {
+		t.Fatalf("clock %v after %d windows, want 7.25 after 7", got, y.counters[0])
 	}
 }

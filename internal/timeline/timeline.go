@@ -88,11 +88,12 @@ const (
 	// inherently nondeterministic.
 	//
 	// EngineWindowMs is the engine's wall-clock per barrier, the sum of
-	// its three phases: lane drain, mailbox merge+sort, and
-	// control-plane apply (EngineDrainMs / EngineMergeMs /
-	// EngineApplyMs). The engine also reports the mail volume, the
-	// drained-event imbalance between the busiest and laziest lane, and
-	// Go runtime heap/GC samples.
+	// its phases: the lanes' device step plus the fold, and the mail
+	// apply (EngineDrainMs / EngineApplyMs). EngineMergeMs is kept for
+	// readers of the series and is always 0: the mail needs no merge.
+	// The engine also reports the mail volume, the stepped-device
+	// imbalance between the busiest and laziest lane, and Go runtime
+	// heap/GC samples.
 	EngineWindowMs
 	EngineDrainMs
 	EngineMergeMs

@@ -173,7 +173,8 @@ type SimOptions struct {
 	// Tasks is the number of training arrivals to generate (ignored if
 	// Arrivals is set).
 	Tasks int
-	// Arrivals replays an explicit submission trace.
+	// Arrivals replays an explicit submission trace. Every At must be
+	// finite and >= 0.
 	Arrivals []TaskArrival
 	// MeanGapSec is the arrival-trace intensity (default 10 s).
 	MeanGapSec float64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 )
@@ -130,6 +131,9 @@ func TestValidate(t *testing.T) {
 		{"trace-negative", SimOptions{TraceDeviceIdx: -1}, "TraceDeviceIdx"},
 		{"queue-unknown", SimOptions{Queue: "lifo"}, "Queue"},
 		{"burst-bad", SimOptions{Bursts: []Burst{{Start: 10, End: 5}}}, "Bursts"},
+		{"arrival-negative", SimOptions{Arrivals: []TaskArrival{{At: 0}, {At: -1}}}, "Arrivals"},
+		{"arrival-nan", SimOptions{Arrivals: []TaskArrival{{At: math.NaN()}}}, "Arrivals"},
+		{"arrival-inf", SimOptions{Arrivals: []TaskArrival{{At: math.Inf(1)}}}, "Arrivals"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -173,6 +173,14 @@ func (o SimOptions) Validate() error {
 	if math.IsNaN(o.AdmitFactor) || math.IsInf(o.AdmitFactor, 0) || o.AdmitFactor < 0 {
 		return &OptionError{Field: "AdmitFactor", Value: o.AdmitFactor, Reason: "must be finite and >= 0 (0 selects the default burst headroom of 1.5)"}
 	}
+	for i, a := range o.Arrivals {
+		if math.IsNaN(a.At) || math.IsInf(a.At, 0) || a.At < 0 {
+			return &OptionError{
+				Field: "Arrivals", Value: i,
+				Reason: fmt.Sprintf("arrival At must be finite and >= 0, got %v", a.At),
+			}
+		}
+	}
 	for i, b := range o.Bursts {
 		if b.Start < 0 || b.End < b.Start {
 			return &OptionError{
