@@ -230,10 +230,11 @@ func BenchmarkHotpathOracleCurve(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathMudiSelect1k is one Device Selector call over a
+// BenchmarkHotpathMudiSelect1k is one warm Device Selector call over a
 // 1024-device fleet of the six catalog services, each with no resident
-// or one: twelve distinct (service, Ψ) keys. The predictor runs once
-// per key; only the Eq. 4 solve runs per device.
+// or one: twelve distinct (service, Ψ) keys. The predictor does not
+// learn between calls, so every key's memo entry from the first call
+// stays valid and only the Eq. 4 solve runs per device.
 func BenchmarkHotpathMudiSelect1k(b *testing.B) {
 	sys, err := NewSystem(SystemConfig{Seed: 1})
 	if err != nil {

@@ -26,11 +26,14 @@ func (p *scriptedPolicy) Configure(core.DeviceView, core.Measurer) (core.Decisio
 }
 
 // TestWindowCurveMemoMatchesOracle steps one device through every
-// change that moves its latency curve — placements, a pause, a resume,
-// a batch change, a completion, and a failure followed by a redeploy —
-// and after each step runs a control window and checks the device's
-// memoized curve bit for bit against a fresh oracle's curve for the
-// executing residents.
+// change that moves its latency curve or a resident's iteration time —
+// placements (which also split the train share), a pause, a resume, a
+// batch change, a Δ rescale, a completion, and a failure followed by a
+// redeploy — and after each step runs a control window and checks the
+// device's memoized curve bit for bit against a fresh oracle's curve
+// for the executing residents, and each executing resident's memoized
+// iteration time against the fresh oracle's. A requeue onto a second
+// device, next to another service, is checked the same way.
 func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 	const seed = 5
 	tasks := model.Tasks()
@@ -45,6 +48,27 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 	}
 	d := s.devices[0]
 	fresh := perf.NewOracle(seed)
+	// checkIters compares every executing resident's iteration memo
+	// with the fresh oracle at the device's current configuration.
+	checkIters := func(name string, d *deviceState, wantActive int) {
+		t.Helper()
+		share, n := d.trainShare(), 0
+		for _, ts := range d.training {
+			if ts.done || ts.paused {
+				continue
+			}
+			n++
+			m := ts.iter
+			want, wantErr := fresh.TrueIteration(ts.task, share, d.svc.info.Name, d.svc.batch, d.svc.delta)
+			if !m.ok || wantErr != nil || m.err != nil || math.Float64bits(m.ms) != math.Float64bits(want) {
+				t.Fatalf("%s: %s's memo iteration %v (ok %v, err %v), oracle %v (err %v)",
+					name, ts.task.Name, m.ms, m.ok, m.err, want, wantErr)
+			}
+		}
+		if n != wantActive {
+			t.Fatalf("%s: %d executing residents, want %d", name, n, wantActive)
+		}
+	}
 	now := 0.0
 	step := func(name string, wantActive int) {
 		t.Helper()
@@ -53,6 +77,7 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 		if n := len(d.curve.active); n != wantActive {
 			t.Fatalf("%s: %d executing residents in the memo, want %d", name, n, wantActive)
 		}
+		checkIters(name, d, wantActive)
 		want, wantErr := fresh.TrainColocCurve(d.svc.info.Name, d.svc.batch, d.activeScratch())
 		got := d.curve.fn
 		if d.curve.err != wantErr ||
@@ -82,9 +107,17 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 	step("resumed", 2)
 	configure(core.Decision{Batch: 128, Delta: 0.5, Feasible: true})
 	step("batch change", 2)
+	configure(core.Decision{Batch: 128, Delta: 0.75, Feasible: true})
+	if d.svc.delta != 0.75 {
+		t.Fatalf("rescale: Δ %v, want 0.75", d.svc.delta)
+	}
+	step("Δ rescale", 2)
 	first := d.training[0]
 	first.done = true
 	step("first task finished", 1)
+	// The completion's retune moves Δ so that the remaining task keeps
+	// its train share (0.25/2 = 0.125/1): only Δ is new in its key.
+	pol.dec = core.Decision{Batch: 128, Delta: 0.875, Feasible: true}
 	s.complete(now, d, first)
 	step("first task released", 1)
 	s.failDevice(now, d)
@@ -94,4 +127,24 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 		t.Fatalf("redeploy: batch %d, residents %d", d.svc.batch, len(d.training))
 	}
 	step("redeployed after a failure", 1)
+
+	// A requeue checkpoints the task off the first device and re-places
+	// it, as a fresh taskState, on the second, next to another service.
+	s2, err := New(Options{Policy: pol, Oracle: perf.NewOracle(seed), Seed: seed, Devices: 2, Arrivals: arrivals[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d0, d1 := s2.devices[0], s2.devices[1]
+	if d0.svc.info.Name == d1.svc.info.Name {
+		t.Fatalf("both devices serve %s", d0.svc.info.Name)
+	}
+	s2.onArrival(now, arrivals[0])
+	s2.deviceWindow(now, &shard.Lane{}, d0)
+	checkIters("before the requeue", d0, 1)
+	s2.requeue(now, d0, d0.training[0])
+	if d0.residentCount() != 0 || d1.residentCount() != 1 {
+		t.Fatalf("requeue: %d residents on the first device, %d on the second", d0.residentCount(), d1.residentCount())
+	}
+	s2.deviceWindow(now+1, &shard.Lane{}, d1)
+	checkIters("requeued onto another device", d1, 1)
 }

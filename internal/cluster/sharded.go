@@ -163,7 +163,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 		if t.done || t.paused || share <= 0 {
 			continue
 		}
-		iter, err := s.opts.Oracle.TrueIteration(t.task, share, svc.info.Name, svc.batch, svc.delta)
+		iter, err := t.trueIteration(s.opts.Oracle, share, svc.info.Name, svc.batch, svc.delta)
 		if err != nil {
 			continue
 		}

@@ -62,6 +62,38 @@ type taskState struct {
 	pausedAt  float64
 	done      bool
 	allocID   string
+	// iter is the window path's memo of the task's iteration time (see
+	// trueIteration); owned by the lane of the task's device.
+	iter iterMemo
+}
+
+// iterMemo is a task's last oracle answer on the window path: its
+// noiseless iteration time. That time is a pure function of (task,
+// train share, service, batch, Δ) and a taskState's task never
+// changes, so the key is the rest: a rescale, a batch change, a pause,
+// resume, placement or completion beside the task (each moves the
+// share) and a requeue onto another service are misses.
+type iterMemo struct {
+	ok    bool
+	svc   string
+	batch int
+	share float64
+	delta float64
+	ms    float64
+	err   error
+}
+
+// trueIteration returns o.TrueIteration(t.task, share, svc, batch,
+// delta), asking the oracle only when the key moved since the previous
+// call. The answer, error included, is exactly the oracle's.
+func (t *taskState) trueIteration(o *perf.Oracle, share float64, svc string, batch int, delta float64) (float64, error) {
+	m := &t.iter
+	if m.ok && m.svc == svc && m.batch == batch && m.share == share && m.delta == delta {
+		return m.ms, m.err
+	}
+	*m = iterMemo{ok: true, svc: svc, batch: batch, share: share, delta: delta}
+	m.ms, m.err = o.TrueIteration(t.task, share, svc, batch, delta)
+	return m.ms, m.err
 }
 
 // deviceState couples the device, its memory pool, the inference

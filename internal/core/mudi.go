@@ -156,22 +156,27 @@ func (p eligibilityPlugin) Score(_ *model.TrainingTask, dev *DeviceView) float64
 // slopePlugin scores devices by the negated predicted average slope:
 // the Device Selector of §5.2.
 //
-// The predictor's outputs depend only on (service, Ψ), and a fleet has
-// a handful of such pairs, so one selection evaluates the predictor
-// once per pair (memo) and runs only the Eq. 4 solve, which reads the
-// device's own QPS and SLO, per device. SelectDevice empties the memo
-// at the start of every call: predictor updates between calls are
-// always seen.
+// The predictor's outputs depend only on (service, Ψ) and the
+// service's predictor generation, and a fleet has a handful of such
+// pairs, so the plugin evaluates the predictor once per pair and
+// generation (memo) and runs only the Eq. 4 solve, which reads the
+// device's own QPS and SLO, per device. The memo lives across
+// SelectDevice calls: an entry stamped with an older generation than
+// its service's current one is recomputed on its next use, so a
+// predictor update is always seen and leaves other services' entries
+// valid.
 type slopePlugin struct {
 	pred    *predictor.Predictor
 	batches []int
 	memo    map[colocKey]slopeEntry
 }
 
-// slopeEntry is the predictor's output for one (service, Ψ): the
-// average slope or its error, and the predicted curve per batch size
-// (in batches order, ok=false where the prediction failed).
+// slopeEntry is the predictor's output for one (service, Ψ) at the
+// service's generation gen: the average slope or its error, and the
+// predicted curve per batch size (in batches order, ok=false where the
+// prediction failed).
 type slopeEntry struct {
+	gen    uint64
 	slope  float64
 	err    error
 	curves []predictedCurve
@@ -185,13 +190,14 @@ type predictedCurve struct {
 func (p *slopePlugin) Name() string { return "interference-slope" }
 
 // entry returns the memoized predictor output for (svc, arch),
-// evaluating it on first use within the selection.
+// evaluating it when the memo has none for svc's current generation.
 func (p *slopePlugin) entry(svc string, arch model.Arch) slopeEntry {
 	key := colocKey{svc, arch}
-	if e, ok := p.memo[key]; ok {
+	gen := p.pred.Generation(svc)
+	if e, ok := p.memo[key]; ok && e.gen == gen {
 		return e
 	}
-	var e slopeEntry
+	e := slopeEntry{gen: gen}
 	e.slope, e.err = p.pred.AvgSlope(svc, arch)
 	if e.err == nil {
 		e.curves = make([]predictedCurve, len(p.batches))
@@ -238,7 +244,6 @@ func (p *slopePlugin) Score(task *model.TrainingTask, view *DeviceView) float64 
 // whose service shows the smallest predicted average slope across the
 // batch-size set.
 func (m *Mudi) SelectDevice(task model.TrainingTask, views []DeviceView, _ map[string]Measurer) (string, bool) {
-	clear(m.slope.memo)
 	id, err := m.framework.Select(&task, views)
 	return id, err == nil
 }

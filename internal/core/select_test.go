@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"mudi/internal/opt"
 	"mudi/internal/perf"
 	"mudi/internal/predictor"
+	"mudi/internal/profiler"
 	"mudi/internal/xrand"
 )
 
@@ -115,13 +117,20 @@ func randomFleet(rng *xrand.Rand, n int) []DeviceView {
 
 // TestSelectDeviceMatchesReference checks the memoized Device Selector
 // against the direct per-device scorer: same pick, and every device's
-// score bit-identical.
+// score bit-identical. It is a replay on one Mudi, so the memo carries
+// over between calls: between selections the predictor learns random
+// co-locations through ObserveColocation, and now and then trains on a
+// fresh batch of offline profiles, and the reference always reads the
+// current predictor.
 func TestSelectDeviceMatchesReference(t *testing.T) {
 	const maxTrain = 3
-	m := buildMudi(t, perf.NewOracle(10), 10, maxTrain)
+	oracle := perf.NewOracle(10)
+	m := buildMudi(t, oracle, 10, maxTrain)
 	pred := m.Predictor()
 	tasks := model.Tasks()
-	placed, untrained := 0, 0
+	services := model.Services()
+	prof := profiler.New(oracle, xrand.New(1010))
+	placed, untrained, moved, trained := 0, 0, 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := xrand.New(seed)
 		views := randomFleet(rng, 48)
@@ -147,6 +156,30 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 		if gotOK {
 			placed++
 		}
+
+		// Teach the predictor before the next selection.
+		svc := services[rng.Intn(len(services))].Name
+		residents := make([]model.TrainingTask, 1+rng.Intn(maxTrain))
+		for i := range residents {
+			residents[i] = tasks[rng.Intn(len(tasks))]
+		}
+		gen := pred.Generation(svc)
+		if seed%10 == 0 {
+			profiles, err := prof.ProfileService(svc, nil, [][]model.TrainingTask{residents})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pred.Train(profiles); err != nil {
+				t.Fatal(err)
+			}
+			trained++
+		} else {
+			v := viewFor(svc, residents...)
+			m.ObserveColocation(v, &oracleMeasurer{oracle: oracle, view: v, rng: xrand.New(seed)})
+		}
+		if pred.Generation(svc) != gen {
+			moved++
+		}
 	}
 	if placed == 0 {
 		t.Fatal("no fleet placed the task")
@@ -154,11 +187,17 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 	if untrained < 2 {
 		t.Fatalf("%d eligible devices ran an untrained service; the memoized error path needs repeats", untrained)
 	}
+	if moved < 20 || trained == 0 {
+		t.Fatalf("the predictor moved between only %d of 40 selections (%d trainings); the replay cannot see a stale memo", moved, trained)
+	}
 }
 
-// TestSelectDeviceSeesPredictorUpdates checks that the memo lives for
-// one call: after ObserveColocation refits the predictor, the next
-// selection scores like a fresh Mudi over the updated predictor.
+// TestSelectDeviceSeesPredictorUpdates checks that a memo entry lives
+// for one service generation: a selection with no predictor update in
+// between reuses every entry, ObserveColocation on RoBERTa recomputes
+// only RoBERTa's entries, Train with new profiles invalidates the same
+// way, and after each update the selection scores like a fresh Mudi
+// over the updated predictor.
 func TestSelectDeviceSeesPredictorUpdates(t *testing.T) {
 	oracle := perf.NewOracle(11)
 	m := buildMudi(t, oracle, 11, 3)
@@ -171,31 +210,79 @@ func TestSelectDeviceSeesPredictorUpdates(t *testing.T) {
 			views = append(views, v)
 		}
 	}
-	if _, ok := m.SelectDevice(task, views, nil); !ok {
-		t.Fatal("no device selected")
+	// selectLikeFresh runs a selection and checks its pick and every
+	// score bit against a fresh Mudi over the same predictor; it returns
+	// the scores.
+	selectLikeFresh := func(stage string) []float64 {
+		t.Helper()
+		got, gotOK := m.SelectDevice(task, views, nil)
+		scores := lastScores(m, task, views)
+		fresh := NewMudi(m.Predictor(), m.cfg)
+		want, wantOK := fresh.SelectDevice(task, views, nil)
+		if got != want || gotOK != wantOK || !gotOK {
+			t.Fatalf("%s: SelectDevice = (%q, %v), fresh Mudi = (%q, %v)", stage, got, gotOK, want, wantOK)
+		}
+		for i, s := range lastScores(fresh, task, views) {
+			if math.Float64bits(scores[i]) != math.Float64bits(s) {
+				t.Fatalf("%s: device %s scores %v, fresh Mudi %v", stage, views[i].ID, scores[i], s)
+			}
+		}
+		return scores
 	}
-	before := lastScores(m, task, views)
+	// recomputed checks that the selection since memo was copied
+	// recomputed exactly svc's entries ("" for none) and reused the rest:
+	// a recomputed entry has a new generation and new curves and error.
+	recomputed := func(stage string, memo map[colocKey]slopeEntry, svc string) {
+		t.Helper()
+		if len(m.slope.memo) != len(memo) {
+			t.Fatalf("%s: memo holds %d entries, %d before", stage, len(m.slope.memo), len(memo))
+		}
+		n := 0
+		for k, was := range memo {
+			now := m.slope.memo[k]
+			same := now.gen == was.gen && now.err == was.err &&
+				len(now.curves) == len(was.curves) && (len(now.curves) == 0 || &now.curves[0] == &was.curves[0])
+			if k.svc == svc {
+				n++
+				if same {
+					t.Fatalf("%s: entry %v was reused", stage, k)
+				}
+			} else if !same {
+				t.Fatalf("%s: entry %v was recomputed", stage, k)
+			}
+		}
+		if svc != "" && n == 0 {
+			t.Fatalf("%s: no %s entry in the memo", stage, svc)
+		}
+	}
+
+	before := selectLikeFresh("first selection")
+	memo := maps.Clone(m.slope.memo)
+	selectLikeFresh("no update")
+	recomputed("no update", memo, "")
 
 	observed := viewFor("RoBERTa", task)
 	m.ObserveColocation(observed, &oracleMeasurer{oracle: oracle, view: observed, rng: xrand.New(111)})
-
-	got, gotOK := m.SelectDevice(task, views, nil)
-	after := lastScores(m, task, views)
-	fresh := NewMudi(m.Predictor(), m.cfg)
-	want, wantOK := fresh.SelectDevice(task, views, nil)
-	if got != want || gotOK != wantOK {
-		t.Fatalf("after the update SelectDevice = (%q, %v), fresh Mudi = (%q, %v)", got, gotOK, want, wantOK)
-	}
+	after := selectLikeFresh("after ObserveColocation")
+	recomputed("after ObserveColocation", memo, "RoBERTa")
 	changed := false
-	for i, s := range lastScores(fresh, task, views) {
-		if math.Float64bits(after[i]) != math.Float64bits(s) {
-			t.Fatalf("device %s: score %v after the update, fresh Mudi %v", views[i].ID, after[i], s)
-		}
+	for i := range after {
 		changed = changed || after[i] != before[i]
 	}
 	if !changed {
 		t.Fatal("the predictor update moved no score; the test cannot see a stale memo")
 	}
+
+	memo = maps.Clone(m.slope.memo)
+	profiles, err := profiler.New(oracle, xrand.New(112)).ProfileService("BERT", nil, [][]model.TrainingTask{{task}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Predictor().Train(profiles); err != nil {
+		t.Fatal(err)
+	}
+	selectLikeFresh("after Train")
+	recomputed("after Train", memo, "BERT")
 }
 
 // catalogFleet is n devices cycling over the six catalog services, each

@@ -26,6 +26,8 @@ var targetNames = [4]string{"k1", "k2", "cutoff", "l0"}
 // svcPredictor holds one service's four incremental learners.
 type svcPredictor struct {
 	learners [4]*learn.Incremental
+	// gen counts the profiles added to the service (see Generation).
+	gen uint64
 }
 
 // Predictor is the cluster-wide interference predictor.
@@ -102,6 +104,7 @@ func (p *Predictor) add(profile profiler.Profile, refit bool) error {
 		return fmt.Errorf("predictor: profile curve: %w", err)
 	}
 	sp := p.svc(profile.Service)
+	sp.gen++
 	arch := profile.ColocArch()
 	x := features(arch, profile.Batch)
 	y := profile.Curve.Params()
@@ -188,6 +191,19 @@ func (p *Predictor) Samples(svc string) int {
 		return 0
 	}
 	return sp.learners[0].N()
+}
+
+// Generation returns svc's generation: it moves whenever Train or
+// Update adds a profile for svc and at no other time, so every
+// prediction for svc (PredictCurve, AvgSlope) is a pure function of
+// its inputs and the generation. A service never trained is at
+// generation 0.
+func (p *Predictor) Generation(svc string) uint64 {
+	sp, ok := p.services[svc]
+	if !ok {
+		return 0
+	}
+	return sp.gen
 }
 
 // Services lists the service names with trained predictors.

@@ -33,10 +33,14 @@ func trainPredictor(t *testing.T, seed uint64, services []string) (*Predictor, *
 }
 
 func TestTrainRefitsOnlyItsBatch(t *testing.T) {
-	// Training service B must leave service A's fitted learners as they
-	// were: A's samples did not change, so a refit would only redo the
-	// same model selection.
+	// Training service B must leave service A's fitted learners, and so
+	// its generation, as they were: A's samples did not change, so a
+	// refit would only redo the same model selection.
 	pred, _ := trainPredictor(t, 3, []string{"BERT"})
+	bertGen := pred.Generation("BERT")
+	if bertGen == 0 || pred.Generation("GPT2") != 0 {
+		t.Fatalf("after training BERT: generations BERT %d, GPT2 %d", bertGen, pred.Generation("GPT2"))
+	}
 	var before [4]learn.Regressor
 	for i, l := range pred.services["BERT"].learners {
 		before[i] = l.Model()
@@ -58,6 +62,17 @@ func TestTrainRefitsOnlyItsBatch(t *testing.T) {
 		if l.Model() == nil {
 			t.Fatalf("GPT2's %s learner was not fitted", targetNames[i])
 		}
+	}
+	gpt2Gen := pred.Generation("GPT2")
+	if pred.Generation("BERT") != bertGen || gpt2Gen == 0 {
+		t.Fatalf("after training GPT2: generations BERT %d (was %d), GPT2 %d", pred.Generation("BERT"), bertGen, gpt2Gen)
+	}
+	if err := pred.Update(profiles[len(profiles)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if pred.Generation("BERT") != bertGen || pred.Generation("GPT2") == gpt2Gen {
+		t.Fatalf("a GPT2 update left generations BERT %d (was %d), GPT2 %d (was %d)",
+			pred.Generation("BERT"), bertGen, pred.Generation("GPT2"), gpt2Gen)
 	}
 }
 
@@ -151,6 +166,9 @@ func TestTrainRejectsBadProfiles(t *testing.T) {
 	bad = []profiler.Profile{{Service: "X"}} // zero curve is invalid
 	if err := pred.Train(bad); err == nil {
 		t.Fatal("invalid curve accepted")
+	}
+	if g := pred.Generation("X"); g != 0 {
+		t.Fatalf("a rejected profile moved the generation to %d", g)
 	}
 }
 
