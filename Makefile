@@ -7,10 +7,10 @@ GO ?= go
 
 # Packages exercised concurrently by the parallel experiment engine
 # and the observability fan-in, plus the hot-path packages whose
-# scratch/memo state must stay correctly confined (oracle caches are
-# shared across workers; gp/stats/serving/learn scratch is
-# per-goroutine; core's Device Selector memo lives across calls on one
-# policy).
+# scratch/memo state must stay correctly confined (the oracle is
+# immutable and shared across workers; gp/stats/serving/learn scratch
+# is per-goroutine; core's Device Selector memo lives across calls on
+# one policy).
 RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/core ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
 
 .PHONY: tier1 build test vet fmt test-benchmark smoke-hotpath race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci

@@ -209,11 +209,12 @@ func BenchmarkHotpathSelectModel(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathOracleCurve queries the memoized co-location curve
-// the way the profiler and the per-device measurers do: the same
-// (service, batch, residents) signature over and over. The cluster's
-// window path keeps its own per-device memo and asks only when a
-// device's configuration changes.
+// BenchmarkHotpathOracleCurve times one direct co-location curve
+// computation: the oracle keeps no memo, so every call derives the
+// residents' idiosyncrasies and builds the curve afresh. Callers that
+// repeat a question memoize it themselves — the cluster's window path
+// keeps a per-device memo and asks only when a device's configuration
+// changes.
 func BenchmarkHotpathOracleCurve(b *testing.B) {
 	o := perf.NewOracle(1)
 	svc := model.Services()[0].Name

@@ -73,23 +73,14 @@ func ClassesResults(cfg Config) (map[string]*cluster.Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			sim, err := cluster.New(cluster.Options{
+			return cfg.simulate(cluster.Options{
 				Policy:   policy,
 				Oracle:   oracle,
-				Seed:     cfg.Seed,
 				Devices:  devices,
 				Services: v.services,
 				Arrivals: arrivals,
 				Bursts:   flashCrowdBursts(),
-				Shards:   cfg.Shards,
-				Obs:      cfg.sink(),
-				Log:      cfg.log(),
-				Ctx:      cfg.Ctx,
 			})
-			if err != nil {
-				return nil, err
-			}
-			return sim.Run()
 		}}
 	}
 	ress, err := runCells(cfg, runner.New(cfg.Parallel), cells)

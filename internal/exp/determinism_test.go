@@ -83,14 +83,10 @@ func TestLoadSweepParallelDeterminism(t *testing.T) {
 						if err != nil {
 							return nil, err
 						}
-						sim, err := cluster.New(cluster.Options{
-							Policy: policy, Oracle: s.Oracle, Seed: s.Config.Seed,
+						return s.Config.simulate(cluster.Options{
+							Policy: policy, Oracle: s.Oracle,
 							Devices: devices, Arrivals: s.Arrivals, LoadFactor: load,
 						})
-						if err != nil {
-							return nil, err
-						}
-						return sim.Run()
 					},
 				})
 			}

@@ -126,15 +126,10 @@ func Fig13(s *Suite) (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			sim, err := cluster.New(cluster.Options{
-				Policy: build(m), Oracle: s.Oracle, Seed: s.Config.Seed,
+			return s.Config.simulate(cluster.Options{
+				Policy: build(m), Oracle: s.Oracle,
 				Devices: devices, Arrivals: s.Arrivals,
-				Shards: s.Config.Shards, Ctx: s.Config.Ctx,
 			})
-			if err != nil {
-				return nil, err
-			}
-			return sim.Run()
 		}
 	}
 	cells := []runner.Cell[*cluster.Result]{
@@ -233,15 +228,10 @@ func Fig15(s *Suite) (*report.Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					sim, err := cluster.New(cluster.Options{
-						Policy: policy, Oracle: s.Oracle, Seed: s.Config.Seed,
+					return s.Config.simulate(cluster.Options{
+						Policy: policy, Oracle: s.Oracle,
 						Devices: devices, Arrivals: s.Arrivals, LoadFactor: load,
-						Shards: s.Config.Shards, Ctx: s.Config.Ctx,
 					})
-					if err != nil {
-						return nil, err
-					}
-					return sim.Run()
 				},
 			})
 		}

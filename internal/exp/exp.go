@@ -65,14 +65,14 @@ type Config struct {
 	// function is shared across workers — it must be safe for concurrent
 	// calls when Parallel != 1. Observation never changes results.
 	Observer obs.Observer
-	// Trace, when true, gives every suite cell a private span view and
+	// Trace, when true, gives every cell a private span view and
 	// violation attributor; the roll-ups land on each cell's
 	// cluster.Result (Spans / SLOReport). Like observation, tracing
 	// never changes results.
 	Trace bool
-	// Timelines, when true, gives every suite cell a private timeline
-	// store; the snapshot lands on each cell's cluster.Result
-	// (Timelines). Like observation, timelines never change results.
+	// Timelines, when true, gives every cell a private timeline store;
+	// the snapshot lands on each cell's cluster.Result (Timelines). Like
+	// observation, timelines never change results.
 	Timelines bool
 }
 
@@ -107,6 +107,24 @@ func (c Config) timeline() *timeline.Store {
 		return nil
 	}
 	return timeline.New(timeline.Defaults())
+}
+
+// simulate builds and runs one cell's simulation. Every cell goes
+// through here, so each one gets the run's Seed, Shards and Ctx and its
+// own private sink, record log and timeline store — the Observer, Trace
+// and Timelines reach every cell, not only some.
+func (c Config) simulate(o cluster.Options) (*cluster.Result, error) {
+	o.Seed = c.Seed
+	o.Shards = c.Shards
+	o.Ctx = c.Ctx
+	o.Obs = c.sink()
+	o.Log = c.log()
+	o.Timeline = c.timeline()
+	sim, err := cluster.New(o)
+	if err != nil {
+		return nil, err
+	}
+	return sim.Run()
 }
 
 // runCells is the harness's runner entry point: every fan-out goes
@@ -273,22 +291,12 @@ func (s *Suite) policyFor(name string) (core.Policy, error) {
 // as long as each passes its own policy instance.
 func (s *Suite) runPolicy(policy core.Policy) (*cluster.Result, error) {
 	devices, _, _, _ := s.Config.sizes()
-	sim, err := cluster.New(cluster.Options{
+	return s.Config.simulate(cluster.Options{
 		Policy:   policy,
 		Oracle:   s.Oracle,
-		Seed:     s.Config.Seed,
 		Devices:  devices,
 		Arrivals: s.Arrivals,
-		Obs:      s.Config.sink(),
-		Log:      s.Config.log(),
-		Timeline: s.Config.timeline(),
-		Shards:   s.Config.Shards,
-		Ctx:      s.Config.Ctx,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run()
 }
 
 // Run executes (and caches) the end-to-end simulation for one policy.

@@ -50,15 +50,10 @@ func AblationTuner(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return armResult{}, err
 			}
-			sim, err := cluster.New(cluster.Options{
-				Policy: mudi, Oracle: oracle, Seed: cfg.Seed,
+			res, err := cfg.simulate(cluster.Options{
+				Policy: mudi, Oracle: oracle,
 				Devices: devices, Arrivals: arrivals,
-				Shards: cfg.Shards, Ctx: cfg.Ctx,
 			})
-			if err != nil {
-				return armResult{}, err
-			}
-			res, err := sim.Run()
 			if err != nil {
 				return armResult{}, err
 			}
@@ -114,15 +109,10 @@ func QueuePolicies(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			sim, err := cluster.New(cluster.Options{
-				Policy: mudi, Oracle: oracle, Seed: cfg.Seed,
+			return cfg.simulate(cluster.Options{
+				Policy: mudi, Oracle: oracle,
 				Devices: devices, Arrivals: arrivals, QueuePolicy: queue,
-				Shards: cfg.Shards, Ctx: cfg.Ctx,
 			})
-			if err != nil {
-				return nil, err
-			}
-			return sim.Run()
 		}}
 	}
 	ress, err := runCells(cfg, runner.New(cfg.Parallel), cells)

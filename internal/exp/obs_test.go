@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -97,5 +98,32 @@ func TestSingleRunCellsContextCancel(t *testing.T) {
 	}
 	if _, err := Tab4(cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("Tab4: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestObserverReachesNonSuiteCells: a runner that builds its own cells
+// outside the Suite (here the queue-policy table) still feeds the
+// Observer from every cell, and observing it changes no row.
+func TestObserverReachesNonSuiteCells(t *testing.T) {
+	var events atomic.Int64
+	observer := func(obs.Event) { events.Add(1) }
+	observed, err := QueuePolicies(Config{Seed: 5, Scale: ScaleSmall, Parallel: 2, Observer: observer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events.Load() == 0 {
+		t.Fatal("observer saw no events from the queue-policy cells")
+	}
+	plain, err := QueuePolicies(Config{Seed: 5, Scale: ScaleSmall, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(observed.Rows) != len(plain.Rows) {
+		t.Fatalf("observed table has %d rows, unobserved %d", len(observed.Rows), len(plain.Rows))
+	}
+	for i, row := range plain.Rows {
+		if !slices.Equal(observed.Rows[i], row) {
+			t.Errorf("row %d: observed %v, unobserved %v", i, observed.Rows[i], row)
+		}
 	}
 }

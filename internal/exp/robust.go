@@ -93,20 +93,14 @@ func Fig16(cfg Config) (*report.Table, error) {
 		ID: 0, At: 10, Task: yolo, Iters: 2200, GPUsReq: 1,
 	}}
 	rn50, _ := model.ServiceByName("ResNet50")
-	sim, err := cluster.New(cluster.Options{
-		Policy: mudi, Oracle: oracle, Seed: cfg.Seed, Devices: 1,
+	res, err := cfg.simulate(cluster.Options{
+		Policy: mudi, Oracle: oracle, Devices: 1,
 		Services:       []model.InferenceService{rn50},
 		Arrivals:       arrivals,
 		Bursts:         []trace.Burst{{Start: 100, End: 200, Factor: 3}},
 		TraceDeviceIdx: 1,
 		MaxHorizonSec:  1200,
-		Shards:         cfg.Shards,
-		Ctx:            cfg.Ctx,
 	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -172,19 +166,14 @@ func Tab4(cfg Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := cluster.New(cluster.Options{
-		Policy: mudi, Oracle: oracle, Seed: cfg.Seed, Devices: 6,
+	res, err := cfg.simulate(cluster.Options{
+		Policy: mudi, Oracle: oracle, Devices: 6,
 		Arrivals: arrivals,
 		Bursts: []trace.Burst{
 			{Start: 60, End: 150, Factor: 3},
 			{Start: 300, End: 390, Factor: 2.5},
 		},
-		Shards: cfg.Shards, Ctx: cfg.Ctx,
 	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -215,15 +204,10 @@ func Fig17(cfg Config) (*report.Table, error) {
 		return nil, err
 	}
 	run := func(policy core.Policy) (*cluster.Result, error) {
-		sim, err := cluster.New(cluster.Options{
-			Policy: policy, Oracle: oracle, Seed: cfg.Seed,
+		return cfg.simulate(cluster.Options{
+			Policy: policy, Oracle: oracle,
 			Devices: devices, Arrivals: arrivals,
-			Shards: cfg.Shards, Ctx: cfg.Ctx,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return sim.Run()
 	}
 	// Three independent arms, each owning its policy instance.
 	mudiArm := func(maxTrain int) func() (*cluster.Result, error) {

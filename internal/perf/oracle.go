@@ -15,12 +15,13 @@
 // Mudi components never read the oracle's parameters; they only call
 // the Measure* sampling methods. The noiseless True* methods exist for
 // the Optimal baseline and for accuracy evaluation in the harness.
+// Every query is computed directly from the fixed parameters; callers
+// that repeat a query keep their own memo.
 package perf
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"mudi/internal/model"
 	"mudi/internal/piecewise"
@@ -72,60 +73,14 @@ type svcParams struct {
 	phaseSens   [3]float64 // relative interference sensitivity per phase
 }
 
-// Oracle is the ground-truth performance model. It is safe for
-// concurrent use: the hidden parameters are immutable after
-// construction, and the internal memo caches are mutex-protected.
+// Oracle is the ground-truth performance model. Its hidden parameters
+// are fixed once the oracle is shared (RegisterService must run before
+// that, as NewSystem does), after which every query is a pure function
+// of its arguments, computed directly on each call: the oracle holds no
+// cache and no lock, and is safe for concurrent use.
 type Oracle struct {
 	seed     uint64
 	services map[string]svcParams
-
-	// Curve construction and interference factors are pure functions of
-	// (service, batch, co-location signature), so they are memoized: the
-	// profiler and the per-device measurers ask for the same handful of
-	// configurations over and over (the cluster's window path keeps its
-	// own per-device memo and asks only when a device's configuration
-	// changes). Caching changes no results — cached values are the exact
-	// floats the direct computation produces.
-	mu         sync.Mutex
-	idioCache  map[string]float64
-	colocCache map[colocKey]colocStats
-	curveCache map[curveKey]piecewise.Func
-}
-
-// maxColocKey bounds the co-location signature; larger sets (which the
-// 2-way GPU sharing model never produces) bypass the caches.
-const maxColocKey = 4
-
-// cacheLimit bounds each memo map; on overflow the map is dropped
-// wholesale and rebuilt, keeping memory flat without affecting results.
-const cacheLimit = 4096
-
-// taskKey identifies a co-located training task for cache purposes: the
-// idiosyncrasy depends on the name and the interference score on the
-// architecture, so together they pin the factor exactly.
-type taskKey struct {
-	name string
-	arch model.Arch
-}
-
-// colocKey is the ordered co-location signature. Order matters: the
-// idiosyncrasy product is accumulated in slice order, and float
-// multiplication is not associative-stable across orders.
-type colocKey struct {
-	n     int
-	tasks [maxColocKey]taskKey
-}
-
-type colocStats struct {
-	score float64 // capped architecture interference score
-	idio  float64 // product of per-task idiosyncrasies, in slice order
-}
-
-type curveKey struct {
-	svc   string
-	other string // inference neighbour; empty for training co-location
-	batch int
-	coloc colocKey
 }
 
 // NewOracle builds the oracle. The seed perturbs the hidden parameters
@@ -234,52 +189,15 @@ func rawScore(arch model.Arch) float64 {
 // idiosyncrasy is a per-task residual (±8%) keyed on the task name —
 // the irreducible component that keeps architecture-based prediction
 // below 100% accuracy, matching the paper's ~85% accuracy ceiling.
-// The value is derived once per name and memoized; deriving it forks a
-// seeded RNG stream, which is the oracle's only per-query allocation.
+// Deriving it forks a seeded RNG stream that stays on the stack, so it
+// allocates nothing.
 func (o *Oracle) idiosyncrasy(taskName string) float64 {
-	o.mu.Lock()
-	v, ok := o.idioCache[taskName]
-	o.mu.Unlock()
-	if ok {
-		return v
-	}
-	r := xrand.New(o.seed).ForkString("task:" + taskName)
-	v = r.Range(0.92, 1.08)
-	o.mu.Lock()
-	if o.idioCache == nil || len(o.idioCache) >= cacheLimit {
-		o.idioCache = make(map[string]float64, 64)
-	}
-	o.idioCache[taskName] = v
-	o.mu.Unlock()
-	return v
+	return xrand.New(o.seed).ForkString("task:"+taskName).Range(0.92, 1.08)
 }
 
-// colocSig builds the cache signature for a co-location set, reporting
-// ok=false when the set is too large to key.
-func colocSig(coloc []model.TrainingTask) (colocKey, bool) {
-	var key colocKey
-	if len(coloc) > maxColocKey {
-		return key, false
-	}
-	key.n = len(coloc)
-	for i, t := range coloc {
-		key.tasks[i] = taskKey{name: t.Name, arch: t.Arch}
-	}
-	return key, true
-}
-
-// colocStatsFor returns the capped interference score and idiosyncrasy
-// product of a co-location set, memoized on its signature.
-func (o *Oracle) colocStatsFor(coloc []model.TrainingTask) (score, idio float64) {
-	key, keyable := colocSig(coloc)
-	if keyable {
-		o.mu.Lock()
-		if s, ok := o.colocCache[key]; ok {
-			o.mu.Unlock()
-			return s.score, s.idio
-		}
-		o.mu.Unlock()
-	}
+// colocStats returns the capped interference score and the
+// idiosyncrasy product of a co-location set, accumulated in slice order.
+func (o *Oracle) colocStats(coloc []model.TrainingTask) (score, idio float64) {
 	var total model.Arch
 	idio = 1.0
 	for _, t := range coloc {
@@ -291,32 +209,7 @@ func (o *Oracle) colocStatsFor(coloc []model.TrainingTask) (score, idio float64)
 	if score > 2.2 {
 		score = 2.2
 	}
-	if keyable {
-		o.mu.Lock()
-		if o.colocCache == nil || len(o.colocCache) >= cacheLimit {
-			o.colocCache = make(map[colocKey]colocStats, 64)
-		}
-		o.colocCache[key] = colocStats{score: score, idio: idio}
-		o.mu.Unlock()
-	}
 	return score, idio
-}
-
-// curveLookup / curveStore are the memo around buildCurve.
-func (o *Oracle) curveLookup(key curveKey) (piecewise.Func, bool) {
-	o.mu.Lock()
-	c, ok := o.curveCache[key]
-	o.mu.Unlock()
-	return c, ok
-}
-
-func (o *Oracle) curveStore(key curveKey, c piecewise.Func) {
-	o.mu.Lock()
-	if o.curveCache == nil || len(o.curveCache) >= cacheLimit {
-		o.curveCache = make(map[curveKey]piecewise.Func, 64)
-	}
-	o.curveCache[key] = c
-	o.mu.Unlock()
 }
 
 // batchMod modulates training-interference with the inference batch
@@ -334,7 +227,7 @@ func (o *Oracle) trainFactor(p svcParams, batch int, coloc []model.TrainingTask)
 	if len(coloc) == 0 {
 		return 1
 	}
-	score, idio := o.colocStatsFor(coloc)
+	score, idio := o.colocStats(coloc)
 	return 1 + p.trainSens*score*batchMod(batch)*idio
 }
 
@@ -357,19 +250,7 @@ func (o *Oracle) TrainColocCurve(svc string, batch int, coloc []model.TrainingTa
 	if batch < 1 {
 		return piecewise.Func{}, fmt.Errorf("perf: batch %d < 1", batch)
 	}
-	sig, keyable := colocSig(coloc)
-	key := curveKey{svc: svc, batch: batch, coloc: sig}
-	if keyable {
-		if c, ok := o.curveLookup(key); ok {
-			return c, nil
-		}
-	}
-	f := o.trainFactor(p, batch, coloc)
-	c := buildCurve(p, batch, f)
-	if keyable {
-		o.curveStore(key, c)
-	}
-	return c, nil
+	return buildCurve(p, batch, o.trainFactor(p, batch, coloc)), nil
 }
 
 // InfColocCurve returns the latency curve of svc when co-located with
@@ -386,14 +267,7 @@ func (o *Oracle) InfColocCurve(svc, other string, batch int) (piecewise.Func, er
 	if batch < 1 {
 		return piecewise.Func{}, fmt.Errorf("perf: batch %d < 1", batch)
 	}
-	key := curveKey{svc: svc, other: other, batch: batch}
-	if c, ok := o.curveLookup(key); ok {
-		return c, nil
-	}
-	f := 1 + p.cpuSens*q.cpuLoad*batchMod(batch)
-	c := buildCurve(p, batch, f)
-	o.curveStore(key, c)
-	return c, nil
+	return buildCurve(p, batch, 1+p.cpuSens*q.cpuLoad*batchMod(batch)), nil
 }
 
 func buildCurve(p svcParams, batch int, interf float64) piecewise.Func {

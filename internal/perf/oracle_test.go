@@ -402,3 +402,37 @@ func TestResourceUtilTakeaway(t *testing.T) {
 		t.Fatal("unknown service accepted")
 	}
 }
+
+func TestOracleQueriesAllocateNothing(t *testing.T) {
+	// The oracle keeps no memo, so every query derives its residents'
+	// idiosyncrasies afresh; that derivation must stay off the heap.
+	// Each call uses a distinct residents set and batch, so nothing a
+	// cache could hold would be reused.
+	o := NewOracle(1)
+	svc := model.Services()[0].Name
+	tasks := model.Tasks()
+	var colocs [][]model.TrainingTask
+	for i := range tasks {
+		for j := range tasks {
+			if i != j {
+				colocs = append(colocs, []model.TrainingTask{tasks[i], tasks[j]})
+			}
+		}
+	}
+	rng := xrand.New(7)
+	k := 0
+	allocs := testing.AllocsPerRun(len(colocs)-1, func() {
+		coloc := colocs[k%len(colocs)]
+		batch := 1 + k%256
+		k++
+		if _, err := o.TrainColocCurve(svc, batch, coloc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.MeasureLatency(svc, batch, 0.5, coloc, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("oracle query allocates %v times per call, want 0", allocs)
+	}
+}
