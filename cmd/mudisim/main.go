@@ -187,10 +187,10 @@ func run(args []string, stdout io.Writer) (err error) {
 		fmt.Fprintf(os.Stderr, "mudisim: serving telemetry on http://%s\n", ln.Addr())
 	}
 
-	simulate := func(seed uint64) (*mudi.Result, error) {
+	simulate := func(seed uint64) (*mudi.Result, *mudi.System, error) {
 		sys, err := mudi.NewSystem(mudi.SystemConfig{Seed: seed, MaxTrainPerGPU: *moreFlag})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		opts := mudi.SimOptions{
 			Queue:          mudi.QueuePolicyID(*queueFlag),
@@ -224,21 +224,25 @@ func run(args []string, stdout io.Writer) (err error) {
 		if *policyFlag != "mudi" {
 			p, err := sys.BaselinePolicy(mudi.BaselineID(*policyFlag))
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			opts.Policy = p
 		}
-		return sys.Simulate(opts)
+		res, err := sys.Simulate(opts)
+		return res, sys, err
 	}
 
 	if *repeatsFlag > 1 {
 		if *jsonFlag || *eventsFlag || *metricsFlag || *eventsOut != "" || *metricsOut != "" || *tlFlag || *tlOut != "" || tracePath != "" || *httpFlag != "" || *traceInFlag != "" || *traceOutFlag != "" || *scenarioFlag != "" {
 			return fmt.Errorf("-json/-events/-metrics/-events-out/-metrics-out/-timelines/-timelines-out/-trace <path>/-http/-trace-in/-trace-out/-scenario support a single run; drop them or use -repeats 1")
 		}
-		return runRepeats(*repeatsFlag, *parallelFlag, *seedFlag, *policyFlag, simulate, stdout)
+		return runRepeats(*repeatsFlag, *parallelFlag, *seedFlag, *policyFlag, func(seed uint64) (*mudi.Result, error) {
+			res, _, err := simulate(seed)
+			return res, err
+		}, stdout)
 	}
 
-	res, err := simulate(*seedFlag)
+	res, sys, err := simulate(*seedFlag)
 	if err != nil {
 		return err
 	}
@@ -333,6 +337,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err := tab.WriteASCII(stdout); err != nil {
 		return err
 	}
+	if *policyFlag == "mudi" {
+		fmt.Fprintf(stdout, "%s\n\n", learnerLine(sys.Learner()))
+	}
 
 	svcTab := report.NewTable("per-service SLO violation", "service", "violation", "mean P99 (ms)")
 	var names []string
@@ -402,6 +409,31 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 	return nil
+}
+
+// learnerLine renders the online learner's record on one line: its
+// prequential latency MAPE with the learning curve in six consecutive
+// blocks of scored profiles, the per-target MAPE, and the refits.
+func learnerLine(ls mudi.LearnerStats) string {
+	var curve []string
+	for _, v := range blockMeans(ls.Curve, 6) {
+		curve = append(curve, fmt.Sprintf("%.3f", v))
+	}
+	t := ls.TargetMAPE
+	return fmt.Sprintf("learner: %d co-locations learned, %d dropped; %d profiles scored before learning: latency MAPE %.4f (by sixths: %s), k1 %.3f k2 %.3f Δ0 %.3f l0 %.3f; %d refits, %d full selections",
+		ls.Colocations, ls.Dropped, ls.Scored, ls.LatencyMAPE, strings.Join(curve, " "),
+		t[0], t[1], t[2], t[3], ls.Refits, ls.Selections)
+}
+
+// blockMeans splits xs into at most k consecutive blocks of near-equal
+// size and returns each block's mean.
+func blockMeans(xs []float64, k int) []float64 {
+	k = min(k, len(xs))
+	out := make([]float64, 0, k)
+	for b := 0; b < k; b++ {
+		out = append(out, stats.Mean(xs[b*len(xs)/k:(b+1)*len(xs)/k]))
+	}
+	return out
 }
 
 // runRepeats fans n independent replicas across the worker pool. Each

@@ -14,7 +14,7 @@ func TestRunSingleSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"mean SLO violation", "makespan (s)", "per-service SLO violation"} {
+	for _, want := range []string{"mean SLO violation", "makespan (s)", "learner: ", "latency MAPE", "per-service SLO violation"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -109,3 +109,31 @@ func TestObserveColocationAbortsCleanlyOnFailure(t *testing.T) {
 	// (the key was marked seen) — that is acceptable: the predictor
 	// falls back to generalization and the Monitor repairs online.
 }
+
+// TestObserveColocationCountsDrops: a co-location abandoned at a
+// measurement error is counted, learns nothing, and stays seen.
+func TestObserveColocationCountsDrops(t *testing.T) {
+	oracle := perf.NewOracle(34)
+	m := buildMudi(t, oracle, 34, 1)
+	task, _ := model.TaskByName("ResNet18")
+	view := viewFor("RoBERTa", task)
+	inner := &oracleMeasurer{oracle: oracle, view: view, rng: xrand.New(134)}
+	gen := m.Predictor().Generation("RoBERTa")
+	m.ObserveColocation(view, &failingMeasurer{inner: inner, budget: 0, failErr: errAgentDown})
+	if ls := m.LearnerStats(); ls.Dropped != 1 || ls.Colocations != 0 || ls.Scored != 0 {
+		t.Fatalf("after a failed measurement: %d dropped, %d learned, %d scored; want 1, 0, 0",
+			ls.Dropped, ls.Colocations, ls.Scored)
+	}
+	if got := m.Predictor().Generation("RoBERTa"); got != gen {
+		t.Fatalf("a dropped co-location moved the generation %d → %d", gen, got)
+	}
+	m.ObserveColocation(view, inner)
+	if ls := m.LearnerStats(); ls.Dropped != 1 || ls.Colocations != 0 {
+		t.Fatalf("a dropped co-location was retried: %d dropped, %d learned", ls.Dropped, ls.Colocations)
+	}
+	other := viewFor("BERT", task)
+	m.ObserveColocation(other, &oracleMeasurer{oracle: oracle, view: other, rng: xrand.New(135)})
+	if ls := m.LearnerStats(); ls.Dropped != 1 || ls.Colocations != 1 || ls.Scored == 0 {
+		t.Fatalf("after a healthy co-location: %d dropped, %d learned, %d scored", ls.Dropped, ls.Colocations, ls.Scored)
+	}
+}

@@ -49,6 +49,9 @@ type Mudi struct {
 	// learner's generalization (§4.2: newly sampled co-locations are
 	// fitted and used directly while also updating the predictor).
 	curves map[curveKey]piecewise.Func
+	// colocs counts the co-locations ObserveColocation learned, and
+	// dropped those it gave up on at a measurement or update error.
+	colocs, dropped int
 	// Overhead bookkeeping for Fig. 18.
 	boIters []int
 	// evalHook, when set via SetEvalHook, is forwarded to every tuning
@@ -110,6 +113,25 @@ func (m *Mudi) AddProfiles(profiles []profiler.Profile) {
 		m.curves[curveKey{k, pr.Batch}] = pr.Curve
 		m.seenColoc[k] = true
 	}
+}
+
+// LearnerStats is a snapshot of Mudi's online learning: the
+// predictor's prequential error and refit counts, with the online
+// co-locations learned and dropped.
+type LearnerStats struct {
+	predictor.Stats
+	// Colocations counts the co-locations profiled online without a
+	// drop.
+	Colocations int
+	// Dropped counts the co-locations ObserveColocation abandoned at a
+	// measurement or Predictor.Update error. A dropped co-location stays
+	// marked as seen, so it is never retried.
+	Dropped int
+}
+
+// LearnerStats returns a snapshot of the online learner's record.
+func (m *Mudi) LearnerStats() LearnerStats {
+	return LearnerStats{Stats: m.pred.Stats(), Colocations: m.colocs, Dropped: m.dropped}
 }
 
 // BOIterations returns the per-episode GP-LCB iteration counts
@@ -359,6 +381,7 @@ func (m *Mudi) ObserveColocation(view DeviceView, meas Measurer) {
 		for _, d := range grid {
 			l, err := meas.InfLatencyMs(b, d)
 			if err != nil {
+				m.dropped++
 				return
 			}
 			samples = append(samples, fit.Sample{Delta: d, Latency: l})
@@ -376,9 +399,11 @@ func (m *Mudi) ObserveColocation(view DeviceView, meas Measurer) {
 			Samples: samples,
 		}
 		if err := m.pred.Update(prof); err != nil {
+			m.dropped++
 			return
 		}
 	}
+	m.colocs++
 }
 
 var (

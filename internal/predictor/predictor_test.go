@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -293,5 +294,75 @@ func TestTrainFromPersistedProfiles(t *testing.T) {
 	}
 	if err := curve.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUpdateScoresBeforeLearning: Update scores each online profile
+// against the curve predicted just before it is learned, and the
+// scoring changes no prediction.
+func TestUpdateScoresBeforeLearning(t *testing.T) {
+	pred, o := trainPredictor(t, 4, []string{"BERT"})
+	twin, _ := trainPredictor(t, 4, []string{"BERT"})
+	if s := pred.Stats(); s.Scored != 0 || s.Refits != 4 || s.Selections != 4 {
+		t.Fatalf("after training: %d scored, %d refits, %d selections; want 0, 4, 4", s.Scored, s.Refits, s.Selections)
+	}
+	prof := profiler.New(o, xrand.New(41))
+	task := model.UnseenTasks()[0]
+	var wantTarget [4]float64
+	var latSum float64
+	var latN int
+	var curve []float64
+	for _, b := range model.BatchSizes() {
+		p, err := prof.ProfileOne("BERT", b, []model.TrainingTask{task})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := pred.PredictCurve("BERT", b, task.Arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, truth := before.Params(), p.Curve.Params()
+		for i := range truth {
+			wantTarget[i] += math.Abs(got[i]-truth[i]) / math.Abs(truth[i])
+		}
+		var sum float64
+		for _, sm := range p.Samples {
+			sum += math.Abs(before.Eval(sm.Delta)-sm.Latency) / sm.Latency
+		}
+		latSum += sum
+		latN += len(p.Samples)
+		curve = append(curve, sum/float64(len(p.Samples)))
+		if err := pred.Update(p); err != nil {
+			t.Fatal(err)
+		}
+		twin.add(p, true) // the same learning without the scoring
+	}
+	s := pred.Stats()
+	n := float64(len(model.BatchSizes()))
+	if s.Scored != len(model.BatchSizes()) || len(s.Curve) != s.Scored {
+		t.Fatalf("scored %d profiles with %d curve points, want %d", s.Scored, len(s.Curve), len(model.BatchSizes()))
+	}
+	for i := range wantTarget {
+		if math.Abs(s.TargetMAPE[i]-wantTarget[i]/n) > 1e-12 {
+			t.Errorf("%s MAPE %v, want %v", targetNames[i], s.TargetMAPE[i], wantTarget[i]/n)
+		}
+	}
+	if math.Abs(s.LatencyMAPE-latSum/float64(latN)) > 1e-12 || s.LatencyMAPE <= 0 {
+		t.Errorf("latency MAPE %v, want %v", s.LatencyMAPE, latSum/float64(latN))
+	}
+	for i := range curve {
+		if math.Abs(s.Curve[i]-curve[i]) > 1e-12 {
+			t.Errorf("curve[%d] = %v, want %v", i, s.Curve[i], curve[i])
+		}
+	}
+	if s.Refits <= 4 {
+		t.Errorf("%d refits after %d updates, want more than training's 4", s.Refits, s.Scored)
+	}
+	for _, b := range model.BatchSizes() {
+		a, _ := pred.PredictCurve("BERT", b, task.Arch)
+		c, _ := twin.PredictCurve("BERT", b, task.Arch)
+		if a != c {
+			t.Fatalf("batch %d: scored learner predicts %v, unscored %v", b, a, c)
+		}
 	}
 }

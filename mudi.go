@@ -76,6 +76,8 @@ type (
 	Table = report.Table
 	// Burst is one QPS burst episode.
 	Burst = trace.Burst
+	// LearnerStats is a snapshot of Mudi's online learner.
+	LearnerStats = core.LearnerStats
 )
 
 // Services returns the Tab. 1 inference catalog.
@@ -127,6 +129,13 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 
 // Policy returns the trained Mudi policy.
 func (s *System) Policy() Policy { return s.policy }
+
+// Learner returns the Mudi policy's online-learning record: the
+// Interference Predictor's prequential (test-then-train) error, its
+// refit and model-selection counts, and the co-locations learned and
+// dropped. It accumulates over every Simulate that drives the system's
+// Mudi policy.
+func (s *System) Learner() LearnerStats { return s.policy.LearnerStats() }
 
 // BaselinePolicy instantiates one of the paper's comparison systems by
 // its typed ID (BaselineGSLICE, BaselineGpulets, BaselineMuxFlow,
