@@ -190,10 +190,12 @@ func BenchmarkHotpathGBRTRefitPredictor(b *testing.B) {
 	benchRefit(b, learn.NewGBRT(60, 1), x, y)
 }
 
-// BenchmarkHotpathSelectModel is one refit of an Interference
-// Predictor target: model selection with cross-validation over
-// predictorSamples, with the previous winner cross-validated first, as
-// learn.Incremental does.
+// BenchmarkHotpathSelectModel is one model selection of an
+// Interference Predictor target: cross-validation over all 240 rows of
+// predictorSamples (10 leave-one-group-out folds), with the previous
+// winner cross-validated first, as learn.Incremental does. That is
+// about 5× the 36–56 rows an online learner holds in a 12-GPU run;
+// BenchmarkHotpathIncrementalObserve has the online size.
 func BenchmarkHotpathSelectModel(b *testing.B) {
 	x, y, groups := predictorSamples()
 	first, err := learn.SelectModelGrouped(x, y, groups, 0, 1, "")
@@ -205,6 +207,31 @@ func BenchmarkHotpathSelectModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := learn.SelectModelGrouped(x, y, groups, 0, 1, first.Name); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotpathIncrementalObserve is what one newly observed
+// co-location costs a predictor target online: six AddGrouped calls,
+// one per batch size, on a learner that holds the 36-row, 6-group
+// offline grid. The fifth refits the incumbent family.
+func BenchmarkHotpathIncrementalObserve(b *testing.B) {
+	x, y, groups := predictorSamples()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		inc := learn.NewIncremental(1)
+		for j := 0; j < 36; j++ {
+			inc.AddNoRefitGrouped(x[j], y[j], groups[j])
+		}
+		if err := inc.Select(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for j := 36; j < 42; j++ {
+			if _, err := inc.AddGrouped(x[j], y[j], groups[j]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -246,3 +246,106 @@ func TestSelectBoundMatchesFullCV(t *testing.T) {
 		t.Fatalf("all-zero targets: %s cv %v err %v, want LR at 0", res.Name, res.CVError, err)
 	}
 }
+
+// TestMilestoneRefitMatchesFullSelection drives two learners over one
+// predictor-shaped stream: a 36-row offline grid, then co-locations of
+// 6 rows. The milestone learner refits as Incremental does; its twin
+// runs a full selection at every refit. Wherever the two pick the same
+// family, their models must predict every row bit for bit alike.
+func TestMilestoneRefitMatchesFullSelection(t *testing.T) {
+	incumbentOnly, flips := 0, 0
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		x, y, groups := predictorShaped(xrand.New(seed), 6+20, noisy)
+		milestone, forced := NewIncremental(seed), NewIncremental(seed)
+		for i := 0; i < 36; i++ {
+			milestone.AddNoRefitGrouped(x[i], y[i], groups[i])
+			forced.AddNoRefitGrouped(x[i], y[i], groups[i])
+		}
+		if err := milestone.Select(); err != nil {
+			t.Fatal(err)
+		}
+		if err := forced.Select(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 36; i < len(x); i++ {
+			_, selectionsBefore := milestone.Refits()
+			refitted, err := milestone.AddGrouped(x[i], y[i], groups[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			forced.AddNoRefitGrouped(x[i], y[i], groups[i])
+			if !refitted {
+				continue
+			}
+			if err := forced.Select(); err != nil {
+				t.Fatal(err)
+			}
+			_, sel := milestone.Refits()
+			selected := sel > selectionsBefore
+			if !selected && milestone.ModelName() != forced.ModelName() {
+				flips++
+				t.Logf("seed %d, %d samples: incumbent %s, a selection picks %s",
+					seed, i+1, milestone.ModelName(), forced.ModelName())
+				continue
+			}
+			if !selected {
+				incumbentOnly++
+			}
+			for j, row := range x {
+				a, _ := milestone.Predict(row)
+				b, _ := forced.Predict(row)
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("seed %d, %d samples, %s: row %d predicts %v, a full selection %v",
+						seed, i+1, milestone.ModelName(), j, a, b)
+				}
+			}
+		}
+	}
+	t.Logf("%d incumbent-only refits matched a full selection, %d flipped family", incumbentOnly, flips)
+	if incumbentOnly == 0 {
+		t.Fatal("no incumbent-only refit was compared")
+	}
+}
+
+// TestFallbackIsNotASelection feeds samples one at a time and refits
+// after each. Below minCVSamples the learner holds the
+// 1-nearest-neighbour fallback, which shares kNN's name but is no
+// selection, so the first refit over enough samples must select: its
+// model is the one a forced selection returns.
+func TestFallbackIsNotASelection(t *testing.T) {
+	inc, forced := NewIncremental(1), NewIncremental(1)
+	for n := 1; n <= 8; n++ {
+		a := float64(n*n%7) + 0.5*float64(n)
+		inc.AddNoRefitGrouped([]float64{a}, 2*a+1, "")
+		forced.AddNoRefitGrouped([]float64{a}, 2*a+1, "")
+		if err := inc.Refit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := forced.Select(); err != nil {
+			t.Fatal(err)
+		}
+		_, sel := inc.Refits()
+		if n < minCVSamples {
+			if sel != 0 || inc.ModelName() != "kNN" {
+				t.Fatalf("%d samples: %s after %d selections, want the kNN fallback and none", n, inc.ModelName(), sel)
+			}
+			continue
+		}
+		if n == minCVSamples {
+			if sel != 1 || inc.ModelName() != forced.ModelName() || inc.ModelName() == "kNN" {
+				t.Fatalf("%d samples: %s after %d selections, a forced selection picks %s",
+					n, inc.ModelName(), sel, forced.ModelName())
+			}
+			for _, probe := range []float64{0, 1.5, 4, 9} {
+				p, _ := inc.Predict([]float64{probe})
+				q, _ := forced.Predict([]float64{probe})
+				if math.Float64bits(p) != math.Float64bits(q) {
+					t.Fatalf("x=%v: first selection predicts %v, a forced selection %v", probe, p, q)
+				}
+			}
+		}
+	}
+	if _, sel := inc.Refits(); sel != 2 {
+		t.Fatalf("%d selections over 8 samples, want 2 (at 4 and 6)", sel)
+	}
+}
