@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mudi/internal/report"
 )
 
 // -update rewrites the golden files instead of comparing against them:
@@ -13,20 +15,16 @@ import (
 //	go test ./internal/exp -run Golden -update
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestFidelityGolden pins the rendered fidelity table: the request-level
-// serving model's whole observable contract (P99, busy share, mean
-// batch, violation rate per batch cap) at the small scale.
-func TestFidelityGolden(t *testing.T) {
-	tab, err := Fidelity(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+// checkGolden compares a rendered table with testdata/name, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, tab *report.Table, name string) {
+	t.Helper()
 	var b strings.Builder
 	if err := tab.WriteASCII(&b); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
-	golden := filepath.Join("testdata", "fidelity_small.golden")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -42,6 +40,28 @@ func TestFidelityGolden(t *testing.T) {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
 	if got != string(want) {
-		t.Errorf("fidelity table differs from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
+		t.Errorf("table differs from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
+}
+
+// TestFidelityGolden pins the rendered fidelity table: the request-level
+// serving model's whole observable contract (P99, busy share, mean
+// batch, violation rate per batch cap) at the small scale.
+func TestFidelityGolden(t *testing.T) {
+	tab, err := Fidelity(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, tab, "fidelity_small.golden")
+}
+
+// TestFig16Golden pins the rendered bursty-QPS case study: every
+// sampled window's QPS, batch, GPU share, latency, budget, swapped
+// memory and pause flag, plus the violation-rate and swap notes.
+func TestFig16Golden(t *testing.T) {
+	tab, err := Fig16(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, tab, "fig16_small.golden")
 }
