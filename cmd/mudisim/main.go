@@ -5,7 +5,7 @@
 //
 //	mudisim -policy mudi -devices 12 -tasks 50
 //	mudisim -policy gslice -load 3
-//	mudisim -policy mudi -burst 100:200:3 -trace 1
+//	mudisim -policy mudi -burst 100:200:3 -timelines
 //	mudisim -classes critical,standard,sheddable -burst 60:180:4
 //	mudisim -repeats 8 -parallel 4     # 8 seed-derived replicas, 4 workers
 package main
@@ -55,7 +55,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		queueFlag    = fs.String("queue", "fcfs", "queue policy: fcfs, sjf, fair, priority")
 		classesFlag  = fs.String("classes", "", "comma-separated SLO class names (critical, standard, sheddable, batch, background) assigned round-robin over the service catalog; enables class-aware routing and admission control")
 		burstFlag    = fs.String("burst", "", "QPS burst as start:end:factor (e.g. 100:200:3)")
-		traceFlag    = fs.String("trace", "", "1-based device index for the per-window device trace, or a file path: the run's causal spans are written there as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")
+		traceFlag    = fs.String("trace", "", "write the run's causal spans to this file as Chrome trace-event JSON (open in Perfetto or chrome://tracing)")
 		moreFlag     = fs.Int("maxtrain", 1, "max training tasks per GPU (3 = Mudi-more)")
 		shardsFlag   = fs.Int("shards", 0, "event-engine shard lanes: 0 or negative = auto (min(GOMAXPROCS, devices/64)), N = that many lanes; summaries are identical for every lane count")
 		admitFlag    = fs.Float64("admit-factor", 0, "burst admission cap as a multiple of nominal QPS (0 = default 1.5); windows above the cap shed sheddable/background excess")
@@ -66,7 +66,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		metricsFlag  = fs.Bool("metrics", false, "stream the run's metrics snapshot as NDJSON before the tables")
 		eventsOut    = fs.String("events-out", "", "write the structured event log as NDJSON to this file (atomic: temp file in the destination directory, then rename)")
 		metricsOut   = fs.String("metrics-out", "", "write the metrics snapshot as NDJSON to this file (atomic)")
-		tlFlag       = fs.Bool("timelines", false, "record multi-resolution timeline series (per-service QPS/P99/violation, class roll-ups, fleet signals, engine self-profile) and stream them as NDJSON before the tables")
+		tlFlag       = fs.Bool("timelines", false, "record multi-resolution timeline series (per-service QPS/P99/violation/batch/GPU share/swapped MB/paused, class roll-ups, fleet signals, engine self-profile) and stream them as NDJSON before the tables")
 		tlOut        = fs.String("timelines-out", "", "write the timeline series as NDJSON to this file (atomic); implies -timelines recording")
 		httpFlag     = fs.String("http", "", "serve live telemetry on this address while the run is in flight: /metrics (Prometheus text), /slo (attribution JSON), /healthz, /debug/vars, /debug/pprof/")
 		faultsFlag   = fs.String("faults", "", "deterministic fault injection: \"default\" or comma-separated key=value pairs (mtbf, mttr, meas, retries, spin, pciex, pcie-mtbf, pcie-mttr, seed), e.g. \"mtbf=300,mttr=45,meas=0.1\"")
@@ -92,16 +92,12 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}()
 
-	// -trace is dual-use: a bare integer keeps the legacy per-window
-	// device trace; anything else is a Chrome trace-event output path.
-	traceDevIdx := 0
-	tracePath := ""
-	if *traceFlag != "" {
-		if n, aerr := strconv.Atoi(*traceFlag); aerr == nil {
-			traceDevIdx = n
-		} else {
-			tracePath = *traceFlag
-		}
+	// -trace takes a Chrome trace-event output path; a bare integer is
+	// a device index meant for the per-window view, which -timelines
+	// records.
+	tracePath := *traceFlag
+	if _, aerr := strconv.Atoi(tracePath); aerr == nil {
+		return fmt.Errorf("bad -trace %q: want a Chrome trace-event file path; the per-window batch, GPU share, swapped memory and pause state are the service_* series of -timelines", tracePath)
 	}
 
 	var bursts []mudi.Burst
@@ -195,7 +191,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		opts := mudi.SimOptions{
 			Queue:          mudi.QueuePolicyID(*queueFlag),
 			ClassMix:       classMix,
-			TraceDeviceIdx: traceDevIdx,
 			Shards:         *shardsFlag,
 			AdmitFactor:    *admitFlag,
 			Observe:        *eventsFlag || *metricsFlag || *eventsOut != "" || *metricsOut != "",
@@ -396,18 +391,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 
-	if traceDevIdx > 0 && len(res.Trace) > 0 {
-		tr := report.NewTable("device trace (sampled)", "t (s)", "QPS", "batch", "GPU%", "P99", "budget", "swapped MB")
-		for i, pt := range res.Trace {
-			if i%10 != 0 {
-				continue
-			}
-			tr.AddRow(pt.Time, pt.QPS, pt.Batch, fmt.Sprintf("%.0f%%", pt.Delta*100), pt.LatencyMs, pt.BudgetMs, pt.SwappedMB)
-		}
-		if err := tr.WriteASCII(stdout); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

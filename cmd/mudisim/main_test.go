@@ -210,6 +210,11 @@ func TestRunTraceFlagErrors(t *testing.T) {
 			t.Errorf("args %v accepted, want error", args)
 		}
 	}
+	// A bare integer is not a trace path; the error points at
+	// -timelines, which records the per-window view.
+	if err := run([]string{"-trace", "1"}, &b); err == nil || !strings.Contains(err.Error(), "-timelines") {
+		t.Errorf("-trace 1: err = %v, want an error naming -timelines", err)
+	}
 }
 
 // TestRunClasses drives the -classes flag end to end: the per-class

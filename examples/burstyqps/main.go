@@ -39,40 +39,63 @@ func run(w io.Writer, iters int) error {
 	arrivals := []mudi.TaskArrival{{ID: 0, At: 10, Task: yolo, Iters: iters, GPUsReq: 1}}
 
 	res, err := sys.Simulate(mudi.SimOptions{
-		Devices:        1, // a single device: the catalog's first service is ResNet50
-		Arrivals:       arrivals,
-		Bursts:         []mudi.Burst{{Start: 100, End: 200, Factor: 3}},
-		TraceDeviceIdx: 1,
+		Devices:   1, // a single device: the catalog's first service is ResNet50
+		Arrivals:  arrivals,
+		Bursts:    []mudi.Burst{{Start: 100, End: 200, Factor: 3}},
+		Timelines: true,
 	})
 	if err != nil {
 		return fmt.Errorf("simulate: %w", err)
 	}
 
+	// The service runs on the one device, so each of its per-window
+	// series holds that device's value in the raw level (a raw bucket's
+	// Sum is its sample). The measured-window series share sample times;
+	// admitted QPS has a sample every window, so it is joined on time.
+	svc := mudi.Services()[0]
+	raw := func(kind string) []mudi.TimelineBucket {
+		for _, tl := range res.Timelines {
+			if tl.Kind == kind && tl.Scope == svc.Name {
+				return tl.Levels[0].Buckets
+			}
+		}
+		return nil
+	}
+	lat, batch, share := raw("service_p99_ms"), raw("service_batch"), raw("service_gpu_share")
+	swapped, paused, viol := raw("service_swapped_mb"), raw("service_paused"), raw("service_violation")
+	admitted := make(map[float64]float64)
+	for _, b := range raw("service_admitted") {
+		admitted[b.Start] = b.Sum
+	}
+
 	fmt.Fprintln(w, "t(s)   QPS    batch  GPU%  P99(ms)  budget   swapped(MB)  state")
-	for i, pt := range res.Trace {
+	for i, b := range lat {
 		if i%10 != 0 {
 			continue
 		}
+		qps, bs := admitted[b.Start], int(batch[i].Sum)
 		state := "multiplexing"
-		if pt.Paused {
+		if paused[i].Sum > 0 {
 			state = "training paused"
 		}
 		flag := " "
-		if pt.Violated {
+		if viol[i].Sum > 0 {
 			flag = "!"
 		}
 		fmt.Fprintf(w, "%5.0f  %5.0f  %5d  %3.0f%%  %7.1f  %7.1f  %11.0f  %s%s\n",
-			pt.Time, pt.QPS, pt.Batch, pt.Delta*100, pt.LatencyMs, pt.BudgetMs, pt.SwappedMB, state, flag)
+			b.Start, qps, bs, share[i].Sum*100, b.Sum, svc.SLOms*float64(bs)/qps, swapped[i].Sum, state, flag)
 	}
 
-	viol := 0
-	for _, pt := range res.Trace {
-		if pt.Violated {
-			viol++
+	nViol := 0
+	for _, b := range viol {
+		if b.Sum > 0 {
+			nViol++
 		}
 	}
-	fmt.Fprintf(w, "\ncase-study SLO violation: %.2f%% (paper: 0.71%%)\n",
-		100*float64(viol)/float64(len(res.Trace)))
+	if len(lat) > 0 {
+		fmt.Fprintf(w, "\ncase-study SLO violation: %.2f%% (paper: 0.71%%)\n",
+			100*float64(nViol)/float64(len(lat)))
+	}
 	fmt.Fprintf(w, "memory swap events: %d, mean transfer %.2f ms (paper: 23.31 ms)\n",
 		res.SwapEvents, res.AvgTransferMs)
 	fmt.Fprintf(w, "training completed: %d/%d\n", res.Completed, res.Admitted)

@@ -117,18 +117,14 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 		budget := svc.info.SLOms * float64(svc.batch) / qps
 		svc.totalWin++
 		r.ok, r.lat, r.budget = true, lat, budget
-		if d.gidx == s.opts.TraceDeviceIdx-1 {
-			var swapped float64
+		r.batch, r.delta = svc.batch, svc.delta
+		if s.tl != nil {
 			for _, t := range d.training {
 				if out, err := d.pool.SwappedOutMB(t.allocID); err == nil {
-					swapped += out
+					r.swapped += out
 				}
 			}
-			s.res.Trace = append(s.res.Trace, TracePoint{
-				Time: now, QPS: qps, Batch: svc.batch, Delta: svc.delta,
-				LatencyMs: lat, BudgetMs: budget, Violated: lat > budget,
-				SwappedMB: swapped, Paused: d.hasPaused(),
-			})
+			r.paused = d.hasPaused()
 		}
 		if lat > budget {
 			r.viol = true

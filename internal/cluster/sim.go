@@ -61,10 +61,6 @@ type Options struct {
 	DisableRetune bool
 	// Bursts overlays QPS burst episodes on every service (Fig. 16).
 	Bursts []trace.Burst
-	// TraceDeviceIdx, when > 0, records a per-window configuration
-	// trace for device TraceDeviceIdx−1 (1-based so the zero value
-	// disables tracing) — the Fig. 16 case-study view.
-	TraceDeviceIdx int
 	// MIGSlices > 1 splits every physical GPU into that many MIG
 	// instances, each a fully independent device with 1/N of the
 	// memory (§3: "Mudi is fully compatible with MIG, treating each
@@ -106,7 +102,8 @@ type Options struct {
 	// Result.Workload at finalize.
 	Record *trace.Recorder
 	// Timeline, when non-nil, receives multi-resolution time-series —
-	// per-service QPS/admitted/shed/P99/violation, per-class roll-ups,
+	// per-service QPS/admitted/shed/P99/violation/batch/GPU share/
+	// swapped MB/paused devices, per-class roll-ups,
 	// fleet utilization and pressure, and engine self-profiling — one
 	// sample per control window. Passive and deterministic like Obs and
 	// Trace: series appends happen in the barrier phase in global
@@ -231,9 +228,6 @@ type Result struct {
 	ShedWindows    int
 	ClassViolation map[string]float64
 
-	// Trace is the per-window record of the traced device (Fig. 16).
-	Trace []TracePoint
-
 	// Observability roll-up: the metrics snapshot of Options.Obs, and
 	// Options.Log's event view, span view and SLO report with what each
 	// cap left out. Derived views, deliberately excluded from Summary()
@@ -259,19 +253,6 @@ type Result struct {
 	// the engine self-profiling kinds are wall-clock and inherently
 	// nondeterministic.
 	Timelines []timeline.Timeline
-}
-
-// TracePoint is one control-window snapshot of the traced device.
-type TracePoint struct {
-	Time      float64
-	QPS       float64
-	Batch     int
-	Delta     float64
-	LatencyMs float64
-	BudgetMs  float64
-	Violated  bool
-	SwappedMB float64 // training memory currently on the host
-	Paused    bool
 }
 
 // MeanSLOViolation averages the per-service violation rates. Keys are

@@ -154,6 +154,12 @@ type winRecord struct {
 	lat     float64 // measured latency (ms)
 	budget  float64 // latency budget (ms)
 	viol    bool    // lat > budget
+	batch   int     // batch size at measurement
+	delta   float64 // GPU share Δ at measurement
+	// swapped (training MB on the host) and paused (some co-located
+	// training paused) are taken only in timeline runs.
+	swapped float64
+	paused  bool
 	// residents names the executing co-located training tasks on a
 	// violated window, captured at measurement time because a completion
 	// later in the window flips t.done. Reused across windows.

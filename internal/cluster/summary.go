@@ -104,11 +104,6 @@ func (r *Result) Summary() string {
 		sortedMap("shed_requests", r.ShedRequests)
 		b.WriteString("shed_windows=" + strconv.Itoa(r.ShedWindows) + "\n")
 	}
-	for _, pt := range r.Trace {
-		b.WriteString("trace=" + f(pt.Time) + "," + f(pt.QPS) + "," + strconv.Itoa(pt.Batch) + "," +
-			f(pt.Delta) + "," + f(pt.LatencyMs) + "," + f(pt.BudgetMs) + "," +
-			strconv.FormatBool(pt.Violated) + "," + f(pt.SwappedMB) + "," + strconv.FormatBool(pt.Paused) + "\n")
-	}
 	return b.String()
 }
 
@@ -146,7 +141,6 @@ type resultJSON struct {
 	ShedWindows       int                `json:"shed_windows,omitempty"`
 	PlacementP50Ms    float64            `json:"placement_p50_ms"`
 	PlacementP99Ms    float64            `json:"placement_p99_ms"`
-	Trace             []TracePoint       `json:"trace,omitempty"`
 	UtilSeriesPoints  int                `json:"util_series_points,omitempty"`
 	UtilSeriesSpanSec float64            `json:"util_series_span_sec,omitempty"`
 }
@@ -188,7 +182,6 @@ func (r *Result) WriteJSON(w io.Writer, seriesPoints int) error {
 		ShedWindows:      r.ShedWindows,
 		PlacementP50Ms:   stats.PercentileSorted(placement, 50),
 		PlacementP99Ms:   stats.PercentileSorted(placement, 99),
-		Trace:            r.Trace,
 	}
 	if seriesPoints > 0 && r.Makespan > 0 {
 		_, out.SMUtilSeries = r.SMUtil.Downsample(0, r.Makespan, seriesPoints)

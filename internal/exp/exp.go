@@ -112,14 +112,17 @@ func (c Config) timeline() *timeline.Store {
 // simulate builds and runs one cell's simulation. Every cell goes
 // through here, so each one gets the run's Seed, Shards and Ctx and its
 // own private sink, record log and timeline store — the Observer, Trace
-// and Timelines reach every cell, not only some.
+// and Timelines reach every cell, not only some. A cell that reads its
+// own timeline passes its store in o.Timeline, which is kept.
 func (c Config) simulate(o cluster.Options) (*cluster.Result, error) {
 	o.Seed = c.Seed
 	o.Shards = c.Shards
 	o.Ctx = c.Ctx
 	o.Obs = c.sink()
 	o.Log = c.log()
-	o.Timeline = c.timeline()
+	if o.Timeline == nil {
+		o.Timeline = c.timeline()
+	}
 	sim, err := cluster.New(o)
 	if err != nil {
 		return nil, err

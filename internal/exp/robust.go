@@ -13,6 +13,7 @@ import (
 	"mudi/internal/report"
 	"mudi/internal/runner"
 	"mudi/internal/stats"
+	"mudi/internal/timeline"
 	"mudi/internal/trace"
 	"mudi/internal/xrand"
 )
@@ -78,8 +79,8 @@ func Fig14(s *Suite) (*report.Table, error) {
 
 // Fig16 reproduces the bursty-QPS case study: ResNet50 serving with a
 // co-located YOLOv5 training task, QPS bursting to 3× at t=100 s and
-// recovering at t=200 s; the per-window trace records the batch/GPU%
-// adaptation and memory swapping.
+// recovering at t=200 s; the service's per-window timeline series
+// record the batch/GPU% adaptation and memory swapping.
 func Fig16(cfg Config) (*report.Table, error) {
 	oracle := newOracle(cfg)
 	mudi, err := BuildMudi(oracle, cfg.Seed, 1)
@@ -93,38 +94,55 @@ func Fig16(cfg Config) (*report.Table, error) {
 		ID: 0, At: 10, Task: yolo, Iters: 2200, GPUsReq: 1,
 	}}
 	rn50, _ := model.ServiceByName("ResNet50")
+	// Raw samples only: the default ring holds more windows than the
+	// 1200 s horizon.
+	st := timeline.New(timeline.Config{Levels: 1})
 	res, err := cfg.simulate(cluster.Options{
 		Policy: mudi, Oracle: oracle, Devices: 1,
-		Services:       []model.InferenceService{rn50},
-		Arrivals:       arrivals,
-		Bursts:         []trace.Burst{{Start: 100, End: 200, Factor: 3}},
-		TraceDeviceIdx: 1,
-		MaxHorizonSec:  1200,
+		Services:      []model.InferenceService{rn50},
+		Arrivals:      arrivals,
+		Bursts:        []trace.Burst{{Start: 100, End: 200, Factor: 3}},
+		MaxHorizonSec: 1200,
+		Timeline:      st,
 	})
 	if err != nil {
 		return nil, err
 	}
+	// With one device, each series holds that device's value per
+	// measured window; the measurement-gated series share sample times.
+	raw := func(k timeline.Kind) []timeline.Bucket {
+		lv, _ := st.Range(k, rn50.Name, 0, 0)
+		return lv.Buckets
+	}
+	lat, batch, share := raw(timeline.ServiceP99), raw(timeline.ServiceBatch), raw(timeline.ServiceGPUShare)
+	swapped, paused, viol := raw(timeline.ServiceSwappedMB), raw(timeline.ServicePaused), raw(timeline.ServiceViolation)
+	admitted := make(map[float64]float64)
+	for _, b := range raw(timeline.ServiceAdmitted) {
+		admitted[b.Start] = b.Sum
+	}
 	t := report.NewTable("Fig. 16: bursty QPS case study (ResNet50 + YOLOv5)",
 		"t (s)", "QPS", "batch", "GPU%", "P99 (ms)", "budget (ms)", "swapped MB", "paused")
 	step := 10
-	for i, pt := range res.Trace {
-		if i%step != 0 && !(pt.Time > 90 && pt.Time < 230) {
+	for i, b := range lat {
+		at := b.Start
+		if i%step != 0 && !(at > 90 && at < 230) {
 			continue // dense sampling around the burst, sparse elsewhere
 		}
-		if int(pt.Time)%5 != 0 {
+		if int(at)%5 != 0 {
 			continue
 		}
-		t.AddRow(pt.Time, pt.QPS, pt.Batch, fmt.Sprintf("%.0f%%", pt.Delta*100), pt.LatencyMs, pt.BudgetMs, pt.SwappedMB, pt.Paused)
+		qps, bs := admitted[at], int(batch[i].Sum)
+		t.AddRow(at, qps, bs, fmt.Sprintf("%.0f%%", share[i].Sum*100), b.Sum, rn50.SLOms*float64(bs)/qps, swapped[i].Sum, paused[i].Sum > 0)
 	}
 	// Violation rate across the case study.
-	viol := 0
-	for _, pt := range res.Trace {
-		if pt.Violated {
-			viol++
+	nViol := 0
+	for _, b := range viol {
+		if b.Sum > 0 {
+			nViol++
 		}
 	}
-	if len(res.Trace) > 0 {
-		t.AddNote("violation rate %s across the case study (paper: 0.71%%)", report.Pct(float64(viol)/float64(len(res.Trace))))
+	if len(lat) > 0 {
+		t.AddNote("violation rate %s across the case study (paper: 0.71%%)", report.Pct(float64(nViol)/float64(len(lat))))
 	}
 	t.AddNote("swap events %d, mean transfer %.2f ms (paper avg transfer: 23.31 ms)", res.SwapEvents, res.AvgTransferMs)
 	return t, nil

@@ -64,8 +64,6 @@ type (
 	TaskArrival = trace.TaskArrival
 	// Result carries one simulation run's metrics.
 	Result = cluster.Result
-	// TracePoint is one control-window snapshot of a traced device.
-	TracePoint = cluster.TracePoint
 	// Policy is a cluster-wide multiplexing policy (Mudi or baseline).
 	Policy = core.Policy
 	// DeviceView is a policy's snapshot of one device.
@@ -197,8 +195,6 @@ type SimOptions struct {
 	// Queue selects the scheduling order of the training queue;
 	// zero value selects QueueFCFS.
 	Queue QueuePolicyID
-	// TraceDeviceIdx (1-based) records a per-window trace of one device.
-	TraceDeviceIdx int
 	// DisableRetune turns off the Monitor→Tuner loop (ablation).
 	DisableRetune bool
 	// MIGSlices > 1 splits every GPU into that many MIG instances
@@ -438,27 +434,26 @@ func (s *System) SimulateContext(ctx context.Context, opts SimOptions) (*Result,
 		rec = trace.NewRecorder(s.cfg.Seed, opts.Devices, mig)
 	}
 	sim, err := cluster.New(cluster.Options{
-		Policy:         policy,
-		Oracle:         s.oracle,
-		Seed:           s.cfg.Seed,
-		Devices:        opts.Devices,
-		Services:       services,
-		Arrivals:       arrivals,
-		LoadFactor:     opts.LoadFactor,
-		Bursts:         opts.Bursts,
-		QueuePolicy:    queue,
-		TraceDeviceIdx: opts.TraceDeviceIdx,
-		DisableRetune:  opts.DisableRetune,
-		MIGSlices:      opts.MIGSlices,
-		Obs:            opts.sink(),
-		Faults:         opts.Faults,
-		Log:            opts.log(),
-		Replay:         opts.Workload,
-		Record:         rec,
-		Timeline:       opts.timelineStore(),
-		Shards:         opts.Shards,
-		AdmitFactor:    opts.AdmitFactor,
-		Ctx:            ctx,
+		Policy:        policy,
+		Oracle:        s.oracle,
+		Seed:          s.cfg.Seed,
+		Devices:       opts.Devices,
+		Services:      services,
+		Arrivals:      arrivals,
+		LoadFactor:    opts.LoadFactor,
+		Bursts:        opts.Bursts,
+		QueuePolicy:   queue,
+		DisableRetune: opts.DisableRetune,
+		MIGSlices:     opts.MIGSlices,
+		Obs:           opts.sink(),
+		Faults:        opts.Faults,
+		Log:           opts.log(),
+		Replay:        opts.Workload,
+		Record:        rec,
+		Timeline:      opts.timelineStore(),
+		Shards:        opts.Shards,
+		AdmitFactor:   opts.AdmitFactor,
+		Ctx:           ctx,
 	})
 	if err != nil {
 		return nil, err

@@ -82,6 +82,10 @@ func TestSimulateWithBaselineAndQueuePolicy(t *testing.T) {
 	}
 }
 
+// TestExplicitArrivalsAndTrace runs explicit arrivals under a burst
+// and checks the per-window device view in the timelines: every service
+// with a device records batch, GPU share, swapped memory and pause
+// state once per measured window, as its latency series does.
 func TestExplicitArrivalsAndTrace(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{Seed: 4})
 	if err != nil {
@@ -91,15 +95,29 @@ func TestExplicitArrivalsAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const devices = 4
 	res, err := sys.Simulate(SimOptions{
-		Devices: 4, Arrivals: arrivals, TraceDeviceIdx: 1,
+		Devices: devices, Arrivals: arrivals, Timelines: true,
 		Bursts: []Burst{{Start: 30, End: 60, Factor: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) == 0 {
-		t.Fatal("device trace empty")
+	samples := make(map[[2]string]int)
+	for _, tl := range res.Timelines {
+		samples[[2]string{tl.Kind, tl.Scope}] = len(tl.Levels[0].Buckets)
+	}
+	// Devices take the catalog's services round-robin.
+	for _, svc := range Services()[:devices] {
+		want := samples[[2]string{"service_p99_ms", svc.Name}]
+		if want == 0 {
+			t.Fatalf("%s: no service_p99_ms samples", svc.Name)
+		}
+		for _, kind := range []string{"service_batch", "service_gpu_share", "service_swapped_mb", "service_paused"} {
+			if got := samples[[2]string{kind, svc.Name}]; got != want {
+				t.Errorf("%s %s: %d samples, want %d (as service_p99_ms)", svc.Name, kind, got, want)
+			}
+		}
 	}
 }
 

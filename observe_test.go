@@ -128,7 +128,6 @@ func TestValidate(t *testing.T) {
 		{"tasks-negative", SimOptions{Tasks: -1}, "Tasks"},
 		{"gap-negative", SimOptions{MeanGapSec: -1}, "MeanGapSec"},
 		{"iter-negative", SimOptions{IterScale: -0.1}, "IterScale"},
-		{"trace-negative", SimOptions{TraceDeviceIdx: -1}, "TraceDeviceIdx"},
 		{"queue-unknown", SimOptions{Queue: "lifo"}, "Queue"},
 		{"burst-bad", SimOptions{Bursts: []Burst{{Start: 10, End: 5}}}, "Bursts"},
 		{"arrival-negative", SimOptions{Arrivals: []TaskArrival{{At: 0}, {At: -1}}}, "Arrivals"},

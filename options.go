@@ -145,9 +145,9 @@ func (o SimOptions) queueID() (QueuePolicyID, *OptionError) {
 // Zero values are not violations — they select documented defaults and
 // Validate accepts them: Policy (system's Mudi), Devices (12),
 // Tasks (24), MeanGapSec (10 s), IterScale (0.002), LoadFactor (1.0),
-// Queue (QueueFCFS), TraceDeviceIdx (no trace), MIGSlices (no MIG
-// splitting; 1 is equivalently off), Shards (auto lane count; negative
-// values also mean auto), AdmitFactor (1.5× burst headroom).
+// Queue (QueueFCFS), MIGSlices (no MIG splitting; 1 is equivalently
+// off), Shards (auto lane count; negative values also mean auto),
+// AdmitFactor (1.5× burst headroom).
 func (o SimOptions) Validate() error {
 	if o.Devices < 0 {
 		return &OptionError{Field: "Devices", Value: o.Devices, Reason: "must be >= 0 (0 selects the default of 12)"}
@@ -163,9 +163,6 @@ func (o SimOptions) Validate() error {
 	}
 	if o.LoadFactor < 0 {
 		return &OptionError{Field: "LoadFactor", Value: o.LoadFactor, Reason: "must be >= 0 (0 selects the default of 1.0)"}
-	}
-	if o.TraceDeviceIdx < 0 {
-		return &OptionError{Field: "TraceDeviceIdx", Value: o.TraceDeviceIdx, Reason: "must be >= 0 (0 disables tracing; indexes are 1-based)"}
 	}
 	if o.MIGSlices < 0 || o.MIGSlices > 7 {
 		return &OptionError{Field: "MIGSlices", Value: o.MIGSlices, Reason: "must be in [0, 7] (A100 MIG supports at most 7 instances; 0 or 1 disables splitting)"}

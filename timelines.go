@@ -11,13 +11,14 @@ import (
 // Telemetry attached) records multi-resolution time-series — raw
 // per-window samples cascading into tiered min/max/mean/sum/count
 // buckets, so arbitrarily long runs stay bounded — across a typed
-// taxonomy: per-service QPS/admitted/shed/P99/violation-rate, per-SLO-
-// class roll-ups, fleet utilization/outage/queue/memory-pressure
-// signals, and the engine's own wall-clock self-profile (per-phase
-// durations, barrier mail volume, lane imbalance, heap/GC). Recording
-// is passive: Result.Summary() is bit-identical with and without it,
-// and the non-profile series are themselves byte-identical across lane
-// and worker counts (TimelineFingerprint pins this).
+// taxonomy: per-service QPS/admitted/shed/P99/violation-rate and
+// batch/GPU-share/swapped-MB/paused-devices, per-SLO-class roll-ups,
+// fleet utilization/outage/queue/memory-pressure signals, and the
+// engine's own wall-clock self-profile (per-phase durations, barrier
+// mail volume, lane imbalance, heap/GC). Recording is passive:
+// Result.Summary() is bit-identical with and without it, and the
+// non-profile series are themselves byte-identical across lane and
+// worker counts (TimelineFingerprint pins this).
 type (
 	// Timeline is one exported series: its kind, scope, and resolution
 	// levels from raw (stride 1) to coarsest.
