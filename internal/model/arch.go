@@ -101,12 +101,6 @@ func (b *ArchBuilder) Record(k LayerKind, n int) {
 	b.arch[k] += n
 }
 
-// RecordName adds one layer identified by a framework-style module
-// name, mapping common aliases onto the Fig. 7 families.
-func (b *ArchBuilder) RecordName(name string) {
-	b.Record(KindFromName(name), 1)
-}
-
 // Arch returns the assembled vector.
 func (b *ArchBuilder) Arch() Arch { return b.arch }
 

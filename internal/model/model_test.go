@@ -188,17 +188,6 @@ func TestKindFromName(t *testing.T) {
 	}
 }
 
-func TestRecordName(t *testing.T) {
-	var b ArchBuilder
-	for _, n := range []string{"Conv2d", "Conv2d", "ReLU", "Mystery"} {
-		b.RecordName(n)
-	}
-	a := b.Arch()
-	if a.Count(LayerConv) != 2 || a.Count(LayerActivation) != 1 || a.Count(LayerOther) != 1 {
-		t.Fatalf("RecordName result %v", a)
-	}
-}
-
 func TestLayerKindString(t *testing.T) {
 	if LayerConv.String() != "conv" || LayerOther.String() != "other_layers" {
 		t.Fatal("layer names wrong")

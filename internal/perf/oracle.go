@@ -253,23 +253,6 @@ func (o *Oracle) TrainColocCurve(svc string, batch int, coloc []model.TrainingTa
 	return buildCurve(p, batch, o.trainFactor(p, batch, coloc)), nil
 }
 
-// InfColocCurve returns the latency curve of svc when co-located with
-// another inference service (the Fig. 3 configuration).
-func (o *Oracle) InfColocCurve(svc, other string, batch int) (piecewise.Func, error) {
-	p, err := o.params(svc)
-	if err != nil {
-		return piecewise.Func{}, err
-	}
-	q, err := o.params(other)
-	if err != nil {
-		return piecewise.Func{}, err
-	}
-	if batch < 1 {
-		return piecewise.Func{}, fmt.Errorf("perf: batch %d < 1", batch)
-	}
-	return buildCurve(p, batch, 1+p.cpuSens*q.cpuLoad*batchMod(batch)), nil
-}
-
 func buildCurve(p svcParams, batch int, interf float64) piecewise.Func {
 	b := float64(batch)
 	l0 := p.latCoef * math.Pow(b, p.latExp) * interf
@@ -313,16 +296,6 @@ func (o *Oracle) MeasureLatency(svc string, batch int, delta float64, coloc []mo
 		return 0, err
 	}
 	return v * Noise(rng), nil
-}
-
-// MeasureInfColocLatency samples the latency of svc co-located with
-// another inference service.
-func (o *Oracle) MeasureInfColocLatency(svc, other string, batch int, delta float64, rng *xrand.Rand) (float64, error) {
-	curve, err := o.InfColocCurve(svc, other, batch)
-	if err != nil {
-		return 0, err
-	}
-	return curve.Eval(delta) * Noise(rng), nil
 }
 
 // TrueIteration returns the noiseless mini-batch time (ms) of task when

@@ -261,12 +261,6 @@ func TestUnknownServiceErrors(t *testing.T) {
 	if _, err := o.SoloCurve("nope", 64); err == nil {
 		t.Fatal("unknown service accepted")
 	}
-	if _, err := o.InfColocCurve("nope", "GPT2", 64); err == nil {
-		t.Fatal("unknown service accepted")
-	}
-	if _, err := o.InfColocCurve("GPT2", "nope", 64); err == nil {
-		t.Fatal("unknown neighbour accepted")
-	}
 	if _, err := o.SoloCurve("GPT2", 0); err == nil {
 		t.Fatal("batch 0 accepted")
 	}

@@ -311,6 +311,3 @@ func (p *Predictor) Services() []string {
 	}
 	return out
 }
-
-// TargetNames exposes the Y-vector labels in order.
-func TargetNames() [4]string { return targetNames }

@@ -200,7 +200,7 @@ func TestModelNamesPopulated(t *testing.T) {
 	}
 	for i, n := range names {
 		if n == "" {
-			t.Fatalf("target %s has no model", TargetNames()[i])
+			t.Fatalf("target %s has no model", targetNames[i])
 		}
 	}
 }

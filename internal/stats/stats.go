@@ -205,113 +205,6 @@ func partition(buf []float64, lo, hi int) int {
 	return i
 }
 
-// CDF is an empirical cumulative distribution over collected samples.
-type CDF struct {
-	sorted []float64
-	dirty  bool
-	raw    []float64
-}
-
-// NewCDF returns an empty CDF.
-func NewCDF() *CDF { return &CDF{} }
-
-// Add records one sample.
-func (c *CDF) Add(x float64) {
-	c.raw = append(c.raw, x)
-	c.dirty = true
-}
-
-// AddAll records all samples.
-func (c *CDF) AddAll(xs []float64) {
-	c.raw = append(c.raw, xs...)
-	c.dirty = true
-}
-
-// N returns the number of recorded samples.
-func (c *CDF) N() int { return len(c.raw) }
-
-func (c *CDF) ensure() {
-	if c.dirty || c.sorted == nil {
-		c.sorted = make([]float64, len(c.raw))
-		copy(c.sorted, c.raw)
-		sort.Float64s(c.sorted)
-		c.dirty = false
-	}
-}
-
-// At returns P(X <= x): the fraction of samples at or below x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.raw) == 0 {
-		return 0
-	}
-	c.ensure()
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile, q in [0, 1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.raw) == 0 {
-		return 0
-	}
-	c.ensure()
-	return percentileSorted(c.sorted, q*100)
-}
-
-// Mean returns the sample mean.
-func (c *CDF) Mean() float64 { return Mean(c.raw) }
-
-// Online accumulates streaming mean and variance (Welford's algorithm)
-// without retaining the samples. The zero value is ready to use.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one observation.
-func (o *Online) Add(x float64) {
-	if o.n == 0 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	o.n++
-	delta := x - o.mean
-	o.mean += delta / float64(o.n)
-	o.m2 += delta * (x - o.mean)
-}
-
-// N returns the number of observations.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean.
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the running population variance.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the smallest observation, or 0 if none.
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation, or 0 if none.
-func (o *Online) Max() float64 { return o.max }
-
 // TimeSeries records (time, value) points and computes time-weighted
 // averages — used for SM/memory utilization curves (Fig. 10). Points
 // must be appended in non-decreasing time order.

@@ -106,71 +106,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	c := NewCDF()
-	for i := 1; i <= 100; i++ {
-		c.Add(float64(i))
-	}
-	if got := c.At(50); !almost(got, 0.5, 1e-9) {
-		t.Fatalf("CDF.At(50) = %v, want 0.5", got)
-	}
-	if got := c.At(0); got != 0 {
-		t.Fatalf("CDF.At(0) = %v, want 0", got)
-	}
-	if got := c.At(100); got != 1 {
-		t.Fatalf("CDF.At(100) = %v, want 1", got)
-	}
-	if got := c.Quantile(0.99); !almost(got, 99.01, 0.05) {
-		t.Fatalf("Quantile(0.99) = %v", got)
-	}
-	if c.N() != 100 {
-		t.Fatalf("N = %d", c.N())
-	}
-}
-
-func TestCDFAddAllAndInterleaving(t *testing.T) {
-	c := NewCDF()
-	c.AddAll([]float64{5, 1, 3})
-	if got := c.At(3); !almost(got, 2.0/3, 1e-9) {
-		t.Fatalf("At(3) = %v", got)
-	}
-	c.Add(2) // re-sort after a query
-	if got := c.At(2); !almost(got, 0.5, 1e-9) {
-		t.Fatalf("At(2) after Add = %v", got)
-	}
-}
-
-func TestEmptyCDF(t *testing.T) {
-	c := NewCDF()
-	if c.At(1) != 0 || c.Quantile(0.5) != 0 || c.Mean() != 0 {
-		t.Fatal("empty CDF should return zeros")
-	}
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	if !almost(o.Mean(), Mean(xs), 1e-12) {
-		t.Fatalf("online mean %v vs %v", o.Mean(), Mean(xs))
-	}
-	if !almost(o.Variance(), Variance(xs), 1e-12) {
-		t.Fatalf("online var %v vs %v", o.Variance(), Variance(xs))
-	}
-	if o.Min() != 2 || o.Max() != 9 || o.N() != 8 {
-		t.Fatalf("online min/max/n = %v/%v/%v", o.Min(), o.Max(), o.N())
-	}
-}
-
-func TestOnlineZeroValue(t *testing.T) {
-	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 || o.N() != 0 {
-		t.Fatal("zero-value Online not zeroed")
-	}
-}
-
 func TestTimeSeriesAverage(t *testing.T) {
 	s := NewTimeSeries()
 	for _, p := range []struct{ t, v float64 }{{0, 1}, {10, 3}, {20, 5}} {

@@ -10,7 +10,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
 	"mudi/internal/model"
 	"mudi/internal/trace"
@@ -377,15 +376,4 @@ func modelRollout() Scenario {
 		},
 		taskCount: 10, scaleIters: 0.001,
 	}
-}
-
-// SortedCohortNames returns a trace's cohort names sorted — a stable
-// iteration helper for tests and reports.
-func SortedCohortNames(tr *trace.Trace) []string {
-	names := make([]string, 0, len(tr.Header.Cohorts))
-	for _, c := range tr.Header.Cohorts {
-		names = append(names, c.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -163,14 +163,6 @@ func (r *Rand) PermInto(p []int) {
 	}
 }
 
-// Shuffle pseudo-randomly reorders the first n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Choice returns a pseudo-random index weighted by the non-negative
 // weights. It panics if weights is empty or sums to zero.
 func (r *Rand) Choice(weights []float64) int {

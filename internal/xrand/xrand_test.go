@@ -308,16 +308,3 @@ func TestRangeBounds(t *testing.T) {
 		}
 	}
 }
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(47)
-	s := []int{1, 2, 3, 4, 5}
-	sum := 0
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 15 {
-		t.Fatalf("shuffle lost elements: %v", s)
-	}
-}
