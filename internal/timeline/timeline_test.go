@@ -282,3 +282,35 @@ func TestAddAllocFree(t *testing.T) {
 		t.Fatalf("Add allocates %.1f per call after warm-up, want 0", n)
 	}
 }
+
+// TestAddAllMatchesAdd checks that one AddAll per window records what
+// an Add per sample does: the same snapshot and the same live stream,
+// in entry order, across ring wrap-around.
+func TestAddAllMatchesAdd(t *testing.T) {
+	cfg := Config{Cap: 8, Levels: 2, Fanout: 4, Recent: 16}
+	one, all := New(cfg), New(cfg)
+	kinds := []Kind{ServiceQPS, ServiceBatch, FleetSMUtil}
+	var es []Entry
+	for w := 0; w < 20; w++ {
+		at := float64(w)
+		es = es[:0]
+		for i, k := range kinds {
+			v := float64(w*10 + i)
+			one.Series(k, "s").Add(at, v)
+			es = append(es, Entry{Series: all.Series(k, "s"), Value: v})
+		}
+		all.AddAll(at, es)
+	}
+	if a, b := one.Fingerprint(), all.Fingerprint(); a != b {
+		t.Fatalf("fingerprints differ: Add %s, AddAll %s", a, b)
+	}
+	a, b := one.Since(0, nil), all.Since(0, nil)
+	if len(a) != 16 || len(a) != len(b) {
+		t.Fatalf("since(0): Add %d samples, AddAll %d, want 16", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("live sample %d: Add %+v, AddAll %+v", i, a[i], b[i])
+		}
+	}
+}
