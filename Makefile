@@ -13,7 +13,7 @@ GO ?= go
 # one policy).
 RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/core ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
 
-.PHONY: tier1 build test vet fmt test-benchmark smoke-hotpath race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
+.PHONY: tier1 build test vet fmt test-benchmark smoke-hotpath smoke-largecluster race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
 
 tier1: build test
 
@@ -42,6 +42,11 @@ test-benchmark:
 # One iteration of each hot-path micro-benchmark.
 smoke-hotpath:
 	$(GO) test -run '^$$' -bench 'BenchmarkHotpath' -benchtime 1x -benchmem -count=1 .
+
+# One 1k-device run of the sharded event engine with its wall-clock
+# profile.
+smoke-largecluster:
+	$(GO) run ./examples/largecluster -devices 1000 -tasks 50 -gap 0.2 -shards -1 -policies mudi -profile
 
 race:
 	$(GO) test -race -timeout 120m $(RACE_PKGS)
@@ -102,4 +107,4 @@ bench-scale:
 	$(GO) test -run '^$$' -bench 'BenchmarkScale' -benchtime 1x -timeout 120m -count=1 .
 
 # The CI tier1 job's build/test steps plus the race job.
-ci: tier1 vet fmt test-benchmark smoke-hotpath test-scenarios test-classes race
+ci: tier1 vet fmt test-benchmark smoke-hotpath test-scenarios test-classes smoke-largecluster race

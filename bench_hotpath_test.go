@@ -31,7 +31,7 @@ import (
 func BenchmarkHotpathGPObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := gp.New(1, 1, 1e-6)
+		g := gp.New()
 		for j := 0; j < 24; j++ {
 			x := float64(j % 8)
 			y := math.Sin(x) + 0.01*float64(j)
@@ -45,7 +45,7 @@ func BenchmarkHotpathGPObserve(b *testing.B) {
 // BenchmarkHotpathGPPredict is the warm single-point posterior query —
 // zero allocations once the scratch buffers have grown.
 func BenchmarkHotpathGPPredict(b *testing.B) {
-	g := gp.New(1, 1, 1e-6)
+	g := gp.New()
 	for j := 0; j < 16; j++ {
 		if err := g.Observe(float64(j), math.Sin(float64(j))); err != nil {
 			b.Fatal(err)
@@ -69,7 +69,7 @@ func BenchmarkHotpathGPMinimize(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := gp.Minimize(candidates, obj, gp.LCBConfig{MaxIters: 25}); err != nil {
+		if _, err := gp.Minimize(candidates, obj, 25); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func BenchmarkHotpathSortP99(b *testing.B) {
 	xs := benchLatencies(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		stats.P99(xs)
+		stats.Percentile(xs, 99)
 	}
 }
 
@@ -198,14 +198,14 @@ func BenchmarkHotpathGBRTRefitPredictor(b *testing.B) {
 // BenchmarkHotpathIncrementalObserve has the online size.
 func BenchmarkHotpathSelectModel(b *testing.B) {
 	x, y, groups := predictorSamples()
-	first, err := learn.SelectModelGrouped(x, y, groups, 0, 1, "")
+	first, err := learn.SelectModelGrouped(x, y, groups, 1, "")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := learn.SelectModelGrouped(x, y, groups, 0, 1, first.Name); err != nil {
+		if _, err := learn.SelectModelGrouped(x, y, groups, 1, first.Name); err != nil {
 			b.Fatal(err)
 		}
 	}

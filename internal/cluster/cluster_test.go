@@ -253,36 +253,6 @@ func TestBurstTriggersSwapsAndPauses(t *testing.T) {
 	}
 }
 
-func TestDisableRetuneAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation run is slow")
-	}
-	// Fig. 13a: disabling the Tuner raises SLO violations vs full Mudi.
-	oracle := perf.NewOracle(8)
-	arrivals := smallArrivals(t, 12, 8)
-	full := runPolicyWithOptions(t, buildMudi(t, oracle, 8), oracle, arrivals, Options{Devices: 6, Seed: 8})
-	ablated := runPolicyWithOptions(t, buildMudi(t, oracle, 8), oracle, arrivals, Options{Devices: 6, Seed: 8, DisableRetune: true})
-	if ablated.MeanSLOViolation() < full.MeanSLOViolation() {
-		t.Fatalf("tuner-disabled violation %v below full Mudi %v", ablated.MeanSLOViolation(), full.MeanSLOViolation())
-	}
-}
-
-func runPolicyWithOptions(t testing.TB, policy core.Policy, oracle *perf.Oracle, arrivals []trace.TaskArrival, opts Options) *Result {
-	t.Helper()
-	opts.Policy = policy
-	opts.Oracle = oracle
-	opts.Arrivals = arrivals
-	sim, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 func TestMIGSlices(t *testing.T) {
 	oracle := perf.NewOracle(9)
 	mudi := buildMudi(t, oracle, 9)

@@ -53,44 +53,24 @@ func retuneCauses(res *Result) map[string]int {
 // TestMonitorTriggers pins the device window's three Monitor triggers
 // (§5.3.2, §6): a QPS swing retunes (qps-change), a paused device
 // periodically probes for resumption (resume-probe), and a violated
-// window retunes (slo-risk). DisableRetune silences all three while the
-// placement-time episodes still run.
+// window retunes (slo-risk).
 func TestMonitorTriggers(t *testing.T) {
-	run := func(disable bool) *Result {
-		opts := burstOptions(t, 3)
-		opts.DisableRetune = disable
-		sim, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Completed != res.Admitted {
-			t.Fatalf("disable=%v: completed %d of %d", disable, res.Completed, res.Admitted)
-		}
-		return res
+	sim, err := New(burstOptions(t, 3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	monitor := []string{"qps-change", "resume-probe", "slo-risk"}
-
-	on := retuneCauses(run(false))
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != res.Admitted {
+		t.Fatalf("completed %d of %d", res.Completed, res.Admitted)
+	}
+	on := retuneCauses(res)
 	t.Logf("retune causes: %v", on)
-	for _, cause := range monitor {
+	for _, cause := range []string{"qps-change", "resume-probe", "slo-risk"} {
 		if on[cause] == 0 {
 			t.Errorf("no %s retune under a 3x burst (causes %v)", cause, on)
-		}
-	}
-
-	off := retuneCauses(run(true))
-	for _, cause := range monitor {
-		if off[cause] != 0 {
-			t.Errorf("DisableRetune: %d %s retunes (causes %v)", off[cause], cause, off)
-		}
-	}
-	for _, cause := range []string{"initial", "placement", "completion"} {
-		if off[cause] == 0 {
-			t.Errorf("DisableRetune: no %s retune (causes %v)", cause, off)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 	configure := func(dec core.Decision) {
 		t.Helper()
 		pol.dec = dec
-		if err := s.configure(now, d, false, "test"); err != nil {
+		if err := s.configure(now, d, "test"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -75,11 +75,11 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	// multiplexing. Triggers update curQPS inline (device-local) and
 	// post the configure to the barrier — Configure walks the policy's
 	// shared learner state, which only the global phase may touch.
-	if !s.opts.DisableRetune && relChange(svc.curQPS, qps) >= qpsChangeFrac {
+	if relChange(svc.curQPS, qps) >= qpsChangeFrac {
 		svc.curQPS = qps
 		lane.Post(func(at float64) {
 			if !d.down {
-				_ = s.configure(at, d, false, "qps-change")
+				_ = s.configure(at, d, "qps-change")
 			}
 		})
 	} else if d.hasPaused() && now-d.lastResumeTry >= resumeRetrySec {
@@ -87,7 +87,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 		svc.curQPS = qps
 		lane.Post(func(at float64) {
 			if !d.down {
-				_ = s.configure(at, d, false, "resume-probe")
+				_ = s.configure(at, d, "resume-probe")
 			}
 		})
 	}
@@ -137,14 +137,12 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 			// Monitor: "In cases where the Monitor detects that the
 			// SLO is at risk of being violated, it triggers adaptive
 			// batching or resource scaling accordingly" (§6).
-			if !s.opts.DisableRetune {
-				svc.curQPS = qps
-				lane.Post(func(at float64) {
-					if !d.down {
-						_ = s.configure(at, d, false, "slo-risk")
-					}
-				})
-			}
+			svc.curQPS = qps
+			lane.Post(func(at float64) {
+				if !d.down {
+					_ = s.configure(at, d, "slo-risk")
+				}
+			})
 		}
 		svc.latSum += lat
 	}

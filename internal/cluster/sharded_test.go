@@ -11,6 +11,7 @@ import (
 	"mudi/internal/faults"
 	"mudi/internal/obs"
 	"mudi/internal/perf"
+	"mudi/internal/shard"
 	"mudi/internal/span"
 	"mudi/internal/timeline"
 	"mudi/internal/trace"
@@ -157,7 +158,9 @@ func TestShardObservationPassive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, sim.sh.Workers()
+		// New bounds the engine's step concurrency by GOMAXPROCS and
+		// the lane count.
+		return res, min(runtime.GOMAXPROCS(0), len(shard.Split(sim.opts.Devices, shards)))
 	}
 	one, _ := run(1)
 	four, workers := run(4)

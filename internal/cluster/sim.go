@@ -56,9 +56,6 @@ type Options struct {
 	// must be finite and positive.
 	AdmitFactor float64
 
-	// DisableRetune turns off the Monitor→Tuner trigger (the Fig. 13a
-	// "cluster-level only" ablation).
-	DisableRetune bool
 	// Bursts overlays QPS burst episodes on every service (Fig. 16).
 	Bursts []trace.Burst
 	// MIGSlices > 1 splits every physical GPU into that many MIG
@@ -607,7 +604,7 @@ func (s *Sim) Run() (*Result, error) {
 	// Initial per-device configuration and memory placement.
 	for _, d := range s.devices {
 		d.svc.curQPS = d.svc.qpsTrace.At(0)
-		if err := s.configure(0, d, true, "initial"); err != nil {
+		if err := s.configure(0, d, "initial"); err != nil {
 			return nil, err
 		}
 		if err := d.pool.Alloc(0, "svc", memmgr.PriorityInference, d.svc.info.MemoryMB(d.svc.batch)); err != nil {
@@ -830,7 +827,7 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 	if learner, ok := s.opts.Policy.(core.OnlineLearner); ok {
 		learner.ObserveColocation(d.view(), s.meas[d.dev.ID])
 	}
-	if err := s.configure(now, d, true, "placement"); err != nil {
+	if err := s.configure(now, d, "placement"); err != nil {
 		t.paused = true
 	}
 }
@@ -860,16 +857,12 @@ func taskSig(d *deviceState) string {
 }
 
 // configure runs the policy's device-level tuning and applies the
-// decision. initial marks placement-time calls (always allowed even
-// with DisableRetune); cause labels the retune event for the
-// observability stream. A failed episode — a Configure error, or a
-// feasible decision whose Δ exceeds the whole device — leaves the device
-// as it was and is counted in Result.ConfigureErrors, so callers that
-// carry on with the old configuration may drop the returned error.
-func (s *Sim) configure(now float64, d *deviceState, initial bool, cause string) error {
-	if s.opts.DisableRetune && !initial {
-		return nil
-	}
+// decision; cause labels the retune event for the observability
+// stream. A failed episode — a Configure error, or a feasible decision
+// whose Δ exceeds the whole device — leaves the device as it was and
+// is counted in Result.ConfigureErrors, so callers that carry on with
+// the old configuration may drop the returned error.
+func (s *Sim) configure(now float64, d *deviceState, cause string) error {
 	if s.rec != nil {
 		// One retune interval per tuning episode; every tuner objective
 		// evaluation during the episode becomes a bo_iter record (the
@@ -1027,7 +1020,7 @@ func (s *Sim) complete(now float64, d *deviceState, t *taskState) {
 	// Retune for the remaining residents and pull the next queued task
 	// ("a new co-location decision is made for pending training tasks
 	// only after an existing training task has been completed", §5.2).
-	_ = s.configure(now, d, true, "completion")
+	_ = s.configure(now, d, "completion")
 	s.trySchedule(now)
 }
 
@@ -1074,7 +1067,7 @@ func (s *Sim) requeue(now float64, d *deviceState, t *taskState) {
 	if !s.evictTask(now, d, t, "pause-evict", false) {
 		return
 	}
-	_ = s.configure(now, d, true, "migration")
+	_ = s.configure(now, d, "migration")
 	s.trySchedule(now)
 }
 
@@ -1153,7 +1146,7 @@ func (s *Sim) recoverDevice(now float64, d *deviceState) {
 	svc.curQPS = svc.qpsTrace.At(now)
 	// Same sequence as the initial deployment in Run: size the config
 	// first, then pin the instance's memory.
-	_ = s.configure(now, d, true, "recovery")
+	_ = s.configure(now, d, "recovery")
 	mb := svc.info.MemoryMB(svc.batch)
 	_ = d.pool.Alloc(now, "svc", memmgr.PriorityInference, mb)
 	s.flushSwaps(d)

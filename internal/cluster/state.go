@@ -186,13 +186,13 @@ type devObs struct {
 
 func newDevObs(sink *obs.Sink, device, service string) *devObs {
 	return &devObs{
-		latency:    sink.Histogram(obs.Labeled("inf_latency_ms", device, service), nil),
+		latency:    sink.Histogram(obs.Labeled("inf_latency_ms", device, service)),
 		violations: sink.Counter(obs.Labeled("slo_violated_windows_total", device, service)),
 		batch:      sink.Gauge(obs.Labeled("inf_batch", device, service)),
 		delta:      sink.Gauge(obs.Labeled("inf_gpu_share", device, service)),
 		swapOutMB:  sink.Counter(obs.Labeled("mem_swap_out_mb_total", device, service)),
 		swapInMB:   sink.Counter(obs.Labeled("mem_swap_in_mb_total", device, service)),
-		swapXfer:   sink.Histogram("mem_swap_transfer_ms", nil),
+		swapXfer:   sink.Histogram("mem_swap_transfer_ms"),
 		swapped:    sink.Gauge(obs.Labeled("mem_swapped_out_mb", device, service)),
 	}
 }

@@ -226,6 +226,7 @@ func (t *tlState) put(sr *timeline.Series, v float64) {
 // every kind recorded here is Profile() and excluded from
 // timeline.Fingerprint.
 type tlProfiler struct {
+	store   *timeline.Store
 	window  *timeline.Series
 	drain   *timeline.Series
 	merge   *timeline.Series
@@ -235,10 +236,13 @@ type tlProfiler struct {
 	heap    *timeline.Series
 	gc      *timeline.Series
 	samples []metrics.Sample
+	// batch collects one barrier's samples for a single Store.AddAll.
+	batch []timeline.Entry
 }
 
 func newTLProfiler(st *timeline.Store) *tlProfiler {
 	return &tlProfiler{
+		store:  st,
 		window: st.Series(timeline.EngineWindowMs, ""),
 		drain:  st.Series(timeline.EngineDrainMs, ""),
 		merge:  st.Series(timeline.EngineMergeMs, ""),
@@ -251,16 +255,13 @@ func newTLProfiler(st *timeline.Store) *tlProfiler {
 			{Name: "/memory/classes/heap/objects:bytes"},
 			{Name: "/gc/cycles/total:gc-cycles"},
 		},
+		batch: make([]timeline.Entry, 0, 8),
 	}
 }
 
 // Barrier implements shard.Profiler.
 func (p *tlProfiler) Barrier(at float64, drain, merge, apply time.Duration, mail int, laneEvents []int) {
-	p.window.Add(at, float64(drain+merge+apply)/float64(time.Millisecond))
-	p.drain.Add(at, float64(drain)/float64(time.Millisecond))
-	p.merge.Add(at, float64(merge)/float64(time.Millisecond))
-	p.apply.Add(at, float64(apply)/float64(time.Millisecond))
-	p.mail.Add(at, float64(mail))
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	imb := 0
 	if len(laneEvents) > 1 {
 		lo, hi := laneEvents[0], laneEvents[0]
@@ -274,12 +275,20 @@ func (p *tlProfiler) Barrier(at float64, drain, merge, apply time.Duration, mail
 		}
 		imb = hi - lo
 	}
-	p.imb.Add(at, float64(imb))
+	p.batch = append(p.batch,
+		timeline.Entry{Series: p.window, Value: ms(drain + merge + apply)},
+		timeline.Entry{Series: p.drain, Value: ms(drain)},
+		timeline.Entry{Series: p.merge, Value: ms(merge)},
+		timeline.Entry{Series: p.apply, Value: ms(apply)},
+		timeline.Entry{Series: p.mail, Value: float64(mail)},
+		timeline.Entry{Series: p.imb, Value: float64(imb)})
 	metrics.Read(p.samples)
 	if p.samples[0].Value.Kind() == metrics.KindUint64 {
-		p.heap.Add(at, float64(p.samples[0].Value.Uint64()))
+		p.batch = append(p.batch, timeline.Entry{Series: p.heap, Value: float64(p.samples[0].Value.Uint64())})
 	}
 	if p.samples[1].Value.Kind() == metrics.KindUint64 {
-		p.gc.Add(at, float64(p.samples[1].Value.Uint64()))
+		p.batch = append(p.batch, timeline.Entry{Series: p.gc, Value: float64(p.samples[1].Value.Uint64())})
 	}
+	p.store.AddAll(at, p.batch)
+	p.batch = p.batch[:0]
 }

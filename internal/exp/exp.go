@@ -22,7 +22,6 @@ import (
 	"mudi/internal/profiler"
 	"mudi/internal/report"
 	"mudi/internal/runner"
-	"mudi/internal/sched"
 	"mudi/internal/span"
 	"mudi/internal/timeline"
 	"mudi/internal/trace"
@@ -199,10 +198,6 @@ func NewSuite(cfg Config) (*Suite, error) {
 	}, nil
 }
 
-// Pool returns the suite's worker pool; figures submit their cells
-// through it so one -parallel setting governs the whole harness.
-func (s *Suite) Pool() *runner.Pool { return s.pool }
-
 // BuildMudi runs the full offline pipeline (profiling → interference
 // modeling → curve cache) and returns a ready Mudi policy. maxTrain >
 // 1 additionally profiles multi-task co-locations (Mudi-more, §5.5).
@@ -231,25 +226,6 @@ func BuildMudiWithTuner(oracle *perf.Oracle, seed uint64, maxTrain int, tcfg tun
 		mudi.AddProfiles(ps)
 	}
 	return mudi, nil
-}
-
-// schedPolicy resolves a queue-policy name.
-func schedPolicy(name string) (sched.Policy, error) {
-	return sched.PolicyByName(name)
-}
-
-// Policies builds the comparison set for end-to-end runs.
-func (s *Suite) Policies() (map[string]core.Policy, error) {
-	gpulets, err := baselines.NewGpulets(s.Oracle, xrand.New(s.Config.Seed+7))
-	if err != nil {
-		return nil, err
-	}
-	return map[string]core.Policy{
-		"mudi":    s.Mudi,
-		"gslice":  baselines.NewGSLICE(),
-		"gpulets": gpulets,
-		"muxflow": baselines.NewMuxFlow(s.Oracle),
-	}, nil
 }
 
 // policyOrder is the stable presentation order of the systems.

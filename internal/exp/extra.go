@@ -8,6 +8,7 @@ import (
 	"mudi/internal/model"
 	"mudi/internal/report"
 	"mudi/internal/runner"
+	"mudi/internal/sched"
 	"mudi/internal/serving"
 	"mudi/internal/stats"
 	"mudi/internal/trace"
@@ -101,7 +102,7 @@ func QueuePolicies(cfg Config) (*report.Table, error) {
 	for i, name := range names {
 		name := name
 		cells[i] = runner.Cell[*cluster.Result]{Key: name, Run: func() (*cluster.Result, error) {
-			queue, err := schedPolicy(name)
+			queue, err := sched.PolicyByName(name)
 			if err != nil {
 				return nil, err
 			}

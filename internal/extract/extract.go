@@ -109,17 +109,3 @@ func (t *Tracer) Modules() int { return len(t.seen) }
 
 // Arch returns the assembled layer vector.
 func (t *Tracer) Arch() model.Arch { return t.builder.Arch() }
-
-// DescribeArch renders a layer vector compactly for logs.
-func DescribeArch(a model.Arch) string {
-	var parts []string
-	for k := model.LayerKind(0); k < model.NumLayerKinds; k++ {
-		if n := a.Count(k); n > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
-		}
-	}
-	if len(parts) == 0 {
-		return "(empty)"
-	}
-	return strings.Join(parts, " ")
-}

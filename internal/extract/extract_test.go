@@ -133,16 +133,3 @@ func TestTracedArchPredictsLikeCatalog(t *testing.T) {
 func formatID(base string, i int) string {
 	return base + "." + string(rune('a'+i%26)) + string(rune('0'+i/26))
 }
-
-func TestDescribeArch(t *testing.T) {
-	var b model.ArchBuilder
-	b.Record(model.LayerConv, 3)
-	b.Record(model.LayerFC, 1)
-	s := DescribeArch(b.Arch())
-	if !strings.Contains(s, "conv=3") || !strings.Contains(s, "fc=1") {
-		t.Fatalf("describe %q", s)
-	}
-	if DescribeArch(model.Arch{}) != "(empty)" {
-		t.Fatal("empty describe wrong")
-	}
-}

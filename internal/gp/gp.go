@@ -17,9 +17,9 @@ import (
 // inputs (the Tuner's search dimension is the batch size, mapped to
 // log2 space by the caller).
 type GP struct {
-	LengthScale float64 // RBF length scale; default 1
-	SignalVar   float64 // kernel amplitude; default 1
-	NoiseVar    float64 // observation noise; default 1e-4
+	lengthScale float64 // RBF length scale
+	signalVar   float64 // kernel amplitude
+	noiseVar    float64 // observation noise
 
 	xs    []float64
 	ys    []float64
@@ -28,39 +28,20 @@ type GP struct {
 	chol  [][]float64
 	alpha []float64
 
-	// Hyperparameters the current factor was fitted with. Mutating the
-	// exported fields between Observe calls invalidates the factor, so
-	// the next Observe falls back to a from-scratch refit.
-	fitLS, fitSV, fitNV float64
-
 	// Scratch buffers reused across calls so warm Observe/Predict do not
 	// allocate (beyond the factor row Observe must retain).
 	kstarBuf, vBuf, rowBuf, centeredBuf, solveYBuf []float64
 }
 
-// New returns a GP with the given hyperparameters (zeros select
-// defaults).
-func New(lengthScale, signalVar, noiseVar float64) *GP {
-	g := &GP{LengthScale: lengthScale, SignalVar: signalVar, NoiseVar: noiseVar}
-	g.defaults()
-	return g
-}
-
-func (g *GP) defaults() {
-	if g.LengthScale <= 0 {
-		g.LengthScale = 1
-	}
-	if g.SignalVar <= 0 {
-		g.SignalVar = 1
-	}
-	if g.NoiseVar <= 0 {
-		g.NoiseVar = 1e-4
-	}
+// New returns a GP with the Tuner's hyperparameters: unit length scale
+// in log2-batch space, unit signal variance and a 1e-6 noise floor.
+func New() *GP {
+	return &GP{lengthScale: 1, signalVar: 1, noiseVar: 1e-6}
 }
 
 func (g *GP) kernel(a, b float64) float64 {
-	d := (a - b) / g.LengthScale
-	return g.SignalVar * math.Exp(-0.5*d*d)
+	d := (a - b) / g.lengthScale
+	return g.signalVar * math.Exp(-0.5*d*d)
 }
 
 // growTo returns buf resized to n, reallocating only when capacity is
@@ -82,20 +63,12 @@ func growTo(buf []float64, n int) []float64 {
 // error the observation is rolled back, leaving the previous posterior
 // intact.
 func (g *GP) Observe(x, y float64) error {
-	g.defaults()
 	n := len(g.xs)
 	prevSum := g.ySum
 	g.xs = append(g.xs, x)
 	g.ys = append(g.ys, y)
 	g.ySum += y
-
-	var err error
-	if len(g.chol) != n || g.LengthScale != g.fitLS || g.SignalVar != g.fitSV || g.NoiseVar != g.fitNV {
-		err = g.refit()
-	} else {
-		err = g.appendFit(x)
-	}
-	if err != nil {
+	if err := g.appendFit(x); err != nil {
 		g.xs = g.xs[:n]
 		g.ys = g.ys[:n]
 		g.ySum = prevSum
@@ -104,40 +77,11 @@ func (g *GP) Observe(x, y float64) error {
 	return nil
 }
 
-// N returns the number of observations.
-func (g *GP) N() int { return len(g.xs) }
-
-// refit rebuilds the factor and weights from scratch — the slow path,
-// used for the first observation and whenever hyperparameters changed
-// since the last fit.
-func (g *GP) refit() error {
-	g.defaults()
-	n := len(g.xs)
-	g.yMean = g.ySum / float64(n)
-
-	k := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		k[i] = make([]float64, n)
-		for j := 0; j <= i; j++ {
-			v := g.kernel(g.xs[i], g.xs[j])
-			k[i][j] = v
-			k[j][i] = v
-		}
-		k[i][i] += g.NoiseVar
-	}
-	chol, err := fit.Cholesky(k)
-	if err != nil {
-		return fmt.Errorf("gp: posterior fit: %w", err)
-	}
-	g.chol = chol
-	g.fitLS, g.fitSV, g.fitNV = g.LengthScale, g.SignalVar, g.NoiseVar
-	return g.resolve()
-}
-
 // appendFit extends the factor by one row for the just-appended point x
 // and re-solves the weights. Kernel entries are computed in the same
-// argument order as refit's last row, so the arithmetic — and therefore
-// the factor — is bit-identical to a from-scratch rebuild.
+// argument order as a from-scratch kernel matrix's last row, so the
+// arithmetic — and therefore the factor — is bit-identical to a
+// from-scratch rebuild.
 func (g *GP) appendFit(x float64) error {
 	n := len(g.xs)
 	g.yMean = g.ySum / float64(n)
@@ -145,7 +89,7 @@ func (g *GP) appendFit(x float64) error {
 	for i := 0; i < n-1; i++ {
 		g.rowBuf[i] = g.kernel(x, g.xs[i])
 	}
-	g.rowBuf[n-1] = g.kernel(x, x) + g.NoiseVar
+	g.rowBuf[n-1] = g.kernel(x, x) + g.noiseVar
 	row, err := fit.CholeskyAppend(g.chol, g.rowBuf)
 	if err != nil {
 		return fmt.Errorf("gp: posterior fit: %w", err)
@@ -172,10 +116,9 @@ func (g *GP) resolve() error {
 // = signal variance). Warm calls reuse internal scratch buffers and do
 // not allocate.
 func (g *GP) Predict(x float64) (mean, variance float64) {
-	g.defaults()
 	n := len(g.xs)
 	if n == 0 {
-		return 0, g.SignalVar
+		return 0, g.signalVar
 	}
 	g.kstarBuf = growTo(g.kstarBuf, n)
 	kstar := g.kstarBuf
@@ -207,16 +150,6 @@ func (g *GP) Predict(x float64) (mean, variance float64) {
 	return mean, variance
 }
 
-// PredictInto evaluates the posterior at every candidate, writing the
-// results into means[i] and vars[i] (both must have len(candidates)
-// entries). It is the batched, allocation-free sweep behind Minimize's
-// exhausted-set rounds.
-func (g *GP) PredictInto(candidates, means, vars []float64) {
-	for i, c := range candidates {
-		means[i], vars[i] = g.Predict(c)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // GP-LCB optimizer
 
@@ -231,32 +164,17 @@ type LCBResult struct {
 	Best       float64 // best feasible candidate found
 	BestValue  float64 // its observed objective value
 	Iterations int     // objective evaluations performed
-	Converged  bool    // true when the stop rule fired before MaxIters
+	Converged  bool    // true when the stop rule fired before maxIters
 	Feasible   bool    // false when no candidate satisfied the constraints
 }
 
-// LCBConfig configures Minimize.
-type LCBConfig struct {
-	MaxIters    int     // hard cap on evaluations; default 25 (§7.5)
-	Tol         float64 // relative improvement threshold for convergence; default 0.01
-	Patience    int     // consecutive non-improving rounds before stopping; default 3
-	LengthScale float64 // GP length scale in candidate space; default 1
-}
-
-func (c *LCBConfig) defaults() {
-	if c.MaxIters <= 0 {
-		c.MaxIters = 25
-	}
-	if c.Tol <= 0 {
-		c.Tol = 0.01
-	}
-	if c.Patience <= 0 {
-		c.Patience = 3
-	}
-	if c.LengthScale <= 0 {
-		c.LengthScale = 1
-	}
-}
+// Minimize's stop rule: after patience consecutive feasible rounds
+// that improve the best value by less than the relative tol, the search
+// has converged.
+const (
+	tol      = 0.01
+	patience = 3
+)
 
 // ErrNoCandidates reports an empty search space.
 var ErrNoCandidates = errors.New("gp: empty candidate set")
@@ -267,12 +185,11 @@ var ErrNoCandidates = errors.New("gp: empty candidate set")
 // observations are kept in the surrogate with a penalty so the search
 // moves away from them, mirroring how the Tuner folds the SLO
 // constraint into the GP framework.
-func Minimize(candidates []float64, obj Objective, cfg LCBConfig) (LCBResult, error) {
-	cfg.defaults()
+func Minimize(candidates []float64, obj Objective, maxIters int) (LCBResult, error) {
 	if len(candidates) == 0 {
 		return LCBResult{}, ErrNoCandidates
 	}
-	g := New(cfg.LengthScale, 1, 1e-6)
+	g := New()
 
 	res := LCBResult{BestValue: math.Inf(1)}
 	// evaluated tracks candidates by index; covered counts distinct
@@ -281,44 +198,30 @@ func Minimize(candidates []float64, obj Objective, cfg LCBConfig) (LCBResult, er
 	// including duplicate candidate sets never reaching full coverage.
 	evaluated := make([]bool, len(candidates))
 	covered := 0
-	mus := make([]float64, len(candidates))
-	vars := make([]float64, len(candidates))
 	var worst float64 // running worst feasible value, for the penalty
 	sizeR := float64(len(candidates))
 	staleRounds := 0
 
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
+	for iter := 1; iter <= maxIters; iter++ {
 		// Pick the acquisition minimizer among unevaluated candidates;
 		// once all are evaluated, allow re-evaluation (noisy setting).
 		beta := 2 * math.Log(math.Max(sizeR/float64(iter*iter), 1.0001))
 		sqrtBeta := math.Sqrt(beta)
+		exhausted := covered >= len(candidates)
 		bestAcq := math.Inf(1)
-		pick := candidates[0]
+		var pick float64
 		pickIdx := -1
-		found := false
-		if covered >= len(candidates) {
-			// Exhausted set: the per-candidate skip can no longer apply,
-			// so sweep the whole set in one batched posterior pass.
-			g.PredictInto(candidates, mus, vars)
-			for i, c := range candidates {
-				acq := mus[i] - sqrtBeta*math.Sqrt(vars[i])
-				if acq < bestAcq {
-					bestAcq, pick, pickIdx, found = acq, c, i, true
-				}
+		for i, c := range candidates {
+			if evaluated[i] && !exhausted {
+				continue
 			}
-		} else {
-			for i, c := range candidates {
-				if evaluated[i] {
-					continue
-				}
-				mu, v := g.Predict(c)
-				acq := mu - sqrtBeta*math.Sqrt(v)
-				if acq < bestAcq {
-					bestAcq, pick, pickIdx, found = acq, c, i, true
-				}
+			mu, v := g.Predict(c)
+			acq := mu - sqrtBeta*math.Sqrt(v)
+			if acq < bestAcq {
+				bestAcq, pick, pickIdx = acq, c, i
 			}
 		}
-		if !found {
+		if pickIdx < 0 {
 			break
 		}
 		value, feasible := obj(pick)
@@ -337,7 +240,7 @@ func Minimize(candidates []float64, obj Objective, cfg LCBConfig) (LCBResult, er
 			if value > worst {
 				worst = value
 			}
-			if value < res.BestValue*(1-cfg.Tol) || !res.Feasible {
+			if value < res.BestValue*(1-tol) || !res.Feasible {
 				improved = true
 			}
 			if value < res.BestValue {
@@ -363,7 +266,7 @@ func Minimize(candidates []float64, obj Objective, cfg LCBConfig) (LCBResult, er
 			staleRounds = 0
 		} else if res.Feasible {
 			staleRounds++
-			if staleRounds >= cfg.Patience {
+			if staleRounds >= patience {
 				res.Converged = true
 				break
 			}

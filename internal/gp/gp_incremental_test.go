@@ -25,7 +25,7 @@ func refitReference(g *GP) (yMean float64, chol [][]float64, alpha []float64, er
 			k[i][j] = v
 			k[j][i] = v
 		}
-		k[i][i] += g.NoiseVar
+		k[i][i] += g.noiseVar
 	}
 	chol, err = fit.Cholesky(k)
 	if err != nil {
@@ -40,22 +40,17 @@ func refitReference(g *GP) (yMean float64, chol [][]float64, alpha []float64, er
 }
 
 // TestObserveBitIdenticalToRefit is the incremental-Cholesky property
-// test: across randomized observation sequences (including mid-stream
-// hyperparameter changes, which force the full-refit fallback), every
-// Observe must leave chol, alpha, and yMean bit-identical to a
-// from-scratch refit. Comparison is by != on the float bits — no
-// tolerance.
+// test: across randomized observation sequences and hyperparameters,
+// every Observe (the first included) must leave chol, alpha, and yMean
+// bit-identical to a from-scratch refit. Comparison is by != on the
+// float bits — no tolerance.
 func TestObserveBitIdenticalToRefit(t *testing.T) {
 	rng := xrand.New(0xbeefcafe)
 	for seq := 0; seq < 20; seq++ {
-		g := New(rng.Range(0.5, 2), rng.Range(0.5, 2), 1e-6)
+		g := New()
+		g.lengthScale, g.signalVar = rng.Range(0.5, 2), rng.Range(0.5, 2)
 		steps := 5 + rng.Intn(25)
 		for step := 0; step < steps; step++ {
-			if rng.Float64() < 0.1 {
-				// Hyperparameter change: the next Observe must fall back
-				// to a full refit and still match the reference.
-				g.LengthScale = rng.Range(0.5, 2)
-			}
 			x := rng.Range(-4, 10)
 			y := rng.Range(-5, 50)
 			if err := g.Observe(x, y); err != nil {
@@ -90,20 +85,20 @@ func TestObserveBitIdenticalToRefit(t *testing.T) {
 }
 
 func TestObserveRollsBackOnNonPD(t *testing.T) {
-	g := New(1, 1, 1e-6)
-	// Hostile hyperparameters: zero noise floor is impossible through
-	// defaults, so force a non-PD append by duplicating a point with a
+	g := New()
+	// Hostile hyperparameters: New never sets a zero noise floor, so
+	// force a non-PD append by duplicating a point with a
 	// noise variance small enough to underflow the diagonal.
-	g.NoiseVar = 5e-324
+	g.noiseVar = 5e-324
 	if err := g.Observe(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	n, yMean := g.N(), g.yMean
+	n, yMean := len(g.xs), g.yMean
 	if err := g.Observe(1, 2); err == nil {
 		t.Skip("duplicate observation stayed PD at this noise floor")
 	}
-	if g.N() != n || g.yMean != yMean {
-		t.Fatalf("failed Observe not rolled back: n %d→%d", n, g.N())
+	if len(g.xs) != n || g.yMean != yMean {
+		t.Fatalf("failed Observe not rolled back: n %d→%d", n, len(g.xs))
 	}
 	// The GP must remain usable with its previous posterior.
 	mean, _ := g.Predict(1)
@@ -113,7 +108,7 @@ func TestObserveRollsBackOnNonPD(t *testing.T) {
 }
 
 func TestPredictWarmZeroAllocs(t *testing.T) {
-	g := New(1, 1, 1e-6)
+	g := New()
 	for i := 0; i < 8; i++ {
 		if err := g.Observe(float64(i), math.Sin(float64(i))); err != nil {
 			t.Fatal(err)
@@ -122,26 +117,6 @@ func TestPredictWarmZeroAllocs(t *testing.T) {
 	g.Predict(2.5) // warm the scratch buffers
 	if n := testing.AllocsPerRun(200, func() { g.Predict(2.5) }); n != 0 {
 		t.Fatalf("warm Predict allocates %v per run, want 0", n)
-	}
-}
-
-func TestPredictIntoWarmZeroAllocs(t *testing.T) {
-	g := New(1, 1, 1e-6)
-	for i := 0; i < 8; i++ {
-		if err := g.Observe(float64(i), float64(i%3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	candidates := []float64{0.5, 1.5, 2.5, 3.5, 4.5}
-	means := make([]float64, len(candidates))
-	vars := make([]float64, len(candidates))
-	g.PredictInto(candidates, means, vars)
-	if n := testing.AllocsPerRun(200, func() { g.PredictInto(candidates, means, vars) }); n != 0 {
-		t.Fatalf("warm PredictInto allocates %v per run, want 0", n)
-	}
-	mu, v := g.Predict(candidates[2])
-	if means[2] != mu || vars[2] != v {
-		t.Fatalf("PredictInto (%v,%v) != Predict (%v,%v)", means[2], vars[2], mu, v)
 	}
 }
 
@@ -156,7 +131,7 @@ func TestMinimizeDuplicateCandidates(t *testing.T) {
 		seen = append(seen, x)
 		return (x - 3) * (x - 3), true
 	}
-	res, err := Minimize(candidates, obj, LCBConfig{MaxIters: 25})
+	res, err := Minimize(candidates, obj, 25)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ type SelectResult struct {
 // at different batch sizes) are held out together, so the CV score
 // measures generalization to *new* architectures rather than
 // interpolation across batch sizes. With nil/uniform groups it falls
-// back to k-fold; folds defaults to min(5, n).
+// back to min(5, n)-fold.
 //
 // The CV error is the MAPE pooled over every fold; ties go to the
 // earliest family in Candidates order. The family named first (the
@@ -57,12 +57,12 @@ type SelectResult struct {
 // is stopped between folds: the sum only grows, so it could not win.
 // The winner, its CV error and its fit are those of cross-validating
 // every family on every fold.
-func SelectModelGrouped(x [][]float64, y []float64, groups []string, folds int, seed uint64, first string) (SelectResult, error) {
-	return selectAmong(Candidates(seed), x, y, groups, folds, first)
+func SelectModelGrouped(x [][]float64, y []float64, groups []string, seed uint64, first string) (SelectResult, error) {
+	return selectAmong(Candidates(seed), x, y, groups, first)
 }
 
 // selectAmong is SelectModelGrouped over a given candidate list.
-func selectAmong(cands []Regressor, x [][]float64, y []float64, groups []string, folds int, first string) (SelectResult, error) {
+func selectAmong(cands []Regressor, x [][]float64, y []float64, groups []string, first string) (SelectResult, error) {
 	n := len(x)
 	if n == 0 || len(y) != n {
 		return SelectResult{}, ErrNoData
@@ -79,13 +79,7 @@ func selectAmong(cands []Regressor, x [][]float64, y []float64, groups []string,
 		}
 		return SelectResult{Model: m, Name: m.Name()}, nil
 	}
-	if folds <= 1 || folds > n {
-		folds = 5
-		if folds > n {
-			folds = n
-		}
-	}
-	plan := foldPlan(x, y, groups, folds)
+	plan := foldPlan(x, y, groups, min(5, n))
 	nz := 0
 	for _, fd := range plan {
 		for _, v := range fd.teY {
@@ -234,6 +228,10 @@ func crossValidate(model Regressor, plan []fold, nz int, bound float64) (float64
 // between.
 const reselectGrowth = 1.5
 
+// refitEvery is the incremental learner's refit cadence: AddGrouped
+// refits at the first sample and then every refitEvery new samples.
+const refitEvery = 5
+
 // Incremental wraps a model-selected regressor and accumulates new
 // samples, refitting when enough arrive — the paper's incremental
 // update path that drives Fig. 12's error-vs-samples curve.
@@ -242,7 +240,6 @@ type Incremental struct {
 	y       []float64
 	groups  []string
 	seed    uint64
-	refitAt int // refit every refitAt new samples; default 5
 	pending int
 	current SelectResult
 	// selectedAt is the sample count at the last model selection, 0
@@ -256,7 +253,7 @@ type Incremental struct {
 
 // NewIncremental returns an empty incremental learner.
 func NewIncremental(seed uint64) *Incremental {
-	return &Incremental{seed: seed, refitAt: 5}
+	return &Incremental{seed: seed}
 }
 
 // N returns the number of accumulated samples.
@@ -265,10 +262,6 @@ func (inc *Incremental) N() int { return len(inc.x) }
 // ModelName returns the currently selected family, or "" before the
 // first fit.
 func (inc *Incremental) ModelName() string { return inc.current.Name }
-
-// Model returns the currently selected model, or nil before the first
-// fit.
-func (inc *Incremental) Model() Regressor { return inc.current.Model }
 
 // Refits returns how many refits the learner has run and how many of
 // them ran a model selection.
@@ -280,7 +273,7 @@ func (inc *Incremental) Refits() (refits, selections int) { return inc.refits, i
 // refit happened.
 func (inc *Incremental) AddGrouped(x []float64, y float64, group string) (refitted bool, err error) {
 	inc.AddNoRefitGrouped(x, y, group)
-	if inc.current.Model == nil || inc.pending >= inc.refitAt {
+	if inc.current.Model == nil || inc.pending >= refitEvery {
 		if err := inc.Refit(); err != nil {
 			return false, err
 		}
@@ -325,7 +318,7 @@ func (inc *Incremental) Refit() error {
 // Select re-runs model selection over all accumulated samples,
 // cross-validating the current family first.
 func (inc *Incremental) Select() error {
-	res, err := SelectModelGrouped(inc.x, inc.y, inc.groups, 0, inc.seed, inc.current.Name)
+	res, err := SelectModelGrouped(inc.x, inc.y, inc.groups, inc.seed, inc.current.Name)
 	if err != nil {
 		return err
 	}

@@ -182,7 +182,7 @@ func (c selectCase) matchesFullCV(t *testing.T) bool {
 	}
 	want, wantErr := referenceSelect(cands(), x, y, groups, 0)
 	for _, first := range []string{"", "LR", "kNN", "SVR", "RF", "GBRT", "none"} {
-		got, err := selectAmong(cands(), x, y, groups, 0, first)
+		got, err := selectAmong(cands(), x, y, groups, first)
 		if (err != nil) != (wantErr != nil) {
 			t.Logf("%+v first %q: err %v, reference %v", c, first, err, wantErr)
 			return false
@@ -241,7 +241,7 @@ func TestSelectBoundMatchesFullCV(t *testing.T) {
 	// All-zero targets: every MAPE is 0, and the earliest family wins
 	// even when another is cross-validated first.
 	x, y, groups := predictorShaped(xrand.New(1), 6, allZero)
-	res, err := SelectModelGrouped(x, y, groups, 0, 1, "GBRT")
+	res, err := SelectModelGrouped(x, y, groups, 1, "GBRT")
 	if err != nil || res.Name != "LR" || res.CVError != 0 {
 		t.Fatalf("all-zero targets: %s cv %v err %v, want LR at 0", res.Name, res.CVError, err)
 	}

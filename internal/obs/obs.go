@@ -84,26 +84,21 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// DefLatencyBuckets is the default fixed bucket layout for latency
-// histograms, in milliseconds (roughly exponential, 0.5 ms – 5 s; an
+// DefLatencyBuckets is the fixed bucket layout of every Histogram, in
+// milliseconds (roughly exponential, 0.5 ms – 5 s; an
 // implicit +Inf bucket catches the rest).
 var DefLatencyBuckets = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 
 // Histogram is a latency histogram with exact quantile export: raw
 // samples are retained and quantiles come from the shared
 // stats.Scratch selection, so obs and serving report
-// bit-identical percentiles. Fixed bucket counts (upper bounds plus
-// an implicit +Inf bucket) are maintained alongside for Prometheus
-// exposition. Observations are mutex-protected (the hot paths batch
-// at window granularity).
+// bit-identical percentiles. Count, sum, min, max and the
+// DefLatencyBuckets counts (plus an implicit +Inf bucket) for
+// Prometheus exposition are derived from the samples at snapshot time,
+// so Observe is one short critical section: the hot paths batch at
+// window granularity, and snapshots are rare. The zero value is ready.
 type Histogram struct {
 	mu      sync.Mutex
-	bounds  []float64 // sorted upper bounds
-	counts  []uint64  // len(bounds)+1; last is +Inf
-	count   uint64
-	sum     float64
-	min     float64
-	max     float64
 	samples []float64
 }
 
@@ -111,95 +106,52 @@ type Histogram struct {
 // queries, so a histogram keeps no second copy of its samples.
 var quantileScratch = sync.Pool{New: func() any { return new(stats.Scratch) }}
 
-// NewHistogram returns a histogram over the given sorted upper bounds
-// (DefLatencyBuckets if nil).
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefLatencyBuckets
-	}
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{
-		bounds: b,
-		counts: make([]uint64, len(b)+1),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
-	}
-}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
 	h.samples = append(h.samples, v)
 	h.mu.Unlock()
 }
 
-// Quantile returns the exact q-quantile (0 < q ≤ 1) of the observed
-// samples, with the closest-rank interpolation the serving path uses
-// (stats.Scratch.Percentile: selection, bit-identical to sorting).
-// Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	sc := quantileScratch.Get().(*stats.Scratch)
-	defer quantileScratch.Put(sc)
-	return sc.Percentile(h.samples, q*100)
-}
-
-// Buckets returns copies of the bucket upper bounds and per-bucket
-// counts (the extra trailing count is the +Inf bucket) — the
-// Prometheus exposition shape.
-func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...)
-}
-
-// Stats snapshots the histogram, reading each percentile by selection
-// over a pooled scratch copy of the samples (as Quantile does).
+// Stats snapshots the histogram. It walks the samples in observation
+// order for the sum, extremes and bucket counts, and reads each
+// percentile by selection over a pooled scratch copy of the samples.
 func (h *Histogram) Stats() HistogramStats {
 	if h == nil {
 		return HistogramStats{}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistogramStats{Count: h.count, Sum: h.sum}
-	if h.count > 0 {
-		sc := quantileScratch.Get().(*stats.Scratch)
-		s.Min, s.Max = h.min, h.max
-		s.Mean = h.sum / float64(h.count)
-		s.P50 = sc.Percentile(h.samples, 50)
-		s.P95 = sc.Percentile(h.samples, 95)
-		s.P99 = sc.Percentile(h.samples, 99)
-		quantileScratch.Put(sc)
-		s.Buckets = make([]BucketCount, 0, len(h.bounds))
-		var cum uint64
-		for i, b := range h.bounds {
-			cum += h.counts[i]
-			s.Buckets = append(s.Buckets, BucketCount{Le: b, Count: cum})
+	s := HistogramStats{Count: uint64(len(h.samples))}
+	if len(h.samples) == 0 {
+		return s
+	}
+	counts := make([]uint64, len(DefLatencyBuckets)+1)
+	s.Min, s.Max = math.Inf(1), math.Inf(-1)
+	for _, v := range h.samples {
+		counts[sort.SearchFloat64s(DefLatencyBuckets, v)]++
+		s.Sum += v
+		if v < s.Min {
+			s.Min = v
 		}
+		if v > s.Max {
+			s.Max = v
+		}
+	}
+	s.Mean = s.Sum / float64(s.Count)
+	sc := quantileScratch.Get().(*stats.Scratch)
+	s.P50 = sc.Percentile(h.samples, 50)
+	s.P95 = sc.Percentile(h.samples, 95)
+	s.P99 = sc.Percentile(h.samples, 99)
+	quantileScratch.Put(sc)
+	s.Buckets = make([]BucketCount, 0, len(DefLatencyBuckets))
+	var cum uint64
+	for i, b := range DefLatencyBuckets {
+		cum += counts[i]
+		s.Buckets = append(s.Buckets, BucketCount{Le: b, Count: cum})
 	}
 	return s
 }
@@ -276,10 +228,8 @@ func (r *Sink) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bounds (DefLatencyBuckets if nil) on first use. Later calls ignore
-// bounds.
-func (r *Sink) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the named histogram, creating it on first use.
+func (r *Sink) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -287,7 +237,7 @@ func (r *Sink) Histogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(bounds)
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h

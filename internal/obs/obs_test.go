@@ -40,7 +40,7 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram([]float64{10, 20, 50, 100})
+	h := &Histogram{}
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i)) // uniform 1..100
 	}
@@ -67,52 +67,46 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramOverflowBucket(t *testing.T) {
-	// Samples far past the last bucket bound land in the +Inf bucket
-	// yet still get exact quantiles: since PR 5 the histogram retains
-	// raw samples and quantiles are exact order statistics, so
-	// Quantile(0.99) of {1000, 2000} interpolates at rank 0.99.
-	h := NewHistogram([]float64{1, 2})
-	h.Observe(1000)
-	h.Observe(2000)
-	if got, want := h.Quantile(0.99), 1990.0; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("+Inf-bucket quantile = %v, want exact interpolated %v", got, want)
+	// Samples past the last bucket bound land in the +Inf bucket yet
+	// still get exact quantiles: the histogram retains raw samples and
+	// quantiles are exact order statistics, so P99 of {6000, 7000}
+	// interpolates at rank 0.99.
+	h := &Histogram{}
+	h.Observe(6000)
+	h.Observe(7000)
+	s := h.Stats()
+	if want := 6990.0; math.Abs(s.P99-want) > 1e-9 {
+		t.Fatalf("+Inf-bucket P99 = %v, want exact interpolated %v", s.P99, want)
 	}
-	if got := h.Quantile(1); got != 2000 {
-		t.Fatalf("quantile(1) = %v, want the observed max", got)
+	if s.Max != 7000 {
+		t.Fatalf("max = %v, want 7000", s.Max)
 	}
-	// Bucket counts stay maintained for Prometheus exposition.
-	bounds, counts := h.Buckets()
-	if len(bounds) != 2 || len(counts) != 3 || counts[2] != 2 {
-		t.Fatalf("buckets = %v / %v, want both samples in +Inf", bounds, counts)
+	// Cumulative bucket counts stay maintained for Prometheus
+	// exposition; the +Inf bucket's count is Count.
+	if len(s.Buckets) != len(DefLatencyBuckets) || s.Buckets[len(s.Buckets)-1].Count != 0 || s.Count != 2 {
+		t.Fatalf("buckets = %v (count %d), want both samples in +Inf", s.Buckets, s.Count)
 	}
 	var nh *Histogram
 	nh.Observe(1) // nil-safe
-	if nh.Quantile(0.5) != 0 {
-		t.Fatal("nil histogram quantile should be 0")
-	}
-	if b, c := nh.Buckets(); b != nil || c != nil {
-		t.Fatal("nil histogram buckets should be nil")
+	if st := nh.Stats(); st.Count != 0 || st.P99 != 0 || st.Buckets != nil {
+		t.Fatalf("nil histogram stats = %+v, want zero", st)
 	}
 }
 
 func TestHistogramMatchesStatsPercentile(t *testing.T) {
 	// obs and serving must report bit-identical percentiles from the
 	// one shared implementation.
-	h := NewHistogram(nil)
+	h := &Histogram{}
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8.97, 120.5, 0.2}
 	for _, x := range xs {
 		h.Observe(x)
 	}
 	var sc stats.Scratch
-	for _, p := range []float64{50, 95, 99} {
-		want := sc.Percentile(xs, p)
-		if got := h.Quantile(p / 100); got != want {
-			t.Fatalf("P%v = %v, want stats.Scratch value %v", p, got, want)
-		}
-	}
 	s := h.Stats()
-	if s.P99 != sc.P99(xs) {
-		t.Fatalf("Stats P99 = %v, want %v", s.P99, sc.P99(xs))
+	for _, c := range []struct{ p, got float64 }{{50, s.P50}, {95, s.P95}, {99, s.P99}} {
+		if want := sc.Percentile(xs, c.p); c.got != want {
+			t.Fatalf("P%v = %v, want stats.Scratch value %v", c.p, c.got, want)
+		}
 	}
 }
 
@@ -140,7 +134,7 @@ func TestNilSinkIsNoop(t *testing.T) {
 	var s *Sink
 	s.Counter("x").Inc()
 	s.Gauge("y").Set(1)
-	s.Histogram("z", nil).Observe(1)
+	s.Histogram("z").Observe(1)
 	if s.Snapshot() != nil {
 		t.Fatal("nil sink snapshot should be nil")
 	}
@@ -165,7 +159,7 @@ func TestSnapshotNDJSONDeterministic(t *testing.T) {
 	s.Counter("b_total").Add(2)
 	s.Counter("a_total").Add(1)
 	s.Gauge("util").Set(0.5)
-	s.Histogram("lat_ms", nil).Observe(12)
+	s.Histogram("lat_ms").Observe(12)
 	render := func() string {
 		var buf bytes.Buffer
 		if err := s.Snapshot().WriteNDJSON(&buf); err != nil {
@@ -206,7 +200,7 @@ func TestConcurrentInstruments(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := s.Counter("shared_total")
-			h := s.Histogram("shared_ms", nil)
+			h := s.Histogram("shared_ms")
 			g := s.Gauge("shared_gauge")
 			for i := 0; i < per; i++ {
 				c.Inc()
@@ -219,7 +213,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got := s.Counter("shared_total").Value(); got != workers*per {
 		t.Fatalf("counter = %v, want %d", got, workers*per)
 	}
-	if got := s.Histogram("shared_ms", nil).Stats().Count; got != workers*per {
+	if got := s.Histogram("shared_ms").Stats().Count; got != workers*per {
 		t.Fatalf("histogram count = %v, want %d", got, workers*per)
 	}
 }

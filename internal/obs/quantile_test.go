@@ -19,9 +19,11 @@ func sortQuantile(samples []float64, p float64) float64 {
 	return stats.PercentileSorted(sorted, p)
 }
 
-// TestHistogramSelectionMatchesSortProperty: Stats and Quantile read by
-// selection give the same bits as sorting, on random sample sets with
-// heavy duplicates, ±0, a single sample and all-equal samples. One
+// TestHistogramSelectionMatchesSortProperty: Stats' count, sum,
+// extremes and buckets match in-order running totals, and its
+// percentiles read by selection give the same bits as sorting, on
+// random sample sets with heavy duplicates, ±0, a single sample and
+// all-equal samples. One
 // exception: when a set holds both -0 and +0 and the answer is zero,
 // only the value must match. sort.Float64s treats the two zeros as
 // equal keys and pdqsort is not stable, so the sign of a zero order
@@ -48,7 +50,7 @@ func TestHistogramSelectionMatchesSortProperty(t *testing.T) {
 				xs[i] = []float64{math.Copysign(0, -1), 0, 1, 2.5}[rng.Intn(4)]
 			}
 		}
-		h := NewHistogram(nil)
+		h := &Histogram{}
 		var negZero, posZero bool
 		for _, x := range xs {
 			h.Observe(x)
@@ -62,16 +64,37 @@ func TestHistogramSelectionMatchesSortProperty(t *testing.T) {
 			return math.Float64bits(got) == math.Float64bits(want)
 		}
 		s := h.Stats()
+		// Count, sum, extremes and buckets match running totals kept
+		// in observation order, as an Observe-time accumulator would.
+		var sum float64
+		lo, hi := math.Inf(1), math.Inf(-1)
+		counts := make([]uint64, len(DefLatencyBuckets)+1)
+		for _, x := range xs {
+			sum += x
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
+			counts[sort.SearchFloat64s(DefLatencyBuckets, x)]++
+		}
+		if s.Count != uint64(n) || math.Float64bits(s.Sum) != math.Float64bits(sum) || s.Min != lo || s.Max != hi {
+			t.Logf("seed %d: count/sum/min/max %d/%v/%v/%v, want %d/%v/%v/%v", seed, s.Count, s.Sum, s.Min, s.Max, n, sum, lo, hi)
+			return false
+		}
+		var cum uint64
+		for i, b := range s.Buckets {
+			cum += counts[i]
+			if b.Le != DefLatencyBuckets[i] || b.Count != cum {
+				t.Logf("seed %d: bucket %d = %+v, want le %v count %d", seed, i, b, DefLatencyBuckets[i], cum)
+				return false
+			}
+		}
 		if !same(s.P50, sortQuantile(xs, 50)) || !same(s.P95, sortQuantile(xs, 95)) || !same(s.P99, sortQuantile(xs, 99)) {
 			t.Logf("seed %d: Stats P50/P95/P99 %v/%v/%v, sort gives %v/%v/%v", seed,
 				s.P50, s.P95, s.P99, sortQuantile(xs, 50), sortQuantile(xs, 95), sortQuantile(xs, 99))
 			return false
-		}
-		for _, q := range []float64{0.01, 0.5, 0.95, 0.99, 1, rng.Range(0, 1)} {
-			if got, want := h.Quantile(q), sortQuantile(xs, q*100); !same(got, want) {
-				t.Logf("seed %d: Quantile(%v) = %v, sort gives %v", seed, q, got, want)
-				return false
-			}
 		}
 		return true
 	}

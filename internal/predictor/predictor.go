@@ -302,12 +302,3 @@ func (p *Predictor) Generation(svc string) uint64 {
 	}
 	return sp.gen
 }
-
-// Services lists the service names with trained predictors.
-func (p *Predictor) Services() []string {
-	out := make([]string, 0, len(p.services))
-	for name := range p.services {
-		out = append(out, name)
-	}
-	return out
-}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"mudi/internal/learn"
 	"mudi/internal/model"
 	"mudi/internal/perf"
 	"mudi/internal/profiler"
@@ -42,9 +41,9 @@ func TestTrainRefitsOnlyItsBatch(t *testing.T) {
 	if bertGen == 0 || pred.Generation("GPT2") != 0 {
 		t.Fatalf("after training BERT: generations BERT %d, GPT2 %d", bertGen, pred.Generation("GPT2"))
 	}
-	var before [4]learn.Regressor
+	var before [4]int
 	for i, l := range pred.services["BERT"].learners {
-		before[i] = l.Model()
+		before[i], _ = l.Refits()
 	}
 	o := perf.NewOracle(3)
 	profiles, err := profiler.New(o, xrand.New(14)).ProfileService("GPT2", nil, nil)
@@ -55,12 +54,12 @@ func TestTrainRefitsOnlyItsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, l := range pred.services["BERT"].learners {
-		if l.Model() != before[i] {
+		if refits, _ := l.Refits(); refits != before[i] {
 			t.Fatalf("training GPT2 refitted BERT's %s learner", targetNames[i])
 		}
 	}
 	for i, l := range pred.services["GPT2"].learners {
-		if l.Model() == nil {
+		if l.ModelName() == "" {
 			t.Fatalf("GPT2's %s learner was not fitted", targetNames[i])
 		}
 	}
@@ -261,8 +260,8 @@ func TestSamplesAndServices(t *testing.T) {
 	if got := pred.Samples("YOLOS"); got != 36 {
 		t.Fatalf("samples %d, want 36 (6 batches × (solo + 5 tasks))", got)
 	}
-	if got := pred.Services(); len(got) != 1 || got[0] != "YOLOS" {
-		t.Fatalf("services %v", got)
+	if len(pred.services) != 1 || pred.services["YOLOS"] == nil {
+		t.Fatalf("services %v, want YOLOS alone", pred.services)
 	}
 }
 

@@ -141,9 +141,6 @@ func New(devices, lanes, workers int, window float64) (*Engine, error) {
 	return e, nil
 }
 
-// Workers reports the step concurrency bound.
-func (e *Engine) Workers() int { return e.pool.Workers() }
-
 // Now returns the clock: the last barrier, or the horizon once Run
 // reached it.
 func (e *Engine) Now() float64 { return e.now }

@@ -60,15 +60,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Percentile returns the p-th percentile (p in [0, 100]) of xs using
 // linear interpolation between closest ranks. It returns 0 for an empty
 // slice and does not modify xs.
@@ -110,10 +101,6 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	}
 	return percentileSorted(sorted, p)
 }
-
-// P99 is shorthand for Percentile(xs, 99) — the paper's tail-latency
-// metric.
-func P99(xs []float64) float64 { return Percentile(xs, 99) }
 
 // Scratch computes percentiles by selection (quickselect) over a
 // reusable internal buffer: O(n) expected time instead of O(n·log n),
@@ -317,31 +304,12 @@ func MAPE(pred, truth []float64) float64 {
 	return sum / float64(n)
 }
 
-// RMSE returns the root-mean-square error between pred and truth. It
-// panics if the slices have different lengths.
-func RMSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) {
-		panic("stats: RMSE length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred)))
-}
-
-// Histogram counts samples into fixed-width bins over [Lo, Hi); samples
-// outside the range land in the under/overflow counters. It backs the
-// distribution summaries in the evaluation harness.
+// Histogram counts samples into fixed-width bins over [Lo, Hi);
+// samples outside the range count toward the total but no bin. It
+// backs the distribution summaries in the evaluation harness.
 type Histogram struct {
 	Lo, Hi float64
 	bins   []int
-	under  int
-	over   int
 	n      int
 }
 
@@ -358,34 +326,15 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 // Add records one sample.
 func (h *Histogram) Add(x float64) {
 	h.n++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.bins)))
-		if idx >= len(h.bins) {
-			idx = len(h.bins) - 1
-		}
-		h.bins[idx]++
+	if x < h.Lo || x >= h.Hi {
+		return
 	}
+	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.bins)))
+	if idx >= len(h.bins) {
+		idx = len(h.bins) - 1
+	}
+	h.bins[idx]++
 }
-
-// N returns the number of recorded samples.
-func (h *Histogram) N() int { return h.n }
-
-// Bin returns the count in bin i and the bin's [lo, hi) range.
-func (h *Histogram) Bin(i int) (count int, lo, hi float64) {
-	width := (h.Hi - h.Lo) / float64(len(h.bins))
-	return h.bins[i], h.Lo + float64(i)*width, h.Lo + float64(i+1)*width
-}
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.bins) }
-
-// Outliers returns the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
 
 // Fractions returns each bin's share of all samples (including
 // outliers in the denominator).

@@ -23,7 +23,7 @@ func TestMeanVariance(t *testing.T) {
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || Sum(nil) != 0 {
+	if Mean(nil) != 0 || Variance(nil) != 0 {
 		t.Fatal("empty aggregate not zero")
 	}
 	if Percentile(nil, 50) != 0 {
@@ -171,15 +171,6 @@ func TestMAPE(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{1, 2}, []float64{1, 4}); !almost(got, math.Sqrt(2), 1e-12) {
-		t.Fatalf("RMSE = %v", got)
-	}
-	if RMSE(nil, nil) != 0 {
-		t.Fatal("empty RMSE should be 0")
-	}
-}
-
 func TestMAPEMismatchedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -195,7 +186,8 @@ func TestP99(t *testing.T) {
 		xs[i] = float64(i + 1)
 	}
 	sort.Float64s(xs)
-	if got := P99(xs); !almost(got, 99.01, 0.05) {
+	var sc Scratch
+	if got := sc.P99(xs); !almost(got, 99.01, 0.05) {
 		t.Fatalf("P99 = %v", got)
 	}
 }
@@ -205,31 +197,17 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
 		h.Add(v)
 	}
-	if h.N() != 8 {
-		t.Fatalf("N = %d", h.N())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Fatalf("outliers %d/%d, want 1/2", under, over)
-	}
-	// Bin 0 covers [0,2): samples 0 and 1.9.
-	if c, lo, hi := h.Bin(0); c != 2 || lo != 0 || hi != 2 {
-		t.Fatalf("bin0 = %d [%v,%v)", c, lo, hi)
-	}
-	// Bin 1 covers [2,4): sample 2.
-	if c, _, _ := h.Bin(1); c != 1 {
-		t.Fatalf("bin1 = %d", c)
-	}
-	// Bin 4 covers [8,10): sample 9.99.
-	if c, _, _ := h.Bin(4); c != 1 {
-		t.Fatalf("bin4 = %d", c)
-	}
+	// Bins are [0,2) [2,4) [4,6) [6,8) [8,10); -1, 10 and 42 fall
+	// outside but count toward the eight-sample denominator.
+	want := []float64{2.0 / 8, 1.0 / 8, 1.0 / 8, 0, 1.0 / 8}
 	fr := h.Fractions()
-	if len(fr) != 5 || math.Abs(fr[0]-0.25) > 1e-9 {
-		t.Fatalf("fractions %v", fr)
+	if len(fr) != len(want) {
+		t.Fatalf("fractions %v, want %v", fr, want)
 	}
-	if h.Bins() != 5 {
-		t.Fatalf("bins %d", h.Bins())
+	for i := range want {
+		if math.Abs(fr[i]-want[i]) > 1e-12 {
+			t.Fatalf("fractions %v, want %v", fr, want)
+		}
 	}
 }
 

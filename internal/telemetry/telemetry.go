@@ -42,8 +42,6 @@ type Options struct {
 	// Timeline supplies the multi-resolution series behind /timeline
 	// and /watch; nil serves 404 on both.
 	Timeline *timeline.Store
-	// Version, when set, is reported by /healthz.
-	Version string
 	// WatchPollInterval is the SSE poll cadence for /watch (default
 	// 200 ms; tests shorten it).
 	WatchPollInterval time.Duration
@@ -72,9 +70,6 @@ func Handler(opts Options) http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		h := map[string]any{"status": "ok"}
-		if opts.Version != "" {
-			h["version"] = opts.Version
-		}
 		if opts.Log != nil {
 			_, sp := opts.Log.Views()
 			h["spans"] = sp.Len

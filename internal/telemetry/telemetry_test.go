@@ -28,7 +28,7 @@ func TestMetricsPrometheusText(t *testing.T) {
 	sink := obs.NewSink()
 	sink.Counter("cluster_windows_total").Add(42)
 	sink.Gauge("cluster_sm_util").Set(0.75)
-	h := sink.Histogram(obs.Labeled("inf_latency_ms", "gpu0000", "bert"), []float64{10, 100})
+	h := sink.Histogram(obs.Labeled("inf_latency_ms", "gpu0000", "bert"))
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(500)
@@ -123,7 +123,7 @@ func tinyLog() *span.Log {
 }
 
 func TestHealthz(t *testing.T) {
-	rec := get(t, Options{Log: tinyLog(), Version: "test"}, "/healthz")
+	rec := get(t, Options{Log: tinyLog()}, "/healthz")
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -131,7 +131,7 @@ func TestHealthz(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if h["status"] != "ok" || h["version"] != "test" || h["spans"] != float64(1) {
+	if h["status"] != "ok" || h["spans"] != float64(1) {
 		t.Fatalf("health %v", h)
 	}
 	for _, name := range []string{"events_dropped", "spans_dropped", "violations_dropped"} {

@@ -223,10 +223,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 		}
 		return iter, ok
 	}
-	res, err := gp.Minimize(candidates, objective, gp.LCBConfig{
-		MaxIters:    BOBudget,
-		LengthScale: 1,
-	})
+	res, err := gp.Minimize(candidates, objective, BOBudget)
 	if err != nil {
 		return Decision{}, err
 	}

@@ -116,32 +116,6 @@ func (r *Rand) Exp(rate float64) float64 {
 	return -math.Log(u) / rate
 }
 
-// Poisson returns a Poisson-distributed count with the given mean,
-// using Knuth's method for small means and a normal approximation for
-// large ones (mean > 64) where the exact method would be slow.
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		v := r.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	limit := math.Exp(-mean)
-	p := 1.0
-	k := 0
-	for {
-		p *= r.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)

@@ -229,31 +229,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(31)
-	for _, mean := range []float64{0.5, 4, 30, 200} {
-		const n = 50000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Fatalf("poisson(%v) mean %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	r := New(37)
-	if v := r.Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", v)
-	}
-	if v := r.Poisson(-1); v != 0 {
-		t.Fatalf("Poisson(-1) = %d, want 0", v)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64) bool {
 		n := int(seed%20) + 1

@@ -195,8 +195,6 @@ type SimOptions struct {
 	// Queue selects the scheduling order of the training queue;
 	// zero value selects QueueFCFS.
 	Queue QueuePolicyID
-	// DisableRetune turns off the Monitor→Tuner loop (ablation).
-	DisableRetune bool
 	// MIGSlices > 1 splits every GPU into that many MIG instances
 	// (1–7), each an independent smaller device (§3).
 	MIGSlices int
@@ -434,26 +432,25 @@ func (s *System) SimulateContext(ctx context.Context, opts SimOptions) (*Result,
 		rec = trace.NewRecorder(s.cfg.Seed, opts.Devices, mig)
 	}
 	sim, err := cluster.New(cluster.Options{
-		Policy:        policy,
-		Oracle:        s.oracle,
-		Seed:          s.cfg.Seed,
-		Devices:       opts.Devices,
-		Services:      services,
-		Arrivals:      arrivals,
-		LoadFactor:    opts.LoadFactor,
-		Bursts:        opts.Bursts,
-		QueuePolicy:   queue,
-		DisableRetune: opts.DisableRetune,
-		MIGSlices:     opts.MIGSlices,
-		Obs:           opts.sink(),
-		Faults:        opts.Faults,
-		Log:           opts.log(),
-		Replay:        opts.Workload,
-		Record:        rec,
-		Timeline:      opts.timelineStore(),
-		Shards:        opts.Shards,
-		AdmitFactor:   opts.AdmitFactor,
-		Ctx:           ctx,
+		Policy:      policy,
+		Oracle:      s.oracle,
+		Seed:        s.cfg.Seed,
+		Devices:     opts.Devices,
+		Services:    services,
+		Arrivals:    arrivals,
+		LoadFactor:  opts.LoadFactor,
+		Bursts:      opts.Bursts,
+		QueuePolicy: queue,
+		MIGSlices:   opts.MIGSlices,
+		Obs:         opts.sink(),
+		Faults:      opts.Faults,
+		Log:         opts.log(),
+		Replay:      opts.Workload,
+		Record:      rec,
+		Timeline:    opts.timelineStore(),
+		Shards:      opts.Shards,
+		AdmitFactor: opts.AdmitFactor,
+		Ctx:         ctx,
 	})
 	if err != nil {
 		return nil, err
