@@ -121,6 +121,9 @@ func TestEndToEndFigures(t *testing.T) {
 	if len(f8.Rows) < 4 {
 		t.Fatalf("Fig8 rows %d", len(f8.Rows))
 	}
+	// At small scale the table includes the exhaustive Optimal
+	// baseline; the golden pins every system's row bit for bit.
+	checkGolden(t, f8, "fig8_small.golden")
 	// Mudi's mean violation must be the lowest across systems.
 	meanRow := func(row []string) float64 {
 		var sum float64
@@ -294,6 +297,7 @@ func TestOptimality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab, "optimality_small.golden")
 	match := parseFloat(t, tab.Rows[0][1])
 	if match < 50 {
 		t.Fatalf("optimal-match rate %v%% too low (paper: 92.67%%)", match)
@@ -317,6 +321,7 @@ func TestFig13Ablations(t *testing.T) {
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
+	checkGolden(t, tab, "fig13_small.golden")
 	full := parseFloat(t, tab.Rows[0][1])
 	clusterOnly := parseFloat(t, tab.Rows[1][1])
 	// Allow 0.2pp noise: at small scale both sit near zero. The
