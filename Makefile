@@ -13,7 +13,7 @@ GO ?= go
 # one policy).
 RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/core ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
 
-.PHONY: tier1 build test vet fmt test-benchmark smoke-hotpath smoke-largecluster race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
+.PHONY: tier1 build test vet fmt test-benchmark smoke-hotpath smoke-largecluster smoke-telemetry race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
 
 tier1: build test
 
@@ -47,6 +47,11 @@ smoke-hotpath:
 # profile.
 smoke-largecluster:
 	$(GO) run ./examples/largecluster -devices 1000 -tasks 50 -gap 0.2 -shards -1 -policies mudi -profile
+
+# A live 256-device run probed over HTTP: /metrics, /healthz drop
+# counts, /slo, /timeline and the /watch SSE stream.
+smoke-telemetry:
+	GO=$(GO) bash scripts/smoke-telemetry.sh
 
 race:
 	$(GO) test -race -timeout 120m $(RACE_PKGS)
@@ -107,4 +112,4 @@ bench-scale:
 	$(GO) test -run '^$$' -bench 'BenchmarkScale' -benchtime 1x -timeout 120m -count=1 .
 
 # The CI tier1 job's build/test steps plus the race job.
-ci: tier1 vet fmt test-benchmark smoke-hotpath test-scenarios test-classes smoke-largecluster race
+ci: tier1 vet fmt test-benchmark smoke-hotpath test-scenarios test-classes smoke-largecluster smoke-telemetry race

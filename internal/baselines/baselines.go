@@ -14,6 +14,9 @@
 //   - Random: random eligible device, even static split (§7.4).
 //   - Optimal: exhaustive search over placements and configurations
 //     using the oracle's true curves — the §5.4/§7.2 upper bound.
+//
+// GSLICE, gpulets and MuxFlow place one training task per GPU. Every
+// policy caps the inference partition at tuner.MaxDelta.
 package baselines
 
 import (
@@ -25,22 +28,50 @@ import (
 	"mudi/internal/opt"
 	"mudi/internal/perf"
 	"mudi/internal/piecewise"
+	"mudi/internal/tuner"
 	"mudi/internal/xrand"
 )
+
+// maxTrainPerGPU is the per-GPU training cap of GSLICE, gpulets and
+// MuxFlow: each places one task per GPU.
+const maxTrainPerGPU = 1
+
+// pickMin returns the eligible view with the smallest cost, ties going
+// to the smaller ID. A view whose cost reports ok=false is skipped, and
+// so is one whose cost is +Inf or NaN. This is the placement rule every
+// cost-driven baseline shares.
+func pickMin(views []core.DeviceView, maxTrain int, cost func(v *core.DeviceView) (float64, bool)) (string, bool) {
+	bestID := ""
+	best := math.Inf(1)
+	for i := range views {
+		v := &views[i]
+		if !core.Eligible(v, maxTrain) {
+			continue
+		}
+		c, ok := cost(v)
+		if !ok {
+			continue
+		}
+		if c < best || (c == best && v.ID < bestID) {
+			bestID, best = v.ID, c
+		}
+	}
+	return bestID, bestID != ""
+}
 
 // ---------------------------------------------------------------------------
 // GSLICE
 
 // GSLICE adjusts the inference partition by feedback on observed
 // latency versus the SLO budget and grows the batch while feasible.
-type GSLICE struct {
-	MaxTrainPerGPU int
-	step           float64
-}
+type GSLICE struct{}
+
+// gsliceStep is GSLICE's feedback step on the inference partition.
+const gsliceStep = 0.1
 
 // NewGSLICE returns the baseline with the paper-matched extension for
 // training co-location.
-func NewGSLICE() *GSLICE { return &GSLICE{MaxTrainPerGPU: 1, step: 0.1} }
+func NewGSLICE() *GSLICE { return &GSLICE{} }
 
 // Name implements core.Policy.
 func (g *GSLICE) Name() string { return "gslice" }
@@ -48,17 +79,7 @@ func (g *GSLICE) Name() string { return "gslice" }
 // SelectDevice implements core.Policy: least SM-utilized eligible
 // device — capacity-driven, interference-blind.
 func (g *GSLICE) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
-	bestID := ""
-	bestUtil := math.Inf(1)
-	for _, v := range views {
-		if !core.Eligible(&v, g.MaxTrainPerGPU) {
-			continue
-		}
-		if v.SMUtil < bestUtil || (v.SMUtil == bestUtil && v.ID < bestID) {
-			bestID, bestUtil = v.ID, v.SMUtil
-		}
-	}
-	return bestID, bestID != ""
+	return pickMin(views, maxTrainPerGPU, func(v *core.DeviceView) (float64, bool) { return v.SMUtil, true })
 }
 
 // Configure implements core.Policy: feedback control on measurements.
@@ -66,10 +87,7 @@ func (g *GSLICE) Configure(view core.DeviceView, meas core.Measurer) (core.Decis
 	if meas == nil {
 		return core.Decision{}, fmt.Errorf("baselines: gslice needs a measurer")
 	}
-	maxDelta := 0.9
-	if len(view.ResidentTasks) == 0 {
-		maxDelta = 1
-	}
+	maxDelta := tuner.MaxDelta(len(view.ResidentTasks) > 0)
 	delta := view.Delta
 	if delta <= 0 {
 		delta = 0.5
@@ -92,9 +110,9 @@ func (g *GSLICE) Configure(view core.DeviceView, meas core.Measurer) (core.Decis
 	}
 	switch {
 	case lat > 0.9*budget && delta < maxDelta:
-		delta = math.Min(delta+g.step, maxDelta)
-	case lat < 0.5*budget && delta > g.step:
-		delta -= g.step
+		delta = math.Min(delta+gsliceStep, maxDelta)
+	case lat < 0.5*budget && delta > gsliceStep:
+		delta -= gsliceStep
 	}
 	for _, b := range model.BatchSizes() {
 		if b <= batch {
@@ -128,15 +146,14 @@ func (g *GSLICE) Configure(view core.DeviceView, meas core.Measurer) (core.Decis
 // Gpulets picks a discrete partition from solo-run profiles: it ignores
 // co-location interference entirely when sizing.
 type Gpulets struct {
-	MaxTrainPerGPU int
-	oracle         *perf.Oracle
-	soloCurves     map[string]map[int]piecewise.Func
+	oracle     *perf.Oracle
+	soloCurves map[string]map[int]piecewise.Func
 }
 
 // NewGpulets profiles the solo curves up front (the system's offline
 // "gpulet" catalog).
 func NewGpulets(oracle *perf.Oracle, rng *xrand.Rand) (*Gpulets, error) {
-	g := &Gpulets{MaxTrainPerGPU: 1, oracle: oracle, soloCurves: make(map[string]map[int]piecewise.Func)}
+	g := &Gpulets{oracle: oracle, soloCurves: make(map[string]map[int]piecewise.Func)}
 	for _, svc := range model.Services() {
 		g.soloCurves[svc.Name] = make(map[int]piecewise.Func)
 		for _, b := range model.BatchSizes() {
@@ -158,17 +175,7 @@ func (g *Gpulets) Name() string { return "gpulets" }
 
 // SelectDevice implements core.Policy: best-fit on free share.
 func (g *Gpulets) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
-	bestID := ""
-	bestFree := math.Inf(1)
-	for _, v := range views {
-		if !core.Eligible(&v, g.MaxTrainPerGPU) {
-			continue
-		}
-		if v.FreeShare < bestFree || (v.FreeShare == bestFree && v.ID < bestID) {
-			bestID, bestFree = v.ID, v.FreeShare
-		}
-	}
-	return bestID, bestID != ""
+	return pickMin(views, maxTrainPerGPU, func(v *core.DeviceView) (float64, bool) { return v.FreeShare, true })
 }
 
 // gpuletSizes are the discrete partitions the system allocates.
@@ -184,10 +191,7 @@ func (g *Gpulets) Configure(view core.DeviceView, meas core.Measurer) (core.Deci
 	if !ok {
 		return core.Decision{}, fmt.Errorf("baselines: no solo profile for %s", view.ServiceName)
 	}
-	maxDelta := 0.9
-	if len(view.ResidentTasks) == 0 {
-		maxDelta = 1
-	}
+	maxDelta := tuner.MaxDelta(len(view.ResidentTasks) > 0)
 	best := core.Decision{}
 	for _, b := range model.BatchSizes() {
 		budget := view.SLOms * float64(b) / view.QPS
@@ -255,15 +259,14 @@ func nextGpulet(delta float64) float64 {
 // MuxFlow carries true pre-profiles for the observed tasks; for unseen
 // tasks it substitutes the mean observed profile.
 type MuxFlow struct {
-	MaxTrainPerGPU int
-	oracle         *perf.Oracle
-	observed       map[string]bool
-	meanTask       model.TrainingTask
+	oracle   *perf.Oracle
+	observed map[string]bool
+	meanTask model.TrainingTask
 }
 
 // NewMuxFlow builds the baseline with profiles for the observed tasks.
 func NewMuxFlow(oracle *perf.Oracle) *MuxFlow {
-	m := &MuxFlow{MaxTrainPerGPU: 1, oracle: oracle, observed: make(map[string]bool)}
+	m := &MuxFlow{oracle: oracle, observed: make(map[string]bool)}
 	var mean model.Arch
 	obs := model.ObservedTasks()
 	for _, t := range obs {
@@ -292,21 +295,10 @@ func (m *MuxFlow) profileTask(t model.TrainingTask) model.TrainingTask {
 // whose service suffers the least *believed* interference.
 func (m *MuxFlow) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
 	believed := m.profileTask(task)
-	bestID := ""
-	bestF := math.Inf(1)
-	for _, v := range views {
-		if !core.Eligible(&v, m.MaxTrainPerGPU) {
-			continue
-		}
+	return pickMin(views, maxTrainPerGPU, func(v *core.DeviceView) (float64, bool) {
 		f, err := m.oracle.TrainColocFactor(v.ServiceName, 64, append(believedSlice(v.ResidentTasks, m), believed))
-		if err != nil {
-			continue
-		}
-		if f < bestF || (f == bestF && v.ID < bestID) {
-			bestID, bestF = v.ID, f
-		}
-	}
-	return bestID, bestID != ""
+		return f, err == nil
+	})
 }
 
 func believedSlice(tasks []model.TrainingTask, m *MuxFlow) []model.TrainingTask {
@@ -324,10 +316,7 @@ func believedSlice(tasks []model.TrainingTask, m *MuxFlow) []model.TrainingTask 
 // violations, but the system still reacts to observed latency.
 func (m *MuxFlow) Configure(view core.DeviceView, meas core.Measurer) (core.Decision, error) {
 	believed := believedSlice(view.ResidentTasks, m)
-	maxDelta := 0.9
-	if len(view.ResidentTasks) == 0 {
-		maxDelta = 1
-	}
+	maxDelta := tuner.MaxDelta(len(view.ResidentTasks) > 0)
 	best := core.Decision{}
 	for _, b := range model.BatchSizes() {
 		curve, err := m.oracle.TrainColocCurve(view.ServiceName, b, believed)
@@ -373,8 +362,8 @@ func (m *MuxFlow) Configure(view core.DeviceView, meas core.Measurer) (core.Deci
 
 // Random places on a random eligible device and splits the GPU evenly.
 type Random struct {
-	MaxTrainPerGPU int
-	rng            *xrand.Rand
+	maxTrain int
+	rng      *xrand.Rand
 }
 
 // NewRandom returns the random-placement baseline of §7.4.
@@ -382,7 +371,7 @@ func NewRandom(rng *xrand.Rand, maxTrain int) *Random {
 	if maxTrain <= 0 {
 		maxTrain = 1
 	}
-	return &Random{MaxTrainPerGPU: maxTrain, rng: rng}
+	return &Random{maxTrain: maxTrain, rng: rng}
 }
 
 // Name implements core.Policy.
@@ -392,7 +381,7 @@ func (r *Random) Name() string { return "random" }
 func (r *Random) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
 	var ids []string
 	for _, v := range views {
-		if core.Eligible(&v, r.MaxTrainPerGPU) {
+		if core.Eligible(&v, r.maxTrain) {
 			ids = append(ids, v.ID)
 		}
 	}
@@ -419,8 +408,8 @@ func (r *Random) Configure(view core.DeviceView, _ core.Measurer) (core.Decision
 // oracle's true curves and iteration times — unattainable in practice,
 // used as the §5.4 reference.
 type Optimal struct {
-	MaxTrainPerGPU int
-	oracle         *perf.Oracle
+	maxTrain int
+	oracle   *perf.Oracle
 }
 
 // NewOptimal returns the exhaustive baseline.
@@ -428,15 +417,16 @@ func NewOptimal(oracle *perf.Oracle, maxTrain int) *Optimal {
 	if maxTrain <= 0 {
 		maxTrain = 1
 	}
-	return &Optimal{MaxTrainPerGPU: maxTrain, oracle: oracle}
+	return &Optimal{maxTrain: maxTrain, oracle: oracle}
 }
 
 // Name implements core.Policy.
 func (o *Optimal) Name() string { return "optimal" }
 
-// bestOnDevice returns the true-iteration-minimizing feasible
-// configuration of task on the device, or ok=false.
-func (o *Optimal) bestOnDevice(task model.TrainingTask, v core.DeviceView) (core.Decision, bool) {
+// BestOnDevice returns the true-iteration-minimizing feasible
+// configuration of task on the device, or ok=false. It is the §5.4
+// exhaustive optimum that Mudi's device selection is judged against.
+func (o *Optimal) BestOnDevice(task model.TrainingTask, v core.DeviceView) (core.Decision, bool) {
 	coloc := append(append([]model.TrainingTask(nil), v.ResidentTasks...), task)
 	best := core.Decision{}
 	bestIter := math.Inf(1)
@@ -446,7 +436,7 @@ func (o *Optimal) bestOnDevice(task model.TrainingTask, v core.DeviceView) (core
 			continue
 		}
 		res, err := opt.MinPartition(opt.ScaleRequest{
-			QPS: v.QPS, Batch: b, SLO: v.SLOms, Latency: curve, MaxDelta: 0.9,
+			QPS: v.QPS, Batch: b, SLO: v.SLOms, Latency: curve, MaxDelta: tuner.MaxDelta(true),
 		})
 		if err != nil || !res.Feasible {
 			continue
@@ -467,30 +457,16 @@ func (o *Optimal) bestOnDevice(task model.TrainingTask, v core.DeviceView) (core
 // SelectDevice implements core.Policy: the device minimizing the true
 // achievable iteration time.
 func (o *Optimal) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
-	bestID := ""
-	bestIter := math.Inf(1)
-	for _, v := range views {
-		if !core.Eligible(&v, o.MaxTrainPerGPU) {
-			continue
-		}
-		dec, ok := o.bestOnDevice(task, v)
-		if !ok {
-			continue
-		}
-		if dec.TrainIterMs < bestIter || (dec.TrainIterMs == bestIter && v.ID < bestID) {
-			bestID, bestIter = v.ID, dec.TrainIterMs
-		}
-	}
-	return bestID, bestID != ""
+	return pickMin(views, o.maxTrain, func(v *core.DeviceView) (float64, bool) {
+		dec, ok := o.BestOnDevice(task, *v)
+		return dec.TrainIterMs, ok
+	})
 }
 
 // Configure implements core.Policy: the true-optimal configuration for
 // the device's current residents.
 func (o *Optimal) Configure(view core.DeviceView, _ core.Measurer) (core.Decision, error) {
-	maxDelta := 0.9
-	if len(view.ResidentTasks) == 0 {
-		maxDelta = 1
-	}
+	maxDelta := tuner.MaxDelta(len(view.ResidentTasks) > 0)
 	best := core.Decision{}
 	bestIter := math.Inf(1)
 	for _, b := range model.BatchSizes() {

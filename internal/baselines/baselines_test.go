@@ -209,7 +209,7 @@ func TestOptimalPicksTrueBest(t *testing.T) {
 	bestIter := -1.0
 	bestDev := ""
 	for _, v := range views {
-		dec, ok := o.bestOnDevice(task, v)
+		dec, ok := o.BestOnDevice(task, v)
 		if !ok {
 			continue
 		}

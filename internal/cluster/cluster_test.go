@@ -30,7 +30,7 @@ func buildMudi(t testing.TB, oracle *perf.Oracle, seed uint64) *core.Mudi {
 			t.Fatal(err)
 		}
 	}
-	mudi := core.NewMudi(pred, core.MudiConfig{Seed: seed})
+	mudi := core.NewMudi(pred, core.MudiConfig{})
 	for _, ps := range profiles {
 		mudi.AddProfiles(ps)
 	}

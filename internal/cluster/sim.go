@@ -112,6 +112,23 @@ type Options struct {
 	Ctx context.Context
 }
 
+// Observers builds one run's instruments, each nil when its switch is
+// off (the zero-overhead path): a metrics sink exactly when the event
+// view is on, a record log with an event view and/or a span view plus
+// attributor, and a timeline store. The log feeds observer, which may
+// be nil. The results go into Options.Obs, Log and Timeline.
+func Observers(events, trace, timelines bool, observer obs.Observer) (*obs.Sink, *span.Log, *timeline.Store) {
+	var sink *obs.Sink
+	if events {
+		sink = obs.NewSink()
+	}
+	var store *timeline.Store
+	if timelines {
+		store = timeline.New(timeline.Defaults())
+	}
+	return sink, span.NewRunLog(events, trace, observer), store
+}
+
 func (o Options) defaults() (Options, error) {
 	if o.Policy == nil {
 		return o, errors.New("cluster: nil policy")
@@ -578,7 +595,6 @@ func New(opts Options) (*Sim, error) {
 			// degradation windows (factor 1 outside them).
 			ds.pool.SetTransferScale(s.inj.PCIeScale)
 		}
-		ds.gidx = i
 		ds.winRNG = rng.ForkString("win:" + devID)
 		// Catalog index of the resident service (replay may have swapped
 		// info away from the round-robin default).
@@ -992,8 +1008,8 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision) {
 	// Cluster invariant (§7.4): while training is multiplexed, the
 	// inference service leaves it at least 10% of the device; a policy
 	// that wants the full device must declare infeasibility instead.
-	if dec.Delta > 0.9 && d.residentCount() > 0 {
-		dec.Delta = 0.9
+	if maxDelta := tuner.MaxDelta(true); dec.Delta > maxDelta && d.residentCount() > 0 {
+		dec.Delta = maxDelta
 	}
 	if dec.Delta > 0 && absf(dec.Delta-svc.delta) > 1e-9 {
 		s.rescale(now, d, dec.Delta)

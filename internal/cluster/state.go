@@ -121,11 +121,10 @@ type deviceState struct {
 	// (see latencyCurve); lane-owned like the rest of the window state.
 	curve curveMemo
 
-	// Engine placement. gidx is the global device index; winRNG is the
-	// per-device measurement-noise stream (a shared stream would couple
-	// devices across lanes); memFrac is the last window's memory
-	// utilization, published for the barrier's device-order cluster sums.
-	gidx    int
+	// Engine placement. winRNG is the per-device measurement-noise
+	// stream (a shared stream would couple devices across lanes);
+	// memFrac is the last window's memory utilization, published for the
+	// barrier's device-order cluster sums.
 	winRNG  *xrand.Rand
 	memFrac float64
 

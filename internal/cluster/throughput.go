@@ -9,6 +9,7 @@ import (
 	"mudi/internal/core"
 	"mudi/internal/model"
 	"mudi/internal/perf"
+	"mudi/internal/tuner"
 	"mudi/internal/xrand"
 )
 
@@ -45,7 +46,7 @@ func MaxThroughput(policy core.Policy, oracle *perf.Oracle, svcName, taskName st
 		if err != nil || !dec.Feasible {
 			return false
 		}
-		if dec.Delta > 0.9 {
+		if dec.Delta > tuner.MaxDelta(true) {
 			return false // training must keep ≥10%
 		}
 		// Evaluate the decided configuration against the truth with

@@ -21,7 +21,6 @@ type MudiConfig struct {
 	// MaxTrainPerGPU caps co-located training tasks per device:
 	// 1 for Mudi, up to 3 for Mudi-more (§5.5).
 	MaxTrainPerGPU int
-	Seed           uint64
 }
 
 func (c MudiConfig) defaults() MudiConfig {
@@ -249,7 +248,7 @@ func (p *slopePlugin) Score(task *model.TrainingTask, view *DeviceView) float64 
 				continue
 			}
 			res, err := opt.MinPartition(opt.ScaleRequest{
-				QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i].f, MaxDelta: 1 - tuner.MinTrainShare,
+				QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i].f, MaxDelta: tuner.MaxDelta(true),
 			})
 			if err != nil || !res.Feasible {
 				continue
@@ -347,7 +346,7 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 				break
 			}
 			grown := dec.Delta + 0.1
-			if grown > 1-tuner.MinTrainShare && len(view.ResidentTasks) > 0 {
+			if grown > tuner.MaxDelta(true) && len(view.ResidentTasks) > 0 {
 				// Cannot grow further while training holds its floor:
 				// declare infeasibility so the caller pauses training.
 				dec = Decision{Feasible: false, Batch: dec.Batch, BOIterations: dec.BOIterations}

@@ -19,7 +19,7 @@ func buildMudi(t *testing.T, oracle *perf.Oracle, seed uint64, maxTrain int) *Mu
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMudi(pred, MudiConfig{Seed: seed, MaxTrainPerGPU: maxTrain})
+	m := NewMudi(pred, MudiConfig{MaxTrainPerGPU: maxTrain})
 	for _, ps := range profiles {
 		if err := pred.Train(ps); err != nil {
 			t.Fatal(err)

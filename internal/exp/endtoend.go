@@ -22,10 +22,11 @@ func Fig8(s *Suite) (*report.Table, error) {
 	if s.Config.Scale == ScaleSmall {
 		// The Optimal baseline is exhaustive; include it only at small
 		// scale where it stays cheap.
-		if _, err := s.Run("optimal"); err != nil {
+		res, err := s.Run("optimal")
+		if err != nil {
 			return nil, err
 		}
-		results["optimal"] = s.results["optimal"]
+		results["optimal"] = res
 	}
 	t := report.NewTable("Fig. 8: SLO violation rate per inference service",
 		append([]string{"system"}, serviceOrder...)...)
@@ -120,7 +121,7 @@ func Fig10(s *Suite) (*report.Table, error) {
 // each owns its Mudi instance — so they fan across the pool.
 func Fig13(s *Suite) (*report.Table, error) {
 	devices, _, _, _ := s.Config.sizes()
-	ablation := func(build func(*core.Mudi) core.Policy) func() (*cluster.Result, error) {
+	ablation := func(build func(*core.Mudi) *ablationPolicy) func() (*cluster.Result, error) {
 		return func() (*cluster.Result, error) {
 			m, err := BuildMudi(s.Oracle, s.Config.Seed, 1)
 			if err != nil {
@@ -140,12 +141,12 @@ func Fig13(s *Suite) (*report.Table, error) {
 		// predictive Tuner replaced by a plain feedback controller (the
 		// same device-control mechanism the baselines get) — "we disabled
 		// the Tuner service under Mudi".
-		{Key: "cluster-only", Run: ablation(func(m *core.Mudi) core.Policy {
-			return &clusterOnlyPolicy{Mudi: m, feedback: baselines.NewGSLICE()}
+		{Key: "cluster-only", Run: ablation(func(m *core.Mudi) *ablationPolicy {
+			return &ablationPolicy{Mudi: m, name: "mudi-cluster-only", place: m, control: baselines.NewGSLICE()}
 		})},
 		// (b) Device-only: random placement + Mudi's device control.
-		{Key: "device-only", Run: ablation(func(m *core.Mudi) core.Policy {
-			return &deviceOnlyPolicy{Mudi: m, rng: xrand.New(s.Config.Seed + 31)}
+		{Key: "device-only", Run: ablation(func(m *core.Mudi) *ablationPolicy {
+			return &ablationPolicy{Mudi: m, name: "mudi-device-only", place: baselines.NewRandom(xrand.New(s.Config.Seed+31), 1), control: m}
 		})},
 	}
 	ress, err := runCells(s.Config, s.pool, cells)
@@ -170,39 +171,24 @@ func Fig13(s *Suite) (*report.Table, error) {
 	return t, nil
 }
 
-// clusterOnlyPolicy pairs Mudi's placement with a plain feedback
-// device controller — the Fig. 13a ablation.
-type clusterOnlyPolicy struct {
+// ablationPolicy is a Fig. 13 ablation: Mudi with one layer swapped
+// out. Placement goes to place and device control to control. The
+// embedded Mudi keeps learning online from every co-location either
+// way.
+type ablationPolicy struct {
 	*core.Mudi
-	feedback core.Policy
+	name           string
+	place, control core.Policy
 }
 
-func (p *clusterOnlyPolicy) Name() string { return "mudi-cluster-only" }
+func (p *ablationPolicy) Name() string { return p.name }
 
-func (p *clusterOnlyPolicy) Configure(view core.DeviceView, m core.Measurer) (core.Decision, error) {
-	return p.feedback.Configure(view, m)
+func (p *ablationPolicy) SelectDevice(task model.TrainingTask, views []core.DeviceView, m map[string]core.Measurer) (string, bool) {
+	return p.place.SelectDevice(task, views, m)
 }
 
-// deviceOnlyPolicy pairs random placement with Mudi's device-level
-// control — the Fig. 13b ablation.
-type deviceOnlyPolicy struct {
-	*core.Mudi
-	rng *xrand.Rand
-}
-
-func (p *deviceOnlyPolicy) Name() string { return "mudi-device-only" }
-
-func (p *deviceOnlyPolicy) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
-	var ids []string
-	for _, v := range views {
-		if core.Eligible(&v, 1) {
-			ids = append(ids, v.ID)
-		}
-	}
-	if len(ids) == 0 {
-		return "", false
-	}
-	return ids[p.rng.Intn(len(ids))], true
+func (p *ablationPolicy) Configure(view core.DeviceView, m core.Measurer) (core.Decision, error) {
+	return p.control.Configure(view, m)
 }
 
 // Fig15 reproduces the load-sensitivity sweep: violation and CT at

@@ -22,8 +22,6 @@ import (
 	"mudi/internal/profiler"
 	"mudi/internal/report"
 	"mudi/internal/runner"
-	"mudi/internal/span"
-	"mudi/internal/timeline"
 	"mudi/internal/trace"
 	"mudi/internal/tuner"
 	"mudi/internal/xrand"
@@ -83,31 +81,6 @@ func (c Config) ctx() context.Context {
 	return context.Background()
 }
 
-// sink builds a fresh per-cell metrics sink when observation is
-// enabled, nil otherwise (the zero-overhead path).
-func (c Config) sink() *obs.Sink {
-	if c.Observer == nil {
-		return nil
-	}
-	return obs.NewSink()
-}
-
-// log builds a fresh per-cell record log — an event view feeding the
-// Observer, a span view and an attributor when tracing — or nil when
-// both are off (the zero-overhead path).
-func (c Config) log() *span.Log {
-	return span.NewRunLog(c.Observer != nil, c.Trace, c.Observer)
-}
-
-// timeline builds a fresh per-cell timeline store when timeline
-// recording is enabled, nil otherwise (the zero-overhead path).
-func (c Config) timeline() *timeline.Store {
-	if !c.Timelines {
-		return nil
-	}
-	return timeline.New(timeline.Defaults())
-}
-
 // simulate builds and runs one cell's simulation. Every cell goes
 // through here, so each one gets the run's Seed, Shards and Ctx and its
 // own private sink, record log and timeline store — the Observer, Trace
@@ -117,10 +90,10 @@ func (c Config) simulate(o cluster.Options) (*cluster.Result, error) {
 	o.Seed = c.Seed
 	o.Shards = c.Shards
 	o.Ctx = c.Ctx
-	o.Obs = c.sink()
-	o.Log = c.log()
-	if o.Timeline == nil {
-		o.Timeline = c.timeline()
+	sink, log, store := cluster.Observers(c.Observer != nil, c.Trace, c.Timelines && o.Timeline == nil, c.Observer)
+	o.Obs, o.Log = sink, log
+	if store != nil {
+		o.Timeline = store
 	}
 	sim, err := cluster.New(o)
 	if err != nil {
@@ -218,7 +191,7 @@ func BuildMudiWithTuner(oracle *perf.Oracle, seed uint64, maxTrain int, tcfg tun
 	if err != nil {
 		return nil, err
 	}
-	mudi := core.NewMudi(pred, core.MudiConfig{Seed: seed, MaxTrainPerGPU: maxTrain, Tuner: tcfg})
+	mudi := core.NewMudi(pred, core.MudiConfig{MaxTrainPerGPU: maxTrain, Tuner: tcfg})
 	for _, ps := range profiles {
 		if err := pred.Train(ps); err != nil {
 			return nil, err

@@ -356,11 +356,8 @@ func Optimality(cfg Config) (*report.Table, error) {
 				if v.ID != devID {
 					continue
 				}
-				dec, err := optimalBest(oracle, task, v)
-				if err != nil {
-					return 0, false
-				}
-				return dec, true
+				dec, ok := optimal.BestOnDevice(task, v)
+				return dec.TrainIterMs, ok
 			}
 			return 0, false
 		}
@@ -379,35 +376,6 @@ func Optimality(cfg Config) (*report.Table, error) {
 	}
 	t.AddNote("paper: 92.67%% optimal-match rate; expected performance within 1.10x of optimal")
 	return t, nil
-}
-
-// optimalBest returns the best achievable true iteration time of task
-// on the device (over batch and Eq. 4 partitions).
-func optimalBest(oracle *perf.Oracle, task model.TrainingTask, v core.DeviceView) (float64, error) {
-	best := 0.0
-	found := false
-	for _, b := range model.BatchSizes() {
-		curve, err := oracle.TrainColocCurve(v.ServiceName, b, []model.TrainingTask{task})
-		if err != nil {
-			return 0, err
-		}
-		budget := v.SLOms * float64(b) / v.QPS
-		delta, ok := curve.MinDeltaFor(budget, 0.9)
-		if !ok {
-			continue
-		}
-		iter, err := oracle.TrueIteration(task, 1-delta, v.ServiceName, b, delta)
-		if err != nil {
-			return 0, err
-		}
-		if !found || iter < best {
-			best, found = iter, true
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf("exp: no feasible config on %s", v.ID)
-	}
-	return best, nil
 }
 
 func maxFloat(a, b float64) float64 {

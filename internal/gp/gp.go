@@ -164,7 +164,6 @@ type LCBResult struct {
 	Best       float64 // best feasible candidate found
 	BestValue  float64 // its observed objective value
 	Iterations int     // objective evaluations performed
-	Converged  bool    // true when the stop rule fired before maxIters
 	Feasible   bool    // false when no candidate satisfied the constraints
 }
 
@@ -267,7 +266,6 @@ func Minimize(candidates []float64, obj Objective, maxIters int) (LCBResult, err
 		} else if res.Feasible {
 			staleRounds++
 			if staleRounds >= patience {
-				res.Converged = true
 				break
 			}
 		}

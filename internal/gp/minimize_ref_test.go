@@ -102,7 +102,6 @@ func minimizeTwoLoop(candidates []float64, obj Objective, maxIters int) (LCBResu
 		} else if res.Feasible {
 			staleRounds++
 			if staleRounds >= 3 {
-				res.Converged = true
 				break
 			}
 		}

@@ -14,13 +14,12 @@ import (
 
 // ScaleRequest describes one Eq. 4 instance.
 type ScaleRequest struct {
-	QPS       float64        // W_i, request arrival rate (req/s)
-	Batch     int            // b_i, current batching size
-	SLO       float64        // SLO_i in milliseconds
-	Latency   piecewise.Func // P_i(b, ·, Ψ): latency vs Δ for this batch and co-location
-	MaxDelta  float64        // upper bound on Δ (1 − minimum training share); default 1
-	Headroom  float64        // extra fraction added to the solution (paper: 0.10)
-	BatchWait bool           // include the batch-assembly wait b/W in the SLO budget
+	QPS      float64        // W_i, request arrival rate (req/s)
+	Batch    int            // b_i, current batching size
+	SLO      float64        // SLO_i in milliseconds
+	Latency  piecewise.Func // P_i(b, ·, Ψ): latency vs Δ for this batch and co-location
+	MaxDelta float64        // upper bound on Δ (1 − minimum training share); default 1
+	Headroom float64        // extra fraction added to the solution (paper: 0.10)
 }
 
 // ScaleResult is the solver output.
@@ -34,9 +33,7 @@ type ScaleResult struct {
 var ErrBadRequest = errors.New("opt: invalid scale request")
 
 // MinPartition solves Eq. 4: the smallest Δ such that
-// (W/b)·P(b, Δ, Ψ) ≤ SLO, then applies the configured headroom. When
-// BatchWait is set the budget additionally reserves the batch assembly
-// time b/W (ms), which models request queueing while a batch fills.
+// (W/b)·P(b, Δ, Ψ) ≤ SLO, then applies the configured headroom.
 func MinPartition(req ScaleRequest) (ScaleResult, error) {
 	if req.QPS <= 0 || req.Batch <= 0 || req.SLO <= 0 {
 		return ScaleResult{}, fmt.Errorf("%w: qps=%v batch=%d slo=%v", ErrBadRequest, req.QPS, req.Batch, req.SLO)
@@ -53,14 +50,6 @@ func MinPartition(req ScaleRequest) (ScaleResult, error) {
 	// device must sustain, so the per-batch budget shrinks as load
 	// rises and grows with the batching size.
 	budget := req.SLO * float64(req.Batch) / req.QPS
-	if req.BatchWait {
-		// Reserve the time for a batch to fill at rate W: b/W seconds.
-		wait := float64(req.Batch) / req.QPS * 1000
-		budget -= wait
-		if budget <= 0 {
-			return ScaleResult{Feasible: false, Budget: budget}, nil
-		}
-	}
 	delta, ok := req.Latency.MinDeltaFor(budget, maxDelta)
 	if !ok {
 		return ScaleResult{Feasible: false, Budget: budget}, nil

@@ -83,31 +83,6 @@ func TestMinPartitionHeadroomClampsToMax(t *testing.T) {
 	}
 }
 
-func TestMinPartitionBatchWait(t *testing.T) {
-	// With BatchWait, budget 48 shrinks by fill time 1000·64/200=320 ms
-	// → negative → infeasible.
-	res, err := MinPartition(ScaleRequest{
-		QPS: 200, Batch: 64, SLO: 150, Latency: latencyFn(), BatchWait: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Feasible {
-		t.Fatal("expected infeasible with batch wait at low QPS")
-	}
-	// With a loose SLO (YOLOS-like 2200 ms) the wait fits the budget:
-	// budget − wait = (b/W)·(SLO − 1000) = 64·1200/1000 = 76.8 ms ≥ 44.
-	res, err = MinPartition(ScaleRequest{
-		QPS: 1000, Batch: 64, SLO: 2200, Latency: latencyFn(), BatchWait: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("expected feasible with batch wait under loose SLO")
-	}
-}
-
 func TestMinPartitionRejectsBadInput(t *testing.T) {
 	bad := []ScaleRequest{
 		{QPS: 0, Batch: 1, SLO: 1, Latency: latencyFn()},

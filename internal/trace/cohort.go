@@ -198,19 +198,3 @@ func CohortTrace(cfg CohortConfig) ([]TaskArrival, error) {
 	}
 	return merged, nil
 }
-
-// CohortShares computes each cohort's realised share of a generated
-// arrival sequence — the statistic the scenario validation tests pin.
-func CohortShares(arrivals []TaskArrival) map[string]float64 {
-	if len(arrivals) == 0 {
-		return nil
-	}
-	shares := make(map[string]float64)
-	for _, a := range arrivals {
-		shares[a.Cohort]++
-	}
-	for k := range shares {
-		shares[k] /= float64(len(arrivals))
-	}
-	return shares
-}

@@ -111,8 +111,11 @@ var (
 	ErrBadRequest   = errors.New("tuner: invalid request")
 )
 
-// maxDelta is the largest partition the inference service may take.
-func (t *Tuner) maxDelta(hasTraining bool) float64 {
+// MaxDelta is the largest partition the inference service may take:
+// the whole device when it runs alone, and 1 - MinTrainShare while
+// training is co-located (§7.4). Every policy and the cluster's clamp
+// read this one floor.
+func MaxDelta(hasTraining bool) float64 {
 	if hasTraining {
 		return 1 - MinTrainShare
 	}
@@ -150,7 +153,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 	if req.Curves == nil {
 		return Decision{}, fmt.Errorf("%w: nil curve provider", ErrBadRequest)
 	}
-	maxDelta := t.maxDelta(req.HasTraining)
+	maxDelta := MaxDelta(req.HasTraining)
 
 	// Phase 0: initial partition = max cutoff across batch sizes
 	// (§5.3.2).

@@ -206,12 +206,11 @@ func TestConfigDefaults(t *testing.T) {
 	if Headroom != 0.10 || BOBudget != 25 || MinTrainShare != 0.10 || SLOMargin != 0.90 {
 		t.Fatalf("constants %v %v %v %v", Headroom, BOBudget, MinTrainShare, SLOMargin)
 	}
-	tn := New(Config{})
-	if got := tn.maxDelta(true); got != 0.90 {
-		t.Fatalf("maxDelta with training = %v, want 0.90", got)
+	if got := MaxDelta(true); got != 0.90 {
+		t.Fatalf("MaxDelta with training = %v, want 0.90", got)
 	}
-	if got := tn.maxDelta(false); got != 1 {
-		t.Fatalf("maxDelta without training = %v, want 1", got)
+	if got := MaxDelta(false); got != 1 {
+		t.Fatalf("MaxDelta without training = %v, want 1", got)
 	}
 }
 

@@ -92,7 +92,9 @@ type SystemConfig struct {
 	// Seed drives every random stream (testbed, profiling, traces).
 	Seed uint64
 	// MaxTrainPerGPU caps co-located training tasks per device
-	// (1 = Mudi, up to 3 = Mudi-more). Default 1.
+	// (1 = Mudi, up to 3 = Mudi-more). Default 1. It reaches only Mudi,
+	// Random and Optimal: GSLICE, gpulets and MuxFlow always place one
+	// task per GPU.
 	MaxTrainPerGPU int
 	// ExtraServices are appended to the catalog and registered with the
 	// testbed (see examples/custommodel).
@@ -292,44 +294,6 @@ type SimOptions struct {
 // fault class.
 type FaultConfig = faults.Config
 
-// sink builds the run's metrics sink, or nil when observation is off —
-// the nil sink is the zero-overhead path (one branch per would-be
-// observation site).
-func (o SimOptions) sink() *obs.Sink {
-	if o.Telemetry != nil {
-		return o.Telemetry.sink
-	}
-	if !o.Observe && o.Observer == nil {
-		return nil
-	}
-	return obs.NewSink()
-}
-
-// log builds the run's control-plane record log — an event view when
-// observing, a span view and an attributor when tracing — or nil when
-// both are off, the zero-overhead path.
-func (o SimOptions) log() *span.Log {
-	if o.Telemetry != nil {
-		l := o.Telemetry.log
-		l.Observer = o.Observer
-		return l
-	}
-	return span.NewRunLog(o.Observe || o.Observer != nil, o.Trace, o.Observer)
-}
-
-// timelineStore builds the run's timeline store, or nil when timeline
-// recording is off. A Telemetry's store wins so the live HTTP surface
-// (/timeline, /watch) reads the same store the run writes.
-func (o SimOptions) timelineStore() *timeline.Store {
-	if o.Telemetry != nil {
-		return o.Telemetry.tl
-	}
-	if !o.Timelines {
-		return nil
-	}
-	return timeline.New(timeline.Defaults())
-}
-
 // Simulate runs one cluster simulation to completion. It is
 // SimulateContext with a background context.
 func (s *System) Simulate(opts SimOptions) (*Result, error) {
@@ -431,6 +395,19 @@ func (s *System) SimulateContext(ctx context.Context, opts SimOptions) (*Result,
 		}
 		rec = trace.NewRecorder(s.cfg.Seed, opts.Devices, mig)
 	}
+	// A Telemetry's instruments win, so the live HTTP surface reads the
+	// same sink, log and timeline store the run writes.
+	var (
+		sink  *obs.Sink
+		log   *span.Log
+		store *timeline.Store
+	)
+	if t := opts.Telemetry; t != nil {
+		sink, log, store = t.sink, t.log, t.tl
+		log.Observer = opts.Observer
+	} else {
+		sink, log, store = cluster.Observers(opts.Observe || opts.Observer != nil, opts.Trace, opts.Timelines, opts.Observer)
+	}
 	sim, err := cluster.New(cluster.Options{
 		Policy:      policy,
 		Oracle:      s.oracle,
@@ -442,12 +419,12 @@ func (s *System) SimulateContext(ctx context.Context, opts SimOptions) (*Result,
 		Bursts:      opts.Bursts,
 		QueuePolicy: queue,
 		MIGSlices:   opts.MIGSlices,
-		Obs:         opts.sink(),
+		Obs:         sink,
 		Faults:      opts.Faults,
-		Log:         opts.log(),
+		Log:         log,
 		Replay:      opts.Workload,
 		Record:      rec,
-		Timeline:    opts.timelineStore(),
+		Timeline:    store,
 		Shards:      opts.Shards,
 		AdmitFactor: opts.AdmitFactor,
 		Ctx:         ctx,

@@ -3,6 +3,7 @@ package mudi
 import (
 	"io"
 
+	"mudi/internal/cluster"
 	"mudi/internal/obs"
 	"mudi/internal/span"
 	"mudi/internal/timeline"
@@ -104,11 +105,8 @@ type Telemetry struct {
 // including a timeline store (the /timeline and /watch endpoints read
 // it while the attached run writes).
 func NewTelemetry() *Telemetry {
-	return &Telemetry{
-		sink: obs.NewSink(),
-		log:  span.NewRunLog(true, true, nil),
-		tl:   timeline.New(timeline.Defaults()),
-	}
+	sink, log, tl := cluster.Observers(true, true, true, nil)
+	return &Telemetry{sink: sink, log: log, tl: tl}
 }
 
 // Instruments exposes the underlying metrics sink and record log (which
