@@ -54,6 +54,8 @@ func TestFig3Fig4Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, t3, "fig3_small.golden")
+	checkGolden(t, t4, "fig4_small.golden")
 	meanOf := func(tab *t3Type, victim string) float64 {
 		var sum float64
 		var n int
@@ -435,6 +437,7 @@ func TestAblationTuner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, tab, "ablation_tuner_small.golden")
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}

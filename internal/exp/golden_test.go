@@ -12,11 +12,11 @@ import (
 
 // -update rewrites the golden files instead of comparing against them:
 //
-//	go test ./internal/exp -run 'Golden|EndToEndFigures|Optimality|Fig13Ablations' -update
+//	go test ./internal/exp -run 'Golden|EndToEndFigures|Optimality|Fig13Ablations|Fig3Fig4|AblationTuner' -update
 //
-// The Fig. 8, Fig. 13 and §5.4 optimality goldens are checked inside the
-// shape tests that already compute those tables, so pinning them costs
-// no extra simulation.
+// The Fig. 3, Fig. 4, Fig. 8, Fig. 13, §5.4 optimality and tuner-ablation
+// goldens are checked inside the shape tests that already compute those
+// tables, so pinning them costs no extra simulation.
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // checkGolden compares a rendered table with testdata/name, or rewrites

@@ -125,3 +125,52 @@ func TestFaultedRecordGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureFallbackTraceGolden pins the Chrome trace of a run whose
+// measurement channel fails often enough that tuning episodes exhaust
+// their retries and rerun on predictor-only curves. Every bo_iter span
+// of this run comes from such a fallback episode, so the trace pins the
+// probes measured before the failure. Regenerate with:
+//
+//	go test . -run MeasureFallbackTraceGolden -update
+func TestMeasureFallbackTraceGolden(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := small()
+	opts.Tasks = 6
+	opts.Faults = &FaultConfig{MeasureErrRate: 0.6, MeasureRetries: 1}
+	opts.Trace = true
+	res, err := sys.Simulate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := 0
+	for _, s := range res.Spans {
+		if s.Kind == SpanBOIter {
+			probes++
+		}
+	}
+	if probes == 0 {
+		t.Fatal("workload records no bo_iter spans")
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, res.Spans); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "measure_fallback_trace.golden")
+	if *updateTraceGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("%s differs (got %d bytes, want %d); regenerate with -update if the record taxonomy changed",
+			path, buf.Len(), len(want))
+	}
+}
