@@ -32,6 +32,27 @@ import (
 	"mudi/internal/xrand"
 )
 
+// New builds the comparison system named name: "gslice", "gpulets",
+// "muxflow", "random" or "optimal". Gpulets' profiling noise and
+// Random's placement draw from streams offset from the run's seed.
+// maxTrain caps co-located training tasks for Random and Optimal; the
+// other three place one task per GPU.
+func New(name string, oracle *perf.Oracle, seed uint64, maxTrain int) (core.Policy, error) {
+	switch name {
+	case "gslice":
+		return NewGSLICE(), nil
+	case "gpulets":
+		return NewGpulets(oracle, xrand.New(seed+7))
+	case "muxflow":
+		return NewMuxFlow(oracle), nil
+	case "random":
+		return NewRandom(xrand.New(seed+11), maxTrain), nil
+	case "optimal":
+		return NewOptimal(oracle, maxTrain), nil
+	}
+	return nil, fmt.Errorf("baselines: unknown policy %q", name)
+}
+
 // maxTrainPerGPU is the per-GPU training cap of GSLICE, gpulets and
 // MuxFlow: each places one task per GPU.
 const maxTrainPerGPU = 1

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"mudi/internal/baselines"
@@ -77,5 +78,38 @@ func TestObsRequiresLog(t *testing.T) {
 	opts.Log = span.NewRunLog(true, false, nil)
 	if _, err := New(opts); err != nil {
 		t.Fatalf("Obs with Log: %v", err)
+	}
+}
+
+// TestBOIterationsMatchRetuneSpans: Result.BOIterations is, in order,
+// the non-zero iteration counts the traced run's retune spans carry —
+// with and without faults, whose failed and fallback episodes count
+// nothing.
+func TestBOIterationsMatchRetuneSpans(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Options)
+	}{
+		{"healthy", func(*Options) {}},
+		{"faulted", burstFaultWorkload},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := shardRun(t, 7, 6, 8, func(o *Options) {
+				c.mutate(o)
+				o.Log = span.NewRunLog(false, true, nil)
+			})
+			var want []int
+			for _, sp := range res.Spans {
+				if sp.Kind == span.KindRetune && sp.Value != 0 {
+					want = append(want, int(sp.Value))
+				}
+			}
+			if len(want) == 0 {
+				t.Fatal("no retune span counts a BO iteration")
+			}
+			if got, want := fmt.Sprint(res.BOIterations), fmt.Sprint(want); got != want {
+				t.Fatalf("Result.BOIterations = %s, retune spans say %s", got, want)
+			}
+		})
 	}
 }

@@ -76,20 +76,10 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	// post the configure to the barrier — Configure walks the policy's
 	// shared learner state, which only the global phase may touch.
 	if relChange(svc.curQPS, qps) >= qpsChangeFrac {
-		svc.curQPS = qps
-		lane.Post(func(at float64) {
-			if !d.down {
-				_ = s.configure(at, d, "qps-change")
-			}
-		})
+		s.postRetune(lane, d, qps, "qps-change")
 	} else if d.hasPaused() && now-d.lastResumeTry >= resumeRetrySec {
 		d.lastResumeTry = now
-		svc.curQPS = qps
-		lane.Post(func(at float64) {
-			if !d.down {
-				_ = s.configure(at, d, "resume-probe")
-			}
-		})
+		s.postRetune(lane, d, qps, "resume-probe")
 	}
 	// Pause evictions requeue through the scheduler — barrier work. The
 	// message revalidates: an earlier message at the same barrier (a
@@ -137,12 +127,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 			// Monitor: "In cases where the Monitor detects that the
 			// SLO is at risk of being violated, it triggers adaptive
 			// batching or resource scaling accordingly" (§6).
-			svc.curQPS = qps
-			lane.Post(func(at float64) {
-				if !d.down {
-					_ = s.configure(at, d, "slo-risk")
-				}
-			})
+			s.postRetune(lane, d, qps, "slo-risk")
 		}
 		svc.latSum += lat
 	}
@@ -208,6 +193,19 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 		d.smUtil = 1
 	}
 	d.memFrac = min(d.pool.DeviceUsedMB(), d.pool.CapacityMB()) / d.pool.CapacityMB()
+}
+
+// postRetune is a Monitor trigger: it makes qps the service's current
+// rate inline and posts the retune to the barrier, where Configure may
+// touch the policy's shared learner state. A device that is down by
+// then skips it.
+func (s *Sim) postRetune(lane *shard.Lane, d *deviceState, qps float64, cause string) {
+	d.svc.curQPS = qps
+	lane.Post(func(at float64) {
+		if !d.down {
+			_ = s.configure(at, d, cause)
+		}
+	})
 }
 
 // fold is the engine's once-per-window read-back, installed only when

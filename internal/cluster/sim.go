@@ -210,8 +210,11 @@ type Result struct {
 	SwapFraction  map[string]float64 // per service on its device(s)
 	AvgTransferMs float64
 
-	// Overheads (Fig. 18b): wall-clock of placement decisions.
+	// Overheads (Fig. 18): wall-clock of placement decisions (18b) and
+	// the iteration count of every successful tuning episode that ran
+	// one (18a), in episode order.
 	PlacementOverheadMs []float64
+	BOIterations        []int
 	Reconfigs           int
 	PausedEpisodes      int
 
@@ -619,15 +622,9 @@ func New(opts Options) (*Sim, error) {
 func (s *Sim) Run() (*Result, error) {
 	// Initial per-device configuration and memory placement.
 	for _, d := range s.devices {
-		d.svc.curQPS = d.svc.qpsTrace.At(0)
-		if err := s.configure(0, d, "initial"); err != nil {
+		if err := s.deploy(0, d, "initial"); err != nil {
 			return nil, err
 		}
-		if err := d.pool.Alloc(0, "svc", memmgr.PriorityInference, d.svc.info.MemoryMB(d.svc.batch)); err != nil {
-			return nil, err
-		}
-		s.flushSwaps(d)
-		d.svc.deployed = true
 	}
 	// Faults and arrivals are control-plane events: they mutate the
 	// queue, the task set, and device residency, so they run with every
@@ -848,13 +845,6 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 	}
 }
 
-// evalHooker is implemented by policies (core.Mudi) that can report
-// every tuner objective evaluation — the tracing layer's per-probe
-// bo_iter feed.
-type evalHooker interface {
-	SetEvalHook(func(batch int, delta, trainIterMs float64, feasible bool))
-}
-
 // taskSig is the resident training-task signature used to annotate
 // control-plane spans: unfinished resident names joined with "+", in
 // residency order. Trace-path only (it allocates).
@@ -880,23 +870,19 @@ func taskSig(d *deviceState) string {
 // the old configuration may drop the returned error.
 func (s *Sim) configure(now float64, d *deviceState, cause string) error {
 	if s.rec != nil {
-		// One retune interval per tuning episode; every tuner objective
-		// evaluation during the episode becomes a bo_iter record (the
-		// hook fires synchronously inside Configure, and Configure
-		// calls are serialized, so clearing it afterwards is safe).
+		// One retune interval per tuning episode.
 		s.record(d, span.Record{Act: span.ActRetune, Time: now, Task: taskSig(d), Batch: d.svc.batch, Delta: d.svc.delta, Cause: cause})
-		if hooker, ok := s.opts.Policy.(evalHooker); ok {
-			hooker.SetEvalHook(func(batch int, delta, trainIterMs float64, feasible bool) {
-				r := span.Record{Act: span.ActBOIter, Time: now, End: now, Batch: batch, Delta: delta, Value: trainIterMs}
-				if !feasible {
-					r.Cause = "infeasible"
-				}
-				s.record(d, r)
-			})
-			defer hooker.SetEvalHook(nil)
-		}
 	}
 	dec, err := s.opts.Policy.Configure(d.view(), s.meas[d.dev.ID])
+	// Every probe the episode measured becomes a bo_iter record, failed
+	// episodes included.
+	for _, p := range dec.Probes {
+		r := span.Record{Act: span.ActBOIter, Time: now, End: now, Batch: p.Batch, Delta: p.Delta, Value: p.TrainIterMs}
+		if !p.Feasible {
+			r.Cause = "infeasible"
+		}
+		s.record(d, r)
+	}
 	if err == nil && dec.Feasible && dec.Delta > 1 {
 		// Eq. 4's share budget: the inference partition is at most the
 		// whole device.
@@ -915,6 +901,9 @@ func (s *Sim) configure(now float64, d *deviceState, cause string) error {
 	if err != nil {
 		s.res.ConfigureErrors++
 		return err
+	}
+	if dec.BOIterations > 0 {
+		s.res.BOIterations = append(s.res.BOIterations, dec.BOIterations)
 	}
 	s.apply(now, d, dec)
 	return nil
@@ -1158,17 +1147,28 @@ func (s *Sim) recoverDevice(now float64, d *deviceState) {
 	d.down = false
 	s.res.DeviceRecoveries++
 	s.record(d, span.Record{Act: span.ActRecovered, Time: now})
-	svc := d.svc
-	svc.curQPS = svc.qpsTrace.At(now)
-	// Same sequence as the initial deployment in Run: size the config
-	// first, then pin the instance's memory.
-	_ = s.configure(now, d, "recovery")
-	mb := svc.info.MemoryMB(svc.batch)
-	_ = d.pool.Alloc(now, "svc", memmgr.PriorityInference, mb)
-	s.flushSwaps(d)
-	svc.deployed = true
+	// A failed configure is counted in ConfigureErrors; the service
+	// then redeploys at its old configuration.
+	_ = s.deploy(now, d, "recovery")
 	// Evicted (and head-of-line blocked) tasks may now fit again.
 	s.trySchedule(now)
+}
+
+// deploy launches d's inference instance at now: it sizes the
+// configuration at the current QPS, then pins the instance's memory —
+// also when the configure fails, so the service serves at its old
+// configuration. It returns the configure error, else the pin's.
+func (s *Sim) deploy(now float64, d *deviceState, cause string) error {
+	svc := d.svc
+	svc.curQPS = svc.qpsTrace.At(now)
+	cerr := s.configure(now, d, cause)
+	aerr := d.pool.Alloc(now, "svc", memmgr.PriorityInference, svc.info.MemoryMB(svc.batch))
+	s.flushSwaps(d)
+	svc.deployed = true
+	if cerr != nil {
+		return cerr
+	}
+	return aerr
 }
 
 // measureFault consults the injector before a TrainIterMs observation.

@@ -11,12 +11,13 @@ import (
 )
 
 // Summary renders the deterministic portion of a Result as a canonical
-// string: every simulated metric, byte-identical for identical
-// simulations. It deliberately excludes PlacementOverheadMs — the one
-// wall-clock (non-simulated) field — and iterates maps in sorted key
-// order, so two runs of the same seed compare equal regardless of
-// worker count, scheduling, or host speed. The determinism regression
-// test diffs these strings across -parallel settings.
+// string, byte-identical for identical simulations. It leaves out the
+// two Fig. 18 inputs: PlacementOverheadMs, the one wall-clock
+// (non-simulated) field, and BOIterations, whose counts the retune
+// spans also carry. It iterates maps in sorted key order, so two runs
+// of the same seed compare equal regardless of worker count,
+// scheduling, or host speed. The determinism regression test diffs
+// these strings across -parallel settings.
 func (r *Result) Summary() string {
 	var b strings.Builder
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -51,12 +51,6 @@ type Mudi struct {
 	// colocs counts the co-locations ObserveColocation learned, and
 	// dropped those it gave up on at a measurement or update error.
 	colocs, dropped int
-	// Overhead bookkeeping for Fig. 18.
-	boIters []int
-	// evalHook, when set via SetEvalHook, is forwarded to every tuning
-	// episode as tuner.Request.OnEval — the tracing layer's per-probe
-	// bo_iter feed. Purely observational.
-	evalHook func(batch int, delta, trainIterMs float64, feasible bool)
 }
 
 // NewMudi builds the policy around a trained Interference Predictor
@@ -131,19 +125,6 @@ type LearnerStats struct {
 // LearnerStats returns a snapshot of the online learner's record.
 func (m *Mudi) LearnerStats() LearnerStats {
 	return LearnerStats{Stats: m.pred.Stats(), Colocations: m.colocs, Dropped: m.dropped}
-}
-
-// BOIterations returns the per-episode GP-LCB iteration counts
-// collected so far (Fig. 18a).
-func (m *Mudi) BOIterations() []int { return append([]int(nil), m.boIters...) }
-
-// SetEvalHook installs (or, with nil, removes) an observer invoked on
-// every tuner objective evaluation the next Configure calls perform —
-// see tuner.Request.OnEval. The caller that serializes Configure calls
-// (the cluster simulator's barrier) is responsible for setting
-// and clearing it around episodes; the hook must not mutate state.
-func (m *Mudi) SetEvalHook(fn func(batch int, delta, trainIterMs float64, feasible bool)) {
-	m.evalHook = fn
 }
 
 // colocArch is the cumulative Ψ of resident tasks plus the candidate
@@ -310,7 +291,6 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 		Curves:      curves,
 		Measure:     meas,
 		HasTraining: len(view.ResidentTasks) > 0,
-		OnEval:      m.evalHook,
 	}
 	dec, err := m.tun.Tune(req)
 	if err != nil && req.Measure != nil && errors.Is(err, faults.ErrMeasurement) {
@@ -318,15 +298,15 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 		// retries are exhausted: rerun the episode on predictor-only
 		// curves rather than dropping the reconfiguration. The device
 		// keeps a (possibly slightly stale) valid config instead of
-		// none.
+		// none. The rerun measures nothing, so the episode's probes are
+		// the first run's.
+		probes := dec.Probes
 		req.Measure = nil
 		dec, err = m.tun.Tune(req)
+		dec.Probes = probes
 	}
 	if err != nil {
-		return Decision{}, err
-	}
-	if dec.BOIterations > 0 {
-		m.boIters = append(m.boIters, dec.BOIterations)
+		return Decision{Probes: dec.Probes}, err
 	}
 	// Validation rounds: the predicted curve can be optimistic for a
 	// co-location the predictor has not fully learned. Verify the
@@ -349,7 +329,7 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 			if grown > tuner.MaxDelta(true) && len(view.ResidentTasks) > 0 {
 				// Cannot grow further while training holds its floor:
 				// declare infeasibility so the caller pauses training.
-				dec = Decision{Feasible: false, Batch: dec.Batch, BOIterations: dec.BOIterations}
+				dec = Decision{Feasible: false, Batch: dec.Batch, BOIterations: dec.BOIterations, Probes: dec.Probes}
 				break
 			}
 			if grown > 1 {

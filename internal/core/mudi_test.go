@@ -179,17 +179,17 @@ func TestBOIterationsTracked(t *testing.T) {
 	task, _ := model.TaskByName("NCF")
 	view := viewFor("Inception", task)
 	meas := &oracleMeasurer{oracle: oracle, view: view, rng: xrand.New(77)}
-	if _, err := m.Configure(view, meas); err != nil {
+	dec, err := m.Configure(view, meas)
+	if err != nil {
 		t.Fatal(err)
 	}
-	iters := m.BOIterations()
-	if len(iters) == 0 {
-		t.Fatal("no BO iterations recorded")
+	if dec.BOIterations < 1 || dec.BOIterations > 25 {
+		t.Fatalf("BO iterations %d outside [1,25]", dec.BOIterations)
 	}
-	for _, it := range iters {
-		if it < 1 || it > 25 {
-			t.Fatalf("BO iterations %d outside [1,25]", it)
-		}
+	// Without faults every probe's measurement succeeds, so each BO
+	// iteration is one probe.
+	if len(dec.Probes) != dec.BOIterations {
+		t.Fatalf("%d probes for %d BO iterations", len(dec.Probes), dec.BOIterations)
 	}
 }
 

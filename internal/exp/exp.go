@@ -124,18 +124,15 @@ func (c Config) sizes() (int, int, float64, float64) {
 	}
 }
 
-// Suite caches the shared state (oracle, trained Mudi, arrival trace,
-// per-policy end-to-end results) that several figures derive from.
+// Suite caches the shared state (oracle, arrival trace, per-policy
+// end-to-end results) that several figures derive from.
 //
 // The Oracle and Arrivals are read-only after construction and safe to
-// share across concurrent cells. Mudi is mutable (it accumulates
-// observed co-locations and BO iteration counts) and is only ever used
-// by one cell at a time — figures that sweep configurations build a
-// fresh instance per cell instead.
+// share across concurrent cells. Policies are never shared: every cell,
+// the cached end-to-end runs included, builds its own.
 type Suite struct {
 	Config   Config
 	Oracle   *perf.Oracle
-	Mudi     *core.Mudi
 	Arrivals []trace.TaskArrival
 
 	pool *runner.Pool
@@ -144,13 +141,8 @@ type Suite struct {
 	results map[string]*cluster.Result
 }
 
-// NewSuite trains the offline pipeline and prepares the shared trace.
+// NewSuite prepares the shared oracle and trace.
 func NewSuite(cfg Config) (*Suite, error) {
-	oracle := perf.NewOracle(cfg.Seed)
-	mudi, err := BuildMudi(oracle, cfg.Seed, 1)
-	if err != nil {
-		return nil, err
-	}
 	_, tasks, gap, iterScale := cfg.sizes()
 	arrivals, err := trace.PhillyTrace(trace.PhillyConfig{
 		Count:      tasks,
@@ -163,8 +155,7 @@ func NewSuite(cfg Config) (*Suite, error) {
 	}
 	return &Suite{
 		Config:   cfg,
-		Oracle:   oracle,
-		Mudi:     mudi,
+		Oracle:   perf.NewOracle(cfg.Seed),
 		Arrivals: arrivals,
 		pool:     runner.New(cfg.Parallel),
 		results:  make(map[string]*cluster.Result),
@@ -205,36 +196,16 @@ func BuildMudiWithTuner(oracle *perf.Oracle, seed uint64, maxTrain int, tcfg tun
 var policyOrder = []string{"mudi", "gslice", "gpulets", "muxflow", "optimal"}
 
 // freshPolicy builds a new, independently-owned policy instance. Every
-// experiment cell that runs concurrently gets its own instance so that
-// mutable policy state (Mudi's observed co-locations and BO counters,
-// Gpulets' solo curves) is never shared across workers. Construction is
-// a pure function of (oracle, seed), so fresh instances are identical
-// no matter when or on which worker they are built.
+// experiment cell gets its own instance so that mutable policy state
+// (Mudi's observed co-locations, Gpulets' solo curves) is never shared
+// across workers. Construction is a pure function of (oracle, seed), so
+// fresh instances are identical no matter when or on which worker they
+// are built.
 func (s *Suite) freshPolicy(name string) (core.Policy, error) {
-	switch name {
-	case "mudi":
-		return BuildMudi(s.Oracle, s.Config.Seed, 1)
-	case "gslice":
-		return baselines.NewGSLICE(), nil
-	case "gpulets":
-		return baselines.NewGpulets(s.Oracle, xrand.New(s.Config.Seed+7))
-	case "muxflow":
-		return baselines.NewMuxFlow(s.Oracle), nil
-	case "optimal":
-		return baselines.NewOptimal(s.Oracle, 1), nil
-	}
-	return nil, fmt.Errorf("exp: unknown policy %q", name)
-}
-
-// policyFor resolves the policy used for the cached end-to-end run of
-// name. The "mudi" run uses the suite's shared trained instance — its
-// accumulated state (BO iteration counts) feeds Fig. 18 — while the
-// baselines are constructed fresh, as before.
-func (s *Suite) policyFor(name string) (core.Policy, error) {
 	if name == "mudi" {
-		return s.Mudi, nil
+		return BuildMudi(s.Oracle, s.Config.Seed, 1)
 	}
-	return s.freshPolicy(name)
+	return baselines.New(name, s.Oracle, s.Config.Seed, 1)
 }
 
 // runPolicy executes one end-to-end simulation against the shared
@@ -259,7 +230,7 @@ func (s *Suite) Run(name string) (*cluster.Result, error) {
 	if ok {
 		return res, nil
 	}
-	policy, err := s.policyFor(name)
+	policy, err := s.freshPolicy(name)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +262,7 @@ func (s *Suite) RunAll() (map[string]*cluster.Result, error) {
 	for i, name := range todo {
 		name := name
 		cells[i] = runner.Cell[*cluster.Result]{Key: name, Run: func() (*cluster.Result, error) {
-			policy, err := s.policyFor(name)
+			policy, err := s.freshPolicy(name)
 			if err != nil {
 				return nil, err
 			}

@@ -37,8 +37,8 @@ func AblationTuner(cfg Config) (*report.Table, error) {
 		{"fixed batch 64", tuner.BatchFixed},
 		{"exhaustive search", tuner.BatchExhaustive},
 	}
-	// Each strategy arm owns its Mudi (whose BO iteration counters the
-	// row reads back), so the three arms fan across the pool.
+	// Each strategy arm owns its Mudi, so the three arms fan across the
+	// pool.
 	type armResult struct {
 		res       *cluster.Result
 		meanEvals float64
@@ -58,14 +58,13 @@ func AblationTuner(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return armResult{}, err
 			}
-			iters := mudi.BOIterations()
 			var evalSum float64
-			for _, v := range iters {
+			for _, v := range res.BOIterations {
 				evalSum += float64(v)
 			}
 			meanEvals := 0.0
-			if len(iters) > 0 {
-				meanEvals = evalSum / float64(len(iters))
+			if len(res.BOIterations) > 0 {
+				meanEvals = evalSum / float64(len(res.BOIterations))
 			}
 			return armResult{res: res, meanEvals: meanEvals}, nil
 		}}

@@ -66,10 +66,42 @@ type victimBreakdown struct {
 
 // Fig3 reproduces the inference-with-inference interference breakdown:
 // mean E2E factor per co-located service and the per-phase factors for
-// GPT2 and ResNet50. The two victims are independent cells — the oracle
-// True*/factor calls are noiseless and read-only.
+// GPT2 and ResNet50.
 func Fig3(cfg Config) (*report.Table, error) {
+	var services []string
+	for _, svc := range model.Services() {
+		services = append(services, svc.Name)
+	}
+	return interference(cfg, perf.ColocInference, services, []int{16, 32, 64, 128, 256}, "fig3",
+		"Fig. 3: interference of GPT2/ResNet50 co-located with other inference services", "GPT2 3.19x, ResNet50 2.40x")
+}
+
+// Fig4 reproduces the inference-with-training interference breakdown
+// over every catalog training task.
+func Fig4(cfg Config) (*report.Table, error) {
+	var tasks []string
+	for _, task := range model.Tasks() {
+		tasks = append(tasks, task.Name)
+	}
+	return interference(cfg, perf.ColocTraining, tasks, model.BatchSizes(), "fig4",
+		"Fig. 4: interference of GPT2/ResNet50 co-located with training tasks", "GPT2 1.67x, ResNet50 1.21x")
+}
+
+// interference is the Fig. 3/4 runner: for GPT2 and ResNet50, the mean
+// E2E factor next to each neighbour (a service for ColocInference, a
+// training task for ColocTraining) over the batch set, with its
+// per-phase factors. The two victims are independent cells — the
+// oracle's factor calls are noiseless and read-only. paper quotes the
+// paper's mean factors in each victim's note.
+func interference(cfg Config, kind perf.ColocKind, neighbours []string, batches []int, id, title, paper string) (*report.Table, error) {
 	oracle := perf.NewOracle(cfg.Seed)
+	factor := func(victim, other string, b int) (float64, error) {
+		if kind == perf.ColocInference {
+			return oracle.InfColocFactor(victim, other, b)
+		}
+		task, _ := model.TaskByName(other)
+		return oracle.TrainColocFactor(victim, b, []model.TrainingTask{task})
+	}
 	victims := []string{"GPT2", "ResNet50"}
 	cells := make([]runner.Cell[victimBreakdown], len(victims))
 	for i, victim := range victims {
@@ -78,100 +110,41 @@ func Fig3(cfg Config) (*report.Table, error) {
 			var out victimBreakdown
 			var sum float64
 			var n int
-			for _, other := range model.Services() {
-				if other.Name == victim {
+			for _, other := range neighbours {
+				if other == victim {
 					continue
 				}
 				var mean float64
-				var cnt int
-				for _, b := range []int{16, 32, 64, 128, 256} {
-					f, err := oracle.InfColocFactor(victim, other.Name, b)
+				for _, b := range batches {
+					f, err := factor(victim, other, b)
 					if err != nil {
 						return out, err
 					}
 					mean += f
-					cnt++
 				}
-				mean /= float64(cnt)
-				_, phases, err := oracle.PhaseBreakdown(victim, perf.ColocInference, mean)
+				mean /= float64(len(batches))
+				_, phases, err := oracle.PhaseBreakdown(victim, kind, mean)
 				if err != nil {
 					return out, err
 				}
-				out.rows = append(out.rows, []any{victim, other.Name, report.Ratio(mean), report.Ratio(phases[0]), report.Ratio(phases[1]), report.Ratio(phases[2])})
+				out.rows = append(out.rows, []any{victim, other, report.Ratio(mean), report.Ratio(phases[0]), report.Ratio(phases[1]), report.Ratio(phases[2])})
 				sum += mean
 				n++
 			}
-			cpu, mem, sm, err := oracle.ResourceUtil(victim, perf.ColocInference)
+			cpu, mem, sm, err := oracle.ResourceUtil(victim, kind)
 			if err != nil {
 				return out, err
 			}
-			out.note = fmt.Sprintf("%s mean E2E %s (paper: GPT2 3.19x, ResNet50 2.40x); host CPU %.1f%%, host mem %.1f%%, SM %.1f%%",
-				victim, report.Ratio(sum/float64(n)), cpu, mem, sm)
+			out.note = fmt.Sprintf("%s mean E2E %s (paper: %s); host CPU %.1f%%, host mem %.1f%%, SM %.1f%%",
+				victim, report.Ratio(sum/float64(n)), paper, cpu, mem, sm)
 			return out, nil
 		}}
 	}
 	breakdowns, err := runCells(cfg, runner.New(cfg.Parallel), cells)
 	if err != nil {
-		return nil, fmt.Errorf("exp: fig3: %w", err)
+		return nil, fmt.Errorf("exp: %s: %w", id, err)
 	}
-	t := report.NewTable("Fig. 3: interference of GPT2/ResNet50 co-located with other inference services",
-		"victim", "coloc", "E2E", "preproc", "transfer", "compute")
-	for _, b := range breakdowns {
-		for _, row := range b.rows {
-			t.AddRow(row...)
-		}
-		t.AddNote("%s", b.note)
-	}
-	return t, nil
-}
-
-// Fig4 reproduces the inference-with-training interference breakdown,
-// with the same per-victim cell structure as Fig3.
-func Fig4(cfg Config) (*report.Table, error) {
-	oracle := perf.NewOracle(cfg.Seed)
-	victims := []string{"GPT2", "ResNet50"}
-	cells := make([]runner.Cell[victimBreakdown], len(victims))
-	for i, victim := range victims {
-		victim := victim
-		cells[i] = runner.Cell[victimBreakdown]{Key: victim, Run: func() (victimBreakdown, error) {
-			var out victimBreakdown
-			var sum float64
-			var n int
-			for _, task := range model.Tasks() {
-				var mean float64
-				var cnt int
-				for _, b := range model.BatchSizes() {
-					f, err := oracle.TrainColocFactor(victim, b, []model.TrainingTask{task})
-					if err != nil {
-						return out, err
-					}
-					mean += f
-					cnt++
-				}
-				mean /= float64(cnt)
-				_, phases, err := oracle.PhaseBreakdown(victim, perf.ColocTraining, mean)
-				if err != nil {
-					return out, err
-				}
-				out.rows = append(out.rows, []any{victim, task.Name, report.Ratio(mean), report.Ratio(phases[0]), report.Ratio(phases[1]), report.Ratio(phases[2])})
-				sum += mean
-				n++
-			}
-			cpu, mem, sm, err := oracle.ResourceUtil(victim, perf.ColocTraining)
-			if err != nil {
-				return out, err
-			}
-			out.note = fmt.Sprintf("%s mean E2E %s (paper: GPT2 1.67x, ResNet50 1.21x); host CPU %.1f%%, host mem %.1f%%, SM %.1f%%",
-				victim, report.Ratio(sum/float64(n)), cpu, mem, sm)
-			return out, nil
-		}}
-	}
-	breakdowns, err := runCells(cfg, runner.New(cfg.Parallel), cells)
-	if err != nil {
-		return nil, fmt.Errorf("exp: fig4: %w", err)
-	}
-	t := report.NewTable("Fig. 4: interference of GPT2/ResNet50 co-located with training tasks",
-		"victim", "coloc", "E2E", "preproc", "transfer", "compute")
+	t := report.NewTable(title, "victim", "coloc", "E2E", "preproc", "transfer", "compute")
 	for _, b := range breakdowns {
 		for _, row := range b.rows {
 			t.AddRow(row...)

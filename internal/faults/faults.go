@@ -50,13 +50,9 @@ type Config struct {
 	// Measurer.TrainIterMs observation errors transiently.
 	MeasureErrRate float64
 	// MeasureRetries is the capped-exponential-backoff retry budget for
-	// erroring measurements; default 3 when MeasureErrRate > 0.
+	// erroring measurements (see BackoffMs); default 3 when
+	// MeasureErrRate > 0.
 	MeasureRetries int
-	// MeasureBackoffMs is the base backoff before the first retry,
-	// doubling per attempt; default 50 ms.
-	MeasureBackoffMs float64
-	// MeasureBackoffCapMs caps the exponential backoff; default 1000 ms.
-	MeasureBackoffCapMs float64
 
 	// SpinUpFailRate is the probability in [0, 1) that a shadow
 	// instance fails to spin up during a GPU% reconfiguration, leaving
@@ -96,9 +92,6 @@ func (c Config) Validate() error {
 	if c.MeasureRetries < 0 {
 		return fmt.Errorf("faults: MeasureRetries %d must be >= 0", c.MeasureRetries)
 	}
-	if c.MeasureBackoffMs < 0 || c.MeasureBackoffCapMs < 0 {
-		return fmt.Errorf("faults: measurement backoff must be >= 0")
-	}
 	if c.SpinUpFailRate < 0 || c.SpinUpFailRate >= 1 {
 		return fmt.Errorf("faults: SpinUpFailRate %v must be in [0, 1)", c.SpinUpFailRate)
 	}
@@ -116,16 +109,8 @@ func (c Config) withDefaults() Config {
 	if c.DeviceMTBFSec > 0 && c.DeviceMTTRSec <= 0 {
 		c.DeviceMTTRSec = 60
 	}
-	if c.MeasureErrRate > 0 {
-		if c.MeasureRetries <= 0 {
-			c.MeasureRetries = 3
-		}
-		if c.MeasureBackoffMs <= 0 {
-			c.MeasureBackoffMs = 50
-		}
-		if c.MeasureBackoffCapMs <= 0 {
-			c.MeasureBackoffCapMs = 1000
-		}
+	if c.MeasureErrRate > 0 && c.MeasureRetries <= 0 {
+		c.MeasureRetries = 3
 	}
 	if c.PCIeDegradeFactor > 1 {
 		if c.PCIeMTBFSec <= 0 {
@@ -195,21 +180,25 @@ func (inj *Injector) Retries() int {
 	return inj.cfg.MeasureRetries
 }
 
+// The measurement retry backoff: backoffBaseMs before the first
+// retry, doubling per attempt up to backoffCapMs.
+const (
+	backoffBaseMs = 50
+	backoffCapMs  = 1000
+)
+
 // BackoffMs returns the capped exponential backoff before retry
 // `attempt` (1-based).
 func (inj *Injector) BackoffMs(attempt int) float64 {
 	if inj == nil {
 		return 0
 	}
-	b := inj.cfg.MeasureBackoffMs
+	b := float64(backoffBaseMs)
 	for i := 1; i < attempt; i++ {
 		b *= 2
-		if b >= inj.cfg.MeasureBackoffCapMs {
-			return inj.cfg.MeasureBackoffCapMs
+		if b >= backoffCapMs {
+			return backoffCapMs
 		}
-	}
-	if b > inj.cfg.MeasureBackoffCapMs {
-		b = inj.cfg.MeasureBackoffCapMs
 	}
 	return b
 }

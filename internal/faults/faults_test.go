@@ -28,7 +28,6 @@ func TestValidateRejectsBadRanges(t *testing.T) {
 		{MeasureErrRate: -0.1},
 		{MeasureErrRate: 1},
 		{MeasureErrRate: 0.1, MeasureRetries: -1},
-		{MeasureErrRate: 0.1, MeasureBackoffMs: -5},
 		{SpinUpFailRate: 1.5},
 		{PCIeDegradeFactor: 0.5},
 		{PCIeDegradeFactor: 4, PCIeMTBFSec: -1},

@@ -275,12 +275,6 @@ type Series struct {
 	tiers []tier
 }
 
-// Kind returns the series' kind.
-func (sr *Series) Kind() Kind { return sr.kind }
-
-// Scope returns the series' scope.
-func (sr *Series) Scope() string { return sr.scope }
-
 // Add records one sample. Sample times must be non-decreasing per
 // series (the simulated clock guarantees it); Add is safe against
 // concurrent readers of the owning store.

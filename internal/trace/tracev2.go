@@ -129,9 +129,21 @@ func normMIG(n int) int {
 func (h Header) schedulable() int { return h.Devices * normMIG(h.MIGSlices) }
 
 // Validate checks a Trace's semantic invariants — the same checks
-// Decode applies line by line, for traces built programmatically
-// (Recorder, scenario generators). Violations unwrap to *FormatError.
-func (tr *Trace) Validate() error {
+// Decode applies, for traces built programmatically (Recorder, scenario
+// generators). Violations unwrap to *FormatError.
+func (tr *Trace) Validate() error { return tr.validate(nil, nil) }
+
+// validate checks the header and every body record. qpsLines and
+// taskLines, when non-nil, give the NDJSON line of each QPS sample and
+// task record, which a record error then carries; header errors carry
+// line 0.
+func (tr *Trace) validate(qpsLines, taskLines []int) error {
+	at := func(lines []int, i int) int {
+		if lines == nil {
+			return 0
+		}
+		return lines[i]
+	}
 	h := tr.Header
 	if h.Version != SchemaVersion {
 		return &FormatError{Field: "version", Reason: fmt.Sprintf("unsupported schema version %d (this reader supports %d)", h.Version, SchemaVersion)}
@@ -173,41 +185,47 @@ func (tr *Trace) Validate() error {
 	}
 	lastT := make(map[string]float64, len(h.Streams))
 	has := make(map[string]bool, len(h.Streams))
-	for _, q := range tr.QPS {
+	for i, q := range tr.QPS {
+		bad := func(field, reason string, args ...any) error {
+			return &FormatError{Line: at(qpsLines, i), Field: field, Reason: fmt.Sprintf(reason, args...)}
+		}
 		if !seen[q.Stream] {
-			return &FormatError{Field: "qps.stream", Reason: fmt.Sprintf("sample references undeclared stream %q", q.Stream)}
+			return bad("qps.stream", "sample references undeclared stream %q", q.Stream)
 		}
 		if q.T < 0 || !isFinite(q.T) {
-			return &FormatError{Field: "qps.t", Reason: fmt.Sprintf("timestamp must be finite and >= 0, got %v", q.T)}
+			return bad("qps.t", "timestamp must be finite and >= 0, got %v", q.T)
 		}
 		if q.QPS < 0 || !isFinite(q.QPS) {
-			return &FormatError{Field: "qps.qps", Reason: fmt.Sprintf("rate must be finite and >= 0, got %v", q.QPS)}
+			return bad("qps.qps", "rate must be finite and >= 0, got %v", q.QPS)
 		}
 		if has[q.Stream] && q.T <= lastT[q.Stream] {
-			return &FormatError{Field: "qps.t", Reason: fmt.Sprintf("out-of-order timestamp %v on stream %q (previous %v)", q.T, q.Stream, lastT[q.Stream])}
+			return bad("qps.t", "out-of-order timestamp %v on stream %q (previous %v)", q.T, q.Stream, lastT[q.Stream])
 		}
 		has[q.Stream] = true
 		lastT[q.Stream] = q.T
 	}
 	prevT, prevID := math.Inf(-1), -1
 	for i, rec := range tr.Tasks {
-		if rec.T < 0 || !isFinite(rec.T) {
-			return &FormatError{Field: "task.t", Reason: fmt.Sprintf("timestamp must be finite and >= 0, got %v", rec.T)}
+		bad := func(field, reason string, args ...any) error {
+			return &FormatError{Line: at(taskLines, i), Field: field, Reason: fmt.Sprintf(reason, args...)}
 		}
-		if i > 0 && rec.T < prevT {
-			return &FormatError{Field: "task.t", Reason: fmt.Sprintf("out-of-order timestamp %v (previous %v)", rec.T, prevT)}
+		if rec.T < 0 || !isFinite(rec.T) {
+			return bad("task.t", "timestamp must be finite and >= 0, got %v", rec.T)
+		}
+		if rec.T < prevT {
+			return bad("task.t", "out-of-order timestamp %v (previous %v)", rec.T, prevT)
 		}
 		if rec.ID <= prevID {
-			return &FormatError{Field: "task.id", Reason: fmt.Sprintf("ids must be strictly increasing, got %d after %d", rec.ID, prevID)}
+			return bad("task.id", "ids must be strictly increasing, got %d after %d", rec.ID, prevID)
 		}
 		if rec.Task == "" {
-			return &FormatError{Field: "task.task", Reason: "task name must be non-empty"}
+			return bad("task.task", "task name must be non-empty")
 		}
 		if rec.Iters < 1 {
-			return &FormatError{Field: "task.iters", Reason: fmt.Sprintf("must be >= 1, got %d", rec.Iters)}
+			return bad("task.iters", "must be >= 1, got %d", rec.Iters)
 		}
 		if rec.GPUs < 1 {
-			return &FormatError{Field: "task.gpus", Reason: fmt.Sprintf("must be >= 1, got %d", rec.GPUs)}
+			return bad("task.gpus", "must be >= 1, got %d", rec.GPUs)
 		}
 		prevT, prevID = rec.T, rec.ID
 	}
@@ -362,19 +380,17 @@ func writeLine(w *bufio.Writer, v any) error {
 	return w.WriteByte('\n')
 }
 
-// Decode reads a trace-v2 NDJSON document. It rejects unknown schema
-// versions, undeclared streams, and out-of-order timestamps with
-// *FormatError values carrying the offending line.
+// Decode reads a trace-v2 NDJSON document and validates it like
+// Validate. It rejects unknown schema versions, undeclared streams, and
+// out-of-order timestamps with *FormatError values; an error in a body
+// record carries the record's line.
 func Decode(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	tr := &Trace{}
 	line := 0
 	sawHeader := false
-	lastT := make(map[string]float64)
-	hasT := make(map[string]bool)
-	streams := make(map[string]bool)
-	prevTaskT, prevTaskID := math.Inf(-1), -1
+	var qpsLines, taskLines []int
 	for sc.Scan() {
 		line++
 		text := sc.Bytes()
@@ -400,9 +416,6 @@ func Decode(r io.Reader) (*Trace, error) {
 			}
 			h.Record = "" // canonical in-memory form carries no record tag
 			tr.Header = h
-			for _, st := range h.Streams {
-				streams[st.ID] = true
-			}
 			sawHeader = true
 			continue
 		}
@@ -414,48 +427,17 @@ func Decode(r io.Reader) (*Trace, error) {
 			if err := json.Unmarshal(text, &q); err != nil {
 				return nil, &FormatError{Line: line, Field: "qps", Reason: err.Error()}
 			}
-			if !streams[q.Stream] {
-				return nil, &FormatError{Line: line, Field: "qps.stream", Reason: fmt.Sprintf("sample references undeclared stream %q", q.Stream)}
-			}
-			if q.T < 0 || !isFinite(q.T) {
-				return nil, &FormatError{Line: line, Field: "qps.t", Reason: fmt.Sprintf("timestamp must be finite and >= 0, got %v", q.T)}
-			}
-			if q.QPS < 0 || !isFinite(q.QPS) {
-				return nil, &FormatError{Line: line, Field: "qps.qps", Reason: fmt.Sprintf("rate must be finite and >= 0, got %v", q.QPS)}
-			}
-			if hasT[q.Stream] && q.T <= lastT[q.Stream] {
-				return nil, &FormatError{Line: line, Field: "qps.t", Reason: fmt.Sprintf("out-of-order timestamp %v on stream %q (previous %v)", q.T, q.Stream, lastT[q.Stream])}
-			}
-			hasT[q.Stream] = true
-			lastT[q.Stream] = q.T
 			q.Record = ""
 			tr.QPS = append(tr.QPS, q)
+			qpsLines = append(qpsLines, line)
 		case "task":
 			var rec TaskRec
 			if err := json.Unmarshal(text, &rec); err != nil {
 				return nil, &FormatError{Line: line, Field: "task", Reason: err.Error()}
 			}
-			if rec.T < 0 || !isFinite(rec.T) {
-				return nil, &FormatError{Line: line, Field: "task.t", Reason: fmt.Sprintf("timestamp must be finite and >= 0, got %v", rec.T)}
-			}
-			if rec.T < prevTaskT {
-				return nil, &FormatError{Line: line, Field: "task.t", Reason: fmt.Sprintf("out-of-order timestamp %v (previous %v)", rec.T, prevTaskT)}
-			}
-			if rec.ID <= prevTaskID {
-				return nil, &FormatError{Line: line, Field: "task.id", Reason: fmt.Sprintf("ids must be strictly increasing, got %d after %d", rec.ID, prevTaskID)}
-			}
-			if rec.Task == "" {
-				return nil, &FormatError{Line: line, Field: "task.task", Reason: "task name must be non-empty"}
-			}
-			if rec.Iters < 1 {
-				return nil, &FormatError{Line: line, Field: "task.iters", Reason: fmt.Sprintf("must be >= 1, got %d", rec.Iters)}
-			}
-			if rec.GPUs < 1 {
-				return nil, &FormatError{Line: line, Field: "task.gpus", Reason: fmt.Sprintf("must be >= 1, got %d", rec.GPUs)}
-			}
-			prevTaskT, prevTaskID = rec.T, rec.ID
 			rec.Record = ""
 			tr.Tasks = append(tr.Tasks, rec)
+			taskLines = append(taskLines, line)
 		default:
 			return nil, &FormatError{Line: line, Field: "record", Reason: fmt.Sprintf("unknown record kind %q", probe.Record)}
 		}
@@ -466,7 +448,7 @@ func Decode(r io.Reader) (*Trace, error) {
 	if !sawHeader {
 		return nil, &FormatError{Line: 1, Field: "header", Reason: "empty document: a trace-v2 file starts with a header line"}
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(qpsLines, taskLines); err != nil {
 		return nil, err
 	}
 	return tr, nil

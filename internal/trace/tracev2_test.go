@@ -101,35 +101,43 @@ func TestDecodeRejections(t *testing.T) {
 	canonical := string(encode(t, validTrace()))
 	lines := strings.Split(strings.TrimSpace(canonical), "\n")
 	header := lines[0]
+	// line is the FormatError.Line each case must report: the offending
+	// record's line for record errors, 0 for errors in the header's
+	// semantics.
 	cases := []struct {
 		name  string
 		doc   string
 		field string
+		line  int
 	}{
-		{"empty", "", "header"},
-		{"no-header-first", lines[1] + "\n", "record"},
-		{"unknown-version", strings.Replace(header, `"version":2`, `"version":3`, 1) + "\n", "version"},
-		{"unknown-record-kind", header + "\n" + `{"record":"qqs","stream":"gpu0000","t":0,"qps":1}` + "\n", "record"},
-		{"duplicate-header", header + "\n" + header + "\n", "record"},
-		{"undeclared-stream", header + "\n" + `{"record":"qps","stream":"gpu9999","t":0,"qps":1}` + "\n", "qps.stream"},
+		{"empty", "", "header", 1},
+		{"no-header-first", lines[1] + "\n", "record", 1},
+		{"unknown-version", strings.Replace(header, `"version":2`, `"version":3`, 1) + "\n", "version", 1},
+		{"bad-timebase", strings.Replace(header, `"time_base":"seconds"`, `"time_base":"millis"`, 1) + "\n", "time_base", 0},
+		{"unknown-record-kind", header + "\n" + `{"record":"qqs","stream":"gpu0000","t":0,"qps":1}` + "\n", "record", 2},
+		{"duplicate-header", header + "\n" + header + "\n", "record", 2},
+		{"undeclared-stream", header + "\n" + `{"record":"qps","stream":"gpu9999","t":0,"qps":1}` + "\n", "qps.stream", 2},
 		{"out-of-order-qps", header + "\n" +
 			`{"record":"qps","stream":"gpu0000","t":10,"qps":1}` + "\n" +
-			`{"record":"qps","stream":"gpu0000","t":5,"qps":2}` + "\n", "qps.t"},
+			`{"record":"qps","stream":"gpu0000","t":5,"qps":2}` + "\n", "qps.t", 3},
 		{"duplicate-qps-t", header + "\n" +
 			`{"record":"qps","stream":"gpu0000","t":10,"qps":1}` + "\n" +
-			`{"record":"qps","stream":"gpu0000","t":10,"qps":2}` + "\n", "qps.t"},
-		{"negative-qps-t", header + "\n" + `{"record":"qps","stream":"gpu0000","t":-1,"qps":1}` + "\n", "qps.t"},
-		{"negative-qps", header + "\n" + `{"record":"qps","stream":"gpu0000","t":0,"qps":-5}` + "\n", "qps.qps"},
+			`{"record":"qps","stream":"gpu0000","t":10,"qps":2}` + "\n", "qps.t", 3},
+		{"negative-qps-t", header + "\n" + `{"record":"qps","stream":"gpu0000","t":-1,"qps":1}` + "\n", "qps.t", 2},
+		{"negative-qps", header + "\n" + `{"record":"qps","stream":"gpu0000","t":0,"qps":-5}` + "\n", "qps.qps", 2},
 		{"out-of-order-task", header + "\n" +
 			`{"record":"task","id":0,"t":10,"task":"VGG16","iters":1,"gpus":1}` + "\n" +
-			`{"record":"task","id":1,"t":4,"task":"VGG16","iters":1,"gpus":1}` + "\n", "task.t"},
+			`{"record":"task","id":1,"t":4,"task":"VGG16","iters":1,"gpus":1}` + "\n", "task.t", 3},
 		{"non-increasing-task-id", header + "\n" +
 			`{"record":"task","id":1,"t":1,"task":"VGG16","iters":1,"gpus":1}` + "\n" +
-			`{"record":"task","id":1,"t":2,"task":"VGG16","iters":1,"gpus":1}` + "\n", "task.id"},
-		{"zero-iters", header + "\n" + `{"record":"task","id":0,"t":1,"task":"VGG16","iters":0,"gpus":1}` + "\n", "task.iters"},
-		{"empty-task-name", header + "\n" + `{"record":"task","id":0,"t":1,"task":"","iters":1,"gpus":1}` + "\n", "task.task"},
-		{"blank-line", header + "\n\n", "record"},
-		{"garbage", header + "\n" + "not json\n", "record"},
+			`{"record":"task","id":1,"t":2,"task":"VGG16","iters":1,"gpus":1}` + "\n", "task.id", 3},
+		{"zero-iters", header + "\n" + `{"record":"task","id":0,"t":1,"task":"VGG16","iters":0,"gpus":1}` + "\n", "task.iters", 2},
+		{"empty-task-name", header + "\n" + `{"record":"task","id":0,"t":1,"task":"","iters":1,"gpus":1}` + "\n", "task.task", 2},
+		{"task-after-qps", header + "\n" +
+			`{"record":"qps","stream":"gpu0000","t":0,"qps":1}` + "\n" +
+			`{"record":"task","id":0,"t":1,"task":"VGG16","iters":1,"gpus":0}` + "\n", "task.gpus", 3},
+		{"blank-line", header + "\n\n", "record", 2},
+		{"garbage", header + "\n" + "not json\n", "record", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,6 +148,9 @@ func TestDecodeRejections(t *testing.T) {
 			}
 			if fe.Field != tc.field {
 				t.Fatalf("field %q, want %q (err: %v)", fe.Field, tc.field, fe)
+			}
+			if fe.Line != tc.line {
+				t.Fatalf("line %d, want %d (err: %v)", fe.Line, tc.line, fe)
 			}
 		})
 	}

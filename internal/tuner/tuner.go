@@ -78,13 +78,17 @@ type Request struct {
 	// HasTraining reports whether a training task is co-located; if
 	// not, the Tuner only solves the SLO side.
 	HasTraining bool
-	// OnEval, when non-nil, observes every objective evaluation the
-	// episode performs (one BO probe or one exhaustive-search
-	// measurement): the probed batch, the partition the measurement ran
-	// at, the measured training iteration ms, and whether Eq. 4 was
-	// feasible for that batch. The tracing layer hooks this to emit
-	// bo_iter child spans; it must not mutate tuner state.
-	OnEval func(batch int, delta, trainIterMs float64, feasible bool)
+}
+
+// Probe is one successful objective evaluation of an episode (one BO
+// probe or one exhaustive-search measurement): the probed batch, the
+// partition the measurement ran at, the measured training iteration
+// ms, and whether Eq. 4 was feasible for that batch.
+type Probe struct {
+	Batch       int
+	Delta       float64
+	TrainIterMs float64
+	Feasible    bool
 }
 
 // Decision is the Tuner's output configuration.
@@ -94,6 +98,9 @@ type Decision struct {
 	Feasible     bool    // false → pause training and give inference the device (§5.3.2)
 	BOIterations int     // Fig. 18a's metric
 	TrainIterMs  float64 // predicted/observed training iteration at the decision
+	// Probes are the episode's measurements in order; the tracing layer
+	// renders each as a bo_iter span.
+	Probes []Probe
 }
 
 // Tuner is stateless between calls except for configuration; the
@@ -142,7 +149,8 @@ func (t *Tuner) feasibleDelta(req Request, batch int, maxDelta float64) (float64
 // Tune runs the full two-phase episode: adaptive batching then dynamic
 // resource scaling. It never returns an error for mere infeasibility —
 // that is reported via Decision.Feasible so the caller can pause
-// training.
+// training. On an error the Decision carries only the probes measured
+// before it.
 func (t *Tuner) Tune(req Request) (Decision, error) {
 	if req.QPS <= 0 || req.SLOms <= 0 {
 		return Decision{}, fmt.Errorf("%w: qps=%v slo=%v", ErrBadRequest, req.QPS, req.SLOms)
@@ -213,6 +221,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 		return 0
 	}
 	var measureErr error
+	probes := make([]Probe, 0, BOBudget)
 	objective := func(x float64) (float64, bool) {
 		b := batchFor(x)
 		_, ok := t.feasibleDelta(req, b, maxDelta)
@@ -221,17 +230,15 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 			measureErr = err
 			return math.Inf(1), false
 		}
-		if req.OnEval != nil {
-			req.OnEval(b, delta, iter, ok)
-		}
+		probes = append(probes, Probe{Batch: b, Delta: delta, TrainIterMs: iter, Feasible: ok})
 		return iter, ok
 	}
 	res, err := gp.Minimize(candidates, objective, BOBudget)
 	if err != nil {
-		return Decision{}, err
+		return Decision{Probes: probes}, err
 	}
 	if measureErr != nil {
-		return Decision{}, measureErr
+		return Decision{Probes: probes}, measureErr
 	}
 	if !res.Feasible {
 		// No batch size can hold the SLO even at maxDelta: pause
@@ -239,7 +246,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 		// batching still serves the inference side: report the batch
 		// with the best latency-to-budget ratio at the full device so
 		// the service degrades as little as possible.
-		return Decision{Feasible: false, Batch: t.bestServingBatch(req), BOIterations: res.Iterations}, nil
+		return Decision{Feasible: false, Batch: t.bestServingBatch(req), BOIterations: res.Iterations, Probes: probes}, nil
 	}
 	batch := batchFor(res.Best)
 
@@ -247,7 +254,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 	// chosen batch, plus headroom (Eq. 4).
 	finalDelta, ok := t.feasibleDelta(req, batch, maxDelta)
 	if !ok {
-		return Decision{Feasible: false, BOIterations: res.Iterations}, nil
+		return Decision{Feasible: false, BOIterations: res.Iterations, Probes: probes}, nil
 	}
 	return Decision{
 		Batch:        batch,
@@ -255,6 +262,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 		Feasible:     true,
 		BOIterations: res.Iterations,
 		TrainIterMs:  res.BestValue,
+		Probes:       probes,
 	}, nil
 }
 
@@ -283,7 +291,7 @@ func (t *Tuner) tuneFixed(req Request, maxDelta float64) (Decision, error) {
 func (t *Tuner) tuneExhaustive(req Request, delta, maxDelta float64) (Decision, error) {
 	best := Decision{}
 	bestIter := math.Inf(1)
-	evals := 0
+	probes := make([]Probe, 0, BOBudget)
 	for _, b := range req.Candidates {
 		d, ok := t.feasibleDelta(req, b, maxDelta)
 		if !ok {
@@ -291,21 +299,18 @@ func (t *Tuner) tuneExhaustive(req Request, delta, maxDelta float64) (Decision, 
 		}
 		iter, err := req.Measure.TrainIterMs(b, delta)
 		if err != nil {
-			return Decision{}, err
+			return Decision{Probes: probes}, err
 		}
-		if req.OnEval != nil {
-			req.OnEval(b, delta, iter, true)
-		}
-		evals++
+		probes = append(probes, Probe{Batch: b, Delta: delta, TrainIterMs: iter, Feasible: true})
 		if iter < bestIter {
 			bestIter = iter
 			best = Decision{Batch: b, Delta: d, Feasible: true, TrainIterMs: iter}
 		}
 	}
-	best.BOIterations = evals
 	if !best.Feasible {
-		return Decision{Feasible: false, Batch: t.bestServingBatch(req), BOIterations: evals}, nil
+		best = Decision{Feasible: false, Batch: t.bestServingBatch(req)}
 	}
+	best.BOIterations, best.Probes = len(probes), probes
 	return best, nil
 }
 

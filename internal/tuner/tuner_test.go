@@ -261,3 +261,51 @@ func TestBatchStrategies(t *testing.T) {
 		t.Fatalf("BO iteration %v far above fixed-batch %v", iterOf(decBO), iterOf(decFixed))
 	}
 }
+
+// flakyMeasurer fails its failAt-th call (1-based) and logs every
+// successful measurement as the Probe the tuner should report.
+type flakyMeasurer struct {
+	inner  Measurer
+	calls  int
+	failAt int
+	ok     []Probe
+}
+
+var errFlaky = errors.New("measurement failed")
+
+func (m *flakyMeasurer) TrainIterMs(batch int, delta float64) (float64, error) {
+	m.calls++
+	if m.calls == m.failAt {
+		return 0, errFlaky
+	}
+	iter, err := m.inner.TrainIterMs(batch, delta)
+	if err == nil {
+		m.ok = append(m.ok, Probe{Batch: batch, Delta: delta, TrainIterMs: iter})
+	}
+	return iter, err
+}
+
+// TestTuneReturnsProbesWithError: a measurement that fails mid-episode
+// surfaces as Tune's error, and the Decision still carries every probe
+// measured before and after the failure, in order.
+func TestTuneReturnsProbesWithError(t *testing.T) {
+	req, _ := newRequest(t, 1, "BERT", 200)
+	flaky := &flakyMeasurer{inner: req.Measure, failAt: 2}
+	req.Measure = flaky
+	dec, err := New(Config{}).Tune(req)
+	if !errors.Is(err, errFlaky) {
+		t.Fatalf("Tune error = %v, want the measurement error", err)
+	}
+	if flaky.calls <= flaky.failAt {
+		t.Fatalf("episode stopped at the failure (%d calls); the test needs probes after it", flaky.calls)
+	}
+	if len(dec.Probes) != len(flaky.ok) {
+		t.Fatalf("%d probes, %d successful measurements", len(dec.Probes), len(flaky.ok))
+	}
+	for i, p := range dec.Probes {
+		want := flaky.ok[i]
+		if p.Batch != want.Batch || p.Delta != want.Delta || p.TrainIterMs != want.TrainIterMs {
+			t.Fatalf("probe %d = %+v, measured %+v", i, p, want)
+		}
+	}
+}

@@ -48,7 +48,6 @@ import (
 	"mudi/internal/span"
 	"mudi/internal/timeline"
 	"mudi/internal/trace"
-	"mudi/internal/xrand"
 )
 
 // Re-exported domain types. The implementation lives under internal/;
@@ -158,19 +157,7 @@ func (s *System) BaselinePolicy(id BaselineID) (Policy, error) {
 	if oe != nil {
 		return nil, oe
 	}
-	switch id {
-	case BaselineGSLICE:
-		return baselines.NewGSLICE(), nil
-	case BaselineGpulets:
-		return baselines.NewGpulets(s.oracle, xrand.New(s.cfg.Seed+7))
-	case BaselineMuxFlow:
-		return baselines.NewMuxFlow(s.oracle), nil
-	case BaselineRandom:
-		return baselines.NewRandom(xrand.New(s.cfg.Seed+11), s.cfg.MaxTrainPerGPU), nil
-	case BaselineOptimal:
-		return baselines.NewOptimal(s.oracle, s.cfg.MaxTrainPerGPU), nil
-	}
-	return nil, fmt.Errorf("mudi: unknown baseline %q (known: %v)", id, Baselines())
+	return baselines.New(string(id), s.oracle, s.cfg.Seed, s.cfg.MaxTrainPerGPU)
 }
 
 // SimOptions parameterizes one simulation run.
