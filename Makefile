@@ -13,7 +13,7 @@ GO ?= go
 # one policy).
 RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/core ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
 
-.PHONY: tier1 build test vet fmt test-benchmark smoke-hotpath smoke-largecluster smoke-telemetry race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
+.PHONY: tier1 build test vet fmt loc test-benchmark smoke-hotpath smoke-largecluster smoke-telemetry race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
 
 tier1: build test
 
@@ -33,6 +33,11 @@ vet:
 # Fails when any file is not gofmt-clean.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# The root module's non-test Go line count: every *.go file outside
+# benchmark/ (its own module), *_test.go excluded.
+loc:
+	@git ls-files -co --exclude-standard -- '*.go' ':!:benchmark/' ':!:*_test.go' | xargs cat | wc -l
 
 # The benchmark module's own tests: every workload, small, traced and
 # untraced.

@@ -95,7 +95,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	idx := 0
 	ecfg := mudi.ExperimentConfig{Seed: *seedFlag, Scale: scale, Parallel: *parallelFlag}
-	return mudi.StreamExperimentsCfg(names, ecfg, func(tab *mudi.Table) error {
+	return mudi.StreamExperiments(names, ecfg, func(tab *mudi.Table) error {
 		if *outFlag != "" {
 			name := "all"
 			if idx < len(names) && len(names) > 0 {

@@ -57,29 +57,6 @@ func New(name string, oracle *perf.Oracle, seed uint64, maxTrain int) (core.Poli
 // MuxFlow: each places one task per GPU.
 const maxTrainPerGPU = 1
 
-// pickMin returns the eligible view with the smallest cost, ties going
-// to the smaller ID. A view whose cost reports ok=false is skipped, and
-// so is one whose cost is +Inf or NaN. This is the placement rule every
-// cost-driven baseline shares.
-func pickMin(views []core.DeviceView, maxTrain int, cost func(v *core.DeviceView) (float64, bool)) (string, bool) {
-	bestID := ""
-	best := math.Inf(1)
-	for i := range views {
-		v := &views[i]
-		if !core.Eligible(v, maxTrain) {
-			continue
-		}
-		c, ok := cost(v)
-		if !ok {
-			continue
-		}
-		if c < best || (c == best && v.ID < bestID) {
-			bestID, best = v.ID, c
-		}
-	}
-	return bestID, bestID != ""
-}
-
 // ---------------------------------------------------------------------------
 // GSLICE
 
@@ -100,7 +77,7 @@ func (g *GSLICE) Name() string { return "gslice" }
 // SelectDevice implements core.Policy: least SM-utilized eligible
 // device — capacity-driven, interference-blind.
 func (g *GSLICE) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
-	return pickMin(views, maxTrainPerGPU, func(v *core.DeviceView) (float64, bool) { return v.SMUtil, true })
+	return core.PickMin(views, maxTrainPerGPU, func(v *core.DeviceView) (float64, bool) { return v.SMUtil, true })
 }
 
 // Configure implements core.Policy: feedback control on measurements.
@@ -196,7 +173,7 @@ func (g *Gpulets) Name() string { return "gpulets" }
 
 // SelectDevice implements core.Policy: best-fit on free share.
 func (g *Gpulets) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
-	return pickMin(views, maxTrainPerGPU, func(v *core.DeviceView) (float64, bool) { return v.FreeShare, true })
+	return core.PickMin(views, maxTrainPerGPU, func(v *core.DeviceView) (float64, bool) { return v.FreeShare, true })
 }
 
 // gpuletSizes are the discrete partitions the system allocates.
@@ -316,7 +293,7 @@ func (m *MuxFlow) profileTask(t model.TrainingTask) model.TrainingTask {
 // whose service suffers the least *believed* interference.
 func (m *MuxFlow) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
 	believed := m.profileTask(task)
-	return pickMin(views, maxTrainPerGPU, func(v *core.DeviceView) (float64, bool) {
+	return core.PickMin(views, maxTrainPerGPU, func(v *core.DeviceView) (float64, bool) {
 		f, err := m.oracle.TrainColocFactor(v.ServiceName, 64, append(believedSlice(v.ResidentTasks, m), believed))
 		return f, err == nil
 	})
@@ -478,7 +455,7 @@ func (o *Optimal) BestOnDevice(task model.TrainingTask, v core.DeviceView) (core
 // SelectDevice implements core.Policy: the device minimizing the true
 // achievable iteration time.
 func (o *Optimal) SelectDevice(task model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
-	return pickMin(views, o.maxTrain, func(v *core.DeviceView) (float64, bool) {
+	return core.PickMin(views, o.maxTrain, func(v *core.DeviceView) (float64, bool) {
 		dec, ok := o.BestOnDevice(task, *v)
 		return dec.TrainIterMs, ok
 	})

@@ -13,7 +13,7 @@ import (
 )
 
 // The four loops below are verbatim copies of the device pick that
-// GSLICE, gpulets, MuxFlow and Optimal each wrote out before pickMin
+// GSLICE, gpulets, MuxFlow and Optimal each wrote out before core.PickMin
 // replaced them. MuxFlow's and Optimal's oracle calls are swapped for a
 // cost table so random costs (ties, +Inf, NaN, failures) reach them.
 
@@ -81,7 +81,7 @@ func refOptimal(views []core.DeviceView, maxTrain int, bestOnDevice func(core.De
 	return bestID, bestID != ""
 }
 
-// TestPickMinMatchesLoops checks pickMin against the four loops it
+// TestPickMinMatchesLoops checks core.PickMin against the four loops it
 // replaced, on random view sets with tied costs, ineligible and paused
 // views, skipped costs, and +Inf/NaN costs.
 func TestPickMinMatchesLoops(t *testing.T) {
@@ -126,7 +126,7 @@ func TestPickMinMatchesLoops(t *testing.T) {
 		check := func(name string, wantID string, wantOK bool, gotID string, gotOK bool) {
 			t.Helper()
 			if gotID != wantID || gotOK != wantOK {
-				t.Fatalf("trial %d %s: pickMin (%q, %v), loop (%q, %v); views %+v", trial, name, gotID, gotOK, wantID, wantOK, views)
+				t.Fatalf("trial %d %s: PickMin (%q, %v), loop (%q, %v); views %+v", trial, name, gotID, gotOK, wantID, wantOK, views)
 			}
 		}
 
@@ -144,13 +144,13 @@ func TestPickMinMatchesLoops(t *testing.T) {
 			}
 			return cost[v.ID], nil
 		})
-		gotID, gotOK = pickMin(views, maxTrain, costOf)
+		gotID, gotOK = core.PickMin(views, maxTrain, costOf)
 		check("muxflow", id, ok, gotID, gotOK)
 
 		id, ok = refOptimal(views, maxTrain, func(v core.DeviceView) (core.Decision, bool) {
 			return core.Decision{TrainIterMs: cost[v.ID], Feasible: !skip[v.ID]}, !skip[v.ID]
 		})
-		gotID, gotOK = pickMin(views, maxTrain, costOf)
+		gotID, gotOK = core.PickMin(views, maxTrain, costOf)
 		check("optimal", id, ok, gotID, gotOK)
 	}
 }

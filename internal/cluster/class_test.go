@@ -7,6 +7,7 @@ import (
 	"mudi/internal/core"
 	"mudi/internal/model"
 	"mudi/internal/perf"
+	"mudi/internal/sched"
 	"mudi/internal/span"
 	"mudi/internal/trace"
 )
@@ -273,7 +274,7 @@ func TestClassSelectOffersOneTier(t *testing.T) {
 				t.Fatalf("offer %d includes %s (class %q, %d residents) at or past its budget",
 					i, v.ID, v.ServiceClass, len(v.ResidentTasks))
 			}
-			sc, ok := sim.classFW.Score(&model.TrainingTask{}, v)
+			sc, ok := sched.ClassScore(v.ServiceClass, len(v.ResidentTasks))
 			if !ok {
 				t.Fatalf("offer %d includes vetoed device %s", i, v.ID)
 			}

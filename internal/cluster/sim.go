@@ -333,9 +333,6 @@ type Sim struct {
 	// gates every class code path so a classless run takes the exact
 	// pre-class branches.
 	classAware bool
-	// classFW scores devices for class-steered placement (budget veto +
-	// criticality preference); nil when classAware is false.
-	classFW *sched.Framework
 
 	// measMap is the policy-facing view of meas, built once at
 	// construction (meas never changes afterward) so trySchedule does
@@ -492,9 +489,6 @@ func New(opts Options) (*Sim, error) {
 		if svc.Class != model.ClassUnset {
 			s.classAware = true
 		}
-	}
-	if s.classAware {
-		s.classFW = sched.NewFramework(sched.ClassBudgetPlugin{}, sched.ClassPriorityPlugin{})
 	}
 	if opts.Faults != nil {
 		inj, err := faults.New(*opts.Faults, opts.Seed, opts.MaxHorizonSec)
@@ -755,8 +749,8 @@ func (s *Sim) trySchedule(now float64) {
 	}
 }
 
-// classSelect is the class-aware placement path: the class framework
-// scores every candidate (budget-exhausted devices are vetoed
+// classSelect is the class-aware placement path: sched.ClassScore
+// rates every candidate (budget-exhausted devices are vetoed
 // outright), then the configured policy picks within score tiers from
 // the most preferred (least critical residents) down. The policy keeps
 // full authority inside a tier — class steering only decides which
@@ -766,7 +760,7 @@ func (s *Sim) classSelect(qj *queueJob, views []core.DeviceView) (string, bool) 
 	scores := s.scoreBuf[:0]
 	kept := 0
 	for i := range views {
-		sc, ok := s.classFW.Score(&qj.arrival.Task, &views[i])
+		sc, ok := sched.ClassScore(views[i].ServiceClass, len(views[i].ResidentTasks))
 		if !ok {
 			continue
 		}

@@ -229,7 +229,7 @@ type tlProfiler struct {
 	store   *timeline.Store
 	window  *timeline.Series
 	drain   *timeline.Series
-	merge   *timeline.Series
+	merge   *timeline.Series // always 0: the engine has no merge phase
 	apply   *timeline.Series
 	mail    *timeline.Series
 	imb     *timeline.Series
@@ -260,7 +260,7 @@ func newTLProfiler(st *timeline.Store) *tlProfiler {
 }
 
 // Barrier implements shard.Profiler.
-func (p *tlProfiler) Barrier(at float64, drain, merge, apply time.Duration, mail int, laneEvents []int) {
+func (p *tlProfiler) Barrier(at float64, drain, apply time.Duration, mail int, laneEvents []int) {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	imb := 0
 	if len(laneEvents) > 1 {
@@ -276,9 +276,9 @@ func (p *tlProfiler) Barrier(at float64, drain, merge, apply time.Duration, mail
 		imb = hi - lo
 	}
 	p.batch = append(p.batch,
-		timeline.Entry{Series: p.window, Value: ms(drain + merge + apply)},
+		timeline.Entry{Series: p.window, Value: ms(drain + apply)},
 		timeline.Entry{Series: p.drain, Value: ms(drain)},
-		timeline.Entry{Series: p.merge, Value: ms(merge)},
+		timeline.Entry{Series: p.merge, Value: 0},
 		timeline.Entry{Series: p.apply, Value: ms(apply)},
 		timeline.Entry{Series: p.mail, Value: float64(mail)},
 		timeline.Entry{Series: p.imb, Value: float64(imb)})

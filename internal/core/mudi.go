@@ -11,7 +11,6 @@ import (
 	"mudi/internal/piecewise"
 	"mudi/internal/predictor"
 	"mudi/internal/profiler"
-	"mudi/internal/sched"
 	"mudi/internal/tuner"
 )
 
@@ -35,11 +34,10 @@ func (c MudiConfig) defaults() MudiConfig {
 // Eq. 4 resource scaling for device control, and incremental predictor
 // updates for newly observed co-locations.
 type Mudi struct {
-	cfg       MudiConfig
-	pred      *predictor.Predictor
-	tun       *tuner.Tuner
-	framework *sched.Framework
-	slope     *slopePlugin
+	cfg   MudiConfig
+	pred  *predictor.Predictor
+	tun   *tuner.Tuner
+	slope *slopeScorer
 	// seenColoc remembers (service, coloc-arch) pairs already profiled
 	// online to avoid repeated sampling.
 	seenColoc map[colocKey]bool
@@ -64,15 +62,11 @@ func NewMudi(pred *predictor.Predictor, cfg MudiConfig) *Mudi {
 		seenColoc: make(map[colocKey]bool),
 		curves:    make(map[curveKey]piecewise.Func),
 	}
-	m.slope = &slopePlugin{
+	m.slope = &slopeScorer{
 		pred:    pred,
 		batches: model.BatchSizes(),
 		memo:    make(map[colocKey]slopeEntry),
 	}
-	m.framework = sched.NewFramework(
-		eligibilityPlugin{maxTrain: cfg.MaxTrainPerGPU},
-		m.slope,
-	)
 	return m
 }
 
@@ -140,34 +134,19 @@ func colocArch(resident []model.TrainingTask, extra ...model.TrainingTask) model
 	return a
 }
 
-// eligibilityPlugin vetoes devices that cannot take the task at all
-// (Eligible): Mudi multiplexes training next to inference services.
-type eligibilityPlugin struct {
-	maxTrain int
-}
-
-func (eligibilityPlugin) Name() string { return "eligibility" }
-
-func (p eligibilityPlugin) Score(_ *model.TrainingTask, dev *DeviceView) float64 {
-	if !Eligible(dev, p.maxTrain) {
-		return -1
-	}
-	return 0
-}
-
-// slopePlugin scores devices by the negated predicted average slope:
+// slopeScorer scores devices by the negated predicted average slope:
 // the Device Selector of §5.2.
 //
 // The predictor's outputs depend only on (service, Ψ) and the
 // service's predictor generation, and a fleet has a handful of such
-// pairs, so the plugin evaluates the predictor once per pair and
+// pairs, so the scorer evaluates the predictor once per pair and
 // generation (memo) and runs only the Eq. 4 solve, which reads the
 // device's own QPS and SLO, per device. The memo lives across
 // SelectDevice calls: an entry stamped with an older generation than
 // its service's current one is recomputed on its next use, so a
 // predictor update is always seen and leaves other services' entries
 // valid.
-type slopePlugin struct {
+type slopeScorer struct {
 	pred    *predictor.Predictor
 	batches []int
 	memo    map[colocKey]slopeEntry
@@ -189,11 +168,9 @@ type predictedCurve struct {
 	ok bool
 }
 
-func (p *slopePlugin) Name() string { return "interference-slope" }
-
 // entry returns the memoized predictor output for (svc, arch),
 // evaluating it when the memo has none for svc's current generation.
-func (p *slopePlugin) entry(svc string, arch model.Arch) slopeEntry {
+func (p *slopeScorer) entry(svc string, arch model.Arch) slopeEntry {
 	key := colocKey{svc, arch}
 	gen := p.pred.Generation(svc)
 	if e, ok := p.memo[key]; ok && e.gen == gen {
@@ -212,10 +189,13 @@ func (p *slopePlugin) entry(svc string, arch model.Arch) slopeEntry {
 	return e
 }
 
-func (p *slopePlugin) Score(task *model.TrainingTask, view *DeviceView) float64 {
+// score rates the device for the task, higher being better; ok=false
+// when the predictor cannot rate the device's service next to the
+// co-location (an untrained service).
+func (p *slopeScorer) score(task *model.TrainingTask, view *DeviceView) (float64, bool) {
 	e := p.entry(view.ServiceName, colocArch(view.ResidentTasks, *task))
 	if e.err != nil {
-		return -1
+		return 0, false
 	}
 	// A smaller slope both reduces SLO pressure and lets the service
 	// shrink, "which is advantageous for optimizing the objective"
@@ -239,15 +219,18 @@ func (p *slopePlugin) Score(task *model.TrainingTask, view *DeviceView) float64 
 	}
 	avgShare := shareSum / float64(len(p.batches))
 	// Higher score = better; slopes are positive magnitudes.
-	return (0.05 + avgShare) / (1 + e.slope)
+	return (0.05 + avgShare) / (1 + e.slope), true
 }
 
 // SelectDevice implements Policy (§5.2): assign the task to the device
 // whose service shows the smallest predicted average slope across the
-// batch-size set.
+// batch-size set — the eligible device with the highest score, ties to
+// the smaller ID.
 func (m *Mudi) SelectDevice(task model.TrainingTask, views []DeviceView, _ map[string]Measurer) (string, bool) {
-	id, err := m.framework.Select(&task, views)
-	return id, err == nil
+	return PickMin(views, m.cfg.MaxTrainPerGPU, func(v *DeviceView) (float64, bool) {
+		s, ok := m.slope.score(&task, v)
+		return -s, ok
+	})
 }
 
 // Configure implements Policy (§5.3): predicted curves feed the

@@ -6,21 +6,62 @@
 package core
 
 import (
+	"math"
+
 	"mudi/internal/model"
-	"mudi/internal/sched"
 	"mudi/internal/tuner"
 )
 
-// DeviceView is a policy's read-only snapshot of one device. It is
-// the scheduling framework's view, so Mudi's score plugins read the
-// same struct a policy is handed.
-type DeviceView = sched.DeviceView
+// DeviceView is a policy's read-only snapshot of one device — what the
+// paper's GPUShare-Device-Plugin exposes to the scheduler.
+type DeviceView struct {
+	ID          string
+	ServiceName string // resident inference service ("" if none)
+	// ServiceClass is the resident service's SLO class
+	// (model.ClassUnset when the service is unclassed or absent).
+	ServiceClass  model.SLOClass
+	SLOms         float64
+	QPS           float64 // current arrival rate seen by the Monitor
+	Batch         int     // current batching size
+	Delta         float64 // current inference GPU%
+	ResidentTasks []model.TrainingTask
+	FreeShare     float64
+	SMUtil        float64 // recent device SM utilization [0,1]
+	// Paused reports that co-located training is currently preempted
+	// because the service needs the whole device (§5.3.2); no new
+	// training should land here until load subsides.
+	Paused bool
+}
 
 // Eligible reports whether a device can take one more training task: a
 // resident service, headroom in the per-GPU task cap, and no active
 // training preemption. Every policy's placement applies this rule.
 func Eligible(v *DeviceView, maxTrain int) bool {
 	return v.ServiceName != "" && len(v.ResidentTasks) < maxTrain && !v.Paused
+}
+
+// PickMin returns the ID of the eligible view with the smallest cost,
+// ties going to the smaller ID. A view whose cost reports ok=false is
+// skipped, and so is one whose cost is +Inf or NaN; ok=false when no
+// view is left. This is the one device-pick rule: Mudi's Device
+// Selector and every cost-driven baseline place through it.
+func PickMin(views []DeviceView, maxTrain int, cost func(v *DeviceView) (float64, bool)) (string, bool) {
+	bestID := ""
+	best := math.Inf(1)
+	for i := range views {
+		v := &views[i]
+		if !Eligible(v, maxTrain) {
+			continue
+		}
+		c, ok := cost(v)
+		if !ok {
+			continue
+		}
+		if c < best || (c == best && v.ID < bestID) {
+			bestID, best = v.ID, c
+		}
+	}
+	return bestID, bestID != ""
 }
 
 // Measurer is the live feedback channel a policy gets for one device.

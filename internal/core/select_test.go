@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"mudi/internal/model"
@@ -67,15 +68,18 @@ func referenceSelect(pred *predictor.Predictor, maxTrain int, task model.Trainin
 }
 
 // lastScores re-scores the views of m's latest SelectDevice call for
-// task through its framework, reading that call's memo.
+// task through Eligible and its slope scorer, reading that call's memo;
+// a skipped view scores -1.
 func lastScores(m *Mudi, task model.TrainingTask, views []DeviceView) []float64 {
 	out := make([]float64, len(views))
 	for i := range views {
-		s, ok := m.framework.Score(&task, &views[i])
-		if !ok {
-			s = -1
+		out[i] = -1
+		if !Eligible(&views[i], m.cfg.MaxTrainPerGPU) {
+			continue
 		}
-		out[i] = s
+		if s, ok := m.slope.score(&task, &views[i]); ok {
+			out[i] = s
+		}
 	}
 	return out
 }
@@ -115,13 +119,35 @@ func randomFleet(rng *xrand.Rand, n int) []DeviceView {
 	return views
 }
 
+// withTwins appends copies of k random views under fresh IDs, every
+// other one sorting before all randomFleet IDs and the rest after, and
+// shuffles the fleet: a copied device scores exactly as its original,
+// so the best score often ties and the tie rule decides the pick.
+func withTwins(rng *xrand.Rand, views []DeviceView, k int) []DeviceView {
+	for i, j := range rng.Perm(len(views))[:k] {
+		v := views[j]
+		if i%2 == 0 {
+			v.ID = "a" + v.ID
+		} else {
+			v.ID = "z" + v.ID
+		}
+		views = append(views, v)
+	}
+	out := make([]DeviceView, len(views))
+	for i, j := range rng.Perm(len(views)) {
+		out[i] = views[j]
+	}
+	return out
+}
+
 // TestSelectDeviceMatchesReference checks the memoized Device Selector
 // against the direct per-device scorer: same pick, and every device's
 // score bit-identical. It is a replay on one Mudi, so the memo carries
 // over between calls: between selections the predictor learns random
 // co-locations through ObserveColocation, and now and then trains on a
 // fresh batch of offline profiles, and the reference always reads the
-// current predictor.
+// current predictor. Each fleet holds twins of some of its devices, so
+// some fleets' best score ties and the pick must take the smaller ID.
 func TestSelectDeviceMatchesReference(t *testing.T) {
 	const maxTrain = 3
 	oracle := perf.NewOracle(10)
@@ -130,17 +156,27 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 	tasks := model.Tasks()
 	services := model.Services()
 	prof := profiler.New(oracle, xrand.New(1010))
-	placed, untrained, moved, trained := 0, 0, 0, 0
+	placed, untrained, moved, trained, tied := 0, 0, 0, 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := xrand.New(seed)
-		views := randomFleet(rng, 48)
+		views := withTwins(xrand.New(1000+seed), randomFleet(rng, 48), 8)
 		task := tasks[rng.Intn(len(tasks))]
 		got, gotOK := m.SelectDevice(task, views, nil)
 		want, wantOK := referenceSelect(pred, maxTrain, task, views)
 		if got != want || gotOK != wantOK {
 			t.Fatalf("seed %d: SelectDevice = (%q, %v), reference = (%q, %v)", seed, got, gotOK, want, wantOK)
 		}
-		for i, s := range lastScores(m, task, views) {
+		scores := lastScores(m, task, views)
+		best, atBest := slices.Max(scores), 0
+		for _, s := range scores {
+			if s == best {
+				atBest++
+			}
+		}
+		if best >= 0 && atBest > 1 {
+			tied++
+		}
+		for i, s := range scores {
 			v := views[i]
 			ref, ok := referenceScore(pred, maxTrain, task, v)
 			if !ok {
@@ -184,6 +220,10 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 	if placed == 0 {
 		t.Fatal("no fleet placed the task")
 	}
+	if tied == 0 {
+		t.Fatal("no fleet's best score tied; the tie rule went unexercised")
+	}
+	t.Logf("%d of 40 fleets tie for the best score", tied)
 	if untrained < 2 {
 		t.Fatalf("%d eligible devices ran an untrained service; the memoized error path needs repeats", untrained)
 	}

@@ -2,28 +2,6 @@ package sched
 
 import "mudi/internal/model"
 
-// SLO-class-aware score plugins. Both consult DeviceView.ServiceClass,
-// the class of the inference service resident on the device; they are
-// inert (score 0, no veto) on unclassed devices, so a classless fleet
-// running through a framework that happens to include them behaves
-// exactly as before.
-
-// ClassPriorityPlugin steers training placement away from devices
-// hosting high-criticality inference: the lower the resident service's
-// class rank, the higher the device scores. Classless devices (rank 0)
-// score highest of all — a free device beats even a background-class
-// one.
-type ClassPriorityPlugin struct{}
-
-// Name implements ScorePlugin.
-func (ClassPriorityPlugin) Name() string { return "class-priority" }
-
-// Score implements ScorePlugin. Higher for less-critical residents:
-// unset > background > batch > sheddable > standard > critical.
-func (ClassPriorityPlugin) Score(_ *model.TrainingTask, dev *DeviceView) float64 {
-	return float64(model.MaxClassRank + 1 - dev.ServiceClass.Rank())
-}
-
 // classBudget is the most training tasks a device admits next to a
 // service of each class: critical devices admit none, standard one
 // task, the droppable tiers progressively more. Unclassed devices (and
@@ -38,23 +16,17 @@ var classBudget = [...]int{
 	model.ClassBackground: 4,
 }
 
-// ClassBudgetPlugin enforces the per-class interference budget: it
-// vetoes a device once its co-located training count reaches the
-// budget of the resident service's class.
-type ClassBudgetPlugin struct{}
-
-// Name implements ScorePlugin.
-func (ClassBudgetPlugin) Name() string { return "class-budget" }
-
-// Score implements ScorePlugin: -1 (veto) when the device's resident
-// class has exhausted its training budget, 0 otherwise.
-func (ClassBudgetPlugin) Score(_ *model.TrainingTask, dev *DeviceView) float64 {
-	if int(dev.ServiceClass) >= len(classBudget) {
-		return 0
+// ClassScore rates a device for one more training task from the SLO
+// class of its resident service and the count of training tasks
+// already resident. ok=false when the class's budget is exhausted.
+// Otherwise the score is higher for less-critical residents: unset >
+// background > batch > sheddable > standard > critical, so a classless
+// device beats even a background-class one.
+func ClassScore(class model.SLOClass, residents int) (score float64, ok bool) {
+	if int(class) < len(classBudget) {
+		if b := classBudget[class]; b >= 0 && residents >= b {
+			return 0, false
+		}
 	}
-	b := classBudget[dev.ServiceClass]
-	if b >= 0 && len(dev.ResidentTasks) >= b {
-		return -1
-	}
-	return 0
+	return float64(model.MaxClassRank + 1 - class.Rank()), true
 }

@@ -71,71 +71,46 @@ func TestPriorityPolicyEqualPriorityTieBreak(t *testing.T) {
 	}
 }
 
-func TestClassPriorityPluginOrdering(t *testing.T) {
-	p := ClassPriorityPlugin{}
+// TestClassScoreOrdering: less-critical residents score higher, and a
+// critical device, whose budget is zero, ranks below all by its veto.
+func TestClassScoreOrdering(t *testing.T) {
 	order := []model.SLOClass{
 		model.ClassUnset, model.ClassBackground, model.ClassBatch,
-		model.ClassSheddable, model.ClassStandard, model.ClassCritical,
+		model.ClassSheddable, model.ClassStandard,
 	}
-	task := &model.TrainingTask{}
 	for i := 1; i < len(order); i++ {
-		hi := p.Score(task, &DeviceView{ServiceClass: order[i-1]})
-		lo := p.Score(task, &DeviceView{ServiceClass: order[i]})
-		if hi <= lo {
-			t.Fatalf("score(%v)=%v not > score(%v)=%v", order[i-1], hi, order[i], lo)
+		hi, okHi := ClassScore(order[i-1], 0)
+		lo, okLo := ClassScore(order[i], 0)
+		if !okHi || !okLo || hi <= lo {
+			t.Fatalf("score(%v)=%v (%v) not > score(%v)=%v (%v)", order[i-1], hi, okHi, order[i], lo, okLo)
 		}
+	}
+	if s, ok := ClassScore(model.ClassCritical, 0); ok {
+		t.Fatalf("critical device scored %v, want a veto", s)
 	}
 }
 
-func TestClassBudgetPluginVeto(t *testing.T) {
-	p := ClassBudgetPlugin{}
-	task := &model.TrainingTask{}
-	residents := func(n int) []model.TrainingTask { return make([]model.TrainingTask, n) }
+func TestClassScoreBudget(t *testing.T) {
 	// Critical: budget 0, any training count (including 0) vetoes.
-	if s := p.Score(task, &DeviceView{ServiceClass: model.ClassCritical}); s >= 0 {
+	if s, ok := ClassScore(model.ClassCritical, 0); ok {
 		t.Fatalf("critical device with budget 0 not vetoed (score %v)", s)
 	}
 	// Standard: one task fits, the second is vetoed.
-	if s := p.Score(task, &DeviceView{ServiceClass: model.ClassStandard}); s != 0 {
-		t.Fatalf("standard empty device score %v", s)
+	if _, ok := ClassScore(model.ClassStandard, 0); !ok {
+		t.Fatal("standard empty device vetoed")
 	}
-	if s := p.Score(task, &DeviceView{ServiceClass: model.ClassStandard, ResidentTasks: residents(1)}); s >= 0 {
+	if s, ok := ClassScore(model.ClassStandard, 1); ok {
 		t.Fatalf("standard device at budget not vetoed (score %v)", s)
 	}
 	// Background: the most permissive budget, four tasks.
-	if s := p.Score(task, &DeviceView{ServiceClass: model.ClassBackground, ResidentTasks: residents(3)}); s != 0 {
-		t.Fatalf("background device under budget score %v", s)
+	if _, ok := ClassScore(model.ClassBackground, 3); !ok {
+		t.Fatal("background device under budget vetoed")
 	}
-	if s := p.Score(task, &DeviceView{ServiceClass: model.ClassBackground, ResidentTasks: residents(4)}); s >= 0 {
+	if s, ok := ClassScore(model.ClassBackground, 4); ok {
 		t.Fatalf("background device at budget not vetoed (score %v)", s)
 	}
 	// Unset class is unbudgeted here.
-	if s := p.Score(task, &DeviceView{ResidentTasks: residents(99)}); s != 0 {
-		t.Fatalf("unset class score %v", s)
-	}
-}
-
-func TestFrameworkScoreMatchesSelect(t *testing.T) {
-	f := NewFramework(ClassBudgetPlugin{}, ClassPriorityPlugin{})
-	devs := []DeviceView{
-		{ID: "g0", ServiceClass: model.ClassCritical},
-		{ID: "g1", ServiceClass: model.ClassStandard},
-		{ID: "g2", ServiceClass: model.ClassSheddable},
-	}
-	task := &model.TrainingTask{}
-	got, err := f.Select(task, devs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "g2" {
-		t.Fatalf("selected %s, want the least-critical g2", got)
-	}
-	if _, ok := f.Score(task, &devs[0]); ok {
-		t.Fatal("critical device should be vetoed by the budget plugin")
-	}
-	s1, ok1 := f.Score(task, &devs[1])
-	s2, ok2 := f.Score(task, &devs[2])
-	if !ok1 || !ok2 || s2 <= s1 {
-		t.Fatalf("scores g1=%v(%v) g2=%v(%v)", s1, ok1, s2, ok2)
+	if _, ok := ClassScore(model.ClassUnset, 99); !ok {
+		t.Fatal("unset class vetoed")
 	}
 }

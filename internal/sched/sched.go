@@ -1,18 +1,14 @@
-// Package sched is the scheduling framework under Mudi's Online
-// Multiplexer, mirroring the paper's Kubernetes integration (§6): a
-// FCFS submission queue with pluggable ordering policies (Mudi
-// "seamlessly integrates with various scheduling policies, such as
-// shortest job first, fair sharing, and priority-based scheduling",
-// §3), and a score-plugin device-selection pipeline in the style of the
-// Kubernetes scheduling framework — the Interference Predictor and
-// Device Selector are implemented as score plugins on top of it.
+// Package sched is the training queue in front of Mudi's Online
+// Multiplexer (§6): a FCFS submission queue with pluggable ordering
+// policies (Mudi "seamlessly integrates with various scheduling
+// policies, such as shortest job first, fair sharing, and
+// priority-based scheduling", §3), plus the SLO-class rule that steers
+// a task away from devices hosting critical inference.
 package sched
 
 import (
-	"errors"
 	"fmt"
 
-	"mudi/internal/model"
 	"mudi/internal/obs"
 )
 
@@ -207,87 +203,4 @@ func (q *Queue) Pop() *Job {
 // RecordUsage accumulates GPU-seconds against a user for fair sharing.
 func (q *Queue) RecordUsage(user string, gpuSeconds float64) {
 	q.usage[user] += gpuSeconds
-}
-
-// ---------------------------------------------------------------------------
-// Score-plugin device selection
-
-// DeviceView is a read-only snapshot of one device — what the paper's
-// GPUShare-Device-Plugin exposes to the scheduler. Placement policies
-// and score plugins read the same view.
-type DeviceView struct {
-	ID          string
-	ServiceName string // resident inference service ("" if none)
-	// ServiceClass is the resident service's SLO class
-	// (model.ClassUnset when the service is unclassed or absent).
-	ServiceClass  model.SLOClass
-	SLOms         float64
-	QPS           float64 // current arrival rate seen by the Monitor
-	Batch         int     // current batching size
-	Delta         float64 // current inference GPU%
-	ResidentTasks []model.TrainingTask
-	FreeShare     float64
-	SMUtil        float64 // recent device SM utilization [0,1]
-	// Paused reports that co-located training is currently preempted
-	// because the service needs the whole device (§5.3.2); no new
-	// training should land here until load subsides.
-	Paused bool
-}
-
-// ScorePlugin scores a device for a candidate training task; higher is
-// better. A negative score vetoes the device (filter semantics).
-type ScorePlugin interface {
-	Name() string
-	Score(task *model.TrainingTask, dev *DeviceView) float64
-}
-
-// Framework runs the plugin pipeline.
-type Framework struct {
-	plugins []ScorePlugin
-}
-
-// NewFramework builds a pipeline over the given plugins.
-func NewFramework(plugins ...ScorePlugin) *Framework {
-	return &Framework{plugins: plugins}
-}
-
-// ErrNoDevice reports that every device was vetoed.
-var ErrNoDevice = errors.New("sched: no eligible device")
-
-// Score runs the full pipeline for a single device and returns the
-// total score plus whether the device survived (false when any plugin
-// vetoed it). Callers that need the per-device scores — e.g. tiered
-// class steering in the cluster — use this instead of Select.
-func (f *Framework) Score(task *model.TrainingTask, dev *DeviceView) (float64, bool) {
-	total := 0.0
-	for _, p := range f.plugins {
-		s := p.Score(task, dev)
-		if s < 0 {
-			return 0, false
-		}
-		total += s
-	}
-	return total, true
-}
-
-// Select returns the ID of the device with the highest total score;
-// any plugin returning a negative score vetoes that device. Ties break
-// by device ID for determinism.
-func (f *Framework) Select(task *model.TrainingTask, devices []DeviceView) (string, error) {
-	bestIdx := -1
-	bestScore := 0.0
-	for i := range devices {
-		total, ok := f.Score(task, &devices[i])
-		if !ok {
-			continue
-		}
-		if bestIdx < 0 || total > bestScore ||
-			(total == bestScore && devices[i].ID < devices[bestIdx].ID) {
-			bestIdx, bestScore = i, total
-		}
-	}
-	if bestIdx < 0 {
-		return "", ErrNoDevice
-	}
-	return devices[bestIdx].ID, nil
 }

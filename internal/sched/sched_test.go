@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"testing"
-
-	"mudi/internal/model"
-)
+import "testing"
 
 func jobs() []*Job {
 	return []*Job{
@@ -103,70 +99,5 @@ func TestPolicyByName(t *testing.T) {
 	}
 	if _, err := PolicyByName("bogus"); err == nil {
 		t.Fatal("bogus policy accepted")
-	}
-}
-
-// scoreByFreeShare prefers emptier devices.
-type scoreByFreeShare struct{}
-
-func (scoreByFreeShare) Name() string { return "free" }
-func (scoreByFreeShare) Score(_ *model.TrainingTask, d *DeviceView) float64 {
-	return d.FreeShare
-}
-
-// vetoFull vetoes devices with no free share.
-type vetoFull struct{}
-
-func (vetoFull) Name() string { return "veto" }
-func (vetoFull) Score(_ *model.TrainingTask, d *DeviceView) float64 {
-	if d.FreeShare <= 0 {
-		return -1
-	}
-	return 0
-}
-
-func TestFrameworkSelect(t *testing.T) {
-	f := NewFramework(vetoFull{}, scoreByFreeShare{})
-	devs := []DeviceView{
-		{ID: "g0", FreeShare: 0},
-		{ID: "g1", FreeShare: 0.3},
-		{ID: "g2", FreeShare: 0.7},
-	}
-	got, err := f.Select(&model.TrainingTask{}, devs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "g2" {
-		t.Fatalf("selected %s", got)
-	}
-}
-
-func TestFrameworkVetoAll(t *testing.T) {
-	f := NewFramework(vetoFull{})
-	devs := []DeviceView{{ID: "g0", FreeShare: 0}}
-	if _, err := f.Select(&model.TrainingTask{}, devs); err != ErrNoDevice {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestFrameworkTieBreakByID(t *testing.T) {
-	f := NewFramework(scoreByFreeShare{})
-	devs := []DeviceView{
-		{ID: "g9", FreeShare: 0.5},
-		{ID: "g1", FreeShare: 0.5},
-	}
-	got, err := f.Select(&model.TrainingTask{}, devs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "g1" {
-		t.Fatalf("tie broke to %s, want g1", got)
-	}
-}
-
-func TestFrameworkEmptyDevices(t *testing.T) {
-	f := NewFramework()
-	if _, err := f.Select(&model.TrainingTask{}, nil); err != ErrNoDevice {
-		t.Fatalf("err = %v", err)
 	}
 }

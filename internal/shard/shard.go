@@ -96,15 +96,14 @@ type Lane struct {
 func (l *Lane) Post(fn func(now float64)) { l.mail = append(l.mail, fn) }
 
 // Profiler receives the engine's own wall-clock behavior, once per
-// barrier: the step (including the fold), merge and mail-apply phase
+// barrier: the step (including the fold) and mail-apply phase
 // durations, the mail volume, and the per-lane stepped-device counts
 // (index order; the spread is the lane imbalance; nil at a barrier
-// between window ends, where no lane steps). The mail needs no merge,
-// so merge is always zero. Wall-clock is inherently
+// between window ends, where no lane steps). Wall-clock is inherently
 // nondeterministic — profilers must never feed back into simulation
 // state. laneEvents is only valid for the duration of the call.
 type Profiler interface {
-	Barrier(at float64, drain, merge, apply time.Duration, mail int, laneEvents []int)
+	Barrier(at float64, drain, apply time.Duration, mail int, laneEvents []int)
 }
 
 // Engine is the window clock over the lanes.
@@ -195,7 +194,7 @@ func (e *Engine) Run(horizon float64, events []Event, step func(l *Lane, dev int
 			drain := time.Since(start)
 			start = time.Now()
 			mail := e.applyMail(b)
-			e.prof.Barrier(b, drain, 0, time.Since(start), mail, counts)
+			e.prof.Barrier(b, drain, time.Since(start), mail, counts)
 		} else {
 			e.applyMail(b)
 		}

@@ -165,10 +165,7 @@ type barrierLog struct {
 	lanes [][]int
 }
 
-func (p *barrierLog) Barrier(at float64, _, merge, _ time.Duration, _ int, laneEvents []int) {
-	if merge != 0 {
-		panic("nonzero merge phase")
-	}
+func (p *barrierLog) Barrier(at float64, _, _ time.Duration, _ int, laneEvents []int) {
 	p.at = append(p.at, at)
 	p.lanes = append(p.lanes, slices.Clone(laneEvents))
 }

@@ -439,7 +439,7 @@ func PhillyArrivals(count int, meanGapSec, iterScale float64, seed uint64) ([]Ta
 // ---------------------------------------------------------------------------
 // Experiment harness
 
-// ExperimentScale selects experiment sizes for RunExperiment.
+// ExperimentScale selects experiment sizes for StreamExperiments.
 type ExperimentScale = exp.Scale
 
 // Experiment scales.
@@ -515,38 +515,12 @@ type ExperimentConfig struct {
 	Observer Observer
 }
 
-// RunExperiment regenerates one paper table or figure (see
-// ExperimentNames) and returns it as a renderable table. Experiments
-// sharing end-to-end runs reuse a cached suite when invoked through
-// RunExperiments.
-func RunExperiment(name string, seed uint64, scale ExperimentScale) (*Table, error) {
-	tables, err := RunExperiments([]string{name}, seed, scale)
-	if err != nil {
-		return nil, err
-	}
-	return tables[0], nil
-}
-
-// RunExperiments regenerates several experiments, sharing the trained
-// suite across the end-to-end figures. Pass nil to run everything.
-func RunExperiments(names []string, seed uint64, scale ExperimentScale) ([]*Table, error) {
-	var out []*Table
-	err := StreamExperiments(names, seed, scale, func(t *Table) error {
-		out = append(out, t)
-		return nil
-	})
-	return out, err
-}
-
-// StreamExperiments is RunExperiments with a per-table callback, so
-// long sweeps surface results as they complete.
-func StreamExperiments(names []string, seed uint64, scale ExperimentScale, emit func(*Table) error) error {
-	return StreamExperimentsCfg(names, ExperimentConfig{Seed: seed, Scale: scale}, emit)
-}
-
-// StreamExperimentsCfg is StreamExperiments with the full experiment
-// configuration, including the cell-parallelism bound.
-func StreamExperimentsCfg(names []string, ecfg ExperimentConfig, emit func(*Table) error) error {
+// StreamExperiments regenerates the named paper tables and figures
+// (see ExperimentNames; nil runs everything) in order, handing each
+// table to emit as it completes, so long sweeps surface results early.
+// The end-to-end figures share one trained suite. An emit error stops
+// the run and is returned.
+func StreamExperiments(names []string, ecfg ExperimentConfig, emit func(*Table) error) error {
 	if names == nil {
 		names = ExperimentNames()
 	}

@@ -159,18 +159,26 @@ func TestExperimentDispatch(t *testing.T) {
 	if len(names) != 23 {
 		t.Fatalf("experiments %d", len(names))
 	}
-	tab, err := RunExperiment("tab2", 1, ScaleSmall)
+	cfg := ExperimentConfig{Seed: 1, Scale: ScaleSmall}
+	var tabs []*Table
+	err := StreamExperiments([]string{"tab2"}, cfg, func(tab *Table) error {
+		tabs = append(tabs, tab)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(tabs) != 1 {
+		t.Fatalf("tables %d", len(tabs))
+	}
 	var b strings.Builder
-	if err := tab.WriteASCII(&b); err != nil {
+	if err := tabs[0].WriteASCII(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "Table 2") {
 		t.Fatalf("unexpected table output:\n%s", b.String())
 	}
-	if _, err := RunExperiment("bogus", 1, ScaleSmall); err == nil {
+	if err := StreamExperiments([]string{"bogus"}, cfg, func(*Table) error { return nil }); err == nil {
 		t.Fatal("bogus experiment accepted")
 	}
 }
@@ -196,7 +204,7 @@ func TestSimulateWithMIG(t *testing.T) {
 
 func TestStreamExperimentsCheapSet(t *testing.T) {
 	var titles []string
-	err := StreamExperiments([]string{"fig3", "fig5", "background"}, 1, ScaleSmall, func(tab *Table) error {
+	err := StreamExperiments([]string{"fig3", "fig5", "background"}, ExperimentConfig{Seed: 1, Scale: ScaleSmall}, func(tab *Table) error {
 		titles = append(titles, tab.Title)
 		return nil
 	})
@@ -210,7 +218,7 @@ func TestStreamExperimentsCheapSet(t *testing.T) {
 
 func TestStreamExperimentsCallbackError(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	err := StreamExperiments([]string{"fig3"}, 1, ScaleSmall, func(*Table) error {
+	err := StreamExperiments([]string{"fig3"}, ExperimentConfig{Seed: 1, Scale: ScaleSmall}, func(*Table) error {
 		return sentinel
 	})
 	if !errors.Is(err, sentinel) {

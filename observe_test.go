@@ -130,6 +130,15 @@ func TestValidate(t *testing.T) {
 		{"iter-negative", SimOptions{IterScale: -0.1}, "IterScale"},
 		{"queue-unknown", SimOptions{Queue: "lifo"}, "Queue"},
 		{"burst-bad", SimOptions{Bursts: []Burst{{Start: 10, End: 5}}}, "Bursts"},
+		{"burst-nan", SimOptions{Bursts: []Burst{{Start: math.NaN(), End: 5, Factor: 2}}}, "Bursts"},
+		{"burst-end-nan", SimOptions{Bursts: []Burst{{Start: 1, End: math.NaN(), Factor: 2}}}, "Bursts"},
+		{"burst-start-inf", SimOptions{Bursts: []Burst{{Start: math.Inf(1), End: math.Inf(1), Factor: 2}}}, "Bursts"},
+		{"load-nan", SimOptions{LoadFactor: math.NaN()}, "LoadFactor"},
+		{"load-inf", SimOptions{LoadFactor: math.Inf(1)}, "LoadFactor"},
+		{"gap-nan", SimOptions{MeanGapSec: math.NaN()}, "MeanGapSec"},
+		{"gap-inf", SimOptions{MeanGapSec: math.Inf(1)}, "MeanGapSec"},
+		{"iter-nan", SimOptions{IterScale: math.NaN()}, "IterScale"},
+		{"iter-inf", SimOptions{IterScale: math.Inf(1)}, "IterScale"},
 		{"arrival-negative", SimOptions{Arrivals: []TaskArrival{{At: 0}, {At: -1}}}, "Arrivals"},
 		{"arrival-nan", SimOptions{Arrivals: []TaskArrival{{At: math.NaN()}}}, "Arrivals"},
 		{"arrival-inf", SimOptions{Arrivals: []TaskArrival{{At: math.Inf(1)}}}, "Arrivals"},
@@ -152,6 +161,10 @@ func TestValidate(t *testing.T) {
 	// Zero options are all-defaults and must validate.
 	if err := (SimOptions{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)
+	}
+	// A burst with End +Inf lasts to the end of the run.
+	if err := (SimOptions{Bursts: []Burst{{Start: 5, End: math.Inf(1), Factor: 2}}}).Validate(); err != nil {
+		t.Errorf("open-ended burst rejected: %v", err)
 	}
 }
 

@@ -139,6 +139,11 @@ func (o SimOptions) queueID() (QueuePolicyID, *OptionError) {
 	return o.Queue, nil
 }
 
+// finiteNonNeg reports whether v is a finite number >= 0.
+func finiteNonNeg(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 1) // NaN fails the comparison
+}
+
 // Validate checks every SimOptions field and returns the first
 // violation as an *OptionError, or nil.
 //
@@ -155,23 +160,23 @@ func (o SimOptions) Validate() error {
 	if o.Tasks < 0 {
 		return &OptionError{Field: "Tasks", Value: o.Tasks, Reason: "must be >= 0 (0 selects the default of 24)"}
 	}
-	if o.MeanGapSec < 0 {
-		return &OptionError{Field: "MeanGapSec", Value: o.MeanGapSec, Reason: "must be >= 0 (0 selects the default of 10 s)"}
+	if !finiteNonNeg(o.MeanGapSec) {
+		return &OptionError{Field: "MeanGapSec", Value: o.MeanGapSec, Reason: "must be finite and >= 0 (0 selects the default of 10 s)"}
 	}
-	if o.IterScale < 0 {
-		return &OptionError{Field: "IterScale", Value: o.IterScale, Reason: "must be >= 0 (0 selects the default of 0.002)"}
+	if !finiteNonNeg(o.IterScale) {
+		return &OptionError{Field: "IterScale", Value: o.IterScale, Reason: "must be finite and >= 0 (0 selects the default of 0.002)"}
 	}
-	if o.LoadFactor < 0 {
-		return &OptionError{Field: "LoadFactor", Value: o.LoadFactor, Reason: "must be >= 0 (0 selects the default of 1.0)"}
+	if !finiteNonNeg(o.LoadFactor) {
+		return &OptionError{Field: "LoadFactor", Value: o.LoadFactor, Reason: "must be finite and >= 0 (0 selects the default of 1.0)"}
 	}
 	if o.MIGSlices < 0 || o.MIGSlices > 7 {
 		return &OptionError{Field: "MIGSlices", Value: o.MIGSlices, Reason: "must be in [0, 7] (A100 MIG supports at most 7 instances; 0 or 1 disables splitting)"}
 	}
-	if math.IsNaN(o.AdmitFactor) || math.IsInf(o.AdmitFactor, 0) || o.AdmitFactor < 0 {
+	if !finiteNonNeg(o.AdmitFactor) {
 		return &OptionError{Field: "AdmitFactor", Value: o.AdmitFactor, Reason: "must be finite and >= 0 (0 selects the default burst headroom of 1.5)"}
 	}
 	for i, a := range o.Arrivals {
-		if math.IsNaN(a.At) || math.IsInf(a.At, 0) || a.At < 0 {
+		if !finiteNonNeg(a.At) {
 			return &OptionError{
 				Field: "Arrivals", Value: i,
 				Reason: fmt.Sprintf("arrival At must be finite and >= 0, got %v", a.At),
@@ -179,10 +184,11 @@ func (o SimOptions) Validate() error {
 		}
 	}
 	for i, b := range o.Bursts {
-		if b.Start < 0 || b.End < b.Start {
+		// End may be +Inf: the burst then lasts to the end of the run.
+		if !finiteNonNeg(b.Start) || math.IsNaN(b.End) || b.End < b.Start {
 			return &OptionError{
 				Field: "Bursts", Value: i,
-				Reason: "burst must have Start >= 0 and End >= Start",
+				Reason: fmt.Sprintf("burst must have a finite Start >= 0 and End >= Start, got [%v, %v]", b.Start, b.End),
 			}
 		}
 		if b.Factor <= 0 || math.IsNaN(b.Factor) || math.IsInf(b.Factor, 0) {
