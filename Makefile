@@ -13,7 +13,7 @@ GO ?= go
 # one policy).
 RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/core ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
 
-.PHONY: tier1 build test vet fmt loc test-benchmark smoke-hotpath smoke-largecluster smoke-telemetry race test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
+.PHONY: tier1 build test vet fmt loc test-benchmark smoke-hotpath smoke-largecluster smoke-telemetry race race-live test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
 
 tier1: build test
 
@@ -60,6 +60,12 @@ smoke-telemetry:
 
 race:
 	$(GO) test -race -timeout 120m $(RACE_PKGS)
+
+# The live HTTP surface polled while a run is in flight, repeated under
+# the race detector: the run's goroutine and the pollers share the
+# metrics sink, the record log, its attributor and the timeline store.
+race-live:
+	$(GO) test -race -count=10 -timeout 5m -run LiveEndpoints ./telemetryhttp
 
 # The trace-v2 scenario validation harness: golden fixtures, statistical
 # shape tests, and 1-vs-8-worker replay determinism, under the race
@@ -117,4 +123,4 @@ bench-scale:
 	$(GO) test -run '^$$' -bench 'BenchmarkScale' -benchtime 1x -timeout 120m -count=1 .
 
 # The CI tier1 job's build/test steps plus the race job.
-ci: tier1 vet fmt test-benchmark smoke-hotpath test-scenarios test-classes smoke-largecluster smoke-telemetry race
+ci: tier1 vet fmt test-benchmark smoke-hotpath test-scenarios test-classes smoke-largecluster smoke-telemetry race race-live

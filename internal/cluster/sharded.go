@@ -29,9 +29,10 @@ import (
 // pool, its service (including the qps trace's per-device walk and its
 // recorder stream), its winRNG, and its window record d.rec. That is
 // the one observation path: the barrier reads every record back in
-// global device order — fold publishes events, metrics, attribution
-// and swap bursts, barrierTick rolls the records into timelines — so
-// observed runs step in parallel like unobserved ones.
+// global device order — fold publishes events, metrics and swap
+// bursts, barrierTick feeds violations to the attributor and rolls the
+// records into timelines — so observed runs step in parallel like
+// unobserved ones.
 
 // deviceWindow is one device's control window: the lane-local work
 // runs inline, every cross-lane reaction is posted to the mailbox, and
@@ -50,7 +51,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	}
 	svc := d.svc
 	qps := svc.qpsTrace.At(now)
-	*r = winRecord{at: now, fresh: true, offered: qps, residents: r.residents[:0]}
+	*r = winRecord{at: now, offered: qps, residents: r.residents[:0]}
 
 	// Admission control (class-aware runs only): a shed-eligible
 	// service's offered load is capped at AdmitFactor × nominal QPS
@@ -59,7 +60,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	// critical services' retunes) into the ground. Critical/standard
 	// load is never shed; batch defers but keeps every request. Shed
 	// totals accumulate per device and merge at finalize in device order.
-	if s.classAware && svc.info.Class.SheddableLoad() {
+	if svc.info.Class.SheddableLoad() {
 		admitCap := s.opts.AdmitFactor * svc.info.BaseQPS * s.opts.LoadFactor
 		if admitCap > 0 && qps > admitCap {
 			r.shed = qps - admitCap
@@ -210,35 +211,23 @@ func (s *Sim) postRetune(lane *shard.Lane, d *deviceState, qps float64, cause st
 
 // fold is the engine's once-per-window read-back, installed only when
 // a record log is on. It walks devices in global order and publishes
-// each device's fresh window record (latency, load_shed, then
-// violation), then the swap bursts its window recorded — the order a
-// one-lane sequential step would emit them in.
+// each device's window record (latency, load_shed, then violation;
+// a down device's empty record publishes nothing), then the swap
+// bursts its window recorded — the order a one-lane sequential step
+// would emit them in.
 func (s *Sim) fold(float64) {
 	for _, d := range s.devices {
-		if d.rec.fresh {
-			d.rec.fresh = false
-			s.observeWindow(d)
-		}
+		s.observeWindow(d)
 		if d.swapSeen < len(d.pool.Events()) {
 			s.flushSwaps(d)
 		}
 	}
 }
 
-// observeWindow fans one device's window record out to the
-// attributor, the metrics and the record log.
+// observeWindow fans one device's window record out to the metrics
+// and the record log.
 func (s *Sim) observeWindow(d *deviceState) {
-	r, svc := &d.rec, d.svc
-	class := svc.info.Class.String()
-	if r.viol && s.attr != nil {
-		s.attr.Observe(span.Sample{
-			Time: r.at, Device: d.dev.ID, Service: svc.info.Name,
-			LatencyMs: r.lat, BudgetMs: r.budget, QPS: r.qps,
-			BaseQPS:   svc.info.BaseQPS * s.opts.LoadFactor,
-			Residents: append(make([]string, 0, len(r.residents)), r.residents...),
-			Class:     class, ShedQPS: r.shed,
-		})
-	}
+	r := &d.rec
 	if r.ok && s.obsv != nil {
 		d.obsv.latency.Observe(r.lat)
 		if cc := d.obsv.cls; cc != nil {
@@ -246,7 +235,7 @@ func (s *Sim) observeWindow(d *deviceState) {
 		}
 	}
 	if r.shed > 0 {
-		s.record(d, span.Record{Act: span.ActLoadShed, Time: r.at, Value: r.shed, Cause: class})
+		s.record(d, span.Record{Act: span.ActLoadShed, Time: r.at, Value: r.shed, Cause: d.svc.info.Class.String()})
 	}
 	if r.viol {
 		s.record(d, span.Record{Act: span.ActSLOViolation, Time: r.at, Value: r.lat, Cause: "window-budget"})
@@ -280,9 +269,12 @@ func (s *Sim) flushSwaps(d *deviceState) {
 }
 
 // barrierTick is the global control-plane window: cancellation check,
-// cluster utilization sums over the values the lanes just published,
-// and the all-done stop. It runs after the mailbox applied, so every
-// completion at this window is already counted in res.Completed.
+// the window's violations handed to the attributor, cluster
+// utilization sums over the values the lanes just published, and the
+// all-done stop. It runs after the mailbox applied and the events at
+// this time fired, so every completion at this window is already
+// counted in res.Completed, and every retune, rescale or outage that
+// reacts to a violated window is already in the attributor's state.
 func (s *Sim) barrierTick(now float64) {
 	if s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
 		s.sh.Stop()
@@ -291,6 +283,15 @@ func (s *Sim) barrierTick(now float64) {
 	var smSum, memSum float64
 	memHot := 0
 	for _, d := range s.devices {
+		if r := &d.rec; s.attr != nil && r.viol {
+			s.attr.Observe(span.Sample{
+				Time: r.at, Device: d.dev.ID, Service: d.svc.info.Name,
+				LatencyMs: r.lat, BudgetMs: r.budget, QPS: r.qps,
+				BaseQPS:   d.svc.info.BaseQPS * s.opts.LoadFactor,
+				Residents: append(make([]string, 0, len(r.residents)), r.residents...),
+				Class:     d.svc.info.Class.String(), ShedQPS: r.shed,
+			})
+		}
 		smSum += d.smUtil
 		memSum += d.memFrac
 		if d.memFrac > memPressureFrac {

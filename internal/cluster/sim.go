@@ -329,9 +329,10 @@ type Sim struct {
 	// unset); every recording site guards on it with one branch.
 	tl *tlState
 
-	// classAware is set when any service declares an SLO class; it
-	// gates every class code path so a classless run takes the exact
-	// pre-class branches.
+	// classAware is set when any service declares an SLO class. It
+	// selects trySchedule's device pick (class-steered or the policy's
+	// own, which is measurably cheaper for a classless fleet) and
+	// whether the per-class metrics exist.
 	classAware bool
 
 	// measMap is the policy-facing view of meas, built once at
@@ -504,7 +505,7 @@ func New(opts Options) (*Sim, error) {
 	s.rec = opts.Log
 	s.attr = opts.Log.Attributor()
 	if opts.Timeline != nil {
-		s.tl = newTLState(opts.Timeline, opts.Services, s.classAware)
+		s.tl = newTLState(opts.Timeline, opts.Services)
 	}
 	// Replay: the trace's streams supply every device's QPS. The header
 	// must describe this exact cluster shape, and the streams must be in
@@ -1195,13 +1196,9 @@ func (s *Sim) measureFault(d *deviceState) error {
 // finalize converts accumulators into rates.
 func (s *Sim) finalize(now float64) {
 	wins := make(map[string]float64) // measured windows per service
-	// Class roll-up accumulators (class-aware runs only): violated and
-	// total windows per class wire name, over every device in the class.
-	var classViol, classWin map[string]float64
-	if s.classAware {
-		classViol = make(map[string]float64)
-		classWin = make(map[string]float64)
-	}
+	// Class roll-up accumulators: violated and total windows per class
+	// wire name, over every device in the class.
+	classViol, classWin := make(map[string]float64), make(map[string]float64)
 	for _, d := range s.devices {
 		svc := d.svc
 		name := svc.info.Name
@@ -1223,7 +1220,7 @@ func (s *Sim) finalize(now float64) {
 			totalWin := prevWin + float64(svc.totalWin)
 			s.res.SLOViolation[name] = (prevRate*prevWin + float64(svc.violWin)) / totalWin
 			wins[name] = totalWin
-			if s.classAware && svc.info.Class != model.ClassUnset {
+			if svc.info.Class != model.ClassUnset {
 				cls := svc.info.Class.String()
 				classViol[cls] += float64(svc.violWin)
 				classWin[cls] += float64(svc.totalWin)

@@ -141,11 +141,10 @@ type deviceState struct {
 
 // winRecord is one device-window's outcome: the lane's window handler
 // writes it, touching nothing shared, and the single-threaded barrier
-// reads it in global device order — the fold fans it out to events,
-// metrics and attribution, the barrier tick's roll-up to the timeline.
+// reads it in global device order — the fold fans it out to events and
+// metrics, the barrier tick to the attributor and the timeline.
 type winRecord struct {
 	at      float64 // window time
-	fresh   bool    // written since the last fold
 	offered float64 // offered QPS
 	qps     float64 // admitted QPS (offered minus shed)
 	shed    float64 // QPS dropped by admission control

@@ -63,8 +63,8 @@ type tlState struct {
 	svc []tlSvcSeries // by catalog index
 	acc []tlAccum
 
-	// Class roll-ups (class-aware runs only). classes lists the classes
-	// declared by the catalog in criticality order; svcClass maps a
+	// Class roll-ups. classes lists the classes declared by the catalog
+	// in criticality order (none in a classless run); svcClass maps a
 	// catalog index to its class index, -1 for unclassed services.
 	classes  []tlClassSeries
 	classAcc []tlAccum
@@ -77,7 +77,7 @@ type tlState struct {
 	memPressure *timeline.Series
 }
 
-func newTLState(st *timeline.Store, services []model.InferenceService, classAware bool) *tlState {
+func newTLState(st *timeline.Store, services []model.InferenceService) *tlState {
 	t := &tlState{
 		store:       st,
 		svc:         make([]tlSvcSeries, len(services)),
@@ -101,34 +101,32 @@ func newTLState(st *timeline.Store, services []model.InferenceService, classAwar
 			paused:   st.Series(timeline.ServicePaused, svc.Name),
 		}
 	}
-	if classAware {
-		t.svcClass = make([]int, len(services))
-		classIdx := make(map[model.SLOClass]int)
-		for _, c := range model.SLOClasses() {
-			declared := false
-			for _, svc := range services {
-				if svc.Class == c {
-					declared = true
-					break
-				}
+	t.svcClass = make([]int, len(services))
+	classIdx := make(map[model.SLOClass]int)
+	for _, c := range model.SLOClasses() {
+		declared := false
+		for _, svc := range services {
+			if svc.Class == c {
+				declared = true
+				break
 			}
-			if !declared {
-				continue
-			}
-			classIdx[c] = len(t.classes)
-			t.classes = append(t.classes, tlClassSeries{
-				qps:  st.Series(timeline.ClassQPS, c.String()),
-				shed: st.Series(timeline.ClassShed, c.String()),
-				viol: st.Series(timeline.ClassViolation, c.String()),
-			})
 		}
-		t.classAcc = make([]tlAccum, len(t.classes))
-		for i, svc := range services {
-			if ci, ok := classIdx[svc.Class]; ok && svc.Class != model.ClassUnset {
-				t.svcClass[i] = ci
-			} else {
-				t.svcClass[i] = -1
-			}
+		if !declared {
+			continue
+		}
+		classIdx[c] = len(t.classes)
+		t.classes = append(t.classes, tlClassSeries{
+			qps:  st.Series(timeline.ClassQPS, c.String()),
+			shed: st.Series(timeline.ClassShed, c.String()),
+			viol: st.Series(timeline.ClassViolation, c.String()),
+		})
+	}
+	t.classAcc = make([]tlAccum, len(t.classes))
+	for i, svc := range services {
+		if ci, ok := classIdx[svc.Class]; ok {
+			t.svcClass[i] = ci
+		} else {
+			t.svcClass[i] = -1
 		}
 	}
 	return t

@@ -245,43 +245,22 @@ func (s *Suite) Run(name string) (*cluster.Result, error) {
 }
 
 // RunAll executes the standard comparison set, fanning the four
-// policy simulations across the suite's worker pool. Uncached policies
-// become one cell each; results merge into the cache keyed by policy
-// name, so the map is identical to four sequential Run calls.
+// policies' Run calls across the suite's worker pool; a cached policy
+// returns at once, so the cache ends up as after four sequential Runs.
 func (s *Suite) RunAll() (map[string]*cluster.Result, error) {
 	names := []string{"mudi", "gslice", "gpulets", "muxflow"}
-	var todo []string
-	s.mu.Lock()
-	for _, name := range names {
-		if _, ok := s.results[name]; !ok {
-			todo = append(todo, name)
-		}
-	}
-	s.mu.Unlock()
-	cells := make([]runner.Cell[*cluster.Result], len(todo))
-	for i, name := range todo {
-		name := name
-		cells[i] = runner.Cell[*cluster.Result]{Key: name, Run: func() (*cluster.Result, error) {
-			policy, err := s.freshPolicy(name)
-			if err != nil {
-				return nil, err
-			}
-			return s.runPolicy(policy)
-		}}
+	cells := make([]runner.Cell[*cluster.Result], len(names))
+	for i, name := range names {
+		cells[i] = runner.Cell[*cluster.Result]{Key: name, Run: func() (*cluster.Result, error) { return s.Run(name) }}
 	}
 	ress, err := runCells(s.Config, s.pool, cells)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %w", err)
 	}
-	out := make(map[string]*cluster.Result)
-	s.mu.Lock()
-	for i, name := range todo {
-		s.results[name] = ress[i]
+	out := make(map[string]*cluster.Result, len(names))
+	for i, name := range names {
+		out[name] = ress[i]
 	}
-	for _, name := range names {
-		out[name] = s.results[name]
-	}
-	s.mu.Unlock()
 	return out, nil
 }
 

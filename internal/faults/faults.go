@@ -16,6 +16,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"mudi/internal/xrand"
 )
@@ -77,9 +78,21 @@ func (c Config) Enabled() bool {
 		c.SpinUpFailRate > 0 || c.PCIeDegradeFactor > 1
 }
 
-// Validate rejects out-of-range fields. The zero value is valid (no
-// faults).
+// Validate rejects out-of-range and non-finite fields. The zero value
+// is valid (no faults).
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"DeviceMTBFSec", c.DeviceMTBFSec}, {"DeviceMTTRSec", c.DeviceMTTRSec},
+		{"MeasureErrRate", c.MeasureErrRate}, {"SpinUpFailRate", c.SpinUpFailRate},
+		{"PCIeDegradeFactor", c.PCIeDegradeFactor}, {"PCIeMTBFSec", c.PCIeMTBFSec}, {"PCIeMTTRSec", c.PCIeMTTRSec},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("faults: %s %v must be finite", f.name, f.v)
+		}
+	}
 	if c.DeviceMTBFSec < 0 {
 		return fmt.Errorf("faults: DeviceMTBFSec %v must be >= 0", c.DeviceMTBFSec)
 	}

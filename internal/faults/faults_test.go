@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 )
 
@@ -31,6 +32,15 @@ func TestValidateRejectsBadRanges(t *testing.T) {
 		{SpinUpFailRate: 1.5},
 		{PCIeDegradeFactor: 0.5},
 		{PCIeDegradeFactor: 4, PCIeMTBFSec: -1},
+		{DeviceMTBFSec: math.NaN()},
+		{DeviceMTBFSec: 100, DeviceMTTRSec: math.NaN()},
+		{MeasureErrRate: math.NaN()},
+		{SpinUpFailRate: math.NaN()},
+		{PCIeDegradeFactor: math.NaN()},
+		{PCIeDegradeFactor: 4, PCIeMTBFSec: math.NaN()},
+		{PCIeDegradeFactor: 4, PCIeMTTRSec: math.NaN()},
+		{DeviceMTBFSec: math.Inf(1)},
+		{PCIeDegradeFactor: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -97,8 +97,8 @@ const WindowSec = 1.0
 const BurstFactor = 1.5
 
 // Sample is the per-violation context captured at slo_violation time.
-// Its cause is decided once no later control action at the same
-// simulated time can still change it (see Attributor).
+// Its cause is decided when it reaches Observe, against the control
+// records the Log has fed in by then (see Attributor.Observe).
 type Sample struct {
 	Time      float64  `json:"t"`
 	Device    string   `json:"device"`
@@ -161,14 +161,11 @@ type SLOReport struct {
 // Attributor classifies every SLO violation from per-device state —
 // the device's current or last outage and the latest end among its
 // rescales — that the Log keeps current from the control records it
-// feeds in. A violation's cause is final once the device's clock moves
-// past the sample's time: a rescale or outage that starts later at the
-// same simulated time (the barrier's control phase runs after the
-// window it reacts to) still counts, so each device holds its latest
-// samples back until then. The per-service and per-class roll-ups
-// count every violation; only the per-violation list is capped. A nil
-// *Attributor collects nothing; methods are concurrency-safe so a live
-// /slo endpoint can Report mid-run.
+// feeds in. Each violation is classified once, on arrival, so every
+// cause a Report shows is final. The per-service and per-class
+// roll-ups count every violation; only the per-violation list is
+// capped. A nil *Attributor collects nothing; methods are
+// concurrency-safe so a live /slo endpoint can Report mid-run.
 type Attributor struct {
 	mu      sync.Mutex
 	cap     int
@@ -191,18 +188,10 @@ func NewAttributor(capacity int) *Attributor {
 }
 
 // deviceAttr is one device's attribution state: when its last outage
-// ended (+Inf while it lasts, -Inf before any), the latest end among
-// its rescales (-Inf before any), and its samples not yet settled.
+// ended (+Inf while it lasts, -Inf before any) and the latest end
+// among its rescales (-Inf before any).
 type deviceAttr struct {
 	outageEnd, rescaleEnd float64
-	pending               []pendingSample
-}
-
-// pendingSample is a violation whose cause is not final yet; idx is its
-// entry in the list (-1 past the cap).
-type pendingSample struct {
-	Sample
-	idx int
 }
 
 func (a *Attributor) device(id string) *deviceAttr {
@@ -232,53 +221,31 @@ func (d *deviceAttr) classify(s *Sample) Cause {
 	return CauseQueueing
 }
 
-// classifyPending classifies the device's pending samples against its
-// current state into list and roll.
-func (d *deviceAttr) classifyPending(list []AttributedViolation, roll rollup) {
-	for i := range d.pending {
-		p := &d.pending[i]
-		cause := d.classify(&p.Sample)
-		if p.idx >= 0 {
-			list[p.idx].Cause = cause
-		}
-		roll.add(&p.Sample, cause)
-	}
-}
-
-// settle finalizes the device's pending samples older than now.
-func (a *Attributor) settle(d *deviceAttr, now float64) {
-	if len(d.pending) > 0 && d.pending[0].Time < now {
-		d.classifyPending(a.list, a.roll)
-		d.pending = d.pending[:0]
-	}
-}
-
-// Observe records one violation. Per device, samples and control
-// records must arrive in non-decreasing simulated time.
+// Observe classifies one violation and counts it. Call it once every
+// control record at or before the sample's time has reached the Log:
+// a rescale or outage the barrier's control phase starts at the
+// violated window's own time explains that window, and one that starts
+// later does not.
 func (a *Attributor) Observe(s Sample) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	d := a.device(s.Device)
-	a.settle(d, s.Time)
-	p := pendingSample{Sample: s, idx: -1}
+	cause := a.device(s.Device).classify(&s)
 	if len(a.list) < a.cap {
-		p.idx = len(a.list)
-		a.list = append(a.list, AttributedViolation{Sample: s})
+		a.list = append(a.list, AttributedViolation{Sample: s, Cause: cause})
 	} else {
 		a.dropped++
 	}
-	d.pending = append(d.pending, p)
+	a.roll.add(&s, cause)
 }
 
 // control applies a control record. An outage, recovery or rescale
-// updates its device's state, first settling the samples it can no
-// longer affect. A load shed adds the requests it dropped to its
-// class's roll-up: shedding is counted apart from violations because a
-// shed window need not be violated — shedding is what keeps it from
-// violating.
+// updates its device's state. A load shed adds the requests it dropped
+// to its class's roll-up: shedding is counted apart from violations
+// because a shed window need not be violated — shedding is what keeps
+// it from violating.
 func (a *Attributor) control(r *Record) {
 	if a == nil {
 		return
@@ -292,7 +259,6 @@ func (a *Attributor) control(r *Record) {
 		a.mu.Lock()
 		defer a.mu.Unlock()
 		d := a.device(r.Device)
-		a.settle(d, r.Time)
 		switch r.Act {
 		case ActOutage:
 			d.outageEnd = math.Inf(1)
@@ -315,9 +281,10 @@ func (a *Attributor) Dropped() int {
 	return a.dropped
 }
 
-// Report snapshots the attribution: every settled violation plus the
-// pending ones, classified against their devices' current state,
-// rolled up per service and per class. windowSec is the control-window
+// Report snapshots the attribution: every violation so far, rolled up
+// per service and per class. The snapshot shares no map with the
+// attributor, so a live reader may hold it while the run goes on.
+// windowSec is the control-window
 // length, used to convert violation counts into violated-minutes.
 func (a *Attributor) Report(windowSec float64) *SLOReport {
 	if a == nil {
@@ -332,27 +299,25 @@ func (a *Attributor) Report(windowSec float64) *SLOReport {
 	if len(a.list) > 0 {
 		rep.Violations = append([]AttributedViolation(nil), a.list...)
 	}
-	roll := a.roll.clone()
-	for _, d := range a.devices {
-		d.classifyPending(rep.Violations, roll)
-	}
-	for _, name := range sortedKeys(roll.services) {
-		svc := roll.services[name]
+	for _, name := range sortedKeys(a.roll.services) {
+		svc := *a.roll.services[name]
+		svc.Causes = maps.Clone(svc.Causes)
 		svc.ViolatedMinutes = float64(svc.Violations) * windowSec / 60
 		// Top offender: most frequent co-located task across this
 		// service's violating windows; ties break lexicographically.
-		for task, hits := range roll.offenders[name] {
+		for task, hits := range a.roll.offenders[name] {
 			if hits > svc.TopOffenderHits ||
 				(hits == svc.TopOffenderHits && svc.TopOffender != "" && task < svc.TopOffender) {
 				svc.TopOffender, svc.TopOffenderHits = task, hits
 			}
 		}
-		rep.Services = append(rep.Services, *svc)
+		rep.Services = append(rep.Services, svc)
 	}
-	for _, name := range sortedKeys(roll.classes) {
-		cls := roll.classes[name]
+	for _, name := range sortedKeys(a.roll.classes) {
+		cls := *a.roll.classes[name]
+		cls.Causes = maps.Clone(cls.Causes)
 		cls.ViolatedMinutes = float64(cls.Violations) * windowSec / 60
-		rep.Classes = append(rep.Classes, *cls)
+		rep.Classes = append(rep.Classes, cls)
 	}
 	return rep
 }
@@ -398,23 +363,6 @@ func (r rollup) class(name string) *ClassSLO {
 	if c == nil {
 		c = &ClassSLO{Class: name}
 		r.classes[name] = c
-	}
-	return c
-}
-
-// clone deep-copies the counts.
-func (r rollup) clone() rollup {
-	c := newRollup()
-	for name, svc := range r.services {
-		cp := *svc
-		cp.Causes = maps.Clone(svc.Causes)
-		c.services[name] = &cp
-		c.offenders[name] = maps.Clone(r.offenders[name])
-	}
-	for name, cls := range r.classes {
-		cp := *cls
-		cp.Causes = maps.Clone(cls.Causes)
-		c.classes[name] = &cp
 	}
 	return c
 }

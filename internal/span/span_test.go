@@ -381,30 +381,43 @@ func TestAttributionPriority(t *testing.T) {
 	}
 }
 
-// TestAttributionSameTimeControl: a rescale or outage that starts at a
-// violation's own simulated time — the barrier's control phase reacting
-// to the window — explains it; one that starts later does not. The
-// cause is final once the device's clock moves on, and a mid-run report
-// classifies still-pending violations against the current state.
+// TestAttributionSameTimeControl: Observe runs once every control
+// record at or before the sample's time is in, so a rescale or outage
+// fed before a same-time sample — the barrier's control phase reacting
+// to the window — explains it, and one fed after it at a later time
+// does not. Each cause is final on arrival: a mid-run report shows the
+// causes the final one does.
 func TestAttributionSameTimeControl(t *testing.T) {
 	a := NewAttributor(0)
 	feed(a,
-		Sample{Time: 10, Device: "gpu-0", Service: "bert"},
 		Record{Act: ActRescale, Time: 10, End: 10, Device: "gpu-0"},
+		Sample{Time: 10, Device: "gpu-0", Service: "bert"},
 		Sample{Time: 11, Device: "gpu-0", Service: "bert"},
 		Record{Act: ActRescale, Time: 12, End: 40, Device: "gpu-0"},
+		Record{Act: ActOutage, Time: 20, Device: "gpu-1"},
 		Sample{Time: 20, Device: "gpu-1", Service: "bert"},
+		Sample{Time: 21, Device: "gpu-2", Service: "bert"},
 	)
 	mid := a.Report(1)
-	feed(a, Record{Act: ActOutage, Time: 20, Device: "gpu-1"})
-	want := []Cause{CauseRescale, CauseQueueing, CauseDeviceFault}
+	feed(a,
+		Record{Act: ActOutage, Time: 22, Device: "gpu-2"},
+		Sample{Time: 23, Device: "gpu-2", Service: "bert"},
+	)
+	final := a.Report(1)
+	want := []Cause{CauseRescale, CauseQueueing, CauseDeviceFault, CauseQueueing, CauseDeviceFault}
 	for i, c := range want {
-		if got := a.Report(1).Violations[i].Cause; got != c {
+		if got := final.Violations[i].Cause; got != c {
 			t.Errorf("violation %d: cause = %v, want %v", i, got, c)
 		}
+		if i < len(mid.Violations) && mid.Violations[i].Cause != c {
+			t.Errorf("mid-run report: violation %d: cause = %v, want %v", i, mid.Violations[i].Cause, c)
+		}
 	}
-	if got := mid.Violations[2].Cause; got != CauseQueueing {
-		t.Errorf("mid-run report: pending violation cause = %v, want queueing", got)
+	// The mid-run snapshot shares no map with the attributor: the later
+	// violation leaves its roll-up as it was.
+	if len(mid.Violations) != 4 || mid.Services[0].Violations != 4 ||
+		mid.Services[0].Causes["device_fault"] != 1 || mid.Services[0].Causes["queueing"] != 2 {
+		t.Errorf("mid-run report changed after the fact: %+v", mid.Services[0])
 	}
 }
 

@@ -111,12 +111,18 @@ type System struct {
 // NewSystem builds the testbed and runs the offline pipeline
 // (profiling every service against the observed training tasks,
 // fitting the piecewise curves, training the interference predictor).
+// An ExtraServices entry without a finite, positive BaseQPS and SLOms
+// is rejected as *OptionError with Field "ExtraServices" and its index
+// as Value.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.MaxTrainPerGPU <= 0 {
 		cfg.MaxTrainPerGPU = 1
 	}
 	oracle := perf.NewOracle(cfg.Seed)
-	for _, svc := range cfg.ExtraServices {
+	for i, svc := range cfg.ExtraServices {
+		if !(svc.BaseQPS > 0 && finiteNonNeg(svc.BaseQPS) && svc.SLOms > 0 && finiteNonNeg(svc.SLOms)) {
+			return nil, &OptionError{Field: "ExtraServices", Value: i, Reason: fmt.Sprintf("service %q: BaseQPS %v and SLOms %v must be finite and > 0", svc.Name, svc.BaseQPS, svc.SLOms)}
+		}
 		oracle.RegisterService(svc)
 	}
 	policy, err := exp.BuildMudi(oracle, cfg.Seed, cfg.MaxTrainPerGPU)

@@ -2,6 +2,7 @@ package mudi
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -137,6 +138,33 @@ func TestCustomService(t *testing.T) {
 	}
 	if _, ok := res.SLOViolation["MyNet"]; !ok {
 		t.Fatal("custom service not simulated")
+	}
+}
+
+// TestNewSystemRejectsBadExtraService: an extra service without a
+// finite, positive BaseQPS and SLOms is rejected up front, naming its
+// index, instead of simulating with a meaningless budget.
+func TestNewSystemRejectsBadExtraService(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		qps, slo float64
+	}{
+		{"qps-nan", math.NaN(), 250},
+		{"slo-nan", 150, math.NaN()},
+		{"qps-zero", 0, 250},
+		{"slo-zero", 150, 0},
+		{"qps-negative", -1, 250},
+		{"slo-inf", 150, math.Inf(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := InferenceService{Name: "Bad", Domain: "Custom", ParamsM: 10, SLOms: tc.slo, BaseQPS: tc.qps, WeightMB: 80, ActivationMBPerItem: 20}
+			good := InferenceService{Name: "Good", Domain: "Custom", ParamsM: 10, SLOms: 250, BaseQPS: 150, WeightMB: 80, ActivationMBPerItem: 20}
+			_, err := NewSystem(SystemConfig{Seed: 5, ExtraServices: []InferenceService{good, bad}})
+			var oe *OptionError
+			if !errors.As(err, &oe) || oe.Field != "ExtraServices" || oe.Value != 1 {
+				t.Fatalf("err = %v, want *OptionError{Field: ExtraServices, Value: 1}", err)
+			}
+		})
 	}
 }
 

@@ -142,6 +142,14 @@ func TestValidate(t *testing.T) {
 		{"arrival-negative", SimOptions{Arrivals: []TaskArrival{{At: 0}, {At: -1}}}, "Arrivals"},
 		{"arrival-nan", SimOptions{Arrivals: []TaskArrival{{At: math.NaN()}}}, "Arrivals"},
 		{"arrival-inf", SimOptions{Arrivals: []TaskArrival{{At: math.Inf(1)}}}, "Arrivals"},
+		{"faults-mtbf-nan", SimOptions{Faults: &FaultConfig{DeviceMTBFSec: math.NaN()}}, "Faults"},
+		{"faults-mttr-nan", SimOptions{Faults: &FaultConfig{DeviceMTBFSec: 100, DeviceMTTRSec: math.NaN()}}, "Faults"},
+		{"faults-measure-nan", SimOptions{Faults: &FaultConfig{MeasureErrRate: math.NaN()}}, "Faults"},
+		{"faults-spinup-nan", SimOptions{Faults: &FaultConfig{SpinUpFailRate: math.NaN()}}, "Faults"},
+		{"faults-pcie-nan", SimOptions{Faults: &FaultConfig{PCIeDegradeFactor: math.NaN()}}, "Faults"},
+		{"faults-pcie-mtbf-nan", SimOptions{Faults: &FaultConfig{PCIeDegradeFactor: 4, PCIeMTBFSec: math.NaN()}}, "Faults"},
+		{"faults-pcie-mttr-nan", SimOptions{Faults: &FaultConfig{PCIeDegradeFactor: 4, PCIeMTTRSec: math.NaN()}}, "Faults"},
+		{"faults-mtbf-inf", SimOptions{Faults: &FaultConfig{DeviceMTBFSec: math.Inf(1)}}, "Faults"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
