@@ -1,16 +1,18 @@
 # Developer entry points. `make tier1` is the gate every change must
 # pass; `make race` re-checks the concurrent experiment engine under
 # the race detector (much slower — the exp suite runs everything twice
-# to compare worker counts).
+# to compare worker counts; its cells build Mudi over clones of one
+# memoized trained predictor, so each offline training runs once).
 
 GO ?= go
 
 # Packages exercised concurrently by the parallel experiment engine
 # and the observability fan-in, plus the hot-path packages whose
 # scratch/memo state must stay correctly confined (the oracle is
-# immutable and shared across workers; gp/stats/serving/learn scratch
-# is per-goroutine; core's Device Selector memo lives across calls on
-# one policy).
+# immutable and shared across workers; so are the fitted models that
+# predictor clones share; gp/stats/serving/learn scratch is
+# per-goroutine; core's Device Selector memo lives across calls on one
+# policy).
 RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/core ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
 
 .PHONY: tier1 build test vet fmt loc test-benchmark smoke-hotpath smoke-largecluster smoke-telemetry race race-live test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci

@@ -5,16 +5,17 @@ package mudi
 // (BenchmarkSimObsOff, BENCH_hotpath.json) depends on — GP posterior
 // updates, percentile extraction, oracle curve construction, burst
 // schedule lookups, the request-level serving loop, Mudi's device
-// selection, and the online learner's refits and model selection. The
-// AllocsPerRun regression tests in internal/gp, internal/stats and
-// internal/core pin the steady states; these benchmarks track the
-// constants.
+// selection, the online learner's refits and model selection, and a
+// warm Mudi build. The AllocsPerRun regression tests in internal/gp,
+// internal/stats and internal/core pin the steady states; these
+// benchmarks track the constants.
 
 import (
 	"fmt"
 	"math"
 	"testing"
 
+	"mudi/internal/exp"
 	"mudi/internal/gp"
 	"mudi/internal/learn"
 	"mudi/internal/model"
@@ -288,6 +289,24 @@ func BenchmarkHotpathMudiSelect1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := policy.SelectDevice(task, views, nil); !ok {
 			b.Fatal("no device selected")
+		}
+	}
+}
+
+// BenchmarkHotpathBuildMudiWarm is one Mudi build once the offline
+// pipeline has run for its key: the first build trains, and each
+// measured build, from a fresh oracle with the same seed, finds the
+// trained state in the memo and pays only the predictor clone and the
+// curve cache.
+func BenchmarkHotpathBuildMudiWarm(b *testing.B) {
+	if _, err := exp.BuildMudi(perf.NewOracle(1), 1, 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exp.BuildMudi(perf.NewOracle(1), 1, 1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -308,6 +308,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	tab := report.NewTable(title, "metric", "value")
 	tab.AddRow("completed / admitted", fmt.Sprintf("%d / %d", res.Completed, res.Admitted))
+	if res.Unfinished > 0 {
+		tab.AddRow("unfinished at stop", res.Unfinished)
+	}
 	tab.AddRow("mean SLO violation", report.Pct(res.MeanSLOViolation()))
 	tab.AddRow("mean CT (s)", res.MeanCT())
 	tab.AddRow("mean waiting (s)", res.MeanWaiting())

@@ -83,6 +83,9 @@ func TestMudiEndToEnd(t *testing.T) {
 	if res.Completed != len(arrivals) {
 		t.Fatalf("completed %d of %d", res.Completed, len(arrivals))
 	}
+	if res.Unfinished != 0 {
+		t.Fatalf("a run that completed every task reports %d unfinished", res.Unfinished)
+	}
 	if len(res.CTs) != res.Completed || len(res.WaitingT) != res.Completed {
 		t.Fatal("metric lengths inconsistent")
 	}
@@ -363,6 +366,46 @@ func TestRequeueAfterLongPause(t *testing.T) {
 	// property is termination without error and sane accounting.
 	if res.Completed > res.Admitted {
 		t.Fatal("accounting inconsistent")
+	}
+}
+
+// TestUnfinishedAtHorizon: a run cut short by MaxHorizonSec reports
+// every arrival it did not complete, the queued and the never-arrived
+// included, and keeps the count out of Summary().
+func TestUnfinishedAtHorizon(t *testing.T) {
+	oracle := perf.NewOracle(15)
+	arrivals := smallArrivals(t, 24, 15)
+	// Stop mid-trace on two devices: some tasks never arrive, and more
+	// arrive than two devices hold, so some are still queued.
+	horizon := arrivals[len(arrivals)/2].At + 1
+	late := 0
+	for _, a := range arrivals {
+		if a.At > horizon {
+			late++
+		}
+	}
+	policy, err := baselines.New("gslice", oracle, 15, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := New(Options{Policy: policy, Oracle: oracle, Seed: 15, Devices: 2, Arrivals: arrivals, MaxHorizonSec: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := len(arrivals) - late - res.Admitted
+	if late == 0 || queued == 0 {
+		t.Fatalf("%d late and %d queued arrivals; the test needs both", late, queued)
+	}
+	if res.Unfinished != len(arrivals)-res.Completed || res.Unfinished < late+queued {
+		t.Fatalf("unfinished %d with %d of %d completed, %d queued and %d arriving after the horizon",
+			res.Unfinished, res.Completed, len(arrivals), queued, late)
+	}
+	if strings.Contains(res.Summary(), "unfinished") {
+		t.Fatal("Summary() reports the unfinished count")
 	}
 }
 

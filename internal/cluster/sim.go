@@ -200,6 +200,12 @@ type Result struct {
 	// CTs; a healthy run completes everything).
 	Completed int
 	Admitted  int
+	// Unfinished counts the arrivals not completed when the run stopped:
+	// still queued, still resident, or arriving after MaxHorizonSec. A
+	// queued task is in neither Admitted nor Completed, so only this
+	// says a run stopped with work left. Zero in a healthy run, and
+	// absent from Summary().
+	Unfinished int
 
 	// Utilization time series (Fig. 10).
 	SMUtil  *stats.TimeSeries
@@ -1195,6 +1201,7 @@ func (s *Sim) measureFault(d *deviceState) error {
 
 // finalize converts accumulators into rates.
 func (s *Sim) finalize(now float64) {
+	s.res.Unfinished = len(s.opts.Arrivals) - s.res.Completed
 	wins := make(map[string]float64) // measured windows per service
 	// Class roll-up accumulators: violated and total windows per class
 	// wire name, over every device in the class.

@@ -10,6 +10,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mudi/internal/baselines"
@@ -162,8 +163,8 @@ func NewSuite(cfg Config) (*Suite, error) {
 	}, nil
 }
 
-// BuildMudi runs the full offline pipeline (profiling → interference
-// modeling → curve cache) and returns a ready Mudi policy. maxTrain >
+// BuildMudi returns a ready Mudi policy over the offline pipeline's
+// output (profiling → interference modeling → curve cache). maxTrain >
 // 1 additionally profiles multi-task co-locations (Mudi-more, §5.5).
 func BuildMudi(oracle *perf.Oracle, seed uint64, maxTrain int) (*core.Mudi, error) {
 	return BuildMudiWithTuner(oracle, seed, maxTrain, tuner.Config{})
@@ -171,9 +172,35 @@ func BuildMudi(oracle *perf.Oracle, seed uint64, maxTrain int) (*core.Mudi, erro
 
 // BuildMudiWithTuner is BuildMudi with an explicit Tuner configuration
 // (used by the batching-strategy ablation).
+//
+// The offline pipeline runs once per (oracle content, seed, maxTrain)
+// in a process (see trainedFor): every call gets its own Mudi over its
+// own clone of the trained predictor, so it learns online exactly as
+// over a freshly trained one, and nothing it learns reaches another.
 func BuildMudiWithTuner(oracle *perf.Oracle, seed uint64, maxTrain int, tcfg tuner.Config) (*core.Mudi, error) {
+	off, err := trainedFor(oracle, seed, maxTrain)
+	if err != nil {
+		return nil, err
+	}
+	mudi := core.NewMudi(off.pred.Clone(), core.MudiConfig{MaxTrainPerGPU: maxTrain, Tuner: tcfg})
+	mudi.AddProfiles(off.curves)
+	return mudi, nil
+}
+
+// offline is the offline phase's output (§4.1): the trained
+// Interference Predictor and the profiled curves Mudi caches. It is
+// never mutated once built; callers clone pred.
+type offline struct {
+	pred *predictor.Predictor
+	// curves are the offline profiles without their samples: the
+	// fields Mudi.AddProfiles reads.
+	curves []profiler.Profile
+}
+
+// train runs the offline pipeline: the Offline Profiler over every
+// catalog service, then the Interference Modeler's model selection.
+func train(oracle *perf.Oracle, seed uint64, maxTrain int) (*offline, error) {
 	prof := profiler.New(oracle, xrand.New(seed+100))
-	pred := predictor.New(seed)
 	var colocSets [][]model.TrainingTask
 	if maxTrain > 1 {
 		colocSets = append([][]model.TrainingTask{nil}, profiler.MultiColocSets(maxTrain)...)
@@ -182,14 +209,73 @@ func BuildMudiWithTuner(oracle *perf.Oracle, seed uint64, maxTrain int, tcfg tun
 	if err != nil {
 		return nil, err
 	}
-	mudi := core.NewMudi(pred, core.MudiConfig{MaxTrainPerGPU: maxTrain, Tuner: tcfg})
-	for _, ps := range profiles {
-		if err := pred.Train(ps); err != nil {
+	off := &offline{pred: predictor.New(seed)}
+	for _, svc := range model.Services() {
+		for _, pr := range profiles[svc.Name] {
+			pr.Samples = nil
+			off.curves = append(off.curves, pr)
+		}
+		if err := off.pred.Train(profiles[svc.Name]); err != nil {
 			return nil, err
 		}
-		mudi.AddProfiles(ps)
 	}
-	return mudi, nil
+	return off, nil
+}
+
+// memoSize bounds the trained-state memo; past it the oldest entry is
+// evicted, so a seed sweep holds at most memoSize trained predictors.
+const memoSize = 8
+
+// memoEntry is one trained-state memo slot. done is closed once off
+// and err are set. oracle is the first caller's: its parameters are
+// fixed once it is shared (see perf.Oracle).
+type memoEntry struct {
+	oracle   *perf.Oracle
+	seed     uint64
+	maxTrain int
+	done     chan struct{}
+	off      *offline
+	err      error
+}
+
+// memo holds the offline pipeline's output per (oracle content, seed,
+// maxTrain), oldest first. The Tuner configuration is not part of the
+// key: it reaches neither profiling nor training.
+var memo struct {
+	mu      sync.Mutex
+	entries []*memoEntry
+}
+
+// trainedFor returns train's output for (oracle, seed, maxTrain),
+// running it only on a memo miss. Concurrent first callers of one key
+// train once and the others wait for it; a failed training is not
+// kept, so the next caller trains again.
+func trainedFor(oracle *perf.Oracle, seed uint64, maxTrain int) (*offline, error) {
+	memo.mu.Lock()
+	for _, e := range memo.entries {
+		if e.seed == seed && e.maxTrain == maxTrain && e.oracle.Same(oracle) {
+			memo.mu.Unlock()
+			<-e.done
+			return e.off, e.err
+		}
+	}
+	e := &memoEntry{oracle: oracle, seed: seed, maxTrain: maxTrain, done: make(chan struct{})}
+	if len(memo.entries) == memoSize {
+		memo.entries = slices.Delete(memo.entries, 0, 1)
+	}
+	memo.entries = append(memo.entries, e)
+	memo.mu.Unlock()
+
+	e.off, e.err = train(oracle, seed, maxTrain)
+	if e.err != nil {
+		memo.mu.Lock()
+		if i := slices.Index(memo.entries, e); i >= 0 {
+			memo.entries = slices.Delete(memo.entries, i, i+1)
+		}
+		memo.mu.Unlock()
+	}
+	close(e.done)
+	return e.off, e.err
 }
 
 // policyOrder is the stable presentation order of the systems.
@@ -198,9 +284,11 @@ var policyOrder = []string{"mudi", "gslice", "gpulets", "muxflow", "optimal"}
 // freshPolicy builds a new, independently-owned policy instance. Every
 // experiment cell gets its own instance so that mutable policy state
 // (Mudi's observed co-locations, Gpulets' solo curves) is never shared
-// across workers. Construction is a pure function of (oracle, seed), so
-// fresh instances are identical no matter when or on which worker they
-// are built.
+// across workers; a Mudi instance owns its own clone of the trained
+// predictor, so only the immutable offline output is shared (see
+// BuildMudiWithTuner). Construction is a pure function of (oracle,
+// seed), so fresh instances are identical no matter when or on which
+// worker they are built.
 func (s *Suite) freshPolicy(name string) (core.Policy, error) {
 	if name == "mudi" {
 		return BuildMudi(s.Oracle, s.Config.Seed, 1)

@@ -3,6 +3,7 @@ package learn
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Candidates returns a fresh instance of every model family the
@@ -254,6 +255,21 @@ type Incremental struct {
 // NewIncremental returns an empty incremental learner.
 func NewIncremental(seed uint64) *Incremental {
 	return &Incremental{seed: seed}
+}
+
+// Clone returns a learner that holds the same samples, counters and
+// current model as inc and learns on from there independently. The
+// model is shared, not copied: a published model is never mutated
+// (every refit or selection fits a fresh one) and Predict only reads
+// it. The sample slices are copied at their length, so an append on
+// either learner reallocates rather than writing into a backing array
+// the other still reads.
+func (inc *Incremental) Clone() *Incremental {
+	c := *inc
+	c.x = slices.Clip(slices.Clone(inc.x))
+	c.y = slices.Clip(slices.Clone(inc.y))
+	c.groups = slices.Clip(slices.Clone(inc.groups))
+	return &c
 }
 
 // N returns the number of accumulated samples.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -347,5 +348,64 @@ func TestFallbackIsNotASelection(t *testing.T) {
 	}
 	if _, sel := inc.Refits(); sel != 2 {
 		t.Fatalf("%d selections over 8 samples, want 2 (at 4 and 6)", sel)
+	}
+}
+
+// TestCloneLearnsIndependently: two clones of one learner, fed
+// different samples, each end exactly where a learner fed the base's
+// samples and then its own would, and the base is unchanged. The base
+// holds spare capacity, so clones sharing its backing arrays would
+// write their first new samples to one slot.
+func TestCloneLearnsIndependently(t *testing.T) {
+	x, y, groups := predictorShaped(xrand.New(7), 6+20, noisy)
+	const n = 30
+	fresh := func(extra int) *Incremental {
+		inc := NewIncremental(7)
+		for i := 0; i < n; i++ {
+			inc.AddNoRefitGrouped(x[i], y[i], groups[i])
+		}
+		if err := inc.Select(); err != nil {
+			t.Fatal(err)
+		}
+		for i := n; i < n+extra; i++ {
+			if _, err := inc.AddGrouped(x[i], y[i], groups[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return inc
+	}
+	base := fresh(0)
+	if cap(base.x) == len(base.x) {
+		t.Fatal("base has no spare capacity; the test would not catch a shared backing array")
+	}
+	predictions := func(inc *Incremental) []uint64 {
+		var out []uint64
+		for _, row := range x {
+			v, _ := inc.Predict(row)
+			out = append(out, math.Float64bits(v))
+		}
+		return out
+	}
+	baseWant := predictions(base)
+	a, b := base.Clone(), base.Clone()
+	if _, err := b.AddGrouped(x[len(x)-1], y[len(x)-1], groups[len(x)-1]); err != nil {
+		t.Fatal(err)
+	}
+	for i := n; i < n+refitEvery; i++ {
+		if _, err := a.AddGrouped(x[i], y[i], groups[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if base.N() != n || !slices.Equal(predictions(base), baseWant) {
+		t.Fatalf("base changed: %d samples (was %d)", base.N(), n)
+	}
+	if want := fresh(refitEvery); a.N() != want.N() || !slices.Equal(predictions(a), predictions(want)) {
+		t.Fatalf("clone a: %d samples, %s; a learner fed the same samples: %d, %s", a.N(), a.ModelName(), want.N(), want.ModelName())
+	}
+	if r, _ := a.Refits(); r != 2 {
+		t.Fatalf("clone a ran %d refits, want the base's selection and one refit", r)
+	}
+	if got := b.x[n]; !slices.Equal(got, x[len(x)-1]) {
+		t.Fatalf("clone b's new sample is %v, want %v", got, x[len(x)-1])
 	}
 }

@@ -21,6 +21,7 @@ package perf
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"mudi/internal/model"
@@ -166,6 +167,14 @@ func (o *Oracle) RegisterService(svc model.InferenceService) {
 	budget64 := svc.SLOms * 64 / svc.BaseQPS
 	p.latCoef = 0.45 * budget64 / math.Pow(64, p.latExp)
 	o.services[svc.Name] = p
+}
+
+// Same reports whether o and other answer every query alike: the same
+// seed and the same hidden parameters for the same services. Two
+// oracles built by NewOracle with one seed, with the same services
+// registered, are the same; a NaN parameter only makes them differ.
+func (o *Oracle) Same(other *Oracle) bool {
+	return o.seed == other.seed && maps.Equal(o.services, other.services)
 }
 
 func (o *Oracle) params(svc string) (svcParams, error) {

@@ -79,6 +79,24 @@ func New(seed uint64) *Predictor {
 	return &Predictor{seed: seed, services: make(map[string]*svcPredictor)}
 }
 
+// Clone returns a predictor that predicts exactly as p does and then
+// learns independently of it: Train or Update on either leaves the
+// other's predictions, generations, samples and Stats unchanged. It
+// copies each learner (see learn.Incremental.Clone), so a clone costs
+// the sample slices and not a model selection.
+func (p *Predictor) Clone() *Predictor {
+	c := &Predictor{seed: p.seed, services: make(map[string]*svcPredictor, len(p.services)), score: p.score}
+	c.score.curve = slices.Clip(slices.Clone(p.score.curve))
+	for name, sp := range p.services {
+		csp := &svcPredictor{gen: sp.gen}
+		for i, l := range sp.learners {
+			csp.learners[i] = l.Clone()
+		}
+		c.services[name] = csp
+	}
+	return c
+}
+
 // ErrUntrained reports prediction before any profile was added.
 var ErrUntrained = errors.New("predictor: no profiles for service")
 

@@ -3,11 +3,13 @@ package predictor
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mudi/internal/model"
 	"mudi/internal/perf"
+	"mudi/internal/piecewise"
 	"mudi/internal/profiler"
 	"mudi/internal/stats"
 	"mudi/internal/xrand"
@@ -363,5 +365,68 @@ func TestUpdateScoresBeforeLearning(t *testing.T) {
 		if a != c {
 			t.Fatalf("batch %d: scored learner predicts %v, unscored %v", b, a, c)
 		}
+	}
+}
+
+// TestCloneLearnsIndependently: Update on a clone leaves the predictor
+// it was cloned from as it was, and two clones fed the same profiles
+// stay equal to each other.
+func TestCloneLearnsIndependently(t *testing.T) {
+	base, o := trainPredictor(t, 5, []string{"BERT", "GPT2"})
+	type snapshot struct {
+		curves  []piecewise.Func
+		gen     uint64
+		samples int
+		stats   Stats
+	}
+	tasks := model.UnseenTasks()
+	snap := func(p *Predictor) snapshot {
+		var s snapshot
+		for _, b := range model.BatchSizes() {
+			for _, task := range tasks {
+				c, err := p.PredictCurve("BERT", b, task.Arch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.curves = append(s.curves, c)
+			}
+		}
+		s.gen, s.samples, s.stats = p.Generation("BERT"), p.Samples("BERT"), p.Stats()
+		return s
+	}
+	want := snap(base)
+	a, b := base.Clone(), base.Clone()
+	if got := snap(a); !reflect.DeepEqual(got, want) {
+		t.Fatal("a fresh clone predicts differently from its base")
+	}
+	prof := profiler.New(o, xrand.New(51))
+	for _, task := range tasks[:2] {
+		for _, batch := range model.BatchSizes() {
+			p, err := prof.ProfileOne("BERT", batch, []model.TrainingTask{task})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Update(p); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Update(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := snap(base); !reflect.DeepEqual(got, want) {
+		t.Errorf("updating clones changed their base: generation %d → %d, samples %d → %d, stats %+v → %+v",
+			want.gen, got.gen, want.samples, got.samples, want.stats, got.stats)
+	}
+	sa, sb := snap(a), snap(b)
+	if !reflect.DeepEqual(sa, sb) {
+		t.Error("two clones updated with the same profiles differ")
+	}
+	if sa.samples <= want.samples || sa.gen <= want.gen || sa.stats.Scored == 0 {
+		t.Errorf("clone did not learn: samples %d (base %d), generation %d (base %d), scored %d",
+			sa.samples, want.samples, sa.gen, want.gen, sa.stats.Scored)
+	}
+	if reflect.DeepEqual(sa.curves, want.curves) {
+		t.Error("clone predictions unchanged after learning two unseen tasks")
 	}
 }

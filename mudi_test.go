@@ -3,6 +3,7 @@ package mudi
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,33 @@ func TestSystemSimulate(t *testing.T) {
 	}
 	if res.MeanSLOViolation() > 0.1 {
 		t.Fatalf("violation %v", res.MeanSLOViolation())
+	}
+}
+
+// TestSystemsLearnIndependently: two systems built from one config
+// share the offline phase's output, but learning in one leaves the
+// other's learner where training left it.
+func TestSystemsLearnIndependently(t *testing.T) {
+	a, err := NewSystem(SystemConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSystem(SystemConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := b.Learner()
+	if !reflect.DeepEqual(a.Learner(), trained) {
+		t.Fatal("two systems with one config start from different learners")
+	}
+	if _, err := a.Simulate(SimOptions{Devices: 6, Tasks: 8, MeanGapSec: 5, IterScale: 0.001}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Learner().Colocations == 0 || reflect.DeepEqual(a.Learner(), trained) {
+		t.Fatalf("the simulation taught system a nothing: %+v", a.Learner())
+	}
+	if got := b.Learner(); !reflect.DeepEqual(got, trained) {
+		t.Errorf("simulating system a moved system b's learner: %+v, want %+v", got, trained)
 	}
 }
 
