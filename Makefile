@@ -1,8 +1,8 @@
 # Developer entry points. `make tier1` is the gate every change must
 # pass; `make race` re-checks the concurrent experiment engine under
 # the race detector (much slower — the exp suite runs everything twice
-# to compare worker counts; its cells build Mudi over clones of one
-# memoized trained predictor, so each offline training runs once).
+# to compare worker counts; its cells build Mudi with core.Build, over
+# clones of one trained predictor, so each offline training runs once).
 
 GO ?= go
 
@@ -15,7 +15,7 @@ GO ?= go
 # policy).
 RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/core ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
 
-.PHONY: tier1 build test vet fmt loc test-benchmark smoke-hotpath smoke-largecluster smoke-telemetry race race-live test-scenarios test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
+.PHONY: tier1 build test vet fmt loc test-benchmark smoke-hotpath smoke-largecluster smoke-telemetry race race-live test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
 
 tier1: build test
 
@@ -69,23 +69,20 @@ race:
 race-live:
 	$(GO) test -race -count=10 -timeout 5m -run LiveEndpoints ./telemetryhttp
 
-# The trace-v2 scenario validation harness: golden fixtures, statistical
-# shape tests, and 1-vs-8-worker replay determinism, under the race
-# detector. Regenerate fixtures with:
+# Fixture regeneration. The trace-v2 scenario harness's golden
+# fixtures (their tests run under `make test`, and under the race
+# detector in `make race`) regenerate with:
 #   go test ./internal/trace/... -update
 # The control-plane record goldens (events, Chrome traces, the faulted
 # run's SLO report and metrics snapshot) regenerate with:
 #   go test ./cmd/mudisim -run Golden -update
 #   go test . -run 'ChromeTraceGolden|FaultedRecordGolden' -update
-test-scenarios:
-	$(GO) test -race -timeout 60m ./internal/trace ./internal/trace/scenario ./internal/exp -run 'Scenario|Golden|Trace|Cohort|Diurnal|Ramp|FlashCrowd|BurstStorm|Failover|StepQPS|Decode|Encode|Validate|Recorder'
 
 # The SLO-class discipline: class-steered placement, admission-control
-# shedding, per-class attribution, classless byte-identity, and the
-# classless-vs-classed experiment's 1-vs-8-worker determinism, under
-# the race detector.
+# shedding, per-class attribution and classless byte-identity, under
+# the race detector, in the packages `make race` does not cover.
 test-classes:
-	$(GO) test -race -timeout 60m ./internal/model ./internal/sched ./internal/span ./internal/cluster ./internal/exp . ./cmd/mudisim ./examples/sloclasses -run 'Class|Shed|SLOClass|Classless|RunClasses'
+	$(GO) test -race -timeout 60m ./internal/model . ./cmd/mudisim ./examples/sloclasses -run 'Class|Shed|SLOClass|Classless|RunClasses'
 
 # Regenerate the numbers recorded in BENCH_parallel.json.
 bench-parallel:
@@ -125,4 +122,4 @@ bench-scale:
 	$(GO) test -run '^$$' -bench 'BenchmarkScale' -benchtime 1x -timeout 120m -count=1 .
 
 # The CI tier1 job's build/test steps plus the race job.
-ci: tier1 vet fmt test-benchmark smoke-hotpath test-scenarios test-classes smoke-largecluster smoke-telemetry race race-live
+ci: tier1 vet fmt test-benchmark smoke-hotpath test-classes smoke-largecluster smoke-telemetry race race-live

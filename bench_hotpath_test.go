@@ -15,7 +15,7 @@ import (
 	"math"
 	"testing"
 
-	"mudi/internal/exp"
+	"mudi/internal/core"
 	"mudi/internal/gp"
 	"mudi/internal/learn"
 	"mudi/internal/model"
@@ -299,13 +299,13 @@ func BenchmarkHotpathMudiSelect1k(b *testing.B) {
 // trained state in the memo and pays only the predictor clone and the
 // curve cache.
 func BenchmarkHotpathBuildMudiWarm(b *testing.B) {
-	if _, err := exp.BuildMudi(perf.NewOracle(1), 1, 1); err != nil {
+	if _, err := core.Build(perf.NewOracle(1), 1, core.MudiConfig{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.BuildMudi(perf.NewOracle(1), 1, 1); err != nil {
+		if _, err := core.Build(perf.NewOracle(1), 1, core.MudiConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

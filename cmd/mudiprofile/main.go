@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 
+	"mudi/internal/atomicio"
 	"mudi/internal/model"
 	"mudi/internal/perf"
 	"mudi/internal/predictor"
@@ -148,12 +149,9 @@ func run(args []string, stdout io.Writer) error {
 			svc.Name, names[0], names[1], names[2], names[3])
 	}
 	if *saveFlag != "" && len(toSave) > 0 {
-		f, err := os.Create(*saveFlag)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := profiler.SaveProfiles(f, toSave); err != nil {
+		if err := atomicio.WriteFile(*saveFlag, func(w io.Writer) error {
+			return profiler.SaveProfiles(w, toSave)
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "# saved %d profiles to %s\n", len(toSave), *saveFlag)

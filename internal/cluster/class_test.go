@@ -32,7 +32,7 @@ func classedServices() []model.InferenceService {
 // class roll-ups land in the Result and its Summary.
 func TestClassAwareShedsBurst(t *testing.T) {
 	oracle := perf.NewOracle(7)
-	mudi := buildMudi(t, oracle, 7)
+	mudi := mustBuild(t, oracle, 7)
 	arrivals := smallArrivals(t, 8, 7)
 	sim, err := New(Options{
 		Policy:   mudi,
@@ -89,7 +89,7 @@ func TestClassAwareShedsBurst(t *testing.T) {
 // Summary (the byte-identity contract for pre-class consumers).
 func TestClasslessSummaryHasNoClassLines(t *testing.T) {
 	oracle := perf.NewOracle(7)
-	mudi := buildMudi(t, oracle, 7)
+	mudi := mustBuild(t, oracle, 7)
 	arrivals := smallArrivals(t, 8, 7)
 	sim, err := New(Options{
 		Policy:   mudi,
@@ -122,7 +122,7 @@ func TestClasslessSummaryHasNoClassLines(t *testing.T) {
 func TestClassAwareDeterminism(t *testing.T) {
 	run := func() *Result {
 		oracle := perf.NewOracle(9)
-		mudi := buildMudi(t, oracle, 9)
+		mudi := mustBuild(t, oracle, 9)
 		arrivals := smallArrivals(t, 8, 9)
 		sim, err := New(Options{
 			Policy:   mudi,
@@ -152,7 +152,7 @@ func TestClassAwareDeterminism(t *testing.T) {
 // surface as per-class shed accounting in the SLOReport.
 func TestShedFeedsAttributor(t *testing.T) {
 	oracle := perf.NewOracle(7)
-	mudi := buildMudi(t, oracle, 7)
+	mudi := mustBuild(t, oracle, 7)
 	arrivals := smallArrivals(t, 8, 7)
 	sim, err := New(Options{
 		Policy:   mudi,
@@ -193,7 +193,7 @@ func TestShedFeedsAttributor(t *testing.T) {
 // TestInvalidServiceClassRejected pins the construction-time check.
 func TestInvalidServiceClassRejected(t *testing.T) {
 	oracle := perf.NewOracle(1)
-	mudi := buildMudi(t, oracle, 1)
+	mudi := mustBuild(t, oracle, 1)
 	svcs := model.Services()
 	svcs[0].Class = model.SLOClass(42)
 	_, err := New(Options{

@@ -10,31 +10,18 @@ import (
 	"mudi/internal/gpu"
 	"mudi/internal/model"
 	"mudi/internal/perf"
-	"mudi/internal/predictor"
-	"mudi/internal/profiler"
 	"mudi/internal/trace"
 	"mudi/internal/xrand"
 )
 
-// buildMudi trains the full offline pipeline and returns the policy.
-func buildMudi(t testing.TB, oracle *perf.Oracle, seed uint64) *core.Mudi {
+// mustBuild is core.Build for Mudi, failing the test on an error.
+func mustBuild(t testing.TB, oracle *perf.Oracle, seed uint64) *core.Mudi {
 	t.Helper()
-	prof := profiler.New(oracle, xrand.New(seed+100))
-	pred := predictor.New(seed)
-	profiles, err := prof.ProfileAll(nil, nil)
+	m, err := core.Build(oracle, seed, core.MudiConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ps := range profiles {
-		if err := pred.Train(ps); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mudi := core.NewMudi(pred, core.MudiConfig{})
-	for _, ps := range profiles {
-		mudi.AddProfiles(ps)
-	}
-	return mudi
+	return m
 }
 
 // smallArrivals generates a compact trace: tasks shrunk to seconds.
@@ -73,7 +60,7 @@ func runPolicy(t testing.TB, policy core.Policy, oracle *perf.Oracle, arrivals [
 
 func TestMudiEndToEnd(t *testing.T) {
 	oracle := perf.NewOracle(1)
-	mudi := buildMudi(t, oracle, 1)
+	mudi := mustBuild(t, oracle, 1)
 	arrivals := smallArrivals(t, 24, 1)
 	res := runPolicy(t, mudi, oracle, arrivals, 12, 1)
 
@@ -114,7 +101,7 @@ func TestMudiBeatsBaselinesSmallScale(t *testing.T) {
 	arrivals := smallArrivals(t, 20, 2)
 	const devices = 12
 
-	mudi := buildMudi(t, oracle, 2)
+	mudi := mustBuild(t, oracle, 2)
 	resMudi := runPolicy(t, mudi, oracle, arrivals, devices, 2)
 
 	gpulets, err := baselines.NewGpulets(oracle, xrand.New(3))
@@ -151,7 +138,7 @@ func TestMudiBeatsBaselinesSmallScale(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() *Result {
 		oracle := perf.NewOracle(5)
-		mudi := buildMudi(t, oracle, 5)
+		mudi := mustBuild(t, oracle, 5)
 		arrivals := smallArrivals(t, 10, 5)
 		return runPolicy(t, mudi, oracle, arrivals, 6, 5)
 	}
@@ -171,7 +158,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestSummaryExcludesWallClock(t *testing.T) {
 	oracle := perf.NewOracle(5)
-	mudi := buildMudi(t, oracle, 5)
+	mudi := mustBuild(t, oracle, 5)
 	arrivals := smallArrivals(t, 6, 5)
 	res := runPolicy(t, mudi, oracle, arrivals, 4, 5)
 	before := res.Summary()
@@ -205,7 +192,7 @@ func TestLoadSensitivityShape(t *testing.T) {
 	}
 	// Fig. 15: higher load ⇒ higher violation rate, monotone-ish.
 	oracle := perf.NewOracle(6)
-	mudi := buildMudi(t, oracle, 6)
+	mudi := mustBuild(t, oracle, 6)
 	arrivals := smallArrivals(t, 10, 6)
 	var prev float64 = -1
 	for _, load := range []float64{1, 3} {
@@ -230,7 +217,7 @@ func TestLoadSensitivityShape(t *testing.T) {
 
 func TestBurstTriggersSwapsAndPauses(t *testing.T) {
 	oracle := perf.NewOracle(7)
-	mudi := buildMudi(t, oracle, 7)
+	mudi := mustBuild(t, oracle, 7)
 	arrivals := smallArrivals(t, 8, 7)
 	// MIG slices shrink each instance to 10 GB so the burst-driven
 	// batch growth actually oversubscribes memory: swap accounting only
@@ -258,7 +245,7 @@ func TestBurstTriggersSwapsAndPauses(t *testing.T) {
 
 func TestMIGSlices(t *testing.T) {
 	oracle := perf.NewOracle(9)
-	mudi := buildMudi(t, oracle, 9)
+	mudi := mustBuild(t, oracle, 9)
 	arrivals := smallArrivals(t, 10, 9)
 	sim, err := New(Options{
 		Policy: mudi, Oracle: oracle, Seed: 9, Devices: 3,
@@ -341,7 +328,7 @@ func TestRequeueAfterLongPause(t *testing.T) {
 	// requeued; with no alternative device it keeps waiting, and the
 	// simulation still terminates at the safety horizon.
 	oracle := perf.NewOracle(13)
-	mudi := buildMudi(t, oracle, 13)
+	mudi := mustBuild(t, oracle, 13)
 	yolo, _ := model.TaskByName("YOLOv5")
 	gpt2, _ := model.ServiceByName("GPT2")
 	arrivals := []trace.TaskArrival{{ID: 0, At: 5, Task: yolo, Iters: 800, GPUsReq: 1}}
@@ -411,7 +398,7 @@ func TestUnfinishedAtHorizon(t *testing.T) {
 
 func TestResultWriteJSON(t *testing.T) {
 	oracle := perf.NewOracle(14)
-	mudi := buildMudi(t, oracle, 14)
+	mudi := mustBuild(t, oracle, 14)
 	arrivals := smallArrivals(t, 6, 14)
 	res := runPolicy(t, mudi, oracle, arrivals, 4, 14)
 

@@ -28,7 +28,7 @@ func burstOptions(t testing.TB, seed uint64) Options {
 		t.Fatal(err)
 	}
 	return Options{
-		Policy:   buildMudi(t, oracle, seed),
+		Policy:   mustBuild(t, oracle, seed),
 		Oracle:   oracle,
 		Seed:     seed,
 		Devices:  6,

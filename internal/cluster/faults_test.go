@@ -17,7 +17,7 @@ func faultOptions(t testing.TB, seed uint64, devices, tasks int, fc *faults.Conf
 	t.Helper()
 	oracle := perf.NewOracle(seed)
 	return Options{
-		Policy:   buildMudi(t, oracle, seed),
+		Policy:   mustBuild(t, oracle, seed),
 		Oracle:   oracle,
 		Seed:     seed,
 		Devices:  devices,

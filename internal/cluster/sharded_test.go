@@ -23,7 +23,7 @@ func shardSim(t testing.TB, seed uint64, devices, tasks int, mutate func(*Option
 	t.Helper()
 	oracle := perf.NewOracle(seed)
 	opts := Options{
-		Policy:   buildMudi(t, oracle, seed),
+		Policy:   mustBuild(t, oracle, seed),
 		Oracle:   oracle,
 		Seed:     seed,
 		Devices:  devices,
@@ -307,7 +307,7 @@ func TestAdmitFactorDefaultPinsBurstFactor(t *testing.T) {
 func TestAdmitFactorValidation(t *testing.T) {
 	oracle := perf.NewOracle(1)
 	base := Options{
-		Policy:   buildMudi(t, oracle, 1),
+		Policy:   mustBuild(t, oracle, 1),
 		Oracle:   oracle,
 		Seed:     1,
 		Devices:  2,
@@ -335,7 +335,7 @@ func TestArrivalTimeValidation(t *testing.T) {
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
 		arrivals := smallArrivals(t, 2, 1)
 		arrivals[1].At = bad
-		opts := Options{Policy: buildMudi(t, oracle, 1), Oracle: oracle, Seed: 1, Devices: 2, Arrivals: arrivals}
+		opts := Options{Policy: mustBuild(t, oracle, 1), Oracle: oracle, Seed: 1, Devices: 2, Arrivals: arrivals}
 		if _, err := New(opts); err == nil {
 			t.Errorf("arrival At=%v accepted", bad)
 		}

@@ -39,7 +39,7 @@ func (m *failingMeasurer) InfLatencyMs(batch int, delta float64) (float64, error
 
 func TestConfigureSurfacesMeasurementFailure(t *testing.T) {
 	oracle := perf.NewOracle(31)
-	m := buildMudi(t, oracle, 31, 1)
+	m := mustBuild(t, oracle, 31, 1)
 	task, _ := model.TaskByName("LSTM")
 	view := viewFor("BERT", task)
 	inner := &oracleMeasurer{oracle: oracle, view: view, rng: xrand.New(131)}
@@ -56,7 +56,7 @@ func TestConfigureSurfacesMeasurementFailure(t *testing.T) {
 // kinds (see TestConfigureSurfacesMeasurementFailure) keep surfacing.
 func TestConfigurePredictorFallbackOnMeasurementFault(t *testing.T) {
 	oracle := perf.NewOracle(34)
-	m := buildMudi(t, oracle, 34, 1)
+	m := mustBuild(t, oracle, 34, 1)
 	task, _ := model.TaskByName("LSTM")
 	view := viewFor("BERT", task)
 	meas := &failingMeasurer{
@@ -77,7 +77,7 @@ func TestConfigureToleratesLateFailure(t *testing.T) {
 	// made) must not invalidate the decision: the repair loop simply
 	// stops verifying.
 	oracle := perf.NewOracle(32)
-	m := buildMudi(t, oracle, 32, 1)
+	m := mustBuild(t, oracle, 32, 1)
 	task, _ := model.TaskByName("NCF")
 	view := viewFor("Inception", task)
 	inner := &oracleMeasurer{oracle: oracle, view: view, rng: xrand.New(132)}
@@ -94,7 +94,7 @@ func TestConfigureToleratesLateFailure(t *testing.T) {
 
 func TestObserveColocationAbortsCleanlyOnFailure(t *testing.T) {
 	oracle := perf.NewOracle(33)
-	m := buildMudi(t, oracle, 33, 1)
+	m := mustBuild(t, oracle, 33, 1)
 	task, _ := model.TaskByName("ResNet18")
 	view := viewFor("RoBERTa", task)
 	inner := &oracleMeasurer{oracle: oracle, view: view, rng: xrand.New(133)}
@@ -114,7 +114,7 @@ func TestObserveColocationAbortsCleanlyOnFailure(t *testing.T) {
 // measurement error is counted, learns nothing, and stays seen.
 func TestObserveColocationCountsDrops(t *testing.T) {
 	oracle := perf.NewOracle(34)
-	m := buildMudi(t, oracle, 34, 1)
+	m := mustBuild(t, oracle, 34, 1)
 	task, _ := model.TaskByName("ResNet18")
 	view := viewFor("RoBERTa", task)
 	inner := &oracleMeasurer{oracle: oracle, view: view, rng: xrand.New(134)}

@@ -51,9 +51,9 @@ type Mudi struct {
 	colocs, dropped int
 }
 
-// NewMudi builds the policy around a trained Interference Predictor
-// (typically the output of the Offline Profiler pipeline).
-func NewMudi(pred *predictor.Predictor, cfg MudiConfig) *Mudi {
+// newMudi builds the policy around an Interference Predictor; Build
+// returns one over the offline pipeline's output.
+func newMudi(pred *predictor.Predictor, cfg MudiConfig) *Mudi {
 	cfg = cfg.defaults()
 	m := &Mudi{
 		cfg:       cfg,
@@ -89,9 +89,9 @@ type curveKey struct {
 	batch int
 }
 
-// AddProfiles seeds the fitted-curve cache from offline profiles (the
+// addProfiles seeds the fitted-curve cache from offline profiles (the
 // Offline Profiler grid), alongside predictor training.
-func (m *Mudi) AddProfiles(profiles []profiler.Profile) {
+func (m *Mudi) addProfiles(profiles []profiler.Profile) {
 	for _, pr := range profiles {
 		if pr.Curve.Validate() != nil {
 			continue
@@ -154,18 +154,12 @@ type slopeScorer struct {
 
 // slopeEntry is the predictor's output for one (service, Ψ) at the
 // service's generation gen: the average slope or its error, and the
-// predicted curve per batch size (in batches order, ok=false where the
-// prediction failed).
+// predicted curve per batch size (in batches order).
 type slopeEntry struct {
 	gen    uint64
 	slope  float64
 	err    error
-	curves []predictedCurve
-}
-
-type predictedCurve struct {
-	f  piecewise.Func
-	ok bool
+	curves []piecewise.Func
 }
 
 // entry returns the memoized predictor output for (svc, arch),
@@ -177,14 +171,7 @@ func (p *slopeScorer) entry(svc string, arch model.Arch) slopeEntry {
 		return e
 	}
 	e := slopeEntry{gen: gen}
-	e.slope, e.err = p.pred.AvgSlope(svc, arch)
-	if e.err == nil {
-		e.curves = make([]predictedCurve, len(p.batches))
-		for i, b := range p.batches {
-			curve, err := p.pred.PredictCurve(svc, b, arch)
-			e.curves[i] = predictedCurve{curve, err == nil}
-		}
-	}
+	e.slope, e.curves, e.err = p.pred.AvgSlope(svc, arch)
 	p.memo[key] = e
 	return e
 }
@@ -205,11 +192,8 @@ func (p *slopeScorer) score(task *model.TrainingTask, view *DeviceView) (float64
 	var shareSum float64
 	if view.QPS > 0 && view.SLOms > 0 {
 		for i, b := range p.batches {
-			if !e.curves[i].ok {
-				continue
-			}
 			res, err := opt.MinPartition(opt.ScaleRequest{
-				QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i].f, MaxDelta: tuner.MaxDelta(true),
+				QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i], MaxDelta: tuner.MaxDelta(true),
 			})
 			if err != nil || !res.Feasible {
 				continue

@@ -6,25 +6,15 @@ import (
 	"mudi/internal/model"
 	"mudi/internal/perf"
 	"mudi/internal/predictor"
-	"mudi/internal/profiler"
 	"mudi/internal/xrand"
 )
 
-// buildMudi trains the offline pipeline for the tests.
-func buildMudi(t *testing.T, oracle *perf.Oracle, seed uint64, maxTrain int) *Mudi {
+// mustBuild is Build, failing the test on an error.
+func mustBuild(t *testing.T, oracle *perf.Oracle, seed uint64, maxTrain int) *Mudi {
 	t.Helper()
-	prof := profiler.New(oracle, xrand.New(seed+100))
-	pred := predictor.New(seed)
-	profiles, err := prof.ProfileAll(nil, nil)
+	m, err := Build(oracle, seed, MudiConfig{MaxTrainPerGPU: maxTrain})
 	if err != nil {
 		t.Fatal(err)
-	}
-	m := NewMudi(pred, MudiConfig{MaxTrainPerGPU: maxTrain})
-	for _, ps := range profiles {
-		if err := pred.Train(ps); err != nil {
-			t.Fatal(err)
-		}
-		m.AddProfiles(ps)
 	}
 	return m
 }
@@ -67,7 +57,7 @@ func viewFor(svcName string, tasks ...model.TrainingTask) DeviceView {
 
 func TestSelectDevicePrefersLowInterference(t *testing.T) {
 	oracle := perf.NewOracle(1)
-	m := buildMudi(t, oracle, 1, 1)
+	m := mustBuild(t, oracle, 1, 1)
 	task, _ := model.TaskByName("YOLOv5") // heavy architecture
 	// GPT2 is highly interference-sensitive; YOLOS is loose and sturdy.
 	views := []DeviceView{viewFor("GPT2"), viewFor("YOLOS")}
@@ -83,7 +73,7 @@ func TestSelectDevicePrefersLowInterference(t *testing.T) {
 
 func TestSelectDeviceHonorsCaps(t *testing.T) {
 	oracle := perf.NewOracle(2)
-	m := buildMudi(t, oracle, 2, 1)
+	m := mustBuild(t, oracle, 2, 1)
 	task, _ := model.TaskByName("NCF")
 	occupied := viewFor("BERT", task)
 	if _, ok := m.SelectDevice(task, []DeviceView{occupied}, nil); ok {
@@ -103,7 +93,7 @@ func TestSelectDeviceHonorsCaps(t *testing.T) {
 
 func TestMudiMoreAllowsThree(t *testing.T) {
 	oracle := perf.NewOracle(3)
-	m := buildMudi(t, oracle, 3, 3)
+	m := mustBuild(t, oracle, 3, 3)
 	task, _ := model.TaskByName("NCF")
 	two := viewFor("YOLOS", task, task)
 	if _, ok := m.SelectDevice(task, []DeviceView{two}, nil); !ok {
@@ -117,7 +107,7 @@ func TestMudiMoreAllowsThree(t *testing.T) {
 
 func TestConfigureMeetsSLOBudget(t *testing.T) {
 	oracle := perf.NewOracle(4)
-	m := buildMudi(t, oracle, 4, 1)
+	m := mustBuild(t, oracle, 4, 1)
 	task, _ := model.TaskByName("LSTM")
 	view := viewFor("BERT", task)
 	meas := &oracleMeasurer{oracle: oracle, view: view, rng: xrand.New(44)}
@@ -143,7 +133,7 @@ func TestConfigureMeetsSLOBudget(t *testing.T) {
 
 func TestConfigureRequiresService(t *testing.T) {
 	oracle := perf.NewOracle(5)
-	m := buildMudi(t, oracle, 5, 1)
+	m := mustBuild(t, oracle, 5, 1)
 	view := viewFor("BERT")
 	view.ServiceName = ""
 	if _, err := m.Configure(view, nil); err == nil {
@@ -153,7 +143,7 @@ func TestConfigureRequiresService(t *testing.T) {
 
 func TestObserveColocationLearnsAndCaches(t *testing.T) {
 	oracle := perf.NewOracle(6)
-	m := buildMudi(t, oracle, 6, 1)
+	m := mustBuild(t, oracle, 6, 1)
 	task, _ := model.TaskByName("ResNet18") // unseen in offline profiles
 	view := viewFor("RoBERTa", task)
 	meas := &oracleMeasurer{oracle: oracle, view: view, rng: xrand.New(66)}
@@ -175,7 +165,7 @@ func TestObserveColocationLearnsAndCaches(t *testing.T) {
 
 func TestBOIterationsTracked(t *testing.T) {
 	oracle := perf.NewOracle(7)
-	m := buildMudi(t, oracle, 7, 1)
+	m := mustBuild(t, oracle, 7, 1)
 	task, _ := model.TaskByName("NCF")
 	view := viewFor("Inception", task)
 	meas := &oracleMeasurer{oracle: oracle, view: view, rng: xrand.New(77)}
@@ -194,7 +184,7 @@ func TestBOIterationsTracked(t *testing.T) {
 }
 
 func TestNameAndDefaults(t *testing.T) {
-	m := NewMudi(predictor.New(1), MudiConfig{})
+	m := newMudi(predictor.New(1), MudiConfig{})
 	if m.Name() != "mudi" {
 		t.Fatalf("name %q", m.Name())
 	}
@@ -206,7 +196,7 @@ func TestNameAndDefaults(t *testing.T) {
 func TestConfigureUntrainedFallsBackConservative(t *testing.T) {
 	// An untrained Mudi must still produce a safe decision from the
 	// conservative default curve rather than violate the SLO.
-	m := NewMudi(predictor.New(9), MudiConfig{})
+	m := newMudi(predictor.New(9), MudiConfig{})
 	view := viewFor("BERT")
 	dec, err := m.Configure(view, nil)
 	if err != nil {

@@ -23,7 +23,7 @@ func referenceScore(pred *predictor.Predictor, maxTrain int, task model.Training
 		return 0, false
 	}
 	arch := colocArch(v.ResidentTasks, task)
-	slope, err := pred.AvgSlope(v.ServiceName, arch)
+	slope, _, err := pred.AvgSlope(v.ServiceName, arch)
 	if err != nil {
 		return 0, false
 	}
@@ -151,7 +151,7 @@ func withTwins(rng *xrand.Rand, views []DeviceView, k int) []DeviceView {
 func TestSelectDeviceMatchesReference(t *testing.T) {
 	const maxTrain = 3
 	oracle := perf.NewOracle(10)
-	m := buildMudi(t, oracle, 10, maxTrain)
+	m := mustBuild(t, oracle, 10, maxTrain)
 	pred := m.Predictor()
 	tasks := model.Tasks()
 	services := model.Services()
@@ -240,7 +240,7 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 // over the updated predictor.
 func TestSelectDeviceSeesPredictorUpdates(t *testing.T) {
 	oracle := perf.NewOracle(11)
-	m := buildMudi(t, oracle, 11, 3)
+	m := mustBuild(t, oracle, 11, 3)
 	task, _ := model.TaskByName("ResNet18") // unseen in offline profiles
 	var views []DeviceView
 	for i, svc := range model.Services() {
@@ -257,7 +257,7 @@ func TestSelectDeviceSeesPredictorUpdates(t *testing.T) {
 		t.Helper()
 		got, gotOK := m.SelectDevice(task, views, nil)
 		scores := lastScores(m, task, views)
-		fresh := NewMudi(m.Predictor(), m.cfg)
+		fresh := newMudi(m.Predictor(), m.cfg)
 		want, wantOK := fresh.SelectDevice(task, views, nil)
 		if got != want || gotOK != wantOK || !gotOK {
 			t.Fatalf("%s: SelectDevice = (%q, %v), fresh Mudi = (%q, %v)", stage, got, gotOK, want, wantOK)
@@ -348,7 +348,7 @@ func catalogFleet(n int) []DeviceView {
 // predictor work (and its allocations) scales with the distinct
 // (service, Ψ) keys, not with the number of views.
 func TestSelectDeviceAllocsFlatInFleetSize(t *testing.T) {
-	m := buildMudi(t, perf.NewOracle(12), 12, 3)
+	m := mustBuild(t, perf.NewOracle(12), 12, 3)
 	task, _ := model.TaskByName("NCF")
 	small, large := catalogFleet(64), catalogFleet(1024)
 	allocs := func(views []DeviceView) float64 {

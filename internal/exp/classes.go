@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"mudi/internal/cluster"
+	"mudi/internal/core"
 	"mudi/internal/model"
 	"mudi/internal/perf"
 	"mudi/internal/report"
@@ -69,7 +70,7 @@ func ClassesResults(cfg Config) (map[string]*cluster.Result, error) {
 	for i, v := range variants {
 		v := v
 		cells[i] = runner.Cell[*cluster.Result]{Key: v.key, Run: func() (*cluster.Result, error) {
-			policy, err := BuildMudi(oracle, cfg.Seed, 1)
+			policy, err := core.Build(oracle, cfg.Seed, core.MudiConfig{})
 			if err != nil {
 				return nil, err
 			}

@@ -123,7 +123,7 @@ func Fig13(s *Suite) (*report.Table, error) {
 	devices, _, _, _ := s.Config.sizes()
 	ablation := func(build func(*core.Mudi) *ablationPolicy) func() (*cluster.Result, error) {
 		return func() (*cluster.Result, error) {
-			m, err := BuildMudi(s.Oracle, s.Config.Seed, 1)
+			m, err := core.Build(s.Oracle, s.Config.Seed, core.MudiConfig{})
 			if err != nil {
 				return nil, err
 			}

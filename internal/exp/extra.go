@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"mudi/internal/cluster"
+	"mudi/internal/core"
 	"mudi/internal/model"
 	"mudi/internal/report"
 	"mudi/internal/runner"
@@ -47,7 +48,7 @@ func AblationTuner(cfg Config) (*report.Table, error) {
 	for i, arm := range arms {
 		arm := arm
 		cells[i] = runner.Cell[armResult]{Key: arm.name, Run: func() (armResult, error) {
-			mudi, err := BuildMudiWithTuner(oracle, cfg.Seed, 1, tuner.Config{Strategy: arm.strategy})
+			mudi, err := core.Build(oracle, cfg.Seed, core.MudiConfig{Tuner: tuner.Config{Strategy: arm.strategy}})
 			if err != nil {
 				return armResult{}, err
 			}
@@ -105,7 +106,7 @@ func QueuePolicies(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			mudi, err := BuildMudi(oracle, cfg.Seed, 1)
+			mudi, err := core.Build(oracle, cfg.Seed, core.MudiConfig{})
 			if err != nil {
 				return nil, err
 			}

@@ -83,7 +83,7 @@ func Fig14(s *Suite) (*report.Table, error) {
 // record the batch/GPU% adaptation and memory swapping.
 func Fig16(cfg Config) (*report.Table, error) {
 	oracle := newOracle(cfg)
-	mudi, err := BuildMudi(oracle, cfg.Seed, 1)
+	mudi, err := core.Build(oracle, cfg.Seed, core.MudiConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func heavyArrivals(cfg Config, n int) ([]trace.TaskArrival, error) {
 // service under bursty load.
 func Tab4(cfg Config) (*report.Table, error) {
 	oracle := newOracle(cfg)
-	mudi, err := BuildMudi(oracle, cfg.Seed, 1)
+	mudi, err := core.Build(oracle, cfg.Seed, core.MudiConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -234,8 +234,12 @@ func Fig17(cfg Config) (*report.Table, error) {
 	}
 	// Three independent arms, each owning its policy instance.
 	ress, err := runCells(cfg, runner.New(cfg.Parallel), []runner.Cell[*cluster.Result]{
-		{Key: "mudi-1", Run: func() (*cluster.Result, error) { return run(BuildMudi(oracle, cfg.Seed, 1)) }},
-		{Key: "mudi-3", Run: func() (*cluster.Result, error) { return run(BuildMudi(oracle, cfg.Seed, 3)) }},
+		{Key: "mudi-1", Run: func() (*cluster.Result, error) {
+			return run(core.Build(oracle, cfg.Seed, core.MudiConfig{MaxTrainPerGPU: 1}))
+		}},
+		{Key: "mudi-3", Run: func() (*cluster.Result, error) {
+			return run(core.Build(oracle, cfg.Seed, core.MudiConfig{MaxTrainPerGPU: 3}))
+		}},
 		{Key: "random-3", Run: func() (*cluster.Result, error) { return run(baselines.New("random", oracle, cfg.Seed, 3)) }},
 	})
 	if err != nil {
@@ -305,7 +309,7 @@ func Fig18(s *Suite) (*report.Table, error) {
 // performance ratio of the resulting configurations.
 func Optimality(cfg Config) (*report.Table, error) {
 	oracle := newOracle(cfg)
-	mudi, err := BuildMudi(oracle, cfg.Seed, 1)
+	mudi, err := core.Build(oracle, cfg.Seed, core.MudiConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mudi/internal/cluster"
+	"mudi/internal/core"
 	"mudi/internal/perf"
 	"mudi/internal/report"
 	"mudi/internal/runner"
@@ -31,7 +32,7 @@ func ScenarioResults(cfg Config) (map[string]*cluster.Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			policy, err := BuildMudi(oracle, cfg.Seed, 1)
+			policy, err := core.Build(oracle, cfg.Seed, core.MudiConfig{})
 			if err != nil {
 				return nil, err
 			}

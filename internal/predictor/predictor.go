@@ -263,26 +263,29 @@ func (p *Predictor) PredictCurve(svc string, batch int, arch model.Arch) (piecew
 // service's *solo* knee latency at each batch so scores are comparable
 // across services with very different latency scales (a raw
 // milliseconds-per-Δ slope would systematically penalize slow-but-
-// loose-SLO services like YOLOS).
-func (p *Predictor) AvgSlope(svc string, arch model.Arch) (float64, error) {
+// loose-SLO services like YOLOS). It also returns the co-located curves
+// it predicted, one per batch size in model.BatchSizes order.
+func (p *Predictor) AvgSlope(svc string, arch model.Arch) (float64, []piecewise.Func, error) {
 	var sum float64
 	batches := model.BatchSizes()
-	for _, b := range batches {
+	curves := make([]piecewise.Func, len(batches))
+	for i, b := range batches {
 		curve, err := p.PredictCurve(svc, b, arch)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		solo, err := p.PredictCurve(svc, b, model.Arch{})
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		scale := solo.L0
 		if scale <= 0 {
 			scale = 1
 		}
 		sum += curve.AvgSlope() / scale
+		curves[i] = curve
 	}
-	return sum / float64(len(batches)), nil
+	return sum / float64(len(batches)), curves, nil
 }
 
 // ModelNames reports which model family won selection for each target

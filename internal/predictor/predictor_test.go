@@ -148,7 +148,7 @@ func TestUntrainedErrors(t *testing.T) {
 	if _, err := pred.PredictCurve("BERT", 64, model.Arch{}); !errors.Is(err, ErrUntrained) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := pred.AvgSlope("BERT", model.Arch{}); err == nil {
+	if _, _, err := pred.AvgSlope("BERT", model.Arch{}); err == nil {
 		t.Fatal("untrained AvgSlope accepted")
 	}
 	if _, err := pred.ModelNames("BERT"); err == nil {
@@ -180,11 +180,11 @@ func TestAvgSlopeRanksInterference(t *testing.T) {
 	pred, _ := trainPredictor(t, 4, []string{"GPT2"})
 	light, _ := model.TaskByName("NCF")
 	heavy, _ := model.TaskByName("ResNet50-train")
-	sLight, err := pred.AvgSlope("GPT2", light.Arch)
+	sLight, _, err := pred.AvgSlope("GPT2", light.Arch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sHeavy, err := pred.AvgSlope("GPT2", heavy.Arch)
+	sHeavy, _, err := pred.AvgSlope("GPT2", heavy.Arch)
 	if err != nil {
 		t.Fatal(err)
 	}

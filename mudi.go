@@ -125,7 +125,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		}
 		oracle.RegisterService(svc)
 	}
-	policy, err := exp.BuildMudi(oracle, cfg.Seed, cfg.MaxTrainPerGPU)
+	policy, err := core.Build(oracle, cfg.Seed, core.MudiConfig{MaxTrainPerGPU: cfg.MaxTrainPerGPU})
 	if err != nil {
 		return nil, fmt.Errorf("mudi: offline pipeline: %w", err)
 	}
