@@ -19,6 +19,7 @@ import (
 	"mudi/internal/gp"
 	"mudi/internal/learn"
 	"mudi/internal/model"
+	"mudi/internal/obs"
 	"mudi/internal/perf"
 	"mudi/internal/serving"
 	"mudi/internal/stats"
@@ -344,5 +345,42 @@ func BenchmarkHotpathBurstyQPS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		burstyRate = q.At(float64(i % 20000))
+	}
+}
+
+// BenchmarkHotpathHistogramWindow1k is the observed fold's metrics
+// write: one op publishes one window's latency to each of 1024 sink
+// histograms with a single Sink.ObserveAll. Every 2048 windows, about
+// a device's window count on the benchmark's observed-burst-1k
+// workload, the histograms start over on a fresh sink, so the op pays
+// chunk growth at a run's sizes and memory stays bounded.
+func BenchmarkHotpathHistogramWindow1k(b *testing.B) {
+	const devices, runWindows = 1024, 2048
+	names := make([]string, devices)
+	for i := range names {
+		names[i] = obs.Labeled("inf_latency_ms", fmt.Sprintf("gpu%04d", i), "BERT")
+	}
+	es := make([]obs.Entry, devices)
+	var sink *obs.Sink
+	fresh := func() {
+		sink = obs.NewSink()
+		for i := range es {
+			es[i].Histogram = sink.Histogram(names[i])
+		}
+	}
+	fresh()
+	lat := benchLatencies(devices)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for w := 0; w < b.N; w++ {
+		if w > 0 && w%runWindows == 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		for i := range es {
+			es[i].Value = lat[(i+w)%devices]
+		}
+		sink.ObserveAll(es)
 	}
 }

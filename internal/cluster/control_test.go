@@ -96,8 +96,9 @@ func (p *failingPolicy) Configure(view core.DeviceView, m core.Measurer) (core.D
 }
 
 // TestConfigureErrorsCounted checks that failed tuning episodes surface
-// in Result.ConfigureErrors, the JSON and Summary(), and that the run
-// still completes every task on the previous configurations.
+// in Result.ConfigureErrors, the JSON, Summary() and the
+// cluster_configure_errors_total counter, and that the run still
+// completes every task on the previous configurations.
 func TestConfigureErrorsCounted(t *testing.T) {
 	opts := burstOptions(t, 3)
 	fp := &failingPolicy{Mudi: opts.Policy.(*core.Mudi), skip: opts.Devices, k: 4}
@@ -115,6 +116,9 @@ func TestConfigureErrorsCounted(t *testing.T) {
 	}
 	if res.ConfigureErrors != fp.failed {
 		t.Fatalf("ConfigureErrors %d, injected failures %d", res.ConfigureErrors, fp.failed)
+	}
+	if got := res.Metrics.Counters["cluster_configure_errors_total"]; got != float64(fp.failed) {
+		t.Fatalf("cluster_configure_errors_total %v, injected failures %d", got, fp.failed)
 	}
 	if res.Completed != len(opts.Arrivals) || res.Admitted != len(opts.Arrivals) {
 		t.Fatalf("completed %d / admitted %d of %d tasks", res.Completed, res.Admitted, len(opts.Arrivals))

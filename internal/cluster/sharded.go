@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"mudi/internal/obs"
 	"mudi/internal/perf"
 	"mudi/internal/shard"
 	"mudi/internal/span"
@@ -214,7 +215,8 @@ func (s *Sim) postRetune(lane *shard.Lane, d *deviceState, qps float64, cause st
 // each device's window record (latency, load_shed, then violation;
 // a down device's empty record publishes nothing), then the swap
 // bursts its window recorded — the order a one-lane sequential step
-// would emit them in.
+// would emit them in. The window's latencies go to their histograms
+// in one batch, under one acquisition of the sink's lock.
 func (s *Sim) fold(float64) {
 	for _, d := range s.devices {
 		s.observeWindow(d)
@@ -222,14 +224,18 @@ func (s *Sim) fold(float64) {
 			s.flushSwaps(d)
 		}
 	}
+	if o := s.obsv; o != nil {
+		s.opts.Obs.ObserveAll(o.latencies)
+		o.latencies = o.latencies[:0]
+	}
 }
 
 // observeWindow fans one device's window record out to the metrics
-// and the record log.
+// (its latency joins the window's batch) and the record log.
 func (s *Sim) observeWindow(d *deviceState) {
 	r := &d.rec
 	if r.ok && s.obsv != nil {
-		d.obsv.latency.Observe(r.lat)
+		s.obsv.latencies = append(s.obsv.latencies, obs.Entry{Histogram: d.obsv.latency, Value: r.lat})
 		if cc := d.obsv.cls; cc != nil {
 			cc.windows.Inc()
 		}

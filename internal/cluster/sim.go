@@ -363,6 +363,11 @@ type simObs struct {
 	memUtil    *obs.Gauge
 	queueDepth *obs.Gauge
 	windows    *obs.Counter
+	// configErrors counts the tuning episodes whose Configure failed.
+	configErrors *obs.Counter
+	// latencies batches one window's measured latencies for the fold's
+	// one Sink.ObserveAll; reused across windows.
+	latencies []obs.Entry
 	// acts lists the cluster counters each control act bumps (see
 	// count).
 	acts [span.NumActs][]*obs.Counter
@@ -394,10 +399,11 @@ func newClassCounters(sink *obs.Sink, class string) *classCounters {
 // run's snapshot is byte-identical to a build without those features.
 func newSimObs(sink *obs.Sink, faulted, classAware bool, services []model.InferenceService) *simObs {
 	o := &simObs{
-		smUtil:     sink.Gauge("cluster_sm_util"),
-		memUtil:    sink.Gauge("cluster_mem_util"),
-		queueDepth: sink.Gauge("cluster_queue_depth"),
-		windows:    sink.Counter("cluster_windows_total"),
+		smUtil:       sink.Gauge("cluster_sm_util"),
+		memUtil:      sink.Gauge("cluster_mem_util"),
+		queueDepth:   sink.Gauge("cluster_queue_depth"),
+		windows:      sink.Counter("cluster_windows_total"),
+		configErrors: sink.Counter("cluster_configure_errors_total"),
 	}
 	counter := func(name string, acts ...span.Act) {
 		c := sink.Counter(name)
@@ -444,6 +450,10 @@ func (o *simObs) count(d *deviceState, r *span.Record) {
 	}
 	dv := d.obsv
 	switch r.Act {
+	case span.ActRetuneEnd:
+		if r.Cause == "error" {
+			o.configErrors.Inc()
+		}
 	case span.ActBatch:
 		dv.batch.Set(r.Value)
 	case span.ActRescale:

@@ -10,9 +10,11 @@
 // guard every update with `if sink != nil { ... }`, so the disabled
 // path costs exactly one predictable branch and zero allocations (see
 // BenchmarkSimObsOff at the repo root). Instruments are safe for
-// concurrent use — counters and gauges are atomics, histograms take a
-// short mutex — so one sink can be shared by concurrent simulations
-// and read by the live telemetry handlers while a run is in flight.
+// concurrent use — counters and gauges are atomics, and the sink's one
+// lock guards every histogram it hands out, which a per-window writer
+// takes once for all its samples (Sink.ObserveAll) — so one sink can
+// be shared by concurrent simulations and read by the live telemetry
+// handlers while a run is in flight.
 //
 // Observation is passive by contract: an enabled sink must never
 // perturb simulation results. The determinism tests assert that
@@ -89,49 +91,91 @@ func (g *Gauge) Value() float64 {
 // implicit +Inf bucket catches the rest).
 var DefLatencyBuckets = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 
+// histChunk is the number of samples in one chunk of a Histogram's
+// storage (4 KiB): a histogram grows by whole chunks, so it never
+// copies the samples it holds and leaves at most one chunk part full.
+const histChunk = 512
+
 // Histogram is a latency histogram with exact quantile export: raw
-// samples are retained and quantiles come from the shared
-// stats.Scratch selection, so obs and serving report
+// samples are retained, in fixed-size chunks, and quantiles come from
+// the shared stats.Scratch selection, so obs and serving report
 // bit-identical percentiles. Count, sum, min, max and the
 // DefLatencyBuckets counts (plus an implicit +Inf bucket) for
 // Prometheus exposition are derived from the samples at snapshot time,
-// so Observe is one short critical section: the hot paths batch at
-// window granularity, and snapshots are rare. The zero value is ready.
+// so recording a sample is one append: the hot paths batch at window
+// granularity (Sink.ObserveAll), and snapshots are rare.
+//
+// A histogram has no lock of its own. One a Sink hands out is guarded
+// by that sink's lock, so it is safe for concurrent use. The zero
+// value is ready for a single goroutine.
 type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
+	guard  *sync.Mutex // the owning sink's lock; nil outside a sink
+	n      int
+	chunks []*[histChunk]float64
 }
 
 // quantileScratch lends selection buffers to snapshot-time quantile
 // queries, so a histogram keeps no second copy of its samples.
 var quantileScratch = sync.Pool{New: func() any { return new(stats.Scratch) }}
 
-// Observe records one sample.
+// snapshotPercentiles are the percentiles Stats reports, ascending, so
+// each selection runs on what the previous one left.
+var snapshotPercentiles = []float64{50, 95, 99}
+
+// Observe records one sample, taking the owning sink's lock for it.
+// A writer that records many histograms at once uses Sink.ObserveAll.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	h.samples = append(h.samples, v)
-	h.mu.Unlock()
+	if h.guard == nil {
+		h.add(v)
+		return
+	}
+	h.guard.Lock()
+	h.add(v)
+	h.guard.Unlock()
 }
 
-// Stats snapshots the histogram. It walks the samples in observation
-// order for the sum, extremes and bucket counts, and reads each
-// percentile by selection over a pooled scratch copy of the samples.
+// add appends v under the guard.
+func (h *Histogram) add(v float64) {
+	i := h.n % histChunk
+	if i == 0 {
+		h.chunks = append(h.chunks, new([histChunk]float64))
+	}
+	h.chunks[len(h.chunks)-1][i] = v
+	h.n++
+}
+
+// Stats snapshots the histogram under the owning sink's lock.
 func (h *Histogram) Stats() HistogramStats {
 	if h == nil {
 		return HistogramStats{}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramStats{Count: uint64(len(h.samples))}
-	if len(h.samples) == 0 {
+	if h.guard != nil {
+		h.guard.Lock()
+		defer h.guard.Unlock()
+	}
+	return h.stats()
+}
+
+// stats copies the samples once, in observation order, into a pooled
+// scratch buffer. It walks that copy for the sum, extremes and bucket
+// counts, then reads the percentiles from it by selection.
+func (h *Histogram) stats() HistogramStats {
+	s := HistogramStats{Count: uint64(h.n)}
+	if h.n == 0 {
 		return s
+	}
+	sc := quantileScratch.Get().(*stats.Scratch)
+	defer quantileScratch.Put(sc)
+	xs := sc.Buffer(h.n)
+	for i, c := range h.chunks {
+		copy(xs[i*histChunk:], c[:])
 	}
 	counts := make([]uint64, len(DefLatencyBuckets)+1)
 	s.Min, s.Max = math.Inf(1), math.Inf(-1)
-	for _, v := range h.samples {
+	for _, v := range xs {
 		counts[sort.SearchFloat64s(DefLatencyBuckets, v)]++
 		s.Sum += v
 		if v < s.Min {
@@ -142,11 +186,9 @@ func (h *Histogram) Stats() HistogramStats {
 		}
 	}
 	s.Mean = s.Sum / float64(s.Count)
-	sc := quantileScratch.Get().(*stats.Scratch)
-	s.P50 = sc.Percentile(h.samples, 50)
-	s.P95 = sc.Percentile(h.samples, 95)
-	s.P99 = sc.Percentile(h.samples, 99)
-	quantileScratch.Put(sc)
+	var q [3]float64
+	sc.Percentiles(snapshotPercentiles, q[:])
+	s.P50, s.P95, s.P99 = q[0], q[1], q[2]
 	s.Buckets = make([]BucketCount, 0, len(DefLatencyBuckets))
 	var cum uint64
 	for i, b := range DefLatencyBuckets {
@@ -179,9 +221,10 @@ type HistogramStats struct {
 }
 
 // Sink is the metrics registry: named instruments, nil-receiver-safe
-// (a nil *Sink disables metrics). Get-or-create lookups take a mutex;
-// hot paths should resolve instruments once (at setup time) and keep
-// the returned pointers.
+// (a nil *Sink disables metrics). Get-or-create lookups take the
+// sink's lock, which also guards every histogram it hands out; hot
+// paths should resolve instruments once (at setup time) and keep the
+// returned pointers.
 type Sink struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -237,10 +280,35 @@ func (r *Sink) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{}
+		h = &Histogram{guard: &r.mu}
 		r.hists[name] = h
 	}
 	return h
+}
+
+// Entry is one histogram's sample in a batch written by
+// Sink.ObserveAll.
+type Entry struct {
+	Histogram *Histogram
+	Value     float64
+}
+
+// ObserveAll records one sample per entry, in entry order, under one
+// acquisition of the sink's lock. It is equivalent to calling Observe
+// on each entry, and is the form for a writer that records many
+// histograms per window. Every entry's histogram must come from r.
+func (r *Sink) ObserveAll(es []Entry) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range es {
+		if e.Histogram.guard != &r.mu {
+			panic("obs: ObserveAll: histogram from another sink")
+		}
+		e.Histogram.add(e.Value)
+	}
 }
 
 // Labeled builds the canonical labeled metric name,
@@ -295,7 +363,7 @@ func (r *Sink) Snapshot() *Metrics {
 		m.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		m.Histograms[name] = h.Stats()
+		m.Histograms[name] = h.stats()
 	}
 	return m
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -215,5 +216,49 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 	if got := s.Histogram("shared_ms").Stats().Count; got != workers*per {
 		t.Fatalf("histogram count = %v, want %d", got, workers*per)
+	}
+}
+
+// TestObserveAllDuringSnapshot publishes windows in batches on one
+// goroutine while another snapshots the sink; under -race it checks
+// that the sink's lock alone guards its histograms. Every snapshot
+// sees whole windows: each histogram holds the same number of
+// samples.
+func TestObserveAllDuringSnapshot(t *testing.T) {
+	const devices, windows = 64, 200
+	s := NewSink()
+	es := make([]Entry, devices)
+	for i := range es {
+		es[i].Histogram = s.Histogram(Labeled("inf_latency_ms", fmt.Sprintf("gpu%04d", i), "bert"))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for w := 0; w < windows; w++ {
+			for i := range es {
+				es[i].Value = float64(w + i)
+			}
+			s.ObserveAll(es)
+		}
+	}()
+	check := func(m *Metrics) uint64 {
+		want := m.Histograms[Labeled("inf_latency_ms", "gpu0000", "bert")].Count
+		for name, h := range m.Histograms {
+			if h.Count != want {
+				t.Fatalf("%s holds %d samples, gpu0000 %d: a snapshot split a window", name, h.Count, want)
+			}
+		}
+		return want
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check(s.Snapshot())
+	}
+	if got := check(s.Snapshot()); got != windows {
+		t.Fatalf("count %d after the writer finished, want %d", got, windows)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -100,5 +101,68 @@ func TestHistogramSelectionMatchesSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flatStats is Stats' reference over one flat slice: in-order running
+// sum and extremes, cumulative bucket counts, and each percentile from
+// the copy-and-sort stats.Percentile.
+func flatStats(xs []float64) HistogramStats {
+	s := HistogramStats{Count: uint64(len(xs))}
+	if len(xs) == 0 {
+		return s
+	}
+	s.Min, s.Max = math.Inf(1), math.Inf(-1)
+	for _, x := range xs {
+		s.Sum += x
+		s.Min = math.Min(s.Min, x)
+		s.Max = math.Max(s.Max, x)
+	}
+	s.Mean = s.Sum / float64(len(xs))
+	s.P50, s.P95, s.P99 = stats.Percentile(xs, 50), stats.Percentile(xs, 95), stats.Percentile(xs, 99)
+	for _, b := range DefLatencyBuckets {
+		var n uint64
+		for _, x := range xs {
+			if x <= b {
+				n++
+			}
+		}
+		s.Buckets = append(s.Buckets, BucketCount{Le: b, Count: n})
+	}
+	return s
+}
+
+// TestHistogramChunkBoundaries: at sample counts on and around the
+// storage's chunk boundaries, a sink histogram fed in windows through
+// ObserveAll and a standalone one fed by Observe both report exactly
+// the flat-slice reference, field by field.
+func TestHistogramChunkBoundaries(t *testing.T) {
+	rng := xrand.New(11)
+	for _, n := range []int{0, 1, histChunk - 1, histChunk, histChunk + 1, 3*histChunk + 7} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.Range(0, 6000)
+		}
+		sink := NewSink()
+		batched := sink.Histogram("lat_ms")
+		for lo := 0; lo < n; lo += 37 {
+			var es []Entry
+			for _, x := range xs[lo:min(lo+37, n)] {
+				es = append(es, Entry{Histogram: batched, Value: x})
+			}
+			sink.ObserveAll(es)
+		}
+		single := &Histogram{}
+		for _, x := range xs {
+			single.Observe(x)
+		}
+		want := flatStats(xs)
+		for name, got := range map[string]HistogramStats{
+			"ObserveAll": batched.Stats(), "Observe": single.Stats(), "Snapshot": sink.Snapshot().Histograms["lat_ms"],
+		} {
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d %s: stats %+v, want %+v", n, name, got, want)
+			}
+		}
 	}
 }

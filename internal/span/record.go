@@ -166,9 +166,10 @@ func (v *View) fit(n int) int {
 // views, each capped and counting what its cap dropped, so a capped
 // view is exactly the prefix an uncapped one would start with. The log
 // stops retaining records once neither view has room, except the end
-// records of the intervals its span view kept. The Observer and the
-// Attributor see every record, capped or not. A nil *Log records
-// nothing.
+// records of the intervals its span view kept. It keeps the records it
+// retains in fixed-size chunks, so Add never copies the log. The
+// Observer and the Attributor see every record, capped or not. A nil
+// *Log records nothing.
 type Log struct {
 	// Observer, when non-nil, receives every event a record renders as
 	// the record is added, whatever the event view's cap.
@@ -178,9 +179,17 @@ type Log struct {
 	mu   sync.Mutex
 	ev   View
 	sp   View
-	recs []Record
+	n    int // retained records
+	recs []*[recChunk]Record
 	open map[interval]bool // intervals whose start span the view kept
 }
+
+// recChunk is the number of records in one chunk of a Log's storage
+// (56 KiB).
+const recChunk = 512
+
+// rec returns the i-th retained record.
+func (l *Log) rec(i int) *Record { return &l.recs[i/recChunk][i%recChunk] }
 
 // NewLog returns a log with an event view of eventCap events and a span
 // view of spanCap spans (a zero cap turns that view off) that feeds
@@ -242,7 +251,12 @@ func (l *Log) Add(r Record) {
 		keep = true
 	}
 	if keep || spans {
-		l.recs = append(l.recs, r)
+		i := l.n % recChunk
+		if i == 0 {
+			l.recs = append(l.recs, new([recChunk]Record))
+		}
+		l.recs[len(l.recs)-1][i] = r
+		l.n++
 	}
 }
 
@@ -268,8 +282,8 @@ func (l *Log) Events() []obs.Event {
 		return nil
 	}
 	out := make([]obs.Event, 0, l.ev.Len)
-	for i := range l.recs {
-		l.recs[i].events(func(e obs.Event) {
+	for i := 0; i < l.n; i++ {
+		l.rec(i).events(func(e obs.Event) {
 			if len(out) < l.ev.Len {
 				out = append(out, e)
 			}
@@ -304,8 +318,8 @@ func (l *Log) Spans(horizon float64) []Span {
 	// end record: BO probes and the rescale the episode applies nest
 	// under the device's latest retune.
 	open := make(map[interval]ID)
-	for i := range l.recs {
-		r := &l.recs[i]
+	for i := 0; i < l.n; i++ {
+		r := l.rec(i)
 		key, edge := r.interval()
 		if edge >= 0 {
 			var parent ID

@@ -125,10 +125,13 @@ func TestLogCapacity(t *testing.T) {
 		t.Fatalf("views = %+v events, %+v spans; want 2 kept 3 dropped, 1 kept 2 dropped", ev, sp)
 	}
 	// Outage, migrate (its event), and the outage's recovery record.
-	if len(capped.recs) != 3 {
-		t.Fatalf("capped log retains %d records, want 3", len(capped.recs))
+	if n := retained(capped); n != 3 {
+		t.Fatalf("capped log retains %d records, want 3", n)
 	}
 }
+
+// retained counts the records l keeps.
+func retained(l *Log) int { return l.n }
 
 // TestTracerLifecycle: span IDs are ordinals from 1, a probe nests
 // under its device's retune, an end record fills in the outcome it

@@ -36,6 +36,49 @@ func TestScratchPercentileMatchesSort(t *testing.T) {
 	}
 }
 
+// TestScratchPercentilesMatchPercentile: one multi-percentile read of
+// the buffer equals a separate Percentile call per percentile, for
+// every n from 1 to 300 on spread and duplicate-heavy inputs, for
+// ascending, unordered and edge percentiles, and at n = 2, where P50,
+// P95 and P99 all share floor rank 0.
+func TestScratchPercentilesMatchPercentile(t *testing.T) {
+	rng := xrand.New(0xb0a710ad)
+	var sc Scratch
+	check := func(xs, ps []float64) {
+		t.Helper()
+		copy(sc.Buffer(len(xs)), xs)
+		got := make([]float64, len(ps))
+		sc.Percentiles(ps, got)
+		for i, p := range ps {
+			if want := Percentile(xs, p); got[i] != want {
+				t.Fatalf("n=%d ps=%v: P%v = %v, Percentile gives %v", len(xs), ps, p, got[i], want)
+			}
+		}
+	}
+	for n := 1; n <= 300; n++ {
+		for _, dup := range []bool{false, true} {
+			xs := make([]float64, n)
+			for i := range xs {
+				if dup {
+					xs[i] = float64(rng.Intn(4))
+				} else {
+					xs[i] = rng.Range(0, 500)
+				}
+			}
+			check(xs, []float64{50, 95, 99})
+			check(xs, []float64{0, 25, 25, 75, 99.9, 100})
+			check(xs, []float64{99, 50, 95, 1, rng.Range(0, 100)})
+		}
+	}
+	check([]float64{7, 3}, []float64{50, 95, 99})
+	check([]float64{3, 3}, []float64{50, 95, 99})
+	sc.Buffer(0)
+	out := []float64{-1}
+	if sc.Percentiles([]float64{50}, out); out[0] != 0 {
+		t.Fatalf("empty buffer P50 = %v, want 0", out[0])
+	}
+}
+
 func TestScratchPercentileDoesNotModifyInput(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
 	orig := append([]float64(nil), xs...)

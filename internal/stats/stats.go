@@ -116,33 +116,71 @@ type Scratch struct {
 // Percentile returns the p-th percentile of xs (same contract as the
 // package-level Percentile; xs is not modified).
 func (s *Scratch) Percentile(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return Min(xs)
-	}
-	if p >= 100 {
-		return Max(xs)
-	}
+	copy(s.Buffer(len(xs)), xs)
+	var out [1]float64
+	s.Percentiles([]float64{p}, out[:])
+	return out[0]
+}
+
+// Buffer returns the scratch buffer resized to n elements, for a caller
+// that writes its data there in place of handing Percentile a slice to
+// copy; Percentiles then reads it.
+func (s *Scratch) Buffer(n int) []float64 {
 	if cap(s.buf) < n {
 		s.buf = make([]float64, n)
 	}
 	s.buf = s.buf[:n]
-	copy(s.buf, xs)
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	v := selectKth(s.buf, lo)
-	if lo == hi {
-		return v
+	return s.buf
+}
+
+// Percentiles sets out[i] to the ps[i]-th percentile of the values in
+// the buffer (see Buffer), each equal to what Percentile reports for
+// them. It reads every percentile from the one buffer, reordering it:
+// each selection runs on the side of the previous one's order
+// statistic that holds the next, so ascending ps cost one pass over a
+// shrinking tail rather than a copy and a full selection each. An
+// empty buffer reads 0.
+func (s *Scratch) Percentiles(ps, out []float64) {
+	buf := s.buf
+	n := len(buf)
+	// buf[sel] holds its order statistic, with buf[:sel] ≤ it ≤
+	// buf[sel+1:]; -1 before any selection.
+	sel := -1
+	for i, p := range ps {
+		switch {
+		case n == 0:
+			out[i] = 0
+			continue
+		case p <= 0:
+			out[i] = Min(buf)
+			continue
+		case p >= 100:
+			out[i] = Max(buf)
+			continue
+		}
+		rank := p / 100 * float64(n-1)
+		lo := int(math.Floor(rank))
+		hi := int(math.Ceil(rank))
+		var v float64
+		switch {
+		case lo > sel:
+			v = selectKth(buf[sel+1:], lo-sel-1)
+		case lo < sel:
+			v = selectKth(buf[:sel], lo)
+		default:
+			v = buf[lo]
+		}
+		sel = lo
+		if lo == hi {
+			out[i] = v
+			continue
+		}
+		// Every element past index lo is ≥ v, so the next order
+		// statistic is the minimum of that tail.
+		next := Min(buf[lo+1:])
+		frac := rank - float64(lo)
+		out[i] = v*(1-frac) + next*frac
 	}
-	// selectKth leaves every element past index lo at ≥ v, so the next
-	// order statistic is the minimum of that tail.
-	next := Min(s.buf[lo+1:])
-	frac := rank - float64(lo)
-	return v*(1-frac) + next*frac
 }
 
 // P99 is shorthand for Percentile(xs, 99) on the scratch buffer.
