@@ -21,6 +21,7 @@ import (
 	"mudi/internal/model"
 	"mudi/internal/obs"
 	"mudi/internal/perf"
+	"mudi/internal/profiler"
 	"mudi/internal/serving"
 	"mudi/internal/stats"
 	"mudi/internal/trace"
@@ -260,16 +261,9 @@ func BenchmarkHotpathOracleCurve(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathMudiSelect1k is one warm Device Selector call over a
-// 1024-device fleet of the six catalog services, each with no resident
-// or one: twelve distinct (service, Ψ) keys. The predictor does not
-// learn between calls, so every key's memo entry from the first call
-// stays valid and only the Eq. 4 solve runs per device.
-func BenchmarkHotpathMudiSelect1k(b *testing.B) {
-	sys, err := NewSystem(SystemConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+// selectFleet1k is the Device Selector benchmarks' fleet: 1024 devices
+// of the six catalog services, each with no resident or one.
+func selectFleet1k() []DeviceView {
 	services := model.Services()
 	tasks := model.ObservedTasks()
 	views := make([]DeviceView, 1024)
@@ -283,12 +277,69 @@ func BenchmarkHotpathMudiSelect1k(b *testing.B) {
 			views[i].ResidentTasks = tasks[:1]
 		}
 	}
+	return views
+}
+
+// BenchmarkHotpathMudiSelect1k is one warm Device Selector call over a
+// 1024-device fleet of the six catalog services, each with no resident
+// or one: twelve distinct (service, Ψ) keys. The predictor does not
+// learn between calls, so every key's memo entry from the first call
+// stays valid and only the Eq. 4 solves run per device.
+func BenchmarkHotpathMudiSelect1k(b *testing.B) {
+	sys, err := NewSystem(SystemConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	views := selectFleet1k()
 	policy := sys.Policy()
-	task := tasks[1]
+	task := model.ObservedTasks()[1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := policy.SelectDevice(task, views, nil); !ok {
+			b.Fatal("no device selected")
+		}
+	}
+}
+
+// BenchmarkHotpathMudiSelect1kLearned is BenchmarkHotpathMudiSelect1k
+// with the predictor learning between calls, as it does between
+// placements: before each call, outside the timer, one Predictor.Update
+// for the next service moves that service's generation, so each call
+// recomputes one memo entry (twelve curve predictions) and solves Eq. 4
+// per device. Every 64 calls the system is rebuilt, also outside the
+// timer, so the learners' sample sets stay the same size.
+func BenchmarkHotpathMudiSelect1kLearned(b *testing.B) {
+	services := model.Services()
+	task := model.ObservedTasks()[1]
+	prof := profiler.New(perf.NewOracle(1), xrand.New(7))
+	profiles := make([]profiler.Profile, len(services))
+	for i, svc := range services {
+		ps, err := prof.ProfileService(svc.Name, []int{64}, [][]model.TrainingTask{model.ObservedTasks()[2:3]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		profiles[i] = ps[0]
+	}
+	views := selectFleet1k()
+	var m *core.Mudi
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%64 == 0 {
+			sys, err := NewSystem(SystemConfig{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m = sys.Policy().(*core.Mudi)
+			m.SelectDevice(task, views, nil) // fills the memo
+		}
+		if err := m.Predictor().Update(profiles[i%len(profiles)]); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, ok := m.SelectDevice(task, views, nil); !ok {
 			b.Fatal("no device selected")
 		}
 	}

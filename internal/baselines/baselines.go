@@ -101,7 +101,7 @@ func (g *GSLICE) Configure(view core.DeviceView, meas core.Measurer) (core.Decis
 	// observes the latency the deployed configuration produced since
 	// the last decision, so each Configure call moves Δ by at most one
 	// step and grows the batch by at most one notch.
-	budget := view.SLOms * float64(batch) / view.QPS
+	budget := opt.Budget(view.SLOms, batch, view.QPS)
 	lat, err := meas.InfLatencyMs(batch, delta)
 	if err != nil {
 		return core.Decision{}, err
@@ -116,7 +116,7 @@ func (g *GSLICE) Configure(view core.DeviceView, meas core.Measurer) (core.Decis
 		if b <= batch {
 			continue
 		}
-		grownBudget := view.SLOms * float64(b) / view.QPS
+		grownBudget := opt.Budget(view.SLOms, b, view.QPS)
 		grownLat, err := meas.InfLatencyMs(b, delta)
 		if err != nil {
 			return core.Decision{}, err
@@ -127,7 +127,7 @@ func (g *GSLICE) Configure(view core.DeviceView, meas core.Measurer) (core.Decis
 		break // one notch per decision
 	}
 	// Feasibility check at the final configuration.
-	finalBudget := view.SLOms * float64(batch) / view.QPS
+	finalBudget := opt.Budget(view.SLOms, batch, view.QPS)
 	finalLat, err := meas.InfLatencyMs(batch, delta)
 	if err != nil {
 		return core.Decision{}, err
@@ -192,7 +192,7 @@ func (g *Gpulets) Configure(view core.DeviceView, meas core.Measurer) (core.Deci
 	maxDelta := tuner.MaxDelta(len(view.ResidentTasks) > 0)
 	best := core.Decision{}
 	for _, b := range model.BatchSizes() {
-		budget := view.SLOms * float64(b) / view.QPS
+		budget := opt.Budget(view.SLOms, b, view.QPS)
 		for _, size := range gpuletSizes {
 			if size > maxDelta+1e-9 {
 				continue
@@ -214,7 +214,7 @@ func (g *Gpulets) Configure(view core.DeviceView, meas core.Measurer) (core.Deci
 		best.Delta = snapGpulet(view.Delta, maxDelta)
 	}
 	if meas != nil {
-		budget := view.SLOms * float64(best.Batch) / view.QPS
+		budget := opt.Budget(view.SLOms, best.Batch, view.QPS)
 		lat, err := meas.InfLatencyMs(best.Batch, best.Delta)
 		if err != nil {
 			return core.Decision{}, err
@@ -339,7 +339,7 @@ func (m *MuxFlow) Configure(view core.DeviceView, meas core.Measurer) (core.Deci
 		best.Delta = view.Delta
 	}
 	if meas != nil {
-		budget := view.SLOms * float64(best.Batch) / view.QPS
+		budget := opt.Budget(view.SLOms, best.Batch, view.QPS)
 		lat, err := meas.InfLatencyMs(best.Batch, best.Delta)
 		if err != nil {
 			return core.Decision{}, err

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"mudi/internal/obs"
+	"mudi/internal/opt"
 	"mudi/internal/perf"
 	"mudi/internal/shard"
 	"mudi/internal/span"
@@ -106,7 +107,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	if err == nil {
 		trueLat = curve.Eval(svc.delta)
 		lat := trueLat * perf.Noise(d.winRNG)
-		budget := svc.info.SLOms * float64(svc.batch) / qps
+		budget := opt.Budget(svc.info.SLOms, svc.batch, qps)
 		svc.totalWin++
 		r.ok, r.lat, r.budget = true, lat, budget
 		r.batch, r.delta = svc.batch, svc.delta

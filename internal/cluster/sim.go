@@ -129,6 +129,13 @@ func Observers(events, trace, timelines bool, observer obs.Observer) (*obs.Sink,
 	return sink, span.NewRunLog(events, trace, observer), store
 }
 
+// ErrPlacement reports a placement the run cannot carry out: the
+// policy's SelectDevice returned ok with a device ID that is not among
+// the candidate views it was given (an unknown device, or one that is
+// down, excluded for the task or vetoed by class steering). Run stops
+// at that placement and returns it wrapped with the policy and the ID.
+var ErrPlacement = errors.New("cluster: placement outside the candidates")
+
 func (o Options) defaults() (Options, error) {
 	if o.Policy == nil {
 		return o, errors.New("cluster: nil policy")
@@ -355,6 +362,8 @@ type Sim struct {
 	scoreBuf []float64
 
 	res *Result
+	// err stops the run (see ErrPlacement); Run returns it.
+	err error
 }
 
 // simObs is the cluster-level instrument cache.
@@ -684,6 +693,9 @@ func (s *Sim) Run() (*Result, error) {
 			return nil, err
 		}
 	}
+	if s.err != nil {
+		return nil, s.err
+	}
 	s.finalize(s.sh.Now())
 	return s.res, nil
 }
@@ -718,7 +730,7 @@ func (s *Sim) onArrival(now float64, a trace.TaskArrival) {
 
 // trySchedule drains the queue head-of-line while placements succeed.
 func (s *Sim) trySchedule(now float64) {
-	for s.queue.Len() > 0 {
+	for s.err == nil && s.queue.Len() > 0 {
 		job := s.queue.Peek()
 		qj := s.jobs[job.ID]
 		views := s.viewsBuf[:0]
@@ -751,18 +763,14 @@ func (s *Sim) trySchedule(now float64) {
 		if s.classAware {
 			devID, ok = s.classSelect(qj, views)
 		} else {
-			devID, ok = s.opts.Policy.SelectDevice(qj.arrival.Task, views, s.measMap)
+			devID, ok = s.policySelect(qj, views)
 		}
 		s.res.PlacementOverheadMs = append(s.res.PlacementOverheadMs, float64(time.Since(start).Microseconds())/1000)
 		if !ok {
 			return // head-of-line blocks until a completion frees capacity
 		}
-		m, known := s.meas[devID]
-		if !known {
-			return
-		}
 		s.queue.Pop()
-		s.place(now, m.dev, qj)
+		s.place(now, s.meas[devID].dev, qj)
 	}
 }
 
@@ -807,10 +815,29 @@ func (s *Sim) classSelect(qj *queueJob, views []core.DeviceView) (string, bool) 
 		}
 		views, scores = views[:rest], scores[:rest]
 		s.tierBuf = tier
-		if devID, ok := s.opts.Policy.SelectDevice(qj.arrival.Task, tier, s.measMap); ok {
+		if devID, ok := s.policySelect(qj, tier); ok || s.err != nil {
+			return devID, ok
+		}
+	}
+	return "", false
+}
+
+// policySelect asks the policy for qj's device among views. A pick
+// that is not one of views stops the run with ErrPlacement and
+// reports ok=false.
+func (s *Sim) policySelect(qj *queueJob, views []core.DeviceView) (string, bool) {
+	devID, ok := s.opts.Policy.SelectDevice(qj.arrival.Task, views, s.measMap)
+	if !ok {
+		return "", false
+	}
+	for i := range views {
+		if views[i].ID == devID {
 			return devID, true
 		}
 	}
+	s.err = fmt.Errorf("%w: policy %s chose device %q for task %d, not one of its %d candidates",
+		ErrPlacement, s.opts.Policy.Name(), devID, qj.arrival.ID, len(views))
+	s.sh.Stop()
 	return "", false
 }
 

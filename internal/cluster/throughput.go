@@ -8,6 +8,7 @@ import (
 
 	"mudi/internal/core"
 	"mudi/internal/model"
+	"mudi/internal/opt"
 	"mudi/internal/perf"
 	"mudi/internal/tuner"
 	"mudi/internal/xrand"
@@ -54,7 +55,7 @@ func MaxThroughput(policy core.Policy, oracle *perf.Oracle, svcName, taskName st
 		rng := xrand.New(seed).ForkString("tpcheck:" + svcName)
 		viol := 0
 		const windows = 200
-		budget := svc.SLOms * float64(dec.Batch) / qps
+		budget := opt.Budget(svc.SLOms, dec.Batch, qps)
 		for i := 0; i < windows; i++ {
 			lat, err := oracle.MeasureLatency(svc.Name, dec.Batch, dec.Delta, []model.TrainingTask{task}, rng)
 			if err != nil {

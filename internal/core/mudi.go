@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mudi/internal/faults"
 	"mudi/internal/fit"
@@ -121,15 +122,13 @@ func (m *Mudi) LearnerStats() LearnerStats {
 	return LearnerStats{Stats: m.pred.Stats(), Colocations: m.colocs, Dropped: m.dropped}
 }
 
-// colocArch is the cumulative Ψ of resident tasks plus the candidate
-// (§5.5: "designates the cumulative feature layers as Ψ").
-func colocArch(resident []model.TrainingTask, extra ...model.TrainingTask) model.Arch {
+// colocArch is the cumulative Ψ of the resident tasks (§5.5:
+// "designates the cumulative feature layers as Ψ"). It indexes the
+// residents rather than ranging over copies of them.
+func colocArch(resident []model.TrainingTask) model.Arch {
 	var a model.Arch
-	for _, t := range resident {
-		a = a.Add(t.Arch)
-	}
-	for _, t := range extra {
-		a = a.Add(t.Arch)
+	for i := range resident {
+		a = a.Add(resident[i].Arch)
 	}
 	return a
 }
@@ -140,70 +139,144 @@ func colocArch(resident []model.TrainingTask, extra ...model.TrainingTask) model
 // The predictor's outputs depend only on (service, Ψ) and the
 // service's predictor generation, and a fleet has a handful of such
 // pairs, so the scorer evaluates the predictor once per pair and
-// generation (memo) and runs only the Eq. 4 solve, which reads the
+// generation (memo) and runs only the Eq. 4 solves, which read the
 // device's own QPS and SLO, per device. The memo lives across
 // SelectDevice calls: an entry stamped with an older generation than
 // its service's current one is recomputed on its next use, so a
 // predictor update is always seen and leaves other services' entries
-// valid.
+// valid. Within one call the predictor cannot move, so each (service,
+// Ψ) is looked up in the memo, and its generation read, at most once
+// per call: the call's entries are copied into resolved, once, and
+// read there by every device.
 type slopeScorer struct {
 	pred    *predictor.Predictor
 	batches []int
 	memo    map[colocKey]slopeEntry
+	// resolved holds the current call's entries (see begin), at most
+	// maxResolved of them; a call that meets more (service, Ψ) pairs
+	// resolves the rest into the last slot, from the memo per device.
+	resolved []resolvedEntry
+}
+
+// maxResolved bounds the per-call table, whose lookup is a linear scan.
+// With MaxTrainPerGPU 1 every eligible device's Ψ is the task's own
+// arch, so a call meets at most one pair per service.
+const maxResolved = 16
+
+// resolvedEntry is one (service, Ψ) pair the current call resolved.
+type resolvedEntry struct {
+	key colocKey
+	e   slopeEntry
 }
 
 // slopeEntry is the predictor's output for one (service, Ψ) at the
 // service's generation gen: the average slope or its error, and the
-// predicted curve per batch size (in batches order).
+// predicted curves that pass Validate with their batch sizes. A batch
+// whose predicted curve fails Validate has no solve and adds zero
+// share, so it is validated once, when the entry is made, not per
+// device.
 type slopeEntry struct {
-	gen    uint64
-	slope  float64
-	err    error
-	curves []piecewise.Func
+	gen     uint64
+	slope   float64
+	err     error
+	batches []int
+	curves  []piecewise.Func
 }
 
-// entry returns the memoized predictor output for (svc, arch),
-// evaluating it when the memo has none for svc's current generation.
-func (p *slopeScorer) entry(svc string, arch model.Arch) slopeEntry {
-	key := colocKey{svc, arch}
-	gen := p.pred.Generation(svc)
+// newSlopeEntry builds the entry for the predictor's output over
+// batches (curves in batches order), keeping only the curves that pass
+// Validate. When every curve passes, the entry shares both slices.
+func newSlopeEntry(gen uint64, batches []int, slope float64, curves []piecewise.Func, err error) slopeEntry {
+	e := slopeEntry{gen: gen, slope: slope, err: err, batches: batches, curves: curves}
+	if !slices.ContainsFunc(curves, func(c piecewise.Func) bool { return c.Validate() != nil }) {
+		return e
+	}
+	e.batches, e.curves = nil, nil
+	for i, c := range curves {
+		if c.Validate() == nil {
+			e.batches = append(e.batches, batches[i])
+			e.curves = append(e.curves, c)
+		}
+	}
+	return e
+}
+
+// entry returns the memoized predictor output for key, evaluating it
+// when the memo has none for the service's current generation.
+func (p *slopeScorer) entry(key colocKey) slopeEntry {
+	gen := p.pred.Generation(key.svc)
 	if e, ok := p.memo[key]; ok && e.gen == gen {
 		return e
 	}
-	e := slopeEntry{gen: gen}
-	e.slope, e.curves, e.err = p.pred.AvgSlope(svc, arch)
+	slope, curves, err := p.pred.AvgSlope(key.svc, key.arch)
+	e := newSlopeEntry(gen, p.batches, slope, curves, err)
 	p.memo[key] = e
 	return e
 }
 
-// score rates the device for the task, higher being better; ok=false
-// when the predictor cannot rate the device's service next to the
-// co-location (an untrained service).
+// begin starts a selection call: it forgets the previous call's
+// entries, which a predictor update since may have made stale.
+func (p *slopeScorer) begin() { p.resolved = p.resolved[:0] }
+
+// resolve returns the entry for (svc, *arch), from the current call's
+// table when this call has already resolved it. The entry is valid
+// until the next resolve.
+func (p *slopeScorer) resolve(svc string, arch *model.Arch) *slopeEntry {
+	for i := range p.resolved {
+		if r := &p.resolved[i]; r.key.svc == svc && r.key.arch == *arch {
+			return &r.e
+		}
+	}
+	key := colocKey{svc, *arch}
+	if len(p.resolved) == maxResolved {
+		p.resolved = p.resolved[:maxResolved-1] // recycle the last slot
+	}
+	p.resolved = append(p.resolved, resolvedEntry{key, p.entry(key)})
+	return &p.resolved[len(p.resolved)-1].e
+}
+
+// score rates the device for the task within the current call (see
+// begin), higher being better; ok=false when the predictor cannot rate
+// the device's service next to the co-location (an untrained service).
 func (p *slopeScorer) score(task *model.TrainingTask, view *DeviceView) (float64, bool) {
-	e := p.entry(view.ServiceName, colocArch(view.ResidentTasks, *task))
+	// Ψ is the task's arch plus the residents'; a device without
+	// residents (every eligible one under MaxTrainPerGPU 1) reads the
+	// task's own, uncopied.
+	arch := &task.Arch
+	if len(view.ResidentTasks) > 0 {
+		psi := task.Arch.Add(colocArch(view.ResidentTasks))
+		arch = &psi
+	}
+	e := p.resolve(view.ServiceName, arch)
 	if e.err != nil {
 		return 0, false
 	}
-	// A smaller slope both reduces SLO pressure and lets the service
-	// shrink, "which is advantageous for optimizing the objective"
-	// (§5.2): quantify that advantage as the predicted leftover GPU
-	// share after Eq. 4 sizes the service at the device's current QPS,
-	// averaged over the batch candidates.
+	return e.score(view.QPS, view.SLOms, len(p.batches)), true
+}
+
+// score is the device's score from the entry at the device's QPS and
+// SLO, averaging the leftover share over n batch candidates.
+//
+// A smaller slope both reduces SLO pressure and lets the service
+// shrink, "which is advantageous for optimizing the objective" (§5.2):
+// quantify that advantage as the predicted leftover GPU share after
+// Eq. 4 sizes the service at the device's current QPS, averaged over
+// the batch candidates. Each solve is opt.MinPartition's with no
+// headroom: the entry's curves are already validated, QPS and SLO are
+// positive and every batch is, so only MinDeltaFor is left to run.
+func (e *slopeEntry) score(qps, sloMs float64, n int) float64 {
 	var shareSum float64
-	if view.QPS > 0 && view.SLOms > 0 {
-		for i, b := range p.batches {
-			res, err := opt.MinPartition(opt.ScaleRequest{
-				QPS: view.QPS, Batch: b, SLO: view.SLOms, Latency: e.curves[i], MaxDelta: tuner.MaxDelta(true),
-			})
-			if err != nil || !res.Feasible {
-				continue
+	if qps > 0 && sloMs > 0 {
+		maxDelta := tuner.MaxDelta(true)
+		for i, c := range e.curves {
+			if delta, ok := c.MinDeltaFor(opt.Budget(sloMs, e.batches[i], qps), maxDelta); ok {
+				shareSum += 1 - delta
 			}
-			shareSum += 1 - res.Delta
 		}
 	}
-	avgShare := shareSum / float64(len(p.batches))
+	avgShare := shareSum / float64(n)
 	// Higher score = better; slopes are positive magnitudes.
-	return (0.05 + avgShare) / (1 + e.slope), true
+	return (0.05 + avgShare) / (1 + e.slope)
 }
 
 // SelectDevice implements Policy (§5.2): assign the task to the device
@@ -211,6 +284,7 @@ func (p *slopeScorer) score(task *model.TrainingTask, view *DeviceView) (float64
 // batch-size set — the eligible device with the highest score, ties to
 // the smaller ID.
 func (m *Mudi) SelectDevice(task model.TrainingTask, views []DeviceView, _ map[string]Measurer) (string, bool) {
+	m.slope.begin()
 	return PickMin(views, m.cfg.MaxTrainPerGPU, func(v *DeviceView) (float64, bool) {
 		s, ok := m.slope.score(&task, v)
 		return -s, ok
@@ -282,7 +356,7 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 	// partition by 10 points and re-check (the Monitor's "SLO at risk"
 	// repair loop, §6, done before committing the configuration).
 	if dec.Feasible && meas != nil {
-		budget := view.SLOms * float64(dec.Batch) / view.QPS
+		budget := opt.Budget(view.SLOms, dec.Batch, view.QPS)
 		margin := tuner.SLOMargin * budget
 		for round := 0; round < 3; round++ {
 			lat, err := meas.InfLatencyMs(dec.Batch, dec.Delta)

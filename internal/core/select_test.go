@@ -10,6 +10,7 @@ import (
 	"mudi/internal/model"
 	"mudi/internal/opt"
 	"mudi/internal/perf"
+	"mudi/internal/piecewise"
 	"mudi/internal/predictor"
 	"mudi/internal/profiler"
 	"mudi/internal/xrand"
@@ -22,7 +23,7 @@ func referenceScore(pred *predictor.Predictor, maxTrain int, task model.Training
 	if v.ServiceName == "" || len(v.ResidentTasks) >= maxTrain || v.Paused {
 		return 0, false
 	}
-	arch := colocArch(v.ResidentTasks, task)
+	arch := task.Arch.Add(colocArch(v.ResidentTasks))
 	slope, _, err := pred.AvgSlope(v.ServiceName, arch)
 	if err != nil {
 		return 0, false
@@ -68,10 +69,11 @@ func referenceSelect(pred *predictor.Predictor, maxTrain int, task model.Trainin
 }
 
 // lastScores re-scores the views of m's latest SelectDevice call for
-// task through Eligible and its slope scorer, reading that call's memo;
-// a skipped view scores -1.
+// task through Eligible and its slope scorer, as one more call over the
+// memo that selection left; a skipped view scores -1.
 func lastScores(m *Mudi, task model.TrainingTask, views []DeviceView) []float64 {
 	out := make([]float64, len(views))
+	m.slope.begin()
 	for i := range views {
 		out[i] = -1
 		if !Eligible(&views[i], m.cfg.MaxTrainPerGPU) {
@@ -140,10 +142,47 @@ func withTwins(rng *xrand.Rand, views []DeviceView, k int) []DeviceView {
 	return out
 }
 
+// mutateFleet changes about a quarter of the views in place, the way
+// a fleet moves between placements: a new QPS (sometimes zero or
+// negative), a new SLO, a flipped Paused, or a resident added or
+// removed (0 to maxTrain residents, so a full device turns ineligible).
+// Resident lists are rebuilt, never edited, as twins share them.
+func mutateFleet(rng *xrand.Rand, views []DeviceView, maxTrain int) {
+	tasks := model.Tasks()
+	for i := range views {
+		if rng.Intn(4) != 0 {
+			continue
+		}
+		v := &views[i]
+		switch rng.Intn(5) {
+		case 0:
+			v.QPS = []float64{0, -1, v.QPS * rng.Range(0.5, 2)}[rng.Intn(3)]
+		case 1:
+			v.SLOms *= rng.Range(0.5, 2)
+		case 2:
+			v.Paused = !v.Paused
+		case 3:
+			if len(v.ResidentTasks) < maxTrain {
+				v.ResidentTasks = append(slices.Clip(v.ResidentTasks), tasks[rng.Intn(len(tasks))])
+			}
+		case 4:
+			if n := len(v.ResidentTasks); n > 0 {
+				j := rng.Intn(n)
+				v.ResidentTasks = slices.Delete(slices.Clone(v.ResidentTasks), j, j+1)
+			}
+		}
+	}
+}
+
 // TestSelectDeviceMatchesReference checks the memoized Device Selector
-// against the direct per-device scorer: same pick, and every device's
+// against the direct per-device scorer, which validates and solves
+// every curve through opt.MinPartition: same pick, and every device's
 // score bit-identical. It is a replay on one Mudi, so the memo carries
-// over between calls: between selections the predictor learns random
+// over between calls. Each fleet is selected on four times, and
+// between those selections views change their QPS, SLO, Paused flag
+// and residents (mutateFleet), so one call's resolved entries must not
+// leak into the next; many calls meet more (service, Ψ) keys than the
+// per-call table holds. Between fleets the predictor learns random
 // co-locations through ObserveColocation, and now and then trains on a
 // fresh batch of offline profiles, and the reference always reads the
 // current predictor. Each fleet holds twins of some of its devices, so
@@ -156,44 +195,58 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 	tasks := model.Tasks()
 	services := model.Services()
 	prof := profiler.New(oracle, xrand.New(1010))
-	placed, untrained, moved, trained, tied := 0, 0, 0, 0, 0
+	placed, untrained, moved, trained, tied, selections, repicked, overflowed := 0, 0, 0, 0, 0, 0, 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := xrand.New(seed)
 		views := withTwins(xrand.New(1000+seed), randomFleet(rng, 48), 8)
 		task := tasks[rng.Intn(len(tasks))]
-		got, gotOK := m.SelectDevice(task, views, nil)
-		want, wantOK := referenceSelect(pred, maxTrain, task, views)
-		if got != want || gotOK != wantOK {
-			t.Fatalf("seed %d: SelectDevice = (%q, %v), reference = (%q, %v)", seed, got, gotOK, want, wantOK)
-		}
-		scores := lastScores(m, task, views)
-		best, atBest := slices.Max(scores), 0
-		for _, s := range scores {
-			if s == best {
-				atBest++
+		prev := ""
+		for round := 0; round < 4; round++ {
+			if round > 0 {
+				mutateFleet(rng, views, maxTrain)
 			}
-		}
-		if best >= 0 && atBest > 1 {
-			tied++
-		}
-		for i, s := range scores {
-			v := views[i]
-			ref, ok := referenceScore(pred, maxTrain, task, v)
-			if !ok {
-				ref = -1
+			selections++
+			got, gotOK := m.SelectDevice(task, views, nil)
+			want, wantOK := referenceSelect(pred, maxTrain, task, views)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("seed %d round %d: SelectDevice = (%q, %v), reference = (%q, %v)", seed, round, got, gotOK, want, wantOK)
 			}
-			if math.Float64bits(s) != math.Float64bits(ref) {
-				t.Fatalf("seed %d device %s: score %v, reference %v", seed, v.ID, s, ref)
+			if len(m.slope.resolved) == maxResolved {
+				overflowed++
 			}
-			if v.ServiceName == "Untrained" && !v.Paused && len(v.ResidentTasks) < maxTrain {
-				untrained++
+			if round > 0 && got != prev {
+				repicked++
 			}
-		}
-		if gotOK {
-			placed++
+			prev = got
+			scores := lastScores(m, task, views)
+			best, atBest := slices.Max(scores), 0
+			for _, s := range scores {
+				if s == best {
+					atBest++
+				}
+			}
+			if best >= 0 && atBest > 1 {
+				tied++
+			}
+			for i, s := range scores {
+				v := views[i]
+				ref, ok := referenceScore(pred, maxTrain, task, v)
+				if !ok {
+					ref = -1
+				}
+				if math.Float64bits(s) != math.Float64bits(ref) {
+					t.Fatalf("seed %d round %d device %s: score %v, reference %v", seed, round, v.ID, s, ref)
+				}
+				if v.ServiceName == "Untrained" && !v.Paused && len(v.ResidentTasks) < maxTrain {
+					untrained++
+				}
+			}
+			if gotOK {
+				placed++
+			}
 		}
 
-		// Teach the predictor before the next selection.
+		// Teach the predictor before the next fleet.
 		svc := services[rng.Intn(len(services))].Name
 		residents := make([]model.TrainingTask, 1+rng.Intn(maxTrain))
 		for i := range residents {
@@ -223,12 +276,59 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 	if tied == 0 {
 		t.Fatal("no fleet's best score tied; the tie rule went unexercised")
 	}
-	t.Logf("%d of 40 fleets tie for the best score", tied)
+	t.Logf("%d of %d selections tie for the best score; %d moved the pick after a fleet change; %d filled the %d-entry per-call table",
+		tied, selections, repicked, overflowed, maxResolved)
+	if overflowed == 0 {
+		t.Fatal("no selection filled the per-call table; the overflow path went unexercised")
+	}
+	if repicked < 10 {
+		t.Fatalf("only %d selections moved the pick after a fleet change; the changes do not reach the scores", repicked)
+	}
 	if untrained < 2 {
 		t.Fatalf("%d eligible devices ran an untrained service; the memoized error path needs repeats", untrained)
 	}
 	if moved < 20 || trained == 0 {
-		t.Fatalf("the predictor moved between only %d of 40 selections (%d trainings); the replay cannot see a stale memo", moved, trained)
+		t.Fatalf("the predictor moved between only %d of 40 fleets (%d trainings); the replay cannot see a stale memo", moved, trained)
+	}
+}
+
+// TestSlopeEntryDropsInvalidCurves pins validation at entry time: a
+// predicted curve that fails Validate (here K1 = -Inf, whose solve
+// would otherwise report a feasible Δ) adds zero share, as
+// opt.MinPartition's error did, and the other batches score as
+// MinPartition solves them.
+func TestSlopeEntryDropsInvalidCurves(t *testing.T) {
+	batches := model.BatchSizes()
+	curves := make([]piecewise.Func, len(batches))
+	for i := range curves {
+		curves[i] = piecewise.Func{K1: -40 - float64(i), K2: -2, Cutoff: 0.4, L0: 8 + float64(i)}
+	}
+	valid := newSlopeEntry(1, batches, 0.3, curves, nil)
+	if &valid.curves[0] != &curves[0] || &valid.batches[0] != &batches[0] {
+		t.Fatal("an entry whose curves all validate copied them")
+	}
+	broken := slices.Clone(curves)
+	broken[2].K1 = math.Inf(-1)
+	if _, ok := broken[2].MinDeltaFor(opt.Budget(100, batches[2], 50), 0.9); !ok {
+		t.Fatal("the non-finite curve's solve is infeasible; the test cannot tell it is skipped")
+	}
+	e := newSlopeEntry(1, batches, 0.3, broken, nil)
+	if len(e.curves) != len(batches)-1 || slices.Contains(e.batches, batches[2]) {
+		t.Fatalf("entry keeps batches %v; want all but %d", e.batches, batches[2])
+	}
+	for _, qps := range []float64{5, 50, 500, 5000} {
+		var shareSum float64
+		for i, b := range batches {
+			res, err := opt.MinPartition(opt.ScaleRequest{QPS: qps, Batch: b, SLO: 100, Latency: broken[i], MaxDelta: 0.9})
+			if err != nil || !res.Feasible {
+				continue
+			}
+			shareSum += 1 - res.Delta
+		}
+		want := (0.05 + shareSum/float64(len(batches))) / 1.3
+		if got := e.score(qps, 100, len(batches)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("qps %v: score %v, MinPartition reference %v", qps, got, want)
+		}
 	}
 }
 

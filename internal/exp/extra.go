@@ -7,6 +7,7 @@ import (
 	"mudi/internal/cluster"
 	"mudi/internal/core"
 	"mudi/internal/model"
+	"mudi/internal/opt"
 	"mudi/internal/report"
 	"mudi/internal/runner"
 	"mudi/internal/sched"
@@ -179,7 +180,7 @@ func Fidelity(cfg Config) (*report.Table, error) {
 				BatchCap:    b,
 				SLOms:       svc.SLOms,
 				FormBatches: true,
-				MaxWaitMs:   svc.SLOms * float64(b) / svc.BaseQPS, // the window model's budget
+				MaxWaitMs:   opt.Budget(svc.SLOms, b, svc.BaseQPS), // the window model's budget
 			})
 			if err != nil {
 				return fidelityRow{}, err

@@ -32,6 +32,15 @@ type ScaleResult struct {
 // ErrBadRequest reports invalid solver input.
 var ErrBadRequest = errors.New("opt: invalid scale request")
 
+// Budget is Eq. 4's per-batch latency budget in milliseconds: the
+// paper's constraint (W/b)·P ≤ SLO rewritten as P ≤ SLO·b/W, with W in
+// requests/s and latencies in ms. W/b is the batch service rate the
+// device must sustain, so the budget shrinks as load rises and grows
+// with the batching size.
+func Budget(sloMs float64, batch int, qps float64) float64 {
+	return sloMs * float64(batch) / qps
+}
+
 // MinPartition solves Eq. 4: the smallest Δ such that
 // (W/b)·P(b, Δ, Ψ) ≤ SLO, then applies the configured headroom.
 func MinPartition(req ScaleRequest) (ScaleResult, error) {
@@ -45,11 +54,7 @@ func MinPartition(req ScaleRequest) (ScaleResult, error) {
 	if maxDelta <= 0 || maxDelta > 1 {
 		maxDelta = 1
 	}
-	// The paper's constraint: (W/b)·P ≤ SLO ⇔ P ≤ SLO·b/W, with W in
-	// requests/s and latencies in ms. W/b is the batch service rate the
-	// device must sustain, so the per-batch budget shrinks as load
-	// rises and grows with the batching size.
-	budget := req.SLO * float64(req.Batch) / req.QPS
+	budget := Budget(req.SLO, req.Batch, req.QPS)
 	delta, ok := req.Latency.MinDeltaFor(budget, maxDelta)
 	if !ok {
 		return ScaleResult{Feasible: false, Budget: budget}, nil

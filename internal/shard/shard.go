@@ -155,7 +155,8 @@ func (e *Engine) SetProfiler(p Profiler) { e.prof = p }
 func (e *Engine) SetFold(fn func(barrier float64)) { e.fold = fn }
 
 // Stop halts Run after the current tick, with the clock at its
-// barrier. Call it only from the tick.
+// barrier. Call it only from Run's goroutine: the tick, an event or
+// applied mail.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run runs the clock from time 0 until the horizon or Stop. Window

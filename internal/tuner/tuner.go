@@ -328,7 +328,7 @@ func (t *Tuner) bestServingBatch(req Request) int {
 	best := req.Candidates[0]
 	bestRatio := math.Inf(1)
 	for _, b := range req.Candidates {
-		budget := req.SLOms * float64(b) / req.QPS
+		budget := opt.Budget(req.SLOms, b, req.QPS)
 		if budget <= 0 {
 			continue
 		}
