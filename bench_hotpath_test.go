@@ -5,10 +5,10 @@ package mudi
 // (BenchmarkSimObsOff, BENCH_hotpath.json) depends on — GP posterior
 // updates, percentile extraction, oracle curve construction, burst
 // schedule lookups, the request-level serving loop, Mudi's device
-// selection, the online learner's refits and model selection, and a
-// warm Mudi build. The AllocsPerRun regression tests in internal/gp,
-// internal/stats and internal/core pin the steady states; these
-// benchmarks track the constants.
+// selection and device configuration, the online learner's refits and
+// model selection, and a warm Mudi build. The AllocsPerRun regression
+// tests in internal/gp, internal/stats and internal/core pin the
+// steady states; these benchmarks track the constants.
 
 import (
 	"fmt"
@@ -360,6 +360,36 @@ func BenchmarkHotpathBuildMudiWarm(b *testing.B) {
 		if _, err := core.Build(perf.NewOracle(1), 1, core.MudiConfig{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// configureDecision keeps BenchmarkHotpathConfigure's result live.
+var configureDecision core.Decision
+
+// BenchmarkHotpathConfigure is one Monitor retune's policy call: a
+// warm Mudi's Configure on a BERT device next to an observed training
+// task, a co-location the offline grid profiled, so every candidate's
+// curve is an exact fit. Without a measurer no BO measurement runs:
+// the op is curve resolution plus the tuner's Eq. 4 solves, and it
+// allocates nothing.
+func BenchmarkHotpathConfigure(b *testing.B) {
+	m, err := core.Build(perf.NewOracle(1), 1, core.MudiConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, _ := model.ServiceByName("BERT")
+	view := core.DeviceView{
+		ID: "gpu0", ServiceName: svc.Name, SLOms: svc.SLOms, QPS: svc.BaseQPS,
+		Batch: 64, Delta: 0.5, FreeShare: 0.5,
+		ResidentTasks: model.ObservedTasks()[:1],
+	}
+	if configureDecision, err = m.Configure(view, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		configureDecision, _ = m.Configure(view, nil)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mudi/internal/core"
@@ -147,4 +148,79 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 	}
 	s2.deviceWindow(now+1, &shard.Lane{}, d1)
 	checkIters("requeued onto another device", d1, 1)
+}
+
+// viewSink keeps TestResidentSnapshotTracksResidents's views live.
+var viewSink core.DeviceView
+
+// TestResidentSnapshotTracksResidents drives one device through every
+// change to its set of unfinished residents — two placements, the
+// completion flag a window sets, the completion, a pause eviction's
+// requeue, and a failure and recovery — viewing it after each, so a
+// snapshot is always resident when the set moves. Every view's
+// residents must be a fresh filter of d.training (never nil), and a
+// view of the unchanged device must allocate nothing.
+func TestResidentSnapshotTracksResidents(t *testing.T) {
+	const seed = 5
+	tasks := model.Tasks()
+	arrivals := []trace.TaskArrival{
+		{ID: 0, At: 1, Task: tasks[0], Iters: 1e6, GPUsReq: 1},
+		{ID: 1, At: 2, Task: tasks[1], Iters: 1e6, GPUsReq: 1},
+	}
+	run := core.Decision{Batch: 64, Delta: 0.5, Feasible: true}
+	pol := &scriptedPolicy{dec: run}
+	s, err := New(Options{Policy: pol, Oracle: perf.NewOracle(seed), Seed: seed, Devices: 1, Arrivals: arrivals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := s.devices[0]
+	now := 0.0
+	check := func(name string, want int) {
+		t.Helper()
+		fresh := []model.TrainingTask{}
+		for _, ts := range d.training {
+			if !ts.done {
+				fresh = append(fresh, ts.task)
+			}
+		}
+		got := d.view().ResidentTasks
+		if got == nil || len(fresh) != want || !slices.Equal(got, fresh) {
+			t.Fatalf("%s: view residents %v, d.training holds %v (want %d)", name, got, fresh, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { viewSink = d.view() }); n != 0 {
+			t.Fatalf("%s: a view of an unchanged device allocates %v objects", name, n)
+		}
+	}
+
+	check("no residents", 0)
+	s.onArrival(now, arrivals[0])
+	check("first placement", 1)
+	s.onArrival(now, arrivals[1])
+	check("second placement", 2)
+	first := d.training[0]
+	first.iters = 1 // done within the next window
+	now++
+	s.deviceWindow(now, &shard.Lane{}, d) // its mail is never applied
+	if !first.done {
+		t.Fatal("the window did not set the completion flag")
+	}
+	check("completion flag", 1)
+	s.complete(now, d, first)
+	check("completion", 1)
+	pol.dec = core.Decision{Batch: 64, Feasible: false}
+	if err := s.configure(now, d, "test"); err != nil {
+		t.Fatal(err)
+	}
+	check("paused", 1)
+	pol.dec = run
+	paused := d.training[0]
+	s.requeue(now, d, paused) // re-placed here: the only device
+	if len(d.training) != 1 || d.training[0] == paused {
+		t.Fatal("the requeue did not re-place the task")
+	}
+	check("pause eviction requeued", 1)
+	s.failDevice(now, d)
+	check("failure", 0)
+	s.recoverDevice(now, d)
+	check("recovery", 1)
 }

@@ -79,10 +79,10 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	// post the configure to the barrier — Configure walks the policy's
 	// shared learner state, which only the global phase may touch.
 	if relChange(svc.curQPS, qps) >= qpsChangeFrac {
-		s.postRetune(lane, d, qps, "qps-change")
+		s.postRetune(lane, d, qps, retuneQPSChange)
 	} else if d.hasPaused() && now-d.lastResumeTry >= resumeRetrySec {
 		d.lastResumeTry = now
-		s.postRetune(lane, d, qps, "resume-probe")
+		s.postRetune(lane, d, qps, retuneResumeProbe)
 	}
 	// Pause evictions requeue through the scheduler — barrier work. The
 	// message revalidates: an earlier message at the same barrier (a
@@ -130,7 +130,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 			// Monitor: "In cases where the Monitor detects that the
 			// SLO is at risk of being violated, it triggers adaptive
 			// batching or resource scaling accordingly" (§6).
-			s.postRetune(lane, d, qps, "slo-risk")
+			s.postRetune(lane, d, qps, retuneSLORisk)
 		}
 		svc.latSum += lat
 	}
@@ -138,7 +138,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	// Training progress. Completion flags flip inline (device-local),
 	// the completion itself — result appends, queue usage, the
 	// follow-up retune and placement — lands at the barrier in device
-	// order. No snapshot needed: nothing mutates d.training inline.
+	// order. No copy of d.training needed: nothing mutates it inline.
 	share := d.trainShare()
 	for _, t := range d.training {
 		t := t
@@ -156,6 +156,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 		t.itersDone += w * 1000 / iter
 		if t.itersDone >= float64(t.iters) {
 			t.done = true
+			d.residents = nil
 			t.finishAt = now + w
 			lane.Post(func(float64) { s.complete(t.finishAt, d, t) })
 		}
@@ -198,17 +199,37 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	d.memFrac = min(d.pool.DeviceUsedMB(), d.pool.CapacityMB()) / d.pool.CapacityMB()
 }
 
+// retuneCause is a Monitor trigger's cause, indexing retuneLabels.
+type retuneCause int
+
+const (
+	retuneQPSChange retuneCause = iota
+	retuneResumeProbe
+	retuneSLORisk
+	numRetuneCauses
+)
+
+// retuneLabels labels each cause's retune events.
+var retuneLabels = [numRetuneCauses]string{"qps-change", "resume-probe", "slo-risk"}
+
 // postRetune is a Monitor trigger: it makes qps the service's current
 // rate inline and posts the retune to the barrier, where Configure may
 // touch the policy's shared learner state. A device that is down by
-// then skips it.
-func (s *Sim) postRetune(lane *shard.Lane, d *deviceState, qps float64, cause string) {
+// then skips it. The mail reads nothing from the window, so each
+// (device, cause) binds its function once, on first use.
+func (s *Sim) postRetune(lane *shard.Lane, d *deviceState, qps float64, cause retuneCause) {
 	d.svc.curQPS = qps
-	lane.Post(func(at float64) {
-		if !d.down {
-			_ = s.configure(at, d, cause)
+	fn := d.retune[cause]
+	if fn == nil {
+		label := retuneLabels[cause]
+		fn = func(at float64) {
+			if !d.down {
+				_ = s.configure(at, d, label)
+			}
 		}
-	})
+		d.retune[cause] = fn
+	}
+	lane.Post(fn)
 }
 
 // fold is the engine's once-per-window read-back, installed only when

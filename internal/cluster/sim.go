@@ -864,6 +864,7 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 		allocID:   fmt.Sprintf("train-%d", qj.arrival.ID),
 	}
 	d.training = append(d.training, t)
+	d.residents = nil
 	s.res.Admitted++
 	s.record(d, span.Record{Act: span.ActPlaced, Time: now, Task: t.task.Name, Value: float64(t.id)})
 	// Memory: training allocations are swappable.
@@ -1079,6 +1080,7 @@ func (s *Sim) release(now float64, d *deviceState, t *taskState) {
 		}
 	}
 	d.training = keep
+	d.residents = nil
 }
 
 // qpsChangeFrac is the Monitor's trigger: a device retunes when its

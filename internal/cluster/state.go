@@ -113,10 +113,18 @@ type deviceState struct {
 	// observation is disabled) so the hot path never takes the
 	// registry lock.
 	obsv *devObs
-	// taskScratch backs residentScratch/activeScratch: resident lists
-	// consumed within a single call (oracle measurements) reuse it, while
-	// view() keeps allocating because policies retain its slices.
+	// residents is the resident snapshot view() hands out (see
+	// residentTasks). Policies may retain a view's slice, so a snapshot
+	// is replaced, never mutated; nil marks it stale. The three changes
+	// to the set of unfinished residents clear it: placement, the
+	// completion flag and release.
+	residents []model.TrainingTask
+	// taskScratch backs activeScratch, whose list is consumed within one
+	// oracle call.
 	taskScratch []model.TrainingTask
+	// retune is the barrier-side retune mail for each Monitor cause,
+	// bound on first use (see postRetune).
+	retune [numRetuneCauses]func(now float64)
 	// curve is the window path's memo of the oracle's latency curve
 	// (see latencyCurve); lane-owned like the rest of the window state.
 	curve curveMemo
@@ -215,15 +223,21 @@ func (d *deviceState) trainShare() float64 {
 
 // residentTasks lists the catalog entries of all unfinished residents
 // (paused or not) — the set a Configure decision must plan for, since
-// a feasible decision resumes the paused ones.
+// a feasible decision resumes the paused ones. The list is the
+// device's resident snapshot, rebuilt only after the set changed and
+// shared by every caller until then: it must not be modified. It is
+// never nil, and its capacity is its length, so an append copies.
 func (d *deviceState) residentTasks() []model.TrainingTask {
-	out := make([]model.TrainingTask, 0, len(d.training))
-	for _, t := range d.training {
-		if !t.done {
-			out = append(out, t.task)
+	if d.residents == nil {
+		out := make([]model.TrainingTask, 0, d.residentCount())
+		for _, t := range d.training {
+			if !t.done {
+				out = append(out, t.task)
+			}
 		}
+		d.residents = out
 	}
-	return out
+	return d.residents
 }
 
 // residentCount counts unfinished residents without building the list.
@@ -237,23 +251,10 @@ func (d *deviceState) residentCount() int {
 	return n
 }
 
-// residentScratch is residentTasks into the reusable scratch buffer —
-// for callers that consume the list before returning and never retain
-// it (the per-measurement oracle queries).
-func (d *deviceState) residentScratch() []model.TrainingTask {
-	d.taskScratch = d.taskScratch[:0]
-	for _, t := range d.training {
-		if !t.done {
-			d.taskScratch = append(d.taskScratch, t.task)
-		}
-	}
-	return d.taskScratch
-}
-
 // activeScratch lists only residents that are actually executing — a
 // paused task's kernels are stopped (and its memory swapped out), so it
-// imposes no interference on the service. Same reuse contract as
-// residentScratch.
+// imposes no interference on the service. The list lives in a reusable
+// buffer: callers consume it before returning and never retain it.
 func (d *deviceState) activeScratch() []model.TrainingTask {
 	d.taskScratch = d.taskScratch[:0]
 	for _, t := range d.training {
@@ -363,7 +364,7 @@ func (m *deviceMeasurer) TrainIterMs(batch int, delta float64) (float64, error) 
 			return 0, err
 		}
 	}
-	tasks := m.dev.residentScratch()
+	tasks := m.dev.residentTasks()
 	if len(tasks) == 0 {
 		return 0, fmt.Errorf("cluster: no training on %s", m.dev.dev.ID)
 	}
@@ -384,7 +385,7 @@ func (m *deviceMeasurer) TrainIterMs(batch int, delta float64) (float64, error) 
 
 // InfLatencyMs implements core.Measurer.
 func (m *deviceMeasurer) InfLatencyMs(batch int, delta float64) (float64, error) {
-	return m.oracle.MeasureLatency(m.dev.svc.info.Name, batch, delta, m.dev.residentScratch(), m.rng)
+	return m.oracle.MeasureLatency(m.dev.svc.info.Name, batch, delta, m.dev.residentTasks(), m.rng)
 }
 
 var _ core.Measurer = (*deviceMeasurer)(nil)

@@ -50,6 +50,9 @@ type Mudi struct {
 	// colocs counts the co-locations ObserveColocation learned, and
 	// dropped those it gave up on at a measurement or update error.
 	colocs, dropped int
+	// tuneCurves is Configure's buffer for the tuner's curves, aligned
+	// with slope.batches; Tune keeps no reference to it.
+	tuneCurves []piecewise.Func
 }
 
 // newMudi builds the policy around an Interference Predictor; Build
@@ -68,6 +71,7 @@ func newMudi(pred *predictor.Predictor, cfg MudiConfig) *Mudi {
 		batches: model.BatchSizes(),
 		memo:    make(map[colocKey]slopeEntry),
 	}
+	m.tuneCurves = make([]piecewise.Func, len(m.slope.batches))
 	return m
 }
 
@@ -90,9 +94,12 @@ type curveKey struct {
 	batch int
 }
 
-// addProfiles seeds the fitted-curve cache from offline profiles (the
-// Offline Profiler grid), alongside predictor training.
+// addProfiles seeds a new Mudi's fitted-curve cache from offline
+// profiles (the Offline Profiler grid), alongside predictor training.
+// The cache is sized for every profile up front: growing it one entry
+// at a time rehashes it several times, about half of a warm Build.
 func (m *Mudi) addProfiles(profiles []profiler.Profile) {
+	m.curves = make(map[curveKey]piecewise.Func, len(profiles))
 	for _, pr := range profiles {
 		if pr.Curve.Validate() != nil {
 			continue
@@ -297,39 +304,17 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 	if view.ServiceName == "" {
 		return Decision{}, fmt.Errorf("core: device %s has no inference service", view.ID)
 	}
+	// The tuner reads every candidate's curve several times per
+	// episode: resolve each one once, into the policy's own buffer.
 	coloc := colocKey{view.ServiceName, colocArch(view.ResidentTasks)}
-	resolve := func(b int) piecewise.Func {
-		if c, ok := m.curves[curveKey{coloc, b}]; ok {
-			return c // exact fit for this co-location
-		}
-		c, err := m.pred.PredictCurve(coloc.svc, b, coloc.arch)
-		if err != nil {
-			// Untrained service: a conservative steep default makes the
-			// solver allocate generously rather than violate the SLO.
-			return piecewise.Func{K1: -10 * view.SLOms, K2: -0.1 * view.SLOms, Cutoff: 0.6, L0: view.SLOms / 2}
-		}
-		return c
-	}
-	// The tuner asks for every candidate's curve, several times per
-	// episode: resolve each one once.
-	batches := model.BatchSizes()
-	resolved := make([]piecewise.Func, len(batches))
-	for i, b := range batches {
-		resolved[i] = resolve(b)
-	}
-	curves := func(b int) piecewise.Func {
-		for i, c := range batches {
-			if c == b {
-				return resolved[i]
-			}
-		}
-		return resolve(b)
+	for i, b := range m.slope.batches {
+		m.tuneCurves[i] = m.tuneCurve(coloc, b, view.SLOms)
 	}
 	req := tuner.Request{
 		QPS:         view.QPS,
 		SLOms:       view.SLOms,
-		Candidates:  batches,
-		Curves:      curves,
+		Candidates:  m.slope.batches,
+		Curves:      m.tuneCurves,
 		Measure:     meas,
 		HasTraining: len(view.ResidentTasks) > 0,
 	}
@@ -380,6 +365,22 @@ func (m *Mudi) Configure(view DeviceView, meas Measurer) (Decision, error) {
 		}
 	}
 	return dec, nil
+}
+
+// tuneCurve is the latency curve Configure plans batch b with: the
+// exact fit for the co-location when there is one, else the
+// predictor's generalization.
+func (m *Mudi) tuneCurve(coloc colocKey, b int, sloMs float64) piecewise.Func {
+	if c, ok := m.curves[curveKey{coloc, b}]; ok {
+		return c
+	}
+	c, err := m.pred.PredictCurve(coloc.svc, b, coloc.arch)
+	if err != nil {
+		// Untrained service: a conservative steep default makes the
+		// solver allocate generously rather than violate the SLO.
+		return piecewise.Func{K1: -10 * sloMs, K2: -0.1 * sloMs, Cutoff: 0.6, L0: sloMs / 2}
+	}
+	return c
 }
 
 // ObserveColocation implements OnlineLearner: when a service meets a

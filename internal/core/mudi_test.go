@@ -206,3 +206,30 @@ func TestConfigureUntrainedFallsBackConservative(t *testing.T) {
 		t.Fatalf("bad fallback decision %+v", dec)
 	}
 }
+
+// configureSink keeps TestConfigureWarmAllocatesNothing's decisions
+// live.
+var configureSink Decision
+
+// TestConfigureWarmAllocatesNothing pins Configure's steady state: on
+// a warm Mudi, a device whose every candidate curve is an exact fit
+// (no resident, or one observed task), tuned without a measurer so no
+// BO measurement runs, allocates nothing.
+func TestConfigureWarmAllocatesNothing(t *testing.T) {
+	m := mustBuild(t, perf.NewOracle(1), 1, 1)
+	for _, view := range []DeviceView{viewFor("BERT"), viewFor("BERT", model.ObservedTasks()[0])} {
+		coloc := colocKey{view.ServiceName, colocArch(view.ResidentTasks)}
+		for _, b := range m.slope.batches {
+			if _, ok := m.curves[curveKey{coloc, b}]; !ok {
+				t.Fatalf("%d residents: no exact fit at batch %d", len(view.ResidentTasks), b)
+			}
+		}
+		dec, err := m.Configure(view, nil)
+		if err != nil || !dec.Feasible {
+			t.Fatalf("%d residents: Configure = %+v, %v", len(view.ResidentTasks), dec, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { configureSink, _ = m.Configure(view, nil) }); n != 0 {
+			t.Fatalf("%d residents: warm Configure allocates %v objects, want 0", len(view.ResidentTasks), n)
+		}
+	}
+}

@@ -333,3 +333,20 @@ func TestCandidatesIncludeGBRT(t *testing.T) {
 		t.Fatal("GBRT missing from the candidate zoo")
 	}
 }
+
+// TestFamilyCatalog: the catalog's names are its models' Names, so
+// newFamily builds the Candidates family a selection named, and an
+// unknown name builds nothing.
+func TestFamilyCatalog(t *testing.T) {
+	for i, c := range Candidates(3) {
+		if families[i].name != c.Name() {
+			t.Fatalf("family %d is named %q, its model %q", i, families[i].name, c.Name())
+		}
+		if m := newFamily(c.Name(), 3); m == nil || m.Name() != c.Name() {
+			t.Fatalf("newFamily(%q) = %v", c.Name(), m)
+		}
+	}
+	if m := newFamily("none", 3); m != nil {
+		t.Fatalf("newFamily of an unknown name = %v, want nil", m)
+	}
+}

@@ -6,16 +6,28 @@ import (
 	"slices"
 )
 
+// families is the catalog of model families the Interference Modeler
+// considers, in Candidates order: each family's Name and its
+// constructor from the selection seed.
+var families = []struct {
+	name string
+	make func(seed uint64) Regressor
+}{
+	{"LR", func(uint64) Regressor { return NewLinear() }},
+	{"kNN", func(uint64) Regressor { return NewKNN(3) }},
+	{"SVR", func(uint64) Regressor { return NewKernelRidge(0, 0) }},
+	{"RF", func(seed uint64) Regressor { return NewForest(30, seed) }},
+	{"GBRT", func(seed uint64) Regressor { return NewGBRT(60, seed) }},
+}
+
 // Candidates returns a fresh instance of every model family the
 // Interference Modeler considers, seeded deterministically.
 func Candidates(seed uint64) []Regressor {
-	return []Regressor{
-		NewLinear(),
-		NewKNN(3),
-		NewKernelRidge(0, 0),
-		NewForest(30, seed),
-		NewGBRT(60, seed),
+	out := make([]Regressor, len(families))
+	for i, f := range families {
+		out[i] = f.make(seed)
 	}
+	return out
 }
 
 // minCVSamples is the fewest samples model selection cross-validates;
@@ -26,9 +38,9 @@ const minCVSamples = 4
 // name, built with the same constructor and seed, or nil for an
 // unknown name.
 func newFamily(name string, seed uint64) Regressor {
-	for _, c := range Candidates(seed) {
-		if c.Name() == name {
-			return c
+	for _, f := range families {
+		if f.name == name {
+			return f.make(seed)
 		}
 	}
 	return nil

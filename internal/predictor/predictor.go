@@ -102,10 +102,15 @@ var ErrUntrained = errors.New("predictor: no profiles for service")
 
 // features builds X = [Ψ..., log2(batch)] from a co-location
 // architecture and the inference batch size. Batch enters in log scale
-// so the learners see it on the same footing as layer counts.
+// so the learners see it on the same footing as layer counts. X is
+// built in one allocation.
 func features(arch model.Arch, batch int) []float64 {
-	f := arch.Features()
-	return append(f, math.Log2(float64(batch)))
+	x := make([]float64, model.NumLayerKinds+1)
+	for i, n := range arch {
+		x[i] = float64(n)
+	}
+	x[model.NumLayerKinds] = math.Log2(float64(batch))
+	return x
 }
 
 func (p *Predictor) svc(name string) *svcPredictor {

@@ -430,3 +430,19 @@ func TestCloneLearnsIndependently(t *testing.T) {
 		t.Error("clone predictions unchanged after learning two unseen tasks")
 	}
 }
+
+var featuresSink []float64
+
+// TestFeaturesOneAllocation: X = [Ψ, log2 b] is built in one
+// allocation, with the values of Arch.Features followed by log2 b.
+func TestFeaturesOneAllocation(t *testing.T) {
+	task, _ := model.TaskByName("LSTM")
+	arch := task.Arch.Add(task.Arch)
+	want := append(arch.Features(), math.Log2(64))
+	if got := features(arch, 64); !reflect.DeepEqual(got, want) {
+		t.Fatalf("features = %v, want %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { featuresSink = features(arch, 64) }); n != 1 {
+		t.Fatalf("features allocates %v objects, want 1", n)
+	}
+}

@@ -30,9 +30,9 @@ package shard
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
-
-	"mudi/internal/runner"
 )
 
 // Default returns the default lane count for a device count:
@@ -108,13 +108,26 @@ type Profiler interface {
 
 // Engine is the window clock over the lanes.
 type Engine struct {
-	lanes   []*Lane
-	pool    *runner.Pool
+	lanes []*Lane
+	// counts is each lane's device count, the profiler's laneEvents.
+	counts  []int
+	workers int
 	window  float64
 	now     float64
 	stopped bool
 	fold    func(barrier float64)
 	prof    Profiler
+
+	// The current Run's step and window end, and its lane workers (see
+	// startWorkers): work wakes each helper once per window, next hands
+	// out lane indices, and busy counts the helpers still stepping.
+	// stepFn and at are written before the wake-ups and read after them.
+	stepFn func(l *Lane, dev int, now float64)
+	at     float64
+	work   chan struct{}
+	exited sync.WaitGroup
+	busy   sync.WaitGroup
+	next   atomic.Int64
 }
 
 // New returns an engine stepping devices [0, devices) once every
@@ -130,12 +143,14 @@ func New(devices, lanes, workers int, window float64) (*Engine, error) {
 	}
 	split := Split(devices, lanes)
 	e := &Engine{
-		lanes:  make([]*Lane, len(split)),
-		pool:   runner.New(max(1, min(workers, len(split)))),
-		window: window,
+		lanes:   make([]*Lane, len(split)),
+		counts:  make([]int, len(split)),
+		workers: max(1, min(workers, len(split))),
+		window:  window,
 	}
 	for i, r := range split {
 		e.lanes[i] = &Lane{start: r[0], end: r[1]}
+		e.counts[i] = r[1] - r[0]
 	}
 	return e, nil
 }
@@ -166,9 +181,17 @@ func (e *Engine) Stop() { e.stopped = true }
 // sorted by At (ties fire in slice order); an event between two window
 // ends runs alone. With nothing left at or before the horizon, the
 // clock moves to the horizon.
+//
+// With more than one worker, Run starts its lane workers once and
+// stops them before it returns, whichever way it returns.
 func (e *Engine) Run(horizon float64, events []Event, step func(l *Lane, dev int, now float64), tick func(now float64)) {
 	e.stopped = false
 	e.now = 0
+	e.stepFn = step
+	if e.workers > 1 {
+		e.startWorkers()
+		defer e.stopWorkers()
+	}
 	next := e.window
 	for !e.stopped {
 		b, window := next, true
@@ -186,7 +209,8 @@ func (e *Engine) Run(horizon float64, events []Event, step func(l *Lane, dev int
 		}
 		var counts []int
 		if window {
-			counts = e.step(b, step)
+			e.step(b)
+			counts = e.counts
 			if e.fold != nil {
 				e.fold(b)
 			}
@@ -212,18 +236,67 @@ func (e *Engine) Run(horizon float64, events []Event, step func(l *Lane, dev int
 }
 
 // step runs every lane's devices for the window ending at now. With
-// one worker this is an inline index-order loop — runner.Map's
-// sequential path — so a single-threaded step visits devices in global
-// order. It returns the per-lane device counts.
-func (e *Engine) step(now float64, step func(l *Lane, dev int, now float64)) []int {
-	counts, _ := runner.Map(e.pool, len(e.lanes), func(i int) (int, error) {
-		l := e.lanes[i]
-		for d := l.start; d < l.end; d++ {
-			step(l, d, now)
+// one worker it is a plain loop over the lanes in index order, so a
+// single-threaded step visits devices in global order. Otherwise Run's
+// goroutine and the lane workers take lanes from a shared counter until
+// none is left.
+func (e *Engine) step(now float64) {
+	e.at = now
+	if e.workers == 1 {
+		for _, l := range e.lanes {
+			e.stepLane(l)
 		}
-		return l.end - l.start, nil
-	})
-	return counts
+		return
+	}
+	e.next.Store(0)
+	e.busy.Add(e.workers - 1)
+	for i := 1; i < e.workers; i++ {
+		e.work <- struct{}{}
+	}
+	e.stepLanes()
+	e.busy.Wait()
+}
+
+// stepLane steps the lane's devices in order.
+func (e *Engine) stepLane(l *Lane) {
+	for d := l.start; d < l.end; d++ {
+		e.stepFn(l, d, e.at)
+	}
+}
+
+// stepLanes steps lanes taken from the window's counter until every
+// lane is taken.
+func (e *Engine) stepLanes() {
+	for {
+		i := int(e.next.Add(1)) - 1
+		if i >= len(e.lanes) {
+			return
+		}
+		e.stepLane(e.lanes[i])
+	}
+}
+
+// startWorkers starts the workers-1 lane workers that step lanes beside
+// Run's goroutine, once per wake-up.
+func (e *Engine) startWorkers() {
+	e.work = make(chan struct{})
+	e.exited.Add(e.workers - 1)
+	for i := 1; i < e.workers; i++ {
+		go func() {
+			defer e.exited.Done()
+			for range e.work {
+				e.stepLanes()
+				e.busy.Done()
+			}
+		}()
+	}
+}
+
+// stopWorkers ends the lane workers and returns once they have exited.
+func (e *Engine) stopWorkers() {
+	close(e.work)
+	e.exited.Wait()
+	e.work = nil
 }
 
 // applyMail applies every lane's queued mail, lane by lane in posting

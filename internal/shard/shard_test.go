@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -259,5 +262,115 @@ func TestClocksAligned(t *testing.T) {
 	y.e.Run(7.25, nil, y.step, y.tick)
 	if got := y.e.Now(); got != 7.25 || y.counters[0] != 7 {
 		t.Fatalf("clock %v after %d windows, want 7.25 after 7", got, y.counters[0])
+	}
+}
+
+// laneWorkers counts the goroutines running a lane worker, from a
+// dump of every goroutine's stack. (runtime.NumGoroutine would also
+// count runtime goroutines that come and go, such as the finalizer's.)
+func laneWorkers() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	return strings.Count(string(buf[:n]), "(*Engine).startWorkers.func1(")
+}
+
+// settledLaneWorkers is laneWorkers once it is 0, or after a bounded
+// number of yields: a worker that has signalled its exit may not have
+// finished returning yet.
+func settledLaneWorkers() int {
+	n := laneWorkers()
+	for i := 0; n > 0 && i < 1000; i++ {
+		runtime.Gosched()
+		n = laneWorkers()
+	}
+	return n
+}
+
+// TestRunStopsLaneWorkers: whichever way Run returns — the horizon,
+// Stop from the tick, an event or applied mail, or a tick that sees
+// its context cancelled, as the cluster's does — no lane worker is
+// left running, and the run did step with its workers alive.
+func TestRunStopsLaneWorkers(t *testing.T) {
+	type stepFn = func(l *Lane, dev int, now float64)
+	cases := []struct {
+		name string
+		run  func(y *toy, step stepFn)
+	}{
+		{"horizon", func(y *toy, step stepFn) { y.e.Run(3, nil, step, y.tick) }},
+		{"stop from the tick", func(y *toy, step stepFn) {
+			y.e.Run(10, nil, step, func(now float64) {
+				if now == 2 {
+					y.e.Stop()
+				}
+			})
+		}},
+		{"stop from an event", func(y *toy, step stepFn) {
+			y.e.Run(10, []Event{{At: 2.5, Fn: func(float64) { y.e.Stop() }}}, step, y.tick)
+		}},
+		{"stop from applied mail", func(y *toy, step stepFn) {
+			y.e.Run(10, nil, func(l *Lane, d int, now float64) {
+				step(l, d, now)
+				if d == 0 && now == 2 {
+					l.Post(func(float64) { y.e.Stop() })
+				}
+			}, y.tick)
+		}},
+		{"cancelled context", func(y *toy, step stepFn) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			y.e.Run(10, []Event{{At: 1.5, Fn: func(float64) { cancel() }}}, step, func(float64) {
+				if ctx.Err() != nil {
+					y.e.Stop()
+				}
+			})
+		}},
+	}
+	for _, c := range cases {
+		y := newToy(t, 8, 4, 3)
+		if n := settledLaneWorkers(); n != 0 {
+			t.Fatalf("%s: %d lane workers before Run", c.name, n)
+		}
+		during := 0
+		c.run(y, func(l *Lane, d int, now float64) {
+			y.counters[d]++
+			if d == 0 && now == 1 {
+				during = laneWorkers()
+			}
+		})
+		if during != 2 {
+			t.Fatalf("%s: %d lane workers while stepping, want 2", c.name, during)
+		}
+		if y.e.Now() >= 10 {
+			t.Fatalf("%s: ran to %v", c.name, y.e.Now())
+		}
+		if n := settledLaneWorkers(); n != 0 {
+			t.Fatalf("%s: %d lane workers left after Run", c.name, n)
+		}
+	}
+}
+
+// TestSteadyWindowAllocatesNothing: past the run's start-up, a window
+// allocates nothing, stepping one lane inline or two lanes on two
+// workers, with a step that posts mail bound once.
+func TestSteadyWindowAllocatesNothing(t *testing.T) {
+	for _, c := range []struct{ lanes, workers int }{{1, 1}, {2, 2}} {
+		e, err := New(8, c.lanes, c.workers, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied := 0
+		mail := func(float64) { applied++ }
+		step := func(l *Lane, d int, now float64) { l.Post(mail) }
+		tick := func(float64) {}
+		run := func(windows int) float64 {
+			return testing.AllocsPerRun(5, func() { e.Run(float64(windows), nil, step, tick) })
+		}
+		short, long := run(2), run(202)
+		if long != short {
+			t.Fatalf("lanes=%d workers=%d: a run allocates %v objects over 2 windows, %v over 202", c.lanes, c.workers, short, long)
+		}
+		if applied == 0 {
+			t.Fatal("no mail applied")
+		}
 	}
 }

@@ -25,10 +25,6 @@ type Measurer interface {
 	TrainIterMs(batch int, delta float64) (float64, error)
 }
 
-// CurveFn returns the (predicted or profiled) latency curve of the
-// inference service for a batch size under the current co-location.
-type CurveFn func(batch int) piecewise.Func
-
 // BatchStrategy selects the adaptive-batching algorithm — the paper
 // uses GP-LCB Bayesian optimization (§5.3.1); the alternatives exist
 // for the ablation that justifies that choice (fewer evaluations than
@@ -72,9 +68,13 @@ type Config struct {
 type Request struct {
 	QPS        float64 // current arrival rate (req/s)
 	SLOms      float64
-	Candidates []int   // batch-size search space
-	Curves     CurveFn // latency curves under the current co-location
-	Measure    Measurer
+	Candidates []int // batch-size search space
+	// Curves[i] is the inference service's (predicted or profiled)
+	// latency curve at batch Candidates[i] under the current
+	// co-location. Tune reads it only while it runs, so the caller may
+	// reuse the slice for its next request.
+	Curves  []piecewise.Func
+	Measure Measurer
 	// HasTraining reports whether a training task is co-located; if
 	// not, the Tuner only solves the SLO side.
 	HasTraining bool
@@ -130,13 +130,13 @@ func MaxDelta(hasTraining bool) float64 {
 }
 
 // feasibleDelta returns the Eq. 4 minimum partition (with headroom) for
-// one batch size, or ok=false.
-func (t *Tuner) feasibleDelta(req Request, batch int, maxDelta float64) (float64, bool) {
+// candidate i, or ok=false.
+func (t *Tuner) feasibleDelta(req Request, i int, maxDelta float64) (float64, bool) {
 	res, err := opt.MinPartition(opt.ScaleRequest{
 		QPS:      req.QPS,
-		Batch:    batch,
+		Batch:    req.Candidates[i],
 		SLO:      req.SLOms * SLOMargin,
-		Latency:  req.Curves(batch),
+		Latency:  req.Curves[i],
 		MaxDelta: maxDelta,
 		Headroom: Headroom,
 	})
@@ -158,16 +158,16 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 	if len(req.Candidates) == 0 {
 		return Decision{}, ErrNoCandidates
 	}
-	if req.Curves == nil {
-		return Decision{}, fmt.Errorf("%w: nil curve provider", ErrBadRequest)
+	if len(req.Curves) != len(req.Candidates) {
+		return Decision{}, fmt.Errorf("%w: %d curves for %d candidates", ErrBadRequest, len(req.Curves), len(req.Candidates))
 	}
 	maxDelta := MaxDelta(req.HasTraining)
 
 	// Phase 0: initial partition = max cutoff across batch sizes
 	// (§5.3.2).
 	var delta float64
-	for _, b := range req.Candidates {
-		if c := req.Curves(b); c.Cutoff > delta {
+	for _, c := range req.Curves {
+		if c.Cutoff > delta {
 			delta = c.Cutoff
 		}
 	}
@@ -182,8 +182,8 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 	// largest feasible batch (throughput) and the minimal partition.
 	if !req.HasTraining || req.Measure == nil {
 		best := Decision{}
-		for _, b := range req.Candidates {
-			if d, ok := t.feasibleDelta(req, b, maxDelta); ok {
+		for i, b := range req.Candidates {
+			if d, ok := t.feasibleDelta(req, i, maxDelta); ok {
 				if !best.Feasible || b > best.Batch {
 					best = Decision{Batch: b, Delta: d, Feasible: true}
 				}
@@ -212,19 +212,20 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 	for i, b := range req.Candidates {
 		candidates[i] = math.Log2(float64(b))
 	}
-	batchFor := func(x float64) int {
+	indexOf := func(x float64) int {
 		for i, c := range candidates {
 			if c == x {
-				return req.Candidates[i]
+				return i
 			}
 		}
-		return 0
+		return -1
 	}
 	var measureErr error
 	probes := make([]Probe, 0, BOBudget)
 	objective := func(x float64) (float64, bool) {
-		b := batchFor(x)
-		_, ok := t.feasibleDelta(req, b, maxDelta)
+		i := indexOf(x)
+		b := req.Candidates[i]
+		_, ok := t.feasibleDelta(req, i, maxDelta)
 		iter, err := req.Measure.TrainIterMs(b, delta)
 		if err != nil {
 			measureErr = err
@@ -248,11 +249,12 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 		// the service degrades as little as possible.
 		return Decision{Feasible: false, Batch: t.bestServingBatch(req), BOIterations: res.Iterations, Probes: probes}, nil
 	}
-	batch := batchFor(res.Best)
+	best := indexOf(res.Best)
+	batch := req.Candidates[best]
 
 	// Phase 2: dynamic resource scaling — the minimum partition for the
 	// chosen batch, plus headroom (Eq. 4).
-	finalDelta, ok := t.feasibleDelta(req, batch, maxDelta)
+	finalDelta, ok := t.feasibleDelta(req, best, maxDelta)
 	if !ok {
 		return Decision{Feasible: false, BOIterations: res.Iterations, Probes: probes}, nil
 	}
@@ -269,17 +271,18 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 // tuneFixed keeps the batch at 64 (or the nearest candidate) and only
 // runs resource scaling — the "no adaptive batching" ablation arm.
 func (t *Tuner) tuneFixed(req Request, maxDelta float64) (Decision, error) {
-	batch := req.Candidates[0]
-	for _, b := range req.Candidates {
+	idx := 0
+	for i, b := range req.Candidates {
 		if b == 64 {
-			batch = 64
+			idx = i
 			break
 		}
-		if abs64(b-64) < abs64(batch-64) {
-			batch = b
+		if abs64(b-64) < abs64(req.Candidates[idx]-64) {
+			idx = i
 		}
 	}
-	d, ok := t.feasibleDelta(req, batch, maxDelta)
+	batch := req.Candidates[idx]
+	d, ok := t.feasibleDelta(req, idx, maxDelta)
 	if !ok {
 		return Decision{Feasible: false, Batch: t.bestServingBatch(req)}, nil
 	}
@@ -292,8 +295,8 @@ func (t *Tuner) tuneExhaustive(req Request, delta, maxDelta float64) (Decision, 
 	best := Decision{}
 	bestIter := math.Inf(1)
 	probes := make([]Probe, 0, BOBudget)
-	for _, b := range req.Candidates {
-		d, ok := t.feasibleDelta(req, b, maxDelta)
+	for i, b := range req.Candidates {
+		d, ok := t.feasibleDelta(req, i, maxDelta)
 		if !ok {
 			continue
 		}
@@ -327,12 +330,12 @@ func abs64(x int) int {
 func (t *Tuner) bestServingBatch(req Request) int {
 	best := req.Candidates[0]
 	bestRatio := math.Inf(1)
-	for _, b := range req.Candidates {
+	for i, b := range req.Candidates {
 		budget := opt.Budget(req.SLOms, b, req.QPS)
 		if budget <= 0 {
 			continue
 		}
-		ratio := req.Curves(b).Eval(1) / budget
+		ratio := req.Curves[i].Eval(1) / budget
 		if ratio < bestRatio {
 			bestRatio, best = ratio, b
 		}

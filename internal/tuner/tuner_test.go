@@ -2,6 +2,7 @@ package tuner
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"mudi/internal/model"
@@ -37,17 +38,19 @@ func newRequest(t *testing.T, seed uint64, svc string, qps float64) (Request, *p
 	if !ok {
 		t.Fatalf("unknown service %s", svc)
 	}
-	curves := func(b int) piecewise.Func {
+	batches := model.BatchSizes()
+	curves := make([]piecewise.Func, len(batches))
+	for i, b := range batches {
 		c, err := o.TrainColocCurve(svc, b, []model.TrainingTask{task})
 		if err != nil {
 			t.Fatalf("curve: %v", err)
 		}
-		return c
+		curves[i] = c
 	}
 	return Request{
 		QPS:         qps,
 		SLOms:       svcInfo.SLOms,
-		Candidates:  model.BatchSizes(),
+		Candidates:  batches,
 		Curves:      curves,
 		Measure:     &oracleMeasurer{o: o, task: task, svc: svc, rng: xrand.New(seed + 99)},
 		HasTraining: true,
@@ -72,7 +75,8 @@ func TestTuneProducesFeasibleConfig(t *testing.T) {
 	}
 	// The decision must satisfy the paper constraint with the curve.
 	budget := req.SLOms * float64(dec.Batch) / req.QPS
-	if got := req.Curves(dec.Batch).Eval(dec.Delta); got > budget {
+	i := slices.Index(req.Candidates, dec.Batch)
+	if got := req.Curves[i].Eval(dec.Delta); got > budget {
 		t.Fatalf("decision violates SLO budget: %v > %v", got, budget)
 	}
 	if dec.BOIterations < 1 || dec.BOIterations > 25 {
@@ -119,10 +123,13 @@ func TestTuneValidation(t *testing.T) {
 	if _, err := tn.Tune(req); !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("err = %v", err)
 	}
+	// Curves must align with Candidates.
 	req2, _ := newRequest(t, 4, "BERT", 200)
-	req2.Curves = nil
-	if _, err := tn.Tune(req2); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("err = %v", err)
+	for _, curves := range [][]piecewise.Func{nil, req2.Curves[1:]} {
+		req2.Curves = curves
+		if _, err := tn.Tune(req2); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%d curves for %d candidates: err = %v", len(curves), len(req2.Candidates), err)
+		}
 	}
 }
 
