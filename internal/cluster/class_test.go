@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -210,15 +211,38 @@ func TestInvalidServiceClassRejected(t *testing.T) {
 
 // tierRecorder records every SelectDevice offer and places on the first
 // offered view with room under maxTrain, declining otherwise, so a full
-// tier makes the cluster fall through to the next one.
+// tier makes the cluster fall through to the next one. With sim set it
+// also records, per offer, what the fleet held then: the whole tier of
+// the first offered view (every live device with its class score, in
+// device order), and the live devices of more preferred tiers the
+// policy would have taken.
 type tierRecorder struct {
 	scriptedPolicy
 	maxTrain int
 	offers   [][]core.DeviceView
+	sim      *Sim
+	fleet    []offerFleet
 }
+
+type offerFleet struct{ tier, passedOver []string }
 
 func (p *tierRecorder) SelectDevice(_ model.TrainingTask, views []core.DeviceView, _ map[string]core.Measurer) (string, bool) {
 	p.offers = append(p.offers, append([]core.DeviceView(nil), views...))
+	if p.sim != nil && len(views) > 0 {
+		want, _ := sched.ClassScore(views[0].ServiceClass, len(views[0].ResidentTasks))
+		var f offerFleet
+		for _, d := range p.sim.devices {
+			v := d.view()
+			switch sc, ok := sched.ClassScore(v.ServiceClass, len(v.ResidentTasks)); {
+			case !ok || d.down:
+			case sc == want:
+				f.tier = append(f.tier, v.ID)
+			case sc > want && core.Eligible(&v, p.maxTrain):
+				f.passedOver = append(f.passedOver, v.ID)
+			}
+		}
+		p.fleet = append(p.fleet, f)
+	}
 	for i := range views {
 		if core.Eligible(&views[i], p.maxTrain) {
 			return views[i].ID, true
@@ -227,10 +251,12 @@ func (p *tierRecorder) SelectDevice(_ model.TrainingTask, views []core.DeviceVie
 	return "", false
 }
 
-// TestClassSelectOffersOneTier: class-aware placement hands the policy
-// one class-score tier per SelectDevice call, most preferred first, and
-// never offers a critical-class device or one already at its class's
-// co-location budget.
+// TestClassSelectOffersOneTier: placement hands the policy one whole
+// class-score tier per SelectDevice call, in device order (the order
+// baselines.Random indexes into), most preferred first, and never
+// offers a critical-class device or one already at its class's
+// co-location budget. Nothing is down or excluded in these runs. A
+// classless fleet is a single tier: every offer is the whole fleet.
 func TestClassSelectOffersOneTier(t *testing.T) {
 	budget := map[model.SLOClass]int{
 		model.ClassStandard:   1,
@@ -238,56 +264,75 @@ func TestClassSelectOffersOneTier(t *testing.T) {
 		model.ClassBatch:      3,
 		model.ClassBackground: 4,
 	}
-	pol := &tierRecorder{
-		scriptedPolicy: scriptedPolicy{dec: core.Decision{Batch: 16, Delta: 0.5, Feasible: true}},
-		maxTrain:       1,
-	}
-	sim, err := New(Options{
-		Policy:   pol,
-		Oracle:   perf.NewOracle(7),
-		Seed:     7,
-		Devices:  6,
-		Arrivals: smallArrivals(t, 12, 7),
-		Services: classedServices(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(pol.offers) == 0 {
-		t.Fatal("the policy was never asked to place")
-	}
-	tiers := map[float64]bool{}
-	for i, views := range pol.offers {
-		if len(views) == 0 {
-			t.Fatalf("offer %d is empty", i)
-		}
-		var tier float64
-		for j := range views {
-			v := &views[j]
-			if v.ServiceClass == model.ClassCritical {
-				t.Fatalf("offer %d includes critical-class device %s", i, v.ID)
+	for _, tc := range []struct {
+		name     string
+		services []model.InferenceService
+	}{
+		{"classed", classedServices()},
+		{"classless", model.Services()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol := &tierRecorder{
+				scriptedPolicy: scriptedPolicy{dec: core.Decision{Batch: 16, Delta: 0.5, Feasible: true}},
+				maxTrain:       1,
 			}
-			if b, ok := budget[v.ServiceClass]; !ok || len(v.ResidentTasks) >= b {
-				t.Fatalf("offer %d includes %s (class %q, %d residents) at or past its budget",
-					i, v.ID, v.ServiceClass, len(v.ResidentTasks))
+			sim, err := New(Options{
+				Policy:   pol,
+				Oracle:   perf.NewOracle(7),
+				Seed:     7,
+				Devices:  6,
+				Arrivals: smallArrivals(t, 12, 7),
+				Services: tc.services,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			sc, ok := sched.ClassScore(v.ServiceClass, len(v.ResidentTasks))
-			if !ok {
-				t.Fatalf("offer %d includes vetoed device %s", i, v.ID)
+			pol.sim = sim
+			if _, err := sim.Run(); err != nil {
+				t.Fatal(err)
 			}
-			if j == 0 {
-				tier = sc
-			} else if sc != tier {
-				t.Fatalf("offer %d mixes class-score tiers %v and %v", i, tier, sc)
+			if len(pol.offers) == 0 {
+				t.Fatal("the policy was never asked to place")
 			}
-		}
-		tiers[tier] = true
-	}
-	t.Logf("%d offers, tiers %v", len(pol.offers), tiers)
-	if len(tiers) < 2 {
-		t.Fatalf("every offer came from one tier (%v); the run never fell through", tiers)
+			tiers := map[float64]bool{}
+			for i, views := range pol.offers {
+				ids := make([]string, len(views))
+				for j := range views {
+					ids[j] = views[j].ID
+				}
+				if f := pol.fleet[i]; !slices.Equal(ids, f.tier) || len(f.passedOver) > 0 {
+					t.Fatalf("offer %d is %v, want its whole tier in device order %v, passing over no device of a more preferred tier %v",
+						i, ids, f.tier, f.passedOver)
+				}
+				if tc.name == "classless" && len(ids) != len(sim.devices) {
+					t.Fatalf("classless offer %d holds %d of %d devices", i, len(ids), len(sim.devices))
+				}
+				var tier float64
+				for j := range views {
+					v := &views[j]
+					if v.ServiceClass == model.ClassCritical {
+						t.Fatalf("offer %d includes critical-class device %s", i, v.ID)
+					}
+					if b, ok := budget[v.ServiceClass]; ok && len(v.ResidentTasks) >= b {
+						t.Fatalf("offer %d includes %s (class %q, %d residents) at or past its budget",
+							i, v.ID, v.ServiceClass, len(v.ResidentTasks))
+					}
+					sc, ok := sched.ClassScore(v.ServiceClass, len(v.ResidentTasks))
+					if !ok {
+						t.Fatalf("offer %d includes vetoed device %s", i, v.ID)
+					}
+					if j == 0 {
+						tier = sc
+					} else if sc != tier {
+						t.Fatalf("offer %d mixes class-score tiers %v and %v", i, tier, sc)
+					}
+				}
+				tiers[tier] = true
+			}
+			t.Logf("%d offers, tiers %v", len(pol.offers), tiers)
+			if tc.name == "classed" && len(tiers) < 2 {
+				t.Fatalf("every offer came from one tier (%v); the run never fell through", tiers)
+			}
+		})
 	}
 }

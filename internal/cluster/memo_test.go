@@ -29,12 +29,13 @@ func (p *scriptedPolicy) Configure(core.DeviceView, core.Measurer) (core.Decisio
 // TestWindowCurveMemoMatchesOracle steps one device through every
 // change that moves its latency curve or a resident's iteration time —
 // placements (which also split the train share), a pause, a resume, a
-// batch change, a Δ rescale, a completion, and a failure followed by a
-// redeploy — and after each step runs a control window and checks the
-// device's memoized curve bit for bit against a fresh oracle's curve
-// for the executing residents, and each executing resident's memoized
-// iteration time against the fresh oracle's. A requeue onto a second
-// device, next to another service, is checked the same way.
+// batch change, a Δ rescale, a finishing window and its completion, and
+// a failure followed by a redeploy — and after each step runs a control
+// window and checks the device's memoized curve bit for bit against a
+// fresh oracle's curve for the executing residents, and each executing
+// resident's memoized iteration time against the fresh oracle's. A
+// requeue onto a second device, next to another service, is checked the
+// same way.
 func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 	const seed = 5
 	tasks := model.Tasks()
@@ -55,7 +56,7 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 		t.Helper()
 		share, n := d.trainShare(), 0
 		for _, ts := range d.training {
-			if ts.done || ts.paused {
+			if ts.paused {
 				continue
 			}
 			n++
@@ -113,14 +114,13 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 		t.Fatalf("rescale: Δ %v, want 0.75", d.svc.delta)
 	}
 	step("Δ rescale", 2)
-	first := d.training[0]
-	first.done = true
-	step("first task finished", 1)
-	// The completion's retune moves Δ so that the remaining task keeps
-	// its train share (0.25/2 = 0.125/1): only Δ is new in its key.
+	// The first task finishes in a real window. Its completion's retune
+	// moves Δ so that the remaining task keeps its train share
+	// (0.25/2 = 0.125/1): only Δ is new in its key.
 	pol.dec = core.Decision{Batch: 128, Delta: 0.875, Feasible: true}
-	s.complete(now, d, first)
-	step("first task released", 1)
+	now++
+	finishFirst(t, s, d, now)
+	step("first task finished", 1)
 	s.failDevice(now, d)
 	pol.dec = core.Decision{Batch: 32, Delta: 0.4, Feasible: true}
 	s.recoverDevice(now, d)
@@ -143,23 +143,52 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 	s2.deviceWindow(now, &shard.Lane{}, d0)
 	checkIters("before the requeue", d0, 1)
 	s2.requeue(now, d0, d0.training[0])
-	if d0.residentCount() != 0 || d1.residentCount() != 1 {
-		t.Fatalf("requeue: %d residents on the first device, %d on the second", d0.residentCount(), d1.residentCount())
+	if len(d0.training) != 0 || len(d1.training) != 1 {
+		t.Fatalf("requeue: %d residents on the first device, %d on the second", len(d0.training), len(d1.training))
 	}
 	s2.deviceWindow(now+1, &shard.Lane{}, d1)
 	checkIters("requeued onto another device", d1, 1)
+}
+
+// finishFirst makes d's first resident finish in one real window at
+// now. The window must take the task off d.training and the view's
+// residents at once, but keep its memory; its completion mail (run
+// here as the barrier would) must then count it and free the memory.
+func finishFirst(t *testing.T, s *Sim, d *deviceState, now float64) {
+	t.Helper()
+	first, n := d.training[0], len(d.training)
+	first.iters = 1 // done within the window
+	completed := s.res.Completed
+	s.deviceWindow(now, &shard.Lane{}, d) // its mail is never applied
+	if len(d.training) != n-1 || slices.Contains(d.training, first) {
+		t.Fatalf("finishing window: %d of %d residents left, the finished one among them: %v",
+			len(d.training), n, slices.Contains(d.training, first))
+	}
+	if got := d.view().ResidentTasks; len(got) != n-1 || slices.Contains(got, first.task) {
+		t.Fatalf("finishing window: view residents %v still hold %s", got, first.task.Name)
+	}
+	if _, err := d.pool.SwappedOutMB(first.allocID); err != nil {
+		t.Fatalf("finishing window freed the task's memory before its completion: %v", err)
+	}
+	s.complete(first.finishAt, d, first)
+	if s.res.Completed != completed+1 {
+		t.Fatalf("completion: Completed %d, want %d", s.res.Completed, completed+1)
+	}
+	if _, err := d.pool.SwappedOutMB(first.allocID); err == nil {
+		t.Fatal("completion kept the task's memory allocated")
+	}
 }
 
 // viewSink keeps TestResidentSnapshotTracksResidents's views live.
 var viewSink core.DeviceView
 
 // TestResidentSnapshotTracksResidents drives one device through every
-// change to its set of unfinished residents — two placements, the
-// completion flag a window sets, the completion, a pause eviction's
-// requeue, and a failure and recovery — viewing it after each, so a
-// snapshot is always resident when the set moves. Every view's
-// residents must be a fresh filter of d.training (never nil), and a
-// view of the unchanged device must allocate nothing.
+// change to its residents — two placements, a finishing window and its
+// completion, a pause eviction's requeue, and a failure and recovery —
+// viewing it after each, so a snapshot is always resident when the set
+// moves. Every view's residents must be a fresh copy of d.training's
+// tasks (never nil), and a view of the unchanged device must allocate
+// nothing.
 func TestResidentSnapshotTracksResidents(t *testing.T) {
 	const seed = 5
 	tasks := model.Tasks()
@@ -179,9 +208,7 @@ func TestResidentSnapshotTracksResidents(t *testing.T) {
 		t.Helper()
 		fresh := []model.TrainingTask{}
 		for _, ts := range d.training {
-			if !ts.done {
-				fresh = append(fresh, ts.task)
-			}
+			fresh = append(fresh, ts.task)
 		}
 		got := d.view().ResidentTasks
 		if got == nil || len(fresh) != want || !slices.Equal(got, fresh) {
@@ -197,15 +224,8 @@ func TestResidentSnapshotTracksResidents(t *testing.T) {
 	check("first placement", 1)
 	s.onArrival(now, arrivals[1])
 	check("second placement", 2)
-	first := d.training[0]
-	first.iters = 1 // done within the next window
 	now++
-	s.deviceWindow(now, &shard.Lane{}, d) // its mail is never applied
-	if !first.done {
-		t.Fatal("the window did not set the completion flag")
-	}
-	check("completion flag", 1)
-	s.complete(now, d, first)
+	finishFirst(t, s, d, now)
 	check("completion", 1)
 	pol.dec = core.Decision{Batch: 64, Feasible: false}
 	if err := s.configure(now, d, "test"); err != nil {

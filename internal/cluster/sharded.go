@@ -46,8 +46,6 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 		// A failed device serves nothing and burns nothing: it publishes
 		// zero utilization for the barrier sums, an empty record, and
 		// accrues no SLO windows during the outage.
-		d.smUtil = 0
-		d.memFrac = 0
 		*r = winRecord{residents: r.residents[:0]}
 		return
 	}
@@ -88,10 +86,9 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	// message revalidates: an earlier message at the same barrier (a
 	// resume-probe retune) may have unpaused the task.
 	for _, t := range d.training {
-		t := t
-		if !t.done && t.paused && now-t.pausedAt >= pauseEvictSec {
+		if t.paused && now-t.pausedAt >= pauseEvictSec {
 			lane.Post(func(at float64) {
-				if !d.down && !t.done && t.paused {
+				if !d.down && t.paused {
 					s.requeue(at, d, t)
 				}
 			})
@@ -123,7 +120,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 			r.viol = true
 			svc.violWin++
 			for _, t := range d.training {
-				if !t.done && !t.paused {
+				if !t.paused {
 					r.residents = append(r.residents, t.task.Name)
 				}
 			}
@@ -135,31 +132,27 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 		svc.latSum += lat
 	}
 
-	// Training progress. Completion flags flip inline (device-local),
-	// the completion itself — result appends, queue usage, the
-	// follow-up retune and placement — lands at the barrier in device
-	// order. No copy of d.training needed: nothing mutates it inline.
+	// Training progress. A finished task leaves d.training inline
+	// (device-local), compacted in place, so the slice is rewritten only
+	// when some task finished; the completion itself — result appends,
+	// memory release, queue usage, the follow-up retune and placement —
+	// lands at the barrier in device order.
 	share := d.trainShare()
-	for _, t := range d.training {
-		t := t
-		if t.done || t.paused || share <= 0 {
-			continue
-		}
-		iter, err := t.trueIteration(s.opts.Oracle, share, svc.info.Name, svc.batch, svc.delta)
-		if err != nil {
-			continue
-		}
-		if out, err := d.pool.SwappedOutMB(t.allocID); err == nil && t.task.MemoryMB() > 0 {
-			frac := out / t.task.MemoryMB()
-			iter *= 1 + 0.5*frac
-		}
-		t.itersDone += w * 1000 / iter
-		if t.itersDone >= float64(t.iters) {
-			t.done = true
-			d.residents = nil
-			t.finishAt = now + w
+	kept := 0
+	for i, t := range d.training {
+		if !t.paused && share > 0 && s.progress(now, d, t, share) {
 			lane.Post(func(float64) { s.complete(t.finishAt, d, t) })
+			continue
 		}
+		if kept != i {
+			d.training[kept] = t
+		}
+		kept++
+	}
+	if kept < len(d.training) {
+		clear(d.training[kept:])
+		d.training = d.training[:kept]
+		d.residents = nil
 	}
 
 	// Memory reclamation (Fig. 16's reclaim at QPS drop): touch swapped
@@ -168,9 +161,6 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	// publishes the swap bursts it records.
 	if d.pool.CapacityMB()-d.pool.DeviceUsedMB() > 1024 {
 		for _, t := range d.training {
-			if t.done {
-				continue
-			}
 			if out, err := d.pool.SwappedOutMB(t.allocID); err == nil && out > 0 {
 				_, _ = d.pool.Touch(now, t.allocID)
 				break
@@ -188,15 +178,34 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	}
 	trainBusy := 0.0
 	for _, t := range d.training {
-		if !t.done && !t.paused {
+		if !t.paused {
 			trainBusy += share
 		}
 	}
-	d.smUtil = svc.delta*busy + trainBusy
-	if d.smUtil > 1 {
-		d.smUtil = 1
+	r.smUtil = min(svc.delta*busy+trainBusy, 1)
+	r.memFrac = min(d.pool.DeviceUsedMB(), d.pool.CapacityMB()) / d.pool.CapacityMB()
+}
+
+// progress advances executing task t by one window at the given train
+// share and reports whether it finished, stamping finishAt if so. A
+// window whose iteration time the oracle cannot give leaves t as it
+// was.
+func (s *Sim) progress(now float64, d *deviceState, t *taskState, share float64) bool {
+	svc := d.svc
+	iter, err := t.trueIteration(s.opts.Oracle, share, svc.info.Name, svc.batch, svc.delta)
+	if err != nil {
+		return false
 	}
-	d.memFrac = min(d.pool.DeviceUsedMB(), d.pool.CapacityMB()) / d.pool.CapacityMB()
+	if out, err := d.pool.SwappedOutMB(t.allocID); err == nil && t.task.MemoryMB() > 0 {
+		frac := out / t.task.MemoryMB()
+		iter *= 1 + 0.5*frac
+	}
+	t.itersDone += span.WindowSec * 1000 / iter
+	if t.itersDone < float64(t.iters) {
+		return false
+	}
+	t.finishAt = now + span.WindowSec
+	return true
 }
 
 // retuneCause is a Monitor trigger's cause, indexing retuneLabels.
@@ -320,9 +329,9 @@ func (s *Sim) barrierTick(now float64) {
 				Class:     d.svc.info.Class.String(), ShedQPS: r.shed,
 			})
 		}
-		smSum += d.smUtil
-		memSum += d.memFrac
-		if d.memFrac > memPressureFrac {
+		smSum += d.rec.smUtil
+		memSum += d.rec.memFrac
+		if d.rec.memFrac > memPressureFrac {
 			memHot++
 		}
 	}

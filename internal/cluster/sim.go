@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -342,24 +343,16 @@ type Sim struct {
 	// unset); every recording site guards on it with one branch.
 	tl *tlState
 
-	// classAware is set when any service declares an SLO class. It
-	// selects trySchedule's device pick (class-steered or the policy's
-	// own, which is measurably cheaper for a classless fleet) and
-	// whether the per-class metrics exist.
-	classAware bool
-
 	// measMap is the policy-facing view of meas, built once at
 	// construction (meas never changes afterward) so trySchedule does
 	// not rebuild it per placement attempt.
 	measMap map[string]core.Measurer
-	// viewsBuf backs trySchedule's per-attempt device-view slice.
-	// Policies only read the slice during SelectDevice (values they
-	// retain are copied out), so the storage is reusable.
+	// viewsBuf backs trySchedule's per-attempt device-view slice, and
+	// restBuf the lower class tiers classSelect sets aside. Policies
+	// only read the slice during SelectDevice (values they retain are
+	// copied out), so the storage is reusable.
 	viewsBuf []core.DeviceView
-	// tierBuf/scoreBuf back the class-steered selection's per-tier view
-	// slice and per-candidate score slice (class-aware runs only).
-	tierBuf  []core.DeviceView
-	scoreBuf []float64
+	restBuf  []core.DeviceView
 
 	res *Result
 	// err stops the run (see ErrPlacement); Run returns it.
@@ -404,9 +397,10 @@ func newClassCounters(sink *obs.Sink, class string) *classCounters {
 
 // newSimObs resolves the cluster-level instruments. The fault acts'
 // counters exist only when the injector is on, and the shed and class
-// counters only in class-aware runs, so an unfaulted or classless
-// run's snapshot is byte-identical to a build without those features.
-func newSimObs(sink *obs.Sink, faulted, classAware bool, services []model.InferenceService) *simObs {
+// counters only when some service declares a class, so an unfaulted or
+// classless run's snapshot is byte-identical to a build without those
+// features.
+func newSimObs(sink *obs.Sink, faulted bool, services []model.InferenceService) *simObs {
 	o := &simObs{
 		smUtil:       sink.Gauge("cluster_sm_util"),
 		memUtil:      sink.Gauge("cluster_mem_util"),
@@ -433,15 +427,15 @@ func newSimObs(sink *obs.Sink, faulted, classAware bool, services []model.Infere
 		counter("cluster_device_recoveries_total", span.ActRecovered)
 		counter("cluster_measure_retries_total", span.ActMeasureRetry)
 	}
-	if classAware {
-		counter("cluster_load_sheds_total", span.ActLoadShed)
-		o.classes = make(map[model.SLOClass]*classCounters)
-		for _, c := range model.SLOClasses() {
-			for _, svc := range services {
-				if svc.Class == c {
-					o.classes[c] = newClassCounters(sink, c.String())
-					break
+	for _, c := range model.SLOClasses() {
+		for _, svc := range services {
+			if svc.Class == c {
+				if o.classes == nil {
+					counter("cluster_load_sheds_total", span.ActLoadShed)
+					o.classes = make(map[model.SLOClass]*classCounters)
 				}
+				o.classes[c] = newClassCounters(sink, c.String())
+				break
 			}
 		}
 	}
@@ -512,9 +506,6 @@ func New(opts Options) (*Sim, error) {
 		if !svc.Class.Valid() {
 			return nil, fmt.Errorf("cluster: service %q has invalid SLO class %d", svc.Name, uint8(svc.Class))
 		}
-		if svc.Class != model.ClassUnset {
-			s.classAware = true
-		}
 	}
 	if opts.Faults != nil {
 		inj, err := faults.New(*opts.Faults, opts.Seed, opts.MaxHorizonSec)
@@ -524,7 +515,7 @@ func New(opts Options) (*Sim, error) {
 		s.inj = inj // nil when the config is all-zero (disabled)
 	}
 	if opts.Obs != nil {
-		s.obsv = newSimObs(opts.Obs, s.inj != nil, s.classAware, opts.Services)
+		s.obsv = newSimObs(opts.Obs, s.inj != nil, opts.Services)
 		s.queue.SetObs(opts.Obs)
 	}
 	s.rec = opts.Log
@@ -733,38 +724,18 @@ func (s *Sim) trySchedule(now float64) {
 	for s.err == nil && s.queue.Len() > 0 {
 		job := s.queue.Peek()
 		qj := s.jobs[job.ID]
-		views := s.viewsBuf[:0]
-		for _, d := range s.devices {
-			if d.down || qj.excluded[d.dev.ID] {
-				continue
-			}
-			views = append(views, d.view())
-		}
+		views := s.candidates(qj)
 		if len(views) == 0 {
 			// Everything excluded: forget the history and retry fresh
 			// (failed devices stay off the table until they recover).
 			qj.excluded = nil
-			for _, d := range s.devices {
-				if d.down {
-					continue
-				}
-				views = append(views, d.view())
-			}
+			views = s.candidates(qj)
 		}
 		if len(views) == 0 {
-			// The whole cluster is down; recovery events reschedule.
-			s.viewsBuf = views
-			return
+			return // the whole cluster is down; recovery events reschedule
 		}
-		s.viewsBuf = views // keep the grown capacity for the next attempt
 		start := time.Now()
-		var devID string
-		var ok bool
-		if s.classAware {
-			devID, ok = s.classSelect(qj, views)
-		} else {
-			devID, ok = s.policySelect(qj, views)
-		}
+		devID, ok := s.classSelect(qj, views)
 		s.res.PlacementOverheadMs = append(s.res.PlacementOverheadMs, float64(time.Since(start).Microseconds())/1000)
 		if !ok {
 			return // head-of-line blocks until a completion frees capacity
@@ -774,52 +745,58 @@ func (s *Sim) trySchedule(now float64) {
 	}
 }
 
-// classSelect is the class-aware placement path: sched.ClassScore
-// rates every candidate (budget-exhausted devices are vetoed
-// outright), then the configured policy picks within score tiers from
-// the most preferred (least critical residents) down. The policy keeps
-// full authority inside a tier — class steering only decides which
-// devices it may consider first — so a classless fleet degenerates to
-// one tier and the exact policy decision.
-func (s *Sim) classSelect(qj *queueJob, views []core.DeviceView) (string, bool) {
-	scores := s.scoreBuf[:0]
-	kept := 0
-	for i := range views {
-		sc, ok := sched.ClassScore(views[i].ServiceClass, len(views[i].ResidentTasks))
-		if !ok {
-			continue
+// candidates views every live device qj is not excluded from, in
+// device order, in the reused viewsBuf.
+func (s *Sim) candidates(qj *queueJob) []core.DeviceView {
+	views := s.viewsBuf[:0]
+	for _, d := range s.devices {
+		if !d.down && !qj.excluded[d.dev.ID] {
+			views = append(views, d.view())
 		}
-		views[kept] = views[i]
-		scores = append(scores, sc)
-		kept++
 	}
-	views = views[:kept]
-	s.scoreBuf = scores
-	for len(views) > 0 {
-		best := scores[0]
-		for _, sc := range scores[1:] {
-			if sc > best {
-				best = sc
+	s.viewsBuf = views // keep the grown capacity for the next attempt
+	return views
+}
+
+// classSelect is the one placement path: sched.ClassScore rates every
+// candidate (budget-exhausted devices are vetoed outright), then the
+// configured policy picks within score tiers from the most preferred
+// (least critical residents) down. The policy keeps full authority
+// inside a tier — class steering only decides which devices it may
+// consider first. Each tier stays in place, in device order; only the
+// lower tiers move aside into restBuf. Unclassed devices all share one
+// score, so a classless fleet is one tier: the policy gets exactly the
+// candidates, and nothing is copied.
+func (s *Sim) classSelect(qj *queueJob, views []core.DeviceView) (string, bool) {
+	for {
+		best, found := 0.0, false
+		for i := range views {
+			if sc, ok := sched.ClassScore(views[i].ServiceClass, len(views[i].ResidentTasks)); ok && (!found || sc > best) {
+				best, found = sc, true
 			}
 		}
-		tier := s.tierBuf[:0]
-		rest := 0
-		for i, v := range views {
-			if scores[i] == best {
-				tier = append(tier, v)
-			} else {
-				views[rest] = v
-				scores[rest] = scores[i]
-				rest++
+		if !found {
+			return "", false
+		}
+		tier, rest := 0, s.restBuf[:0]
+		for i := range views {
+			switch sc, ok := sched.ClassScore(views[i].ServiceClass, len(views[i].ResidentTasks)); {
+			case !ok: // vetoed
+			case sc < best:
+				rest = append(rest, views[i])
+			default:
+				if tier != i {
+					views[tier] = views[i]
+				}
+				tier++
 			}
 		}
-		views, scores = views[:rest], scores[:rest]
-		s.tierBuf = tier
-		if devID, ok := s.policySelect(qj, tier); ok || s.err != nil {
+		s.restBuf = rest
+		if devID, ok := s.policySelect(qj, views[:tier]); ok || s.err != nil {
 			return devID, ok
 		}
+		views = append(views[:0], rest...)
 	}
-	return "", false
 }
 
 // policySelect asks the policy for qj's device among views. A pick
@@ -885,14 +862,11 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 }
 
 // taskSig is the resident training-task signature used to annotate
-// control-plane spans: unfinished resident names joined with "+", in
-// residency order. Trace-path only (it allocates).
+// control-plane spans: resident names joined with "+", in residency
+// order. Trace-path only (it allocates).
 func taskSig(d *deviceState) string {
 	var sig string
 	for _, t := range d.training {
-		if t.done {
-			continue
-		}
 		if sig != "" {
 			sig += "+"
 		}
@@ -1022,7 +996,7 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision) {
 	if !dec.Feasible {
 		// Pause training; the service takes the device (§5.3.2).
 		for _, t := range d.training {
-			if !t.done && !t.paused {
+			if !t.paused {
 				t.paused = true
 				t.pausedAt = now
 			}
@@ -1036,20 +1010,19 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision) {
 	// Cluster invariant (§7.4): while training is multiplexed, the
 	// inference service leaves it at least 10% of the device; a policy
 	// that wants the full device must declare infeasibility instead.
-	if maxDelta := tuner.MaxDelta(true); dec.Delta > maxDelta && d.residentCount() > 0 {
+	if maxDelta := tuner.MaxDelta(true); dec.Delta > maxDelta && len(d.training) > 0 {
 		dec.Delta = maxDelta
 	}
 	if dec.Delta > 0 && absf(dec.Delta-svc.delta) > 1e-9 {
 		s.rescale(now, d, dec.Delta)
 	}
 	for _, t := range d.training {
-		if !t.done {
-			t.paused = false
-		}
+		t.paused = false
 	}
 }
 
-// complete finishes a task: record metrics, free resources, reschedule.
+// complete finishes a task that already left d.training in its last
+// window: record metrics, free its memory, reschedule.
 func (s *Sim) complete(now float64, d *deviceState, t *taskState) {
 	s.res.Completed++
 	s.res.CTs = append(s.res.CTs, t.finishAt-t.submitAt)
@@ -1060,27 +1033,13 @@ func (s *Sim) complete(now float64, d *deviceState, t *taskState) {
 	// Usage accrues to the job's fair-share user: the cohort on cohort
 	// traces, the task family otherwise (see onArrival).
 	s.queue.RecordUsage(s.jobs[t.id].job.User, t.finishAt-t.startAt)
-	s.release(now, d, t)
+	_ = d.pool.Free(now, t.allocID)
+	s.flushSwaps(d)
 	// Retune for the remaining residents and pull the next queued task
 	// ("a new co-location decision is made for pending training tasks
 	// only after an existing training task has been completed", §5.2).
 	_ = s.configure(now, d, "completion")
 	s.trySchedule(now)
-}
-
-// release frees t's memory and share on d and drops it from the
-// device's resident list.
-func (s *Sim) release(now float64, d *deviceState, t *taskState) {
-	_ = d.pool.Free(now, t.allocID)
-	s.flushSwaps(d)
-	keep := d.training[:0]
-	for _, other := range d.training {
-		if other != t {
-			keep = append(keep, other)
-		}
-	}
-	d.training = keep
-	d.residents = nil
 }
 
 // qpsChangeFrac is the Monitor's trigger: a device retunes when its
@@ -1099,7 +1058,7 @@ const (
 
 func (d *deviceState) hasPaused() bool {
 	for _, t := range d.training {
-		if !t.done && t.paused {
+		if t.paused {
 			return true
 		}
 	}
@@ -1135,7 +1094,10 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 		qj.excluded[d.dev.ID] = true
 	}
 	qj.progress = t.itersDone
-	s.release(now, d, t)
+	_ = d.pool.Free(now, t.allocID)
+	s.flushSwaps(d)
+	d.training = slices.DeleteFunc(d.training, func(o *taskState) bool { return o == t })
+	d.residents = nil
 	// Re-placement creates a fresh taskState from the checkpoint.
 	s.res.Admitted--
 	// The migrate interval lasts until place lands the job on its next
@@ -1145,7 +1107,7 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 	return true
 }
 
-// failDevice begins an injected outage: every unfinished resident is
+// failDevice begins an injected outage: every resident is
 // checkpointed and requeued (the forced eviction bypasses the requeue
 // cap — a task cannot wait out a cap on dead hardware), the inference
 // instance fails over off the device, and the device stops taking
@@ -1165,9 +1127,7 @@ func (s *Sim) failDevice(now float64, d *deviceState) {
 	}
 	// Iterate a copy: evictTask rebuilds d.training in place.
 	for _, t := range append([]*taskState(nil), d.training...) {
-		if !t.done {
-			s.evictTask(now, d, t, "device-failed", true)
-		}
+		s.evictTask(now, d, t, "device-failed", true)
 	}
 	s.res.Failovers++
 	s.record(d, span.Record{Act: span.ActFailover, Time: now, Cause: "device-failed"})

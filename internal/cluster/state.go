@@ -60,7 +60,6 @@ type taskState struct {
 	finishAt  float64
 	paused    bool
 	pausedAt  float64
-	done      bool
 	allocID   string
 	// iter is the window path's memo of the task's iteration time (see
 	// trueIteration); owned by the lane of the task's device.
@@ -99,11 +98,13 @@ func (t *taskState) trueIteration(o *perf.Oracle, share float64, svc string, bat
 // deviceState couples the device, its memory pool, the inference
 // service and the training residents.
 type deviceState struct {
-	dev           *gpu.Device
-	pool          *memmgr.Pool
-	svc           *serviceState
+	dev  *gpu.Device
+	pool *memmgr.Pool
+	svc  *serviceState
+	// training lists the unfinished residents, paused or not, in
+	// placement order. A task leaves it in the window it finishes, so
+	// its memory stays allocated until its completion mail frees it.
 	training      []*taskState
-	smUtil        float64 // last window's SM utilization
 	lastResumeTry float64
 	// down marks an injected device failure window: the device takes no
 	// placements, serves no inference, and contributes zero utilization
@@ -115,9 +116,9 @@ type deviceState struct {
 	obsv *devObs
 	// residents is the resident snapshot view() hands out (see
 	// residentTasks). Policies may retain a view's slice, so a snapshot
-	// is replaced, never mutated; nil marks it stale. The three changes
-	// to the set of unfinished residents clear it: placement, the
-	// completion flag and release.
+	// is replaced, never mutated; nil marks it stale. Every change to
+	// d.training clears it: placement, a window's finished tasks and an
+	// eviction.
 	residents []model.TrainingTask
 	// taskScratch backs activeScratch, whose list is consumed within one
 	// oracle call.
@@ -129,12 +130,9 @@ type deviceState struct {
 	// (see latencyCurve); lane-owned like the rest of the window state.
 	curve curveMemo
 
-	// Engine placement. winRNG is the per-device measurement-noise
-	// stream (a shared stream would couple devices across lanes);
-	// memFrac is the last window's memory utilization, published for the
-	// barrier's device-order cluster sums.
-	winRNG  *xrand.Rand
-	memFrac float64
+	// winRNG is the per-device measurement-noise stream (a shared
+	// stream would couple devices across lanes).
+	winRNG *xrand.Rand
 
 	// svcIdx is the catalog index of the resident service (the timeline
 	// roll-up's per-service bucket).
@@ -167,9 +165,14 @@ type winRecord struct {
 	swapped float64
 	paused  bool
 	// residents names the executing co-located training tasks on a
-	// violated window, captured at measurement time because a completion
-	// later in the window flips t.done. Reused across windows.
+	// violated window, captured at measurement time because a task that
+	// finishes later in the window leaves d.training. Reused across
+	// windows.
 	residents []string
+	// smUtil and memFrac are the window's SM and memory utilization,
+	// zero on a down device; the barrier sums them in device order.
+	smUtil  float64
+	memFrac float64
 }
 
 // devObs is the per-device instrument cache, resolved once at
@@ -221,34 +224,21 @@ func (d *deviceState) trainShare() float64 {
 	return share
 }
 
-// residentTasks lists the catalog entries of all unfinished residents
-// (paused or not) — the set a Configure decision must plan for, since
-// a feasible decision resumes the paused ones. The list is the
-// device's resident snapshot, rebuilt only after the set changed and
-// shared by every caller until then: it must not be modified. It is
-// never nil, and its capacity is its length, so an append copies.
+// residentTasks lists the catalog entries of all residents (paused or
+// not) — the set a Configure decision must plan for, since a feasible
+// decision resumes the paused ones. The list is the device's resident
+// snapshot, rebuilt only after d.training changed and shared by every
+// caller until then: it must not be modified. It is never nil, and its
+// capacity is its length, so an append copies.
 func (d *deviceState) residentTasks() []model.TrainingTask {
 	if d.residents == nil {
-		out := make([]model.TrainingTask, 0, d.residentCount())
-		for _, t := range d.training {
-			if !t.done {
-				out = append(out, t.task)
-			}
+		out := make([]model.TrainingTask, len(d.training))
+		for i, t := range d.training {
+			out[i] = t.task
 		}
 		d.residents = out
 	}
 	return d.residents
-}
-
-// residentCount counts unfinished residents without building the list.
-func (d *deviceState) residentCount() int {
-	n := 0
-	for _, t := range d.training {
-		if !t.done {
-			n++
-		}
-	}
-	return n
 }
 
 // activeScratch lists only residents that are actually executing — a
@@ -258,7 +248,7 @@ func (d *deviceState) residentCount() int {
 func (d *deviceState) activeScratch() []model.TrainingTask {
 	d.taskScratch = d.taskScratch[:0]
 	for _, t := range d.training {
-		if !t.done && !t.paused {
+		if !t.paused {
 			d.taskScratch = append(d.taskScratch, t.task)
 		}
 	}
@@ -270,8 +260,8 @@ func (d *deviceState) activeScratch() []model.TrainingTask {
 // curve is a pure function of (service, batch, executing residents'
 // tasks) and a taskState's task never changes, so the key holds the
 // executing *taskStates in d.training order: a placement, pause,
-// resume, completion or eviction changes that list, a retune may
-// change the batch, and either is a miss.
+// resume, finish or eviction changes that list, a retune may change
+// the batch, and either is a miss.
 type curveMemo struct {
 	ok     bool
 	svc    string
@@ -292,7 +282,7 @@ func (d *deviceState) latencyCurve(o *perf.Oracle) (piecewise.Func, error) {
 	}
 	m.active = m.active[:0]
 	for _, t := range d.training {
-		if !t.done && !t.paused {
+		if !t.paused {
 			m.active = append(m.active, t)
 		}
 	}
@@ -306,7 +296,7 @@ func (d *deviceState) latencyCurve(o *perf.Oracle) (piecewise.Func, error) {
 func (m *curveMemo) sameActive(training []*taskState) bool {
 	i := 0
 	for _, t := range training {
-		if t.done || t.paused {
+		if t.paused {
 			continue
 		}
 		if i == len(m.active) || m.active[i] != t {
@@ -337,7 +327,7 @@ func (d *deviceState) view() core.DeviceView {
 		Delta:         d.svc.delta,
 		ResidentTasks: d.residentTasks(),
 		FreeShare:     free,
-		SMUtil:        d.smUtil,
+		SMUtil:        d.rec.smUtil,
 	}
 }
 

@@ -261,7 +261,8 @@ type SimOptions struct {
 	// preempts by class, and admission control sheds
 	// sheddable/background burst excess. Per-class roll-ups land in
 	// Result.ClassViolation / Result.ShedRequests (and, with Trace set,
-	// Result.SLOReport.Classes). Empty keeps the classless legacy path,
+	// Result.SLOReport.Classes). Empty leaves the run classless: it takes
+	// the same placement path, as a single tier, and its summary stays
 	// byte-identical to a build without classes.
 	ClassMix []SLOClass
 	// ServiceClasses overrides the class of individual services by

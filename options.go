@@ -11,14 +11,16 @@ import (
 // priority-aware placement, per-class interference budgets, and burst
 // admission control: critical load is protected first, sheddable and
 // background load may be dropped under overload, batch work defers but
-// never drops. The zero value (SLOUnset) selects the classless legacy
-// behavior — a run where no service declares a class is byte-identical
-// to one on a build without classes.
+// never drops. The zero value (SLOUnset) leaves a service classless. A
+// run where no service declares a class takes the same placement path,
+// as a single tier, and its summary stays byte-identical to one on a
+// build without classes.
 type SLOClass = model.SLOClass
 
 // The SLO classes, most critical first.
 const (
-	// SLOUnset is the zero value: classless legacy behavior.
+	// SLOUnset is the zero value: no class. A classless run takes the
+	// same placement path, as a single tier.
 	SLOUnset SLOClass = model.ClassUnset
 	// SLOCritical load must meet its SLO even under bursts; it is
 	// never shed and preempts batch capacity.
