@@ -60,8 +60,11 @@ smoke-largecluster:
 smoke-telemetry:
 	GO=$(GO) bash scripts/smoke-telemetry.sh
 
+# The predictor's concurrent refits and selections are then repeated,
+# so a race between a service's four learners has many chances to show.
 race:
 	$(GO) test -race -timeout 120m $(RACE_PKGS)
+	$(GO) test -race -count=20 -timeout 30m -run 'Update|Train|Aligned' ./internal/predictor
 
 # The live HTTP surface polled while a run is in flight, repeated under
 # the race detector: the run's goroutine and the pollers share the

@@ -6,7 +6,8 @@ package mudi
 // updates, percentile extraction, oracle curve construction, burst
 // schedule lookups, the request-level serving loop, Mudi's device
 // selection and device configuration, the online learner's refits and
-// model selection, and a warm Mudi build. The AllocsPerRun regression
+// model selection, the Interference Predictor's four-target online
+// update, and a warm Mudi build. The AllocsPerRun regression
 // tests in internal/gp, internal/stats and internal/core pin the
 // steady states; these benchmarks track the constants.
 
@@ -21,6 +22,7 @@ import (
 	"mudi/internal/model"
 	"mudi/internal/obs"
 	"mudi/internal/perf"
+	"mudi/internal/predictor"
 	"mudi/internal/profiler"
 	"mudi/internal/serving"
 	"mudi/internal/stats"
@@ -233,6 +235,45 @@ func BenchmarkHotpathIncrementalObserve(b *testing.B) {
 		b.StartTimer()
 		for j := 36; j < 42; j++ {
 			if _, err := inc.AddGrouped(x[j], y[j], groups[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkHotpathPredictorObserve is what one newly observed
+// co-location costs the Interference Predictor online: six Updates,
+// one per batch size, each reaching all four targets of a predictor
+// trained on one service's 36-row offline grid. The fifth refits the
+// four incumbent families, concurrently when GOMAXPROCS allows.
+func BenchmarkHotpathPredictorObserve(b *testing.B) {
+	o := perf.NewOracle(1)
+	prof := profiler.New(o, xrand.New(11))
+	svc := model.Services()[0].Name
+	offline, err := prof.ProfileService(svc, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	trained := predictor.New(1)
+	if err := trained.Train(offline); err != nil {
+		b.Fatal(err)
+	}
+	var online []profiler.Profile
+	for _, batch := range model.BatchSizes() {
+		p, err := prof.ProfileOne(svc, batch, model.UnseenTasks()[:1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		online = append(online, p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pred := trained.Clone()
+		b.StartTimer()
+		for _, p := range online {
+			if err := pred.Update(p); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -295,13 +295,20 @@ func (inc *Incremental) ModelName() string { return inc.current.Name }
 // them ran a model selection.
 func (inc *Incremental) Refits() (refits, selections int) { return inc.refits, inc.selections }
 
+// RefitDue reports whether the learner's refit threshold is reached:
+// it has no model yet, or refitEvery samples have arrived since its
+// last refit.
+func (inc *Incremental) RefitDue() bool {
+	return inc.current.Model == nil || inc.pending >= refitEvery
+}
+
 // AddGrouped appends a sample with its group label for
 // leave-one-group-out model selection (see SelectModelGrouped) and
-// refits if the refit threshold is reached. It returns true when a
-// refit happened.
+// refits if the refit threshold is reached (RefitDue). It returns true
+// when a refit happened.
 func (inc *Incremental) AddGrouped(x []float64, y float64, group string) (refitted bool, err error) {
 	inc.AddNoRefitGrouped(x, y, group)
-	if inc.current.Model == nil || inc.pending >= refitEvery {
+	if inc.RefitDue() {
 		if err := inc.Refit(); err != nil {
 			return false, err
 		}

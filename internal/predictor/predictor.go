@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"mudi/internal/learn"
 	"mudi/internal/model"
@@ -128,9 +129,10 @@ func (p *Predictor) svc(name string) *svcPredictor {
 // Train ingests a batch of offline profiles (typically the full
 // Offline Profiler grid) and runs a model selection for each learner
 // of the services in the batch, once each at the end (cheaper than
-// refitting on every sample). Services trained by earlier batches keep
-// their models: a selection on unchanged samples would pick the same
-// ones.
+// refitting on every sample); a service's four selections run
+// concurrently (see svcPredictor.fit). Services trained by earlier
+// batches keep their models: a selection on unchanged samples would
+// pick the same ones.
 func (p *Predictor) Train(profiles []profiler.Profile) error {
 	var touched []string
 	for i := range profiles {
@@ -142,10 +144,8 @@ func (p *Predictor) Train(profiles []profiler.Profile) error {
 		}
 	}
 	for _, name := range touched {
-		for _, l := range p.services[name].learners {
-			if err := l.Select(); err != nil {
-				return fmt.Errorf("predictor: refit %s: %w", name, err)
-			}
+		if err := p.services[name].fit(name, true); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -153,7 +153,12 @@ func (p *Predictor) Train(profiles []profiler.Profile) error {
 
 // Update ingests one new online profile (a newly observed co-location)
 // and refits incrementally — the paper's adaptation path that drives
-// Fig. 12's error-vs-samples curve.
+// Fig. 12's error-vs-samples curve. Every learner of the service takes
+// the profile's sample before any refits, so the four always hold the
+// same samples, and the learners due a refit refit concurrently (see
+// svcPredictor.fit). A profile rejected with an error (no service, an
+// invalid curve, a batch size ≤ 0) changes nothing; a refit error
+// leaves the sample learned.
 //
 // Once the profile is learned, Update scores the curve predicted for
 // it just before (see Stats). A service without a learned profile has
@@ -220,6 +225,9 @@ func (p *Predictor) add(profile profiler.Profile, refit bool) error {
 	if profile.Service == "" {
 		return errors.New("predictor: profile without service")
 	}
+	if profile.Batch <= 0 {
+		return fmt.Errorf("predictor: profile of %s at batch %d, want > 0", profile.Service, profile.Batch)
+	}
 	if err := profile.Curve.Validate(); err != nil {
 		return fmt.Errorf("predictor: profile curve: %w", err)
 	}
@@ -230,12 +238,50 @@ func (p *Predictor) add(profile profiler.Profile, refit bool) error {
 	y := profile.Curve.Params()
 	group := fmt.Sprint(arch)
 	for i, l := range sp.learners {
-		if refit {
-			if _, err := l.AddGrouped(x, y[i], group); err != nil {
-				return err
-			}
-		} else {
-			l.AddNoRefitGrouped(x, y[i], group)
+		l.AddNoRefitGrouped(x, y[i], group)
+	}
+	if !refit {
+		return nil
+	}
+	return sp.fit(profile.Service, false)
+}
+
+// fit refits each of svc's learners that is due a refit
+// (Incremental.RefitDue) or, with sel, runs a model selection for all
+// four. The fits run concurrently: the first on the calling goroutine,
+// the rest on goroutines it waits for, so a call that fits nothing
+// starts no goroutine. That is deterministic at any GOMAXPROCS: the
+// learners share no mutable state (each owns its samples, seed, RNG
+// and model scratch, and a fit publishes a fresh model that is never
+// mutated), so each fits exactly as it would alone. It returns the
+// first error in target order (k1, k2, Δ0, l0), naming the service and
+// the target.
+func (sp *svcPredictor) fit(svc string, sel bool) error {
+	op, do := "refit", (*learn.Incremental).Refit
+	if sel {
+		op, do = "select", (*learn.Incremental).Select
+	}
+	due := func(l *learn.Incremental) bool { return sel || l.RefitDue() }
+	own := slices.IndexFunc(sp.learners[:], due)
+	if own < 0 {
+		return nil
+	}
+	var errs [4]error
+	var wg sync.WaitGroup
+	for i, l := range sp.learners[own+1:] {
+		if due(l) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[own+1+i] = do(l)
+			}()
+		}
+	}
+	errs[own] = do(sp.learners[own])
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("predictor: %s %s %s: %w", op, svc, targetNames[i], err)
 		}
 	}
 	return nil

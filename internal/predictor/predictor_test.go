@@ -2,11 +2,14 @@ package predictor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"mudi/internal/learn"
 	"mudi/internal/model"
 	"mudi/internal/perf"
 	"mudi/internal/piecewise"
@@ -444,5 +447,225 @@ func TestFeaturesOneAllocation(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { featuresSink = features(arch, 64) }); n != 1 {
 		t.Fatalf("features allocates %v objects, want 1", n)
+	}
+}
+
+// onlineProfiles profiles svc co-located with each unseen task at every
+// batch size: one online stream of 24 profiles.
+func onlineProfiles(t *testing.T, o *perf.Oracle, seed uint64, svc string) []profiler.Profile {
+	t.Helper()
+	prof := profiler.New(o, xrand.New(seed))
+	var out []profiler.Profile
+	for _, task := range model.UnseenTasks() {
+		for _, b := range model.BatchSizes() {
+			p, err := prof.ProfileOne(svc, b, []model.TrainingTask{task})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// probeFeatures are the feature vectors the determinism tests predict
+// at: every batch size, solo and co-located with observed, unseen and
+// stacked tasks.
+func probeFeatures() [][]float64 {
+	tasks := model.Tasks()
+	archs := []model.Arch{{}, tasks[1].Arch, tasks[6].Arch, tasks[2].Arch.Add(tasks[7].Arch)}
+	var out [][]float64
+	for _, b := range model.BatchSizes() {
+		for _, a := range archs {
+			out = append(out, features(a, b))
+		}
+	}
+	return out
+}
+
+// TestUpdateMatchesSequentialLearners: Train's concurrent selections
+// and Update's concurrent refits leave every target exactly where four
+// hand-built learners fed the same samples in order, one after the
+// other, would be: the same predictions bit for bit, refit and
+// selection counts, model families and Stats, with one core or four.
+func TestUpdateMatchesSequentialLearners(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const seed, svc = 9, "BERT"
+			o := perf.NewOracle(seed)
+			offline, err := profiler.New(o, xrand.New(seed+10)).ProfileService(svc, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred := New(seed)
+			ref := &Predictor{services: map[string]*svcPredictor{svc: {}}}
+			learners := &ref.services[svc].learners
+			for i := range learners {
+				learners[i] = learn.NewIncremental(seed + uint64(i)*7919)
+			}
+			sample := func(p profiler.Profile) (x []float64, y [4]float64, group string) {
+				return features(p.ColocArch(), p.Batch), p.Curve.Params(), fmt.Sprint(p.ColocArch())
+			}
+			probes := probeFeatures()
+			check := func(stage string) {
+				t.Helper()
+				for i, l := range pred.services[svc].learners {
+					want := learners[i]
+					for _, x := range probes {
+						got, gok := l.Predict(x)
+						exp, eok := want.Predict(x)
+						if got != exp || gok != eok {
+							t.Fatalf("%s: %s predicts %v at %v, sequential learner %v", stage, targetNames[i], got, x, exp)
+						}
+					}
+					gr, gs := l.Refits()
+					wr, ws := want.Refits()
+					if gr != wr || gs != ws || l.ModelName() != want.ModelName() || l.N() != want.N() {
+						t.Fatalf("%s: %s has %d refits, %d selections, %s over %d samples; sequential learner %d, %d, %s over %d",
+							stage, targetNames[i], gr, gs, l.ModelName(), l.N(), wr, ws, want.ModelName(), want.N())
+					}
+				}
+				if got, want := pred.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: stats %+v, sequential %+v", stage, got, want)
+				}
+			}
+
+			if err := pred.Train(offline); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range offline {
+				x, y, group := sample(p)
+				for i, l := range learners {
+					l.AddNoRefitGrouped(x, y[i], group)
+				}
+			}
+			for _, l := range learners {
+				if err := l.Select(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("after Train")
+
+			for k, p := range onlineProfiles(t, o, seed+20, svc) {
+				before, err := ref.PredictCurve(svc, p.Batch, p.ColocArch())
+				if err != nil {
+					t.Fatal(err)
+				}
+				x, y, group := sample(p)
+				for i, l := range learners {
+					if _, err := l.AddGrouped(x, y[i], group); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ref.score.add(before, p)
+				if err := pred.Update(p); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("after update %d", k))
+			}
+			if s := pred.Stats(); s.Selections <= 4 || s.Refits <= s.Selections {
+				t.Fatalf("stream ran %d refits and %d selections; want online refits and selections both", s.Refits, s.Selections)
+			}
+		})
+	}
+}
+
+// TestLearnersStayAligned: every Update gives the sample to all four
+// learners before any refits, so they always hold the same samples and
+// refit together, and a refit error on one target neither keeps the
+// sample from the targets after it nor hides which target failed.
+func TestLearnersStayAligned(t *testing.T) {
+	pred, o := trainPredictor(t, 11, []string{"GPT2"})
+	aligned := func(stage string) {
+		t.Helper()
+		n := pred.Samples("GPT2")
+		for i, l := range pred.services["GPT2"].learners {
+			if l.N() != n {
+				t.Fatalf("%s: %s holds %d samples, k1 %d", stage, targetNames[i], l.N(), n)
+			}
+		}
+	}
+	online := onlineProfiles(t, o, 31, "GPT2")
+	for k, p := range online[:12] {
+		if err := pred.Update(p); err != nil {
+			t.Fatal(err)
+		}
+		aligned(fmt.Sprintf("update %d", k))
+		var refits [4]int
+		for i, l := range pred.services["GPT2"].learners {
+			refits[i], _ = l.Refits()
+		}
+		if refits != [4]int{refits[0], refits[0], refits[0], refits[0]} {
+			t.Fatalf("update %d: refit counts %v drifted apart", k, refits)
+		}
+	}
+
+	// Poison k2 and l0 with a non-finite target, which no model can
+	// fit; k1 and Δ0 take a finite copy of the same row.
+	x := features(online[0].ColocArch(), online[0].Batch)
+	for i, l := range pred.services["GPT2"].learners {
+		y := 1.0
+		if i == 1 || i == 3 {
+			y = math.NaN()
+		}
+		l.AddNoRefitGrouped(x, y, "poison")
+	}
+	failed := 0
+	for k, p := range online[12:] {
+		err := pred.Update(p)
+		aligned(fmt.Sprintf("poisoned update %d", k))
+		if err == nil {
+			continue
+		}
+		failed++
+		if msg := err.Error(); !strings.HasPrefix(msg, "predictor: refit GPT2 k2: ") {
+			t.Fatalf("poisoned update %d: error %q, want k2's refit failure first", k, msg)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no refit failed on the poisoned learners")
+	}
+}
+
+// TestUpdateRejectsNonPositiveBatch: a profile at batch ≤ 0, whose
+// log2 feature is not finite, is rejected before any learner takes it,
+// so it changes no sample, generation, prediction or statistic, and
+// the service learns on normally.
+func TestUpdateRejectsNonPositiveBatch(t *testing.T) {
+	pred, o := trainPredictor(t, 13, []string{"BERT"})
+	online := onlineProfiles(t, o, 43, "BERT")
+	snap := func() (int, uint64, []float64, Stats) {
+		var ys []float64
+		for _, l := range pred.services["BERT"].learners {
+			for _, x := range probeFeatures() {
+				y, _ := l.Predict(x)
+				ys = append(ys, y)
+			}
+		}
+		return pred.Samples("BERT"), pred.Generation("BERT"), ys, pred.Stats()
+	}
+	n, gen, ys, st := snap()
+	for _, batch := range []int{0, -8} {
+		bad := online[0]
+		bad.Batch = batch
+		if err := pred.Update(bad); err == nil {
+			t.Fatalf("batch %d accepted", batch)
+		}
+		if err := pred.Train([]profiler.Profile{bad}); err == nil {
+			t.Fatalf("Train accepted batch %d", batch)
+		}
+		n2, gen2, ys2, st2 := snap()
+		if n2 != n || gen2 != gen || !reflect.DeepEqual(ys2, ys) || !reflect.DeepEqual(st2, st) {
+			t.Fatalf("rejected batch %d moved samples %d → %d, generation %d → %d, or a prediction or statistic", batch, n, n2, gen, gen2)
+		}
+	}
+	for k, p := range online[:11] {
+		if err := pred.Update(p); err != nil {
+			t.Fatalf("update %d after a rejected profile: %v", k, err)
+		}
+	}
+	if s := pred.Stats(); s.Refits < st.Refits+8 {
+		t.Fatalf("%d refits after 11 updates on four targets, want at least %d", s.Refits-st.Refits, 8)
 	}
 }
