@@ -203,23 +203,27 @@ func BenchmarkHotpathGBRTRefitPredictor(b *testing.B) {
 // BenchmarkHotpathIncrementalObserve has the online size.
 func BenchmarkHotpathSelectModel(b *testing.B) {
 	x, y, groups := predictorSamples()
-	first, err := learn.SelectModelGrouped(x, y, groups, 1, "")
-	if err != nil {
+	inc := learn.NewIncremental(1)
+	for i := range x {
+		inc.Add(x[i], y[i], groups[i])
+	}
+	if err := inc.Select(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := learn.SelectModelGrouped(x, y, groups, 1, first.Name); err != nil {
+		if err := inc.Select(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkHotpathIncrementalObserve is what one newly observed
-// co-location costs a predictor target online: six AddGrouped calls,
-// one per batch size, on a learner that holds the 36-row, 6-group
-// offline grid. The fifth refits the incumbent family.
+// co-location costs a predictor target online: six samples, one per
+// batch size, each added and refitted when a refit is due, on a learner
+// that holds the 36-row, 6-group offline grid. The fifth refits the
+// incumbent family.
 func BenchmarkHotpathIncrementalObserve(b *testing.B) {
 	x, y, groups := predictorSamples()
 	b.ReportAllocs()
@@ -227,14 +231,18 @@ func BenchmarkHotpathIncrementalObserve(b *testing.B) {
 		b.StopTimer()
 		inc := learn.NewIncremental(1)
 		for j := 0; j < 36; j++ {
-			inc.AddNoRefitGrouped(x[j], y[j], groups[j])
+			inc.Add(x[j], y[j], groups[j])
 		}
 		if err := inc.Select(); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 		for j := 36; j < 42; j++ {
-			if _, err := inc.AddGrouped(x[j], y[j], groups[j]); err != nil {
+			inc.Add(x[j], y[j], groups[j])
+			if !inc.RefitDue() {
+				continue
+			}
+			if err := inc.Refit(); err != nil {
 				b.Fatal(err)
 			}
 		}

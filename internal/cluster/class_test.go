@@ -232,7 +232,7 @@ func (p *tierRecorder) SelectDevice(_ model.TrainingTask, views []core.DeviceVie
 		want, _ := sched.ClassScore(views[0].ServiceClass, len(views[0].ResidentTasks))
 		var f offerFleet
 		for _, d := range p.sim.devices {
-			v := d.view()
+			v := d.v
 			switch sc, ok := sched.ClassScore(v.ServiceClass, len(v.ResidentTasks)); {
 			case !ok || d.down:
 			case sc == want:

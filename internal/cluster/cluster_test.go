@@ -429,3 +429,34 @@ func TestResultWriteJSON(t *testing.T) {
 		t.Fatal("series not omitted")
 	}
 }
+
+// TestMeanP99OnlyMeasuredServices: a service whose windows are never
+// measured (the oracle has no curve for it) gets neither a mean P99 nor
+// a violation rate, while a measured one gets both.
+func TestMeanP99OnlyMeasuredServices(t *testing.T) {
+	measured := model.Services()[0]
+	unprofiled := measured
+	unprofiled.Name = "Unprofiled"
+	sim, err := New(Options{
+		Policy:        baselines.NewRandom(xrand.New(1), 1),
+		Oracle:        perf.NewOracle(1),
+		Seed:          1,
+		Devices:       2,
+		Services:      []model.InferenceService{measured, unprofiled},
+		MaxHorizonSec: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]bool{measured.Name: true, unprofiled.Name: false} {
+		p99, hasP99 := res.MeanP99[name]
+		_, hasViol := res.SLOViolation[name]
+		if hasP99 != want || hasViol != want || (want && p99 <= 0) {
+			t.Errorf("%s: mean P99 %v (key %v), violation key %v; want keys %v", name, p99, hasP99, hasViol, want)
+		}
+	}
+}

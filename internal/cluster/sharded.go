@@ -47,6 +47,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 		// zero utilization for the barrier sums, an empty record, and
 		// accrues no SLO windows during the outage.
 		*r = winRecord{residents: r.residents[:0]}
+		d.v.SMUtil = 0
 		return
 	}
 	svc := d.svc
@@ -73,12 +74,13 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 
 	// Monitor: retune on a large QPS change (§5.3.2 case 2), or
 	// periodically probe whether a paused device can resume
-	// multiplexing. Triggers update curQPS inline (device-local) and
-	// post the configure to the barrier — Configure walks the policy's
-	// shared learner state, which only the global phase may touch.
-	if relChange(svc.curQPS, qps) >= qpsChangeFrac {
+	// multiplexing. Triggers update the view's QPS inline (device-local)
+	// and post the configure to the barrier — Configure walks the
+	// policy's shared learner state, which only the global phase may
+	// touch.
+	if relChange(d.v.QPS, qps) >= qpsChangeFrac {
 		s.postRetune(lane, d, qps, retuneQPSChange)
-	} else if d.hasPaused() && now-d.lastResumeTry >= resumeRetrySec {
+	} else if d.v.Paused && now-d.lastResumeTry >= resumeRetrySec {
 		d.lastResumeTry = now
 		s.postRetune(lane, d, qps, retuneResumeProbe)
 	}
@@ -102,19 +104,19 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	var trueLat float64
 	curve, err := d.latencyCurve(s.opts.Oracle)
 	if err == nil {
-		trueLat = curve.Eval(svc.delta)
+		trueLat = curve.Eval(d.v.Delta)
 		lat := trueLat * perf.Noise(d.winRNG)
-		budget := opt.Budget(svc.info.SLOms, svc.batch, qps)
+		budget := opt.Budget(svc.info.SLOms, d.v.Batch, qps)
 		svc.totalWin++
 		r.ok, r.lat, r.budget = true, lat, budget
-		r.batch, r.delta = svc.batch, svc.delta
+		r.batch, r.delta = d.v.Batch, d.v.Delta
 		if s.tl != nil {
 			for _, t := range d.training {
 				if out, err := d.pool.SwappedOutMB(t.allocID); err == nil {
 					r.swapped += out
 				}
 			}
-			r.paused = d.hasPaused()
+			r.paused = d.v.Paused
 		}
 		if lat > budget {
 			r.viol = true
@@ -152,7 +154,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	if kept < len(d.training) {
 		clear(d.training[kept:])
 		d.training = d.training[:kept]
-		d.residents = nil
+		d.snapshotResidents()
 	}
 
 	// Memory reclamation (Fig. 16's reclaim at QPS drop): touch swapped
@@ -172,7 +174,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	// the fraction of time batches are in flight; active training burns
 	// its share fully. Published per device; the barrier sums in device
 	// order.
-	busy := (qps / float64(svc.batch)) * (trueLat / 1000)
+	busy := (qps / float64(d.v.Batch)) * (trueLat / 1000)
 	if busy > 1 {
 		busy = 1
 	}
@@ -182,7 +184,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 			trainBusy += share
 		}
 	}
-	r.smUtil = min(svc.delta*busy+trainBusy, 1)
+	d.v.SMUtil = min(d.v.Delta*busy+trainBusy, 1)
 	r.memFrac = min(d.pool.DeviceUsedMB(), d.pool.CapacityMB()) / d.pool.CapacityMB()
 }
 
@@ -191,8 +193,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 // window whose iteration time the oracle cannot give leaves t as it
 // was.
 func (s *Sim) progress(now float64, d *deviceState, t *taskState, share float64) bool {
-	svc := d.svc
-	iter, err := t.trueIteration(s.opts.Oracle, share, svc.info.Name, svc.batch, svc.delta)
+	iter, err := t.trueIteration(s.opts.Oracle, share, d.svc.info.Name, d.v.Batch, d.v.Delta)
 	if err != nil {
 		return false
 	}
@@ -221,13 +222,13 @@ const (
 // retuneLabels labels each cause's retune events.
 var retuneLabels = [numRetuneCauses]string{"qps-change", "resume-probe", "slo-risk"}
 
-// postRetune is a Monitor trigger: it makes qps the service's current
+// postRetune is a Monitor trigger: it makes qps the view's current
 // rate inline and posts the retune to the barrier, where Configure may
 // touch the policy's shared learner state. A device that is down by
 // then skips it. The mail reads nothing from the window, so each
 // (device, cause) binds its function once, on first use.
 func (s *Sim) postRetune(lane *shard.Lane, d *deviceState, qps float64, cause retuneCause) {
-	d.svc.curQPS = qps
+	d.v.QPS = qps
 	fn := d.retune[cause]
 	if fn == nil {
 		label := retuneLabels[cause]
@@ -329,7 +330,7 @@ func (s *Sim) barrierTick(now float64) {
 				Class:     d.svc.info.Class.String(), ShedQPS: r.shed,
 			})
 		}
-		smSum += d.rec.smUtil
+		smSum += d.v.SMUtil
 		memSum += d.rec.memFrac
 		if d.rec.memFrac > memPressureFrac {
 			memHot++

@@ -197,7 +197,8 @@ type Result struct {
 
 	// Per-service SLO accounting (Fig. 8): violated windows / windows.
 	SLOViolation map[string]float64
-	// Mean per-service P99 over the run.
+	// Mean per-service P99 over the run's measured windows; a service
+	// with none has no key, as in SLOViolation.
 	MeanP99 map[string]float64
 
 	// Training efficiency (Fig. 9), seconds.
@@ -590,16 +591,7 @@ func New(opts Options) (*Sim, error) {
 		if opts.Record != nil {
 			q = opts.Record.Wrap(devID, info.Name, q)
 		}
-		ds := &deviceState{
-			dev:  dev,
-			pool: memmgr.NewPool(dev.MemoryMB),
-			svc: &serviceState{
-				info:     info,
-				qpsTrace: q,
-				batch:    64,
-				delta:    0.5,
-			},
-		}
+		ds := newDeviceState(dev, info, q)
 		if opts.Obs != nil {
 			ds.obsv = newDevObs(opts.Obs, devID, info.Name)
 			ds.obsv.cls = s.obsv.classes[info.Class] // nil map / unclassed → nil
@@ -751,7 +743,7 @@ func (s *Sim) candidates(qj *queueJob) []core.DeviceView {
 	views := s.viewsBuf[:0]
 	for _, d := range s.devices {
 		if !d.down && !qj.excluded[d.dev.ID] {
-			views = append(views, d.view())
+			views = append(views, d.v)
 		}
 	}
 	s.viewsBuf = views // keep the grown capacity for the next attempt
@@ -841,23 +833,25 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 		allocID:   fmt.Sprintf("train-%d", qj.arrival.ID),
 	}
 	d.training = append(d.training, t)
-	d.residents = nil
+	d.snapshotResidents()
 	s.res.Admitted++
 	s.record(d, span.Record{Act: span.ActPlaced, Time: now, Task: t.task.Name, Value: float64(t.id)})
 	// Memory: training allocations are swappable.
 	if err := d.pool.Alloc(now, t.allocID, memmgr.PriorityTraining, t.task.MemoryMB()); err != nil {
 		// Should not happen (training can be partially resident).
 		t.paused = true
+		d.v.Paused = true
 	}
 	s.flushSwaps(d)
 
 	// Online learning first: Mudi profiles the new co-location so the
 	// immediate Configure below already uses the fitted curves.
 	if learner, ok := s.opts.Policy.(core.OnlineLearner); ok {
-		learner.ObserveColocation(d.view(), s.meas[d.dev.ID])
+		learner.ObserveColocation(d.v, s.meas[d.dev.ID])
 	}
 	if err := s.configure(now, d, "placement"); err != nil {
 		t.paused = true
+		d.v.Paused = true
 	}
 }
 
@@ -884,9 +878,9 @@ func taskSig(d *deviceState) string {
 func (s *Sim) configure(now float64, d *deviceState, cause string) error {
 	if s.rec != nil {
 		// One retune interval per tuning episode.
-		s.record(d, span.Record{Act: span.ActRetune, Time: now, Task: taskSig(d), Batch: d.svc.batch, Delta: d.svc.delta, Cause: cause})
+		s.record(d, span.Record{Act: span.ActRetune, Time: now, Task: taskSig(d), Batch: d.v.Batch, Delta: d.v.Delta, Cause: cause})
 	}
-	dec, err := s.opts.Policy.Configure(d.view(), s.meas[d.dev.ID])
+	dec, err := s.opts.Policy.Configure(d.v, s.meas[d.dev.ID])
 	// Every probe the episode measured becomes a bo_iter record, failed
 	// episodes included.
 	for _, p := range dec.Probes {
@@ -906,7 +900,7 @@ func (s *Sim) configure(now float64, d *deviceState, cause string) error {
 	end := span.Record{Act: span.ActRetuneEnd, Time: now, Batch: dec.Batch, Delta: dec.Delta, Value: float64(dec.BOIterations)}
 	switch {
 	case err != nil:
-		end.Batch, end.Delta, end.Value, end.Cause = d.svc.batch, d.svc.delta, 0, "error"
+		end.Batch, end.Delta, end.Value, end.Cause = d.v.Batch, d.v.Delta, 0, "error"
 	case !dec.Feasible:
 		end.Cause = "infeasible"
 	}
@@ -932,10 +926,10 @@ func (s *Sim) setBatch(now float64, d *deviceState, batch int) {
 	for batch > 16 && svc.info.MemoryMB(batch) > d.pool.CapacityMB()*0.95 {
 		batch /= 2
 	}
-	if batch <= 0 || batch == svc.batch {
+	if batch <= 0 || batch == d.v.Batch {
 		return
 	}
-	svc.batch = batch
+	d.v.Batch = batch
 	_ = d.pool.Resize(now, "svc", svc.info.MemoryMB(batch))
 	s.flushSwaps(d)
 	s.record(d, span.Record{Act: span.ActBatch, Time: now, Value: float64(batch)})
@@ -960,10 +954,9 @@ func (s *Sim) record(d *deviceState, r span.Record) {
 // lost reconfiguration is recorded as a failover event. Without an
 // injector this is exactly the pre-fault rescale path.
 func (s *Sim) rescale(now float64, d *deviceState, newDelta float64) {
-	svc := d.svc
-	oldDelta := svc.delta
+	oldDelta := d.v.Delta
 	act := span.ActRescale
-	if s.inj != nil && svc.deployed && s.inj.SpinUpFails(d.dev.ID) {
+	if s.inj != nil && d.svc.deployed && s.inj.SpinUpFails(d.dev.ID) {
 		act = span.ActSpinUpFailed
 		s.res.FailedSpinUps++
 	} else {
@@ -976,20 +969,23 @@ func (s *Sim) rescale(now float64, d *deviceState, newDelta float64) {
 		// collapses to zero. A failed spin-up covers the attempted
 		// window and never cuts over.
 		spinUp, _ := tuner.ShadowReconfig(oldDelta, newDelta)
-		r := span.Record{Act: act, Time: now, End: now + spinUp, Task: taskSig(d), Batch: svc.batch, Delta: newDelta - oldDelta, Value: newDelta}
+		r := span.Record{Act: act, Time: now, End: now + spinUp, Task: taskSig(d), Batch: d.v.Batch, Delta: newDelta - oldDelta, Value: newDelta}
 		if act == span.ActSpinUpFailed {
 			r.Cause = "shadow-spinup-failed"
 		}
 		s.record(d, r)
 	}
 	if act == span.ActRescale {
-		svc.delta = newDelta
+		// FreeShare is the share not claimed by the inference service —
+		// the room training can (re)divide — because adding a task to a
+		// Mudi-more device redistributes the training shares rather than
+		// consuming new ones.
+		d.v.Delta, d.v.FreeShare = newDelta, max(1-newDelta, 0)
 	}
 }
 
 // apply installs a decision on the device.
 func (s *Sim) apply(now float64, d *deviceState, dec core.Decision) {
-	svc := d.svc
 	// Even an infeasible decision carries the least-bad batch for
 	// serving.
 	s.setBatch(now, d, dec.Batch)
@@ -1001,7 +997,8 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision) {
 				t.pausedAt = now
 			}
 		}
-		if svc.delta != 1 {
+		d.v.Paused = len(d.training) > 0
+		if d.v.Delta != 1 {
 			s.rescale(now, d, 1)
 		}
 		s.res.PausedEpisodes++
@@ -1013,12 +1010,13 @@ func (s *Sim) apply(now float64, d *deviceState, dec core.Decision) {
 	if maxDelta := tuner.MaxDelta(true); dec.Delta > maxDelta && len(d.training) > 0 {
 		dec.Delta = maxDelta
 	}
-	if dec.Delta > 0 && absf(dec.Delta-svc.delta) > 1e-9 {
+	if dec.Delta > 0 && absf(dec.Delta-d.v.Delta) > 1e-9 {
 		s.rescale(now, d, dec.Delta)
 	}
 	for _, t := range d.training {
 		t.paused = false
 	}
+	d.v.Paused = false
 }
 
 // complete finishes a task that already left d.training in its last
@@ -1056,15 +1054,6 @@ const (
 	memPressureFrac = 0.9
 )
 
-func (d *deviceState) hasPaused() bool {
-	for _, t := range d.training {
-		if t.paused {
-			return true
-		}
-	}
-	return false
-}
-
 // requeue evicts a paused task back to the scheduling queue with its
 // progress checkpointed.
 func (s *Sim) requeue(now float64, d *deviceState, t *taskState) {
@@ -1097,7 +1086,8 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 	_ = d.pool.Free(now, t.allocID)
 	s.flushSwaps(d)
 	d.training = slices.DeleteFunc(d.training, func(o *taskState) bool { return o == t })
-	d.residents = nil
+	d.snapshotResidents()
+	d.v.Paused = slices.ContainsFunc(d.training, func(o *taskState) bool { return o.paused })
 	// Re-placement creates a fresh taskState from the checkpoint.
 	s.res.Admitted--
 	// The migrate interval lasts until place lands the job on its next
@@ -1160,9 +1150,9 @@ func (s *Sim) recoverDevice(now float64, d *deviceState) {
 // configuration. It returns the configure error, else the pin's.
 func (s *Sim) deploy(now float64, d *deviceState, cause string) error {
 	svc := d.svc
-	svc.curQPS = svc.qpsTrace.At(now)
+	d.v.QPS = svc.qpsTrace.At(now)
 	cerr := s.configure(now, d, cause)
-	aerr := d.pool.Alloc(now, "svc", memmgr.PriorityInference, svc.info.MemoryMB(svc.batch))
+	aerr := d.pool.Alloc(now, "svc", memmgr.PriorityInference, svc.info.MemoryMB(d.v.Batch))
 	s.flushSwaps(d)
 	svc.deployed = true
 	if cerr != nil {
@@ -1208,9 +1198,6 @@ func (s *Sim) finalize(now float64) {
 	for _, d := range s.devices {
 		svc := d.svc
 		name := svc.info.Name
-		// Lanes accumulate per device; merge here in global device order
-		// so every float sum has a fixed order regardless of lane count.
-		s.res.MeanP99[name] += svc.latSum
 		if svc.shedWins > 0 {
 			if s.res.ShedRequests == nil {
 				s.res.ShedRequests = make(map[string]float64)
@@ -1219,6 +1206,11 @@ func (s *Sim) finalize(now float64) {
 			s.res.ShedWindows += svc.shedWins
 		}
 		if svc.totalWin > 0 {
+			// Lanes accumulate per device; merge here in global device
+			// order so every float sum has a fixed order regardless of
+			// lane count. A service with no measured window gets no
+			// mean P99, as it gets no violation rate.
+			s.res.MeanP99[name] += svc.latSum
 			// Aggregate violation rate over all devices hosting the
 			// same service: accumulate weighted by windows.
 			prevRate := s.res.SLOViolation[name]

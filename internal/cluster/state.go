@@ -29,9 +29,6 @@ import (
 type serviceState struct {
 	info     model.InferenceService
 	qpsTrace trace.QPSTrace
-	curQPS   float64 // QPS at the last (re)tune
-	batch    int
-	delta    float64
 	violWin  int // windows with a P99 over budget
 	totalWin int
 	// deployed is true while a live instance is serving on the device.
@@ -101,6 +98,14 @@ type deviceState struct {
 	dev  *gpu.Device
 	pool *memmgr.Pool
 	svc  *serviceState
+	// v is the policy-facing view of the device and the only home of
+	// every field it carries: the service's QPS at the last (re)tune,
+	// its batch and Δ, the free share, the resident snapshot, the last
+	// window's SM utilization and the paused flag. Each field is written
+	// where its input changes, so placement, Configure and
+	// ObserveColocation read v as it stands. ResidentTasks is replaced,
+	// never mutated (see snapshotResidents): policies may retain it.
+	v core.DeviceView
 	// training lists the unfinished residents, paused or not, in
 	// placement order. A task leaves it in the window it finishes, so
 	// its memory stays allocated until its completion mail frees it.
@@ -114,12 +119,6 @@ type deviceState struct {
 	// observation is disabled) so the hot path never takes the
 	// registry lock.
 	obsv *devObs
-	// residents is the resident snapshot view() hands out (see
-	// residentTasks). Policies may retain a view's slice, so a snapshot
-	// is replaced, never mutated; nil marks it stale. Every change to
-	// d.training clears it: placement, a window's finished tasks and an
-	// eviction.
-	residents []model.TrainingTask
 	// taskScratch backs activeScratch, whose list is consumed within one
 	// oracle call.
 	taskScratch []model.TrainingTask
@@ -143,6 +142,26 @@ type deviceState struct {
 	// swapSeen counts the pool's swap events already published to the
 	// observers; pool.Events()[swapSeen:] is the unpublished tail.
 	swapSeen int
+}
+
+// newDeviceState deploys service info on dev, serving the QPS of q, at
+// the initial configuration: batch 64 and half the device.
+func newDeviceState(dev *gpu.Device, info model.InferenceService, q trace.QPSTrace) *deviceState {
+	return &deviceState{
+		dev:  dev,
+		pool: memmgr.NewPool(dev.MemoryMB),
+		svc:  &serviceState{info: info, qpsTrace: q},
+		v: core.DeviceView{
+			ID:            dev.ID,
+			ServiceName:   info.Name,
+			ServiceClass:  info.Class,
+			SLOms:         info.SLOms,
+			Batch:         64,
+			Delta:         0.5,
+			FreeShare:     0.5,
+			ResidentTasks: []model.TrainingTask{},
+		},
+	}
 }
 
 // winRecord is one device-window's outcome: the lane's window handler
@@ -169,9 +188,9 @@ type winRecord struct {
 	// finishes later in the window leaves d.training. Reused across
 	// windows.
 	residents []string
-	// smUtil and memFrac are the window's SM and memory utilization,
-	// zero on a down device; the barrier sums them in device order.
-	smUtil  float64
+	// memFrac is the window's memory utilization, zero on a down
+	// device; the barrier sums it in device order, like the SM
+	// utilization the window leaves in the device's view.
 	memFrac float64
 }
 
@@ -217,28 +236,27 @@ func (d *deviceState) trainShare() float64 {
 	if n == 0 {
 		return 0
 	}
-	share := (1 - d.svc.delta) / float64(n)
+	share := (1 - d.v.Delta) / float64(n)
 	if share < 0 {
 		return 0
 	}
 	return share
 }
 
-// residentTasks lists the catalog entries of all residents (paused or
-// not) — the set a Configure decision must plan for, since a feasible
-// decision resumes the paused ones. The list is the device's resident
-// snapshot, rebuilt only after d.training changed and shared by every
-// caller until then: it must not be modified. It is never nil, and its
-// capacity is its length, so an append copies.
-func (d *deviceState) residentTasks() []model.TrainingTask {
-	if d.residents == nil {
-		out := make([]model.TrainingTask, len(d.training))
-		for i, t := range d.training {
-			out[i] = t.task
-		}
-		d.residents = out
+// snapshotResidents makes the view's ResidentTasks a fresh list of
+// the catalog entries of all residents (paused or not) — the set a
+// Configure decision must plan for, since a feasible decision resumes
+// the paused ones. Every change to d.training calls it: placement, a
+// window's finished tasks and an eviction. A snapshot is shared by
+// every reader until the next one replaces it, so it is never
+// modified. It is never nil, and its capacity is its length, so an
+// append copies.
+func (d *deviceState) snapshotResidents() {
+	out := make([]model.TrainingTask, len(d.training))
+	for i, t := range d.training {
+		out[i] = t.task
 	}
-	return d.residents
+	d.v.ResidentTasks = out
 }
 
 // activeScratch lists only residents that are actually executing — a
@@ -277,7 +295,7 @@ type curveMemo struct {
 // included, is exactly what the oracle returns for activeScratch().
 func (d *deviceState) latencyCurve(o *perf.Oracle) (piecewise.Func, error) {
 	m := &d.curve
-	if m.ok && m.svc == d.svc.info.Name && m.batch == d.svc.batch && m.sameActive(d.training) {
+	if m.ok && m.svc == d.svc.info.Name && m.batch == d.v.Batch && m.sameActive(d.training) {
 		return m.fn, m.err
 	}
 	m.active = m.active[:0]
@@ -286,7 +304,7 @@ func (d *deviceState) latencyCurve(o *perf.Oracle) (piecewise.Func, error) {
 			m.active = append(m.active, t)
 		}
 	}
-	m.ok, m.svc, m.batch = true, d.svc.info.Name, d.svc.batch
+	m.ok, m.svc, m.batch = true, d.svc.info.Name, d.v.Batch
 	m.fn, m.err = o.TrainColocCurve(m.svc, m.batch, d.activeScratch())
 	return m.fn, m.err
 }
@@ -305,30 +323,6 @@ func (m *curveMemo) sameActive(training []*taskState) bool {
 		i++
 	}
 	return i == len(m.active)
-}
-
-// view builds the policy-facing snapshot. FreeShare is the share not
-// claimed by the inference service — the room training can (re)divide —
-// because adding a task to a Mudi-more device redistributes the
-// training shares rather than consuming new ones.
-func (d *deviceState) view() core.DeviceView {
-	free := 1 - d.svc.delta
-	if free < 0 {
-		free = 0
-	}
-	return core.DeviceView{
-		Paused:        d.hasPaused(),
-		ID:            d.dev.ID,
-		ServiceName:   d.svc.info.Name,
-		ServiceClass:  d.svc.info.Class,
-		SLOms:         d.svc.info.SLOms,
-		QPS:           d.svc.curQPS,
-		Batch:         d.svc.batch,
-		Delta:         d.svc.delta,
-		ResidentTasks: d.residentTasks(),
-		FreeShare:     free,
-		SMUtil:        d.rec.smUtil,
-	}
 }
 
 // deviceMeasurer adapts the oracle as the policy's live feedback for
@@ -354,7 +348,7 @@ func (m *deviceMeasurer) TrainIterMs(batch int, delta float64) (float64, error) 
 			return 0, err
 		}
 	}
-	tasks := m.dev.residentTasks()
+	tasks := m.dev.v.ResidentTasks
 	if len(tasks) == 0 {
 		return 0, fmt.Errorf("cluster: no training on %s", m.dev.dev.ID)
 	}
@@ -375,7 +369,7 @@ func (m *deviceMeasurer) TrainIterMs(batch int, delta float64) (float64, error) 
 
 // InfLatencyMs implements core.Measurer.
 func (m *deviceMeasurer) InfLatencyMs(batch int, delta float64) (float64, error) {
-	return m.oracle.MeasureLatency(m.dev.svc.info.Name, batch, delta, m.dev.residentTasks(), m.rng)
+	return m.oracle.MeasureLatency(m.dev.svc.info.Name, batch, delta, m.dev.v.ResidentTasks, m.rng)
 }
 
 var _ core.Measurer = (*deviceMeasurer)(nil)

@@ -3,10 +3,8 @@ package cluster
 import (
 	"fmt"
 
-	"mudi/internal/gpu"
-	"mudi/internal/memmgr"
-
 	"mudi/internal/core"
+	"mudi/internal/gpu"
 	"mudi/internal/model"
 	"mudi/internal/opt"
 	"mudi/internal/perf"
@@ -34,16 +32,12 @@ func MaxThroughput(policy core.Policy, oracle *perf.Oracle, svcName, taskName st
 	}
 
 	sustains := func(qps float64) bool {
-		d := &deviceState{
-			dev:  &gpu.Device{ID: "tp0", MemoryMB: gpu.A100MemoryMB},
-			svc:  &serviceState{info: svc, curQPS: qps, batch: 64, delta: 0.5},
-			pool: memmgr.NewPool(0),
-		}
+		d := newDeviceState(&gpu.Device{ID: "tp0", MemoryMB: gpu.A100MemoryMB}, svc, nil)
+		d.v.QPS = qps
 		d.training = []*taskState{{task: task}}
+		d.snapshotResidents()
 		meas := &deviceMeasurer{oracle: oracle, dev: d, rng: xrand.New(seed).ForkString(fmt.Sprintf("tp:%s:%.0f", svcName, qps))}
-		view := d.view()
-		view.QPS = qps
-		dec, err := policy.Configure(view, meas)
+		dec, err := policy.Configure(d.v, meas)
 		if err != nil || !dec.Feasible {
 			return false
 		}

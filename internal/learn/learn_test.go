@@ -183,7 +183,7 @@ func TestSelectModelPicksLinearForLinearData(t *testing.T) {
 		x = append(x, []float64{a, b})
 		y = append(y, 4+3*a-2*b)
 	}
-	res, err := SelectModelGrouped(x, y, nil, 1, "")
+	res, err := selectAmong(Candidates(1), x, y, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +196,14 @@ func TestSelectModelPicksLinearForLinearData(t *testing.T) {
 }
 
 func TestSelectModelEmpty(t *testing.T) {
-	if _, err := SelectModelGrouped(nil, nil, nil, 1, ""); err == nil {
-		t.Fatal("empty SelectModelGrouped accepted")
+	if _, err := selectAmong(Candidates(1), nil, nil, nil, ""); err == nil {
+		t.Fatal("empty selection accepted")
 	}
 }
 
 func TestSelectModelGeneralizes(t *testing.T) {
 	trainX, trainY := synthDataset(100, 0.05, 40)
-	res, err := SelectModelGrouped(trainX, trainY, nil, 2, "")
+	res, err := selectAmong(Candidates(2), trainX, trainY, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +211,17 @@ func TestSelectModelGeneralizes(t *testing.T) {
 	if e := testErr(t, res.Model, testX, testY); e > 0.3 {
 		t.Fatalf("selected model %s RMSE %v too high", res.Name, e)
 	}
+}
+
+// addRefit adds one sample to inc and refits it when a refit is due,
+// as the predictor does for every profile; it reports whether it
+// refitted.
+func addRefit(inc *Incremental, x []float64, y float64, group string) (bool, error) {
+	inc.Add(x, y, group)
+	if !inc.RefitDue() {
+		return false, nil
+	}
+	return true, inc.Refit()
 }
 
 func TestIncrementalImprovesWithSamples(t *testing.T) {
@@ -235,14 +246,14 @@ func TestIncrementalImprovesWithSamples(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		x, y := gen()
-		if _, err := inc.AddGrouped(x, y, ""); err != nil {
+		if _, err := addRefit(inc, x, y, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
 	early := measure()
 	for i := 0; i < 80; i++ {
 		x, y := gen()
-		if _, err := inc.AddGrouped(x, y, ""); err != nil {
+		if _, err := addRefit(inc, x, y, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,7 +281,7 @@ func TestIncrementalRefitCadence(t *testing.T) {
 	refits := 0
 	rng := xrand.New(60)
 	for i := 0; i < 11; i++ {
-		r, err := inc.AddGrouped([]float64{rng.Float64(), rng.Float64()}, rng.Float64(), "")
+		r, err := addRefit(inc, []float64{rng.Float64(), rng.Float64()}, rng.Float64(), "")
 		if err != nil {
 			t.Fatal(err)
 		}

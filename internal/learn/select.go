@@ -53,7 +53,7 @@ type SelectResult struct {
 	CVError float64 // mean absolute percentage error across folds
 }
 
-// SelectModelGrouped picks the candidate family with the lowest
+// selectAmong picks the candidate family with the lowest
 // cross-validation error and returns it refitted on the full dataset —
 // the per-metric model selection of §4.1.2. It holds out by group:
 // samples sharing a group label (e.g. the same co-located architecture
@@ -63,18 +63,13 @@ type SelectResult struct {
 // back to min(5, n)-fold.
 //
 // The CV error is the MAPE pooled over every fold; ties go to the
-// earliest family in Candidates order. The family named first (the
+// earliest family in cands order. The family named first (the
 // previous winner of an incremental learner; "" or an unknown name for
 // none) is cross-validated before the others, and any family whose
 // summed percentage errors already put its MAPE above the best so far
 // is stopped between folds: the sum only grows, so it could not win.
 // The winner, its CV error and its fit are those of cross-validating
 // every family on every fold.
-func SelectModelGrouped(x [][]float64, y []float64, groups []string, seed uint64, first string) (SelectResult, error) {
-	return selectAmong(Candidates(seed), x, y, groups, first)
-}
-
-// selectAmong is SelectModelGrouped over a given candidate list.
 func selectAmong(cands []Regressor, x [][]float64, y []float64, groups []string, first string) (SelectResult, error) {
 	n := len(x)
 	if n == 0 || len(y) != n {
@@ -241,8 +236,8 @@ func crossValidate(model Regressor, plan []fold, nz int, bound float64) (float64
 // between.
 const reselectGrowth = 1.5
 
-// refitEvery is the incremental learner's refit cadence: AddGrouped
-// refits at the first sample and then every refitEvery new samples.
+// refitEvery is the incremental learner's refit cadence: a refit is
+// due at the first sample and then every refitEvery new samples.
 const refitEvery = 5
 
 // Incremental wraps a model-selected regressor and accumulates new
@@ -302,25 +297,13 @@ func (inc *Incremental) RefitDue() bool {
 	return inc.current.Model == nil || inc.pending >= refitEvery
 }
 
-// AddGrouped appends a sample with its group label for
-// leave-one-group-out model selection (see SelectModelGrouped) and
-// refits if the refit threshold is reached (RefitDue). It returns true
-// when a refit happened.
-func (inc *Incremental) AddGrouped(x []float64, y float64, group string) (refitted bool, err error) {
-	inc.AddNoRefitGrouped(x, y, group)
-	if inc.RefitDue() {
-		if err := inc.Refit(); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-// AddNoRefitGrouped appends a sample with its group label without
-// refitting — batch-ingest path; call Refit once afterwards.
-func (inc *Incremental) AddNoRefitGrouped(x []float64, y float64, group string) {
-	inc.x = append(inc.x, append([]float64(nil), x...))
+// Add appends a sample with its group label for leave-one-group-out
+// model selection (see selectAmong) without refitting; call Refit when
+// RefitDue says so. The learner keeps x itself, not a copy, so one
+// feature row can serve several learners: x is read-only from here on,
+// for the caller and for every model fitted on it.
+func (inc *Incremental) Add(x []float64, y float64, group string) {
+	inc.x = append(inc.x, x)
 	inc.y = append(inc.y, y)
 	inc.groups = append(inc.groups, group)
 	inc.pending++
@@ -353,7 +336,7 @@ func (inc *Incremental) Refit() error {
 // Select re-runs model selection over all accumulated samples,
 // cross-validating the current family first.
 func (inc *Incremental) Select() error {
-	res, err := SelectModelGrouped(inc.x, inc.y, inc.groups, inc.seed, inc.current.Name)
+	res, err := selectAmong(Candidates(inc.seed), inc.x, inc.y, inc.groups, inc.current.Name)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 	"mudi/internal/xrand"
 )
 
-// referenceSelect is SelectModelGrouped's loop before the CV bound,
+// referenceSelect is selectAmong's loop before the CV bound,
 // kept verbatim apart from taking the candidate list: every family
 // runs every fold, and the strictly lower pooled MAPE wins, so ties go
 // to the earliest family in catalog order.
@@ -242,7 +242,7 @@ func TestSelectBoundMatchesFullCV(t *testing.T) {
 	// All-zero targets: every MAPE is 0, and the earliest family wins
 	// even when another is cross-validated first.
 	x, y, groups := predictorShaped(xrand.New(1), 6, allZero)
-	res, err := SelectModelGrouped(x, y, groups, 1, "GBRT")
+	res, err := selectAmong(Candidates(1), x, y, groups, "GBRT")
 	if err != nil || res.Name != "LR" || res.CVError != 0 {
 		t.Fatalf("all-zero targets: %s cv %v err %v, want LR at 0", res.Name, res.CVError, err)
 	}
@@ -259,8 +259,8 @@ func TestMilestoneRefitMatchesFullSelection(t *testing.T) {
 		x, y, groups := predictorShaped(xrand.New(seed), 6+20, noisy)
 		milestone, forced := NewIncremental(seed), NewIncremental(seed)
 		for i := 0; i < 36; i++ {
-			milestone.AddNoRefitGrouped(x[i], y[i], groups[i])
-			forced.AddNoRefitGrouped(x[i], y[i], groups[i])
+			milestone.Add(x[i], y[i], groups[i])
+			forced.Add(x[i], y[i], groups[i])
 		}
 		if err := milestone.Select(); err != nil {
 			t.Fatal(err)
@@ -270,11 +270,11 @@ func TestMilestoneRefitMatchesFullSelection(t *testing.T) {
 		}
 		for i := 36; i < len(x); i++ {
 			_, selectionsBefore := milestone.Refits()
-			refitted, err := milestone.AddGrouped(x[i], y[i], groups[i])
+			refitted, err := addRefit(milestone, x[i], y[i], groups[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			forced.AddNoRefitGrouped(x[i], y[i], groups[i])
+			forced.Add(x[i], y[i], groups[i])
 			if !refitted {
 				continue
 			}
@@ -317,8 +317,8 @@ func TestFallbackIsNotASelection(t *testing.T) {
 	inc, forced := NewIncremental(1), NewIncremental(1)
 	for n := 1; n <= 8; n++ {
 		a := float64(n*n%7) + 0.5*float64(n)
-		inc.AddNoRefitGrouped([]float64{a}, 2*a+1, "")
-		forced.AddNoRefitGrouped([]float64{a}, 2*a+1, "")
+		inc.Add([]float64{a}, 2*a+1, "")
+		forced.Add([]float64{a}, 2*a+1, "")
 		if err := inc.Refit(); err != nil {
 			t.Fatal(err)
 		}
@@ -362,13 +362,13 @@ func TestCloneLearnsIndependently(t *testing.T) {
 	fresh := func(extra int) *Incremental {
 		inc := NewIncremental(7)
 		for i := 0; i < n; i++ {
-			inc.AddNoRefitGrouped(x[i], y[i], groups[i])
+			inc.Add(x[i], y[i], groups[i])
 		}
 		if err := inc.Select(); err != nil {
 			t.Fatal(err)
 		}
 		for i := n; i < n+extra; i++ {
-			if _, err := inc.AddGrouped(x[i], y[i], groups[i]); err != nil {
+			if _, err := addRefit(inc, x[i], y[i], groups[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -388,11 +388,11 @@ func TestCloneLearnsIndependently(t *testing.T) {
 	}
 	baseWant := predictions(base)
 	a, b := base.Clone(), base.Clone()
-	if _, err := b.AddGrouped(x[len(x)-1], y[len(x)-1], groups[len(x)-1]); err != nil {
+	if _, err := addRefit(b, x[len(x)-1], y[len(x)-1], groups[len(x)-1]); err != nil {
 		t.Fatal(err)
 	}
 	for i := n; i < n+refitEvery; i++ {
-		if _, err := a.AddGrouped(x[i], y[i], groups[i]); err != nil {
+		if _, err := addRefit(a, x[i], y[i], groups[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -237,8 +237,9 @@ func (p *Predictor) add(profile profiler.Profile, refit bool) error {
 	x := features(arch, profile.Batch)
 	y := profile.Curve.Params()
 	group := fmt.Sprint(arch)
+	// The four learners keep this one row, which none of them writes.
 	for i, l := range sp.learners {
-		l.AddNoRefitGrouped(x, y[i], group)
+		l.Add(x, y[i], group)
 	}
 	if !refit {
 		return nil

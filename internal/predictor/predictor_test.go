@@ -537,7 +537,7 @@ func TestUpdateMatchesSequentialLearners(t *testing.T) {
 			for _, p := range offline {
 				x, y, group := sample(p)
 				for i, l := range learners {
-					l.AddNoRefitGrouped(x, y[i], group)
+					l.Add(x, y[i], group)
 				}
 			}
 			for _, l := range learners {
@@ -554,7 +554,11 @@ func TestUpdateMatchesSequentialLearners(t *testing.T) {
 				}
 				x, y, group := sample(p)
 				for i, l := range learners {
-					if _, err := l.AddGrouped(x, y[i], group); err != nil {
+					l.Add(x, y[i], group)
+					if !l.RefitDue() {
+						continue
+					}
+					if err := l.Refit(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -609,7 +613,7 @@ func TestLearnersStayAligned(t *testing.T) {
 		if i == 1 || i == 3 {
 			y = math.NaN()
 		}
-		l.AddNoRefitGrouped(x, y, "poison")
+		l.Add(x, y, "poison")
 	}
 	failed := 0
 	for k, p := range online[12:] {

@@ -44,19 +44,14 @@ func New(n int) *Pool {
 // Workers reports the concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// Map runs fn(0..n-1) across the pool and returns the results in index
-// order. out[i] is always cell i's result; the error, if any, is the
-// lowest-indexed failing cell's, wrapped with its index.
-func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), p, n, fn)
-}
-
-// MapCtx is Map with cancellation: ctx is checked before each cell
-// starts, and once it is done no further cells begin (in-flight cells
-// run to completion — cells are not individually interruptible). A
-// cancelled run returns ctx.Err(); cancellation takes precedence over
-// cell errors, because an aborted run's cell results are incomplete by
-// construction, not wrong.
+// MapCtx runs fn(0..n-1) across the pool and returns the results in
+// index order. out[i] is always cell i's result; the error, if any, is
+// the lowest-indexed failing cell's, wrapped with its index. ctx is
+// checked before each cell starts, and once it is done no further cells
+// begin (in-flight cells run to completion — cells are not individually
+// interruptible). A cancelled run returns ctx.Err(); cancellation takes
+// precedence over cell errors, because an aborted run's cell results
+// are incomplete by construction, not wrong.
 func MapCtx[T any](ctx context.Context, p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,7 +14,7 @@ import (
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		p := New(workers)
-		out, err := Map(p, 64, func(i int) (int, error) { return i * i, nil })
+		out, err := MapCtx(context.Background(), p, 64, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -27,11 +28,11 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 
 func TestMapParallelMatchesSequential(t *testing.T) {
 	fn := func(i int) (string, error) { return fmt.Sprintf("cell-%03d", i), nil }
-	seq, err := Map(New(1), 50, fn)
+	seq, err := MapCtx(context.Background(), New(1), 50, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Map(New(8), 50, fn)
+	par, err := MapCtx(context.Background(), New(8), 50, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestMapParallelMatchesSequential(t *testing.T) {
 func TestMapReportsLowestIndexedError(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 8} {
-		_, err := Map(New(workers), 20, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), New(workers), 20, func(i int) (int, error) {
 			if i == 7 || i == 13 {
 				return 0, fmt.Errorf("cell failure %d: %w", i, sentinel)
 			}
@@ -65,7 +66,7 @@ func TestMapReportsLowestIndexedError(t *testing.T) {
 
 func TestMapRunsAllCellsDespiteError(t *testing.T) {
 	var ran atomic.Int64
-	_, err := Map(New(4), 16, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), New(4), 16, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errors.New("early failure")
@@ -85,7 +86,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	var cur, max atomic.Int64
 	var mu sync.Mutex
 	p := New(workers)
-	_, err := Map(p, 30, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), p, 30, func(i int) (int, error) {
 		n := cur.Add(1)
 		mu.Lock()
 		if n > max.Load() {
@@ -116,11 +117,11 @@ func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 }
 
 func TestMapZeroAndOneCells(t *testing.T) {
-	out, err := Map(New(8), 0, func(i int) (int, error) { return i, nil })
+	out, err := MapCtx(context.Background(), New(8), 0, func(i int) (int, error) { return i, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("n=0: out=%v err=%v", out, err)
 	}
-	out, err = Map(New(8), 1, func(i int) (int, error) { return 42, nil })
+	out, err = MapCtx(context.Background(), New(8), 1, func(i int) (int, error) { return 42, nil })
 	if err != nil || len(out) != 1 || out[0] != 42 {
 		t.Fatalf("n=1: out=%v err=%v", out, err)
 	}
