@@ -15,7 +15,7 @@ GO ?= go
 # policy).
 RACE_PKGS = ./internal/runner ./internal/exp ./internal/cluster ./internal/core ./internal/shard ./internal/memmgr ./internal/obs ./internal/faults ./internal/perf ./internal/stats ./internal/gp ./internal/serving ./internal/span ./internal/telemetry ./internal/timeline ./internal/trace ./internal/trace/scenario ./internal/sched ./internal/learn ./internal/predictor ./telemetryhttp
 
-.PHONY: tier1 build test vet fmt loc test-benchmark smoke-hotpath smoke-largecluster smoke-telemetry race race-live test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
+.PHONY: tier1 build test vet fmt loc shape-seeds test-benchmark smoke-hotpath smoke-largecluster smoke-telemetry race race-live test-classes bench-parallel bench-obs bench-hotpath bench-trace bench-timeline bench-scale ci
 
 tier1: build test
 
@@ -40,6 +40,11 @@ fmt:
 # benchmark/ (its own module), *_test.go excluded.
 loc:
 	@git ls-files -co --exclude-standard -- '*.go' ':!:benchmark/' ':!:*_test.go' | xargs cat | wc -l
+
+# The paper-shape tests at seeds 1-8, each seed's failing claims
+# printed. Not part of ci: seeds 3-8 fail known claims (see ROADMAP.md).
+shape-seeds:
+	GO=$(GO) bash scripts/shape-seeds.sh
 
 # The benchmark module's own tests: every workload, small, traced and
 # untraced.

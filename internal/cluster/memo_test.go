@@ -49,6 +49,7 @@ func TestWindowCurveMemoMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := s.devices[0]
+	deployed(t, s)
 	fresh := perf.NewOracle(seed)
 	// checkIters compares every executing resident's iteration memo
 	// with the fresh oracle at the device's current configuration.
@@ -179,6 +180,19 @@ func finishFirst(t *testing.T, s *Sim, d *deviceState, now float64) {
 	}
 }
 
+// deployed deploys every device of s as Run does before its first
+// window, and fails on a deploy error or a stopped run. A test that
+// drives a Sim's steps by hand calls it first: a failure frees the
+// service's pinned memory, which only a deploy allocates.
+func deployed(t *testing.T, s *Sim) {
+	t.Helper()
+	for _, d := range s.devices {
+		if err := s.deploy(0, d, "initial"); err != nil || s.err != nil {
+			t.Fatalf("deploying %s: %v (run error %v)", d.dev.ID, err, s.err)
+		}
+	}
+}
+
 // TestResidentSnapshotTracksResidents drives one device through every
 // change to its residents — two placements, a finishing window and its
 // completion, a pause eviction's requeue, and a failure and recovery —
@@ -199,6 +213,7 @@ func TestResidentSnapshotTracksResidents(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := s.devices[0]
+	deployed(t, s)
 	now := 0.0
 	var held, heldWas []model.TrainingTask
 	check := func(name string, want int) {

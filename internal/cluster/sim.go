@@ -628,6 +628,9 @@ func (s *Sim) Run() (*Result, error) {
 		if err := s.deploy(0, d, "initial"); err != nil {
 			return nil, err
 		}
+		if s.err != nil {
+			return nil, s.err
+		}
 	}
 	// Faults and arrivals are control-plane events: they mutate the
 	// queue, the task set, and device residency, so they run with every
@@ -804,10 +807,26 @@ func (s *Sim) policySelect(qj *queueJob, views []core.DeviceView) (string, bool)
 			return devID, true
 		}
 	}
-	s.err = fmt.Errorf("%w: policy %s chose device %q for task %d, not one of its %d candidates",
-		ErrPlacement, s.opts.Policy.Name(), devID, qj.arrival.ID, len(views))
-	s.sh.Stop()
+	s.stop(fmt.Errorf("%w: policy %s chose device %q for task %d, not one of its %d candidates",
+		ErrPlacement, s.opts.Policy.Name(), devID, qj.arrival.ID, len(views)))
 	return "", false
+}
+
+// stop ends the run with err, which Run returns; the first error wins.
+func (s *Sim) stop(err error) {
+	if s.err == nil {
+		s.err = err
+		s.sh.Stop()
+	}
+}
+
+// poolErr stops the run with a memory-pool error on d. The cluster
+// allocates, resizes and frees only allocations its own bookkeeping
+// says exist, so any such error is a bug to surface, not to drop.
+func (s *Sim) poolErr(d *deviceState, op string, err error) {
+	if err != nil {
+		s.stop(fmt.Errorf("cluster: %s on %s: %w", op, d.dev.ID, err))
+	}
 }
 
 // serviceByName resolves a replay stream's service against the run's
@@ -920,7 +939,8 @@ func (s *Sim) configure(now float64, d *deviceState, cause string) error {
 // batching size range depends on the GPU memory limit): the batch is
 // halved until the service's pinned footprint fits the device —
 // essential for MIG instances. Batch updates are on-the-fly; only
-// memory demand changes.
+// memory demand changes. A service not yet deployed has no memory to
+// resize: deploy pins it at the batch decided here.
 func (s *Sim) setBatch(now float64, d *deviceState, batch int) {
 	svc := d.svc
 	for batch > 16 && svc.info.MemoryMB(batch) > d.pool.CapacityMB()*0.95 {
@@ -930,7 +950,9 @@ func (s *Sim) setBatch(now float64, d *deviceState, batch int) {
 		return
 	}
 	d.v.Batch = batch
-	_ = d.pool.Resize(now, "svc", svc.info.MemoryMB(batch))
+	if svc.deployed {
+		s.poolErr(d, "resizing svc", d.pool.Resize(now, "svc", svc.info.MemoryMB(batch)))
+	}
 	s.flushSwaps(d)
 	s.record(d, span.Record{Act: span.ActBatch, Time: now, Value: float64(batch)})
 }
@@ -1031,7 +1053,7 @@ func (s *Sim) complete(now float64, d *deviceState, t *taskState) {
 	// Usage accrues to the job's fair-share user: the cohort on cohort
 	// traces, the task family otherwise (see onArrival).
 	s.queue.RecordUsage(s.jobs[t.id].job.User, t.finishAt-t.startAt)
-	_ = d.pool.Free(now, t.allocID)
+	s.poolErr(d, "freeing "+t.allocID, d.pool.Free(now, t.allocID))
 	s.flushSwaps(d)
 	// Retune for the remaining residents and pull the next queued task
 	// ("a new co-location decision is made for pending training tasks
@@ -1083,7 +1105,7 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 		qj.excluded[d.dev.ID] = true
 	}
 	qj.progress = t.itersDone
-	_ = d.pool.Free(now, t.allocID)
+	s.poolErr(d, "freeing "+t.allocID, d.pool.Free(now, t.allocID))
 	s.flushSwaps(d)
 	d.training = slices.DeleteFunc(d.training, func(o *taskState) bool { return o == t })
 	d.snapshotResidents()
@@ -1121,7 +1143,7 @@ func (s *Sim) failDevice(now float64, d *deviceState) {
 	}
 	s.res.Failovers++
 	s.record(d, span.Record{Act: span.ActFailover, Time: now, Cause: "device-failed"})
-	_ = d.pool.Free(now, "svc")
+	s.poolErr(d, "freeing svc", d.pool.Free(now, "svc"))
 	s.flushSwaps(d)
 	// The requeued tasks look for a home among the surviving devices.
 	s.trySchedule(now)
@@ -1145,20 +1167,18 @@ func (s *Sim) recoverDevice(now float64, d *deviceState) {
 }
 
 // deploy launches d's inference instance at now: it sizes the
-// configuration at the current QPS, then pins the instance's memory —
-// also when the configure fails, so the service serves at its old
-// configuration. It returns the configure error, else the pin's.
+// configuration at the current QPS, then pins the instance's memory at
+// the decided batch — also when the configure fails, so the service
+// serves at its old configuration — and marks it deployed. It returns
+// the configure error; a failed pin stops the run.
 func (s *Sim) deploy(now float64, d *deviceState, cause string) error {
 	svc := d.svc
 	d.v.QPS = svc.qpsTrace.At(now)
 	cerr := s.configure(now, d, cause)
-	aerr := d.pool.Alloc(now, "svc", memmgr.PriorityInference, svc.info.MemoryMB(d.v.Batch))
+	s.poolErr(d, "pinning svc", d.pool.Alloc(now, "svc", memmgr.PriorityInference, svc.info.MemoryMB(d.v.Batch)))
 	s.flushSwaps(d)
 	svc.deployed = true
-	if cerr != nil {
-		return cerr
-	}
-	return aerr
+	return cerr
 }
 
 // measureFault consults the injector before a TrainIterMs observation.

@@ -31,8 +31,10 @@ type serviceState struct {
 	qpsTrace trace.QPSTrace
 	violWin  int // windows with a P99 over budget
 	totalWin int
-	// deployed is true while a live instance is serving on the device.
-	// It gates shadow-spin-up fault injection: the initial deployment
+	// deployed is true while a live instance is serving on the device,
+	// and so while its pinned "svc" memory is allocated: setBatch
+	// resizes that memory only then. It gates shadow-spin-up fault
+	// injection: the initial deployment
 	// and post-failure redeployments are fresh launches, not shadow
 	// swaps, so only rescales of a deployed instance can lose their
 	// shadow to an injected spin-up failure.

@@ -1,12 +1,17 @@
 package exp
 
 import (
+	"flag"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-func smallCfg() Config { return Config{Seed: 1, Scale: ScaleSmall} }
+// -seed runs the shape tests at another seed (see make shape-seeds);
+// the goldens are pinned at seed 1 and are not compared at others.
+var seed = flag.Uint64("seed", 1, "seed of smallCfg")
+
+func smallCfg() Config { return Config{Seed: *seed, Scale: ScaleSmall} }
 
 func newSmallSuite(t *testing.T) *Suite {
 	t.Helper()

@@ -230,12 +230,6 @@ func crossValidate(model Regressor, plan []fold, nz int, bound float64) (float64
 	return sum / float64(nz), nil
 }
 
-// reselectGrowth is the sample growth between model selections:
-// Refit selects anew once the learner holds reselectGrowth times the
-// samples of its last selection, and refits the incumbent family in
-// between.
-const reselectGrowth = 1.5
-
 // refitEvery is the incremental learner's refit cadence: a refit is
 // due at the first sample and then every refitEvery new samples.
 const refitEvery = 5
@@ -250,12 +244,9 @@ type Incremental struct {
 	seed    uint64
 	pending int
 	current SelectResult
-	// selectedAt is the sample count at the last model selection, 0
-	// before the first one over at least minCVSamples samples (the
-	// 1-nearest-neighbour fallback is not a selection).
-	selectedAt int
 	// refits counts every Refit; selections those that ran a model
-	// selection.
+	// selection over at least minCVSamples samples (the
+	// 1-nearest-neighbour fallback is not a selection).
 	refits, selections int
 }
 
@@ -310,14 +301,13 @@ func (inc *Incremental) Add(x []float64, y float64, group string) {
 }
 
 // Refit refits the learner on all accumulated samples. It runs a model
-// selection (Select) when there has been none yet or the sample count
-// has reached reselectGrowth times the count at the last one;
-// otherwise it fits a fresh instance of the incumbent family alone.
-// That is exactly the fit a selection returns when it picks the
-// incumbent again (same constructor, seed and samples), so the
-// schedule changes the model only where another family would have won.
+// selection (Select) only while there has been none; afterwards it fits
+// a fresh instance of the incumbent family alone, falling back to a
+// selection if that fit fails. The refit is exactly the fit a selection
+// returns when it picks the incumbent again (same constructor, seed and
+// samples): the family is chosen once and only refitted from then on.
 func (inc *Incremental) Refit() error {
-	if inc.selectedAt == 0 || float64(len(inc.x)) >= reselectGrowth*float64(inc.selectedAt) {
+	if inc.selections == 0 {
 		return inc.Select()
 	}
 	m := newFamily(inc.current.Name, inc.seed)
@@ -344,7 +334,6 @@ func (inc *Incremental) Select() error {
 	inc.pending = 0
 	inc.refits++
 	if len(inc.x) >= minCVSamples {
-		inc.selectedAt = len(inc.x)
 		inc.selections++
 	}
 	return nil

@@ -248,29 +248,29 @@ func TestSelectBoundMatchesFullCV(t *testing.T) {
 	}
 }
 
-// TestMilestoneRefitMatchesFullSelection drives two learners over one
+// TestIncumbentRefitMatchesFullSelection drives two learners over one
 // predictor-shaped stream: a 36-row offline grid, then co-locations of
-// 6 rows. The milestone learner refits as Incremental does; its twin
-// runs a full selection at every refit. Wherever the two pick the same
-// family, their models must predict every row bit for bit alike.
-func TestMilestoneRefitMatchesFullSelection(t *testing.T) {
+// 6 rows. The first refits as Incremental does, keeping the family its
+// offline selection picked; its twin runs a full selection at every
+// refit. Wherever the two pick the same family, their models must
+// predict every row bit for bit alike.
+func TestIncumbentRefitMatchesFullSelection(t *testing.T) {
 	incumbentOnly, flips := 0, 0
 	for _, seed := range []uint64{1, 2, 3, 4} {
 		x, y, groups := predictorShaped(xrand.New(seed), 6+20, noisy)
-		milestone, forced := NewIncremental(seed), NewIncremental(seed)
+		inc, forced := NewIncremental(seed), NewIncremental(seed)
 		for i := 0; i < 36; i++ {
-			milestone.Add(x[i], y[i], groups[i])
+			inc.Add(x[i], y[i], groups[i])
 			forced.Add(x[i], y[i], groups[i])
 		}
-		if err := milestone.Select(); err != nil {
+		if err := inc.Select(); err != nil {
 			t.Fatal(err)
 		}
 		if err := forced.Select(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 36; i < len(x); i++ {
-			_, selectionsBefore := milestone.Refits()
-			refitted, err := addRefit(milestone, x[i], y[i], groups[i])
+			refitted, err := addRefit(inc, x[i], y[i], groups[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,30 +281,29 @@ func TestMilestoneRefitMatchesFullSelection(t *testing.T) {
 			if err := forced.Select(); err != nil {
 				t.Fatal(err)
 			}
-			_, sel := milestone.Refits()
-			selected := sel > selectionsBefore
-			if !selected && milestone.ModelName() != forced.ModelName() {
+			if _, sel := inc.Refits(); sel != 1 {
+				t.Fatalf("seed %d, %d samples: %d selections, want only the offline one", seed, i+1, sel)
+			}
+			if inc.ModelName() != forced.ModelName() {
 				flips++
 				t.Logf("seed %d, %d samples: incumbent %s, a selection picks %s",
-					seed, i+1, milestone.ModelName(), forced.ModelName())
+					seed, i+1, inc.ModelName(), forced.ModelName())
 				continue
 			}
-			if !selected {
-				incumbentOnly++
-			}
+			incumbentOnly++
 			for j, row := range x {
-				a, _ := milestone.Predict(row)
+				a, _ := inc.Predict(row)
 				b, _ := forced.Predict(row)
 				if math.Float64bits(a) != math.Float64bits(b) {
 					t.Fatalf("seed %d, %d samples, %s: row %d predicts %v, a full selection %v",
-						seed, i+1, milestone.ModelName(), j, a, b)
+						seed, i+1, inc.ModelName(), j, a, b)
 				}
 			}
 		}
 	}
-	t.Logf("%d incumbent-only refits matched a full selection, %d flipped family", incumbentOnly, flips)
+	t.Logf("%d incumbent refits matched a full selection, %d flipped family", incumbentOnly, flips)
 	if incumbentOnly == 0 {
-		t.Fatal("no incumbent-only refit was compared")
+		t.Fatal("no incumbent refit was compared")
 	}
 }
 
@@ -312,7 +311,8 @@ func TestMilestoneRefitMatchesFullSelection(t *testing.T) {
 // after each. Below minCVSamples the learner holds the
 // 1-nearest-neighbour fallback, which shares kNN's name but is no
 // selection, so the first refit over enough samples must select: its
-// model is the one a forced selection returns.
+// model is the one a forced selection returns. That selection is the
+// learner's only one; every later refit keeps its family.
 func TestFallbackIsNotASelection(t *testing.T) {
 	inc, forced := NewIncremental(1), NewIncremental(1)
 	for n := 1; n <= 8; n++ {
@@ -346,8 +346,8 @@ func TestFallbackIsNotASelection(t *testing.T) {
 			}
 		}
 	}
-	if _, sel := inc.Refits(); sel != 2 {
-		t.Fatalf("%d selections over 8 samples, want 2 (at 4 and 6)", sel)
+	if _, sel := inc.Refits(); sel != 1 {
+		t.Fatalf("%d selections over 8 samples, want 1 (at %d)", sel, minCVSamples)
 	}
 }
 

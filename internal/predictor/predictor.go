@@ -153,9 +153,13 @@ func (p *Predictor) Train(profiles []profiler.Profile) error {
 
 // Update ingests one new online profile (a newly observed co-location)
 // and refits incrementally — the paper's adaptation path that drives
-// Fig. 12's error-vs-samples curve. Every learner of the service takes
-// the profile's sample before any refits, so the four always hold the
-// same samples, and the learners due a refit refit concurrently (see
+// Fig. 12's error-vs-samples curve. A learner refits the family Train
+// selected for it and runs no selection of its own (see
+// learn.Incremental.Refit); only a service learned online alone
+// selects, once, when its learners first hold enough samples to
+// cross-validate. Every learner of the service takes the profile's
+// sample before any refits, so the four always hold the same samples,
+// and the learners due a refit refit concurrently (see
 // svcPredictor.fit). A profile rejected with an error (no service, an
 // invalid curve, a batch size ≤ 0) changes nothing; a refit error
 // leaves the sample learned.
@@ -248,8 +252,9 @@ func (p *Predictor) add(profile profiler.Profile, refit bool) error {
 }
 
 // fit refits each of svc's learners that is due a refit
-// (Incremental.RefitDue) or, with sel, runs a model selection for all
-// four. The fits run concurrently: the first on the calling goroutine,
+// (Incremental.RefitDue) — a fresh fit of its selected family, or its
+// first selection if it has none — or, with sel, runs a model
+// selection for all four. The fits run concurrently: the first on the calling goroutine,
 // the rest on goroutines it waits for, so a call that fits nothing
 // starts no goroutine. That is deterministic at any GOMAXPROCS: the
 // learners share no mutable state (each owns its samples, seed, RNG

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -488,21 +489,26 @@ func probeFeatures() [][]float64 {
 // hand-built learners fed the same samples in order, one after the
 // other, would be: the same predictions bit for bit, refit and
 // selection counts, model families and Stats, with one core or four.
+// BERT is trained offline, so its online refits refit the incumbent;
+// GPT2 is learned online only, so its learners start below
+// minCVSamples and its first refit over enough samples selects.
 func TestUpdateMatchesSequentialLearners(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			const seed, svc = 9, "BERT"
+			const seed, trained, online = 9, "BERT", "GPT2"
 			o := perf.NewOracle(seed)
-			offline, err := profiler.New(o, xrand.New(seed+10)).ProfileService(svc, nil, nil)
+			offline, err := profiler.New(o, xrand.New(seed+10)).ProfileService(trained, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pred := New(seed)
-			ref := &Predictor{services: map[string]*svcPredictor{svc: {}}}
-			learners := &ref.services[svc].learners
-			for i := range learners {
-				learners[i] = learn.NewIncremental(seed + uint64(i)*7919)
+			ref := &Predictor{services: map[string]*svcPredictor{}}
+			for _, svc := range []string{trained, online} {
+				ref.services[svc] = &svcPredictor{}
+				for i := range ref.services[svc].learners {
+					ref.services[svc].learners[i] = learn.NewIncremental(seed + uint64(i)*7919)
+				}
 			}
 			sample := func(p profiler.Profile) (x []float64, y [4]float64, group string) {
 				return features(p.ColocArch(), p.Batch), p.Curve.Params(), fmt.Sprint(p.ColocArch())
@@ -510,20 +516,22 @@ func TestUpdateMatchesSequentialLearners(t *testing.T) {
 			probes := probeFeatures()
 			check := func(stage string) {
 				t.Helper()
-				for i, l := range pred.services[svc].learners {
-					want := learners[i]
-					for _, x := range probes {
-						got, gok := l.Predict(x)
-						exp, eok := want.Predict(x)
-						if got != exp || gok != eok {
-							t.Fatalf("%s: %s predicts %v at %v, sequential learner %v", stage, targetNames[i], got, x, exp)
+				for svc, sp := range pred.services {
+					for i, l := range sp.learners {
+						want := ref.services[svc].learners[i]
+						for _, x := range probes {
+							got, gok := l.Predict(x)
+							exp, eok := want.Predict(x)
+							if got != exp || gok != eok {
+								t.Fatalf("%s: %s %s predicts %v at %v, sequential learner %v", stage, svc, targetNames[i], got, x, exp)
+							}
 						}
-					}
-					gr, gs := l.Refits()
-					wr, ws := want.Refits()
-					if gr != wr || gs != ws || l.ModelName() != want.ModelName() || l.N() != want.N() {
-						t.Fatalf("%s: %s has %d refits, %d selections, %s over %d samples; sequential learner %d, %d, %s over %d",
-							stage, targetNames[i], gr, gs, l.ModelName(), l.N(), wr, ws, want.ModelName(), want.N())
+						gr, gs := l.Refits()
+						wr, ws := want.Refits()
+						if gr != wr || gs != ws || l.ModelName() != want.ModelName() || l.N() != want.N() {
+							t.Fatalf("%s: %s %s has %d refits, %d selections, %s over %d samples; sequential learner %d, %d, %s over %d",
+								stage, svc, targetNames[i], gr, gs, l.ModelName(), l.N(), wr, ws, want.ModelName(), want.N())
+						}
 					}
 				}
 				if got, want := pred.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
@@ -536,24 +544,25 @@ func TestUpdateMatchesSequentialLearners(t *testing.T) {
 			}
 			for _, p := range offline {
 				x, y, group := sample(p)
-				for i, l := range learners {
+				for i, l := range ref.services[trained].learners {
 					l.Add(x, y[i], group)
 				}
 			}
-			for _, l := range learners {
+			for _, l := range ref.services[trained].learners {
 				if err := l.Select(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			check("after Train")
 
-			for k, p := range onlineProfiles(t, o, seed+20, svc) {
-				before, err := ref.PredictCurve(svc, p.Batch, p.ColocArch())
-				if err != nil {
-					t.Fatal(err)
+			stream := append(onlineProfiles(t, o, seed+20, trained), onlineProfiles(t, o, seed+30, online)...)
+			for k, p := range stream {
+				before, untrained := ref.PredictCurve(p.Service, p.Batch, p.ColocArch())
+				if untrained != nil && ref.services[p.Service].learners[0].N() > 0 {
+					t.Fatal(untrained)
 				}
 				x, y, group := sample(p)
-				for i, l := range learners {
+				for i, l := range ref.services[p.Service].learners {
 					l.Add(x, y[i], group)
 					if !l.RefitDue() {
 						continue
@@ -562,17 +571,99 @@ func TestUpdateMatchesSequentialLearners(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				ref.score.add(before, p)
+				if untrained == nil {
+					ref.score.add(before, p)
+				}
 				if err := pred.Update(p); err != nil {
 					t.Fatal(err)
 				}
-				check(fmt.Sprintf("after update %d", k))
+				check(fmt.Sprintf("after update %d (%s)", k, p.Service))
 			}
-			if s := pred.Stats(); s.Selections <= 4 || s.Refits <= s.Selections {
-				t.Fatalf("stream ran %d refits and %d selections; want online refits and selections both", s.Refits, s.Selections)
+			for _, svc := range []string{trained, online} {
+				var r, sel int
+				for _, l := range pred.services[svc].learners {
+					lr, ls := l.Refits()
+					r, sel = r+lr, sel+ls
+				}
+				if sel != 4 || r <= sel {
+					t.Fatalf("%s ran %d refits and %d selections; want one selection per target and online refits besides", svc, r, sel)
+				}
 			}
 		})
 	}
+}
+
+// TestOnlineRefitsKeepTheOfflineFamily: after Train, 30 online Updates
+// run no model selection, and each refit is a fresh fit of Train's
+// family on the learner's samples: it predicts every row bit for bit as
+// a new instance of that family fitted on the same rows.
+func TestOnlineRefitsKeepTheOfflineFamily(t *testing.T) {
+	const seed, svc = 17, "RoBERTa"
+	o := perf.NewOracle(seed)
+	offline, err := profiler.New(o, xrand.New(seed+10)).ProfileService(svc, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := New(seed)
+	if err := pred.Train(offline); err != nil {
+		t.Fatal(err)
+	}
+	trained := pred.Stats()
+	learners := pred.services[svc].learners
+	var families [4]string
+	for i, l := range learners {
+		families[i] = l.ModelName()
+	}
+	var xs [][]float64
+	var ys [4][]float64
+	learnRow := func(p profiler.Profile) {
+		xs = append(xs, features(p.ColocArch(), p.Batch))
+		for i, v := range p.Curve.Params() {
+			ys[i] = append(ys[i], v)
+		}
+	}
+	for _, p := range offline {
+		learnRow(p)
+	}
+	stream := append(onlineProfiles(t, o, seed+20, svc), onlineProfiles(t, o, seed+30, svc)...)[:30]
+	refits := 0
+	for k, p := range stream {
+		var before [4]int
+		for i, l := range learners {
+			before[i], _ = l.Refits()
+		}
+		if err := pred.Update(p); err != nil {
+			t.Fatal(err)
+		}
+		learnRow(p)
+		if s := pred.Stats(); s.Selections != trained.Selections {
+			t.Fatalf("update %d: %d selections, Train ran %d", k, s.Selections, trained.Selections)
+		}
+		for i, l := range learners {
+			if r, _ := l.Refits(); r == before[i] {
+				continue
+			}
+			refits++
+			if l.ModelName() != families[i] {
+				t.Fatalf("update %d: %s switched from %s to %s", k, targetNames[i], families[i], l.ModelName())
+			}
+			cands := learn.Candidates(seed + uint64(i)*7919)
+			fresh := cands[slices.IndexFunc(cands, func(m learn.Regressor) bool { return m.Name() == families[i] })]
+			if err := fresh.Fit(xs, ys[i]); err != nil {
+				t.Fatal(err)
+			}
+			for j, x := range xs {
+				got, _ := l.Predict(x)
+				if want := fresh.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("update %d: %s row %d predicts %v, a fresh %s fit %v", k, targetNames[i], j, got, families[i], want)
+				}
+			}
+		}
+	}
+	if refits == 0 {
+		t.Fatal("no online refit ran")
+	}
+	t.Logf("%d online refits of %v", refits, families)
 }
 
 // TestLearnersStayAligned: every Update gives the sample to all four

@@ -68,6 +68,30 @@ func TestSystemsLearnIndependently(t *testing.T) {
 	}
 }
 
+// TestOnlineLearnerSelectsOnlyOffline guards the learner's work: the
+// offline phase selects a model family for each of every catalog
+// service's four targets, and a long Mudi run that learns many
+// co-locations only refits those families. At 1.5× sample growth a
+// reselecting learner would run 40 selections here, not 24.
+func TestOnlineLearnerSelectsOnlyOffline(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 4 * len(Services())
+	if got := sys.Learner().Selections; got != want {
+		t.Fatalf("offline phase ran %d selections, want %d", got, want)
+	}
+	if _, err := sys.Simulate(SimOptions{Devices: 12, Tasks: 300, MeanGapSec: 8, IterScale: 0.002}); err != nil {
+		t.Fatal(err)
+	}
+	ls := sys.Learner()
+	if ls.Colocations == 0 || ls.Selections != want || ls.Refits <= ls.Selections {
+		t.Fatalf("%d co-locations learned with %d refits and %d selections; want online refits and only the %d offline selections",
+			ls.Colocations, ls.Refits, ls.Selections, want)
+	}
+}
+
 func TestSystemBaselines(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{Seed: 2})
 	if err != nil {
