@@ -7,9 +7,10 @@ package mudi
 // schedule lookups, the request-level serving loop, Mudi's device
 // selection and device configuration, the online learner's refits and
 // model selection, the Interference Predictor's four-target online
-// update, and a warm Mudi build. The AllocsPerRun regression
-// tests in internal/gp, internal/stats and internal/core pin the
-// steady states; these benchmarks track the constants.
+// update, a warm Mudi build, and the sharded engine's parallel window.
+// The AllocsPerRun regression tests in internal/gp, internal/stats and
+// internal/core pin the steady states; these benchmarks track the
+// constants.
 
 import (
 	"fmt"
@@ -25,6 +26,7 @@ import (
 	"mudi/internal/predictor"
 	"mudi/internal/profiler"
 	"mudi/internal/serving"
+	"mudi/internal/shard"
 	"mudi/internal/stats"
 	"mudi/internal/trace"
 	"mudi/internal/xrand"
@@ -513,4 +515,35 @@ func BenchmarkHotpathHistogramWindow1k(b *testing.B) {
 		}
 		sink.ObserveAll(es)
 	}
+}
+
+// BenchmarkHotpathEngineWindow is the sharded engine's parallel step
+// and its hand-off: 1024 devices on two lanes and two workers, a step
+// with fixed per-device work and a tick with a fixed serial cost, about
+// the shape of a window on the benchmark's 1k-device workloads. One op
+// is one window; ns/window is the hand-off's cost plus the work.
+func BenchmarkHotpathEngineWindow(b *testing.B) {
+	const devices = 1024
+	e, err := shard.New(devices, 2, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	state := make([]float64, devices)
+	step := func(_ *shard.Lane, d int, now float64) {
+		x := state[d]
+		for i := 0; i < 64; i++ {
+			x = x*0.999 + now
+		}
+		state[d] = x
+	}
+	var serial float64
+	tick := func(now float64) {
+		for i := 0; i < 16384; i++ {
+			serial = serial*0.999 + now
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(float64(b.N), nil, step, tick)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/window")
 }

@@ -110,9 +110,10 @@ func run(w io.Writer, devices, tasks int, gap float64, shards int, names []strin
 
 // printProfile summarizes the engine self-profiling series: total
 // wall-clock per barrier phase (the dominant one is where engine time
-// goes as the fleet scales), mail volume, and peak lane imbalance. The
-// sums come from each series' coarsest level, which retains the longest
-// history.
+// goes as the fleet scales), mail volume, peak lane imbalance, the
+// lanes the lane workers stepped and how long the run's goroutine
+// waited for them. The sums come from each series' coarsest level,
+// which retains the longest history.
 func printProfile(w io.Writer, name string, tls []mudi.Timeline) {
 	type agg struct {
 		sum, max float64
@@ -154,5 +155,11 @@ func printProfile(w io.Writer, name string, tls []mudi.Timeline) {
 	}
 	if a, ok := totals["engine_lane_imbalance"]; ok {
 		fmt.Fprintf(w, "    %-16s peak %.0f devices between busiest and idlest lane\n", "imbalance", a.max)
+	}
+	if a, ok := totals["engine_helper_lanes"]; ok {
+		fmt.Fprintf(w, "    %-16s %8.0f lanes stepped by lane workers, not the run's goroutine (peak %.0f/window)\n", "helper lanes", a.sum, a.max)
+	}
+	if a, ok := totals["engine_step_wait_ms"]; ok {
+		fmt.Fprintf(w, "    %-16s %8.0f ms waiting for lanes stepped elsewhere (peak %.2f ms/window)\n", "step wait", a.sum, a.max)
 	}
 }

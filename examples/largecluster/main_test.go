@@ -50,7 +50,7 @@ func TestRunProfileSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"engine profile over", "drain", "apply", "mail"} {
+	for _, want := range []string{"engine profile over", "drain", "apply", "mail", "helper lanes", "step wait"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("profile output missing %q:\n%s", want, out)
 		}

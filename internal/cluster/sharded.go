@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+
 	"mudi/internal/obs"
 	"mudi/internal/opt"
 	"mudi/internal/perf"
@@ -112,9 +114,11 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 		r.batch, r.delta = d.v.Batch, d.v.Delta
 		if s.tl != nil {
 			for _, t := range d.training {
-				if out, err := d.pool.SwappedOutMB(t.allocID); err == nil {
-					r.swapped += out
+				out, err := d.pool.SwappedOutMB(t.allocID)
+				if err != nil {
+					s.postPoolErr(lane, d, "reading "+t.allocID, err)
 				}
+				r.swapped += out
 			}
 			r.paused = d.v.Paused
 		}
@@ -142,7 +146,7 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	share := d.trainShare()
 	kept := 0
 	for i, t := range d.training {
-		if !t.paused && share > 0 && s.progress(now, d, t, share) {
+		if !t.paused && share > 0 && s.progress(now, lane, d, t, share) {
 			lane.Post(func(float64) { s.complete(t.finishAt, d, t) })
 			continue
 		}
@@ -163,8 +167,14 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	// publishes the swap bursts it records.
 	if d.pool.CapacityMB()-d.pool.DeviceUsedMB() > 1024 {
 		for _, t := range d.training {
-			if out, err := d.pool.SwappedOutMB(t.allocID); err == nil && out > 0 {
-				_, _ = d.pool.Touch(now, t.allocID)
+			out, err := d.pool.SwappedOutMB(t.allocID)
+			if err == nil && out > 0 {
+				_, err = d.pool.Touch(now, t.allocID)
+			}
+			if err != nil {
+				s.postPoolErr(lane, d, "reclaiming "+t.allocID, err)
+			}
+			if err != nil || out > 0 {
 				break
 			}
 		}
@@ -191,14 +201,18 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 // progress advances executing task t by one window at the given train
 // share and reports whether it finished, stamping finishAt if so. A
 // window whose iteration time the oracle cannot give leaves t as it
-// was.
-func (s *Sim) progress(now float64, d *deviceState, t *taskState, share float64) bool {
+// was. A lost pool allocation is posted to the barrier, which stops
+// the run.
+func (s *Sim) progress(now float64, lane *shard.Lane, d *deviceState, t *taskState, share float64) bool {
 	iter, err := t.trueIteration(s.opts.Oracle, share, d.svc.info.Name, d.v.Batch, d.v.Delta)
 	if err != nil {
 		return false
 	}
-	if out, err := d.pool.SwappedOutMB(t.allocID); err == nil && t.task.MemoryMB() > 0 {
-		frac := out / t.task.MemoryMB()
+	out, err := d.pool.SwappedOutMB(t.allocID)
+	if err != nil {
+		s.postPoolErr(lane, d, "reading "+t.allocID, err)
+	} else if m := t.task.MemoryMB(); m > 0 {
+		frac := out / m
 		iter *= 1 + 0.5*frac
 	}
 	t.itersDone += span.WindowSec * 1000 / iter
@@ -207,6 +221,13 @@ func (s *Sim) progress(now float64, d *deviceState, t *taskState, share float64)
 	}
 	t.finishAt = now + span.WindowSec
 	return true
+}
+
+// postPoolErr is poolErr from a device window: a lane may not stop the
+// run, so it posts the error to the barrier, where the first one in
+// device order stops Run.
+func (s *Sim) postPoolErr(lane *shard.Lane, d *deviceState, op string, err error) {
+	lane.Post(func(float64) { s.poolErr(d, op, err) })
 }
 
 // retuneCause is a Monitor trigger's cause, indexing retuneLabels.
@@ -337,8 +358,12 @@ func (s *Sim) barrierTick(now float64) {
 		}
 	}
 	n := float64(len(s.devices))
-	_ = s.res.SMUtil.Add(now, smSum/n)
-	_ = s.res.MemUtil.Add(now, memSum/n)
+	if err := s.res.SMUtil.Add(now, smSum/n); err != nil {
+		s.stop(fmt.Errorf("cluster: fleet SM utilization: %w", err))
+	}
+	if err := s.res.MemUtil.Add(now, memSum/n); err != nil {
+		s.stop(fmt.Errorf("cluster: fleet memory utilization: %w", err))
+	}
 	if s.tl != nil {
 		s.tl.window(s, now, smSum/n, memSum/n, memHot)
 	}

@@ -233,6 +233,8 @@ type tlProfiler struct {
 	imb     *timeline.Series
 	heap    *timeline.Series
 	gc      *timeline.Series
+	helped  *timeline.Series
+	wait    *timeline.Series
 	samples []metrics.Sample
 	// batch collects one barrier's samples for a single Store.AddAll.
 	batch []timeline.Entry
@@ -249,16 +251,18 @@ func newTLProfiler(st *timeline.Store) *tlProfiler {
 		imb:    st.Series(timeline.EngineLaneImbalance, ""),
 		heap:   st.Series(timeline.EngineHeapBytes, ""),
 		gc:     st.Series(timeline.EngineGCCycles, ""),
+		helped: st.Series(timeline.EngineHelperLanes, ""),
+		wait:   st.Series(timeline.EngineStepWaitMs, ""),
 		samples: []metrics.Sample{
 			{Name: "/memory/classes/heap/objects:bytes"},
 			{Name: "/gc/cycles/total:gc-cycles"},
 		},
-		batch: make([]timeline.Entry, 0, 8),
+		batch: make([]timeline.Entry, 0, 10),
 	}
 }
 
 // Barrier implements shard.Profiler.
-func (p *tlProfiler) Barrier(at float64, drain, apply time.Duration, mail int, laneEvents []int) {
+func (p *tlProfiler) Barrier(at float64, drain, apply time.Duration, mail int, laneEvents []int, helperLanes int, stepWait time.Duration) {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	imb := 0
 	if len(laneEvents) > 1 {
@@ -279,7 +283,9 @@ func (p *tlProfiler) Barrier(at float64, drain, apply time.Duration, mail int, l
 		timeline.Entry{Series: p.merge, Value: 0},
 		timeline.Entry{Series: p.apply, Value: ms(apply)},
 		timeline.Entry{Series: p.mail, Value: float64(mail)},
-		timeline.Entry{Series: p.imb, Value: float64(imb)})
+		timeline.Entry{Series: p.imb, Value: float64(imb)},
+		timeline.Entry{Series: p.helped, Value: float64(helperLanes)},
+		timeline.Entry{Series: p.wait, Value: ms(stepWait)})
 	metrics.Read(p.samples)
 	if p.samples[0].Value.Kind() == metrics.KindUint64 {
 		p.batch = append(p.batch, timeline.Entry{Series: p.heap, Value: float64(p.samples[0].Value.Uint64())})

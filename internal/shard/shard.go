@@ -18,6 +18,16 @@
 //
 // A barrier between two window ends runs only its events.
 //
+// The parallel step is a hand-off between Run's goroutine and its lane
+// workers. Opening a window bumps a generation counter; whoever sees
+// it claims lanes from a shared counter, and Run's goroutine steps
+// lanes too, then waits only until every claimed lane is done. A
+// worker that sees the window late finds no lane left, so Run never
+// waits for a worker that stepped nothing. Between windows a worker
+// polls the generation for a short bound (spinBound), so it is awake
+// when a serial barrier is over, and then parks until the next window
+// wakes it.
+//
 // Determinism contract: provided the step touches only the stepped
 // device's lane-local state and every cross-lane effect goes through
 // Post, a run's observable behavior is bit-for-bit identical for any
@@ -97,14 +107,31 @@ func (l *Lane) Post(fn func(now float64)) { l.mail = append(l.mail, fn) }
 
 // Profiler receives the engine's own wall-clock behavior, once per
 // barrier: the step (including the fold) and mail-apply phase
-// durations, the mail volume, and the per-lane stepped-device counts
+// durations, the mail volume, the per-lane stepped-device counts
 // (index order; the spread is the lane imbalance; nil at a barrier
-// between window ends, where no lane steps). Wall-clock is inherently
-// nondeterministic — profilers must never feed back into simulation
-// state. laneEvents is only valid for the duration of the call.
+// between window ends, where no lane steps), how many lanes the lane
+// workers stepped rather than Run's goroutine, and how long Run's
+// goroutine waited for those lanes once it found none left to claim.
+// Wall-clock is inherently nondeterministic — profilers must never
+// feed back into simulation state. laneEvents is only valid for the
+// duration of the call.
 type Profiler interface {
-	Barrier(at float64, drain, apply time.Duration, mail int, laneEvents []int)
+	Barrier(at float64, drain, apply time.Duration, mail int, laneEvents []int, helperLanes int, stepWait time.Duration)
 }
+
+// spinBound is how long a lane worker keeps polling for the next
+// window after its last one before it parks. It covers the serial
+// part of a typical barrier — the fold, the mail, the events and the
+// tick — so the worker is still awake when the next window opens.
+// Measured on a 2-vCPU Xeon, from the end of one parallel step to the
+// start of the next, on the two 1024-device benchmark workloads
+// (2 lanes, seed 1): on fleet-1k the median gap is 14 µs and 0.5 ms
+// covers 99.5% of the gaps; on observed-burst-1k, where the fold
+// publishes every device's window, the median is 0.10 ms, the mean
+// 0.18 ms, and 0.5 ms covers 97% (50 µs covers 8%, 1 ms 97.4%). The
+// gaps beyond the bound are barriers that place a task or retune many
+// devices, milliseconds long, and worth a park and a wake-up.
+const spinBound = 500 * time.Microsecond
 
 // Engine is the window clock over the lanes.
 type Engine struct {
@@ -119,15 +146,29 @@ type Engine struct {
 	prof    Profiler
 
 	// The current Run's step and window end, and its lane workers (see
-	// startWorkers): work wakes each helper once per window, next hands
-	// out lane indices, and busy counts the helpers still stepping.
-	// stepFn and at are written before the wake-ups and read after them.
+	// startWorkers). step opens a window by resetting done and next and
+	// then bumping gen; lanes are claimed from next and counted in done
+	// once stepped. stepFn and at are written before gen moves, so a
+	// worker that claims a lane reads the window it belongs to.
 	stepFn func(l *Lane, dev int, now float64)
 	at     float64
-	work   chan struct{}
-	exited sync.WaitGroup
-	busy   sync.WaitGroup
+	gen    atomic.Uint64
 	next   atomic.Int64
+	done   atomic.Int64
+	pool   []worker
+	quit   chan struct{}
+	exited sync.WaitGroup
+	// hold, when set, runs on a lane worker each time it sees a window
+	// open; true keeps it off that window's lanes. Tests only.
+	hold func() bool
+}
+
+// worker is one lane worker's wake-up: parked is true while it waits on
+// wake. step wakes a parked worker by clearing parked and then sending,
+// so wake never holds more than one value and the send never blocks.
+type worker struct {
+	parked atomic.Bool
+	wake   chan struct{}
 }
 
 // New returns an engine stepping devices [0, devices) once every
@@ -208,8 +249,10 @@ func (e *Engine) Run(horizon float64, events []Event, step func(l *Lane, dev int
 			start = time.Now()
 		}
 		var counts []int
+		var helped int
+		var wait time.Duration
 		if window {
-			e.step(b)
+			helped, wait = e.step(b)
 			counts = e.counts
 			if e.fold != nil {
 				e.fold(b)
@@ -219,7 +262,7 @@ func (e *Engine) Run(horizon float64, events []Event, step func(l *Lane, dev int
 			drain := time.Since(start)
 			start = time.Now()
 			mail := e.applyMail(b)
-			e.prof.Barrier(b, drain, time.Since(start), mail, counts)
+			e.prof.Barrier(b, drain, time.Since(start), mail, counts, helped, wait)
 		} else {
 			e.applyMail(b)
 		}
@@ -235,26 +278,46 @@ func (e *Engine) Run(horizon float64, events []Event, step func(l *Lane, dev int
 	}
 }
 
-// step runs every lane's devices for the window ending at now. With
-// one worker it is a plain loop over the lanes in index order, so a
-// single-threaded step visits devices in global order. Otherwise Run's
-// goroutine and the lane workers take lanes from a shared counter until
-// none is left.
-func (e *Engine) step(now float64) {
+// step runs every lane's devices for the window ending at now and
+// returns how many lanes the lane workers stepped and, with a
+// profiler, how long Run's goroutine waited for them. With one worker
+// it is a plain loop over the lanes in index order, so a
+// single-threaded step visits devices in global order. Otherwise it
+// opens the window, wakes the parked workers without blocking, and
+// takes lanes from the shared counter until none is left; then it
+// waits only for lanes a worker claimed and is still stepping, never
+// for a worker that has not claimed one.
+func (e *Engine) step(now float64) (helped int, wait time.Duration) {
 	e.at = now
 	if e.workers == 1 {
 		for _, l := range e.lanes {
 			e.stepLane(l)
 		}
-		return
+		return 0, 0
 	}
+	e.done.Store(0)
 	e.next.Store(0)
-	e.busy.Add(e.workers - 1)
-	for i := 1; i < e.workers; i++ {
-		e.work <- struct{}{}
+	e.gen.Add(1)
+	for i := range e.pool {
+		if w := &e.pool[i]; w.parked.CompareAndSwap(true, false) {
+			w.wake <- struct{}{}
+		}
 	}
-	e.stepLanes()
-	e.busy.Wait()
+	n := len(e.lanes)
+	helped = n - e.stepLanes()
+	if e.done.Load() < int64(n) {
+		var start time.Time
+		if e.prof != nil {
+			start = time.Now()
+		}
+		for e.done.Load() < int64(n) {
+			runtime.Gosched()
+		}
+		if e.prof != nil {
+			wait = time.Since(start)
+		}
+	}
+	return helped, wait
 }
 
 // stepLane steps the lane's devices in order.
@@ -265,38 +328,93 @@ func (e *Engine) stepLane(l *Lane) {
 }
 
 // stepLanes steps lanes taken from the window's counter until every
-// lane is taken.
-func (e *Engine) stepLanes() {
+// lane is taken, counts each in done, and returns how many it stepped.
+func (e *Engine) stepLanes() int {
+	stepped := 0
 	for {
 		i := int(e.next.Add(1)) - 1
 		if i >= len(e.lanes) {
-			return
+			return stepped
 		}
 		e.stepLane(e.lanes[i])
+		e.done.Add(1)
+		stepped++
 	}
 }
 
 // startWorkers starts the workers-1 lane workers that step lanes beside
-// Run's goroutine, once per wake-up.
+// Run's goroutine. Each steps lanes whenever it sees a window open,
+// polls for the next one for up to spinBound, yielding its processor
+// between polls, and then parks until step wakes it.
 func (e *Engine) startWorkers() {
-	e.work = make(chan struct{})
-	e.exited.Add(e.workers - 1)
-	for i := 1; i < e.workers; i++ {
+	e.pool = make([]worker, e.workers-1)
+	e.quit = make(chan struct{})
+	seen := e.gen.Load()
+	e.exited.Add(len(e.pool))
+	for i := range e.pool {
+		w := &e.pool[i]
+		w.wake = make(chan struct{}, 1)
 		go func() {
 			defer e.exited.Done()
-			for range e.work {
-				e.stepLanes()
-				e.busy.Done()
-			}
+			e.work(w, seen)
 		}()
 	}
 }
 
-// stopWorkers ends the lane workers and returns once they have exited.
+// work is one lane worker's loop, from window generation seen until
+// the run's end.
+func (e *Engine) work(w *worker, seen uint64) {
+	idle := time.Now()
+	for {
+		if g := e.gen.Load(); g != seen {
+			seen = g
+			if e.hold == nil || !e.hold() {
+				e.stepLanes()
+			}
+			idle = time.Now()
+			continue
+		}
+		select {
+		case <-e.quit:
+			return
+		default:
+		}
+		if time.Since(idle) < spinBound {
+			runtime.Gosched()
+			continue
+		}
+		if !e.park(w, seen) {
+			return
+		}
+	}
+}
+
+// park blocks w until a window past generation seen opens (true) or
+// the run ends (false). A window that opened while w was parking is
+// not missed: either step saw w parked and sends its wake-up, or w
+// sees the new generation here.
+func (e *Engine) park(w *worker, seen uint64) bool {
+	w.parked.Store(true)
+	if e.gen.Load() != seen {
+		if !w.parked.CompareAndSwap(true, false) {
+			<-w.wake // step already cleared parked: take its wake-up
+		}
+		return true
+	}
+	select {
+	case <-w.wake:
+		return true
+	case <-e.quit:
+		return false
+	}
+}
+
+// stopWorkers ends the lane workers, polling or parked, and returns
+// once they have exited.
 func (e *Engine) stopWorkers() {
-	close(e.work)
+	close(e.quit)
 	e.exited.Wait()
-	e.work = nil
+	e.pool, e.quit = nil, nil
 }
 
 // applyMail applies every lane's queued mail, lane by lane in posting

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -164,13 +165,15 @@ func TestMailboxOrdering(t *testing.T) {
 }
 
 type barrierLog struct {
-	at    []float64
-	lanes [][]int
+	at     []float64
+	lanes  [][]int
+	helped []int
 }
 
-func (p *barrierLog) Barrier(at float64, _, _ time.Duration, _ int, laneEvents []int) {
+func (p *barrierLog) Barrier(at float64, _, _ time.Duration, _ int, laneEvents []int, helperLanes int, _ time.Duration) {
 	p.at = append(p.at, at)
 	p.lanes = append(p.lanes, slices.Clone(laneEvents))
+	p.helped = append(p.helped, helperLanes)
 }
 
 // TestEventOnlyBarrier: an event between two window ends runs alone —
@@ -372,5 +375,80 @@ func TestSteadyWindowAllocatesNothing(t *testing.T) {
 		if applied == 0 {
 			t.Fatal("no mail applied")
 		}
+	}
+}
+
+// TestHandoffWithoutHelpers: Run's goroutine never waits for a lane
+// worker that has not claimed a lane. With every worker held off the
+// lanes, Run still finishes every window, stepping every lane itself,
+// and its workers still exit.
+func TestHandoffWithoutHelpers(t *testing.T) {
+	const horizon = 50
+	y := newToy(t, 8, 4, 3)
+	prof := &barrierLog{}
+	y.e.SetProfiler(prof)
+	y.e.hold = func() bool { return true }
+	within(t, func() { y.run(horizon) })
+	for d, c := range y.counters {
+		if c != horizon {
+			t.Fatalf("device %d stepped %d windows, want %d", d, c, horizon)
+		}
+	}
+	for i, h := range prof.helped {
+		if h != 0 {
+			t.Fatalf("barrier @%g: %d lanes stepped off Run's goroutine, want 0", prof.at[i], h)
+		}
+	}
+	if n := settledLaneWorkers(); n != 0 {
+		t.Fatalf("%d lane workers left after Run", n)
+	}
+}
+
+// TestHandoffCountsHelperLanes: a worker that is not held steps lanes,
+// and the profile counts them. Each device's step waits until another
+// goroutine has stepped a device, so no window finishes on Run's
+// goroutine alone.
+func TestHandoffCountsHelperLanes(t *testing.T) {
+	e, err := New(4, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := &barrierLog{}
+	e.SetProfiler(prof)
+	var arrived [2]atomic.Int64 // per window parity: lanes that have started
+	within(t, func() {
+		e.Run(20, nil, func(l *Lane, d int, now float64) {
+			if d%2 == 0 {
+				k := &arrived[int(now)%2]
+				k.Add(1)
+				for k.Load()%2 != 0 {
+					runtime.Gosched()
+				}
+			}
+		}, func(float64) {})
+	})
+	if len(prof.helped) != 20 {
+		t.Fatalf("%d barriers profiled, want 20", len(prof.helped))
+	}
+	for i, h := range prof.helped {
+		if h != 1 {
+			t.Fatalf("barrier @%g: %d lanes stepped off Run's goroutine, want 1", prof.at[i], h)
+		}
+	}
+}
+
+// within runs fn, failing the test if it has not returned in 30 s: a
+// step that waits for a lane nobody steps never returns.
+func within(t *testing.T, fn func()) {
+	t.Helper()
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		fn()
+	}()
+	select {
+	case <-ran:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return: it is waiting for lanes nobody steps")
 	}
 }

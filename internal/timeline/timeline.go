@@ -105,7 +105,10 @@ const (
 	// readers of the series and is always 0: the mail needs no merge.
 	// The engine also reports the mail volume, the stepped-device
 	// imbalance between the busiest and laziest lane, and Go runtime
-	// heap/GC samples.
+	// heap/GC samples. EngineHelperLanes is how many lanes a window's
+	// lane workers stepped rather than the run's own goroutine (0 on
+	// the inline step), and EngineStepWaitMs how long the run's
+	// goroutine waited for those lanes once it had none left to claim.
 	EngineWindowMs
 	EngineDrainMs
 	EngineMergeMs
@@ -114,6 +117,8 @@ const (
 	EngineLaneImbalance
 	EngineHeapBytes
 	EngineGCCycles
+	EngineHelperLanes
+	EngineStepWaitMs
 
 	kindCount
 )
@@ -146,6 +151,8 @@ var kindNames = [kindCount]string{
 	EngineLaneImbalance: "engine_lane_imbalance",
 	EngineHeapBytes:     "engine_heap_bytes",
 	EngineGCCycles:      "engine_gc_cycles",
+	EngineHelperLanes:   "engine_helper_lanes",
+	EngineStepWaitMs:    "engine_step_wait_ms",
 }
 
 // String returns the wire name.
