@@ -331,26 +331,52 @@ func selectFleet1k() []DeviceView {
 	return views
 }
 
-// BenchmarkHotpathMudiSelect1k is one warm Device Selector call over a
-// 1024-device fleet of the six catalog services, each with no resident
-// or one: twelve distinct (service, Ψ) keys. The predictor does not
-// learn between calls, so every key's memo entry from the first call
-// stays valid and only the Eq. 4 solves run per device.
-func BenchmarkHotpathMudiSelect1k(b *testing.B) {
+// selectFleet1kSpread is selectFleet1k with each device's QPS read
+// off its own fluctuating trace around its service's base rate, as the
+// fleet workloads' devices see it a minute in.
+func selectFleet1kSpread() []DeviceView {
+	services := model.Services()
+	rng := xrand.New(1)
+	views := selectFleet1k()
+	for i := range views {
+		views[i].QPS = trace.NewFluctuatingQPS(services[i%len(services)].BaseQPS, rng).At(60)
+	}
+	return views
+}
+
+// benchmarkMudiSelect times warm Device Selector calls over views and
+// reports the Eq. 4 solves per call. The predictor does not learn
+// between calls, so every key's memo entry from the first call stays
+// valid.
+func benchmarkMudiSelect(b *testing.B, views []DeviceView) {
 	sys, err := NewSystem(SystemConfig{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	views := selectFleet1k()
-	policy := sys.Policy()
+	m := sys.Policy().(*core.Mudi)
 	task := model.ObservedTasks()[1]
 	b.ReportAllocs()
 	b.ResetTimer()
+	solves := m.SelectSolves()
 	for i := 0; i < b.N; i++ {
-		if _, ok := policy.SelectDevice(task, views, nil); !ok {
+		if _, ok := m.SelectDevice(task, views, nil); !ok {
 			b.Fatal("no device selected")
 		}
 	}
+	b.ReportMetric(float64(m.SelectSolves()-solves)/float64(b.N), "solves/op")
+}
+
+// BenchmarkHotpathMudiSelect1k is one warm Device Selector call over a
+// 1024-device fleet of the six catalog services, each with no resident
+// or one: twelve distinct (service, Ψ) keys, every device of a service
+// at the same QPS.
+func BenchmarkHotpathMudiSelect1k(b *testing.B) { benchmarkMudiSelect(b, selectFleet1k()) }
+
+// BenchmarkHotpathMudiSelect1kSpread is BenchmarkHotpathMudiSelect1k
+// with QPS spread per device (selectFleet1kSpread), so no group of
+// devices is one tie.
+func BenchmarkHotpathMudiSelect1kSpread(b *testing.B) {
+	benchmarkMudiSelect(b, selectFleet1kSpread())
 }
 
 // BenchmarkHotpathMudiSelect1kLearned is BenchmarkHotpathMudiSelect1k
@@ -374,6 +400,7 @@ func BenchmarkHotpathMudiSelect1kLearned(b *testing.B) {
 	}
 	views := selectFleet1k()
 	var m *core.Mudi
+	solves := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -389,11 +416,14 @@ func BenchmarkHotpathMudiSelect1kLearned(b *testing.B) {
 		if err := m.Predictor().Update(profiles[i%len(profiles)]); err != nil {
 			b.Fatal(err)
 		}
+		before := m.SelectSolves()
 		b.StartTimer()
 		if _, ok := m.SelectDevice(task, views, nil); !ok {
 			b.Fatal("no device selected")
 		}
+		solves += m.SelectSolves() - before
 	}
+	b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
 }
 
 // BenchmarkHotpathBuildMudiWarm is one Mudi build once the offline

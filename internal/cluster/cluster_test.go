@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -171,6 +172,24 @@ func TestSummaryExcludesWallClock(t *testing.T) {
 	if res.Summary() != before {
 		t.Fatal("summary changed when wall-clock placement overhead changed")
 	}
+}
+
+// TestPlacementOverheadBelowMicrosecond checks that placement
+// overheads keep sub-µs resolution: a placement over four devices
+// takes a few µs, and a whole-µs record (or 0 for a sub-µs call) is
+// the truncation this field once had.
+func TestPlacementOverheadBelowMicrosecond(t *testing.T) {
+	oracle := perf.NewOracle(5)
+	res := runPolicy(t, mustBuild(t, oracle, 5), oracle, smallArrivals(t, 6, 5), 4, 5)
+	if len(res.PlacementOverheadMs) == 0 {
+		t.Fatal("no placement recorded")
+	}
+	for _, ms := range res.PlacementOverheadMs {
+		if us := ms * 1000; us != math.Trunc(us) {
+			return
+		}
+	}
+	t.Fatalf("every placement overhead is a whole µs: %v", res.PlacementOverheadMs)
 }
 
 func TestOptionsValidation(t *testing.T) {

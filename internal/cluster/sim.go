@@ -731,7 +731,7 @@ func (s *Sim) trySchedule(now float64) {
 		}
 		start := time.Now()
 		devID, ok := s.classSelect(qj, views)
-		s.res.PlacementOverheadMs = append(s.res.PlacementOverheadMs, float64(time.Since(start).Microseconds())/1000)
+		s.res.PlacementOverheadMs = append(s.res.PlacementOverheadMs, float64(time.Since(start).Nanoseconds())/1e6)
 		if !ok {
 			return // head-of-line blocks until a completion frees capacity
 		}

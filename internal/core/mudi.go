@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"mudi/internal/faults"
@@ -140,40 +141,34 @@ func colocArch(resident []model.TrainingTask) model.Arch {
 	return a
 }
 
-// slopeScorer scores devices by the negated predicted average slope:
-// the Device Selector of §5.2.
+// slopeScorer is the Device Selector of §5.2: it scores a device by
+// the predicted leftover share at its own QPS and SLO, weighted by the
+// negated predicted average slope, and picks the best-scoring device.
 //
 // The predictor's outputs depend only on (service, Ψ) and the
 // service's predictor generation, and a fleet has a handful of such
 // pairs, so the scorer evaluates the predictor once per pair and
-// generation (memo) and runs only the Eq. 4 solves, which read the
-// device's own QPS and SLO, per device. The memo lives across
-// SelectDevice calls: an entry stamped with an older generation than
-// its service's current one is recomputed on its next use, so a
-// predictor update is always seen and leaves other services' entries
-// valid. Within one call the predictor cannot move, so each (service,
-// Ψ) is looked up in the memo, and its generation read, at most once
-// per call: the call's entries are copied into resolved, once, and
-// read there by every device.
+// generation (memo). The memo lives across SelectDevice calls: an
+// entry stamped with an older generation than its service's current
+// one is recomputed on its next use, so a predictor update is always
+// seen and leaves other services' entries valid.
+//
+// A device's score then depends on the device only through its
+// (service, Ψ) entry, its SLO and its QPS, so a call groups the
+// eligible devices by (service, Ψ, SLO) and scores few devices per
+// group (see pick). Each score runs one Eq. 4 solve per kept curve;
+// solves counts them.
 type slopeScorer struct {
 	pred    *predictor.Predictor
 	batches []int
 	memo    map[colocKey]slopeEntry
-	// resolved holds the current call's entries (see begin), at most
-	// maxResolved of them; a call that meets more (service, Ψ) pairs
-	// resolves the rest into the last slot, from the memo per device.
-	resolved []resolvedEntry
-}
-
-// maxResolved bounds the per-call table, whose lookup is a linear scan.
-// With MaxTrainPerGPU 1 every eligible device's Ψ is the task's own
-// arch, so a call meets at most one pair per service.
-const maxResolved = 16
-
-// resolvedEntry is one (service, Ψ) pair the current call resolved.
-type resolvedEntry struct {
-	key colocKey
-	e   slopeEntry
+	// groups and groupOf are pick's per-call tables, kept for their
+	// capacity: the call's groups, and each view's index into them
+	// (-1 for an ineligible view).
+	groups  []selectGroup
+	groupOf []int32
+	// solves counts the Eq. 4 solves (MinDeltaFor calls) run so far.
+	solves int
 }
 
 // slopeEntry is the predictor's output for one (service, Ψ) at the
@@ -221,48 +216,9 @@ func (p *slopeScorer) entry(key colocKey) slopeEntry {
 	return e
 }
 
-// begin starts a selection call: it forgets the previous call's
-// entries, which a predictor update since may have made stale.
-func (p *slopeScorer) begin() { p.resolved = p.resolved[:0] }
-
-// resolve returns the entry for (svc, *arch), from the current call's
-// table when this call has already resolved it. The entry is valid
-// until the next resolve.
-func (p *slopeScorer) resolve(svc string, arch *model.Arch) *slopeEntry {
-	for i := range p.resolved {
-		if r := &p.resolved[i]; r.key.svc == svc && r.key.arch == *arch {
-			return &r.e
-		}
-	}
-	key := colocKey{svc, *arch}
-	if len(p.resolved) == maxResolved {
-		p.resolved = p.resolved[:maxResolved-1] // recycle the last slot
-	}
-	p.resolved = append(p.resolved, resolvedEntry{key, p.entry(key)})
-	return &p.resolved[len(p.resolved)-1].e
-}
-
-// score rates the device for the task within the current call (see
-// begin), higher being better; ok=false when the predictor cannot rate
-// the device's service next to the co-location (an untrained service).
-func (p *slopeScorer) score(task *model.TrainingTask, view *DeviceView) (float64, bool) {
-	// Ψ is the task's arch plus the residents'; a device without
-	// residents (every eligible one under MaxTrainPerGPU 1) reads the
-	// task's own, uncopied.
-	arch := &task.Arch
-	if len(view.ResidentTasks) > 0 {
-		psi := task.Arch.Add(colocArch(view.ResidentTasks))
-		arch = &psi
-	}
-	e := p.resolve(view.ServiceName, arch)
-	if e.err != nil {
-		return 0, false
-	}
-	return e.score(view.QPS, view.SLOms, len(p.batches)), true
-}
-
 // score is the device's score from the entry at the device's QPS and
-// SLO, averaging the leftover share over n batch candidates.
+// SLO, averaging the leftover share over n batch candidates, with an
+// upper bound on the score at every QPS ≥ qps under the same SLO.
 //
 // A smaller slope both reduces SLO pressure and lets the service
 // shrink, "which is advantageous for optimizing the objective" (§5.2):
@@ -271,31 +227,189 @@ func (p *slopeScorer) score(task *model.TrainingTask, view *DeviceView) (float64
 // the batch candidates. Each solve is opt.MinPartition's with no
 // headroom: the entry's curves are already validated, QPS and SLO are
 // positive and every batch is, so only MinDeltaFor is left to run.
-func (e *slopeEntry) score(qps, sloMs float64, n int) float64 {
-	var shareSum float64
+//
+// The score does not always fall as QPS rises (see
+// piecewise.Func.MinDeltaBound), so the bound sums the share each
+// curve could reach at any budget up to this one: a higher QPS shrinks
+// every budget, a curve infeasible here stays infeasible there, and
+// float sums and quotients keep the order of their terms. A 1+slope
+// that is not positive would break that order; the bound is then +Inf.
+func (e *slopeEntry) score(qps, sloMs float64, n int) (score, bound float64) {
+	var shareSum, boundSum float64
 	if qps > 0 && sloMs > 0 {
 		maxDelta := tuner.MaxDelta(true)
 		for i, c := range e.curves {
-			if delta, ok := c.MinDeltaFor(opt.Budget(sloMs, e.batches[i], qps), maxDelta); ok {
+			budget := opt.Budget(sloMs, e.batches[i], qps)
+			if delta, ok := c.MinDeltaFor(budget, maxDelta); ok {
 				shareSum += 1 - delta
+				boundSum += 1 - c.MinDeltaBound(budget, maxDelta)
 			}
 		}
 	}
-	avgShare := shareSum / float64(n)
 	// Higher score = better; slopes are positive magnitudes.
-	return (0.05 + avgShare) / (1 + e.slope)
+	div := 1 + e.slope
+	score = (0.05 + shareSum/float64(n)) / div
+	bound = math.Inf(1)
+	if div > 0 {
+		bound = (0.05 + boundSum/float64(n)) / div
+	}
+	return score, bound
 }
+
+// selectGroup is one (service, Ψ, SLO) group of a selection call's
+// eligible devices. Devices with QPS ≤ 0 or SLO ≤ 0 score the same
+// constant whatever their SLO, so they form a group of their own per
+// (service, Ψ), keyed by SLO 0.
+type selectGroup struct {
+	key colocKey
+	// own reports that Ψ is the task's own arch (views without
+	// residents), which a lookup need not compare.
+	own bool
+	slo float64
+	e   slopeEntry
+	// lowest is a view with the group's lowest QPS, lowQPS (any view
+	// of the constant group): the group's best-bounded device. lowScore
+	// and lowBound are its score and the score's bound.
+	lowest                     int
+	lowQPS, lowScore, lowBound float64
+	// below is the lowest QPS known whose bound falls short of the
+	// call's best score, and notAbove the lowest known whose bound does
+	// not exceed it: no device at or above the first can tie the best,
+	// nor one at or above the second beat it. NaN is none known, which
+	// no QPS compares at or above.
+	below, notAbove float64
+}
+
+// group returns the index of the call's group for (svc, *arch, slo),
+// adding it when the call has not met it yet; own reports that arch is
+// the task's own. A call meets few groups, so the lookup is a linear
+// scan.
+func (p *slopeScorer) group(svc string, arch *model.Arch, own bool, slo float64, view int) int {
+	for i := range p.groups {
+		if g := &p.groups[i]; g.slo == slo && g.key.svc == svc && (own && g.own || g.key.arch == *arch) {
+			return i
+		}
+	}
+	p.groups = append(p.groups, selectGroup{
+		key: colocKey{svc, *arch}, own: own, slo: slo, lowest: view,
+		lowQPS: math.Inf(1), below: math.NaN(), notAbove: math.NaN(),
+	})
+	return len(p.groups) - 1
+}
+
+// pick returns the eligible view with the highest score, ties to the
+// smaller ID: core.PickMin's pick with cost −score, bit for bit.
+//
+// One pass groups the eligible views by (service, Ψ, SLO) and finds
+// each group's lowest QPS. Each group's entry is resolved once and
+// scored once, at that QPS (no solve for the constant group), and the
+// best of those scores opens the call's best. A second pass offers
+// every view at its group's lowest QPS, and every view of a constant
+// group, at that score. The score's bound at a QPS covers every higher
+// QPS of the group, so the second pass scores any other device only
+// when its QPS is below the group's below mark, and, when it is at or
+// above the notAbove mark, only when its ID beats the current pick;
+// each score moves the marks down. With QPS in random device order
+// that is about a logarithm's worth of scores per group that can reach
+// the best, and none for the others. Views compare under PickMin's
+// rule, IDs as strings.
+func (p *slopeScorer) pick(task *model.TrainingTask, views []DeviceView, maxTrain int) (string, bool) {
+	n := len(p.batches)
+	p.groups = p.groups[:0]
+	p.groupOf = slices.Grow(p.groupOf[:0], len(views))[:len(views)]
+	for i := range views {
+		v := &views[i]
+		p.groupOf[i] = -1
+		if !Eligible(v, maxTrain) {
+			continue
+		}
+		// Ψ is the task's arch plus the residents'; a device without
+		// residents (every eligible one under MaxTrainPerGPU 1) reads
+		// the task's own, uncopied.
+		arch := &task.Arch
+		if len(v.ResidentTasks) > 0 {
+			psi := task.Arch.Add(colocArch(v.ResidentTasks))
+			arch = &psi
+		}
+		slo := v.SLOms
+		if !(v.QPS > 0 && slo > 0) {
+			slo = 0
+		}
+		gi := p.group(v.ServiceName, arch, len(v.ResidentTasks) == 0, slo, i)
+		p.groupOf[i] = int32(gi)
+		if g := &p.groups[gi]; slo > 0 && v.QPS < g.lowQPS {
+			g.lowest, g.lowQPS = i, v.QPS
+		}
+	}
+
+	bestID, best := "", math.Inf(1) // PickMin's cost: −score
+	consider := func(id string, score float64) {
+		if c := -score; c < best || (c == best && id < bestID) {
+			bestID, best = id, c
+		}
+	}
+	// mark records that the group's devices at QPS ≥ qps score at most
+	// bound, against the best so far.
+	mark := func(g *selectGroup, qps, bound float64) {
+		if c := -bound; c > best && !(g.below <= qps) {
+			g.below = qps
+		} else if c == best && !(g.notAbove <= qps) {
+			g.notAbove = qps
+		}
+	}
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		g.e = p.entry(g.key)
+		if g.e.err != nil {
+			continue
+		}
+		v := &views[g.lowest]
+		g.lowScore, g.lowBound = g.e.score(v.QPS, g.slo, n)
+		if g.slo > 0 {
+			p.solves += len(g.e.curves)
+		}
+		consider(v.ID, g.lowScore)
+	}
+	for gi := range p.groups {
+		// Each lowest view's bound, against the best of all groups.
+		if g := &p.groups[gi]; g.e.err == nil && g.slo > 0 {
+			mark(g, g.lowQPS, g.lowBound)
+		}
+	}
+	for i := range views {
+		gi := p.groupOf[i]
+		if gi < 0 {
+			continue
+		}
+		g := &p.groups[gi]
+		v := &views[i]
+		if g.e.err != nil {
+			continue
+		}
+		if g.slo == 0 || v.QPS == g.lowQPS {
+			consider(v.ID, g.lowScore) // scores as the lowest view does
+			continue
+		}
+		if v.QPS >= g.below || (v.QPS >= g.notAbove && v.ID >= bestID) {
+			continue
+		}
+		s, u := g.e.score(v.QPS, g.slo, n)
+		p.solves += len(g.e.curves)
+		consider(v.ID, s)
+		mark(g, v.QPS, u)
+	}
+	return bestID, bestID != ""
+}
+
+// SelectSolves returns the Eq. 4 solves the Device Selector has run.
+func (m *Mudi) SelectSolves() int { return m.slope.solves }
 
 // SelectDevice implements Policy (§5.2): assign the task to the device
 // whose service shows the smallest predicted average slope across the
 // batch-size set — the eligible device with the highest score, ties to
 // the smaller ID.
 func (m *Mudi) SelectDevice(task model.TrainingTask, views []DeviceView, _ map[string]Measurer) (string, bool) {
-	m.slope.begin()
-	return PickMin(views, m.cfg.MaxTrainPerGPU, func(v *DeviceView) (float64, bool) {
-		s, ok := m.slope.score(&task, v)
-		return -s, ok
-	})
+	return m.slope.pick(&task, views, m.cfg.MaxTrainPerGPU)
 }
 
 // Configure implements Policy (§5.3): predicted curves feed the

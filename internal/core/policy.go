@@ -43,8 +43,9 @@ func Eligible(v *DeviceView, maxTrain int) bool {
 // PickMin returns the ID of the eligible view with the smallest cost,
 // ties going to the smaller ID. A view whose cost reports ok=false is
 // skipped, and so is one whose cost is +Inf or NaN; ok=false when no
-// view is left. This is the one device-pick rule: Mudi's Device
-// Selector and every cost-driven baseline place through it.
+// view is left. This is the one device-pick rule: every cost-driven
+// baseline places through it, and Mudi's Device Selector picks by it
+// without scoring every view (see slopeScorer.pick).
 func PickMin(views []DeviceView, maxTrain int, cost func(v *DeviceView) (float64, bool)) (string, bool) {
 	bestID := ""
 	best := math.Inf(1)
@@ -85,8 +86,10 @@ type Decision = tuner.Decision
 type Policy interface {
 	Name() string
 	// SelectDevice picks the device for an arriving training task from
-	// the candidate views (already filtered for basic eligibility).
-	// ok=false queues the task.
+	// the candidate views: devices that are up and that the task has
+	// not been excluded from (with SLO classes, one class tier of them
+	// at a time). The views are not filtered for eligibility: the
+	// policy applies Eligible itself. ok=false queues the task.
 	SelectDevice(task model.TrainingTask, views []DeviceView, measurers map[string]Measurer) (deviceID string, ok bool)
 	// Configure (re)tunes one device's inference configuration under
 	// its current co-location.

@@ -17,44 +17,73 @@ import (
 )
 
 // referenceScore is the Device Selector's score computed the direct
-// way, re-running the predictor for the device: eligibility, then the
-// negated average slope weighted by the predicted leftover share.
-func referenceScore(pred *predictor.Predictor, maxTrain int, task model.TrainingTask, v DeviceView) (float64, bool) {
+// way: eligibility, then the negated average slope weighted by the
+// predicted leftover share, every curve solved through
+// opt.MinPartition. The predictor's outputs for the device's (service,
+// Ψ) come from out, which holds them for one predictor state.
+func referenceScore(out *referenceOutputs, maxTrain int, task model.TrainingTask, v DeviceView) (float64, bool) {
 	if v.ServiceName == "" || len(v.ResidentTasks) >= maxTrain || v.Paused {
 		return 0, false
 	}
-	arch := task.Arch.Add(colocArch(v.ResidentTasks))
-	slope, _, err := pred.AvgSlope(v.ServiceName, arch)
-	if err != nil {
+	o := out.get(v.ServiceName, task.Arch.Add(colocArch(v.ResidentTasks)))
+	if o.err != nil {
 		return 0, false
 	}
 	var shareSum float64
-	batches := model.BatchSizes()
-	for _, b := range batches {
-		curve, err := pred.PredictCurve(v.ServiceName, b, arch)
-		if err != nil {
-			continue
-		}
-		if v.QPS <= 0 || v.SLOms <= 0 {
+	for i, curve := range o.curves {
+		if o.curveErrs[i] != nil || v.QPS <= 0 || v.SLOms <= 0 {
 			continue
 		}
 		res, err := opt.MinPartition(opt.ScaleRequest{
-			QPS: v.QPS, Batch: b, SLO: v.SLOms, Latency: curve, MaxDelta: 0.9,
+			QPS: v.QPS, Batch: model.BatchSizes()[i], SLO: v.SLOms, Latency: curve, MaxDelta: 0.9,
 		})
 		if err != nil || !res.Feasible {
 			continue
 		}
 		shareSum += 1 - res.Delta
 	}
-	return (0.05 + shareSum/float64(len(batches))) / (1 + slope), true
+	return (0.05 + shareSum/float64(len(o.curves))) / (1 + o.slope), true
+}
+
+// referenceOutputs asks the predictor directly, through AvgSlope and
+// PredictCurve per batch, and keeps the answers per (service, Ψ) until
+// reset: a 1024-view fleet meets a few dozen keys.
+type referenceOutputs struct {
+	pred *predictor.Predictor
+	outs map[colocKey]referenceOutput
+}
+
+type referenceOutput struct {
+	slope     float64
+	err       error
+	curves    []piecewise.Func
+	curveErrs []error
+}
+
+func (r *referenceOutputs) reset() { r.outs = make(map[colocKey]referenceOutput) }
+
+func (r *referenceOutputs) get(svc string, arch model.Arch) referenceOutput {
+	key := colocKey{svc, arch}
+	if o, ok := r.outs[key]; ok {
+		return o
+	}
+	var o referenceOutput
+	o.slope, _, o.err = r.pred.AvgSlope(svc, arch)
+	for _, b := range model.BatchSizes() {
+		c, err := r.pred.PredictCurve(svc, b, arch)
+		o.curves = append(o.curves, c)
+		o.curveErrs = append(o.curveErrs, err)
+	}
+	r.outs[key] = o
+	return o
 }
 
 // referenceSelect picks the highest reference score, ties to the
 // smaller device ID.
-func referenceSelect(pred *predictor.Predictor, maxTrain int, task model.TrainingTask, views []DeviceView) (string, bool) {
+func referenceSelect(out *referenceOutputs, maxTrain int, task model.TrainingTask, views []DeviceView) (string, bool) {
 	best, bestScore := -1, 0.0
 	for i, v := range views {
-		s, ok := referenceScore(pred, maxTrain, task, v)
+		s, ok := referenceScore(out, maxTrain, task, v)
 		if !ok {
 			continue
 		}
@@ -68,19 +97,21 @@ func referenceSelect(pred *predictor.Predictor, maxTrain int, task model.Trainin
 	return views[best].ID, true
 }
 
-// lastScores re-scores the views of m's latest SelectDevice call for
-// task through Eligible and its slope scorer, as one more call over the
-// memo that selection left; a skipped view scores -1.
+// lastScores scores every view for task the direct way, device by
+// device, through the memo m's latest SelectDevice call left and the
+// entry's own score: the per-device scorer the selection replaced. A
+// skipped view scores -1.
 func lastScores(m *Mudi, task model.TrainingTask, views []DeviceView) []float64 {
 	out := make([]float64, len(views))
-	m.slope.begin()
 	for i := range views {
 		out[i] = -1
-		if !Eligible(&views[i], m.cfg.MaxTrainPerGPU) {
+		v := &views[i]
+		if !Eligible(v, m.cfg.MaxTrainPerGPU) {
 			continue
 		}
-		if s, ok := m.slope.score(&task, &views[i]); ok {
-			out[i] = s
+		e := m.slope.entry(colocKey{v.ServiceName, task.Arch.Add(colocArch(v.ResidentTasks))})
+		if e.err == nil {
+			out[i], _ = e.score(v.QPS, v.SLOms, len(m.slope.batches))
 		}
 	}
 	return out
@@ -174,28 +205,101 @@ func mutateFleet(rng *xrand.Rand, views []DeviceView, maxTrain int) {
 	}
 }
 
-// TestSelectDeviceMatchesReference checks the memoized Device Selector
-// against the direct per-device scorer, which validates and solves
-// every curve through opt.MinPartition: same pick, and every device's
-// score bit-identical. It is a replay on one Mudi, so the memo carries
+// matchReference runs one selection on m and checks it against the
+// direct per-device scorer on the current predictor: the same pick,
+// and every view's score bit-identical. It returns the pick and
+// whether the best score tied.
+func matchReference(t *testing.T, m *Mudi, ref *referenceOutputs, task model.TrainingTask, views []DeviceView, stage string) (pick string, ok, tied bool) {
+	t.Helper()
+	maxTrain := m.cfg.MaxTrainPerGPU
+	ref.reset()
+	got, gotOK := m.SelectDevice(task, views, nil)
+	want, wantOK := referenceSelect(ref, maxTrain, task, views)
+	if got != want || gotOK != wantOK {
+		t.Fatalf("%s: SelectDevice = (%q, %v), reference = (%q, %v)", stage, got, gotOK, want, wantOK)
+	}
+	scores := lastScores(m, task, views)
+	best, atBest := slices.Max(scores), 0
+	for i, s := range scores {
+		if s == best {
+			atBest++
+		}
+		r, ok := referenceScore(ref, maxTrain, task, views[i])
+		if !ok {
+			r = -1
+		}
+		if math.Float64bits(s) != math.Float64bits(r) {
+			t.Fatalf("%s: device %s scores %v, reference %v", stage, views[i].ID, s, r)
+		}
+	}
+	return got, gotOK, best >= 0 && atBest > 1
+}
+
+// largeFleet draws n device views of the catalog services, each
+// service at its own SLO or twice it, in shuffled order, with IDs
+// gpu9500 to gpu(9500+n-1): string order, the tie rule's, differs from
+// both device order and numeric order (gpu10000 < gpu9999). Each
+// device has 0 to maxTrain residents from three tasks, so a Mudi-more
+// fleet has several Ψ per service. QPS is drawn by kind: "spread"
+// around each service's base rate, as fleet traces give; "equal", the
+// base rate on every device, so each (service, Ψ, SLO) group is one
+// tie; "plateau", rates so low that every Δ sits at the 1% floor.
+func largeFleet(rng *xrand.Rand, n int, kind string, maxTrain int) []DeviceView {
+	services := model.Services()
+	tasks := model.Tasks()
+	views := make([]DeviceView, n)
+	for i, j := range rng.Perm(n) {
+		svc := services[rng.Intn(len(services))]
+		v := DeviceView{ID: fmt.Sprintf("gpu%d", 9500+j), ServiceName: svc.Name, SLOms: svc.SLOms, FreeShare: 0.5}
+		if rng.Intn(4) == 0 {
+			v.SLOms *= 2
+		}
+		switch kind {
+		case "spread":
+			v.QPS = svc.BaseQPS * rng.Range(0.2, 3)
+		case "equal":
+			v.QPS = svc.BaseQPS
+		case "plateau":
+			v.QPS = svc.BaseQPS * rng.Range(1e-4, 1e-3)
+		}
+		for r := rng.Intn(maxTrain + 1); r > 0; r-- {
+			v.ResidentTasks = append(v.ResidentTasks, tasks[rng.Intn(3)])
+		}
+		views[i] = v
+	}
+	return views
+}
+
+// TestSelectDeviceMatchesReference checks the Device Selector against
+// the direct per-device scorer, which validates and solves every curve
+// through opt.MinPartition: same pick, and every device's score
+// bit-identical.
+//
+// The first part is a replay on one Mudi-more, so the memo carries
 // over between calls. Each fleet is selected on four times, and
 // between those selections views change their QPS, SLO, Paused flag
-// and residents (mutateFleet), so one call's resolved entries must not
-// leak into the next; many calls meet more (service, Ψ) keys than the
-// per-call table holds. Between fleets the predictor learns random
-// co-locations through ObserveColocation, and now and then trains on a
-// fresh batch of offline profiles, and the reference always reads the
-// current predictor. Each fleet holds twins of some of its devices, so
-// some fleets' best score ties and the pick must take the smaller ID.
+// and residents (mutateFleet), so one call's groups must not leak into
+// the next; some calls meet more groups than a short scan would want.
+// Between fleets the predictor learns random co-locations through
+// ObserveColocation, and now and then trains on a fresh batch of
+// offline profiles, and the reference always reads the current
+// predictor. Each fleet holds twins of some of its devices, so some
+// fleets' best score ties and the pick must take the smaller ID.
+//
+// The second part selects over 1024-view fleets (largeFleet) on Mudi
+// and Mudi-more: QPS spread per device, whole groups at one QPS, and
+// low-QPS plateaus, with IDs whose string order is neither device nor
+// numeric order.
 func TestSelectDeviceMatchesReference(t *testing.T) {
 	const maxTrain = 3
 	oracle := perf.NewOracle(10)
 	m := mustBuild(t, oracle, 10, maxTrain)
 	pred := m.Predictor()
+	ref := &referenceOutputs{pred: pred}
 	tasks := model.Tasks()
 	services := model.Services()
 	prof := profiler.New(oracle, xrand.New(1010))
-	placed, untrained, moved, trained, tied, selections, repicked, overflowed := 0, 0, 0, 0, 0, 0, 0, 0
+	placed, untrained, moved, trained, tied, selections, repicked, crowded := 0, 0, 0, 0, 0, 0, 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := xrand.New(seed)
 		views := withTwins(xrand.New(1000+seed), randomFleet(rng, 48), 8)
@@ -206,37 +310,18 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 				mutateFleet(rng, views, maxTrain)
 			}
 			selections++
-			got, gotOK := m.SelectDevice(task, views, nil)
-			want, wantOK := referenceSelect(pred, maxTrain, task, views)
-			if got != want || gotOK != wantOK {
-				t.Fatalf("seed %d round %d: SelectDevice = (%q, %v), reference = (%q, %v)", seed, round, got, gotOK, want, wantOK)
-			}
-			if len(m.slope.resolved) == maxResolved {
-				overflowed++
+			got, gotOK, tie := matchReference(t, m, ref, task, views, fmt.Sprintf("seed %d round %d", seed, round))
+			if len(m.slope.groups) >= crowdedGroups {
+				crowded++
 			}
 			if round > 0 && got != prev {
 				repicked++
 			}
 			prev = got
-			scores := lastScores(m, task, views)
-			best, atBest := slices.Max(scores), 0
-			for _, s := range scores {
-				if s == best {
-					atBest++
-				}
-			}
-			if best >= 0 && atBest > 1 {
+			if tie {
 				tied++
 			}
-			for i, s := range scores {
-				v := views[i]
-				ref, ok := referenceScore(pred, maxTrain, task, v)
-				if !ok {
-					ref = -1
-				}
-				if math.Float64bits(s) != math.Float64bits(ref) {
-					t.Fatalf("seed %d round %d device %s: score %v, reference %v", seed, round, v.ID, s, ref)
-				}
+			for _, v := range views {
 				if v.ServiceName == "Untrained" && !v.Paused && len(v.ResidentTasks) < maxTrain {
 					untrained++
 				}
@@ -276,10 +361,10 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 	if tied == 0 {
 		t.Fatal("no fleet's best score tied; the tie rule went unexercised")
 	}
-	t.Logf("%d of %d selections tie for the best score; %d moved the pick after a fleet change; %d filled the %d-entry per-call table",
-		tied, selections, repicked, overflowed, maxResolved)
-	if overflowed == 0 {
-		t.Fatal("no selection filled the per-call table; the overflow path went unexercised")
+	t.Logf("%d of %d selections tie for the best score; %d moved the pick after a fleet change; %d met %d or more groups",
+		tied, selections, repicked, crowded, crowdedGroups)
+	if crowded == 0 {
+		t.Fatalf("no selection met %d groups; the group scan went unexercised", crowdedGroups)
 	}
 	if repicked < 10 {
 		t.Fatalf("only %d selections moved the pick after a fleet change; the changes do not reach the scores", repicked)
@@ -290,7 +375,44 @@ func TestSelectDeviceMatchesReference(t *testing.T) {
 	if moved < 20 || trained == 0 {
 		t.Fatalf("the predictor moved between only %d of 40 fleets (%d trainings); the replay cannot see a stale memo", moved, trained)
 	}
+
+	mudi := mustBuild(t, oracle, 10, 1)
+	for _, mm := range []*Mudi{mudi, m} {
+		ref := &referenceOutputs{pred: mm.Predictor()}
+		for _, kind := range []string{"spread", "equal", "plateau"} {
+			tiedKind, numericLater := 0, 0
+			for seed := uint64(1); seed <= 3; seed++ {
+				rng := xrand.New(2000 + seed)
+				views := largeFleet(rng, 1024, kind, mm.cfg.MaxTrainPerGPU)
+				task := tasks[rng.Intn(len(tasks))]
+				for round := 0; round < 2; round++ {
+					if round > 0 {
+						mutateFleet(rng, views, mm.cfg.MaxTrainPerGPU)
+					}
+					stage := fmt.Sprintf("maxTrain %d %s seed %d round %d", mm.cfg.MaxTrainPerGPU, kind, seed, round)
+					got, ok, tie := matchReference(t, mm, ref, task, views, stage)
+					if !ok {
+						t.Fatalf("%s: no device selected", stage)
+					}
+					if tie {
+						tiedKind++
+						if len(got) > len("gpu9999") {
+							numericLater++ // a tie won by gpu1xxxx over gpu9xxx
+						}
+					}
+				}
+			}
+			if kind != "spread" && (tiedKind == 0 || numericLater == 0) {
+				t.Fatalf("maxTrain %d %s: %d selections tie, %d won by an ID numerically after another tied one; the tie rule went unexercised",
+					mm.cfg.MaxTrainPerGPU, kind, tiedKind, numericLater)
+			}
+		}
+	}
 }
+
+// crowdedGroups is the group count a selection call must reach in
+// TestSelectDeviceMatchesReference's replay.
+const crowdedGroups = 16
 
 // TestSlopeEntryDropsInvalidCurves pins validation at entry time: a
 // predicted curve that fails Validate (here K1 = -Inf, whose solve
@@ -326,7 +448,7 @@ func TestSlopeEntryDropsInvalidCurves(t *testing.T) {
 			shareSum += 1 - res.Delta
 		}
 		want := (0.05 + shareSum/float64(len(batches))) / 1.3
-		if got := e.score(qps, 100, len(batches)); math.Float64bits(got) != math.Float64bits(want) {
+		if got, _ := e.score(qps, 100, len(batches)); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("qps %v: score %v, MinPartition reference %v", qps, got, want)
 		}
 	}
@@ -462,5 +584,155 @@ func TestSelectDeviceAllocsFlatInFleetSize(t *testing.T) {
 	t.Logf("warm SelectDevice allocations: %v at 64 views, %v at 1024", a64, a1024)
 	if a1024 > a64 {
 		t.Fatalf("warm SelectDevice allocations grow with views: %v at 64, %v at 1024", a64, a1024)
+	}
+}
+
+// TestSelectDeviceSolvesFewDevices pins the placement cost model: over
+// a 1024-view fleet of the six catalog services with QPS spread per
+// device, a warm selection runs at most an eighth of the Eq. 4 solves
+// that scoring every eligible device (six per device) would.
+func TestSelectDeviceSolvesFewDevices(t *testing.T) {
+	m := mustBuild(t, perf.NewOracle(12), 12, 1)
+	task, _ := model.TaskByName("NCF")
+	for _, kind := range []string{"spread", "equal", "plateau"} {
+		views := largeFleet(xrand.New(12), 1024, kind, 1)
+		eligible := 0
+		for i := range views {
+			if Eligible(&views[i], 1) {
+				eligible++
+			}
+		}
+		m.SelectDevice(task, views, nil) // fills the memo
+		before := m.slope.solves
+		if _, ok := m.SelectDevice(task, views, nil); !ok {
+			t.Fatalf("%s: no device selected", kind)
+		}
+		solves, perDevice := m.slope.solves-before, len(model.BatchSizes())*eligible
+		t.Logf("%s: %d solves over %d eligible views; scoring each would run %d", kind, solves, eligible, perDevice)
+		if kind == "spread" && solves > perDevice/8 {
+			t.Fatalf("%s: %d solves, more than an eighth of %d", kind, solves, perDevice)
+		}
+	}
+}
+
+// TestSlopeEntryScoreRisesWithQPS pins why the Device Selector prunes
+// by the score's bound rather than by QPS order: the score can rise as
+// QPS rises. Over one curve, MinDeltaFor's counterexample (see
+// piecewise.Func.MinDeltaBound), one float more of QPS moves the solve
+// from the knee to the 1% floor. The bound at the lower QPS covers the
+// higher one.
+func TestSlopeEntryScoreRisesWithQPS(t *testing.T) {
+	e := newSlopeEntry(1, []int{1}, 0.3, []piecewise.Func{{K1: -95, K2: -4, Cutoff: 0.09, L0: 4}}, nil)
+	const slo = 11.6
+	low, high := 1.0, math.Nextafter(1, 2)
+	if b := opt.Budget(slo, 1, high); b != 11.599999999999998 {
+		t.Fatalf("budget at the higher QPS is %v, not the counterexample's", b)
+	}
+	sLow, bound := e.score(low, slo, 1)
+	sHigh, _ := e.score(high, slo, 1)
+	if !(sHigh > sLow) {
+		t.Fatalf("score %v at QPS %v, %v at %v: no rise", sLow, low, sHigh, high)
+	}
+	if sHigh > bound {
+		t.Fatalf("score %v at QPS %v exceeds the bound %v at QPS %v", sHigh, high, bound, low)
+	}
+}
+
+// TestSlopeEntryBoundCoversHigherQPS checks the contract the Device
+// Selector prunes by: an entry's bound at a QPS is at least its score at
+// that QPS and at every higher one, under one SLO. Entries hold six
+// random curves, rising segments and invalid curves included, at
+// random slopes; QPS ladders walk float by float across the QPS at
+// which a batch's budget meets a branch boundary of its curve, and
+// spread between.
+func TestSlopeEntryBoundCoversHigherQPS(t *testing.T) {
+	rng := xrand.New(7)
+	batches := model.BatchSizes()
+	curve := func() piecewise.Func {
+		scale := math.Pow(10, rng.Range(-1, 2.5))
+		c := piecewise.Func{
+			K1: -scale * rng.Range(0, 400), K2: -scale * rng.Range(0, 20),
+			Cutoff: rng.Range(0.005, 1), L0: scale * rng.Range(0.1, 5),
+		}
+		switch rng.Intn(10) {
+		case 0:
+			c.K1 = -c.K1
+		case 1:
+			c.K2 = -c.K2
+		case 2:
+			c.K1 = math.Inf(-1) // fails Validate
+		}
+		return c
+	}
+	checked, rises := 0, 0
+	for range 400 {
+		curves := make([]piecewise.Func, len(batches))
+		for i := range curves {
+			curves[i] = curve()
+		}
+		e := newSlopeEntry(1, batches, rng.Range(0, 2), curves, nil)
+		slo := rng.Range(10, 500)
+		var ladder []float64
+		for i, c := range e.curves {
+			for _, lat := range []float64{c.Eval(0.01), c.L0, c.Eval(0.9), c.Eval(rng.Float64())} {
+				q := slo * float64(e.batches[i]) / lat
+				for range 16 {
+					q = math.Nextafter(q, 0)
+				}
+				for range 32 {
+					ladder = append(ladder, q)
+					q = math.Nextafter(q, math.Inf(1))
+				}
+			}
+		}
+		for range 32 {
+			ladder = append(ladder, math.Exp(rng.Range(-3, 9)))
+		}
+		slices.Sort(ladder)
+		ladder = slices.Compact(ladder)
+		// Walk down from the highest QPS, keeping the best score at or
+		// above the current one.
+		best, prev := math.Inf(-1), math.Inf(-1)
+		for i := len(ladder) - 1; i >= 0; i-- {
+			s, bound := e.score(ladder[i], slo, len(batches))
+			if s < prev {
+				rises++ // the score at the next higher QPS was larger
+			}
+			best, prev = max(best, s), s
+			if best > bound {
+				t.Fatalf("entry %+v slo %v: bound %v at QPS %v, below a score %v at a QPS ≥ it", e, slo, bound, ladder[i], best)
+			}
+			checked++
+		}
+	}
+	t.Logf("%d QPS checked; the score rose with QPS at %d of them", checked, rises)
+}
+
+// TestSelectDevicePicksPastTheCounterexample runs a selection where
+// neither the group's lowest-QPS device nor the next one scored is its
+// best. The entry holds MinDeltaFor's counterexample curve
+// (TestSlopeEntryScoreRisesWithQPS) at batches 1 and 2, so its knee
+// solve strikes at QPS 1 for batch 1 and at QPS 2 for batch 2, and the
+// device one float of QPS above 2 beats both. A selector that trusted
+// QPS order would stop at the lowest device, and one that marked by
+// score rather than bound would stop at the QPS-2 device.
+func TestSelectDevicePicksPastTheCounterexample(t *testing.T) {
+	m := mustBuild(t, perf.NewOracle(13), 13, 1)
+	task, _ := model.TaskByName("NCF")
+	const svc = "Counterexample" // unknown to the predictor: generation 0
+	cex := piecewise.Func{K1: -95, K2: -4, Cutoff: 0.09, L0: 4}
+	m.slope.memo[colocKey{svc, task.Arch}] = newSlopeEntry(0, []int{1, 2}, 0.3, []piecewise.Func{cex, cex}, nil)
+	views := []DeviceView{
+		{ID: "a-lowest", ServiceName: svc, SLOms: 11.6, QPS: 1},
+		{ID: "b-knee", ServiceName: svc, SLOms: 11.6, QPS: 2},
+		{ID: "c-above", ServiceName: svc, SLOms: 11.6, QPS: math.Nextafter(2, 3)},
+		{ID: "d-high", ServiceName: svc, SLOms: 11.6, QPS: 8},
+	}
+	s := lastScores(m, task, views)
+	if !(s[2] > s[0] && s[0] > s[1] && s[0] > s[3]) {
+		t.Fatalf("scores %v: want c-above > a-lowest > b-knee, d-high", s)
+	}
+	if got, ok := m.SelectDevice(task, views, nil); !ok || got != "c-above" {
+		t.Fatalf("SelectDevice = (%q, %v), want c-above", got, ok)
 	}
 }

@@ -122,6 +122,55 @@ func (f Func) MinDeltaFor(budget, maxDelta float64) (delta float64, ok bool) {
 	return hi, true
 }
 
+// MinDeltaBound returns a Δ no larger than MinDeltaFor(b, maxDelta)
+// for any budget b ≤ budget at which that solve is ok. MinDeltaFor
+// itself is not monotone in the budget: where its steep solve lands
+// within rounding of the 1% floor, one float more of budget can fail
+// both the floor check and the steep branch's d ≥ 1% check and fall
+// through to the knee (K1=-95, K2=-4, Δ0=0.09, l0=4 solves budget
+// 11.599999999999998 to 0.010000000000000023 and budget 11.6 to 0.09).
+//
+// The bound holds anyway. Every ok solve at b returns a Δ ≥
+// lo = min(1%, maxDelta) that meets Eval(Δ) ≤ b·(1+1e-9), the loosest
+// of its acceptance checks, or else the knee clamped up to 1%, which
+// needs l0 ≤ b. So x is a bound when every Δ in [lo, x] has latency
+// above budget·(1+1e-9) and, if x is past the knee, so has l0. The
+// bound is the segment solve at a budget slightly above that, kept
+// when each segment's lowest latency on [lo, x] confirms it: at the
+// end its slope's sign fixes, or l0 for a rising shallow segment.
+// Otherwise the bound is lo.
+func (f Func) MinDeltaBound(budget, maxDelta float64) float64 {
+	const minDelta = 0.01
+	lo := min(minDelta, maxDelta)
+	accept := budget * (1 + 1e-9)
+	target := accept * (1 + 1e-9)
+	k := f.K1
+	if target < f.L0 {
+		k = f.K2
+	}
+	x := f.Cutoff + (target-f.L0)/k
+	if !(x > lo) {
+		return lo
+	}
+	if lo <= f.Cutoff {
+		// The steep segment's lowest latency on [lo, min(x, Δ0)].
+		probe := lo
+		if f.K1 <= 0 {
+			probe = min(x, f.Cutoff)
+		}
+		if !(f.Eval(probe) > accept) {
+			return lo
+		}
+	}
+	if x > f.Cutoff {
+		// The shallow segment's on (Δ0, x]: never below l0 if it rises.
+		if f.K2 > 0 && !(f.L0 > accept) || f.K2 <= 0 && !(f.Eval(x) > accept) {
+			return lo
+		}
+	}
+	return x
+}
+
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo
