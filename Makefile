@@ -68,13 +68,16 @@ smoke-telemetry:
 # The predictor's concurrent refits and selections are then repeated,
 # so a race between a service's four learners has many chances to show,
 # and so is the kept-view check, whose lanes write the device views
-# that placement reads at the barrier, and so are the engine's
+# that placement reads at the barrier, and so are the observation
+# checks, whose lanes post observation mail that the barrier applies by
+# reading the window records the lanes wrote, and so are the engine's
 # hand-off tests, where lane workers poll, park and wake beside the
 # run's goroutine.
 race:
 	$(GO) test -race -timeout 120m $(RACE_PKGS)
 	$(GO) test -race -count=20 -timeout 30m -run 'Update|Train|Aligned' ./internal/predictor
 	$(GO) test -race -count=10 -timeout 30m -run KeptView ./internal/cluster
+	$(GO) test -race -count=10 -timeout 30m -run 'ObservationPassive|SwapBurstsPublishedOnce|Precede' ./internal/cluster
 	$(GO) test -race -count=20 -timeout 30m -run 'Invariance|RunStops|Steady|Handoff' ./internal/shard
 
 # The live HTTP surface polled while a run is in flight, repeated under

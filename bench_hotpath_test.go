@@ -510,8 +510,8 @@ func BenchmarkHotpathBurstyQPS(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathHistogramWindow1k is the observed fold's metrics
-// write: one op publishes one window's latency to each of 1024 sink
+// BenchmarkHotpathHistogramWindow1k is an observed window's metrics
+// write, made by the barrier tick: one op publishes one window's latency to each of 1024 sink
 // histograms with a single Sink.ObserveAll. Every 2048 windows, about
 // a device's window count on the benchmark's observed-burst-1k
 // workload, the histograms start over on a fresh sink, so the op pays

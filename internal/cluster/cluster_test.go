@@ -297,15 +297,13 @@ func TestMIGSlices(t *testing.T) {
 		}
 		ids := make(map[string]bool, len(split.devices))
 		for _, d := range split.devices {
-			for _, mem := range []float64{d.dev.MemoryMB, d.pool.CapacityMB()} {
-				if diff := mem*float64(k) - gpu.A100MemoryMB; diff > 1e-6 || diff < -1e-6 {
-					t.Fatalf("MIGSlices %d: %s memory %v × %d != %d", k, d.dev.ID, mem, k, gpu.A100MemoryMB)
-				}
+			if diff := d.pool.CapacityMB()*float64(k) - gpu.A100MemoryMB; diff > 1e-6 || diff < -1e-6 {
+				t.Fatalf("MIGSlices %d: %s memory %v × %d != %d", k, d.v.ID, d.pool.CapacityMB(), k, gpu.A100MemoryMB)
 			}
-			if ids[d.dev.ID] {
-				t.Fatalf("MIGSlices %d: duplicate device ID %s", k, d.dev.ID)
+			if ids[d.v.ID] {
+				t.Fatalf("MIGSlices %d: duplicate device ID %s", k, d.v.ID)
 			}
-			ids[d.dev.ID] = true
+			ids[d.v.ID] = true
 		}
 	}
 	res, err := sim.Run()

@@ -42,7 +42,7 @@ func referenceView(d *deviceState, in viewInputs) core.DeviceView {
 	}
 	return core.DeviceView{
 		Paused:        paused,
-		ID:            d.dev.ID,
+		ID:            d.v.ID,
 		ServiceName:   d.svc.info.Name,
 		ServiceClass:  d.svc.info.Class,
 		SLOms:         d.svc.info.SLOms,
@@ -105,11 +105,11 @@ func keptViewRun(t *testing.T, opts Options) *Result {
 		for _, d := range sim.devices {
 			// DeepEqual compares the residents by contents, and a nil
 			// list differs from the reference's empty one.
-			if want := referenceView(d, *inputs[d.dev.ID]); !reflect.DeepEqual(d.v, want) {
-				t.Fatalf("barrier %d at %v: %s view\n%+v\nwant\n%+v", barriers, sim.sh.Now(), d.dev.ID, d.v, want)
+			if want := referenceView(d, *inputs[d.v.ID]); !reflect.DeepEqual(d.v, want) {
+				t.Fatalf("barrier %d at %v: %s view\n%+v\nwant\n%+v", barriers, sim.sh.Now(), d.v.ID, d.v, want)
 			}
 			if d.down && d.v.SMUtil != 0 {
-				t.Fatalf("barrier %d at %v: down %s at SM utilization %v", barriers, sim.sh.Now(), d.dev.ID, d.v.SMUtil)
+				t.Fatalf("barrier %d at %v: down %s at SM utilization %v", barriers, sim.sh.Now(), d.v.ID, d.v.SMUtil)
 			}
 			busy = busy || d.v.SMUtil > 0
 		}
@@ -122,7 +122,7 @@ func keptViewRun(t *testing.T, opts Options) *Result {
 		t.Fatal(err)
 	}
 	for _, d := range sim.devices {
-		inputs[d.dev.ID] = &viewInputs{batch: 64, delta: 0.5}
+		inputs[d.v.ID] = &viewInputs{batch: 64, delta: 0.5}
 	}
 	if w := min(runtime.GOMAXPROCS(0), len(shard.Split(len(sim.devices), opts.Shards))); w < 2 {
 		t.Fatalf("%d workers step the lanes, want at least 2", w)

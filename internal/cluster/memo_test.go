@@ -188,7 +188,7 @@ func deployed(t *testing.T, s *Sim) {
 	t.Helper()
 	for _, d := range s.devices {
 		if err := s.deploy(0, d, "initial"); err != nil || s.err != nil {
-			t.Fatalf("deploying %s: %v (run error %v)", d.dev.ID, err, s.err)
+			t.Fatalf("deploying %s: %v (run error %v)", d.v.ID, err, s.err)
 		}
 	}
 }

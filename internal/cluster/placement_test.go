@@ -76,7 +76,7 @@ func TestPlacementOutsideCandidatesFails(t *testing.T) {
 		const devices = 4
 		all := make([]string, devices)
 		for i := range all {
-			all[i] = fmt.Sprintf("gpu%04d", i) // gpu.Device's ID
+			all[i] = fmt.Sprintf("gpu%04d", i) // gpu.FleetDevice's ID
 		}
 		p := &strayPolicy{GSLICE: baselines.NewGSLICE(), stray: func(views []core.DeviceView) string {
 			for _, id := range all {

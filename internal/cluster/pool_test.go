@@ -33,7 +33,7 @@ func (p *lostPinPolicy) Configure(v core.DeviceView, m core.Measurer) (core.Deci
 		return dec, err
 	}
 	for _, d := range p.sim.devices {
-		if d.dev.ID == v.ID {
+		if d.v.ID == v.ID {
 			if ferr := d.pool.Free(0, "svc"); ferr != nil {
 				return dec, ferr
 			}
@@ -87,7 +87,7 @@ func (*lostTrainPolicy) Name() string { return "lost-train" }
 func (p *lostTrainPolicy) Configure(v core.DeviceView, m core.Measurer) (core.Decision, error) {
 	if p.lost == "" && len(v.ResidentTasks) > 0 {
 		for _, d := range p.sim.devices {
-			if d.dev.ID == v.ID {
+			if d.v.ID == v.ID {
 				id := d.training[0].allocID
 				if err := d.pool.Free(0, id); err != nil {
 					return core.Decision{}, err

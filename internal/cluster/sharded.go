@@ -32,15 +32,17 @@ import (
 // Inside a lane, windows touch only lane-owned state: the device, its
 // pool, its service (including the qps trace's per-device walk and its
 // recorder stream), its winRNG, and its window record d.rec. That is
-// the one observation path: the barrier reads every record back in
-// global device order — fold publishes events, metrics and swap
-// bursts, barrierTick feeds violations to the attributor and rolls the
-// records into timelines — so observed runs step in parallel like
-// unobserved ones.
+// the one observation path: a window's observation is its device's
+// first mail, which publishes the record's events, metrics and swap
+// bursts ahead of the reactions the window posted, and barrierTick's
+// one walk over the devices feeds violations to the attributor and
+// sums the records into the fleet series and timelines — so observed
+// runs step in parallel like unobserved ones.
 
 // deviceWindow is one device's control window: the lane-local work
 // runs inline, every cross-lane reaction is posted to the mailbox, and
-// what the window observed lands in d.rec.
+// what the window observed lands in d.rec, which the device's first
+// mail publishes.
 func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 	w := span.WindowSec
 	r := &d.rec
@@ -51,6 +53,9 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 		*r = winRecord{residents: r.residents[:0]}
 		d.v.SMUtil = 0
 		return
+	}
+	if d.observe != nil {
+		lane.Post(d.observe)
 	}
 	svc := d.svc
 	qps := svc.qpsTrace.At(now)
@@ -163,8 +168,8 @@ func (s *Sim) deviceWindow(now float64, lane *shard.Lane, d *deviceState) {
 
 	// Memory reclamation (Fig. 16's reclaim at QPS drop): touch swapped
 	// training back in when the device has headroom, one reclaim per
-	// window. Pool state is lane-owned, so this runs inline; the fold
-	// publishes the swap bursts it records.
+	// window. Pool state is lane-owned, so this runs inline; the
+	// observation mail publishes the swap bursts it records.
 	if d.pool.CapacityMB()-d.pool.DeviceUsedMB() > 1024 {
 		for _, t := range d.training {
 			out, err := d.pool.SwappedOutMB(t.allocID)
@@ -263,28 +268,12 @@ func (s *Sim) postRetune(lane *shard.Lane, d *deviceState, qps float64, cause re
 	lane.Post(fn)
 }
 
-// fold is the engine's once-per-window read-back, installed only when
-// a record log is on. It walks devices in global order and publishes
-// each device's window record (latency, load_shed, then violation;
-// a down device's empty record publishes nothing), then the swap
-// bursts its window recorded — the order a one-lane sequential step
-// would emit them in. The window's latencies go to their histograms
-// in one batch, under one acquisition of the sink's lock.
-func (s *Sim) fold(float64) {
-	for _, d := range s.devices {
-		s.observeWindow(d)
-		if d.swapSeen < len(d.pool.Events()) {
-			s.flushSwaps(d)
-		}
-	}
-	if o := s.obsv; o != nil {
-		s.opts.Obs.ObserveAll(o.latencies)
-		o.latencies = o.latencies[:0]
-	}
-}
-
-// observeWindow fans one device's window record out to the metrics
-// (its latency joins the window's batch) and the record log.
+// observeWindow is a live device's observation mail, bound once per
+// device when a record log is on and posted ahead of the window's other
+// mail: it publishes the device's window record (its latency joins the
+// window's batch, then load_shed, then slo_violation) and then the swap
+// bursts its window recorded, so each device's window events precede
+// its own reactions. barrierTick hands the batch to the sink.
 func (s *Sim) observeWindow(d *deviceState) {
 	r := &d.rec
 	if r.ok && s.obsv != nil {
@@ -299,13 +288,16 @@ func (s *Sim) observeWindow(d *deviceState) {
 	if r.viol {
 		s.record(d, span.Record{Act: span.ActSLOViolation, Time: r.at, Value: r.lat, Cause: "window-budget"})
 	}
+	if d.swapSeen < len(d.pool.Events()) {
+		s.flushSwaps(d)
+	}
 }
 
 // flushSwaps publishes the pool's swap bursts recorded since the last
 // flush (mem_swap records and the transfer histogram) and refreshes
-// the swapped-MB gauge. The fold flushes lane windows' bursts;
-// barrier-time code flushes right after each pool Alloc, Resize or
-// Free, so bursts publish in the order they happened.
+// the swapped-MB gauge. The observation mail flushes lane windows'
+// bursts; barrier-time code flushes right after each pool Alloc, Resize
+// or Free, so bursts publish in the order they happened.
 func (s *Sim) flushSwaps(d *deviceState) {
 	if s.rec == nil {
 		return
@@ -327,14 +319,21 @@ func (s *Sim) flushSwaps(d *deviceState) {
 	}
 }
 
-// barrierTick is the global control-plane window: cancellation check,
-// the window's violations handed to the attributor, cluster
-// utilization sums over the values the lanes just published, and the
-// all-done stop. It runs after the mailbox applied and the events at
-// this time fired, so every completion at this window is already
-// counted in res.Completed, and every retune, rescale or outage that
-// reacts to a violated window is already in the attributor's state.
+// barrierTick is the global control-plane window: the window's
+// latencies handed to the sink in one batch, the cancellation check,
+// and one walk over the devices in global order that hands the
+// window's violations to the attributor and sums the fleet utilization
+// and the timeline roll-ups; then the fleet series and the all-done
+// stop. It runs after the mailbox applied and the events at this time
+// fired, so every completion at this window is already counted in
+// res.Completed, every retune, rescale or outage that reacts to a
+// violated window is already in the attributor's state, and a device
+// that failed at this barrier counts as down.
 func (s *Sim) barrierTick(now float64) {
+	if o := s.obsv; o != nil {
+		s.opts.Obs.ObserveAll(o.latencies)
+		o.latencies = o.latencies[:0]
+	}
 	if s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
 		s.sh.Stop()
 		return
@@ -344,7 +343,7 @@ func (s *Sim) barrierTick(now float64) {
 	for _, d := range s.devices {
 		if r := &d.rec; s.attr != nil && r.viol {
 			s.attr.Observe(span.Sample{
-				Time: r.at, Device: d.dev.ID, Service: d.svc.info.Name,
+				Time: r.at, Device: d.v.ID, Service: d.svc.info.Name,
 				LatencyMs: r.lat, BudgetMs: r.budget, QPS: r.qps,
 				BaseQPS:   d.svc.info.BaseQPS * s.opts.LoadFactor,
 				Residents: append(make([]string, 0, len(r.residents)), r.residents...),
@@ -356,6 +355,9 @@ func (s *Sim) barrierTick(now float64) {
 		if d.rec.memFrac > memPressureFrac {
 			memHot++
 		}
+		if s.tl != nil {
+			s.tl.device(d)
+		}
 	}
 	n := float64(len(s.devices))
 	if err := s.res.SMUtil.Add(now, smSum/n); err != nil {
@@ -365,7 +367,7 @@ func (s *Sim) barrierTick(now float64) {
 		s.stop(fmt.Errorf("cluster: fleet memory utilization: %w", err))
 	}
 	if s.tl != nil {
-		s.tl.window(s, now, smSum/n, memSum/n, memHot)
+		s.tl.window(now, smSum/n, memSum/n, memHot, s.queue.Len())
 	}
 	if s.obsv != nil {
 		s.obsv.windows.Inc()

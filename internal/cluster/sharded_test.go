@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"runtime"
@@ -219,6 +220,131 @@ func TestSwapBurstsPublishedOnce(t *testing.T) {
 		t.Fatal("burst run recorded no swaps; the check would be vacuous")
 	}
 	swapsPublishedOnce(t, res)
+}
+
+// TestWindowEventsPrecedeTheirReactions: a window's observation is its
+// device's first mail, so every slo-risk retune a window triggers at
+// barrier B comes after that device's slo_violation at B, at one lane
+// and at several.
+func TestWindowEventsPrecedeTheirReactions(t *testing.T) {
+	type window struct {
+		device string
+		at     float64
+	}
+	for _, shards := range []int{1, 4} {
+		res := shardRun(t, 7, 6, 8, func(o *Options) {
+			burstFaultWorkload(o)
+			o.Shards = shards
+			o.Log = span.NewRunLog(true, false, nil)
+		})
+		violated := map[window]bool{}
+		reactions := 0
+		for i, e := range res.Events {
+			w := window{e.Device, e.Time}
+			switch {
+			case e.Type == obs.EventSLOViolation:
+				violated[w] = true
+			case e.Type == obs.EventRetune && e.Cause == "slo-risk":
+				reactions++
+				if !violated[w] {
+					t.Fatalf("Shards=%d: event %d, %s's slo-risk retune at %v, precedes its slo_violation", shards, i, e.Device, e.Time)
+				}
+			}
+		}
+		if reactions == 0 {
+			t.Fatalf("Shards=%d: no slo-risk retune; the check would be vacuous", shards)
+		}
+	}
+}
+
+// TestDownDevicesSampledAfterEvents: every fleet_down_devices sample
+// counts the devices whose last device_failed or device_recovered at
+// or before that barrier is a failure. The injected outages start and
+// end between window ends, so one more outage is forced to start
+// exactly at a window barrier and to end exactly at a later one, from
+// the barrier tick's cancellation check, after the barrier's events: a
+// count taken earlier in the barrier would miss both edges.
+func TestDownDevicesSampledAfterEvents(t *testing.T) {
+	var sim *Sim
+	var forced *deviceState
+	var failedAt, recoveredAt float64
+	check := func() {
+		now := sim.sh.Now()
+		switch {
+		case forced == nil && now >= 30:
+			for _, d := range sim.devices {
+				if !d.down && !outageOverlaps(sim, d, now, now+5) {
+					forced, failedAt = d, now
+					sim.failDevice(now, d)
+					return
+				}
+			}
+		case forced != nil && recoveredAt == 0 && now >= failedAt+5:
+			recoveredAt = now
+			sim.recoverDevice(now, forced)
+		}
+	}
+	sim = shardSim(t, 7, 6, 8, func(o *Options) {
+		burstFaultWorkload(o)
+		o.Shards = 3
+		o.Log = span.NewRunLog(true, false, nil)
+		o.Timeline = timeline.New(timeline.Defaults())
+		o.Ctx = barrierCtx{Context: context.Background(), check: check}
+	})
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forced == nil || recoveredAt == 0 || res.DeviceFailures < 2 {
+		t.Fatalf("vacuous run: forced outage on %v over [%v, %v], %d failures", forced != nil, failedAt, recoveredAt, res.DeviceFailures)
+	}
+	var samples []timeline.Bucket
+	for _, tl := range res.Timelines {
+		if tl.Kind == timeline.FleetDownDevices.String() {
+			samples = tl.Levels[0].Buckets
+		}
+	}
+	if len(samples) == 0 {
+		t.Fatal("no fleet_down_devices samples")
+	}
+	down := map[string]bool{}
+	next, sawForced := 0, 0
+	for _, b := range samples {
+		for ; next < len(res.Events) && res.Events[next].Time <= b.Start; next++ {
+			switch e := res.Events[next]; e.Type {
+			case obs.EventDeviceFailed:
+				down[e.Device] = true
+			case obs.EventDeviceRecovered:
+				down[e.Device] = false
+			}
+		}
+		want := 0
+		for _, isDown := range down {
+			if isDown {
+				want++
+			}
+		}
+		if b.Count != 1 || b.Sum != float64(want) {
+			t.Fatalf("fleet_down_devices at %v = %v (count %d), want %d", b.Start, b.Sum, b.Count, want)
+		}
+		if b.Start == failedAt || b.Start == recoveredAt {
+			sawForced++
+		}
+	}
+	if sawForced != 2 {
+		t.Fatalf("samples at the forced outage's edges %v and %v: %d, want 2", failedAt, recoveredAt, sawForced)
+	}
+}
+
+// outageOverlaps reports whether one of d's injected outages overlaps
+// [from, to].
+func outageOverlaps(sim *Sim, d *deviceState, from, to float64) bool {
+	for _, w := range sim.inj.DeviceWindows(d.v.ID, sim.opts.MaxHorizonSec) {
+		if w.Start <= to && w.End >= from {
+			return true
+		}
+	}
+	return false
 }
 
 // TestShardRecordReplay: a sharded run's recorded workload replays to

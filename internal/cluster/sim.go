@@ -368,8 +368,9 @@ type simObs struct {
 	windows    *obs.Counter
 	// configErrors counts the tuning episodes whose Configure failed.
 	configErrors *obs.Counter
-	// latencies batches one window's measured latencies for the fold's
-	// one Sink.ObserveAll; reused across windows.
+	// latencies batches one window's measured latencies, appended by
+	// the observation mail, for barrierTick's one Sink.ObserveAll;
+	// reused across windows.
 	latencies []obs.Entry
 	// acts lists the cluster counters each control act bumps (see
 	// count).
@@ -555,15 +556,20 @@ func New(opts Options) (*Sim, error) {
 	if s.sh, err = shard.New(schedulable, opts.Shards, runtime.GOMAXPROCS(0), span.WindowSec); err != nil {
 		return nil, err
 	}
-	// Every device's trace shares one indexed burst schedule.
+	// Every device's trace shares one indexed burst schedule. The load
+	// factor is its first episode, over all time, so a rate is the
+	// trace's times the load factor, then times each burst in order.
+	episodes := opts.Bursts
+	if opts.LoadFactor != 1 {
+		episodes = append([]trace.Burst{{Start: 0, End: math.Inf(1), Factor: opts.LoadFactor}}, opts.Bursts...)
+	}
 	var bursts *trace.BurstSchedule
-	if len(opts.Bursts) > 0 {
-		bursts = trace.NewBurstSchedule(opts.Bursts)
+	if len(episodes) > 0 {
+		bursts = trace.NewBurstSchedule(episodes)
 	}
 	for i := 0; i < schedulable; i++ {
 		info := opts.Services[i%len(opts.Services)]
-		dev := gpu.FleetDevice(i, opts.MIGSlices)
-		devID := dev.ID
+		devID, memMB := gpu.FleetDevice(i, opts.MIGSlices)
 		var q trace.QPSTrace
 		if replayStreams != nil {
 			st := opts.Replay.Header.Streams[i]
@@ -581,9 +587,6 @@ func New(opts Options) (*Sim, error) {
 			// the recorded run's.
 		} else {
 			q = trace.NewFluctuatingQPS(info.BaseQPS, rng.ForkString("qps:"+devID))
-			if opts.LoadFactor != 1 {
-				q = trace.ScaledQPS{Inner: q, Factor: opts.LoadFactor}
-			}
 			if bursts != nil {
 				q = trace.NewBurstyQPS(q, bursts)
 			}
@@ -591,7 +594,10 @@ func New(opts Options) (*Sim, error) {
 		if opts.Record != nil {
 			q = opts.Record.Wrap(devID, info.Name, q)
 		}
-		ds := newDeviceState(dev, info, q)
+		ds := newDeviceState(devID, memMB, info, q)
+		if s.rec != nil {
+			ds.observe = func(float64) { s.observeWindow(ds) }
+		}
 		if opts.Obs != nil {
 			ds.obsv = newDevObs(opts.Obs, devID, info.Name)
 			ds.obsv.cls = s.obsv.classes[info.Class] // nil map / unclassed → nil
@@ -642,7 +648,7 @@ func (s *Sim) Run() (*Result, error) {
 	var events []shard.Event
 	if s.inj != nil {
 		for _, d := range s.devices {
-			for _, w := range s.inj.DeviceWindows(d.dev.ID, s.opts.MaxHorizonSec) {
+			for _, w := range s.inj.DeviceWindows(d.v.ID, s.opts.MaxHorizonSec) {
 				events = append(events,
 					shard.Event{At: w.Start, Fn: func(now float64) { s.failDevice(now, d) }},
 					shard.Event{At: w.End, Fn: func(now float64) { s.recoverDevice(now, d) }})
@@ -663,10 +669,6 @@ func (s *Sim) Run() (*Result, error) {
 	// appends to timeline series the fingerprint excludes.
 	if s.tl != nil {
 		s.sh.SetProfiler(newTLProfiler(s.tl.store))
-	}
-	// Observers read the lanes' window records back once per window.
-	if s.rec != nil {
-		s.sh.SetFold(s.fold)
 	}
 	// Every window steps each device on its lane; the barrier tick then
 	// runs the cluster sums, the cancellation check and the all-done
@@ -745,7 +747,7 @@ func (s *Sim) trySchedule(now float64) {
 func (s *Sim) candidates(qj *queueJob) []core.DeviceView {
 	views := s.viewsBuf[:0]
 	for _, d := range s.devices {
-		if !d.down && !qj.excluded[d.dev.ID] {
+		if !d.down && !qj.excluded[d.v.ID] {
 			views = append(views, d.v)
 		}
 	}
@@ -825,7 +827,7 @@ func (s *Sim) stop(err error) {
 // says exist, so any such error is a bug to surface, not to drop.
 func (s *Sim) poolErr(d *deviceState, op string, err error) {
 	if err != nil {
-		s.stop(fmt.Errorf("cluster: %s on %s: %w", op, d.dev.ID, err))
+		s.stop(fmt.Errorf("cluster: %s on %s: %w", op, d.v.ID, err))
 	}
 }
 
@@ -866,7 +868,7 @@ func (s *Sim) place(now float64, d *deviceState, qj *queueJob) {
 	// Online learning first: Mudi profiles the new co-location so the
 	// immediate Configure below already uses the fitted curves.
 	if learner, ok := s.opts.Policy.(core.OnlineLearner); ok {
-		learner.ObserveColocation(d.v, s.meas[d.dev.ID])
+		learner.ObserveColocation(d.v, s.meas[d.v.ID])
 	}
 	if err := s.configure(now, d, "placement"); err != nil {
 		t.paused = true
@@ -899,7 +901,7 @@ func (s *Sim) configure(now float64, d *deviceState, cause string) error {
 		// One retune interval per tuning episode.
 		s.record(d, span.Record{Act: span.ActRetune, Time: now, Task: taskSig(d), Batch: d.v.Batch, Delta: d.v.Delta, Cause: cause})
 	}
-	dec, err := s.opts.Policy.Configure(d.v, s.meas[d.dev.ID])
+	dec, err := s.opts.Policy.Configure(d.v, s.meas[d.v.ID])
 	// Every probe the episode measured becomes a bo_iter record, failed
 	// episodes included.
 	for _, p := range dec.Probes {
@@ -912,7 +914,7 @@ func (s *Sim) configure(now float64, d *deviceState, cause string) error {
 	if err == nil && dec.Feasible && dec.Delta > 1 {
 		// Eq. 4's share budget: the inference partition is at most the
 		// whole device.
-		err = fmt.Errorf("cluster: %s: decision Δ=%g exceeds the device", d.dev.ID, dec.Delta)
+		err = fmt.Errorf("cluster: %s: decision Δ=%g exceeds the device", d.v.ID, dec.Delta)
 	}
 	// The episode's outcome; a failed Configure leaves the device's
 	// configuration as it was.
@@ -964,7 +966,7 @@ func (s *Sim) record(d *deviceState, r span.Record) {
 	if s.rec == nil {
 		return
 	}
-	r.Device, r.Service = d.dev.ID, d.svc.info.Name
+	r.Device, r.Service = d.v.ID, d.svc.info.Name
 	s.obsv.count(d, &r)
 	s.rec.Add(r)
 }
@@ -978,7 +980,7 @@ func (s *Sim) record(d *deviceState, r span.Record) {
 func (s *Sim) rescale(now float64, d *deviceState, newDelta float64) {
 	oldDelta := d.v.Delta
 	act := span.ActRescale
-	if s.inj != nil && d.svc.deployed && s.inj.SpinUpFails(d.dev.ID) {
+	if s.inj != nil && d.svc.deployed && s.inj.SpinUpFails(d.v.ID) {
 		act = span.ActSpinUpFailed
 		s.res.FailedSpinUps++
 	} else {
@@ -1102,7 +1104,7 @@ func (s *Sim) evictTask(now float64, d *deviceState, t *taskState, cause string,
 		if qj.excluded == nil {
 			qj.excluded = make(map[string]bool)
 		}
-		qj.excluded[d.dev.ID] = true
+		qj.excluded[d.v.ID] = true
 	}
 	qj.progress = t.itersDone
 	s.poolErr(d, "freeing "+t.allocID, d.pool.Free(now, t.allocID))
@@ -1188,7 +1190,7 @@ func (s *Sim) deploy(now float64, d *deviceState, cause string) error {
 // retries surfaces faults.ErrMeasurement, on which the tuner falls
 // back to predictor-only curves for the episode.
 func (s *Sim) measureFault(d *deviceState) error {
-	if !s.inj.MeasureFails(d.dev.ID) {
+	if !s.inj.MeasureFails(d.v.ID) {
 		return nil
 	}
 	now := s.sh.Now()
@@ -1201,11 +1203,11 @@ func (s *Sim) measureFault(d *deviceState) error {
 				Cause: fmt.Sprintf("backoff=%gms", s.inj.BackoffMs(attempt)),
 			})
 		}
-		if !s.inj.MeasureFails(d.dev.ID) {
+		if !s.inj.MeasureFails(d.v.ID) {
 			return nil
 		}
 	}
-	return fmt.Errorf("cluster: measuring on %s after %d retries: %w", d.dev.ID, retries, faults.ErrMeasurement)
+	return fmt.Errorf("cluster: measuring on %s after %d retries: %w", d.v.ID, retries, faults.ErrMeasurement)
 }
 
 // finalize converts accumulators into rates.

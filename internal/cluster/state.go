@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"mudi/internal/core"
-	"mudi/internal/gpu"
 	"mudi/internal/memmgr"
 	"mudi/internal/model"
 	"mudi/internal/obs"
@@ -95,9 +94,9 @@ func (t *taskState) trueIteration(o *perf.Oracle, share float64, svc string, bat
 }
 
 // deviceState couples the device, its memory pool, the inference
-// service and the training residents.
+// service and the training residents. The device's ID lives in v and
+// its memory capacity in pool.
 type deviceState struct {
-	dev  *gpu.Device
 	pool *memmgr.Pool
 	svc  *serviceState
 	// v is the policy-facing view of the device and the only home of
@@ -127,6 +126,9 @@ type deviceState struct {
 	// retune is the barrier-side retune mail for each Monitor cause,
 	// bound on first use (see postRetune).
 	retune [numRetuneCauses]func(now float64)
+	// observe is the window's observation mail (see observeWindow),
+	// bound at construction when a record log is on; nil otherwise.
+	observe func(now float64)
 	// curve is the window path's memo of the oracle's latency curve
 	// (see latencyCurve); lane-owned like the rest of the window state.
 	curve curveMemo
@@ -146,15 +148,15 @@ type deviceState struct {
 	swapSeen int
 }
 
-// newDeviceState deploys service info on dev, serving the QPS of q, at
-// the initial configuration: batch 64 and half the device.
-func newDeviceState(dev *gpu.Device, info model.InferenceService, q trace.QPSTrace) *deviceState {
+// newDeviceState deploys service info on device id with memoryMB of
+// memory, serving the QPS of q, at the initial configuration: batch 64
+// and half the device.
+func newDeviceState(id string, memoryMB float64, info model.InferenceService, q trace.QPSTrace) *deviceState {
 	return &deviceState{
-		dev:  dev,
-		pool: memmgr.NewPool(dev.MemoryMB),
+		pool: memmgr.NewPool(memoryMB),
 		svc:  &serviceState{info: info, qpsTrace: q},
 		v: core.DeviceView{
-			ID:            dev.ID,
+			ID:            id,
 			ServiceName:   info.Name,
 			ServiceClass:  info.Class,
 			SLOms:         info.SLOms,
@@ -168,8 +170,8 @@ func newDeviceState(dev *gpu.Device, info model.InferenceService, q trace.QPSTra
 
 // winRecord is one device-window's outcome: the lane's window handler
 // writes it, touching nothing shared, and the single-threaded barrier
-// reads it in global device order — the fold fans it out to events and
-// metrics, the barrier tick to the attributor and the timeline.
+// reads it back — the device's observation mail fans it out to events
+// and metrics, the barrier tick to the attributor and the timeline.
 type winRecord struct {
 	at      float64 // window time
 	offered float64 // offered QPS
@@ -352,7 +354,7 @@ func (m *deviceMeasurer) TrainIterMs(batch int, delta float64) (float64, error) 
 	}
 	tasks := m.dev.v.ResidentTasks
 	if len(tasks) == 0 {
-		return 0, fmt.Errorf("cluster: no training on %s", m.dev.dev.ID)
+		return 0, fmt.Errorf("cluster: no training on %s", m.dev.v.ID)
 	}
 	share := (1 - delta) / float64(len(tasks))
 	if share <= 0 {

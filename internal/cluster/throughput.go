@@ -32,7 +32,7 @@ func MaxThroughput(policy core.Policy, oracle *perf.Oracle, svcName, taskName st
 	}
 
 	sustains := func(qps float64) bool {
-		d := newDeviceState(&gpu.Device{ID: "tp0", MemoryMB: gpu.A100MemoryMB}, svc, nil)
+		d := newDeviceState("tp0", gpu.A100MemoryMB, svc, nil)
 		d.v.QPS = qps
 		d.training = []*taskState{{task: task}}
 		d.snapshotResidents()

@@ -13,10 +13,10 @@ import (
 // runs only). It follows the engine's one observation path (see
 // sharded.go): handles resolve once at construction, device windows only
 // write each device's window record (deviceState.rec), and every
-// Series.Add happens in the single-threaded barrier tick, iterating
-// devices in global order — so the recorded series are invariant to
-// lane and worker counts, and recording never feeds back into
-// simulation state.
+// Series.Add happens in the single-threaded barrier tick, whose one
+// walk over the devices feeds the accumulators in global order — so
+// the recorded series are invariant to lane and worker counts, and
+// recording never feeds back into simulation state.
 
 // tlSvcSeries caches one catalog service's per-window series handles.
 type tlSvcSeries struct {
@@ -62,6 +62,8 @@ type tlState struct {
 
 	svc []tlSvcSeries // by catalog index
 	acc []tlAccum
+	// downs counts the window's down devices.
+	downs int
 
 	// Class roll-ups. classes lists the classes declared by the catalog
 	// in criticality order (none in a classless run); svcClass maps a
@@ -132,37 +134,38 @@ func newTLState(st *timeline.Store, services []model.InferenceService) *tlState 
 	return t
 }
 
-// window flushes one control window into the store: the barrier tick
-// calls it exactly once per window from the single-threaded phase,
-// after every device's window record is settled. Devices are folded in
-// global order, services and classes in catalog/criticality order, so
-// every float sum has a fixed order for any lane or worker count.
-func (t *tlState) window(s *Sim, now, smAvg, memAvg float64, memHot int) {
-	for i := range t.acc {
-		t.acc[i] = tlAccum{}
+// device adds one device's window to the window's accumulators. The
+// barrier tick calls it for every device in global order, after the
+// barrier's events, so every float sum has a fixed order for any lane
+// or worker count and a device that failed at this barrier counts as
+// down.
+func (t *tlState) device(d *deviceState) {
+	if d.down {
+		t.downs++
 	}
-	down := 0
-	for _, d := range s.devices {
-		if d.down {
-			down++
+	r, a := &d.rec, &t.acc[d.svcIdx]
+	a.qps += r.offered
+	a.shed += r.shed
+	if r.ok {
+		a.measured++
+		a.lat += r.lat
+		a.batch += float64(r.batch)
+		a.share += r.delta
+		a.swapped += r.swapped
+		if r.viol {
+			a.viol++
 		}
-		r, a := &d.rec, &t.acc[d.svcIdx]
-		a.qps += r.offered
-		a.shed += r.shed
-		if r.ok {
-			a.measured++
-			a.lat += r.lat
-			a.batch += float64(r.batch)
-			a.share += r.delta
-			a.swapped += r.swapped
-			if r.viol {
-				a.viol++
-			}
-			if r.paused {
-				a.paused++
-			}
+		if r.paused {
+			a.paused++
 		}
 	}
+}
+
+// window flushes one control window into the store and clears the
+// accumulators: the barrier tick calls it exactly once per window, from
+// the single-threaded phase, after device has seen every device.
+// Services and classes roll up in catalog/criticality order.
+func (t *tlState) window(now, smAvg, memAvg float64, memHot, queueLen int) {
 	w := span.WindowSec
 	for i := range t.svc {
 		h, a := &t.svc[i], &t.acc[i]
@@ -180,9 +183,7 @@ func (t *tlState) window(s *Sim, now, smAvg, memAvg float64, memHot int) {
 		}
 	}
 	if len(t.classes) > 0 {
-		for i := range t.classAcc {
-			t.classAcc[i] = tlAccum{}
-		}
+		clear(t.classAcc)
 		for i := range t.acc {
 			ci := t.svcClass[i]
 			if ci < 0 {
@@ -205,11 +206,13 @@ func (t *tlState) window(s *Sim, now, smAvg, memAvg float64, memHot int) {
 	}
 	t.put(t.smUtil, smAvg)
 	t.put(t.memUtil, memAvg)
-	t.put(t.down, float64(down))
-	t.put(t.queueDepth, float64(s.queue.Len()))
+	t.put(t.down, float64(t.downs))
+	t.put(t.queueDepth, float64(queueLen))
 	t.put(t.memPressure, float64(memHot))
 	t.store.AddAll(now, t.batch)
 	t.batch = t.batch[:0]
+	clear(t.acc)
+	t.downs = 0
 }
 
 // put queues one sample for the window's AddAll.

@@ -14,21 +14,16 @@ const A100MemoryMB = 40960
 // memory swaps (16 GB/s effective, PCIe 4.0 x16).
 const PCIeBandwidthMBps = 16384
 
-// Device is one (whole GPU or MIG-instance) schedulable unit.
-type Device struct {
-	ID       string
-	MemoryMB float64
-}
-
-// FleetDevice builds the i-th schedulable device of a fleet of A100s,
-// each split into migSlices equal MIG instances (1 = whole GPUs, valid
-// A100 slice counts are 1–7): ID gpuNNNN or gpuNNNN/migK, and
-// 1/migSlices of the GPU's memory (§3: "Mudi is fully compatible with
-// MIG, treating each MIG instance as a distinct, smaller GPU").
-func FleetDevice(i, migSlices int) *Device {
+// FleetDevice names the i-th schedulable device (a whole GPU or a MIG
+// instance) of a fleet of A100s, each split into migSlices equal MIG
+// instances (1 = whole GPUs, valid A100 slice counts are 1–7): its ID,
+// gpuNNNN or gpuNNNN/migK, and its memory, 1/migSlices of the GPU's
+// (§3: "Mudi is fully compatible with MIG, treating each MIG instance
+// as a distinct, smaller GPU").
+func FleetDevice(i, migSlices int) (id string, memoryMB float64) {
 	phys := i / migSlices
 	if migSlices == 1 {
-		return &Device{ID: fmt.Sprintf("gpu%04d", phys), MemoryMB: A100MemoryMB}
+		return fmt.Sprintf("gpu%04d", phys), A100MemoryMB
 	}
-	return &Device{ID: fmt.Sprintf("gpu%04d/mig%d", phys, i%migSlices), MemoryMB: A100MemoryMB / float64(migSlices)}
+	return fmt.Sprintf("gpu%04d/mig%d", phys, i%migSlices), A100MemoryMB / float64(migSlices)
 }

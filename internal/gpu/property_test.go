@@ -15,12 +15,12 @@ func TestMIGSplitConservesMemoryProperty(t *testing.T) {
 		sum := map[string]float64{}
 		ids := map[string]bool{}
 		for i := 0; i < phys*n; i++ {
-			d := FleetDevice(i, n)
-			if ids[d.ID] {
+			id, mem := FleetDevice(i, n)
+			if ids[id] {
 				return false
 			}
-			ids[d.ID] = true
-			sum[d.ID[:len("gpu0000")]] += d.MemoryMB
+			ids[id] = true
+			sum[id[:len("gpu0000")]] += mem
 		}
 		if len(sum) != phys {
 			return false

@@ -10,11 +10,11 @@
 //
 //  1. steps every device's window, lanes in parallel, each lane in
 //     device order;
-//  2. runs the fold, single-threaded, so it can read lane-local state
-//     back in global device order;
-//  3. applies the mail, lane by lane in posting order;
-//  4. fires the events at B in their input order;
-//  5. runs the tick.
+//  2. applies the mail, single-threaded, lane by lane in posting order,
+//     so a step's effects — its reactions and what it observed — land
+//     in global device order;
+//  3. fires the events at B in their input order;
+//  4. runs the tick.
 //
 // A barrier between two window ends runs only its events.
 //
@@ -100,18 +100,18 @@ type Lane struct {
 	mail       []func(now float64)
 }
 
-// Post queues fn for application at this window's barrier, after the
-// fold, with now = the barrier time. Call it only from a step. Post is
-// lock-free: each lane appends to its own buffer.
+// Post queues fn for application at this window's barrier, with now =
+// the barrier time. Call it only from a step. Post is lock-free: each
+// lane appends to its own buffer.
 func (l *Lane) Post(fn func(now float64)) { l.mail = append(l.mail, fn) }
 
 // Profiler receives the engine's own wall-clock behavior, once per
-// barrier: the step (including the fold) and mail-apply phase
-// durations, the mail volume, the per-lane stepped-device counts
-// (index order; the spread is the lane imbalance; nil at a barrier
-// between window ends, where no lane steps), how many lanes the lane
-// workers stepped rather than Run's goroutine, and how long Run's
-// goroutine waited for those lanes once it found none left to claim.
+// barrier: the step and mail-apply phase durations, the mail volume,
+// the per-lane stepped-device counts (index order; the spread is the
+// lane imbalance; nil at a barrier between window ends, where no lane
+// steps), how many lanes the lane workers stepped rather than Run's
+// goroutine, and how long Run's goroutine waited for those lanes once
+// it found none left to claim.
 // Wall-clock is inherently nondeterministic — profilers must never
 // feed back into simulation state. laneEvents is only valid for the
 // duration of the call.
@@ -121,12 +121,12 @@ type Profiler interface {
 
 // spinBound is how long a lane worker keeps polling for the next
 // window after its last one before it parks. It covers the serial
-// part of a typical barrier — the fold, the mail, the events and the
-// tick — so the worker is still awake when the next window opens.
+// part of a typical barrier — the mail, the events and the tick — so
+// the worker is still awake when the next window opens.
 // Measured on a 2-vCPU Xeon, from the end of one parallel step to the
 // start of the next, on the two 1024-device benchmark workloads
 // (2 lanes, seed 1): on fleet-1k the median gap is 14 µs and 0.5 ms
-// covers 99.5% of the gaps; on observed-burst-1k, where the fold
+// covers 99.5% of the gaps; on observed-burst-1k, where the barrier
 // publishes every device's window, the median is 0.10 ms, the mean
 // 0.18 ms, and 0.5 ms covers 97% (50 µs covers 8%, 1 ms 97.4%). The
 // gaps beyond the bound are barriers that place a task or retune many
@@ -142,7 +142,6 @@ type Engine struct {
 	window  float64
 	now     float64
 	stopped bool
-	fold    func(barrier float64)
 	prof    Profiler
 
 	// The current Run's step and window end, and its lane workers (see
@@ -204,12 +203,6 @@ func (e *Engine) Now() float64 { return e.now }
 // Call it before Run.
 func (e *Engine) SetProfiler(p Profiler) { e.prof = p }
 
-// SetFold installs (or, with nil, removes) fn, run at every window end
-// on Run's goroutine after every lane has stepped and before the mail
-// applies; its wall clock counts toward the profiler's drain phase.
-// Call it before Run.
-func (e *Engine) SetFold(fn func(barrier float64)) { e.fold = fn }
-
 // Stop halts Run after the current tick, with the clock at its
 // barrier. Call it only from Run's goroutine: the tick, an event or
 // applied mail.
@@ -217,8 +210,8 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Run runs the clock from time 0 until the horizon or Stop. Window
 // ends fall at window, 2·window, …; at each one every device d is
-// stepped as step(lane, d, now), then the fold, the mail, the events
-// at that time and tick(now) run, in that order. events must be
+// stepped as step(lane, d, now), then the mail, the events at that time
+// and tick(now) run, in that order. events must be
 // sorted by At (ties fire in slice order); an event between two window
 // ends runs alone. With nothing left at or before the horizon, the
 // clock moves to the horizon.
@@ -254,9 +247,6 @@ func (e *Engine) Run(horizon float64, events []Event, step func(l *Lane, dev int
 		if window {
 			helped, wait = e.step(b)
 			counts = e.counts
-			if e.fold != nil {
-				e.fold(b)
-			}
 		}
 		if e.prof != nil {
 			drain := time.Since(start)

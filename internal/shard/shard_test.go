@@ -60,7 +60,7 @@ func TestNewRejects(t *testing.T) {
 
 // toy is a toy fleet on an engine: each device's window bumps a
 // device-owned counter and posts two mail entries that append to the
-// shared log; the fold, the events and the tick append too. The log is
+// shared log; the events and the tick append too. The log is
 // the observable whose byte-identity across lane and worker counts is
 // the engine's whole contract.
 type toy struct {
@@ -77,7 +77,6 @@ func newToy(t *testing.T, n, lanes, workers int) *toy {
 		t.Fatal(err)
 	}
 	y := &toy{e: e, counters: make([]int, n)}
-	e.SetFold(func(now float64) { y.logf("fold @%g", now) })
 	for _, ev := range []struct {
 		at  float64
 		tag string
@@ -123,8 +122,8 @@ func TestLaneCountInvariance(t *testing.T) {
 }
 
 // TestBarrierPhaseOrder: at one window end the devices step, then the
-// fold runs, then the mail applies, then the events at that time fire
-// in input order, then the tick.
+// mail applies, then the events at that time fire in input order, then
+// the tick.
 func TestBarrierPhaseOrder(t *testing.T) {
 	y := newToy(t, 2, 2, 1)
 	step := y.step
@@ -137,7 +136,6 @@ func TestBarrierPhaseOrder(t *testing.T) {
 	}, y.tick)
 	want := []string{
 		"window d0 @1", "window d1 @1",
-		"fold @1",
 		"mail d0 c1 #0 @1", "mail d0 c1 #1 @1",
 		"mail d1 c1 #0 @1", "mail d1 c1 #1 @1",
 		"event x @1", "event y @1",
@@ -153,7 +151,6 @@ func TestBarrierPhaseOrder(t *testing.T) {
 // = the barrier time.
 func TestMailboxOrdering(t *testing.T) {
 	y := newToy(t, 5, 3, 3)
-	y.e.SetFold(nil)
 	y.e.Run(1, nil, y.step, func(float64) {})
 	var want []string
 	for d := 0; d < 5; d++ {
@@ -177,7 +174,7 @@ func (p *barrierLog) Barrier(at float64, _, _ time.Duration, _ int, laneEvents [
 }
 
 // TestEventOnlyBarrier: an event between two window ends runs alone —
-// no device steps, no fold, no mail, no tick — and same-time events
+// no device steps, no mail, no tick — and same-time events
 // fire in input order. The profiler still sees the barrier, with no
 // lane counts.
 func TestEventOnlyBarrier(t *testing.T) {
@@ -192,14 +189,12 @@ func TestEventOnlyBarrier(t *testing.T) {
 	want := []string{
 		"event p @0.5 counters [0 0 0 0]",
 		"event q @0.5",
-		"fold @1",
 		"mail d0 c1 #0 @1", "mail d0 c1 #1 @1",
 		"mail d1 c1 #0 @1", "mail d1 c1 #1 @1",
 		"mail d2 c1 #0 @1", "mail d2 c1 #1 @1",
 		"mail d3 c1 #0 @1", "mail d3 c1 #1 @1",
 		"tick @1",
 		"event r @1.25 counters [1 1 1 1]",
-		"fold @2",
 		"mail d0 c2 #0 @2", "mail d0 c2 #1 @2",
 		"mail d1 c2 #0 @2", "mail d1 c2 #1 @2",
 		"mail d2 c2 #0 @2", "mail d2 c2 #1 @2",

@@ -100,8 +100,8 @@ const (
 	// inherently nondeterministic.
 	//
 	// EngineWindowMs is the engine's wall-clock per barrier, the sum of
-	// its phases: the lanes' device step plus the fold, and the mail
-	// apply (EngineDrainMs / EngineApplyMs). EngineMergeMs is kept for
+	// its phases: the lanes' device step, and the mail apply, window
+	// observations included (EngineDrainMs / EngineApplyMs). EngineMergeMs is kept for
 	// readers of the series and is always 0: the mail needs no merge.
 	// The engine also reports the mail volume, the stepped-device
 	// imbalance between the busiest and laziest lane, and Go runtime

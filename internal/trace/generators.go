@@ -303,9 +303,11 @@ func (c FailoverConfig) validate() error {
 	return nil
 }
 
-// FailoverShift derives the per-side wrappers for one failover event.
+// FailoverShift derives the per-side wrappers for one failover event:
+// each side is one burst episode over [ShiftSec, RecoverSec), or to
+// +Inf when RecoverSec is 0.
 type FailoverShift struct {
-	cfg FailoverConfig
+	failed, receiving *BurstSchedule
 }
 
 // NewFailoverShift validates the config.
@@ -313,40 +315,18 @@ func NewFailoverShift(cfg FailoverConfig) (*FailoverShift, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &FailoverShift{cfg: cfg}, nil
-}
-
-func (f *FailoverShift) active(t float64) bool {
-	if t < f.cfg.ShiftSec {
-		return false
+	end := cfg.RecoverSec
+	if end == 0 {
+		end = math.Inf(1)
 	}
-	return f.cfg.RecoverSec == 0 || t < f.cfg.RecoverSec
+	return &FailoverShift{
+		failed:    NewBurstSchedule([]Burst{{Start: cfg.ShiftSec, End: end, Factor: cfg.LossFrac}}),
+		receiving: NewBurstSchedule([]Burst{{Start: cfg.ShiftSec, End: end, Factor: cfg.GainFactor}}),
+	}, nil
 }
 
 // Failed wraps a stream in the region that goes dark.
-func (f *FailoverShift) Failed(inner QPSTrace) QPSTrace {
-	return qpsFunc(func(t float64) float64 {
-		v := inner.At(t)
-		if f.active(t) {
-			return v * f.cfg.LossFrac
-		}
-		return v
-	})
-}
+func (f *FailoverShift) Failed(inner QPSTrace) QPSTrace { return NewBurstyQPS(inner, f.failed) }
 
 // Receiving wraps a stream in the region that absorbs the traffic.
-func (f *FailoverShift) Receiving(inner QPSTrace) QPSTrace {
-	return qpsFunc(func(t float64) float64 {
-		v := inner.At(t)
-		if f.active(t) {
-			return v * f.cfg.GainFactor
-		}
-		return v
-	})
-}
-
-// qpsFunc adapts a closure to QPSTrace.
-type qpsFunc func(t float64) float64
-
-// At implements QPSTrace.
-func (f qpsFunc) At(t float64) float64 { return f(t) }
+func (f *FailoverShift) Receiving(inner QPSTrace) QPSTrace { return NewBurstyQPS(inner, f.receiving) }

@@ -99,7 +99,10 @@ func (f *FluctuatingQPS) extend() {
 
 // BurstyQPS overlays burst episodes on an inner trace: between Start
 // and End the rate is multiplied by Factor (the Fig. 16 case study
-// bursts ResNet50 to 3× at t=100 s and recovers at t=200 s).
+// bursts ResNet50 to 3× at t=100 s and recovers at t=200 s). It is the
+// one way a trace is multiplied over time: an episode over [0, +Inf)
+// is a constant load factor (the 2×/3×/4× sweeps of Fig. 15), and a
+// failover shift is one episode per side (FailoverShift).
 type BurstyQPS struct {
 	inner QPSTrace
 	sched *BurstSchedule
@@ -179,16 +182,6 @@ func (s *BurstSchedule) apply(t, v float64) float64 {
 	}
 	return v
 }
-
-// ScaledQPS multiplies an inner trace by a constant — the 2×/3×/4× load
-// sweeps of Fig. 15.
-type ScaledQPS struct {
-	Inner  QPSTrace
-	Factor float64
-}
-
-// At implements QPSTrace.
-func (s ScaledQPS) At(t float64) float64 { return s.Inner.At(t) * s.Factor }
 
 // PoissonArrivals generates request arrival timestamps over [0, dur)
 // for a (possibly time-varying) rate trace, by thinning against the

@@ -66,8 +66,9 @@ func TestBurstyQPS(t *testing.T) {
 	}
 }
 
+// TestScaledQPS: a load factor is one burst episode over [0, +Inf).
 func TestScaledQPS(t *testing.T) {
-	q := ScaledQPS{Inner: ConstantQPS(100), Factor: 4}
+	q := NewBurstyQPS(ConstantQPS(100), NewBurstSchedule([]Burst{{Start: 0, End: math.Inf(1), Factor: 4}}))
 	if q.At(0) != 400 {
 		t.Fatal("scaled rate wrong")
 	}
